@@ -17,10 +17,8 @@ import sys
 from frachh.fracops import FracSetting
 from frachh.functions import (HolderPair, builtin_function_corpus,
                               builtin_weight_corpus)
-from frachh.inequalities import (trapezoid_bound, weighted_bound_holder,
-                                 weighted_bound_holder_low_order,
-                                 weighted_bound_power_mean,
-                                 weighted_bound_sup)
+from frachh.inequalities import (WEIGHTED_BOUNDS, trapezoid_bound,
+                                 weighted_bound)
 
 ALPHAS = (0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
 
@@ -57,22 +55,20 @@ def main() -> int:
               f"{'pow-mean':>9} {'holder':>8} {'low-ord':>8}")
     print(header)
     print("-" * len(header))
+    widths = (8, 9, 8, 8)  # columns of bound-2-4 .. bound-2-7
     for alpha in ALPHAS:
         s = FracSetting(args.a, args.b, alpha)
+        memo = {}  # the weighted bounds share one defect per order
         plain = trapezoid_bound(f, s)
-        sup = weighted_bound_sup(f, g, s)
-        pm = weighted_bound_power_mean(f, g, s, args.q)
-        ho = weighted_bound_holder(f, g, s, pair)
-        cells = [f"{alpha:>6g}", f"{sup.observed:>12.5e}",
-                 f"{plain.observed / plain.bound:>8.3f}",
-                 f"{sup.observed / sup.bound:>8.3f}",
-                 f"{pm.observed / pm.bound:>9.3f}",
-                 f"{ho.observed / ho.bound:>8.3f}"]
-        if alpha <= 1.0:
-            lo = weighted_bound_holder_low_order(f, g, s, pair)
-            cells.append(f"{lo.observed / lo.bound:>8.3f}")
-        else:
-            cells.append(f"{'-':>8}")
+        weighted = {ident: weighted_bound(ident, f, g, s, pair, memo=memo)
+                    for ident, form in WEIGHTED_BOUNDS.items()
+                    if alpha <= form.max_alpha}
+        cells = [f"{alpha:>6g}", f"{weighted['bound-2-4'].observed:>12.5e}",
+                 f"{plain.observed / plain.bound:>8.3f}"]
+        for ident, width in zip(WEIGHTED_BOUNDS, widths):
+            r = weighted.get(ident)
+            cells.append(f"{r.observed / r.bound:>{width}.3f}" if r
+                         else f"{'-':>{width}}")
         print(" ".join(cells))
     return 0
 

@@ -16,8 +16,9 @@ import argparse
 import sys
 
 from frachh.fracops import FracSetting
-from frachh.functions import builtin_function_corpus, builtin_weight_corpus
-from frachh.inequalities import Status, weighted_bound_power_mean
+from frachh.functions import (HolderPair, builtin_function_corpus,
+                              builtin_weight_corpus)
+from frachh.inequalities import Status, weighted_bound
 
 WIDTHS = (0.5, 1.0, 2.0, 4.0, 8.0)
 
@@ -46,7 +47,8 @@ def main() -> int:
         if args.f not in fs or args.g not in ws:
             sys.exit(f"unknown labels; have {sorted(fs)} and {sorted(ws)}")
         s = FracSetting(0.0, width, args.alpha)
-        r = weighted_bound_power_mean(fs[args.f], ws[args.g], s, args.q)
+        r = weighted_bound("bound-2-5", fs[args.f], ws[args.g], s,
+                           HolderPair.from_q(args.q))
         rescaled = r.bound * width ** (1.0 / args.q)
         flipped = flipped or r.status is Status.VIOLATED
         print(f"{width:>6g} {r.observed:>12.5e} {r.bound:>12.5e} "

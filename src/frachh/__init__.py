@@ -4,34 +4,34 @@ for fractional integral means.
 The package splits into small layers:
 
 * numerics: adaptive Gauss-Kronrod quadrature, singular-kernel
-  integration, and the cumulative kernel transform,
+  integration, and the cumulative kernel K (CumulativeKernel),
 * oracle: slow independent reimplementations used only to cross-check
   the fast paths,
 * functions: the convex-function and symmetric-weight corpus with
   certification metadata,
 * fracops: one-sided fractional integral means,
-* inequalities: the verifiers, one per statement,
-* cli: the ``frachh`` command.
+* inequalities: the verifiers, one per statement, except Theorems
+  2.4-2.7, which are one weighted_bound over the WEIGHTED_BOUNDS table
+  of closed forms; Cell computes the quantities they share once per
+  (f, g, alpha) cell,
+* cli: the ``frachh`` command, dispatching from its THEOREMS registry.
 """
 
-from .fracops import FracSetting, SymmetryReport, check_symmetry_lemma, j_left, j_right
+from .fracops import FracSetting, j_left, j_right
 from .functions import (ConvexityKind, ConvexityReport, FunctionSpec,
                         HolderPair, WeightSpec, builtin_function_corpus,
                         builtin_weight_corpus, check_convexity, make_weight,
                         sup_norm, symmetrize)
-from .inequalities import (AuxIntegralsReport, BoundReport, IdentityReport,
-                           SandwichReport, Status, aux_integrals,
+from .inequalities import (WEIGHTED_BOUNDS, AuxIntegralsReport, BoundReport,
+                           Cell, IdentityReport, SandwichReport, Status,
+                           WeightedBound, aux_integrals, check_symmetry_lemma,
                            fejer_classical, fejer_fractional, hh_classical,
                            hh_fractional, scalar_power_lemma,
                            trapezoid_bound, trapezoid_identity,
-                           weighted_bound_holder,
-                           weighted_bound_holder_low_order,
-                           weighted_bound_power_mean, weighted_bound_sup,
-                           weighted_trapezoid_identity)
+                           weighted_bound, weighted_trapezoid_identity)
 from .numerics import (DEFAULT_TOL, CumulativeKernel, DomainError,
-                       EvaluationError, KernelSide, QuadResult,
-                       cumulative_kernel, gamma, integrate_singular,
-                       integrate_smooth)
+                       EvaluationError, KernelSide, QuadResult, gamma,
+                       integrate_singular, integrate_smooth)
 
 __version__ = "0.1.0"
 
@@ -39,20 +39,19 @@ __all__ = [
     "__version__",
     # numerics
     "DEFAULT_TOL", "CumulativeKernel", "DomainError", "EvaluationError",
-    "KernelSide", "QuadResult", "cumulative_kernel", "gamma",
-    "integrate_singular", "integrate_smooth",
+    "KernelSide", "QuadResult", "gamma", "integrate_singular",
+    "integrate_smooth",
     # functions
     "ConvexityKind", "ConvexityReport", "FunctionSpec", "HolderPair",
     "WeightSpec", "builtin_function_corpus", "builtin_weight_corpus",
     "check_convexity", "make_weight", "sup_norm", "symmetrize",
     # fracops
-    "FracSetting", "SymmetryReport", "check_symmetry_lemma", "j_left",
-    "j_right",
+    "FracSetting", "j_left", "j_right",
     # inequalities
-    "AuxIntegralsReport", "BoundReport", "IdentityReport", "SandwichReport",
-    "Status", "aux_integrals", "fejer_classical", "fejer_fractional",
-    "hh_classical", "hh_fractional", "scalar_power_lemma", "trapezoid_bound",
-    "trapezoid_identity", "weighted_bound_holder",
-    "weighted_bound_holder_low_order", "weighted_bound_power_mean",
-    "weighted_bound_sup", "weighted_trapezoid_identity",
+    "AuxIntegralsReport", "BoundReport", "Cell", "IdentityReport",
+    "SandwichReport", "Status", "WEIGHTED_BOUNDS", "WeightedBound",
+    "aux_integrals", "check_symmetry_lemma", "fejer_classical",
+    "fejer_fractional", "hh_classical", "hh_fractional",
+    "scalar_power_lemma", "trapezoid_bound", "trapezoid_identity",
+    "weighted_bound", "weighted_trapezoid_identity",
 ]

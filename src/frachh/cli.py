@@ -23,20 +23,20 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import inequalities as ineq
-from .fracops import FracSetting, check_symmetry_lemma
+from .fracops import FracSetting
 from .functions import (FunctionSpec, HolderPair, WeightSpec,
-                        builtin_function_corpus, builtin_weight_corpus,
-                        DEFAULT_CORPUS_SEED)
-from .numerics import DEFAULT_TOL, DomainError, EvaluationError, cumulative_kernel
+                        builtin_function_corpus, builtin_weight_corpus)
+from .numerics import DEFAULT_TOL, DomainError, EvaluationError
 from .inequalities import Status
 
 __all__ = ["main", "RunConfig", "THEOREMS", "run_rows"]
@@ -59,34 +59,44 @@ LEMMA_SCALAR_PAIRS = ((0.0, 1.0), (0.25, 1.25), (0.5, 2.0), (1.0, 3.0),
 class TheoremInfo:
     ident: str
     kind: str  # sandwich | identity | bound | aux | lemma
+    # called with those of ident, f, g, s, a, b, alpha, pair, tol, force
+    # and memo that its signature names
+    verify: Callable[..., object]
     needs_f: bool = False
     needs_g: bool = False
     needs_alpha: bool = True
     needs_q: bool = False
+    needs_p: bool = False  # reports p of the conjugate pair as well
     needs_deriv: bool = False
+    max_alpha: float = math.inf  # larger orders are skipped in grids
+    intervals: tuple = ()  # corpus intervals in place of [a, b]
 
 
 THEOREMS: dict[str, TheoremInfo] = {t.ident: t for t in (
-    TheoremInfo("hh-classical", "sandwich", needs_f=True, needs_alpha=False),
-    TheoremInfo("fejer-classical", "sandwich", needs_f=True, needs_g=True,
+    TheoremInfo("hh-classical", "sandwich", ineq.hh_classical, needs_f=True,
                 needs_alpha=False),
-    TheoremInfo("hh-fractional", "sandwich", needs_f=True),
-    TheoremInfo("fejer-fractional", "sandwich", needs_f=True, needs_g=True),
-    TheoremInfo("identity-1-4", "identity", needs_f=True, needs_deriv=True),
-    TheoremInfo("identity-2-3", "identity", needs_f=True, needs_g=True,
+    TheoremInfo("fejer-classical", "sandwich", ineq.fejer_classical,
+                needs_f=True, needs_g=True, needs_alpha=False),
+    TheoremInfo("hh-fractional", "sandwich", ineq.hh_fractional,
+                needs_f=True),
+    TheoremInfo("fejer-fractional", "sandwich", ineq.fejer_fractional,
+                needs_f=True, needs_g=True),
+    TheoremInfo("identity-1-4", "identity", ineq.trapezoid_identity,
+                needs_f=True, needs_deriv=True),
+    TheoremInfo("identity-2-3", "identity", ineq.weighted_trapezoid_identity,
+                needs_f=True, needs_g=True, needs_deriv=True),
+    TheoremInfo("bound-1-5", "bound", ineq.trapezoid_bound, needs_f=True,
                 needs_deriv=True),
-    TheoremInfo("bound-1-5", "bound", needs_f=True, needs_deriv=True),
-    TheoremInfo("bound-2-4", "bound", needs_f=True, needs_g=True,
-                needs_deriv=True),
-    TheoremInfo("bound-2-5", "bound", needs_f=True, needs_g=True,
-                needs_q=True, needs_deriv=True),
-    TheoremInfo("bound-2-6", "bound", needs_f=True, needs_g=True,
-                needs_q=True, needs_deriv=True),
-    TheoremInfo("bound-2-7", "bound", needs_f=True, needs_g=True,
-                needs_q=True, needs_deriv=True),
-    TheoremInfo("aux-integrals", "aux"),
-    TheoremInfo("lemma-1-6", "lemma"),
-    TheoremInfo("lemma-2-1", "lemma", needs_g=True),
+    *(TheoremInfo(ident, "bound", ineq.weighted_bound, needs_f=True,
+                  needs_g=True, needs_q=bool(form.exponents),
+                  needs_p="p" in form.exponents, needs_deriv=True,
+                  max_alpha=form.max_alpha)
+      for ident, form in ineq.WEIGHTED_BOUNDS.items()),
+    TheoremInfo("aux-integrals", "aux", ineq.aux_integrals),
+    TheoremInfo("lemma-1-6", "lemma", ineq.scalar_power_lemma, max_alpha=1.0,
+                intervals=LEMMA_SCALAR_PAIRS),
+    TheoremInfo("lemma-2-1", "lemma", ineq.check_symmetry_lemma,
+                needs_g=True),
 )}
 
 
@@ -110,48 +120,32 @@ class UsageError(Exception):
 
 # ---------------------------------------------------------------- rows
 
-def _row(theorem: str, seed: int, **fields) -> dict:
-    row = {key: None for key in CSV_COLUMNS}
-    row["theorem"] = theorem
-    row["seed"] = seed
-    row["notes"] = ()
-    for key, value in fields.items():
-        if key not in row:
-            raise KeyError(key)
-        row[key] = value
-    return row
+# (extra labels, column -> report attribute) for each row of a report
+_REPORT_ROWS = {
+    ineq.SandwichReport: [({}, dict(lhs="lhs", mid="mid", rhs="rhs",
+                                    margin_lower="lower_margin",
+                                    margin_upper="upper_margin"))],
+    ineq.IdentityReport: [({}, dict(lhs="lhs", rhs="rhs"))],
+    ineq.BoundReport: [({}, dict(observed="observed", bound="bound",
+                                 slack="slack"))],
+    ineq.AuxIntegralsReport: [
+        (dict(f="e-part"), dict(lhs="e_closed", rhs="e_numeric")),
+        (dict(f="f-part"), dict(lhs="f_closed", rhs="f_numeric"))],
+}
 
 
-def _report_rows(ident: str, report, cfg: RunConfig, *, f_label: str = "",
-                 g_label: str = "", a: Optional[float] = None,
-                 b: Optional[float] = None, alpha: Optional[float] = None,
-                 p: Optional[float] = None,
-                 q: Optional[float] = None) -> list[dict]:
-    base = dict(f=f_label or None, g=g_label or None,
-                a=cfg.a if a is None else a, b=cfg.b if b is None else b,
-                alpha=alpha, p=p, q=q)
-    common = dict(error_budget=report.error_budget,
-                  status=report.status.value,
-                  evaluations=report.evaluations, notes=report.notes)
-    if isinstance(report, ineq.SandwichReport):
-        rows = [_row(ident, cfg.seed, **base, **common,
-                     lhs=report.lhs, mid=report.mid, rhs=report.rhs,
-                     margin_lower=report.lower_margin,
-                     margin_upper=report.upper_margin)]
-    elif isinstance(report, ineq.IdentityReport):
-        rows = [_row(ident, cfg.seed, **base, **common,
-                     lhs=report.lhs, rhs=report.rhs)]
-    elif isinstance(report, ineq.BoundReport):
-        rows = [_row(ident, cfg.seed, **base, **common,
-                     observed=report.observed, bound=report.bound,
-                     slack=report.slack)]
-    elif isinstance(report, ineq.AuxIntegralsReport):
-        rows = [_row(ident, cfg.seed, **{**base, "f": "e-part"}, **common,
-                     lhs=report.e_closed, rhs=report.e_numeric),
-                _row(ident, cfg.seed, **{**base, "f": "f-part"}, **common,
-                     lhs=report.f_closed, rhs=report.f_numeric)]
-    else:
-        raise TypeError(f"unknown report type {type(report).__name__}")
+def _report_rows(ident: str, report, cfg: RunConfig, **labels) -> list[dict]:
+    rows = []
+    for extra, columns in _REPORT_ROWS[type(report)]:
+        row = dict.fromkeys(CSV_COLUMNS)
+        row.update(theorem=ident, seed=cfg.seed, a=cfg.a, b=cfg.b, **labels,
+                   error_budget=report.error_budget,
+                   status=report.status.value,
+                   evaluations=report.evaluations, notes=report.notes)
+        row.update(extra)
+        row.update((col, getattr(report, attr))
+                   for col, attr in columns.items())
+        rows.append(row)
     return rows
 
 
@@ -177,8 +171,13 @@ def _worst_status(rows: Sequence[dict]) -> int:
 def run_rows(ident: str, cfg: RunConfig, *, f: Optional[FunctionSpec] = None,
              g: Optional[WeightSpec] = None, alpha: Optional[float] = None,
              q: Optional[float] = None, p: Optional[float] = None,
-             kernel=None) -> list[dict]:
-    """Run one theorem once and flatten the report into output rows."""
+             memo: Optional[dict] = None) -> list[dict]:
+    """Run one theorem once and flatten the report into output rows.
+
+    Calls given the same memo share every derived quantity of their
+    cells (see inequalities.Cell).  Each quantity is charged to the
+    evaluations of the row that first reads it.
+    """
     info = THEOREMS[ident]
     if info.needs_f and f is None:
         raise UsageError(f"{ident} needs --f")
@@ -186,134 +185,73 @@ def run_rows(ident: str, cfg: RunConfig, *, f: Optional[FunctionSpec] = None,
         raise UsageError(f"{ident} needs --g")
     if info.needs_alpha and alpha is None:
         raise UsageError(f"{ident} needs --alpha")
-    if info.needs_q and q is None:
-        if p is None:
-            raise UsageError(f"{ident} needs --q (or --p)")
-        if not p > 1.0:
-            raise UsageError(f"need p > 1, got {p!r}")
-        q = p / (p - 1.0)
-
-    tol, force = cfg.tol, cfg.force
-    fl = f.label if f is not None else ""
-    gl = g.label if g is not None else ""
-
-    if ident == "hh-classical":
-        report = ineq.hh_classical(f, cfg.a, cfg.b, tol, force)
-        return _report_rows(ident, report, cfg, f_label=fl)
-    if ident == "fejer-classical":
-        report = ineq.fejer_classical(f, g, tol, force)
-        return _report_rows(ident, report, cfg, f_label=fl, g_label=gl)
-
-    if ident == "lemma-1-6":
-        report = ineq.scalar_power_lemma(cfg.a, cfg.b, alpha)
-        return _report_rows(ident, report, cfg, alpha=alpha)
-
-    s = cfg.setting(alpha)
-    if ident == "hh-fractional":
-        report = ineq.hh_fractional(f, s, tol, force)
-        return _report_rows(ident, report, cfg, f_label=fl, alpha=alpha)
-    if ident == "fejer-fractional":
-        report = ineq.fejer_fractional(f, g, s, tol, force)
-        return _report_rows(ident, report, cfg, f_label=fl, g_label=gl,
-                            alpha=alpha)
-    if ident == "identity-1-4":
-        report = ineq.trapezoid_identity(f, s, tol)
-        return _report_rows(ident, report, cfg, f_label=fl, alpha=alpha)
-    if ident == "identity-2-3":
-        report = ineq.weighted_trapezoid_identity(f, g, s, tol, kernel=kernel)
-        return _report_rows(ident, report, cfg, f_label=fl, g_label=gl,
-                            alpha=alpha)
-    if ident == "bound-1-5":
-        report = ineq.trapezoid_bound(f, s, tol, force)
-        return _report_rows(ident, report, cfg, f_label=fl, alpha=alpha)
-    if ident == "bound-2-4":
-        report = ineq.weighted_bound_sup(f, g, s, tol, force)
-        return _report_rows(ident, report, cfg, f_label=fl, g_label=gl,
-                            alpha=alpha)
-    if ident == "bound-2-5":
-        report = ineq.weighted_bound_power_mean(f, g, s, q, tol, force)
-        return _report_rows(ident, report, cfg, f_label=fl, g_label=gl,
-                            alpha=alpha, q=q)
-    if ident in ("bound-2-6", "bound-2-7"):
+    pair = None
+    if info.needs_q:
+        if q is None:
+            if p is None:
+                raise UsageError(f"{ident} needs --q (or --p)")
+            if not p > 1.0:
+                raise UsageError(f"need p > 1, got {p!r}")
+            q = p / (p - 1.0)
         pair = HolderPair(p, q) if p is not None else HolderPair.from_q(q)
-        run = (ineq.weighted_bound_holder if ident == "bound-2-6"
-               else ineq.weighted_bound_holder_low_order)
-        report = run(f, g, s, pair, tol, force)
-        return _report_rows(ident, report, cfg, f_label=fl, g_label=gl,
-                            alpha=alpha, p=pair.p, q=pair.q)
-    if ident == "aux-integrals":
-        report = ineq.aux_integrals(s)
-        return _report_rows(ident, report, cfg, alpha=alpha)
-    if ident == "lemma-2-1":
-        rep = check_symmetry_lemma(g, s, tol)
-        status = Status.HOLDS if rep.passed else Status.VIOLATED
-        return [_row(ident, cfg.seed, g=gl, a=cfg.a, b=cfg.b, alpha=alpha,
-                     lhs=rep.left, rhs=rep.right,
-                     error_budget=rep.error_budget, status=status.value,
-                     evaluations=rep.evaluations)]
-    raise UsageError(f"unknown theorem {ident!r}")
+
+    f = f if info.needs_f else None
+    g = g if info.needs_g else None
+    alpha = alpha if info.needs_alpha else None
+    args = dict(ident=ident, f=f, g=g, a=cfg.a, b=cfg.b, alpha=alpha,
+                pair=pair, tol=cfg.tol, force=cfg.force,
+                memo={} if memo is None else memo)
+    params = inspect.signature(info.verify).parameters
+    if "s" in params:
+        args["s"] = cfg.setting(alpha)
+    report = info.verify(**{k: v for k, v in args.items() if k in params})
+    return _report_rows(ident, report, cfg, f=f.label if f else None,
+                        g=g.label if g else None, alpha=alpha,
+                        p=pair.p if info.needs_p else None,
+                        q=pair.q if pair else None)
 
 
-def _corpus_rows(idents: Sequence[str], cfg: RunConfig,
-                 alphas: Sequence[float],
-                 qs: Sequence[float]) -> list[dict]:
-    functions = builtin_function_corpus(cfg.a, cfg.b, cfg.seed)
-    weights = builtin_weight_corpus(cfg.a, cfg.b, cfg.seed)
+def _cells(info: TheoremInfo, functions: Sequence, weights: Sequence,
+           alphas: Sequence[float], qs: Sequence[float]) -> Iterator[tuple]:
+    # every (f, g, alpha, q) the statement takes from the grids; inputs
+    # it does not read are None, orders above its max_alpha are skipped
+    for alpha in alphas if info.needs_alpha else (None,):
+        if alpha is not None and alpha > info.max_alpha:
+            continue
+        for f in functions if info.needs_f else (None,):
+            for g in weights if info.needs_g else (None,):
+                for q in qs if info.needs_q else (None,):
+                    yield f, g, alpha, q
+
+
+def _admits(info: TheoremInfo, f: Optional[FunctionSpec],
+            q: Optional[float]) -> bool:
     # identities only need a derivative; bounds also need the certified
     # convexity of |f'|^q, so uncertified entries are skipped there
-    deriv_fs = [f for f in functions if f.deriv is not None]
-    kernels: dict[tuple[str, float], object] = {}
+    if f is None:
+        return True
+    if info.needs_deriv and f.deriv is None:
+        return False
+    return info.kind != "bound" or (
+        f.admits_deriv_power(1.0)
+        and (q is None or f.admits_deriv_power(q)))
+
+
+def _corpus_rows(idents: Sequence[str], cfg: RunConfig, functions: Sequence,
+                 weights: Sequence, alphas: Sequence[float],
+                 qs: Sequence[float]) -> list[dict]:
+    memo: dict = {}
     rows: list[dict] = []
-
-    def kernel_for(g: WeightSpec, alpha: float):
-        key = (g.label, alpha)
-        if key not in kernels:
-            kernels[key] = cumulative_kernel(g.fn, cfg.a, cfg.b, alpha,
-                                             tol=cfg.tol)
-        return kernels[key]
-
-    for ident in idents:
+    # sorted, so a shared quantity is charged to the first statement id
+    for ident in sorted(idents):
         info = THEOREMS[ident]
-        if ident == "hh-classical":
-            for f in functions:
-                rows += run_rows(ident, cfg, f=f)
-        elif ident == "fejer-classical":
-            for f in functions:
-                for g in weights:
-                    rows += run_rows(ident, cfg, f=f, g=g)
-        elif ident == "lemma-1-6":
-            for a, b in LEMMA_SCALAR_PAIRS:
-                for alpha in alphas:
-                    if alpha > 1.0:
-                        continue
-                    pair_cfg = RunConfig(a, b, cfg.tol, cfg.seed, cfg.force,
-                                         cfg.strict_paper)
-                    rows += run_rows(ident, pair_cfg, alpha=alpha)
-        else:
-            for alpha in alphas:
-                if ident == "bound-2-7" and alpha > 1.0:
-                    continue  # hard restriction, not a failure
-                fs = deriv_fs if info.needs_deriv else functions
-                if not info.needs_f:
-                    fs = [None]
-                gs = weights if info.needs_g else [None]
-                for f in fs:
-                    if info.kind == "bound" and not f.admits_deriv_power(1.0):
-                        continue
-                    for g in gs:
-                        if info.needs_q:
-                            for q in qs:
-                                if not f.admits_deriv_power(q):
-                                    continue
-                                rows += run_rows(ident, cfg, f=f, g=g,
-                                                 alpha=alpha, q=q)
-                        elif ident == "identity-2-3":
-                            rows += run_rows(ident, cfg, f=f, g=g,
-                                             alpha=alpha,
-                                             kernel=kernel_for(g, alpha))
-                        else:
-                            rows += run_rows(ident, cfg, f=f, g=g,
-                                             alpha=alpha)
+        for a, b in info.intervals or ((cfg.a, cfg.b),):
+            run_cfg = replace(cfg, a=a, b=b)
+            for f, g, alpha, q in _cells(info, functions, weights, alphas,
+                                         qs):
+                if _admits(info, f, q):
+                    rows += run_rows(ident, run_cfg, f=f, g=g, alpha=alpha,
+                                     q=q, memo=memo)
     return rows
 
 
@@ -446,12 +384,11 @@ def _grid(text: str) -> tuple[float, ...]:
     return values
 
 
-def _add_common(sub: argparse.ArgumentParser, *, interval: bool = True):
-    if interval:
-        sub.add_argument("--a", type=float, default=0.0,
-                         help="left endpoint (default 0)")
-        sub.add_argument("--b", type=float, default=1.0,
-                         help="right endpoint (default 1)")
+def _add_common(sub: argparse.ArgumentParser):
+    sub.add_argument("--a", type=float, default=0.0,
+                     help="left endpoint (default 0)")
+    sub.add_argument("--b", type=float, default=1.0,
+                     help="right endpoint (default 1)")
     sub.add_argument("--tol", type=float, default=None,
                      help="quadrature tolerance (default FRACHH_TOL or 1e-9)")
     sub.add_argument("--seed", type=int, default=42,
@@ -545,19 +482,7 @@ def _run_command(args) -> int:
     functions = builtin_function_corpus(cfg.a, cfg.b, cfg.seed)
     weights = builtin_weight_corpus(cfg.a, cfg.b, cfg.seed)
 
-    if args.command == "verify":
-        f = _lookup(args.f, functions, "function")
-        g = _lookup(args.g, weights, "weight")
-        rows = run_rows(args.theorem, cfg, f=f, g=g, alpha=args.alpha,
-                        q=args.q, p=args.p)
-    elif args.command == "identity":
-        f = _lookup(args.f, functions, "function")
-        g = _lookup(args.g, weights, "weight")
-        ident = "identity-2-3" if g is not None else "identity-1-4"
-        rows = []
-        for alpha in args.alpha_grid:
-            rows += run_rows(ident, cfg, f=f, g=g, alpha=alpha)
-    elif args.command == "corpus":
+    if args.command == "corpus":
         if args.theorems.strip() == "all":
             idents = sorted(THEOREMS)
         else:
@@ -566,27 +491,26 @@ def _run_command(args) -> int:
             unknown = [i for i in idents if i not in THEOREMS]
             if unknown:
                 raise UsageError(f"unknown theorems: {', '.join(unknown)}")
-        rows = _corpus_rows(idents, cfg, args.alpha_grid, args.q_grid)
-    elif args.command == "sweep":
+        rows = _corpus_rows(idents, cfg, functions, weights,
+                            args.alpha_grid, args.q_grid)
+    else:
         f = _lookup(args.f, functions, "function")
         g = _lookup(args.g, weights, "weight")
-        info = THEOREMS[args.theorem]
-        rows = []
-        alphas = args.alpha_grid
-        for alpha in alphas:
-            if args.theorem == "bound-2-7" and alpha > 1.0:
-                continue
-            if info.needs_q:
-                for q in args.q_grid:
-                    rows += run_rows(args.theorem, cfg, f=f, g=g,
-                                     alpha=alpha, q=q)
+        if args.command == "verify":
+            rows = run_rows(args.theorem, cfg, f=f, g=g, alpha=args.alpha,
+                            q=args.q, p=args.p)
+        else:  # identity and sweep: one statement across grids
+            if args.command == "identity":
+                ident = "identity-2-3" if g is not None else "identity-1-4"
+                qs = ()
             else:
-                rows += run_rows(args.theorem, cfg, f=f, g=g,
-                                 alpha=alpha if info.needs_alpha else None)
-            if not info.needs_alpha:
-                break  # alpha-free theorems produce a single row
-    else:  # pragma: no cover - argparse enforces the choices
-        raise UsageError(f"unknown command {args.command!r}")
+                ident, qs = args.theorem, args.q_grid
+            memo: dict = {}
+            rows = []
+            for f, g, alpha, q in _cells(THEOREMS[ident], [f], [g],
+                                         args.alpha_grid, qs):
+                rows += run_rows(ident, cfg, f=f, g=g, alpha=alpha, q=q,
+                                 memo=memo)
 
     _emit(rows, cfg, args.format, args.out)
     return _worst_status(rows)

@@ -22,8 +22,7 @@ from typing import Callable
 from .numerics import (DEFAULT_TOL, DomainError, KernelSide, QuadResult,
                        gamma, integrate_singular)
 
-__all__ = ["FracSetting", "SymmetryReport", "j_left", "j_right",
-           "check_symmetry_lemma"]
+__all__ = ["FracSetting", "j_left", "j_right"]
 
 
 @dataclass(frozen=True)
@@ -63,53 +62,20 @@ class FracSetting:
         return self.b - self.a
 
 
+def _fractional(h: Callable[[float], float], s: FracSetting, tol: float,
+                side: KernelSide) -> QuadResult:
+    g = gamma(s.alpha)
+    raw = integrate_singular(h, s.a, s.b, s.alpha, side, tol * g)
+    return raw.scaled(1.0 / g)
+
+
 def j_left(h: Callable[[float], float], s: FracSetting,
            tol: float = DEFAULT_TOL) -> QuadResult:
     """Left fractional integral of order alpha, evaluated at b."""
-    g = gamma(s.alpha)
-    raw = integrate_singular(h, s.a, s.b, s.alpha,
-                             KernelSide.UPPER_SINGULAR, tol * g)
-    return raw.scaled(1.0 / g)
+    return _fractional(h, s, tol, KernelSide.UPPER_SINGULAR)
 
 
 def j_right(h: Callable[[float], float], s: FracSetting,
             tol: float = DEFAULT_TOL) -> QuadResult:
     """Right fractional integral of order alpha, evaluated at a."""
-    g = gamma(s.alpha)
-    raw = integrate_singular(h, s.a, s.b, s.alpha,
-                             KernelSide.LOWER_SINGULAR, tol * g)
-    return raw.scaled(1.0 / g)
-
-
-@dataclass(frozen=True)
-class SymmetryReport:
-    left: float
-    right: float
-    gap: float
-    error_budget: float
-    passed: bool
-    evaluations: int
-
-
-def check_symmetry_lemma(g, s: FracSetting,
-                         tol: float = DEFAULT_TOL) -> SymmetryReport:
-    """Check that both fractional integrals agree for symmetric g.
-
-    For g with g(a+b-x) = g(x) the substitution t -> a+b-t maps one
-    one-sided kernel onto the other, so j_left(g) = j_right(g)
-    exactly.  Here both sides are computed independently and the
-    relative gap |left-right| / max(|left|, |right|, 1) is compared
-    against the combined quadrature error budget.
-    """
-    if not getattr(g, "symmetric", False):
-        raise DomainError(
-            "check_symmetry_lemma needs a weight validated as "
-            "midpoint-symmetric (WeightSpec with symmetric=True)")
-    left = j_left(g, s, tol)
-    right = j_right(g, s, tol)
-    denom = max(abs(left.value), abs(right.value), 1.0)
-    gap = abs(left.value - right.value) / denom
-    budget = (left.abs_error_estimate + right.abs_error_estimate) / denom + 1e-12
-    return SymmetryReport(left.value, right.value, gap, budget,
-                          gap <= budget,
-                          left.evaluations + right.evaluations)
+    return _fractional(h, s, tol, KernelSide.LOWER_SINGULAR)

@@ -218,19 +218,13 @@ def sup_norm(g: Callable[[float], float], a: float, b: float,
     """
     if grid < SUP_NORM_GRID:
         raise DomainError(f"grid must have at least {SUP_NORM_GRID} points")
-    pts = _grid(a, b, grid)
-    vals = [abs(g(x)) for x in pts]
-    best = max(range(grid), key=vals.__getitem__)
-    best_val = vals[best]
-    lo = pts[max(best - 1, 0)]
-    hi = pts[min(best + 1, grid - 1)]
-    for _ in range(refine_rounds):
-        pts = _grid(lo, hi, 33)
+    lo, hi, best_val = a, b, 0.0
+    for n in (grid,) + (33,) * refine_rounds:
+        pts = _grid(lo, hi, n)
         vals = [abs(g(x)) for x in pts]
-        best = max(range(33), key=vals.__getitem__)
+        best = max(range(n), key=vals.__getitem__)
         best_val = max(best_val, vals[best])
-        lo = pts[max(best - 1, 0)]
-        hi = pts[min(best + 1, 32)]
+        lo, hi = pts[max(best - 1, 0)], pts[min(best + 1, n - 1)]
     return best_val
 
 

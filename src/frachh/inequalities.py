@@ -7,6 +7,12 @@ scratch and returns a small report:
 * BoundReport for dominance statements observed <= bound,
 * IdentityReport for exact equalities checked by residual.
 
+The fractional quantities the statements share (J(f), the weight mass
+W, J(f g), ||g||_inf and the kernel K) are computed only by Cell, once
+per cell; verifiers given the same memo share them.  Theorems 2.4-2.7
+bound the same weighted defect and differ only in a closed form, so
+they are one function, weighted_bound, over the WEIGHTED_BOUNDS table.
+
 Statuses are three-valued.  A margin (or slack, or residual) is
 compared against an error budget assembled from the quadrature error
 estimates that entered the computation, scaled exactly like the
@@ -36,7 +42,7 @@ from .fracops import FracSetting, j_left, j_right
 from .functions import (ConvexityKind, FunctionSpec, HolderPair, WeightSpec,
                         check_convexity, check_deriv_power_convexity, sup_norm)
 from .numerics import (DEFAULT_TOL, CumulativeKernel, DomainError, QuadResult,
-                       cumulative_kernel, gamma, integrate_smooth)
+                       gamma, integrate_smooth)
 
 __all__ = [
     "Status",
@@ -44,6 +50,9 @@ __all__ = [
     "BoundReport",
     "IdentityReport",
     "AuxIntegralsReport",
+    "Cell",
+    "WeightedBound",
+    "WEIGHTED_BOUNDS",
     "hh_classical",
     "fejer_classical",
     "hh_fractional",
@@ -51,12 +60,10 @@ __all__ = [
     "trapezoid_identity",
     "weighted_trapezoid_identity",
     "trapezoid_bound",
-    "weighted_bound_sup",
-    "weighted_bound_power_mean",
-    "weighted_bound_holder",
-    "weighted_bound_holder_low_order",
+    "weighted_bound",
     "aux_integrals",
     "scalar_power_lemma",
+    "check_symmetry_lemma",
 ]
 
 ERROR_FLOOR = 1e-12
@@ -123,33 +130,29 @@ class AuxIntegralsReport:
     notes: tuple[str, ...] = ()
 
 
+def _status(margins: tuple[float, ...], budget: float) -> Status:
+    if any(m < -budget for m in margins):
+        return Status.VIOLATED
+    if any(abs(m) < budget for m in margins):
+        return Status.INCONCLUSIVE
+    return Status.HOLDS
+
+
 def _sandwich(lhs: float, mid: float, rhs: float, err: float,
               evaluations: int, notes: tuple[str, ...]) -> SandwichReport:
     lower = mid - lhs
     upper = rhs - mid
     budget = err + ERROR_FLOOR * max(abs(lhs), abs(mid), abs(rhs), 1.0)
-    if lower < -budget or upper < -budget:
-        status = Status.VIOLATED
-    elif abs(lower) < budget or abs(upper) < budget:
-        status = Status.INCONCLUSIVE
-    else:
-        status = Status.HOLDS
-    return SandwichReport(lhs, mid, rhs, lower, upper, budget, status,
-                          evaluations, notes)
+    return SandwichReport(lhs, mid, rhs, lower, upper, budget,
+                          _status((lower, upper), budget), evaluations, notes)
 
 
 def _bound(observed: float, bound: float, err: float, evaluations: int,
            notes: tuple[str, ...]) -> BoundReport:
     slack = bound - observed
     budget = err + ERROR_FLOOR * max(abs(observed), abs(bound), 1.0)
-    if slack < -budget:
-        status = Status.VIOLATED
-    elif abs(slack) < budget:
-        status = Status.INCONCLUSIVE
-    else:
-        status = Status.HOLDS
-    return BoundReport(observed, bound, slack, budget, status, evaluations,
-                       notes)
+    return BoundReport(observed, bound, slack, budget,
+                       _status((slack,), budget), evaluations, notes)
 
 
 def _identity(lhs: float, rhs: float, err: float, evaluations: int,
@@ -170,10 +173,84 @@ def _identity(lhs: float, rhs: float, err: float, evaluations: int,
                           evaluations, notes)
 
 
-def _with_retry(build: Callable[[float], object], tol: float):
-    report = build(tol)
+class Cell:
+    """The derived quantities of one (f, g, alpha) cell at one tolerance.
+
+    The only place they are computed: each on first read, kept in
+    `memo` under the inputs it depends on, so cells sharing a memo share
+    it (W, ||g||_inf and K across functions, J(f g) across exponents,
+    the alpha = 1 integrals across classical and fractional statements).
+    `evaluations` counts the integrand calls this cell spent itself; a
+    memo hit costs nothing, and ||g||_inf is never charged.
+    """
+
+    def __init__(self, f: Optional[FunctionSpec], g: Optional[WeightSpec],
+                 s: FracSetting, tol: float, memo: Optional[dict] = None):
+        self.f, self.g, self.s, self.tol = f, g, s, tol
+        self.memo = {} if memo is None else memo
+        self.evaluations = 0
+
+    def _once(self, key, compute):
+        if key not in self.memo:
+            self.memo[key] = compute()
+        return self.memo[key]
+
+    def _charged(self, result):
+        self.evaluations += result.evaluations
+        return result
+
+    def j(self, side: Callable, of: str) -> QuadResult:
+        """side(h) for side j_left or j_right and h = f, g or f g (`of`)."""
+        f = self.f.fn if of != "g" else None
+        g = self.g.fn if of != "f" else None
+        h = f if g is None else g if f is None else (lambda x: f(x) * g(x))
+        return self._once((side, f, g, self.s, self.tol), lambda: (
+            self._charged(side(h, self.s, self.tol))))
+
+    def both(self, of: str) -> QuadResult:
+        """j_left(h) + j_right(h); W = both("g")."""
+        return self.j(j_left, of) + self.j(j_right, of)
+
+    @property
+    def f_mean(self) -> QuadResult:
+        """Gamma(alpha+1) / (2 (b-a)^alpha) (j_left(f) + j_right(f))."""
+        s = self.s
+        return self.both("f").scaled(
+            gamma(s.alpha + 1.0) / (2.0 * s.width ** s.alpha))
+
+    @property
+    def gsup(self) -> float:
+        g, s = self.g.fn, self.s
+        return self._once(("sup", g, s.a, s.b), lambda: sup_norm(g, s.a, s.b))
+
+    @property
+    def kernel(self) -> CumulativeKernel:
+        g, s = self.g.fn, self.s
+        return self._once(("K", g, s, self.tol), lambda: self._charged(
+            CumulativeKernel(g, s.a, s.b, s.alpha, tol=self.tol)))
+
+    @property
+    def avg(self) -> float:
+        return 0.5 * (self.f.fn(self.s.a) + self.f.fn(self.s.b))
+
+    @property
+    def defect(self) -> QuadResult:
+        """avg - f_mean, the left side of identity 1.4."""
+        mean = self.f_mean
+        return replace(mean, value=self.avg - mean.value)
+
+    @property
+    def weighted_defect(self) -> QuadResult:
+        """avg W - (j_left(f g) + j_right(f g)), the left side of 2.3."""
+        return self.both("g").scaled(self.avg) + self.both("fg").scaled(-1.0)
+
+
+def _with_retry(build: Callable[[Cell], object], cell: Cell):
+    """build(cell), then once more at tol/100 if that was Inconclusive."""
+    report = build(cell)
     if report.status is Status.INCONCLUSIVE:
-        tighter = build(tol / 100.0)
+        tighter = build(Cell(cell.f, cell.g, cell.s, cell.tol / 100.0,
+                             cell.memo))
         return replace(tighter,
                        evaluations=report.evaluations + tighter.evaluations,
                        notes=tighter.notes + ("retried at tol/100",))
@@ -215,8 +292,7 @@ def _convex_gate(f: FunctionSpec, a: float, b: float, force: bool,
 
 def _deriv_power_gate(f: FunctionSpec, q: float, force: bool,
                       notes: tuple[str, ...]) -> tuple[str, ...]:
-    if f.deriv is None:
-        raise DomainError(f"{f.label!r} carries no derivative")
+    _require_deriv(f)
     if f.admits_deriv_power(q):
         return notes
     report = check_deriv_power_convexity(f, q)
@@ -252,25 +328,27 @@ def _require_deriv(f: FunctionSpec) -> Callable[[float], float]:
 
 
 def hh_classical(f, a: float, b: float, tol: float = DEFAULT_TOL,
-                 force: bool = False) -> SandwichReport:
-    """f((a+b)/2)  <=  mean of f over [a,b]  <=  (f(a)+f(b))/2."""
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError(f"need finite a < b, got [{a!r}, {b!r}]")
+                 force: bool = False,
+                 memo: Optional[dict] = None) -> SandwichReport:
+    """f((a+b)/2)  <=  mean of f over [a,b]  <=  (f(a)+f(b))/2.
+
+    The integral is j_left(f) at alpha = 1, so corpus runs share it.
+    """
+    s = FracSetting(a, b, 1.0)
     f = _as_function(f, a, b)
     notes = _convex_gate(f, a, b, force, ())
 
-    def build(t: float) -> SandwichReport:
-        total = integrate_smooth(f.fn, a, b, t).scaled(1.0 / (b - a))
-        lhs = f.fn(0.5 * (a + b))
-        rhs = 0.5 * (f.fn(a) + f.fn(b))
-        return _sandwich(lhs, total.value, rhs, total.abs_error_estimate,
-                         total.evaluations, notes)
+    def build(c: Cell) -> SandwichReport:
+        total = c.j(j_left, "f").scaled(1.0 / (b - a))
+        return _sandwich(f.fn(s.midpoint), total.value, c.avg,
+                         total.abs_error_estimate, c.evaluations, notes)
 
-    return _with_retry(build, tol)
+    return _with_retry(build, Cell(f, None, s, tol, memo))
 
 
 def fejer_classical(f, g: WeightSpec, tol: float = DEFAULT_TOL,
-                    force: bool = False) -> SandwichReport:
+                    force: bool = False,
+                    memo: Optional[dict] = None) -> SandwichReport:
     """Weighted version of the classical sandwich.
 
     f(m) int g  <=  int f g  <=  (f(a)+f(b))/2 int g
@@ -278,33 +356,32 @@ def fejer_classical(f, g: WeightSpec, tol: float = DEFAULT_TOL,
     for g nonnegative and symmetric about m = (a+b)/2.  The middle
     term is deliberately not divided by (b-a): with that extra factor
     the three terms would not scale alike, and the alpha = 1 limit of
-    the fractional version is exactly the form used here.
+    the fractional version is exactly the form used here.  The
+    integrals are j_left(g) and j_left(f g) at alpha = 1.
     """
     if not isinstance(g, WeightSpec):
         raise DomainError("weights must be WeightSpec instances so their "
                           "symmetry flag is validated")
-    a, b = g.a, g.b
-    f = _as_function(f, a, b)
-    notes = _weight_gate(g, a, b, True, force, ())
-    notes = _convex_gate(f, a, b, force, notes)
+    s = FracSetting(g.a, g.b, 1.0)
+    f = _as_function(f, s.a, s.b)
+    notes = _weight_gate(g, s.a, s.b, True, force, ())
+    notes = _convex_gate(f, s.a, s.b, force, notes)
     notes = notes + (_FEJER_NOTE,)
 
-    def build(t: float) -> SandwichReport:
-        total_g = integrate_smooth(g.fn, a, b, t)
-        total_fg = integrate_smooth(lambda x: f.fn(x) * g.fn(x), a, b, t)
-        fm = f.fn(0.5 * (a + b))
-        avg = 0.5 * (f.fn(a) + f.fn(b))
+    def build(c: Cell) -> SandwichReport:
+        total_g, total_fg = c.j(j_left, "g"), c.j(j_left, "fg")
+        fm, avg = f.fn(s.midpoint), c.avg
         err = ((abs(fm) + abs(avg)) * total_g.abs_error_estimate
                + total_fg.abs_error_estimate)
         return _sandwich(fm * total_g.value, total_fg.value,
-                         avg * total_g.value, err,
-                         total_g.evaluations + total_fg.evaluations, notes)
+                         avg * total_g.value, err, c.evaluations, notes)
 
-    return _with_retry(build, tol)
+    return _with_retry(build, Cell(f, g, s, tol, memo))
 
 
 def hh_fractional(f, s: FracSetting, tol: float = DEFAULT_TOL,
-                  force: bool = False) -> SandwichReport:
+                  force: bool = False,
+                  memo: Optional[dict] = None) -> SandwichReport:
     """Fractional sandwich of order alpha.
 
     f(m)  <=  Gamma(alpha+1) / (2 (b-a)^alpha) * (j_left f + j_right f)
@@ -312,21 +389,18 @@ def hh_fractional(f, s: FracSetting, tol: float = DEFAULT_TOL,
     """
     f = _as_function(f, s.a, s.b)
     notes = _convex_gate(f, s.a, s.b, force, ())
-    c = gamma(s.alpha + 1.0) / (2.0 * s.width ** s.alpha)
 
-    def build(t: float) -> SandwichReport:
-        both = j_left(f.fn, s, t) + j_right(f.fn, s, t)
-        lhs = f.fn(s.midpoint)
-        rhs = 0.5 * (f.fn(s.a) + f.fn(s.b))
-        return _sandwich(lhs, c * both.value, rhs,
-                         c * both.abs_error_estimate, both.evaluations, notes)
+    def build(c: Cell) -> SandwichReport:
+        mean = c.f_mean
+        return _sandwich(f.fn(s.midpoint), mean.value, c.avg,
+                         mean.abs_error_estimate, c.evaluations, notes)
 
-    return _with_retry(build, tol)
+    return _with_retry(build, Cell(f, None, s, tol, memo))
 
 
 def fejer_fractional(f, g: WeightSpec, s: FracSetting,
-                     tol: float = DEFAULT_TOL,
-                     force: bool = False) -> SandwichReport:
+                     tol: float = DEFAULT_TOL, force: bool = False,
+                     memo: Optional[dict] = None) -> SandwichReport:
     """Weighted fractional sandwich of order alpha.
 
     With W = j_left(g) + j_right(g):
@@ -342,22 +416,19 @@ def fejer_fractional(f, g: WeightSpec, s: FracSetting,
     notes = _weight_gate(g, s.a, s.b, True, force, ())
     notes = _convex_gate(f, s.a, s.b, force, notes)
 
-    def build(t: float) -> SandwichReport:
-        w = j_left(g.fn, s, t) + j_right(g.fn, s, t)
-        fg = lambda x: f.fn(x) * g.fn(x)
-        mid = j_left(fg, s, t) + j_right(fg, s, t)
-        fm = f.fn(s.midpoint)
-        avg = 0.5 * (f.fn(s.a) + f.fn(s.b))
+    def build(c: Cell) -> SandwichReport:
+        w, mid = c.both("g"), c.both("fg")
+        fm, avg = f.fn(s.midpoint), c.avg
         err = ((abs(fm) + abs(avg)) * w.abs_error_estimate
                + mid.abs_error_estimate)
         return _sandwich(fm * w.value, mid.value, avg * w.value, err,
-                         w.evaluations + mid.evaluations, notes)
+                         c.evaluations, notes)
 
-    return _with_retry(build, tol)
+    return _with_retry(build, Cell(f, g, s, tol, memo))
 
 
-def trapezoid_identity(f, s: FracSetting,
-                       tol: float = DEFAULT_TOL) -> IdentityReport:
+def trapezoid_identity(f, s: FracSetting, tol: float = DEFAULT_TOL,
+                       memo: Optional[dict] = None) -> IdentityReport:
     """Exact representation of the trapezoid defect.
 
     (f(a)+f(b))/2 - Gamma(alpha+1)/(2 (b-a)^alpha) (j_left f + j_right f)
@@ -369,32 +440,25 @@ def trapezoid_identity(f, s: FracSetting,
     f = _as_function(f, s.a, s.b)
     d = _require_deriv(f)
     a, b, alpha = s.a, s.b, s.alpha
-    c = gamma(alpha + 1.0) / (2.0 * s.width ** alpha)
 
-    def build(t: float) -> IdentityReport:
-        both = j_left(f.fn, s, t) + j_right(f.fn, s, t)
-        lhs = 0.5 * (f.fn(a) + f.fn(b)) - c * both.value
+    def build(c: Cell) -> IdentityReport:
+        lhs = c.defect
         inner = integrate_smooth(
             lambda u: ((1.0 - u) ** alpha - u ** alpha) * d(u * a + (1.0 - u) * b),
-            0.0, 1.0, t)
+            0.0, 1.0, c.tol)
         rhs = 0.5 * s.width * inner.value
-        err = (c * both.abs_error_estimate
+        err = (lhs.abs_error_estimate
                + 0.5 * s.width * inner.abs_error_estimate)
-        flagged = not (both.tolerance_met and inner.tolerance_met)
-        return _identity(lhs, rhs, err, both.evaluations + inner.evaluations,
-                         (), flagged)
+        flagged = not (lhs.tolerance_met and inner.tolerance_met)
+        return _identity(lhs.value, rhs, err,
+                         c.evaluations + inner.evaluations, (), flagged)
 
-    return _with_retry(build, tol)
-
-
-def _deriv_sup_sample(d: Callable[[float], float], a: float, b: float) -> float:
-    step = (b - a) / 32.0
-    return max(abs(d(a + i * step)) for i in range(33))
+    return _with_retry(build, Cell(f, None, s, tol, memo))
 
 
 def weighted_trapezoid_identity(f, g: WeightSpec, s: FracSetting,
                                 tol: float = DEFAULT_TOL,
-                                kernel: Optional[CumulativeKernel] = None
+                                memo: Optional[dict] = None
                                 ) -> IdentityReport:
     """Weighted trapezoid defect as an integral against f'.
 
@@ -403,75 +467,36 @@ def weighted_trapezoid_identity(f, g: WeightSpec, s: FracSetting,
     (f(a)+f(b))/2 * W - (j_left(fg) + j_right(fg))
         = (1/Gamma(alpha)) int_a^b K(t) f'(t) dt.
 
-    Needs g symmetric about the midpoint (sign is unconstrained).  A
-    precomputed kernel for the same (g, setting) may be passed to
-    amortize corpus runs; the automatic retry always rebuilds it at
-    the tighter tolerance.
+    Needs g symmetric about the midpoint (sign is unconstrained).
     """
     f = _as_function(f, s.a, s.b)
     d = _require_deriv(f)
     notes = _weight_gate(g, s.a, s.b, False, False, ())
     a, b, alpha = s.a, s.b, s.alpha
     inv_gamma = 1.0 / gamma(alpha)
-    dsup = _deriv_sup_sample(d, a, b) * 1.25 + 1.0
+    step = (b - a) / 32.0  # sampled sup |f'|, padded
+    dsup = max(abs(d(a + i * step)) for i in range(33)) * 1.25 + 1.0
 
-    first = [True]
-
-    def build(t: float) -> IdentityReport:
-        w = j_left(g.fn, s, t) + j_right(g.fn, s, t)
-        fg = lambda x: f.fn(x) * g.fn(x)
-        mid = j_left(fg, s, t) + j_right(fg, s, t)
-        avg = 0.5 * (f.fn(a) + f.fn(b))
-        lhs = avg * w.value - mid.value
-
-        if kernel is not None and first[0]:
-            kern = kernel
-            build_evals = 0
-        else:
-            kern = cumulative_kernel(g.fn, a, b, alpha, tol=t)
-            build_evals = kern.evaluations
-        first[0] = False
+    def build(c: Cell) -> IdentityReport:
+        lhs, kern = c.weighted_defect, c.kernel
         k0 = kern.evaluations
         outer = integrate_smooth(lambda x: kern(x) * d(x), a, b,
-                                 t * gamma(alpha))
+                                 c.tol * gamma(alpha))
         rhs = inv_gamma * outer.value
-        err = (abs(avg) * w.abs_error_estimate + mid.abs_error_estimate
+        err = (lhs.abs_error_estimate
                + inv_gamma * (outer.abs_error_estimate
                               + kern.abs_error_estimate * (b - a) * dsup))
-        flagged = not (w.tolerance_met and mid.tolerance_met
-                       and outer.tolerance_met and kern.tolerance_met)
-        evals = (w.evaluations + mid.evaluations + outer.evaluations
-                 + build_evals + (kern.evaluations - k0))
-        return _identity(lhs, rhs, err, evals, notes, flagged)
+        flagged = not (lhs.tolerance_met and outer.tolerance_met
+                       and kern.tolerance_met)
+        evals = c.evaluations + outer.evaluations + (kern.evaluations - k0)
+        return _identity(lhs.value, rhs, err, evals, notes, flagged)
 
-    return _with_retry(build, tol)
-
-
-def _trapezoid_gap(f: FunctionSpec, s: FracSetting,
-                   t: float) -> tuple[float, float, int, bool]:
-    # |lhs| of the unweighted trapezoid identity, with error accounting
-    c = gamma(s.alpha + 1.0) / (2.0 * s.width ** s.alpha)
-    both = j_left(f.fn, s, t) + j_right(f.fn, s, t)
-    gap = abs(0.5 * (f.fn(s.a) + f.fn(s.b)) - c * both.value)
-    return (gap, c * both.abs_error_estimate, both.evaluations,
-            both.tolerance_met)
-
-
-def _weighted_gap(f: FunctionSpec, g: WeightSpec, s: FracSetting,
-                  t: float) -> tuple[float, float, int, bool]:
-    # |lhs| of the weighted trapezoid identity
-    w = j_left(g.fn, s, t) + j_right(g.fn, s, t)
-    fg = lambda x: f.fn(x) * g.fn(x)
-    mid = j_left(fg, s, t) + j_right(fg, s, t)
-    avg = 0.5 * (f.fn(s.a) + f.fn(s.b))
-    gap = abs(avg * w.value - mid.value)
-    err = abs(avg) * w.abs_error_estimate + mid.abs_error_estimate
-    return (gap, err, w.evaluations + mid.evaluations,
-            w.tolerance_met and mid.tolerance_met)
+    return _with_retry(build, Cell(f, g, s, tol, memo))
 
 
 def trapezoid_bound(f, s: FracSetting, tol: float = DEFAULT_TOL,
-                    force: bool = False) -> BoundReport:
+                    force: bool = False,
+                    memo: Optional[dict] = None) -> BoundReport:
     """Defect bound from convexity of |f'|.
 
     |trapezoid defect|  <=  (b-a)/(2(alpha+1)) (1 - 2^-alpha)
@@ -484,36 +509,12 @@ def trapezoid_bound(f, s: FracSetting, tol: float = DEFAULT_TOL,
              * (1.0 - 2.0 ** (-s.alpha))
              * (abs(d(s.a)) + abs(d(s.b))))
 
-    def build(t: float) -> BoundReport:
-        gap, err, evals, _ = _trapezoid_gap(f, s, t)
-        return _bound(gap, bound, err, evals, notes)
+    def build(c: Cell) -> BoundReport:
+        gap = c.defect
+        return _bound(abs(gap.value), bound, gap.abs_error_estimate,
+                      c.evaluations, notes)
 
-    return _with_retry(build, tol)
-
-
-def weighted_bound_sup(f, g: WeightSpec, s: FracSetting,
-                       tol: float = DEFAULT_TOL,
-                       force: bool = False) -> BoundReport:
-    """Weighted defect bound from convexity of |f'|.
-
-    |weighted defect|  <=  (b-a)^(alpha+1) ||g||_inf / ((alpha+1) Gamma(alpha+1))
-                           (1 - 2^-alpha) (|f'(a)| + |f'(b)|)
-    """
-    f = _as_function(f, s.a, s.b)
-    notes = _weight_gate(g, s.a, s.b, False, force, ())
-    notes = _deriv_power_gate(f, 1.0, force, notes)
-    d = f.deriv
-    gsup = sup_norm(g.fn, s.a, s.b)
-    bound = (s.width ** (s.alpha + 1.0) * gsup
-             / ((s.alpha + 1.0) * gamma(s.alpha + 1.0))
-             * (1.0 - 2.0 ** (-s.alpha))
-             * (abs(d(s.a)) + abs(d(s.b))))
-
-    def build(t: float) -> BoundReport:
-        gap, err, evals, _ = _weighted_gap(f, g, s, t)
-        return _bound(gap, bound, err + 1e-9 * bound, evals, notes)
-
-    return _with_retry(build, tol)
+    return _with_retry(build, Cell(f, None, s, tol, memo))
 
 
 def _power_mean(d: Callable[[float], float], a: float, b: float,
@@ -521,98 +522,77 @@ def _power_mean(d: Callable[[float], float], a: float, b: float,
     return ((abs(d(a)) ** q + abs(d(b)) ** q) / 2.0) ** (1.0 / q)
 
 
-def weighted_bound_power_mean(f, g: WeightSpec, s: FracSetting, q: float,
-                              tol: float = DEFAULT_TOL,
-                              force: bool = False) -> BoundReport:
-    """Weighted defect bound from convexity of |f'|^q, q > 1.
+@dataclass(frozen=True)
+class WeightedBound:
+    """closed_form(s, gsup, f', pair) of one weighted defect bound; it
+    reads the exponents of the Holder pair named in `exponents`."""
 
-    |weighted defect|  <=  2 (b-a)^(alpha+1) ||g||_inf
-                           / ((b-a)^(1/q) (alpha+1) Gamma(alpha+1))
-                           * (1 - 2^-alpha)
-                           * ((|f'(a)|^q + |f'(b)|^q)/2)^(1/q)
+    exponents: tuple[str, ...]
+    max_alpha: float
+    closed_form: Callable[[FracSetting, float, Callable[[float], float],
+                           Optional[HolderPair]], float]
 
-    Note the 1/(b-a)^(1/q) factor: it makes the bound scale like
-    (b-a)^(alpha - 1/q) under dilation while the defect scales like
-    (b-a)^alpha, so on long intervals this bound is tighter relative
-    to its siblings and dominance should not be extrapolated across
-    scales.
-    """
-    if not (q > 1.0 and math.isfinite(q)):
-        raise DomainError(f"need q > 1, got {q!r}")
+
+# Theorems 2.4-2.7, by the hypothesis on f each needs.  Each closed form
+# keeps the operation order of the printed formula.
+WEIGHTED_BOUNDS: dict[str, WeightedBound] = {
+    # convex |f'|
+    "bound-2-4": WeightedBound((), math.inf, lambda s, gsup, d, pair: (
+        s.width ** (s.alpha + 1.0) * gsup
+        / ((s.alpha + 1.0) * gamma(s.alpha + 1.0))
+        * (1.0 - 2.0 ** (-s.alpha))
+        * (abs(d(s.a)) + abs(d(s.b))))),
+    # convex |f'|^q, q > 1.  The 1/(b-a)^(1/q) factor makes it scale
+    # like (b-a)^(alpha - 1/q) under dilation while the defect scales
+    # like (b-a)^alpha, so on long intervals it can drop below the defect.
+    "bound-2-5": WeightedBound(("q",), math.inf, lambda s, gsup, d, pair: (
+        2.0 * s.width ** (s.alpha + 1.0) * gsup
+        / (s.width ** (1.0 / pair.q) * (s.alpha + 1.0)
+           * gamma(s.alpha + 1.0))
+        * (1.0 - 2.0 ** (-s.alpha))
+        * _power_mean(d, s.a, s.b, pair.q))),
+    # convex |f'|^q, via the Holder inequality, any alpha > 0
+    "bound-2-6": WeightedBound(("p", "q"), math.inf, lambda s, gsup, d, pair: (
+        2.0 ** (1.0 / pair.p) * gsup * s.width ** (s.alpha + 1.0)
+        / ((s.alpha * pair.p + 1.0) ** (1.0 / pair.p) * gamma(s.alpha + 1.0))
+        * (1.0 - 2.0 ** (-s.alpha * pair.p)) ** (1.0 / pair.p)
+        * _power_mean(d, s.a, s.b, pair.q))),
+    # sharper, but only for 0 < alpha <= 1: the proof runs through the
+    # scalar power lemma, which fails for alpha > 1
+    "bound-2-7": WeightedBound(("p", "q"), 1.0, lambda s, gsup, d, pair: (
+        gsup * s.width ** (s.alpha + 1.0)
+        / ((s.alpha * pair.p + 1.0) ** (1.0 / pair.p) * gamma(s.alpha + 1.0))
+        * _power_mean(d, s.a, s.b, pair.q))),
+}
+
+
+def weighted_bound(ident: str, f, g: WeightSpec, s: FracSetting,
+                   pair: Optional[HolderPair] = None,
+                   tol: float = DEFAULT_TOL, force: bool = False,
+                   memo: Optional[dict] = None) -> BoundReport:
+    """Theorems 2.4-2.7: |left side of identity 2.3| <= the closed form
+    WEIGHTED_BOUNDS[ident].  Forms reading exponents need the Holder
+    pair and convex |f'|^q; the others need convex |f'|."""
+    form = WEIGHTED_BOUNDS[ident]
+    if not s.alpha <= form.max_alpha:
+        raise DomainError(f"{ident} is restricted to 0 < alpha <= "
+                          f"{form.max_alpha:g}, got {s.alpha!r}")
+    if form.exponents and pair is None:
+        raise DomainError(f"{ident} needs a Holder pair (p, q)")
     f = _as_function(f, s.a, s.b)
     notes = _weight_gate(g, s.a, s.b, False, force, ())
-    notes = _deriv_power_gate(f, q, force, notes)
-    gsup = sup_norm(g.fn, s.a, s.b)
-    bound = (2.0 * s.width ** (s.alpha + 1.0) * gsup
-             / (s.width ** (1.0 / q) * (s.alpha + 1.0) * gamma(s.alpha + 1.0))
-             * (1.0 - 2.0 ** (-s.alpha))
-             * _power_mean(f.deriv, s.a, s.b, q))
+    notes = _deriv_power_gate(f, pair.q if form.exponents else 1.0, force,
+                              notes)
+    cell = Cell(f, g, s, tol, memo)
+    bound = form.closed_form(s, cell.gsup, f.deriv, pair)
 
-    def build(t: float) -> BoundReport:
-        gap, err, evals, _ = _weighted_gap(f, g, s, t)
-        return _bound(gap, bound, err + 1e-9 * bound, evals, notes)
+    def build(c: Cell) -> BoundReport:
+        gap = c.weighted_defect
+        return _bound(abs(gap.value), bound,
+                      gap.abs_error_estimate + 1e-9 * bound, c.evaluations,
+                      notes)
 
-    return _with_retry(build, tol)
-
-
-def weighted_bound_holder(f, g: WeightSpec, s: FracSetting,
-                          pair: HolderPair, tol: float = DEFAULT_TOL,
-                          force: bool = False) -> BoundReport:
-    """Weighted defect bound via the Holder inequality, any alpha > 0.
-
-    |weighted defect|  <=  2^(1/p) ||g||_inf (b-a)^(alpha+1)
-                           / ((alpha p + 1)^(1/p) Gamma(alpha+1))
-                           * (1 - 2^(-alpha p))^(1/p)
-                           * ((|f'(a)|^q + |f'(b)|^q)/2)^(1/q)
-    """
-    f = _as_function(f, s.a, s.b)
-    notes = _weight_gate(g, s.a, s.b, False, force, ())
-    notes = _deriv_power_gate(f, pair.q, force, notes)
-    p, q = pair.p, pair.q
-    gsup = sup_norm(g.fn, s.a, s.b)
-    bound = (2.0 ** (1.0 / p) * gsup * s.width ** (s.alpha + 1.0)
-             / ((s.alpha * p + 1.0) ** (1.0 / p) * gamma(s.alpha + 1.0))
-             * (1.0 - 2.0 ** (-s.alpha * p)) ** (1.0 / p)
-             * _power_mean(f.deriv, s.a, s.b, q))
-
-    def build(t: float) -> BoundReport:
-        gap, err, evals, _ = _weighted_gap(f, g, s, t)
-        return _bound(gap, bound, err + 1e-9 * bound, evals, notes)
-
-    return _with_retry(build, tol)
-
-
-def weighted_bound_holder_low_order(f, g: WeightSpec, s: FracSetting,
-                                    pair: HolderPair,
-                                    tol: float = DEFAULT_TOL,
-                                    force: bool = False) -> BoundReport:
-    """Sharper Holder-type bound, restricted to 0 < alpha <= 1.
-
-    |weighted defect|  <=  ||g||_inf (b-a)^(alpha+1)
-                           / ((alpha p + 1)^(1/p) Gamma(alpha+1))
-                           * ((|f'(a)|^q + |f'(b)|^q)/2)^(1/q)
-
-    The restriction is structural: the proof runs through the scalar
-    power gap lemma, which fails for alpha > 1, so such settings are
-    rejected outright.
-    """
-    if not (0.0 < s.alpha <= 1.0):
-        raise DomainError(
-            f"this bound is restricted to 0 < alpha <= 1, got {s.alpha!r}")
-    f = _as_function(f, s.a, s.b)
-    notes = _weight_gate(g, s.a, s.b, False, force, ())
-    notes = _deriv_power_gate(f, pair.q, force, notes)
-    p, q = pair.p, pair.q
-    gsup = sup_norm(g.fn, s.a, s.b)
-    bound = (gsup * s.width ** (s.alpha + 1.0)
-             / ((s.alpha * p + 1.0) ** (1.0 / p) * gamma(s.alpha + 1.0))
-             * _power_mean(f.deriv, s.a, s.b, q))
-
-    def build(t: float) -> BoundReport:
-        gap, err, evals, _ = _weighted_gap(f, g, s, t)
-        return _bound(gap, bound, err + 1e-9 * bound, evals, notes)
-
-    return _with_retry(build, tol)
+    return _with_retry(build, cell)
 
 
 def aux_integrals(s: FracSetting) -> AuxIntegralsReport:
@@ -665,10 +645,13 @@ def scalar_power_lemma(a: float, b: float, alpha: float) -> BoundReport:
         raise DomainError(f"need 0 <= a <= b, got a={a!r}, b={b!r}")
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"need 0 < alpha <= 1, got {alpha!r}")
-    observed = abs(a ** alpha - b ** alpha)
+    pa, pb = a ** alpha, b ** alpha
+    observed = abs(pa - pb)
     bound = (b - a) ** alpha
     slack = bound - observed
-    floor = 1e-15 * max(bound, 1.0)
+    # pa - pb cancels terms of size max(pa, pb), so its rounding error
+    # scales with them, not with the bound
+    floor = 1e-15 * max(pa, pb, bound, 1.0)
     if slack >= 0.0:
         status = Status.HOLDS
     elif slack > -floor:
@@ -677,3 +660,25 @@ def scalar_power_lemma(a: float, b: float, alpha: float) -> BoundReport:
         status = Status.VIOLATED
     return BoundReport(observed, bound, slack, floor, status, 0,
                        ("exact evaluation",))
+
+
+def check_symmetry_lemma(g, s: FracSetting, tol: float = DEFAULT_TOL,
+                         memo: Optional[dict] = None) -> IdentityReport:
+    """Lemma 2.1: j_left(g) = j_right(g) for g symmetric about the midpoint.
+
+    t -> a+b-t maps one one-sided kernel onto the other.  Both sides are
+    computed independently and compared by residual like any identity.
+    """
+    if not getattr(g, "symmetric", False):
+        raise DomainError(
+            "check_symmetry_lemma needs a weight validated as "
+            "midpoint-symmetric (WeightSpec with symmetric=True)")
+
+    def build(c: Cell) -> IdentityReport:
+        left, right = c.j(j_left, "g"), c.j(j_right, "g")
+        return _identity(left.value, right.value,
+                         left.abs_error_estimate + right.abs_error_estimate,
+                         c.evaluations, (),
+                         not (left.tolerance_met and right.tolerance_met))
+
+    return _with_retry(build, Cell(None, g, s, tol, memo))

@@ -8,7 +8,7 @@ verifiers) is built on three primitives:
 * ``integrate_singular``, the same engine applied after an algebraic
   change of variable that removes a power-law endpoint singularity,
 
-plus ``cumulative_kernel``, a piecewise representation of the signed
+plus ``CumulativeKernel``, a piecewise representation of the signed
 kernel
 
     K(t) = int_a^t (b-s)^(alpha-1) g(s) ds
@@ -40,7 +40,6 @@ __all__ = [
     "gamma",
     "integrate_smooth",
     "integrate_singular",
-    "cumulative_kernel",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -383,10 +382,3 @@ class CumulativeKernel:
         else:
             pl, _ = _gk15(lambda s: (s - a) ** (alpha - 1.0) * self._g(s), lo, t)
         return k + pu + pl
-
-
-def cumulative_kernel(g: Callable[[float], float], a: float, b: float,
-                      alpha: float, mesh_size: int = 64,
-                      tol: float = DEFAULT_TOL) -> CumulativeKernel:
-    """Precompute K(t) for weight g on [a, b]; see CumulativeKernel."""
-    return CumulativeKernel(g, a, b, alpha, mesh_size, tol)

@@ -6,6 +6,7 @@ that are awkward to reach through argv.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -15,6 +16,7 @@ import sys
 
 import pytest
 
+import frachh.cli
 from frachh.cli import (CSV_COLUMNS, RunConfig, UsageError, _fmt_float,
                         _sort_key, _worst_status, main, run_rows)
 from frachh.functions import (ConvexityKind, FunctionSpec,
@@ -230,6 +232,59 @@ class TestSubcommands:
                        "--strict-paper")
         assert proc.returncode == 3
         assert "strict mode" in proc.stderr
+
+
+class TestSharing:
+    """Statements share derived quantities in a corpus run, never results."""
+
+    SHARED = ("bound-2-5", "identity-2-3", "lemma-2-1")
+
+    @staticmethod
+    def corpus(tmp_path, theorems):
+        path = tmp_path / f"{theorems}.json"
+        code = main(["corpus", "--theorems", theorems, "--alpha-grid", "0.5,2",
+                     "--out", str(path)])
+        assert code == 0
+        return json.loads(path.read_text())["rows"]
+
+    def test_rows_do_not_depend_on_the_other_statements(self, tmp_path,
+                                                         monkeypatch):
+        calls = [0]
+
+        def counted(fn):
+            def wrapper(x):
+                calls[0] += 1
+                return fn(x)
+            return wrapper
+
+        def counting(build, fields):
+            def counted_build(*args, **kwargs):
+                return [dataclasses.replace(spec, **{
+                            name: counted(getattr(spec, name))
+                            for name in fields
+                            if getattr(spec, name) is not None})
+                        for spec in build(*args, **kwargs)]
+            return counted_build
+
+        for name, fields in (("builtin_function_corpus", ("fn", "deriv")),
+                             ("builtin_weight_corpus", ("fn",))):
+            monkeypatch.setattr(frachh.cli, name,
+                                counting(getattr(frachh.cli, name), fields))
+        everything = self.corpus(tmp_path, "all")
+        assert calls[0] > 0
+        # a shared quantity is charged once, so the column never exceeds
+        # the calls actually made
+        assert sum(row["evaluations"] for row in everything) <= calls[0]
+
+        def strip(rows):
+            return [{k: v for k, v in row.items() if k != "evaluations"}
+                    for row in rows]
+
+        for ident in self.SHARED:
+            alone = self.corpus(tmp_path, ident)
+            assert alone
+            mixed = [row for row in everything if row["theorem"] == ident]
+            assert strip(mixed) == strip(alone), ident
 
 
 class TestRowAssembly:

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frachh.fracops import FracSetting, check_symmetry_lemma, j_left, j_right
+from frachh.fracops import FracSetting, j_left, j_right
 from frachh.functions import builtin_function_corpus, builtin_weight_corpus, make_weight
+from frachh.inequalities import Status, check_symmetry_lemma
 from frachh.numerics import DomainError, gamma, integrate_smooth
 
 HALF_UNIT = FracSetting(0.0, 1.0, 0.5)
@@ -107,23 +108,23 @@ class TestSymmetryLemma:
     def test_constant_weight(self):
         w = builtin_weight_corpus(0.0, 1.0)[0]
         report = check_symmetry_lemma(w, FracSetting(0.0, 1.0, 0.7))
-        assert report.passed
+        assert report.status is Status.HOLDS
         expected = 1.0 / gamma(1.7)
-        assert report.left == pytest.approx(expected, rel=1e-10)
-        assert report.right == pytest.approx(expected, rel=1e-10)
+        assert report.lhs == pytest.approx(expected, rel=1e-10)
+        assert report.rhs == pytest.approx(expected, rel=1e-10)
 
     def test_parabolic_weight_half_order(self):
         # Beta form: B(2, 3/2) / Gamma(1/2) = (4/15) / sqrt(pi)
         w = builtin_weight_corpus(0.0, 1.0)[1]
         report = check_symmetry_lemma(w, HALF_UNIT)
-        assert report.passed
-        assert report.left == pytest.approx(0.15045055561273502, rel=1e-10)
+        assert report.status is Status.HOLDS
+        assert report.lhs == pytest.approx(0.15045055561273502, rel=1e-10)
 
     def test_vee_weight_order_one(self):
         w = builtin_weight_corpus(0.0, 1.0)[2]
         report = check_symmetry_lemma(w, FracSetting(0.0, 1.0, 1.0))
-        assert report.passed
-        assert report.left == pytest.approx(0.25, rel=1e-10)
+        assert report.status is Status.HOLDS
+        assert report.lhs == pytest.approx(0.25, rel=1e-10)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5, 2.5])
     @pytest.mark.parametrize("interval", [(0.0, 1.0), (1.0, 3.0), (-1.0, 2.0)])
@@ -131,5 +132,5 @@ class TestSymmetryLemma:
         s = FracSetting(interval[0], interval[1], alpha)
         for w in builtin_weight_corpus(*interval):
             report = check_symmetry_lemma(w, s)
-            assert report.passed, (w.label, alpha, interval)
-            assert report.gap <= report.error_budget
+            assert report.status is Status.HOLDS, (w.label, alpha, interval)
+            assert report.residual <= report.error_budget * report.scale

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from frachh.numerics import (DEFAULT_TOL, CumulativeKernel, DomainError,
                              EvaluationError, KernelSide, MAX_PANELS,
-                             QuadResult, cumulative_kernel, gamma,
+                             QuadResult, gamma,
                              integrate_singular, integrate_smooth)
 from frachh.oracle import beta_reference
 
@@ -205,13 +205,13 @@ class TestIntegrateSingular:
 class TestCumulativeKernel:
     def test_alpha_one_closed_form(self):
         # g = 1, alpha = 1: K(t) = (t - a) - (b - t)
-        k = cumulative_kernel(lambda s: 1.0, 0.0, 1.0, 1.0)
+        k = CumulativeKernel(lambda s: 1.0, 0.0, 1.0, 1.0)
         for t in (0.0, 0.125, 0.3, 0.5, 0.77, 1.0):
             assert k(t) == pytest.approx(2.0 * t - 1.0, abs=1e-9)
 
     def test_half_order_closed_form(self):
         # g = 1, alpha = 1/2: K(t) = 2 sqrt(t) - 2 sqrt(1-t)
-        k = cumulative_kernel(lambda s: 1.0, 0.0, 1.0, 0.5)
+        k = CumulativeKernel(lambda s: 1.0, 0.0, 1.0, 0.5)
         for t in (0.0, 0.2, 0.25, 0.5, 0.6, 0.9, 1.0):
             exact = 2.0 * math.sqrt(t) - 2.0 * math.sqrt(1.0 - t)
             assert k(t) == pytest.approx(exact, abs=1e-9)
@@ -219,7 +219,7 @@ class TestCumulativeKernel:
     def test_endpoint_values_match_raw_kernel_integrals(self):
         a, b, alpha = 1.0, 3.0, 0.75
         g = lambda s: math.exp(-((s - 2.0) ** 2))
-        k = cumulative_kernel(g, a, b, alpha)
+        k = CumulativeKernel(g, a, b, alpha)
         upper = integrate_singular(g, a, b, alpha,
                                    KernelSide.UPPER_SINGULAR, 1e-11)
         lower = integrate_singular(g, a, b, alpha,
@@ -234,7 +234,7 @@ class TestCumulativeKernel:
     def test_antisymmetry_for_symmetric_weight(self, alpha):
         a, b = 1.0, 3.0
         g = lambda s: 1.0 + math.cos(math.pi * (s - 2.0))
-        k = cumulative_kernel(g, a, b, alpha)
+        k = CumulativeKernel(g, a, b, alpha)
         assert abs(k(2.0)) <= k.abs_error_estimate + 1e-12
         for t in (1.0, 1.2, 1.5, 1.9, 2.4, 2.75, 3.0):
             budget = 2.0 * k.abs_error_estimate + 1e-10
@@ -242,19 +242,19 @@ class TestCumulativeKernel:
 
     def test_mesh_floor(self):
         with pytest.raises(DomainError):
-            cumulative_kernel(lambda s: 1.0, 0.0, 1.0, 0.5, mesh_size=16)
+            CumulativeKernel(lambda s: 1.0, 0.0, 1.0, 0.5, mesh_size=16)
 
     def test_mesh_sizes_construct_increasing_breakpoints(self):
         # regression: the right half of the graded mesh must ascend
         for mesh in (32, 64, 128, 512):
             for alpha in (0.3, 1.0, 2.0):
-                k = cumulative_kernel(lambda s: 1.0, 0.0, 1.0, alpha,
+                k = CumulativeKernel(lambda s: 1.0, 0.0, 1.0, alpha,
                                       mesh_size=mesh)
                 assert isinstance(k, CumulativeKernel)
                 assert k(0.5) == pytest.approx(0.0, abs=1e-9)
 
     def test_evaluation_counter_grows(self):
-        k = cumulative_kernel(lambda s: 1.0, 0.0, 1.0, 0.5)
+        k = CumulativeKernel(lambda s: 1.0, 0.0, 1.0, 0.5)
         before = k.evaluations
         k(0.33)
         assert k.evaluations > before
