@@ -10,10 +10,10 @@ The package splits into small layers:
 * functions: the convex-function and symmetric-weight corpus with
   certification metadata,
 * fracops: one-sided fractional integral means,
-* inequalities: the verifiers, one per statement, except Theorems
-  2.4-2.7, which are one weighted_bound over the WEIGHTED_BOUNDS table
-  of closed forms; Cell computes the quantities they share once per
-  (f, g, alpha) cell,
+* inequalities: the verifiers.  Theorems 2.4-2.7 are one weighted_bound
+  over the WEIGHTED_BOUNDS table of closed forms, the classical
+  sandwiches are the alpha = 1 case of the fractional ones, and Cell
+  computes the quantities they share once per (f, g, alpha) cell,
 * cli: the ``frachh`` command, dispatching from its THEOREMS registry.
 """
 

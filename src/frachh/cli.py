@@ -14,7 +14,8 @@ seeded, so a fixed command line plus a fixed --seed reproduces output
 byte for byte.
 
 Exit codes: 0 when every row Holds, 1 when any row is Violated, 2 when
-the worst row is Inconclusive, 3 for usage or configuration errors.
+the worst row is Inconclusive, 3 for usage or configuration errors
+and for inputs whose values overflow.
 The base tolerance defaults to the FRACHH_TOL environment variable
 when set.
 """
@@ -109,10 +110,6 @@ class RunConfig:
     force: bool = False
     strict_paper: bool = False
 
-    def setting(self, alpha: float) -> FracSetting:
-        return FracSetting(self.a, self.b, alpha,
-                           strict_paper_mode=self.strict_paper)
-
 
 class UsageError(Exception):
     pass
@@ -203,7 +200,7 @@ def run_rows(ident: str, cfg: RunConfig, *, f: Optional[FunctionSpec] = None,
                 memo={} if memo is None else memo)
     params = inspect.signature(info.verify).parameters
     if "s" in params:
-        args["s"] = cfg.setting(alpha)
+        args["s"] = FracSetting(cfg.a, cfg.b, alpha)
     report = info.verify(**{k: v for k, v in args.items() if k in params})
     return _report_rows(ident, report, cfg, f=f.label if f else None,
                         g=g.label if g else None, alpha=alpha,
@@ -396,7 +393,7 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--force", action="store_true",
                      help="run even when hypotheses fail, noting it")
     sub.add_argument("--strict-paper", action="store_true",
-                     help="reject intervals with a < 0")
+                     help="reject intervals with a < 0, for every statement")
     sub.add_argument("--format", choices=("json", "csv", "text"),
                      default="json")
     sub.add_argument("--out", default=None, help="write output to this path")
@@ -463,6 +460,8 @@ def _config_from(args) -> RunConfig:
             raise UsageError(f"bad FRACHH_TOL value {env!r}")
     if not (0.0 < tol < 1.0):
         raise UsageError(f"tolerance must be in (0, 1), got {tol!r}")
+    if args.strict_paper and args.a < 0:
+        raise UsageError(f"strict mode requires a >= 0, got a = {args.a!r}")
     return RunConfig(args.a, args.b, tol, args.seed, args.force,
                      args.strict_paper)
 
@@ -486,8 +485,9 @@ def _run_command(args) -> int:
         if args.theorems.strip() == "all":
             idents = sorted(THEOREMS)
         else:
-            idents = [part.strip() for part in args.theorems.split(",")
-                      if part.strip()]
+            idents = list(dict.fromkeys(
+                part.strip() for part in args.theorems.split(",")
+                if part.strip()))
             unknown = [i for i in idents if i not in THEOREMS]
             if unknown:
                 raise UsageError(f"unknown theorems: {', '.join(unknown)}")
@@ -521,11 +521,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _run_command(args)
-    except UsageError as exc:
+    except (UsageError, DomainError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, EvaluationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OverflowError as exc:
+        print(f"error: overflow, a value exceeds the double range ({exc})",
+              file=sys.stderr)
         return 3
 
 

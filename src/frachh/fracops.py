@@ -7,7 +7,8 @@ integral evaluated at the left endpoint,
     j_left(h)  = (1/Gamma(alpha)) int_a^b (b-t)^(alpha-1) h(t) dt,
     j_right(h) = (1/Gamma(alpha)) int_a^b (t-a)^(alpha-1) h(t) dt.
 
-At alpha = 1 both reduce to the plain integral of h over [a, b].
+At alpha = 1 both reduce to the plain integral of h over [a, b], so
+the classical statements are their alpha = 1 case.
 alpha = 0 is rejected outright rather than special-cased to the
 identity operator; the scaling 1/Gamma(alpha) is continuous there but
 nothing downstream needs it.
@@ -29,17 +30,15 @@ __all__ = ["FracSetting", "j_left", "j_right"]
 class FracSetting:
     """Interval and order for one family of fractional integrals.
 
-    strict_paper_mode additionally requires a >= 0, the hypothesis
-    under which the fractional sandwich theorems are usually stated.
-    The relaxed default exists because the operators and every
-    identity here only need a < b; the flag makes runs reproducible
-    under the stricter reading.
+    Only a < b is required: the operators and every identity here are
+    defined for any finite interval.  The stricter reading a >= 0 of
+    the paper is a command-line option (--strict-paper), checked once
+    before any work.
     """
 
     a: float
     b: float
     alpha: float
-    strict_paper_mode: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.a) and math.isfinite(self.b)
@@ -49,9 +48,6 @@ class FracSetting:
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise DomainError(
                 f"alpha must be positive and finite, got {self.alpha!r}")
-        if self.strict_paper_mode and self.a < 0:
-            raise DomainError(
-                f"strict mode requires a >= 0, got a = {self.a!r}")
 
     @property
     def midpoint(self) -> float:

@@ -178,8 +178,7 @@ class Cell:
 
     The only place they are computed: each on first read, kept in
     `memo` under the inputs it depends on, so cells sharing a memo share
-    it (W, ||g||_inf and K across functions, J(f g) across exponents,
-    the alpha = 1 integrals across classical and fractional statements).
+    it (W, ||g||_inf and K across functions, J(f g) across exponents).
     `evaluations` counts the integrand calls this cell spent itself; a
     memo hit costs nothing, and ||g||_inf is never charged.
     """
@@ -201,6 +200,8 @@ class Cell:
 
     def j(self, side: Callable, of: str) -> QuadResult:
         """side(h) for side j_left or j_right and h = f, g or f g (`of`)."""
+        if self.s.alpha == 1.0:  # both kernels are 1: one integral
+            side = j_left
         f = self.f.fn if of != "g" else None
         g = self.g.fn if of != "f" else None
         h = f if g is None else g if f is None else (lambda x: f(x) * g(x))
@@ -332,18 +333,10 @@ def hh_classical(f, a: float, b: float, tol: float = DEFAULT_TOL,
                  memo: Optional[dict] = None) -> SandwichReport:
     """f((a+b)/2)  <=  mean of f over [a,b]  <=  (f(a)+f(b))/2.
 
-    The integral is j_left(f) at alpha = 1, so corpus runs share it.
+    The alpha = 1 case of hh_fractional, whose mean Gamma(2) / (2(b-a))
+    (J f + J f) is then the plain mean of f bit for bit.
     """
-    s = FracSetting(a, b, 1.0)
-    f = _as_function(f, a, b)
-    notes = _convex_gate(f, a, b, force, ())
-
-    def build(c: Cell) -> SandwichReport:
-        total = c.j(j_left, "f").scaled(1.0 / (b - a))
-        return _sandwich(f.fn(s.midpoint), total.value, c.avg,
-                         total.abs_error_estimate, c.evaluations, notes)
-
-    return _with_retry(build, Cell(f, None, s, tol, memo))
+    return hh_fractional(f, FracSetting(a, b, 1.0), tol, force, memo)
 
 
 def fejer_classical(f, g: WeightSpec, tol: float = DEFAULT_TOL,
@@ -355,28 +348,14 @@ def fejer_classical(f, g: WeightSpec, tol: float = DEFAULT_TOL,
 
     for g nonnegative and symmetric about m = (a+b)/2.  The middle
     term is deliberately not divided by (b-a): with that extra factor
-    the three terms would not scale alike, and the alpha = 1 limit of
-    the fractional version is exactly the form used here.  The
-    integrals are j_left(g) and j_left(f g) at alpha = 1.
+    the three terms would not scale alike.  This is the alpha = 1 case
+    of fejer_fractional with every term halved.
     """
     if not isinstance(g, WeightSpec):
         raise DomainError("weights must be WeightSpec instances so their "
                           "symmetry flag is validated")
-    s = FracSetting(g.a, g.b, 1.0)
-    f = _as_function(f, s.a, s.b)
-    notes = _weight_gate(g, s.a, s.b, True, force, ())
-    notes = _convex_gate(f, s.a, s.b, force, notes)
-    notes = notes + (_FEJER_NOTE,)
-
-    def build(c: Cell) -> SandwichReport:
-        total_g, total_fg = c.j(j_left, "g"), c.j(j_left, "fg")
-        fm, avg = f.fn(s.midpoint), c.avg
-        err = ((abs(fm) + abs(avg)) * total_g.abs_error_estimate
-               + total_fg.abs_error_estimate)
-        return _sandwich(fm * total_g.value, total_fg.value,
-                         avg * total_g.value, err, c.evaluations, notes)
-
-    return _with_retry(build, Cell(f, g, s, tol, memo))
+    return _fejer(f, g, FracSetting(g.a, g.b, 1.0), 0.5, tol, force, memo,
+                  (_FEJER_NOTE,))
 
 
 def hh_fractional(f, s: FracSetting, tol: float = DEFAULT_TOL,
@@ -412,12 +391,19 @@ def fejer_fractional(f, g: WeightSpec, s: FracSetting,
     with g = 1 to the plain fractional sandwich scaled by
     2 (b-a)^alpha / Gamma(alpha+1).
     """
+    return _fejer(f, g, s, 1.0, tol, force, memo)
+
+
+def _fejer(f, g: WeightSpec, s: FracSetting, scale: float, tol: float,
+           force: bool, memo: Optional[dict],
+           extra_notes: tuple[str, ...] = ()) -> SandwichReport:
+    """The weighted sandwich with W and J(f g) multiplied by scale."""
     f = _as_function(f, s.a, s.b)
     notes = _weight_gate(g, s.a, s.b, True, force, ())
-    notes = _convex_gate(f, s.a, s.b, force, notes)
+    notes = _convex_gate(f, s.a, s.b, force, notes) + extra_notes
 
     def build(c: Cell) -> SandwichReport:
-        w, mid = c.both("g"), c.both("fg")
+        w, mid = c.both("g").scaled(scale), c.both("fg").scaled(scale)
         fm, avg = f.fn(s.midpoint), c.avg
         err = ((abs(fm) + abs(avg)) * w.abs_error_estimate
                + mid.abs_error_estimate)
@@ -669,10 +655,7 @@ def check_symmetry_lemma(g, s: FracSetting, tol: float = DEFAULT_TOL,
     t -> a+b-t maps one one-sided kernel onto the other.  Both sides are
     computed independently and compared by residual like any identity.
     """
-    if not getattr(g, "symmetric", False):
-        raise DomainError(
-            "check_symmetry_lemma needs a weight validated as "
-            "midpoint-symmetric (WeightSpec with symmetric=True)")
+    _weight_gate(g, s.a, s.b, False, False, ())
 
     def build(c: Cell) -> IdentityReport:
         left, right = c.j(j_left, "g"), c.j(j_right, "g")

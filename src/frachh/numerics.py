@@ -223,8 +223,8 @@ def integrate_singular(h: Callable[[float], float], a: float, b: float,
         (1/alpha) * int_0^{(b-a)^alpha} h(b - u^(1/alpha)) du
 
     whose integrand is continuous, and the adaptive engine runs on
-    that.  For alpha >= 1 the kernel is bounded and the product is
-    integrated directly.
+    that.  For alpha >= 1 the kernel is bounded (exactly 1.0 at
+    alpha = 1) and the product is integrated directly.
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
@@ -232,9 +232,6 @@ def integrate_singular(h: Callable[[float], float], a: float, b: float,
         raise DomainError(f"side must be a KernelSide, got {side!r}")
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError(f"need finite a < b, got [{a!r}, {b!r}]")
-
-    if alpha == 1.0:
-        return integrate_smooth(h, a, b, tol, max_panels)
 
     if alpha < 1.0:
         span = (b - a) ** alpha

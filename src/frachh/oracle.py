@@ -26,12 +26,13 @@ def dense_singular_integral(h: Callable[[float], float], a: float, b: float,
                             panels: int = 100_000) -> float:
     """Brute-force value of int_a^b kernel(t) * h(t) dt.
 
-    Applies the same change of variable u = (b-t)^alpha (respectively
-    (t-a)^alpha) that removes the kernel, then a plain composite
-    midpoint rule with exact summation.  No error estimate is
-    returned; the convergence order is min(2, 1 + 1/alpha), so 1e5
-    panels give roughly 1e-10 absolute accuracy for alpha <= 1 on
-    unit-scale problems and somewhat less for large alpha.
+    A plain composite midpoint rule with exact summation.  For
+    alpha < 2 it runs after the change of variable u = (b-t)^alpha
+    (respectively (t-a)^alpha) that removes the kernel, where it
+    converges at order min(2, 1 + 1/alpha).  For alpha >= 2 the kernel
+    has a bounded derivative, so the rule samples the product itself
+    and keeps order 2.  No error estimate is returned; 1e5 panels give
+    roughly 1e-10 absolute accuracy on unit-scale problems.
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
@@ -39,21 +40,22 @@ def dense_singular_integral(h: Callable[[float], float], a: float, b: float,
         raise DomainError(f"need finite a < b, got [{a!r}, {b!r}]")
     if panels < 100_000:
         raise DomainError(f"need at least 1e5 panels, got {panels}")
-
-    span = (b - a) ** alpha
-    step = span / panels
-    inv = 1.0 / alpha
-    if side is KernelSide.UPPER_SINGULAR:
-        def sample(j: int) -> float:
-            t = b - ((j + 0.5) * step) ** inv
-            return h(a if t < a else b if t > b else t)
-    elif side is KernelSide.LOWER_SINGULAR:
-        def sample(j: int) -> float:
-            t = a + ((j + 0.5) * step) ** inv
-            return h(a if t < a else b if t > b else t)
-    else:
+    if not isinstance(side, KernelSide):
         raise DomainError(f"side must be a KernelSide, got {side!r}")
-    return math.fsum(sample(j) for j in range(panels)) * step * inv
+    upper = side is KernelSide.UPPER_SINGULAR
+    raw = alpha >= 2.0
+    step = (b - a) ** (1.0 if raw else alpha) / panels
+    inv = 1.0 / alpha
+
+    def sample(j: int) -> float:
+        # r: distance of the node from the singular endpoint
+        r = (j + 0.5) * step if raw else ((j + 0.5) * step) ** inv
+        t = b - r if upper else a + r
+        t = a if t < a else b if t > b else t
+        return r ** (alpha - 1.0) * h(t) if raw else h(t)
+
+    total = math.fsum(sample(j) for j in range(panels)) * step
+    return total if raw else total * inv
 
 
 def beta_reference(alpha: float, n: int, a: float = 0.0, b: float = 1.0) -> float:

@@ -17,11 +17,12 @@ import sys
 import pytest
 
 import frachh.cli
-from frachh.cli import (CSV_COLUMNS, RunConfig, UsageError, _fmt_float,
-                        _sort_key, _worst_status, main, run_rows)
+from frachh.cli import (CSV_COLUMNS, RunConfig, UsageError, _config_from,
+                        _fmt_float, _sort_key, _worst_status, build_parser,
+                        main, run_rows)
+from frachh.fracops import FracSetting
 from frachh.functions import (ConvexityKind, FunctionSpec,
                               builtin_weight_corpus, make_weight)
-from frachh.numerics import DomainError
 
 SEED = "271828"  # matches the default corpus seed used in library tests
 
@@ -83,6 +84,19 @@ class TestExitCodes:
         proc = run_cli("verify", "--thm", "hh-classical", "--f", "sq",
                        "--tol", "2.0")
         assert proc.returncode == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["--thm", "bound-2-6", "--f", "exp", "--g", "one", "--alpha", "0.5",
+         "--q", "2000"],
+        ["--thm", "bound-1-5", "--f", "exp", "--alpha", "0.5", "--a", "700",
+         "--b", "800"],
+        ["--thm", "hh-fractional", "--f", "sq", "--alpha", "200"],
+    ], ids=["power-mean", "corpus-build", "gamma"])
+    def test_overflow_is_three(self, argv, capsys):
+        assert main(["verify", *argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: overflow")
 
 
 class TestOutputFormats:
@@ -233,6 +247,26 @@ class TestSubcommands:
         assert proc.returncode == 3
         assert "strict mode" in proc.stderr
 
+    @pytest.mark.parametrize("ident", ["hh-classical", "fejer-classical",
+                                       "hh-fractional"])
+    def test_strict_paper_applies_to_every_statement(self, ident, capsys):
+        argv = ["verify", "--thm", ident, "--f", "sq", "--g", "one",
+                "--alpha", "0.5", "--a", "-1", "--b", "1"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main([*argv, "--strict-paper"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "strict mode requires a >= 0, got a = -1.0" in err
+
+    def test_repeated_theorem_ids_run_once(self, capsys):
+        assert main(["corpus", "--theorems", "hh-classical",
+                     "--format", "csv"]) == 0
+        once = capsys.readouterr().out
+        assert main(["corpus", "--theorems", "hh-classical,hh-classical",
+                     "--format", "csv"]) == 0
+        assert capsys.readouterr().out == once
+
 
 class TestSharing:
     """Statements share derived quantities in a corpus run, never results."""
@@ -333,10 +367,27 @@ class TestRowAssembly:
                                     0.0, 1.0),
                      g=builtin_weight_corpus(0.0, 1.0)[0], alpha=0.5)
 
-    def test_strict_setting_propagates(self):
-        cfg = RunConfig(a=-1.0, b=1.0, strict_paper=True)
-        with pytest.raises(DomainError):
-            cfg.setting(0.5)
+    def test_strict_setting_propagates(self, capsys):
+        # every subcommand refuses a < 0 under --strict-paper, before
+        # any output
+        for argv in (["verify", "--thm", "lemma-2-1", "--g", "one",
+                      "--alpha", "0.5"],
+                     ["identity", "--f", "sq"],
+                     ["corpus", "--theorems", "aux-integrals"],
+                     ["sweep", "--thm", "hh-classical", "--f", "sq"]):
+            argv += ["--a", "-1", "--b", "1", "--strict-paper"]
+            assert main(argv) == 3, argv
+            out, err = capsys.readouterr()
+            assert out == "" and "strict mode" in err, argv
+
+    def test_strict_mode_requires_nonnegative_left_endpoint(self):
+        parser = build_parser()
+        base = ["verify", "--thm", "hh-classical", "--a", "-1", "--b", "2"]
+        assert _config_from(parser.parse_args(base)).a == -1.0
+        with pytest.raises(UsageError, match="strict mode requires a >= 0"):
+            _config_from(parser.parse_args([*base, "--strict-paper"]))
+        # the setting itself only needs a < b
+        assert FracSetting(-1.0, 2.0, 0.5).a == -1.0
 
 
 class TestSerialization:

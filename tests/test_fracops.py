@@ -37,11 +37,6 @@ class TestFracSetting:
         with pytest.raises(DomainError):
             FracSetting(a, b, alpha)
 
-    def test_strict_mode_requires_nonnegative_left_endpoint(self):
-        FracSetting(-1.0, 2.0, 0.5)
-        with pytest.raises(DomainError):
-            FracSetting(-1.0, 2.0, 0.5, strict_paper_mode=True)
-
 
 class TestOperatorValues:
     def test_unit_function_half_order(self):
@@ -104,6 +99,12 @@ class TestSymmetryLemma:
             check_symmetry_lemma(skewed, HALF_UNIT)
         with pytest.raises(DomainError):
             check_symmetry_lemma(lambda x: 1.0, HALF_UNIT)
+
+    def test_rejects_weight_tied_to_another_interval(self):
+        parabolic = {w.label: w for w in builtin_weight_corpus(0.0, 1.0)}[
+            "parabolic"]
+        with pytest.raises(DomainError, match="tied to"):
+            check_symmetry_lemma(parabolic, FracSetting(1.0, 3.0, 0.5))
 
     def test_constant_weight(self):
         w = builtin_weight_corpus(0.0, 1.0)[0]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frachh.fracops import FracSetting
+from frachh.fracops import FracSetting, j_left, j_right
 from frachh.functions import (ConvexityKind, FunctionSpec, HolderPair,
                               builtin_function_corpus, builtin_weight_corpus,
                               make_weight)
@@ -190,6 +190,28 @@ class TestFractionalSandwiches:
 
 
 class TestReductions:
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 3.0)])
+    def test_classical_sandwich_is_the_order_one_fractional_one(self, a, b):
+        for f in builtin_function_corpus(a, b):
+            assert hh_classical(f, a, b) == hh_fractional(
+                f, FracSetting(a, b, 1.0)), f.label
+
+    @pytest.mark.parametrize("of", ["f", "g", "fg"])
+    def test_order_one_sides_are_one_integral(self, of):
+        f, g = UNIT_FUNCS["exp"], UNIT_WEIGHTS["parabolic"]
+        cell = Cell(f, g, FracSetting(0.0, 1.0, 1.0), 1e-9)
+        left = cell.j(j_left, of)
+        spent = cell.evaluations
+        assert spent > 0
+        assert cell.j(j_right, of) == left
+        assert cell.evaluations == spent
+        # at any other order the right side is an integral of its own
+        cell = Cell(f, g, FracSetting(0.0, 1.0, 0.5), 1e-9)
+        cell.j(j_left, of)
+        spent = cell.evaluations
+        cell.j(j_right, of)
+        assert cell.evaluations > spent
+
     @pytest.mark.parametrize("flabel", ["sq", "exp", "quart"])
     def test_order_one_weighted_form_doubles_the_classical_one(self, flabel):
         s = FracSetting(0.0, 1.0, 1.0)
