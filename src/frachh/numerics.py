@@ -14,7 +14,8 @@ kernel
     K(t) = int_a^t (b-s)^(alpha-1) g(s) ds
          - int_t^b (s-a)^(alpha-1) g(s) ds
 
-which weighted trapezoid identities integrate against f'.
+on a fixed 64-panel graded mesh, which weighted trapezoid identities
+integrate against f'.  Both integrate the kernel by one panel rule.
 
 Every quadrature result carries an absolute error estimate, the number
 of integrand evaluations spent, and a flag saying whether the requested
@@ -44,6 +45,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 MAX_PANELS = 2 ** 16
+KERNEL_MESH_PANELS = 64
 
 # math.gamma overflows just above this point (double precision).
 _GAMMA_OVERFLOW = 171.62
@@ -163,13 +165,12 @@ def _checked(h: Callable[[float], float]) -> Callable[[float], float]:
 
 
 def integrate_smooth(h: Callable[[float], float], a: float, b: float,
-                     tol: float = DEFAULT_TOL,
-                     max_panels: int = MAX_PANELS) -> QuadResult:
+                     tol: float = DEFAULT_TOL) -> QuadResult:
     """Adaptive quadrature of h over [a, b] to absolute tolerance tol.
 
     Globally adaptive: the panel with the largest error estimate is
     bisected until the accumulated estimate falls below tol or the
-    panel budget is exhausted (in which case tolerance_met is False).
+    MAX_PANELS budget runs out (then tolerance_met is False).
     Refinement order is deterministic, and tightening tol only ever
     extends it, so halving tol never decreases the evaluation count.
     """
@@ -185,7 +186,7 @@ def integrate_smooth(h: Callable[[float], float], a: float, b: float,
     heap = [(-err, 0, a, b, val, err)]
     seq = 1
     total_err = err
-    while total_err > tol and len(heap) < max_panels:
+    while total_err > tol and len(heap) < MAX_PANELS:
         neg, _, lo, hi, v, e = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
@@ -209,16 +210,38 @@ def _clip(x: float, lo: float, hi: float) -> float:
     return lo if x < lo else hi if x > hi else x
 
 
+def _kernel_panel(h: Callable[[float], float], a: float, b: float,
+                  alpha: float, side: KernelSide, lo: float, hi: float,
+                  substitute: bool):
+    """The panel rule: (phi, ulo, uhi, c) with int_lo^hi kernel * h equal
+    to (1/c) int_ulo^uhi phi, for the kernel of side on [a, b].
+
+    With substitute (alpha < 1 on a panel touching the singular end),
+    u = (b-t)^alpha (resp. (t-a)^alpha) leaves the continuous h(t(u))
+    and c = alpha; otherwise phi is the product kernel * h and c = 1.
+    """
+    upper = side is KernelSide.UPPER_SINGULAR
+    if substitute:
+        inv = 1.0 / alpha
+        if upper:
+            return (lambda u: h(_clip(b - u ** inv, a, b)),
+                    (b - hi) ** alpha, (b - lo) ** alpha, alpha)
+        return (lambda u: h(_clip(a + u ** inv, a, b)),
+                (lo - a) ** alpha, (hi - a) ** alpha, alpha)
+    if upper:
+        return lambda t: (b - t) ** (alpha - 1.0) * h(t), lo, hi, 1.0
+    return lambda t: (t - a) ** (alpha - 1.0) * h(t), lo, hi, 1.0
+
+
 def integrate_singular(h: Callable[[float], float], a: float, b: float,
                        alpha: float, side: KernelSide,
-                       tol: float = DEFAULT_TOL,
-                       max_panels: int = MAX_PANELS) -> QuadResult:
+                       tol: float = DEFAULT_TOL) -> QuadResult:
     """Integral of kernel(t) * h(t) over [a, b] with a power-law kernel.
 
     The kernel is (b-t)^(alpha-1) for KernelSide.UPPER_SINGULAR and
-    (t-a)^(alpha-1) for KernelSide.LOWER_SINGULAR.  For alpha < 1 the
-    substitution u = (b-t)^alpha (resp. (t-a)^alpha) turns the integral
-    into
+    (t-a)^(alpha-1) for KernelSide.LOWER_SINGULAR.  It applies the panel
+    rule to all of [a, b]: for alpha < 1 the substitution u = (b-t)^alpha
+    (resp. (t-a)^alpha) turns the integral into
 
         (1/alpha) * int_0^{(b-a)^alpha} h(b - u^(1/alpha)) du
 
@@ -232,22 +255,8 @@ def integrate_singular(h: Callable[[float], float], a: float, b: float,
         raise DomainError(f"side must be a KernelSide, got {side!r}")
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError(f"need finite a < b, got [{a!r}, {b!r}]")
-
-    if alpha < 1.0:
-        span = (b - a) ** alpha
-        inv = 1.0 / alpha
-        if side is KernelSide.UPPER_SINGULAR:
-            phi = lambda u: h(_clip(b - u ** inv, a, b))
-        else:
-            phi = lambda u: h(_clip(a + u ** inv, a, b))
-        inner = integrate_smooth(phi, 0.0, span, tol * alpha, max_panels)
-        return inner.scaled(inv)
-
-    if side is KernelSide.UPPER_SINGULAR:
-        w = lambda t: (b - t) ** (alpha - 1.0) * h(t)
-    else:
-        w = lambda t: (t - a) ** (alpha - 1.0) * h(t)
-    return integrate_smooth(w, a, b, tol, max_panels)
+    phi, lo, hi, c = _kernel_panel(h, a, b, alpha, side, a, b, alpha < 1.0)
+    return integrate_smooth(phi, lo, hi, tol * c).scaled(1.0 / c)
 
 
 def _graded_mesh(a: float, b: float, panels: int) -> list[float]:
@@ -274,11 +283,11 @@ class CumulativeKernel:
 
     K(t) = int_a^t (b-s)^(alpha-1) g(s) ds - int_t^b (s-a)^(alpha-1) g(s) ds.
 
-    Built over a mesh graded geometrically toward both endpoints:
-    per-panel integrals of both one-sided kernels are precomputed with
-    the adaptive engine (boundary panels through the singularity
-    substitution), and an evaluation at arbitrary t adds a single
-    15-point partial-panel integral to the stored prefix sums.
+    Built over a fixed mesh of KERNEL_MESH_PANELS panels graded toward
+    both endpoints: per-panel integrals of both one-sided kernels are
+    precomputed with the adaptive engine through the panel rule, and an
+    evaluation at arbitrary t adds one 15-point partial-panel integral
+    per side, by the same rule, to the stored prefix sums.
 
     Endpoint values satisfy K(a) = -int_a^b (s-a)^(alpha-1) g ds and
     K(b) = +int_a^b (b-s)^(alpha-1) g ds; for weights symmetric about
@@ -286,21 +295,18 @@ class CumulativeKernel:
     """
 
     def __init__(self, g: Callable[[float], float], a: float, b: float,
-                 alpha: float, mesh_size: int = 64, tol: float = DEFAULT_TOL):
+                 alpha: float, tol: float = DEFAULT_TOL):
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise DomainError(f"need finite a < b, got [{a!r}, {b!r}]")
         if not (math.isfinite(alpha) and alpha > 0):
             raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
-        if mesh_size < 32:
-            raise DomainError(f"mesh_size must be at least 32, got {mesh_size}")
         if not (tol > 0):
             raise DomainError(f"tolerance must be positive, got {tol!r}")
         self.a = a
         self.b = b
         self.alpha = alpha
         self._g = g
-        mesh_size += mesh_size % 2
-        self.breakpoints = _graded_mesh(a, b, mesh_size)
+        self.breakpoints = _graded_mesh(a, b, KERNEL_MESH_PANELS)
         n = len(self.breakpoints) - 1
 
         ptol = tol / (2 * n)
@@ -312,18 +318,8 @@ class CumulativeKernel:
         worst_panel = 0.0
         for i in range(n):
             lo, hi = self.breakpoints[i], self.breakpoints[i + 1]
-            if hi == b:
-                ru = integrate_singular(g, lo, hi, alpha,
-                                        KernelSide.UPPER_SINGULAR, ptol)
-            else:
-                ru = integrate_smooth(
-                    lambda s: (b - s) ** (alpha - 1.0) * g(s), lo, hi, ptol)
-            if lo == a:
-                rl = integrate_singular(g, lo, hi, alpha,
-                                        KernelSide.LOWER_SINGULAR, ptol)
-            else:
-                rl = integrate_smooth(
-                    lambda s: (s - a) ** (alpha - 1.0) * g(s), lo, hi, ptol)
+            ru, rl = (integrate_smooth(phi, ulo, uhi, ptol * c).scaled(1.0 / c)
+                      for phi, ulo, uhi, c in self._panels(lo, hi, hi))
             pre_u.append(pre_u[-1] + ru.value)
             pre_l.append(pre_l[-1] + rl.value)
             err += ru.abs_error_estimate + rl.abs_error_estimate
@@ -341,6 +337,14 @@ class CumulativeKernel:
         self.evaluations = evals
         self.tolerance_met = met
 
+    def _panels(self, lo: float, hi: float, end: float) -> tuple:
+        # The panel rule, upper side first, on [lo, hi] in [lo, end].
+        g, a, b, alpha = self._g, self.a, self.b, self.alpha
+        return (_kernel_panel(g, a, b, alpha, KernelSide.UPPER_SINGULAR, lo,
+                              hi, alpha < 1.0 and end == b),
+                _kernel_panel(g, a, b, alpha, KernelSide.LOWER_SINGULAR, lo,
+                              hi, alpha < 1.0 and lo == a))
+
     @property
     def value_at_a(self) -> float:
         return -self._total_lower
@@ -350,7 +354,7 @@ class CumulativeKernel:
         return self._prefix_upper[-1]
 
     def __call__(self, t: float) -> float:
-        a, b, alpha = self.a, self.b, self.alpha
+        a, b = self.a, self.b
         if not (a <= t <= b):
             raise DomainError(f"t = {t!r} outside [{a!r}, {b!r}]")
         bp = self.breakpoints
@@ -361,21 +365,6 @@ class CumulativeKernel:
         k = self._prefix_upper[i] + self._prefix_lower[i] - self._total_lower
         if t == lo:
             return k
-        last = bp[i + 1] == b
-        first = lo == a
         self.evaluations += 30
-        if alpha < 1.0 and last:
-            inv = 1.0 / alpha
-            pu, _ = _gk15(lambda u: self._g(_clip(b - u ** inv, a, b)),
-                          (b - t) ** alpha, (b - lo) ** alpha)
-            pu /= alpha
-        else:
-            pu, _ = _gk15(lambda s: (b - s) ** (alpha - 1.0) * self._g(s), lo, t)
-        if alpha < 1.0 and first:
-            inv = 1.0 / alpha
-            pl, _ = _gk15(lambda u: self._g(_clip(a + u ** inv, a, b)),
-                          (lo - a) ** alpha, (t - a) ** alpha)
-            pl /= alpha
-        else:
-            pl, _ = _gk15(lambda s: (s - a) ** (alpha - 1.0) * self._g(s), lo, t)
-        return k + pu + pl
+        (hu, ulo, uhi, cu), (hl, llo, lhi, cl) = self._panels(lo, t, bp[i + 1])
+        return k + _gk15(hu, ulo, uhi)[0] / cu + _gk15(hl, llo, lhi)[0] / cl

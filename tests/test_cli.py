@@ -88,15 +88,31 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["--thm", "bound-2-6", "--f", "exp", "--g", "one", "--alpha", "0.5",
          "--q", "2000"],
-        ["--thm", "bound-1-5", "--f", "exp", "--alpha", "0.5", "--a", "700",
-         "--b", "800"],
         ["--thm", "hh-fractional", "--f", "sq", "--alpha", "200"],
-    ], ids=["power-mean", "corpus-build", "gamma"])
+    ], ids=["power-mean", "gamma"])
     def test_overflow_is_three(self, argv, capsys):
         assert main(["verify", *argv]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: overflow")
+
+    def test_overflowing_corpus_entry_spares_the_others(self, capsys):
+        # exp overflows on [700, 800]; sq is finite there
+        argv = ["--thm", "hh-classical", "--a", "700", "--b", "800",
+                "--format", "text"]
+        assert main(["verify", "--f", "sq", *argv]) == 0
+        assert capsys.readouterr().out.startswith("Holds")
+        assert main(["verify", "--f", "exp", *argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unknown function 'exp'; available: abs, exp-neg" in err
+
+    def test_huge_q_holds(self):
+        # the conjugate of q = 1e17 rounds to 1.0 unless nudged above it
+        proc = run_cli("verify", "--thm", "bound-2-6", "--f", "exp-neg",
+                       "--g", "one", "--alpha", "0.5", "--q", "1e17")
+        assert proc.returncode == 0, proc.stderr
+        assert '"status": "Holds"' in proc.stdout
 
 
 class TestOutputFormats:

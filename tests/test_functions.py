@@ -84,6 +84,12 @@ class TestFunctionCorpus:
         assert [one(x) for x in xs] == [two(x) for x in xs]
         assert [one(x) for x in xs] != [other(x) for x in xs]
 
+    def test_overflowing_entries_are_left_out(self):
+        # exp and cosh overflow on [700, 800]; the other entries stay
+        labels = [f.label for f in builtin_function_corpus(700.0, 800.0)]
+        assert labels == ["sq", "exp-neg", "quart", "abs", "plin",
+                          "quad-rand", "neg-log", "xlogx"]
+
     def test_interval_validated(self):
         with pytest.raises(DomainError):
             builtin_function_corpus(1.0, 1.0)
@@ -237,6 +243,12 @@ class TestHolderPair:
     def test_invalid_rejected(self, p, q):
         with pytest.raises(DomainError):
             HolderPair(p, q)
+
+    def test_from_q_for_huge_q(self):
+        # q / (q - 1) rounds to 1.0 here; p is the least double above 1
+        pair = HolderPair.from_q(1e17)
+        assert pair.p == math.nextafter(1.0, 2.0)
+        assert pair.q == 1e17
 
     def test_from_q_validates(self):
         with pytest.raises(DomainError):

@@ -9,7 +9,7 @@ statuses.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frachh.fracops import FracSetting, j_left, j_right
@@ -391,6 +391,15 @@ class TestBounds:
         with pytest.raises(DomainError):
             trapezoid_bound(UNIT_FUNCS["abs"], HALF_UNIT)
 
+    def test_function_tied_to_another_interval_rejected(self):
+        # xlogx is certified ANALYTIC_DERIV_CONVEX on [0.1, 0.3] only
+        xlogx = {f.label: f for f in builtin_function_corpus(0.1, 0.3)}["xlogx"]
+        one = {w.label: w for w in builtin_weight_corpus(0.1, 3.0)}["one"]
+        with pytest.raises(DomainError, match=r"'xlogx' is tied to "
+                           r"\[0\.1, 0\.3\], not \[0\.1, 3\.0\]"):
+            weighted_bound("bound-2-5", xlogx, one, FracSetting(0.1, 3.0, 0.5),
+                           HolderPair.from_q(2.0))
+
     def test_uncertified_power_needs_force(self):
         # |d/dx (x log x)|^q is concave on [1, 3], so the sampling gate
         # refuses the exponent and force merely records the fact
@@ -501,6 +510,7 @@ class TestScalarPowerLemma:
 
     @given(st.floats(0.0, 1e3), st.floats(0.0, 1e3),
            st.floats(1e-6, 1.0))
+    @example(1.0, 16.5, 0.9999999999999999)
     @settings(max_examples=300, deadline=None)
     def test_never_violated(self, x, y, alpha):
         a, b = sorted((x, y))

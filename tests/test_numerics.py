@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frachh.numerics import (DEFAULT_TOL, CumulativeKernel, DomainError,
-                             EvaluationError, KernelSide, MAX_PANELS,
-                             QuadResult, gamma,
-                             integrate_singular, integrate_smooth)
+                             EvaluationError, KERNEL_MESH_PANELS,
+                             KernelSide, MAX_PANELS, QuadResult, _graded_mesh,
+                             gamma, integrate_singular, integrate_smooth)
 from frachh.oracle import beta_reference
 
 SQRT_PI = 1.7724538509055160273
@@ -212,7 +212,9 @@ class TestCumulativeKernel:
     def test_half_order_closed_form(self):
         # g = 1, alpha = 1/2: K(t) = 2 sqrt(t) - 2 sqrt(1-t)
         k = CumulativeKernel(lambda s: 1.0, 0.0, 1.0, 0.5)
-        for t in (0.0, 0.2, 0.25, 0.5, 0.6, 0.9, 1.0):
+        # t = 1e-12 and 1 - 1e-12 lie inside the end panels (2.3e-10
+        # wide), so they reach both substituted partial-panel branches
+        for t in (0.0, 1e-12, 0.2, 0.25, 0.5, 0.6, 0.9, 1.0 - 1e-12, 1.0):
             exact = 2.0 * math.sqrt(t) - 2.0 * math.sqrt(1.0 - t)
             assert k(t) == pytest.approx(exact, abs=1e-9)
 
@@ -240,18 +242,18 @@ class TestCumulativeKernel:
             budget = 2.0 * k.abs_error_estimate + 1e-10
             assert abs(k(t) + k(a + b - t)) <= budget
 
-    def test_mesh_floor(self):
-        with pytest.raises(DomainError):
-            CumulativeKernel(lambda s: 1.0, 0.0, 1.0, 0.5, mesh_size=16)
-
-    def test_mesh_sizes_construct_increasing_breakpoints(self):
+    def test_graded_mesh_increases(self):
         # regression: the right half of the graded mesh must ascend
-        for mesh in (32, 64, 128, 512):
-            for alpha in (0.3, 1.0, 2.0):
-                k = CumulativeKernel(lambda s: 1.0, 0.0, 1.0, alpha,
-                                      mesh_size=mesh)
-                assert isinstance(k, CumulativeKernel)
-                assert k(0.5) == pytest.approx(0.0, abs=1e-9)
+        for panels in (32, 64, 128, 512):
+            pts = _graded_mesh(0.0, 1.0, panels)
+            assert pts[0] == 0.0 and pts[-1] == 1.0
+            assert all(x < y for x, y in zip(pts, pts[1:])), panels
+
+    def test_unit_weight_kernel_vanishes_at_midpoint(self):
+        for alpha in (0.3, 1.0, 2.0):
+            k = CumulativeKernel(lambda s: 1.0, 0.0, 1.0, alpha)
+            assert len(k.breakpoints) == KERNEL_MESH_PANELS + 1
+            assert k(0.5) == pytest.approx(0.0, abs=1e-9), alpha
 
     def test_evaluation_counter_grows(self):
         k = CumulativeKernel(lambda s: 1.0, 0.0, 1.0, 0.5)
