@@ -14,8 +14,9 @@ seeded, so a fixed command line plus a fixed --seed reproduces output
 byte for byte.
 
 Exit codes: 0 when every row Holds, 1 when any row is Violated, 2 when
-the worst row is Inconclusive, 3 for usage or configuration errors
-and for inputs whose values overflow.
+the worst row is Inconclusive, 3 for usage or configuration errors,
+for inputs whose values overflow (or underflow to a zero divisor) and
+when --out cannot be written.
 The base tolerance defaults to the FRACHH_TOL environment variable
 when set.
 """
@@ -189,7 +190,7 @@ def run_rows(ident: str, cfg: RunConfig, *, f: Optional[FunctionSpec] = None,
                 raise UsageError(f"{ident} needs --q (or --p)")
             if not p > 1.0:
                 raise UsageError(f"need p > 1, got {p!r}")
-            q = p / (p - 1.0)
+            q = HolderPair.from_q(p).p  # conjugacy is symmetric
         pair = HolderPair(p, q) if p is not None else HolderPair.from_q(q)
 
     f = f if info.needs_f else None
@@ -229,9 +230,8 @@ def _admits(info: TheoremInfo, f: Optional[FunctionSpec],
         return True
     if info.needs_deriv and f.deriv is None:
         return False
-    return info.kind != "bound" or (
-        f.admits_deriv_power(1.0)
-        and (q is None or f.admits_deriv_power(q)))
+    return info.kind != "bound" or f.admits_deriv_power(
+        1.0 if q is None else q)
 
 
 def _corpus_rows(idents: Sequence[str], cfg: RunConfig, functions: Sequence,
@@ -356,8 +356,11 @@ def _emit(rows: list[dict], cfg: RunConfig, fmt: str,
     else:
         text = _render_text(rows)
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out_path!r}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -488,6 +491,8 @@ def _run_command(args) -> int:
             idents = list(dict.fromkeys(
                 part.strip() for part in args.theorems.split(",")
                 if part.strip()))
+            if not idents:
+                raise UsageError(f"no theorem ids in {args.theorems!r}")
             unknown = [i for i in idents if i not in THEOREMS]
             if unknown:
                 raise UsageError(f"unknown theorems: {', '.join(unknown)}")
@@ -526,6 +531,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     except OverflowError as exc:
         print(f"error: overflow, a value exceeds the double range ({exc})",
+              file=sys.stderr)
+        return 3
+    except ZeroDivisionError as exc:
+        print(f"error: underflow, a divisor rounds to 0 ({exc})",
               file=sys.stderr)
         return 3
 

@@ -4,16 +4,19 @@ A FunctionSpec bundles a scalar function with its exact derivative
 (when one exists everywhere on the interval) and a certification of
 how convex it is.  Certification is a ladder:
 
-* ANALYTIC_DERIV_CONVEX: f is convex and |f'|^q is convex for every
-  q >= deriv_convex_from, both shown analytically (the one-line proofs
-  sit next to each corpus entry);
+* ANALYTIC_DERIV_CONVEX: f is convex and |f'| is convex, hence
+  |f'|^q for every q >= 1 (t -> t^q is convex and nondecreasing on
+  t >= 0), both shown analytically (the one-line proofs sit next to
+  each corpus entry);
 * ANALYTIC_CONVEX: f is convex analytically, but no claim about |f'|;
 * UNVERIFIED: no certification, verifiers fall back to sampling.
 
-WeightSpec carries a weight tied to an interval plus two validated
-flags, nonnegativity and symmetry about the midpoint.  Both corpora
-are deterministic for a fixed seed, including their randomized
-entries.
+WeightSpec carries a weight tied to an interval plus two flags,
+nonnegativity and symmetry about the midpoint.  The builtin weights
+hold both by construction (proofs next to each entry); make_weight
+and symmetrize set them by sampling for weights from elsewhere.  Both
+corpora are deterministic for a fixed seed, including their randomized
+entries, and leave out any entry that is not finite on [a, b].
 """
 
 from __future__ import annotations
@@ -64,9 +67,6 @@ class FunctionSpec:
     convexity_kind: ConvexityKind = ConvexityKind.UNVERIFIED
     a: float = 0.0
     b: float = 1.0
-    # |f'|^q is certified convex for all q >= deriv_convex_from; only
-    # meaningful when convexity_kind is ANALYTIC_DERIV_CONVEX.
-    deriv_convex_from: float = 1.0
 
     def __call__(self, x: float) -> float:
         return self.fn(x)
@@ -77,14 +77,19 @@ class FunctionSpec:
 
     def admits_deriv_power(self, q: float) -> bool:
         """Whether |f'|^q is certified convex for this exponent."""
-        return (self.deriv is not None
-                and self.convexity_kind is ConvexityKind.ANALYTIC_DERIV_CONVEX
-                and q >= self.deriv_convex_from)
+        return (self.convexity_kind is ConvexityKind.ANALYTIC_DERIV_CONVEX
+                and self.deriv is not None and q >= 1.0)
 
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """A weight function tied to an interval, with validated flags."""
+    """A weight function tied to an interval, with its two hypothesis flags.
+
+    nonnegative and symmetric (about the midpoint of [a, b]) are
+    certified by construction for the builtin corpus and sampled by
+    make_weight otherwise; verifiers refuse a weight whose flag they
+    need is False.
+    """
 
     label: str
     fn: Callable[[float], float] = field(repr=False)
@@ -304,7 +309,14 @@ def builtin_function_corpus(a: float, b: float,
 
 def builtin_weight_corpus(a: float, b: float,
                           seed: int = DEFAULT_CORPUS_SEED) -> list[WeightSpec]:
-    """Deterministic corpus of nonnegative midpoint-symmetric weights."""
+    """Deterministic corpus of nonnegative midpoint-symmetric weights.
+
+    Six entries, both flags certified by construction (the one-line
+    proofs sit next to each entry), so nothing is sampled here; the
+    tests re-check every flag with make_weight.  An entry that
+    overflows or is not finite on [a, b] (parabolic far from 0, bump
+    where (b-a)^2 underflows) is left out, as in the function corpus.
+    """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError(f"need finite a < b, got [{a!r}, {b!r}]")
     m = 0.5 * (a + b)
@@ -319,20 +331,26 @@ def builtin_weight_corpus(a: float, b: float,
             acc = acc * xi + c
         return acc
 
-    # even part squared, shifted to stay strictly positive
     def poly_rand(x: float) -> float:
         return (0.5 * (raw_poly(x) + raw_poly(a + b - x))) ** 2 + 0.1
 
-    lam = 8.0 / (w * w)
-    specs = [
-        make_weight("one", lambda x: 1.0, a, b),
-        make_weight("parabolic", lambda x: (x - a) * (b - x), a, b),
-        make_weight("vee", lambda x: abs(x - m), a, b),
-        make_weight("bump", lambda x: math.exp(-lam * (x - m) ** 2), a, b),
-        make_weight("cos-arch", lambda x: math.cos(math.pi * (x - m) / w), a, b),
-        make_weight("poly-rand", poly_rand, a, b),
+    # w * w underflows to 0 below w ~ 1e-162: bump is then nan, left out
+    lam = 8.0 / (w * w) if w * w else math.nan
+    entries = [
+        # constant 1 > 0
+        WeightSpec("one", lambda x: 1.0, a, b, True, True),
+        # both factors >= 0 on [a, b]; x -> a+b-x swaps them
+        WeightSpec("parabolic", lambda x: (x - a) * (b - x), a, b, True, True),
+        # |x - m| >= 0, and |(a+b-x) - m| = |m - x|
+        WeightSpec("vee", lambda x: abs(x - m), a, b, True, True),
+        # exp > 0 of a function of (x - m)^2, which is even about m
+        WeightSpec("bump", lambda x: math.exp(-lam * (x - m) ** 2), a, b,
+                   True, True),
+        # cos is even, and |x - m| <= w/2 keeps its argument in
+        # [-pi/2, pi/2], where it is >= 0
+        WeightSpec("cos-arch", lambda x: math.cos(math.pi * (x - m) / w),
+                   a, b, True, True),
+        # the square of the even part of a polynomial, plus 0.1 > 0
+        WeightSpec("poly-rand", poly_rand, a, b, True, True),
     ]
-    bad = [s.label for s in specs if not (s.nonnegative and s.symmetric)]
-    if bad:
-        raise DomainError(f"builtin weights failed validation: {bad}")
-    return specs
+    return [spec for spec in entries if _finite_on(spec.fn, a, b)]

@@ -23,6 +23,9 @@ values, plus a fixed floor of 1e-12 times the report scale:
   so the sign cannot be trusted,
 * Holds: every margin clears the budget.
 
+nan and inf fail every comparison, so a report whose value, margin or
+budget is not finite gets no verdict: its builder raises OverflowError.
+
 An Inconclusive first pass automatically retries once with tolerance
 tightened by 100 before the verdict is final.  Hypothesis gates
 (convexity certifications, weight flags) raise DomainError unless
@@ -130,6 +133,12 @@ class AuxIntegralsReport:
     notes: tuple[str, ...] = ()
 
 
+def _finite(*values: float) -> None:
+    # nan or inf compares false both ways, so no verdict would be sound
+    if not all(map(math.isfinite, values)):
+        raise OverflowError("a report value is not finite")
+
+
 def _status(margins: tuple[float, ...], budget: float) -> Status:
     if any(m < -budget for m in margins):
         return Status.VIOLATED
@@ -143,6 +152,7 @@ def _sandwich(lhs: float, mid: float, rhs: float, err: float,
     lower = mid - lhs
     upper = rhs - mid
     budget = err + ERROR_FLOOR * max(abs(lhs), abs(mid), abs(rhs), 1.0)
+    _finite(lhs, mid, rhs, lower, upper, budget)
     return SandwichReport(lhs, mid, rhs, lower, upper, budget,
                           _status((lower, upper), budget), evaluations, notes)
 
@@ -151,6 +161,7 @@ def _bound(observed: float, bound: float, err: float, evaluations: int,
            notes: tuple[str, ...]) -> BoundReport:
     slack = bound - observed
     budget = err + ERROR_FLOOR * max(abs(observed), abs(bound), 1.0)
+    _finite(observed, bound, slack, budget)
     return BoundReport(observed, bound, slack, budget,
                        _status((slack,), budget), evaluations, notes)
 
@@ -160,6 +171,7 @@ def _identity(lhs: float, rhs: float, err: float, evaluations: int,
     residual = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs), 1.0)
     budget = err + ERROR_FLOOR * scale
+    _finite(lhs, rhs, residual, budget)
     if flagged:
         status = Status.INCONCLUSIVE
         notes = notes + ("quadrature tolerance not met",)
@@ -616,6 +628,7 @@ def aux_integrals(s: FracSetting) -> AuxIntegralsReport:
     else:
         status = Status.VIOLATED
     err = e_num.abs_error_estimate + f_num.abs_error_estimate
+    _finite(e_closed, e_num.value, f_closed, f_num.value, err)
     return AuxIntegralsReport(e_closed, e_num.value, f_closed, f_num.value,
                               err / scale + ERROR_FLOOR, status,
                               e_num.evaluations + f_num.evaluations, ())

@@ -107,6 +107,64 @@ class TestExitCodes:
         assert out == ""
         assert "unknown function 'exp'; available: abs, exp-neg" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize("argv", [
+        ["--thm", "bound-1-5", "--f", "exp", "--alpha", "0.5",
+         "--a", "709", "--b", "709.7"],
+        ["--thm", "hh-classical", "--f", "sq", "--a", "1e140", "--b", "1e141"],
+        ["--thm", "hh-classical", "--f", "abs", "--a", "1e200",
+         "--b", "1e201"],
+    ], ids=["nan-observed", "inf-mean", "inf-mean-far"])
+    def test_non_finite_report_is_three(self, argv, fmt, capsys):
+        # a nan or inf value must not read as Holds (nor as Violated)
+        assert main(["verify", *argv, "--format", fmt]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: overflow")
+
+    def test_underflow_is_three(self, capsys):
+        # (b-a)^alpha underflows to 0 and divides the fractional mean
+        assert main(["corpus", "--a", "0", "--b", "1e-300",
+                     "--theorems", "hh-fractional"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: underflow")
+
+    def test_unwritable_out_is_three(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.json"
+        assert main(["verify", "--thm", "hh-classical", "--f", "sq",
+                     "--out", str(path)]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot write {str(path)!r}")
+
+    def test_empty_theorem_list_is_three(self, capsys):
+        assert main(["corpus", "--theorems", ","]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "no theorem ids" in err
+
+    def test_weightless_statement_ignores_unusable_weights(self, capsys):
+        # parabolic overflows on [1e200, 1e201]; lemma-1-6 reads no weight
+        assert main(["verify", "--thm", "lemma-1-6", "--a", "1e200",
+                     "--b", "1e201", "--alpha", "0.5"]) == 0
+        assert '"status": "Holds"' in capsys.readouterr().out
+
+    def test_tiny_interval_without_bump(self, capsys):
+        # (b-a)^2 underflows to 0 there, which bump divides by
+        code = main(["verify", "--thm", "hh-fractional", "--f", "sq",
+                     "--alpha", "0.5", "--a", "0", "--b", "1e-300"])
+        assert code in (0, 2)
+        assert capsys.readouterr().err == ""
+
+    def test_huge_p_holds(self):
+        # p / (p - 1) rounds to 1.0 unless nudged above it
+        proc = run_cli("verify", "--thm", "bound-2-6", "--f", "exp-neg",
+                       "--g", "one", "--alpha", "0.5", "--p", "1e17")
+        assert proc.returncode == 0, proc.stderr
+        (row,) = json.loads(proc.stdout)["rows"]
+        assert row["status"] == "Holds"
+        assert (row["p"], row["q"]) == (1e17, math.nextafter(1.0, 2.0))
+
     def test_huge_q_holds(self):
         # the conjugate of q = 1e17 rounds to 1.0 unless nudged above it
         proc = run_cli("verify", "--thm", "bound-2-6", "--f", "exp-neg",

@@ -8,6 +8,8 @@ by the sampling test (which can refute, never prove).
 import math
 
 import pytest
+
+import frachh.functions
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,6 +71,13 @@ class TestFunctionCorpus:
             report = check_convexity(f.fn, f.a, f.b)
             assert report.convex, f.label
 
+    def test_convex_derivative_admits_every_power_from_one(self):
+        # t -> t^q is convex and nondecreasing on t >= 0 for q >= 1
+        fs = {f.label: f for f in builtin_function_corpus(*UNIT)}
+        for q in (1.0, 1.5, 4.0, 1e17):
+            assert fs["sq"].admits_deriv_power(q), q
+        assert not fs["sq"].admits_deriv_power(0.5)
+
     def test_deriv_power_claims_survive_sampling(self):
         for f in builtin_function_corpus(*SHIFTED):
             for q in (1.0, 1.5, 2.0, 4.0):
@@ -98,14 +107,36 @@ class TestFunctionCorpus:
 
 
 class TestWeightCorpus:
-    @pytest.mark.parametrize("interval", [UNIT, SHIFTED, (-1.0, 2.0)])
+    @pytest.mark.parametrize("interval", [
+        UNIT, SHIFTED, (-1.0, 2.0), (0.0, 1e-6), (1e8, 1e8 + 1.0),
+        (-1e15, 1e15)])
     def test_all_weights_validated(self, interval):
+        # the flags are certified by construction; sampling must not
+        # refute them
         ws = builtin_weight_corpus(*interval)
         assert [w.label for w in ws] == ["one", "parabolic", "vee", "bump",
                                          "cos-arch", "poly-rand"]
         for w in ws:
             assert w.nonnegative and w.symmetric, w.label
             assert (w.a, w.b) == interval
+            sampled = make_weight(w.label, w.fn, *interval)
+            assert sampled.nonnegative and sampled.symmetric, w.label
+
+    @pytest.mark.parametrize("interval,left_out", [
+        ((1e200, 1e201), ["parabolic", "bump"]),  # overflow
+        ((0.0, 1e-300), ["bump"]),  # (b-a)^2 underflows to 0
+    ])
+    def test_nonfinite_entries_are_left_out(self, interval, left_out):
+        labels = [w.label for w in builtin_weight_corpus(*interval)]
+        assert labels == [label for label in ("one", "parabolic", "vee",
+                                              "bump", "cos-arch", "poly-rand")
+                          if label not in left_out]
+
+    def test_builder_samples_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("builtin weights are not sampled")
+        monkeypatch.setattr(frachh.functions, "make_weight", refuse)
+        assert len(builtin_weight_corpus(*UNIT)) == 6
 
     def test_weight_values(self):
         ws = {w.label: w for w in builtin_weight_corpus(*UNIT)}

@@ -86,6 +86,17 @@ class TestStatusBuilders:
         assert r.status is Status.INCONCLUSIVE
         assert "quadrature tolerance not met" in r.notes
 
+    def test_non_finite_values_raise(self):
+        # nan and inf fail every comparison, so no verdict is given
+        with pytest.raises(OverflowError):
+            _sandwich(1.0, math.inf, 3.0, 1e-9, 0, ())
+        with pytest.raises(OverflowError):
+            _bound(math.nan, 1.0, 1e-9, 0, ())
+        with pytest.raises(OverflowError):
+            _bound(1.0, 2.0, math.inf, 0, ())
+        with pytest.raises(OverflowError):
+            _identity(1.0, math.nan, 1e-9, 0, (), False)
+
     def test_identity_budget_is_relative(self):
         r = _identity(100.0, 100.0, 1e-8, 0, (), False)
         assert r.scale == 100.0
@@ -327,6 +338,13 @@ class TestBounds:
         assert r.status is Status.HOLDS
         assert r.observed == pytest.approx(2.0 / 15.0, rel=1e-9)
         assert r.bound == pytest.approx(0.19526214587563498, rel=1e-12)
+
+    def test_trapezoid_bound_overflow_raises(self):
+        # |exp'| is finite on [709, 709.7], but the fractional mean is not
+        s = FracSetting(709.0, 709.7, 0.5)
+        f = {f.label: f for f in builtin_function_corpus(s.a, s.b)}["exp"]
+        with pytest.raises(OverflowError):
+            trapezoid_bound(f, s)
 
     def test_sup_bound_square_parabolic(self):
         r = weighted_bound("bound-2-4", UNIT_FUNCS["sq"],
