@@ -10,7 +10,8 @@ The package splits into small layers:
 * functions: the convex-function and symmetric-weight corpus with
   certification metadata,
 * fracops: one-sided fractional integral means,
-* inequalities: the verifiers.  Theorems 2.4-2.7 are one weighted_bound
+* inequalities: the verifiers, each returning a Report whose verdict
+  comes from one rule.  Theorems 2.4-2.7 are one weighted_bound
   over the WEIGHTED_BOUNDS table of closed forms, the classical
   sandwiches are the alpha = 1 case of the fractional ones, and Cell
   computes the quantities they share once per (f, g, alpha) cell,
@@ -22,8 +23,7 @@ from .functions import (ConvexityKind, ConvexityReport, FunctionSpec,
                         HolderPair, WeightSpec, builtin_function_corpus,
                         builtin_weight_corpus, check_convexity, make_weight,
                         sup_norm, symmetrize)
-from .inequalities import (WEIGHTED_BOUNDS, AuxIntegralsReport, BoundReport,
-                           Cell, IdentityReport, SandwichReport, Status,
+from .inequalities import (WEIGHTED_BOUNDS, Cell, Report, Status,
                            WeightedBound, aux_integrals, check_symmetry_lemma,
                            fejer_classical, fejer_fractional, hh_classical,
                            hh_fractional, scalar_power_lemma,
@@ -48,8 +48,7 @@ __all__ = [
     # fracops
     "FracSetting", "j_left", "j_right",
     # inequalities
-    "AuxIntegralsReport", "BoundReport", "Cell", "IdentityReport",
-    "SandwichReport", "Status", "WEIGHTED_BOUNDS", "WeightedBound",
+    "Cell", "Report", "Status", "WEIGHTED_BOUNDS", "WeightedBound",
     "aux_integrals", "check_symmetry_lemma", "fejer_classical",
     "fejer_fractional", "hh_classical", "hh_fractional",
     "scalar_power_lemma", "trapezoid_bound", "trapezoid_identity",

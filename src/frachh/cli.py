@@ -43,10 +43,12 @@ from .inequalities import Status
 
 __all__ = ["main", "RunConfig", "THEOREMS", "run_rows"]
 
+# the columns filled from the Report field of the same name
+VALUE_COLUMNS = ("lhs", "mid", "rhs", "observed", "bound", "margin_lower",
+                 "margin_upper", "slack")
 CSV_COLUMNS = ("theorem", "f", "g", "a", "b", "alpha", "p", "q",
-               "lhs", "mid", "rhs", "observed", "bound",
-               "margin_lower", "margin_upper", "slack",
-               "error_budget", "status", "evaluations", "seed")
+               *VALUE_COLUMNS, "error_budget", "status", "evaluations",
+               "seed")
 
 DEFAULT_ALPHA_GRID = (0.25, 0.5, 1.0, 2.0)
 DEFAULT_Q_GRID = (2.0, 3.0)
@@ -118,31 +120,18 @@ class UsageError(Exception):
 
 # ---------------------------------------------------------------- rows
 
-# (extra labels, column -> report attribute) for each row of a report
-_REPORT_ROWS = {
-    ineq.SandwichReport: [({}, dict(lhs="lhs", mid="mid", rhs="rhs",
-                                    margin_lower="lower_margin",
-                                    margin_upper="upper_margin"))],
-    ineq.IdentityReport: [({}, dict(lhs="lhs", rhs="rhs"))],
-    ineq.BoundReport: [({}, dict(observed="observed", bound="bound",
-                                 slack="slack"))],
-    ineq.AuxIntegralsReport: [
-        (dict(f="e-part"), dict(lhs="e_closed", rhs="e_numeric")),
-        (dict(f="f-part"), dict(lhs="f_closed", rhs="f_numeric"))],
-}
-
-
-def _report_rows(ident: str, report, cfg: RunConfig, **labels) -> list[dict]:
+def _report_rows(ident: str, reports: Sequence[ineq.Report], cfg: RunConfig,
+                 **labels) -> list[dict]:
     rows = []
-    for extra, columns in _REPORT_ROWS[type(report)]:
+    for report in reports:
         row = dict.fromkeys(CSV_COLUMNS)
         row.update(theorem=ident, seed=cfg.seed, a=cfg.a, b=cfg.b, **labels,
                    error_budget=report.error_budget,
                    status=report.status.value,
                    evaluations=report.evaluations, notes=report.notes)
-        row.update(extra)
-        row.update((col, getattr(report, attr))
-                   for col, attr in columns.items())
+        if report.part is not None:
+            row["f"] = report.part
+        row.update((col, getattr(report, col)) for col in VALUE_COLUMNS)
         rows.append(row)
     return rows
 
@@ -177,12 +166,11 @@ def run_rows(ident: str, cfg: RunConfig, *, f: Optional[FunctionSpec] = None,
     evaluations of the row that first reads it.
     """
     info = THEOREMS[ident]
-    if info.needs_f and f is None:
-        raise UsageError(f"{ident} needs --f")
-    if info.needs_g and g is None:
-        raise UsageError(f"{ident} needs --g")
-    if info.needs_alpha and alpha is None:
-        raise UsageError(f"{ident} needs --alpha")
+    for name, value, read in (("f", f, info.needs_f), ("g", g, info.needs_g),
+                              ("alpha", alpha, info.needs_alpha)):
+        if (value is None) == read:  # missing, or given but never read
+            raise UsageError(f"{ident} {'needs' if read else 'takes no'} "
+                             f"--{name}")
     pair = None
     if info.needs_q:
         if q is None:
@@ -192,10 +180,9 @@ def run_rows(ident: str, cfg: RunConfig, *, f: Optional[FunctionSpec] = None,
                 raise UsageError(f"need p > 1, got {p!r}")
             q = HolderPair.from_q(p).p  # conjugacy is symmetric
         pair = HolderPair(p, q) if p is not None else HolderPair.from_q(q)
+    elif q is not None or p is not None:
+        raise UsageError(f"{ident} takes no --{'q' if q is not None else 'p'}")
 
-    f = f if info.needs_f else None
-    g = g if info.needs_g else None
-    alpha = alpha if info.needs_alpha else None
     args = dict(ident=ident, f=f, g=g, a=cfg.a, b=cfg.b, alpha=alpha,
                 pair=pair, tol=cfg.tol, force=cfg.force,
                 memo={} if memo is None else memo)
@@ -203,7 +190,8 @@ def run_rows(ident: str, cfg: RunConfig, *, f: Optional[FunctionSpec] = None,
     if "s" in params:
         args["s"] = FracSetting(cfg.a, cfg.b, alpha)
     report = info.verify(**{k: v for k, v in args.items() if k in params})
-    return _report_rows(ident, report, cfg, f=f.label if f else None,
+    reports = report if isinstance(report, tuple) else (report,)
+    return _report_rows(ident, reports, cfg, f=f.label if f else None,
                         g=g.label if g else None, alpha=alpha,
                         p=pair.p if info.needs_p else None,
                         q=pair.q if pair else None)

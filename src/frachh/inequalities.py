@@ -1,11 +1,8 @@
 """Verifiers for Hermite-Hadamard / Fejer type statements.
 
 Each verifier recomputes both sides of one inequality or identity from
-scratch and returns a small report:
-
-* SandwichReport for three-term chains lhs <= mid <= rhs,
-* BoundReport for dominance statements observed <= bound,
-* IdentityReport for exact equalities checked by residual.
+scratch and returns a Report, whose value fields are named after the
+output columns and are None where the statement produces nothing.
 
 The fractional quantities the statements share (J(f), the weight mass
 W, J(f g), ||g||_inf and the kernel K) are computed only by Cell, once
@@ -13,15 +10,25 @@ per cell; verifiers given the same memo share them.  Theorems 2.4-2.7
 bound the same weighted defect and differ only in a closed form, so
 they are one function, weighted_bound, over the WEIGHTED_BOUNDS table.
 
-Statuses are three-valued.  A margin (or slack, or residual) is
-compared against an error budget assembled from the quadrature error
+Every verdict comes from one rule, _verdict: Violated when the worst
+case is below violated_below, Inconclusive when it is below holds_from,
+Holds otherwise.  The error budget B sums the quadrature error
 estimates that entered the computation, scaled exactly like the
-values, plus a fixed floor of 1e-12 times the report scale:
+values, and a floor of 1e-12 times the report scale.  The thresholds:
 
-* Violated: some margin is below -budget,
-* Inconclusive: no violation, but some margin sits inside the budget,
-  so the sign cannot be trusted,
-* Holds: every margin clears the budget.
+    kind             worst                    violated_below  holds_from
+    sandwich, bound  smallest margin, slack   -B              B
+    identity         -|lhs - rhs|             -GRAY_FACTOR B  -B
+    aux-integrals    smallest 1e-10 max(1, |closed|)
+                       - |closed - numeric|   0               0
+    lemma-1-6        slack                    -floor          0
+
+A quadrature that missed its tolerance makes an identity or
+aux-integrals report Inconclusive whatever its values.  An
+Inconclusive lemma-1-6 slack, whose budget is a rounding floor, takes
+its sign from decimal arithmetic.  Identities, lemma-2-1 and
+aux-integrals report their budget relative to max(|lhs|, |rhs|, 1),
+the others as an absolute value.
 
 nan and inf fail every comparison, so a report whose value, margin or
 budget is not finite gets no verdict: its builder raises OverflowError.
@@ -49,10 +56,7 @@ from .numerics import (DEFAULT_TOL, CumulativeKernel, DomainError, QuadResult,
 
 __all__ = [
     "Status",
-    "SandwichReport",
-    "BoundReport",
-    "IdentityReport",
-    "AuxIntegralsReport",
+    "Report",
     "Cell",
     "WeightedBound",
     "WEIGHTED_BOUNDS",
@@ -86,51 +90,27 @@ class Status(Enum):
 
 
 @dataclass(frozen=True)
-class SandwichReport:
-    lhs: float
-    mid: float
-    rhs: float
-    lower_margin: float
-    upper_margin: float
+class Report:
+    """The verdict on one statement and the values behind it.
+
+    The value fields are named after the output columns; those the
+    statement does not produce are None.  `part` labels the two rows of
+    aux_integrals.
+    """
+
+    status: Status
     error_budget: float
-    status: Status
     evaluations: int
     notes: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    observed: float
-    bound: float
-    slack: float
-    error_budget: float
-    status: Status
-    evaluations: int
-    notes: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    lhs: float
-    rhs: float
-    residual: float
-    scale: float
-    error_budget: float  # relative to scale
-    status: Status
-    evaluations: int
-    notes: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class AuxIntegralsReport:
-    e_closed: float
-    e_numeric: float
-    f_closed: float
-    f_numeric: float
-    error_budget: float
-    status: Status
-    evaluations: int
-    notes: tuple[str, ...] = ()
+    lhs: Optional[float] = None
+    mid: Optional[float] = None
+    rhs: Optional[float] = None
+    observed: Optional[float] = None
+    bound: Optional[float] = None
+    margin_lower: Optional[float] = None
+    margin_upper: Optional[float] = None
+    slack: Optional[float] = None
+    part: Optional[str] = None
 
 
 def _finite(*values: float) -> None:
@@ -139,50 +119,47 @@ def _finite(*values: float) -> None:
         raise OverflowError("a report value is not finite")
 
 
-def _status(margins: tuple[float, ...], budget: float) -> Status:
-    if any(m < -budget for m in margins):
+def _verdict(worst: float, violated_below: float,
+             holds_from: float) -> Status:
+    if worst < violated_below:
         return Status.VIOLATED
-    if any(abs(m) < budget for m in margins):
+    if worst < holds_from:
         return Status.INCONCLUSIVE
     return Status.HOLDS
 
 
 def _sandwich(lhs: float, mid: float, rhs: float, err: float,
-              evaluations: int, notes: tuple[str, ...]) -> SandwichReport:
+              evaluations: int, notes: tuple[str, ...]) -> Report:
     lower = mid - lhs
     upper = rhs - mid
     budget = err + ERROR_FLOOR * max(abs(lhs), abs(mid), abs(rhs), 1.0)
     _finite(lhs, mid, rhs, lower, upper, budget)
-    return SandwichReport(lhs, mid, rhs, lower, upper, budget,
-                          _status((lower, upper), budget), evaluations, notes)
+    return Report(_verdict(min(lower, upper), -budget, budget), budget,
+                  evaluations, notes, lhs=lhs, mid=mid, rhs=rhs,
+                  margin_lower=lower, margin_upper=upper)
 
 
 def _bound(observed: float, bound: float, err: float, evaluations: int,
-           notes: tuple[str, ...]) -> BoundReport:
+           notes: tuple[str, ...]) -> Report:
     slack = bound - observed
     budget = err + ERROR_FLOOR * max(abs(observed), abs(bound), 1.0)
     _finite(observed, bound, slack, budget)
-    return BoundReport(observed, bound, slack, budget,
-                       _status((slack,), budget), evaluations, notes)
+    return Report(_verdict(slack, -budget, budget), budget, evaluations,
+                  notes, observed=observed, bound=bound, slack=slack)
 
 
 def _identity(lhs: float, rhs: float, err: float, evaluations: int,
-              notes: tuple[str, ...], flagged: bool) -> IdentityReport:
+              notes: tuple[str, ...], flagged: bool) -> Report:
     residual = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs), 1.0)
     budget = err + ERROR_FLOOR * scale
     _finite(lhs, rhs, residual, budget)
+    status = _verdict(-residual, -GRAY_FACTOR * budget, -budget)
     if flagged:
         status = Status.INCONCLUSIVE
         notes = notes + ("quadrature tolerance not met",)
-    elif residual <= budget:
-        status = Status.HOLDS
-    elif residual <= GRAY_FACTOR * budget:
-        status = Status.INCONCLUSIVE
-    else:
-        status = Status.VIOLATED
-    return IdentityReport(lhs, rhs, residual, scale, budget / scale, status,
-                          evaluations, notes)
+    return Report(status, budget / scale, evaluations, notes, lhs=lhs,
+                  rhs=rhs)
 
 
 class Cell:
@@ -346,7 +323,7 @@ def _require_deriv(f: FunctionSpec) -> Callable[[float], float]:
 
 def hh_classical(f, a: float, b: float, tol: float = DEFAULT_TOL,
                  force: bool = False,
-                 memo: Optional[dict] = None) -> SandwichReport:
+                 memo: Optional[dict] = None) -> Report:
     """f((a+b)/2)  <=  mean of f over [a,b]  <=  (f(a)+f(b))/2.
 
     The alpha = 1 case of hh_fractional, whose mean Gamma(2) / (2(b-a))
@@ -357,7 +334,7 @@ def hh_classical(f, a: float, b: float, tol: float = DEFAULT_TOL,
 
 def fejer_classical(f, g: WeightSpec, tol: float = DEFAULT_TOL,
                     force: bool = False,
-                    memo: Optional[dict] = None) -> SandwichReport:
+                    memo: Optional[dict] = None) -> Report:
     """Weighted version of the classical sandwich.
 
     f(m) int g  <=  int f g  <=  (f(a)+f(b))/2 int g
@@ -376,7 +353,7 @@ def fejer_classical(f, g: WeightSpec, tol: float = DEFAULT_TOL,
 
 def hh_fractional(f, s: FracSetting, tol: float = DEFAULT_TOL,
                   force: bool = False,
-                  memo: Optional[dict] = None) -> SandwichReport:
+                  memo: Optional[dict] = None) -> Report:
     """Fractional sandwich of order alpha.
 
     f(m)  <=  Gamma(alpha+1) / (2 (b-a)^alpha) * (j_left f + j_right f)
@@ -385,7 +362,7 @@ def hh_fractional(f, s: FracSetting, tol: float = DEFAULT_TOL,
     f = _as_function(f, s.a, s.b)
     notes = _convex_gate(f, s.a, s.b, force, ())
 
-    def build(c: Cell) -> SandwichReport:
+    def build(c: Cell) -> Report:
         mean = c.f_mean
         return _sandwich(f.fn(s.midpoint), mean.value, c.avg,
                          mean.abs_error_estimate, c.evaluations, notes)
@@ -395,7 +372,7 @@ def hh_fractional(f, s: FracSetting, tol: float = DEFAULT_TOL,
 
 def fejer_fractional(f, g: WeightSpec, s: FracSetting,
                      tol: float = DEFAULT_TOL, force: bool = False,
-                     memo: Optional[dict] = None) -> SandwichReport:
+                     memo: Optional[dict] = None) -> Report:
     """Weighted fractional sandwich of order alpha.
 
     With W = j_left(g) + j_right(g):
@@ -412,13 +389,13 @@ def fejer_fractional(f, g: WeightSpec, s: FracSetting,
 
 def _fejer(f, g: WeightSpec, s: FracSetting, scale: float, tol: float,
            force: bool, memo: Optional[dict],
-           extra_notes: tuple[str, ...] = ()) -> SandwichReport:
+           extra_notes: tuple[str, ...] = ()) -> Report:
     """The weighted sandwich with W and J(f g) multiplied by scale."""
     f = _as_function(f, s.a, s.b)
     notes = _weight_gate(g, s.a, s.b, True, force, ())
     notes = _convex_gate(f, s.a, s.b, force, notes) + extra_notes
 
-    def build(c: Cell) -> SandwichReport:
+    def build(c: Cell) -> Report:
         w, mid = c.both("g").scaled(scale), c.both("fg").scaled(scale)
         fm, avg = f.fn(s.midpoint), c.avg
         err = ((abs(fm) + abs(avg)) * w.abs_error_estimate
@@ -430,7 +407,7 @@ def _fejer(f, g: WeightSpec, s: FracSetting, scale: float, tol: float,
 
 
 def trapezoid_identity(f, s: FracSetting, tol: float = DEFAULT_TOL,
-                       memo: Optional[dict] = None) -> IdentityReport:
+                       memo: Optional[dict] = None) -> Report:
     """Exact representation of the trapezoid defect.
 
     (f(a)+f(b))/2 - Gamma(alpha+1)/(2 (b-a)^alpha) (j_left f + j_right f)
@@ -443,7 +420,7 @@ def trapezoid_identity(f, s: FracSetting, tol: float = DEFAULT_TOL,
     d = _require_deriv(f)
     a, b, alpha = s.a, s.b, s.alpha
 
-    def build(c: Cell) -> IdentityReport:
+    def build(c: Cell) -> Report:
         lhs = c.defect
         inner = integrate_smooth(
             lambda u: ((1.0 - u) ** alpha - u ** alpha) * d(u * a + (1.0 - u) * b),
@@ -460,8 +437,7 @@ def trapezoid_identity(f, s: FracSetting, tol: float = DEFAULT_TOL,
 
 def weighted_trapezoid_identity(f, g: WeightSpec, s: FracSetting,
                                 tol: float = DEFAULT_TOL,
-                                memo: Optional[dict] = None
-                                ) -> IdentityReport:
+                                memo: Optional[dict] = None) -> Report:
     """Weighted trapezoid defect as an integral against f'.
 
     With W = j_left(g) + j_right(g) and the cumulative kernel K,
@@ -479,7 +455,7 @@ def weighted_trapezoid_identity(f, g: WeightSpec, s: FracSetting,
     step = (b - a) / 32.0  # sampled sup |f'|, padded
     dsup = max(abs(d(a + i * step)) for i in range(33)) * 1.25 + 1.0
 
-    def build(c: Cell) -> IdentityReport:
+    def build(c: Cell) -> Report:
         lhs, kern = c.weighted_defect, c.kernel
         k0 = kern.evaluations
         outer = integrate_smooth(lambda x: kern(x) * d(x), a, b,
@@ -498,7 +474,7 @@ def weighted_trapezoid_identity(f, g: WeightSpec, s: FracSetting,
 
 def trapezoid_bound(f, s: FracSetting, tol: float = DEFAULT_TOL,
                     force: bool = False,
-                    memo: Optional[dict] = None) -> BoundReport:
+                    memo: Optional[dict] = None) -> Report:
     """Defect bound from convexity of |f'|.
 
     |trapezoid defect|  <=  (b-a)/(2(alpha+1)) (1 - 2^-alpha)
@@ -511,7 +487,7 @@ def trapezoid_bound(f, s: FracSetting, tol: float = DEFAULT_TOL,
              * (1.0 - 2.0 ** (-s.alpha))
              * (abs(d(s.a)) + abs(d(s.b))))
 
-    def build(c: Cell) -> BoundReport:
+    def build(c: Cell) -> Report:
         gap = c.defect
         return _bound(abs(gap.value), bound, gap.abs_error_estimate,
                       c.evaluations, notes)
@@ -571,7 +547,7 @@ WEIGHTED_BOUNDS: dict[str, WeightedBound] = {
 def weighted_bound(ident: str, f, g: WeightSpec, s: FracSetting,
                    pair: Optional[HolderPair] = None,
                    tol: float = DEFAULT_TOL, force: bool = False,
-                   memo: Optional[dict] = None) -> BoundReport:
+                   memo: Optional[dict] = None) -> Report:
     """Theorems 2.4-2.7: |left side of identity 2.3| <= the closed form
     WEIGHTED_BOUNDS[ident].  Forms reading exponents need the Holder
     pair and convex |f'|^q; the others need convex |f'|."""
@@ -588,7 +564,7 @@ def weighted_bound(ident: str, f, g: WeightSpec, s: FracSetting,
     cell = Cell(f, g, s, tol, memo)
     bound = form.closed_form(s, cell.gsup, f.deriv, pair)
 
-    def build(c: Cell) -> BoundReport:
+    def build(c: Cell) -> Report:
         gap = c.weighted_defect
         return _bound(abs(gap.value), bound,
                       gap.abs_error_estimate + 1e-9 * bound, c.evaluations,
@@ -597,7 +573,7 @@ def weighted_bound(ident: str, f, g: WeightSpec, s: FracSetting,
     return _with_retry(build, cell)
 
 
-def aux_integrals(s: FracSetting) -> AuxIntegralsReport:
+def aux_integrals(s: FracSetting) -> tuple[Report, Report]:
     """Closed forms of two half-interval moments, checked numerically.
 
     e = int_a^m [(b-t)^alpha - (t-a)^alpha] (b-t) dt
@@ -606,7 +582,8 @@ def aux_integrals(s: FracSetting) -> AuxIntegralsReport:
       = (b-a)^(alpha+2)/(alpha+1) * (1/(alpha+2) - 2^-(alpha+1))
 
     Their sum, (b-a)^(alpha+2)/(alpha+1) * (1 - 2^-alpha), is the
-    quantity the defect bounds are built from.
+    quantity the defect bounds are built from.  One Report per part,
+    with the closed form as lhs and the quadrature as rhs.
     """
     a, b, alpha = s.a, s.b, s.alpha
     m = s.midpoint
@@ -618,23 +595,22 @@ def aux_integrals(s: FracSetting) -> AuxIntegralsReport:
     bracket = lambda x: (b - x) ** alpha - (x - a) ** alpha
     e_num = integrate_smooth(lambda x: bracket(x) * (b - x), a, m, t)
     f_num = integrate_smooth(lambda x: bracket(x) * (x - a), a, m, t)
-    tol_e = 1e-10 * max(1.0, abs(e_closed))
-    tol_f = 1e-10 * max(1.0, abs(f_closed))
-    if not (e_num.tolerance_met and f_num.tolerance_met):
-        status = Status.INCONCLUSIVE
-    elif (abs(e_closed - e_num.value) <= tol_e
-          and abs(f_closed - f_num.value) <= tol_f):
-        status = Status.HOLDS
-    else:
-        status = Status.VIOLATED
     err = e_num.abs_error_estimate + f_num.abs_error_estimate
     _finite(e_closed, e_num.value, f_closed, f_num.value, err)
-    return AuxIntegralsReport(e_closed, e_num.value, f_closed, f_num.value,
-                              err / scale + ERROR_FLOOR, status,
-                              e_num.evaluations + f_num.evaluations, ())
+    parts = (("e-part", e_closed, e_num), ("f-part", f_closed, f_num))
+    status = _verdict(min(1e-10 * max(1.0, abs(closed))
+                          - abs(closed - num.value)
+                          for _, closed, num in parts), 0.0, 0.0)
+    if not (e_num.tolerance_met and f_num.tolerance_met):
+        status = Status.INCONCLUSIVE
+    # one check in two rows: each carries its verdict, budget and cost
+    evaluations = e_num.evaluations + f_num.evaluations
+    return tuple(Report(status, err / scale + ERROR_FLOOR, evaluations,
+                        lhs=closed, rhs=num.value, part=part)
+                 for part, closed, num in parts)
 
 
-def scalar_power_lemma(a: float, b: float, alpha: float) -> BoundReport:
+def scalar_power_lemma(a: float, b: float, alpha: float) -> Report:
     """|a^alpha - b^alpha| <= (b-a)^alpha for 0 <= a <= b, alpha in (0, 1].
 
     Pure arithmetic, no quadrature, so the comparison is essentially
@@ -657,17 +633,14 @@ def scalar_power_lemma(a: float, b: float, alpha: float) -> BoundReport:
     # scales with them, not with the bound
     floor = 1e-15 * max(pa, pb, bound, 1.0)
     notes = ("exact evaluation",)
-    if slack >= 0.0:
-        status = Status.HOLDS
-    elif slack > -floor:
+    status = _verdict(slack, -floor, 0.0)
+    if status is Status.INCONCLUSIVE:
         sign = _exact_slack_sign(a, b, alpha)
-        status = (Status.HOLDS if sign > 0 else Status.VIOLATED if sign < 0
-                  else Status.INCONCLUSIVE)
         if sign:
+            status = Status.HOLDS if sign > 0 else Status.VIOLATED
             notes += ("slack sign decided in decimal arithmetic",)
-    else:
-        status = Status.VIOLATED
-    return BoundReport(observed, bound, slack, floor, status, 0, notes)
+    return Report(status, floor, 0, notes, observed=observed, bound=bound,
+                  slack=slack)
 
 
 def _exact_slack_sign(a: float, b: float, alpha: float) -> int:
@@ -694,7 +667,7 @@ def _exact_slack_sign(a: float, b: float, alpha: float) -> int:
 
 
 def check_symmetry_lemma(g, s: FracSetting, tol: float = DEFAULT_TOL,
-                         memo: Optional[dict] = None) -> IdentityReport:
+                         memo: Optional[dict] = None) -> Report:
     """Lemma 2.1: j_left(g) = j_right(g) for g symmetric about the midpoint.
 
     t -> a+b-t maps one one-sided kernel onto the other.  Both sides are
@@ -702,7 +675,7 @@ def check_symmetry_lemma(g, s: FracSetting, tol: float = DEFAULT_TOL,
     """
     _weight_gate(g, s.a, s.b, False, False, ())
 
-    def build(c: Cell) -> IdentityReport:
+    def build(c: Cell) -> Report:
         left, right = c.j(j_left, "g"), c.j(j_right, "g")
         return _identity(left.value, right.value,
                          left.abs_error_estimate + right.abs_error_estimate,

@@ -51,7 +51,8 @@ def test_criterion_01_symmetry_lemma_suite():
             s = FracSetting(interval[0], interval[1], alpha)
             for g in weights:
                 report = check_symmetry_lemma(g, s)
-                gap = report.residual / report.scale
+                gap = (abs(report.lhs - report.rhs)
+                       / max(abs(report.lhs), abs(report.rhs), 1.0))
                 assert gap <= 1e-8, (g.label, alpha, interval)
                 assert report.status is Status.HOLDS
                 checks += 1
@@ -100,7 +101,8 @@ def test_criterion_03_identity_residuals():
                 reports += [weighted_trapezoid_identity(f, g, s, memo=memo)
                             for g in weights]
                 for r in reports:
-                    rel = r.residual / r.scale
+                    rel = (abs(r.lhs - r.rhs)
+                           / max(abs(r.lhs), abs(r.rhs), 1.0))
                     assert rel <= 1e-6, (f.label, alpha, interval)
                     assert r.status is not Status.VIOLATED
                     checks += 1
@@ -199,15 +201,14 @@ def test_criterion_06_closed_form_regressions():
     """aux integrals and the Beta reference agree with quadrature."""
     for interval in INTERVALS:
         for alpha in (0.5, 1.0, 2.0):
-            r = aux_integrals(FracSetting(interval[0], interval[1], alpha))
-            assert r.status is Status.HOLDS
-            assert abs(r.e_closed - r.e_numeric) <= \
-                1e-10 * max(1.0, abs(r.e_closed))
-            assert abs(r.f_closed - r.f_numeric) <= \
-                1e-10 * max(1.0, abs(r.f_closed))
-    unit = aux_integrals(FracSetting(0.0, 1.0, 1.0))
-    assert unit.e_closed == pytest.approx(5.0 / 24.0, rel=1e-15)
-    assert unit.f_closed == pytest.approx(1.0 / 24.0, rel=1e-15)
+            e, f = aux_integrals(FracSetting(interval[0], interval[1],
+                                             alpha))
+            assert e.status is Status.HOLDS and f.status is Status.HOLDS
+            assert abs(e.lhs - e.rhs) <= 1e-10 * max(1.0, abs(e.lhs))
+            assert abs(f.lhs - f.rhs) <= 1e-10 * max(1.0, abs(f.lhs))
+    e, f = aux_integrals(FracSetting(0.0, 1.0, 1.0))
+    assert e.lhs == pytest.approx(5.0 / 24.0, rel=1e-15)
+    assert f.lhs == pytest.approx(1.0 / 24.0, rel=1e-15)
 
     worst = 0.0
     for alpha in (0.25, 0.5, 1.0, 1.5, 2.5):

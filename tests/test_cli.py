@@ -23,6 +23,7 @@ from frachh.cli import (CSV_COLUMNS, RunConfig, UsageError, _config_from,
 from frachh.fracops import FracSetting
 from frachh.functions import (ConvexityKind, FunctionSpec,
                               builtin_weight_corpus, make_weight)
+from frachh.inequalities import Report
 
 SEED = "271828"  # matches the default corpus seed used in library tests
 
@@ -73,6 +74,21 @@ class TestExitCodes:
         proc = run_cli("verify", "--thm", "fejer-classical", "--f", "sq")
         assert proc.returncode == 3
         assert "needs --g" in proc.stderr
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["hh-classical", "--f", "sq", "--alpha", "0.5"], "alpha"),
+        (["hh-fractional", "--f", "sq", "--g", "one", "--alpha", "0.5"], "g"),
+        (["bound-2-4", "--f", "sq", "--g", "one", "--alpha", "0.5",
+          "--q", "3"], "q"),
+        (["lemma-2-1", "--g", "one", "--alpha", "0.5", "--p", "2"], "p"),
+    ])
+    def test_unread_argument_is_three(self, argv, flag, capsys):
+        # the statement would run without it, so the user would get a
+        # different check than the one asked for
+        assert main(["verify", "--thm", *argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {argv[0]} takes no --{flag}\n"
 
     def test_unknown_label_lists_alternatives(self):
         proc = run_cli("verify", "--thm", "hh-classical", "--f", "cube")
@@ -186,6 +202,14 @@ class TestOutputFormats:
         assert row["status"] == "Holds"
         assert row["theorem"] == "hh-fractional"
         assert isinstance(row["notes"], list)
+
+    def test_report_value_fields_are_the_value_columns(self):
+        # rows copy these columns from the Report field of the same name,
+        # so a renamed field would leave its column empty
+        shared = {"status", "error_budget", "evaluations", "notes", "part"}
+        labels = {"theorem", "f", "g", "a", "b", "alpha", "p", "q", "seed"}
+        fields = {f.name for f in dataclasses.fields(Report)} - shared
+        assert fields == set(CSV_COLUMNS) - labels - shared
 
     def test_json_floats_survive_round_trip(self):
         proc = run_cli("verify", "--thm", "fejer-fractional", "--f", "sq",
@@ -321,11 +345,15 @@ class TestSubcommands:
         assert proc.returncode == 3
         assert "strict mode" in proc.stderr
 
-    @pytest.mark.parametrize("ident", ["hh-classical", "fejer-classical",
-                                       "hh-fractional"])
-    def test_strict_paper_applies_to_every_statement(self, ident, capsys):
-        argv = ["verify", "--thm", ident, "--f", "sq", "--g", "one",
-                "--alpha", "0.5", "--a", "-1", "--b", "1"]
+    @pytest.mark.parametrize("ident,args", [
+        pytest.param("hh-classical", (), id="hh-classical"),
+        pytest.param("fejer-classical", ("--g", "one"), id="fejer-classical"),
+        pytest.param("hh-fractional", ("--alpha", "0.5"), id="hh-fractional"),
+    ])
+    def test_strict_paper_applies_to_every_statement(self, ident, args,
+                                                     capsys):
+        argv = ["verify", "--thm", ident, "--f", "sq", *args,
+                "--a", "-1", "--b", "1"]
         assert main(argv) == 0
         capsys.readouterr()
         assert main([*argv, "--strict-paper"]) == 3

@@ -134,4 +134,5 @@ class TestSymmetryLemma:
         for w in builtin_weight_corpus(*interval):
             report = check_symmetry_lemma(w, s)
             assert report.status is Status.HOLDS, (w.label, alpha, interval)
-            assert report.residual <= report.error_budget * report.scale
+            scale = max(abs(report.lhs), abs(report.rhs), 1.0)
+            assert abs(report.lhs - report.rhs) <= report.error_budget * scale

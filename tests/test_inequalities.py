@@ -16,8 +16,9 @@ from frachh.fracops import FracSetting, j_left, j_right
 from frachh.functions import (ConvexityKind, FunctionSpec, HolderPair,
                               builtin_function_corpus, builtin_weight_corpus,
                               make_weight)
-from frachh.inequalities import (Cell, Status, _bound, _identity, _sandwich,
-                                 aux_integrals, fejer_classical,
+from frachh.inequalities import (GRAY_FACTOR, Cell, Status, _bound,
+                                 _identity, _sandwich, aux_integrals,
+                                 fejer_classical,
                                  fejer_fractional, hh_classical,
                                  hh_fractional, scalar_power_lemma,
                                  trapezoid_bound, trapezoid_identity,
@@ -40,11 +41,50 @@ def scaling_factor(s: FracSetting) -> float:
     return 2.0 * s.width ** s.alpha / gamma(s.alpha + 1.0)
 
 
+# reports whose deciding margin, slack or residual is x; every value
+# stays below 1 in size, so the budget is the same for every x tried
+EDGE_REPORTS = {
+    "sandwich": lambda x: _sandwich(0.0, x, 0.9, 0.05, 0, ()),
+    "bound": lambda x: _bound(0.0, x, 0.05, 0, ()),
+    "identity": lambda x: _identity(0.0, x, 0.05, 0, (), False),
+    "lemma-1-6": lambda x: scalar_power_lemma(2.0, 2.0 + x, 0.5),
+}
+EDGE_STEPS = {
+    "0": lambda B: 0.0,
+    "B": lambda B: B,
+    "below B": lambda B: math.nextafter(B, -math.inf),
+    "above B": lambda B: math.nextafter(B, math.inf),
+    "-B": lambda B: -B,
+    "below -B": lambda B: math.nextafter(-B, -math.inf),
+    "10 B": lambda B: GRAY_FACTOR * B,
+    "above 10 B": lambda B: math.nextafter(GRAY_FACTOR * B, math.inf),
+}
+
+
 class TestStatusBuilders:
+    @pytest.mark.parametrize("kind,step,expected", [
+        *((kind, step, expected) for kind in ("sandwich", "bound")
+          for step, expected in (("B", Status.HOLDS),
+                                 ("below B", Status.INCONCLUSIVE),
+                                 ("-B", Status.INCONCLUSIVE),
+                                 ("below -B", Status.VIOLATED))),
+        ("identity", "B", Status.HOLDS),
+        ("identity", "above B", Status.INCONCLUSIVE),
+        ("identity", "10 B", Status.INCONCLUSIVE),
+        ("identity", "above 10 B", Status.VIOLATED),
+        ("lemma-1-6", "0", Status.HOLDS),
+    ])
+    def test_verdict_edges(self, kind, step, expected):
+        build = EDGE_REPORTS[kind]
+        budget = build(0.0).error_budget
+        r = build(EDGE_STEPS[step](budget))
+        assert r.error_budget == budget
+        assert r.status is expected
+
     def test_sandwich_holds(self):
         r = _sandwich(1.0, 2.0, 3.0, 1e-9, 10, ())
         assert r.status is Status.HOLDS
-        assert r.lower_margin == 1.0 and r.upper_margin == 1.0
+        assert r.margin_lower == 1.0 and r.margin_upper == 1.0
 
     def test_sandwich_violated_iff_margin_below_negative_budget(self):
         assert _sandwich(1.0, 2.0, 1.5, 1e-9, 0, ()).status is Status.VIOLATED
@@ -67,6 +107,10 @@ class TestStatusBuilders:
         assert _bound(2.0, 1.0, 1e-9, 0, ()).status is Status.VIOLATED
         assert _bound(1.0, 1.0 + 1e-12, 1e-9, 0, ()).status is \
             Status.INCONCLUSIVE
+        # observed exceeds the bound by exactly the whole budget
+        r = _bound(2.0, 1.0, 1.0 - 2e-12, 0, ())
+        assert (r.slack, r.error_budget) == (-1.0, 1.0)
+        assert r.status is Status.INCONCLUSIVE
 
     def test_bound_budget_includes_floor(self):
         r = _bound(1.0, 2.0, 0.0, 0, ())
@@ -99,7 +143,7 @@ class TestStatusBuilders:
 
     def test_identity_budget_is_relative(self):
         r = _identity(100.0, 100.0, 1e-8, 0, (), False)
-        assert r.scale == 100.0
+        assert max(abs(r.lhs), abs(r.rhs), 1.0) == 100.0
         assert r.error_budget == pytest.approx(1e-8 / 100.0 + 1e-12)
 
 
@@ -123,8 +167,8 @@ class TestClassicalSandwiches:
         r = hh_classical(AFFINE, 0.0, 1.0)
         assert r.status is Status.INCONCLUSIVE
         assert "retried at tol/100" in r.notes
-        assert abs(r.lower_margin) <= r.error_budget
-        assert abs(r.upper_margin) <= r.error_budget
+        assert abs(r.margin_lower) <= r.error_budget
+        assert abs(r.margin_upper) <= r.error_budget
 
     def test_concave_function_needs_force(self):
         with pytest.raises(DomainError):
@@ -263,7 +307,8 @@ class TestIdentities:
         r = trapezoid_identity(UNIT_FUNCS["exp"], HALF_UNIT)
         assert r.status is Status.HOLDS
         assert r.lhs == pytest.approx(0.11277580663657933, rel=1e-9)
-        assert r.residual <= r.error_budget * r.scale
+        assert abs(r.lhs - r.rhs) <= (r.error_budget
+                                      * max(abs(r.lhs), abs(r.rhs), 1.0))
 
     def test_weighted_square_against_parabolic(self):
         r = weighted_trapezoid_identity(UNIT_FUNCS["sq"],
@@ -457,35 +502,36 @@ class TestBounds:
 
 class TestAuxIntegrals:
     def test_half_order_unit(self):
-        r = aux_integrals(HALF_UNIT)
-        assert r.status is Status.HOLDS
-        assert r.e_closed == pytest.approx(0.16429773960448416, rel=1e-12)
-        assert r.f_closed == pytest.approx(0.0309644062711508, rel=1e-12)
-        assert r.e_numeric == pytest.approx(r.e_closed, abs=1e-10)
-        assert r.f_numeric == pytest.approx(r.f_closed, abs=1e-10)
+        e, f = aux_integrals(HALF_UNIT)
+        assert e.status is Status.HOLDS and f.status is Status.HOLDS
+        assert (e.part, f.part) == ("e-part", "f-part")
+        assert e.lhs == pytest.approx(0.16429773960448416, rel=1e-12)
+        assert f.lhs == pytest.approx(0.0309644062711508, rel=1e-12)
+        assert e.rhs == pytest.approx(e.lhs, abs=1e-10)
+        assert f.rhs == pytest.approx(f.lhs, abs=1e-10)
 
     def test_order_one_unit(self):
-        r = aux_integrals(FracSetting(0.0, 1.0, 1.0))
-        assert r.status is Status.HOLDS
-        assert r.e_closed == pytest.approx(5.0 / 24.0, rel=1e-14)
-        assert r.f_closed == pytest.approx(1.0 / 24.0, rel=1e-14)
+        e, f = aux_integrals(FracSetting(0.0, 1.0, 1.0))
+        assert e.status is Status.HOLDS and f.status is Status.HOLDS
+        assert e.lhs == pytest.approx(5.0 / 24.0, rel=1e-14)
+        assert f.lhs == pytest.approx(1.0 / 24.0, rel=1e-14)
 
     def test_order_two_shifted(self):
-        r = aux_integrals(FracSetting(1.0, 3.0, 2.0))
-        assert r.status is Status.HOLDS
-        assert r.e_closed == pytest.approx(10.0 / 3.0, rel=1e-14)
-        assert r.f_closed == pytest.approx(2.0 / 3.0, rel=1e-14)
+        e, f = aux_integrals(FracSetting(1.0, 3.0, 2.0))
+        assert e.status is Status.HOLDS and f.status is Status.HOLDS
+        assert e.lhs == pytest.approx(10.0 / 3.0, rel=1e-14)
+        assert f.lhs == pytest.approx(2.0 / 3.0, rel=1e-14)
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.7, 3.0])
     @pytest.mark.parametrize("interval", [(0.0, 1.0), (1.0, 3.0), (-2.0, 0.5)])
     def test_sum_collapses(self, alpha, interval):
         # e + f telescopes to (b-a)^(alpha+2)/(alpha+1) (1 - 2^-alpha)
         s = FracSetting(interval[0], interval[1], alpha)
-        r = aux_integrals(s)
-        assert r.status is Status.HOLDS
+        e, f = aux_integrals(s)
+        assert e.status is Status.HOLDS and f.status is Status.HOLDS
         total = (s.width ** (alpha + 2.0) / (alpha + 1.0)
                  * (1.0 - 2.0 ** (-alpha)))
-        assert r.e_closed + r.f_closed == pytest.approx(total, rel=1e-12)
+        assert e.lhs + f.lhs == pytest.approx(total, rel=1e-12)
 
 
 class TestScalarPowerLemma:
