@@ -155,6 +155,16 @@ def _worst_status(rows: Sequence[dict]) -> int:
 
 # ------------------------------------------------------------- running
 
+def _check_inputs(ident: str, **inputs) -> None:
+    # each of f, g, alpha given iff the statement reads it
+    info = THEOREMS[ident]
+    for name, value in inputs.items():
+        read = getattr(info, f"needs_{name}")
+        if (value is None) == read:  # missing, or given but never read
+            raise UsageError(f"{ident} {'needs' if read else 'takes no'} "
+                             f"--{name}")
+
+
 def run_rows(ident: str, cfg: RunConfig, *, f: Optional[FunctionSpec] = None,
              g: Optional[WeightSpec] = None, alpha: Optional[float] = None,
              q: Optional[float] = None, p: Optional[float] = None,
@@ -166,11 +176,7 @@ def run_rows(ident: str, cfg: RunConfig, *, f: Optional[FunctionSpec] = None,
     evaluations of the row that first reads it.
     """
     info = THEOREMS[ident]
-    for name, value, read in (("f", f, info.needs_f), ("g", g, info.needs_g),
-                              ("alpha", alpha, info.needs_alpha)):
-        if (value is None) == read:  # missing, or given but never read
-            raise UsageError(f"{ident} {'needs' if read else 'takes no'} "
-                             f"--{name}")
+    _check_inputs(ident, f=f, g=g, alpha=alpha)
     pair = None
     if info.needs_q:
         if q is None:
@@ -498,6 +504,7 @@ def _run_command(args) -> int:
                 qs = ()
             else:
                 ident, qs = args.theorem, args.q_grid
+                _check_inputs(ident, f=f, g=g)  # _cells drops unread ones
             memo: dict = {}
             rows = []
             for f, g, alpha, q in _cells(THEOREMS[ident], [f], [g],

@@ -603,9 +603,9 @@ def aux_integrals(s: FracSetting) -> tuple[Report, Report]:
                           for _, closed, num in parts), 0.0, 0.0)
     if not (e_num.tolerance_met and f_num.tolerance_met):
         status = Status.INCONCLUSIVE
-    # one check in two rows: each carries its verdict, budget and cost
-    evaluations = e_num.evaluations + f_num.evaluations
-    return tuple(Report(status, err / scale + ERROR_FLOOR, evaluations,
+    # one check in two rows: both carry its verdict and budget, each the
+    # cost of its own part
+    return tuple(Report(status, err / scale + ERROR_FLOOR, num.evaluations,
                         lhs=closed, rhs=num.value, part=part)
                  for part, closed, num in parts)
 

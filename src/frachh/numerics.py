@@ -287,7 +287,9 @@ class CumulativeKernel:
     both endpoints: per-panel integrals of both one-sided kernels are
     precomputed with the adaptive engine through the panel rule, and an
     evaluation at arbitrary t adds one 15-point partial-panel integral
-    per side, by the same rule, to the stored prefix sums.
+    per side, by the same rule, to the stored prefix sums.  Each value
+    K(t) is computed once per kernel and kept, so a repeated t costs
+    no evaluations and the memory grows with the distinct t called.
 
     Endpoint values satisfy K(a) = -int_a^b (s-a)^(alpha-1) g ds and
     K(b) = +int_a^b (b-s)^(alpha-1) g ds; for weights symmetric about
@@ -336,6 +338,7 @@ class CumulativeKernel:
         self.abs_error_estimate = err + 2.0 * worst_panel
         self.evaluations = evals
         self.tolerance_met = met
+        self._values: dict[float, float] = {}  # t -> K(t), each computed once
 
     def _panels(self, lo: float, hi: float, end: float) -> tuple:
         # The panel rule, upper side first, on [lo, hi] in [lo, end].
@@ -354,6 +357,9 @@ class CumulativeKernel:
         return self._prefix_upper[-1]
 
     def __call__(self, t: float) -> float:
+        k = self._values.get(t)
+        if k is not None:
+            return k
         a, b = self.a, self.b
         if not (a <= t <= b):
             raise DomainError(f"t = {t!r} outside [{a!r}, {b!r}]")
@@ -363,8 +369,10 @@ class CumulativeKernel:
             i = len(bp) - 2
         lo = bp[i]
         k = self._prefix_upper[i] + self._prefix_lower[i] - self._total_lower
-        if t == lo:
-            return k
-        self.evaluations += 30
-        (hu, ulo, uhi, cu), (hl, llo, lhi, cl) = self._panels(lo, t, bp[i + 1])
-        return k + _gk15(hu, ulo, uhi)[0] / cu + _gk15(hl, llo, lhi)[0] / cl
+        if t != lo:
+            self.evaluations += 30
+            (hu, ulo, uhi, cu), (hl, llo, lhi, cl) = self._panels(lo, t,
+                                                                  bp[i + 1])
+            k = k + _gk15(hu, ulo, uhi)[0] / cu + _gk15(hl, llo, lhi)[0] / cl
+        self._values[t] = k
+        return k

@@ -90,6 +90,18 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: {argv[0]} takes no --{flag}\n"
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["lemma-2-1", "--f", "sq", "--g", "one"], "f"),
+        (["hh-fractional", "--f", "sq", "--g", "one", "--alpha-grid", "0.5"],
+         "g"),
+    ])
+    def test_sweep_unread_argument_is_three(self, argv, flag, capsys):
+        # sweep would run without it and print an empty column
+        assert main(["sweep", "--thm", *argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {argv[0]} takes no --{flag}\n"
+
     def test_unknown_label_lists_alternatives(self):
         proc = run_cli("verify", "--thm", "hh-classical", "--f", "cube")
         assert proc.returncode == 3
@@ -323,6 +335,26 @@ class TestSubcommands:
         assert [r["f"] for r in rows] == ["e-part", "f-part"]
         assert rows[0]["lhs"] == pytest.approx(0.16429773960448416, rel=1e-12)
 
+    def test_aux_rows_charge_their_own_part(self, monkeypatch, capsys):
+        # the two rows share a verdict but not a cost: their evaluations
+        # sum to the integrand calls actually made
+        calls = [0]
+        integrate = frachh.inequalities.integrate_smooth
+
+        def counting(h, *args):
+            def counted(x):
+                calls[0] += 1
+                return h(x)
+            return integrate(counted, *args)
+
+        monkeypatch.setattr(frachh.inequalities, "integrate_smooth", counting)
+        assert main(["verify", "--thm", "aux-integrals", "--alpha", "0.5",
+                     "--format", "csv"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [r["f"] for r in rows] == ["e-part", "f-part"]
+        assert all(int(r["evaluations"]) > 0 for r in rows)
+        assert sum(int(r["evaluations"]) for r in rows) == calls[0]
+
     def test_lemma_2_1_row(self):
         proc = run_cli("verify", "--thm", "lemma-2-1", "--g", "parabolic",
                        "--alpha", "0.5", "--seed", SEED)
@@ -421,6 +453,21 @@ class TestSharing:
             assert alone
             mixed = [row for row in everything if row["theorem"] == ident]
             assert strip(mixed) == strip(alone), ident
+
+    def test_warm_kernel_gives_the_values_of_a_cold_one(self, capsys):
+        # corpus rows read kernel values another row already computed;
+        # verify builds a fresh kernel for the one cell
+        assert main(["corpus", "--theorems", "identity-2-3",
+                     "--alpha-grid", "0.5,1.25"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len({(r["g"], r["alpha"]) for r in rows}) < len(rows)
+        fields = ("lhs", "rhs", "error_budget", "status", "notes")
+        for row in rows:
+            cell = ["--f", row["f"], "--g", row["g"],
+                    "--alpha", repr(row["alpha"])]
+            assert main(["verify", "--thm", "identity-2-3", *cell]) in (0, 2)
+            (cold,) = json.loads(capsys.readouterr().out)["rows"]
+            assert [cold[k] for k in fields] == [row[k] for k in fields], cell
 
 
 class TestRowAssembly:

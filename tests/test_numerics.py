@@ -261,6 +261,24 @@ class TestCumulativeKernel:
         k(0.33)
         assert k.evaluations > before
 
+    @pytest.mark.parametrize("alpha", [0.3, 2.0])
+    def test_repeated_abscissa_costs_nothing(self, alpha):
+        k = CumulativeKernel(lambda s: 1.0 + s * s, 0.0, 1.0, alpha)
+        before = k.evaluations
+        first = k(0.37)
+        assert k.evaluations == before + 30
+        second = k(0.37)
+        assert second == first
+        assert k.evaluations == before + 30
+
+    def test_out_of_range_still_raises_after_calls(self):
+        k = CumulativeKernel(lambda s: 1.0, 0.0, 1.0, 0.5)
+        for t in (0.0, 0.4, 1.0):
+            k(t)
+        for t in (-1e-12, 1.0 + 1e-12, math.nan):
+            with pytest.raises(DomainError):
+                k(t)
+
 
 class TestQuadResultAlgebra:
     def test_scaled(self):
