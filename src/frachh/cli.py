@@ -1,9 +1,8 @@
 """Command line front end.
 
-Four subcommands:
+Three subcommands:
 
 * verify: one theorem, one function/weight/setting, one report.
-* identity: the two trapezoid-defect identities over an alpha grid.
 * corpus: every requested theorem over the builtin corpus and grids.
 * sweep: one theorem and one function across alpha (and q) grids.
 
@@ -17,8 +16,6 @@ Exit codes: 0 when every row Holds, 1 when any row is Violated, 2 when
 the worst row is Inconclusive, 3 for usage or configuration errors,
 for inputs whose values overflow (or underflow to a zero divisor) and
 when --out cannot be written.
-The base tolerance defaults to the FRACHH_TOL environment variable
-when set.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ import inspect
 import io
 import json
 import math
-import os
+import re
 import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Sequence
@@ -66,41 +63,34 @@ class TheoremInfo:
     # called with those of ident, f, g, s, a, b, alpha, pair, tol, force
     # and memo that its signature names
     verify: Callable[..., object]
-    needs_f: bool = False
-    needs_g: bool = False
-    needs_alpha: bool = True
-    needs_q: bool = False
-    needs_p: bool = False  # reports p of the conjugate pair as well
-    needs_deriv: bool = False
+    # the inputs it reads, of f, g, alpha, q and p.  With q it takes
+    # --p in place of --q; with p it reports p of the pair as well
+    reads: tuple[str, ...]
     max_alpha: float = math.inf  # larger orders are skipped in grids
     intervals: tuple = ()  # corpus intervals in place of [a, b]
 
 
 THEOREMS: dict[str, TheoremInfo] = {t.ident: t for t in (
-    TheoremInfo("hh-classical", "sandwich", ineq.hh_classical, needs_f=True,
-                needs_alpha=False),
+    TheoremInfo("hh-classical", "sandwich", ineq.hh_classical, ("f",)),
     TheoremInfo("fejer-classical", "sandwich", ineq.fejer_classical,
-                needs_f=True, needs_g=True, needs_alpha=False),
+                ("f", "g")),
     TheoremInfo("hh-fractional", "sandwich", ineq.hh_fractional,
-                needs_f=True),
+                ("f", "alpha")),
     TheoremInfo("fejer-fractional", "sandwich", ineq.fejer_fractional,
-                needs_f=True, needs_g=True),
+                ("f", "g", "alpha")),
     TheoremInfo("identity-1-4", "identity", ineq.trapezoid_identity,
-                needs_f=True, needs_deriv=True),
+                ("f", "alpha")),
     TheoremInfo("identity-2-3", "identity", ineq.weighted_trapezoid_identity,
-                needs_f=True, needs_g=True, needs_deriv=True),
-    TheoremInfo("bound-1-5", "bound", ineq.trapezoid_bound, needs_f=True,
-                needs_deriv=True),
-    *(TheoremInfo(ident, "bound", ineq.weighted_bound, needs_f=True,
-                  needs_g=True, needs_q=bool(form.exponents),
-                  needs_p="p" in form.exponents, needs_deriv=True,
-                  max_alpha=form.max_alpha)
+                ("f", "g", "alpha")),
+    TheoremInfo("bound-1-5", "bound", ineq.trapezoid_bound, ("f", "alpha")),
+    *(TheoremInfo(ident, "bound", ineq.weighted_bound,
+                  ("f", "g", "alpha", *form.exponents), form.max_alpha)
       for ident, form in ineq.WEIGHTED_BOUNDS.items()),
-    TheoremInfo("aux-integrals", "aux", ineq.aux_integrals),
-    TheoremInfo("lemma-1-6", "lemma", ineq.scalar_power_lemma, max_alpha=1.0,
-                intervals=LEMMA_SCALAR_PAIRS),
+    TheoremInfo("aux-integrals", "aux", ineq.aux_integrals, ("alpha",)),
+    TheoremInfo("lemma-1-6", "lemma", ineq.scalar_power_lemma, ("alpha",),
+                max_alpha=1.0, intervals=LEMMA_SCALAR_PAIRS),
     TheoremInfo("lemma-2-1", "lemma", ineq.check_symmetry_lemma,
-                needs_g=True),
+                ("g", "alpha")),
 )}
 
 
@@ -156,13 +146,15 @@ def _worst_status(rows: Sequence[dict]) -> int:
 # ------------------------------------------------------------- running
 
 def _check_inputs(ident: str, **inputs) -> None:
-    # each of f, g, alpha given iff the statement reads it
-    info = THEOREMS[ident]
+    # each input given iff the statement reads it; a grid (alpha_grid,
+    # q_grid) may be left out for its default
+    reads = THEOREMS[ident].reads
     for name, value in inputs.items():
-        read = getattr(info, f"needs_{name}")
-        if (value is None) == read:  # missing, or given but never read
-            raise UsageError(f"{ident} {'needs' if read else 'takes no'} "
-                             f"--{name}")
+        read = name.removesuffix("_grid") in reads
+        if value is not None and not read:
+            raise UsageError(f"{ident} takes no --{name.replace('_', '-')}")
+        if value is None and read and not name.endswith("_grid"):
+            raise UsageError(f"{ident} needs --{name}")
 
 
 def run_rows(ident: str, cfg: RunConfig, *, f: Optional[FunctionSpec] = None,
@@ -178,7 +170,7 @@ def run_rows(ident: str, cfg: RunConfig, *, f: Optional[FunctionSpec] = None,
     info = THEOREMS[ident]
     _check_inputs(ident, f=f, g=g, alpha=alpha)
     pair = None
-    if info.needs_q:
+    if "q" in info.reads:
         if q is None:
             if p is None:
                 raise UsageError(f"{ident} needs --q (or --p)")
@@ -199,7 +191,7 @@ def run_rows(ident: str, cfg: RunConfig, *, f: Optional[FunctionSpec] = None,
     reports = report if isinstance(report, tuple) else (report,)
     return _report_rows(ident, reports, cfg, f=f.label if f else None,
                         g=g.label if g else None, alpha=alpha,
-                        p=pair.p if info.needs_p else None,
+                        p=pair.p if "p" in info.reads else None,
                         q=pair.q if pair else None)
 
 
@@ -207,25 +199,22 @@ def _cells(info: TheoremInfo, functions: Sequence, weights: Sequence,
            alphas: Sequence[float], qs: Sequence[float]) -> Iterator[tuple]:
     # every (f, g, alpha, q) the statement takes from the grids; inputs
     # it does not read are None, orders above its max_alpha are skipped
-    for alpha in alphas if info.needs_alpha else (None,):
+    for alpha in alphas if "alpha" in info.reads else (None,):
         if alpha is not None and alpha > info.max_alpha:
             continue
-        for f in functions if info.needs_f else (None,):
-            for g in weights if info.needs_g else (None,):
-                for q in qs if info.needs_q else (None,):
+        for f in functions if "f" in info.reads else (None,):
+            for g in weights if "g" in info.reads else (None,):
+                for q in qs if "q" in info.reads else (None,):
                     yield f, g, alpha, q
 
 
 def _admits(info: TheoremInfo, f: Optional[FunctionSpec],
             q: Optional[float]) -> bool:
-    # identities only need a derivative; bounds also need the certified
+    # identities need a derivative; bounds also need the certified
     # convexity of |f'|^q, so uncertified entries are skipped there
-    if f is None:
-        return True
-    if info.needs_deriv and f.deriv is None:
-        return False
-    return info.kind != "bound" or f.admits_deriv_power(
-        1.0 if q is None else q)
+    if info.kind == "bound":
+        return f.admits_deriv_power(1.0 if q is None else q)
+    return info.kind != "identity" or f.deriv is not None
 
 
 def _corpus_rows(idents: Sequence[str], cfg: RunConfig, functions: Sequence,
@@ -255,17 +244,7 @@ def _fmt_float(x: float) -> str:
 
 
 def _json_scalar(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _fmt_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    return _fmt_float(value) if isinstance(value, float) else json.dumps(value)
 
 
 def _render_json(rows: list[dict], cfg: RunConfig) -> str:
@@ -362,13 +341,19 @@ def _emit(rows: list[dict], cfg: RunConfig, fmt: str,
 # -------------------------------------------------------------- parser
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value like -1e-3 is a negative number, not an option
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # usage errors exit 3, not argparse's 2
         raise UsageError(message)
 
 
 def _grid(text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(part) for part in text.split(",") if part.strip())
+        values = tuple(dict.fromkeys(  # the first copy of each value
+            float(part) for part in text.split(",") if part.strip()))
     except ValueError as exc:
         raise UsageError(f"bad grid {text!r}: {exc}")
     if not values:
@@ -383,8 +368,8 @@ def _add_common(sub: argparse.ArgumentParser):
                      help="left endpoint (default 0)")
     sub.add_argument("--b", type=float, default=1.0,
                      help="right endpoint (default 1)")
-    sub.add_argument("--tol", type=float, default=None,
-                     help="quadrature tolerance (default FRACHH_TOL or 1e-9)")
+    sub.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                     help="quadrature tolerance (default 1e-9)")
     sub.add_argument("--seed", type=int, default=42,
                      help="corpus seed (default 42)")
     sub.add_argument("--force", action="store_true",
@@ -413,15 +398,6 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=float, default=None)
     _add_common(p)
 
-    p = subs.add_parser("identity",
-                        help="trapezoid-defect identities over an alpha grid")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", default=None,
-                   help="weight label; runs the weighted identity if given")
-    p.add_argument("--alpha-grid", type=_grid,
-                   default=DEFAULT_ALPHA_GRID, metavar="A1,A2,...")
-    _add_common(p)
-
     p = subs.add_parser("corpus",
                         help="run theorems across the builtin corpus")
     p.add_argument("--theorems", default="all",
@@ -438,28 +414,20 @@ def build_parser() -> _Parser:
                    choices=sorted(THEOREMS))
     p.add_argument("--f", default=None)
     p.add_argument("--g", default=None)
-    p.add_argument("--alpha-grid", type=_grid, default=SWEEP_ALPHA_GRID,
+    p.add_argument("--alpha-grid", type=_grid, default=None,
                    metavar="A1,A2,...")
-    p.add_argument("--q-grid", type=_grid, default=DEFAULT_Q_GRID,
-                   metavar="Q1,Q2,...")
+    p.add_argument("--q-grid", type=_grid, default=None, metavar="Q1,Q2,...")
     _add_common(p)
 
     return parser
 
 
 def _config_from(args) -> RunConfig:
-    tol = args.tol
-    if tol is None:
-        env = os.environ.get("FRACHH_TOL", "")
-        try:
-            tol = float(env) if env else DEFAULT_TOL
-        except ValueError:
-            raise UsageError(f"bad FRACHH_TOL value {env!r}")
-    if not (0.0 < tol < 1.0):
-        raise UsageError(f"tolerance must be in (0, 1), got {tol!r}")
+    if not (0.0 < args.tol < 1.0):
+        raise UsageError(f"tolerance must be in (0, 1), got {args.tol!r}")
     if args.strict_paper and args.a < 0:
         raise UsageError(f"strict mode requires a >= 0, got a = {args.a!r}")
-    return RunConfig(args.a, args.b, tol, args.seed, args.force,
+    return RunConfig(args.a, args.b, args.tol, args.seed, args.force,
                      args.strict_paper)
 
 
@@ -498,17 +466,17 @@ def _run_command(args) -> int:
         if args.command == "verify":
             rows = run_rows(args.theorem, cfg, f=f, g=g, alpha=args.alpha,
                             q=args.q, p=args.p)
-        else:  # identity and sweep: one statement across grids
-            if args.command == "identity":
-                ident = "identity-2-3" if g is not None else "identity-1-4"
-                qs = ()
-            else:
-                ident, qs = args.theorem, args.q_grid
-                _check_inputs(ident, f=f, g=g)  # _cells drops unread ones
+        else:  # sweep: one statement across grids
+            ident = args.theorem
+            # _cells would drop unread inputs, so refuse them first
+            _check_inputs(ident, f=f, g=g, alpha_grid=args.alpha_grid,
+                          q_grid=args.q_grid)
             memo: dict = {}
             rows = []
-            for f, g, alpha, q in _cells(THEOREMS[ident], [f], [g],
-                                         args.alpha_grid, qs):
+            for f, g, alpha, q in _cells(
+                    THEOREMS[ident], [f], [g],
+                    args.alpha_grid or SWEEP_ALPHA_GRID,
+                    args.q_grid or DEFAULT_Q_GRID):
                 rows += run_rows(ident, cfg, f=f, g=g, alpha=alpha, q=q,
                                  memo=memo)
 

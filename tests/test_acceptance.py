@@ -11,7 +11,6 @@ Beta-function evaluation before being hard-coded here.
 """
 
 import math
-import os
 import random
 import subprocess
 import sys
@@ -273,13 +272,11 @@ def test_criterion_09_worked_anchor():
 
 def test_criterion_10_full_corpus_run():
     """Full CLI corpus run: exit 0, <= 60 s, byte-deterministic."""
-    env = dict(os.environ)
-    env.pop("FRACHH_TOL", None)
     args = [sys.executable, "-m", "frachh", "corpus", "--format", "csv"]
     outputs, timings = [], []
     for _ in range(2):
         start = time.perf_counter()
-        proc = subprocess.run(args, capture_output=True, env=env)
+        proc = subprocess.run(args, capture_output=True)
         timings.append(time.perf_counter() - start)
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(proc.stdout)

@@ -10,7 +10,6 @@ import dataclasses
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -28,13 +27,9 @@ from frachh.inequalities import Report
 SEED = "271828"  # matches the default corpus seed used in library tests
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("FRACHH_TOL", None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "frachh", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
 
 
 class TestExitCodes:
@@ -94,13 +89,25 @@ class TestExitCodes:
         (["lemma-2-1", "--f", "sq", "--g", "one"], "f"),
         (["hh-fractional", "--f", "sq", "--g", "one", "--alpha-grid", "0.5"],
          "g"),
+        (["hh-classical", "--f", "sq", "--alpha-grid", "0.5"], "alpha-grid"),
+        (["hh-fractional", "--f", "sq", "--q-grid", "3", "--alpha-grid",
+          "0.5"], "q-grid"),
     ])
     def test_sweep_unread_argument_is_three(self, argv, flag, capsys):
-        # sweep would run without it and print an empty column
+        # sweep would run without it, printing an empty column or the
+        # statement's one cell in place of a grid
         assert main(["sweep", "--thm", *argv]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {argv[0]} takes no --{flag}\n"
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-2E3"])
+    def test_negative_endpoint_with_exponent(self, value, capsys):
+        # argparse alone reads -1e-3 as an unknown option
+        assert main(["verify", "--thm", "hh-classical", "--f", "sq",
+                     "--a", value, "--b", "1"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config["a"] == float(value)
 
     def test_unknown_label_lists_alternatives(self):
         proc = run_cli("verify", "--thm", "hh-classical", "--f", "cube")
@@ -275,6 +282,18 @@ class TestDeterminism:
         assert first.returncode == 0
         assert first.stdout == second.stdout
 
+    @pytest.mark.parametrize("argv,cells", [
+        (["corpus", "--theorems", "hh-fractional", "--alpha-grid",
+          "0.5,0.50"], 8),
+        (["sweep", "--thm", "bound-2-6", "--f", "exp", "--g", "one",
+          "--alpha-grid", "0.5", "--q-grid", "2,2.0"], 1),
+    ])
+    def test_repeated_grid_value_runs_once(self, argv, cells, capsys):
+        assert main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(rows) == cells
+        assert len({_sort_key(row) for row in rows}) == cells
+
     def test_rows_are_sorted(self):
         proc = run_cli("corpus", "--theorems", "hh-fractional",
                        "--alpha-grid", "1.0,0.25")
@@ -283,35 +302,32 @@ class TestDeterminism:
         assert keys == sorted(keys)
 
 
-class TestEnvironmentTolerance:
-    def test_env_sets_tolerance(self):
+class TestTolerance:
+    def test_flag_sets_tolerance(self):
         proc = run_cli("verify", "--thm", "hh-classical", "--f", "sq",
-                       env_extra={"FRACHH_TOL": "1e-6"})
-        assert json.loads(proc.stdout)["config"]["tol"] == 1e-6
-
-    def test_flag_overrides_env(self):
-        proc = run_cli("verify", "--thm", "hh-classical", "--f", "sq",
-                       "--tol", "1e-7", env_extra={"FRACHH_TOL": "1e-6"})
+                       "--tol", "1e-7")
         assert json.loads(proc.stdout)["config"]["tol"] == 1e-7
-
-    def test_unparseable_env_is_three(self):
-        proc = run_cli("verify", "--thm", "hh-classical", "--f", "sq",
-                       env_extra={"FRACHH_TOL": "tight"})
-        assert proc.returncode == 3
 
 
 class TestSubcommands:
     def test_identity_grid(self):
-        proc = run_cli("identity", "--f", "exp", "--alpha-grid", "0.5,1.0")
+        proc = run_cli("sweep", "--thm", "identity-1-4", "--f", "exp",
+                       "--alpha-grid", "0.5,1.0")
         rows = json.loads(proc.stdout)["rows"]
         assert [r["theorem"] for r in rows] == ["identity-1-4"] * 2
         assert [r["alpha"] for r in rows] == [0.5, 1.0]
 
     def test_identity_weighted_when_g_given(self):
-        proc = run_cli("identity", "--f", "exp", "--g", "parabolic",
-                       "--alpha-grid", "0.5")
+        proc = run_cli("sweep", "--thm", "identity-2-3", "--f", "exp",
+                       "--g", "parabolic", "--alpha-grid", "0.5")
         (row,) = json.loads(proc.stdout)["rows"]
         assert row["theorem"] == "identity-2-3"
+
+    def test_identity_subcommand_is_gone(self, capsys):
+        # sweep --thm identity-1-4 (or identity-2-3) does its job
+        assert main(["identity", "--f", "exp"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "invalid choice: 'identity'" in err
 
     def test_sweep_skips_restricted_orders(self):
         proc = run_cli("sweep", "--thm", "bound-2-7", "--f", "sq",
@@ -521,7 +537,6 @@ class TestRowAssembly:
         # any output
         for argv in (["verify", "--thm", "lemma-2-1", "--g", "one",
                       "--alpha", "0.5"],
-                     ["identity", "--f", "sq"],
                      ["corpus", "--theorems", "aux-integrals"],
                      ["sweep", "--thm", "hh-classical", "--f", "sq"]):
             argv += ["--a", "-1", "--b", "1", "--strict-paper"]
