@@ -157,6 +157,14 @@ def _check_inputs(ident: str, **inputs) -> None:
             raise UsageError(f"{ident} needs --{name}")
 
 
+def _check_orders(ident: str, alphas: Sequence[float]) -> None:
+    # a statement named on the command line needs an order it takes
+    info = THEOREMS[ident]
+    if "alpha" in info.reads and min(alphas) > info.max_alpha:
+        raise UsageError(f"{ident} is restricted to 0 < alpha <= "
+                         f"{info.max_alpha:g}, got {min(alphas)!r}")
+
+
 def run_rows(ident: str, cfg: RunConfig, *, f: Optional[FunctionSpec] = None,
              g: Optional[WeightSpec] = None, alpha: Optional[float] = None,
              q: Optional[float] = None, p: Optional[float] = None,
@@ -458,6 +466,8 @@ def _run_command(args) -> int:
             unknown = [i for i in idents if i not in THEOREMS]
             if unknown:
                 raise UsageError(f"unknown theorems: {', '.join(unknown)}")
+            for ident in idents:
+                _check_orders(ident, args.alpha_grid)
         rows = _corpus_rows(idents, cfg, functions, weights,
                             args.alpha_grid, args.q_grid)
     else:
@@ -471,12 +481,12 @@ def _run_command(args) -> int:
             # _cells would drop unread inputs, so refuse them first
             _check_inputs(ident, f=f, g=g, alpha_grid=args.alpha_grid,
                           q_grid=args.q_grid)
+            alphas = args.alpha_grid or SWEEP_ALPHA_GRID
+            _check_orders(ident, alphas)
             memo: dict = {}
             rows = []
-            for f, g, alpha, q in _cells(
-                    THEOREMS[ident], [f], [g],
-                    args.alpha_grid or SWEEP_ALPHA_GRID,
-                    args.q_grid or DEFAULT_Q_GRID):
+            for f, g, alpha, q in _cells(THEOREMS[ident], [f], [g], alphas,
+                                         args.q_grid or DEFAULT_Q_GRID):
                 rows += run_rows(ident, cfg, f=f, g=g, alpha=alpha, q=q,
                                  memo=memo)
 

@@ -88,7 +88,10 @@ class WeightSpec:
     nonnegative and symmetric (about the midpoint of [a, b]) are
     certified by construction for the builtin corpus and sampled by
     make_weight otherwise; verifiers refuse a weight whose flag they
-    need is False.
+    need is False.  sup_at lists points of [a, b] where |g| attains its
+    supremum, proven next to each builtin entry that has one; when it is
+    empty (make_weight, symmetrize, poly-rand) the supremum is sampled
+    by sup_norm.
     """
 
     label: str
@@ -97,6 +100,7 @@ class WeightSpec:
     b: float = 1.0
     nonnegative: bool = False
     symmetric: bool = False
+    sup_at: tuple[float, ...] = ()
 
     def __call__(self, x: float) -> float:
         return self.fn(x)
@@ -337,19 +341,23 @@ def builtin_weight_corpus(a: float, b: float,
     # w * w underflows to 0 below w ~ 1e-162: bump is then nan, left out
     lam = 8.0 / (w * w) if w * w else math.nan
     entries = [
-        # constant 1 > 0
-        WeightSpec("one", lambda x: 1.0, a, b, True, True),
-        # both factors >= 0 on [a, b]; x -> a+b-x swaps them
-        WeightSpec("parabolic", lambda x: (x - a) * (b - x), a, b, True, True),
-        # |x - m| >= 0, and |(a+b-x) - m| = |m - x|
-        WeightSpec("vee", lambda x: abs(x - m), a, b, True, True),
-        # exp > 0 of a function of (x - m)^2, which is even about m
+        # constant 1 > 0; |g| = 1 everywhere, so at a
+        WeightSpec("one", lambda x: 1.0, a, b, True, True, (a,)),
+        # both factors >= 0 on [a, b]; x -> a+b-x swaps them.  The
+        # product is (w/2)^2 - (x-m)^2, largest at m
+        WeightSpec("parabolic", lambda x: (x - a) * (b - x), a, b, True, True,
+                   (m,)),
+        # |x - m| >= 0, and |(a+b-x) - m| = |m - x|; largest where x is
+        # farthest from m, at a and b
+        WeightSpec("vee", lambda x: abs(x - m), a, b, True, True, (a, b)),
+        # exp > 0 of a function of (x - m)^2, which is even about m;
+        # the exponent is <= 0 and 0 only at m
         WeightSpec("bump", lambda x: math.exp(-lam * (x - m) ** 2), a, b,
-                   True, True),
+                   True, True, (m,)),
         # cos is even, and |x - m| <= w/2 keeps its argument in
-        # [-pi/2, pi/2], where it is >= 0
+        # [-pi/2, pi/2], where it is >= 0 and largest at 0, i.e. at m
         WeightSpec("cos-arch", lambda x: math.cos(math.pi * (x - m) / w),
-                   a, b, True, True),
+                   a, b, True, True, (m,)),
         # the square of the even part of a polynomial, plus 0.1 > 0
         WeightSpec("poly-rand", poly_rand, a, b, True, True),
     ]

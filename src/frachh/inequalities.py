@@ -210,8 +210,11 @@ class Cell:
 
     @property
     def gsup(self) -> float:
-        g, s = self.g.fn, self.s
-        return self._once(("sup", g, s.a, s.b), lambda: sup_norm(g, s.a, s.b))
+        """||g||_inf: |g| at the spec's sup_at points, or sampled."""
+        g, s = self.g, self.s
+        return self._once(("sup", g.fn, s.a, s.b), lambda: (
+            max(abs(g.fn(x)) for x in g.sup_at) if g.sup_at
+            else sup_norm(g.fn, s.a, s.b)))
 
     @property
     def kernel(self) -> CumulativeKernel:

@@ -154,6 +154,24 @@ def _gk15(h: Callable[[float], float], lo: float, hi: float) -> tuple[float, flo
     return acc_k * r, abs(acc_k - acc_g) * r
 
 
+def _gk15_both(g: Callable[[float], float], a: float, b: float, alpha: float,
+               lo: float, hi: float) -> tuple[float, float]:
+    """The _gk15 integrals of (b-t)^(alpha-1) g and (t-a)^(alpha-1) g on
+    [lo, hi], bit for bit, with one call of g per node."""
+    e = alpha - 1.0
+    c = 0.5 * (lo + hi)
+    r = 0.5 * (hi - lo)
+    gc = g(c)
+    acc_u = _WK_CENTER * ((b - c) ** e * gc)
+    acc_l = _WK_CENTER * ((c - a) ** e * gc)
+    for x, wk, _ in _GK_ROWS:
+        t1, t2 = c - r * x, c + r * x
+        g1, g2 = g(t1), g(t2)
+        acc_u += wk * ((b - t1) ** e * g1 + (b - t2) ** e * g2)
+        acc_l += wk * ((t1 - a) ** e * g1 + (t2 - a) ** e * g2)
+    return acc_u * r, acc_l * r
+
+
 def _checked(h: Callable[[float], float]) -> Callable[[float], float]:
     def wrapped(x: float) -> float:
         y = h(x)
@@ -291,6 +309,14 @@ class CumulativeKernel:
     K(t) is computed once per kernel and kept, so a repeated t costs
     no evaluations and the memory grows with the distinct t called.
 
+    Both sides read g at one call per node.  Unless a side is
+    substituted (alpha < 1 in the first or last mesh panel), the two
+    partial-panel rules share their 15 nodes, so a new t costs 15
+    calls, not 30, with the same floats as two separate rules.  In the
+    build, the two adaptive runs of a mesh panel share g through a
+    dict that lives for that panel only.  `evaluations` counts the
+    calls of g actually made.
+
     Endpoint values satisfy K(a) = -int_a^b (s-a)^(alpha-1) g ds and
     K(b) = +int_a^b (b-s)^(alpha-1) g ds; for weights symmetric about
     the midpoint, K is antisymmetric and vanishes there.
@@ -320,12 +346,20 @@ class CumulativeKernel:
         worst_panel = 0.0
         for i in range(n):
             lo, hi = self.breakpoints[i], self.breakpoints[i + 1]
+            seen: dict[float, float] = {}  # g at this panel's nodes
+
+            def g_once(x: float) -> float:
+                y = seen.get(x)
+                if y is None:
+                    y = seen[x] = g(x)
+                return y
+
             ru, rl = (integrate_smooth(phi, ulo, uhi, ptol * c).scaled(1.0 / c)
-                      for phi, ulo, uhi, c in self._panels(lo, hi, hi))
+                      for phi, ulo, uhi, c in self._panels(g_once, lo, hi, hi))
             pre_u.append(pre_u[-1] + ru.value)
             pre_l.append(pre_l[-1] + rl.value)
             err += ru.abs_error_estimate + rl.abs_error_estimate
-            evals += ru.evaluations + rl.evaluations
+            evals += len(seen)
             met = met and ru.tolerance_met and rl.tolerance_met
             worst_panel = max(worst_panel, ru.abs_error_estimate,
                               rl.abs_error_estimate)
@@ -340,9 +374,10 @@ class CumulativeKernel:
         self.tolerance_met = met
         self._values: dict[float, float] = {}  # t -> K(t), each computed once
 
-    def _panels(self, lo: float, hi: float, end: float) -> tuple:
+    def _panels(self, g: Callable[[float], float], lo: float, hi: float,
+                end: float) -> tuple:
         # The panel rule, upper side first, on [lo, hi] in [lo, end].
-        g, a, b, alpha = self._g, self.a, self.b, self.alpha
+        a, b, alpha = self.a, self.b, self.alpha
         return (_kernel_panel(g, a, b, alpha, KernelSide.UPPER_SINGULAR, lo,
                               hi, alpha < 1.0 and end == b),
                 _kernel_panel(g, a, b, alpha, KernelSide.LOWER_SINGULAR, lo,
@@ -370,9 +405,15 @@ class CumulativeKernel:
         lo = bp[i]
         k = self._prefix_upper[i] + self._prefix_lower[i] - self._total_lower
         if t != lo:
-            self.evaluations += 30
-            (hu, ulo, uhi, cu), (hl, llo, lhi, cl) = self._panels(lo, t,
-                                                                  bp[i + 1])
-            k = k + _gk15(hu, ulo, uhi)[0] / cu + _gk15(hl, llo, lhi)[0] / cl
+            (hu, ulo, uhi, cu), (hl, llo, lhi, cl) = self._panels(
+                self._g, lo, t, bp[i + 1])
+            if cu == cl == 1.0:  # neither side substituted: the same nodes
+                self.evaluations += 15
+                upper, lower = _gk15_both(self._g, a, b, self.alpha, lo, t)
+                k = k + upper + lower
+            else:
+                self.evaluations += 30
+                k = (k + _gk15(hu, ulo, uhi)[0] / cu
+                     + _gk15(hl, llo, lhi)[0] / cl)
         self._values[t] = k
         return k

@@ -65,6 +65,33 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "restricted to 0 < alpha <= 1" in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--thm", "bound-2-7", "--f", "sq", "--g", "one",
+         "--alpha-grid", "2"],
+        ["corpus", "--theorems", "lemma-1-6", "--alpha-grid", "2"],
+        ["corpus", "--theorems", "hh-classical,lemma-1-6", "--alpha-grid",
+         "2,3"],
+    ])
+    def test_named_grid_above_max_alpha_is_three(self, argv):
+        proc = run_cli(*argv)
+        assert proc.returncode == 3, proc.stdout
+        assert "restricted to 0 < alpha <= 1, got 2.0" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_grid_partly_above_max_alpha_skips(self):
+        proc = run_cli("sweep", "--thm", "bound-2-7", "--f", "sq", "--g",
+                       "one", "--alpha-grid", "0.5,2", "--format", "csv")
+        assert proc.returncode == 0, proc.stderr
+        rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+        assert {row["alpha"] for row in rows} == {"0.5"}
+        proc = run_cli("corpus", "--theorems", "all", "--alpha-grid", "2",
+                       "--format", "csv")
+        assert proc.returncode == 0, proc.stderr
+        theorems = {row["theorem"]
+                    for row in csv.DictReader(io.StringIO(proc.stdout))}
+        assert "bound-2-4" in theorems
+        assert not {"bound-2-7", "lemma-1-6"} & theorems
+
     def test_missing_weight_is_three(self):
         proc = run_cli("verify", "--thm", "fejer-classical", "--f", "sq")
         assert proc.returncode == 3

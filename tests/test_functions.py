@@ -257,6 +257,29 @@ class TestSupNorm:
         with pytest.raises(DomainError):
             sup_norm(lambda x: 1.0, 0.0, 1.0, grid=100)
 
+    @pytest.mark.parametrize("interval,exact", [
+        (UNIT, True), (SHIFTED, True), ((0.0, 1e-6), True),
+        ((-1e15, 1e15), False)])
+    def test_sup_at_certifies_the_sampled_sup(self, interval, exact):
+        ws = builtin_weight_corpus(*interval)
+        certified = {w.label: max(abs(w(x)) for x in w.sup_at)
+                     for w in ws if w.sup_at}
+        assert sorted(certified) == ["bump", "cos-arch", "one", "parabolic",
+                                     "vee"]
+        for w in ws:
+            if w.label in certified:
+                assert all(w.a <= x <= w.b for x in w.sup_at), w.label
+                sampled = sup_norm(w.fn, *interval)
+                assert certified[w.label] >= sampled, w.label
+                if exact:
+                    assert certified[w.label] == sampled, w.label
+
+    def test_sup_at_empty_unless_proven(self):
+        ws = {w.label: w for w in builtin_weight_corpus(*UNIT)}
+        assert ws["poly-rand"].sup_at == ()
+        assert make_weight("id", lambda x: x, *UNIT).sup_at == ()
+        assert symmetrize(lambda x: x, *UNIT).sup_at == ()
+
 
 class TestHolderPair:
     def test_conjugate_accepted(self):

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import frachh.inequalities
 from frachh.fracops import FracSetting, j_left, j_right
 from frachh.functions import (ConvexityKind, FunctionSpec, HolderPair,
                               builtin_function_corpus, builtin_weight_corpus,
-                              make_weight)
+                              make_weight, sup_norm)
 from frachh.inequalities import (GRAY_FACTOR, Cell, Status, _bound,
                                  _identity, _sandwich, aux_integrals,
                                  fejer_classical,
@@ -487,6 +488,20 @@ class TestBounds:
         assert r.slack == pytest.approx(-0.14357732192235995, rel=1e-6)
         corrected = r.bound * s.width ** (1.0 / 1.5)
         assert r.observed <= corrected
+
+    def test_gsup_samples_only_weights_without_sup_at(self, monkeypatch):
+        sampled = []
+
+        def counting_sup_norm(g, a, b):
+            sampled.append(g)
+            return sup_norm(g, a, b)
+
+        monkeypatch.setattr(frachh.inequalities, "sup_norm",
+                            counting_sup_norm)
+        for w in UNIT_WEIGHTS.values():
+            gsup = Cell(None, w, HALF_UNIT, 1e-9).gsup
+            assert gsup == sup_norm(w.fn, 0.0, 1.0), w.label
+        assert sampled == [UNIT_WEIGHTS["poly-rand"].fn]
 
     def test_power_mean_bound_holds_on_unit_width_corpus(self):
         for alpha in (0.25, 0.5, 1.0, 2.0):

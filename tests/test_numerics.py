@@ -4,6 +4,7 @@ Closed-form values used as expectations were recomputed independently
 (mpmath at 50 digits) before being frozen here.
 """
 
+import bisect
 import math
 
 import pytest
@@ -11,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from frachh.numerics import (DEFAULT_TOL, CumulativeKernel, DomainError,
                              EvaluationError, KERNEL_MESH_PANELS,
-                             KernelSide, MAX_PANELS, QuadResult, _graded_mesh,
-                             gamma, integrate_singular, integrate_smooth)
+                             KernelSide, MAX_PANELS, QuadResult, _gk15,
+                             _graded_mesh, gamma, integrate_singular,
+                             integrate_smooth)
 from frachh.oracle import beta_reference
 
 SQRT_PI = 1.7724538509055160273
@@ -266,10 +268,10 @@ class TestCumulativeKernel:
         k = CumulativeKernel(lambda s: 1.0 + s * s, 0.0, 1.0, alpha)
         before = k.evaluations
         first = k(0.37)
-        assert k.evaluations == before + 30
+        assert k.evaluations == before + 15
         second = k(0.37)
         assert second == first
-        assert k.evaluations == before + 30
+        assert k.evaluations == before + 15
 
     def test_out_of_range_still_raises_after_calls(self):
         k = CumulativeKernel(lambda s: 1.0, 0.0, 1.0, 0.5)
@@ -278,6 +280,66 @@ class TestCumulativeKernel:
         for t in (-1e-12, 1.0 + 1e-12, math.nan):
             with pytest.raises(DomainError):
                 k(t)
+
+
+class TestKernelCallsGOncePerNode:
+    """g is called once per node: both sides of K read the same value."""
+
+    @staticmethod
+    def counted(g):
+        calls = []
+
+        def h(x):
+            calls.append(x)
+            return g(x)
+
+        return h, calls
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5])
+    def test_evaluations_are_the_calls_made(self, alpha):
+        g, calls = self.counted(lambda s: 1.0 + math.cos(3.0 * s))
+        k = CumulativeKernel(g, 0.0, 1.0, alpha)
+        assert k.evaluations == len(calls)
+        # interior t, and t in both end panels (substituted for alpha < 1)
+        for t in (0.37, 0.5, 0.81, 1e-12, 1.0 - 1e-12, 0.37):
+            k(t)
+            assert k.evaluations == len(calls), t
+
+    def test_partial_panel_cost(self):
+        k = CumulativeKernel(lambda s: 1.0, 0.0, 1.0, 0.5)
+        for t, cost in ((0.37, 15), (1e-12, 30), (1.0 - 1e-12, 30)):
+            before = k.evaluations
+            k(t)
+            assert k.evaluations == before + cost, t
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.25, 4.0])
+    def test_paired_value_is_the_two_rule_value(self, alpha):
+        a, b = 1.0, 3.0
+        g = lambda s: math.exp(-((s - 1.7) ** 2))
+        k = CumulativeKernel(g, a, b, alpha)
+        bp = k.breakpoints
+        for t in (1.0 + 1e-3, 1.37, 2.0 + 1e-9, 2.5, 2.93):
+            i = bisect.bisect_right(bp, t) - 1
+            lo = bp[i]
+            assert alpha >= 1.0 or a < lo < bp[i + 1] < b  # not substituted
+            upper = _gk15(lambda s: (b - s) ** (alpha - 1.0) * g(s), lo, t)
+            lower = _gk15(lambda s: (s - a) ** (alpha - 1.0) * g(s), lo, t)
+            prefix = (k._prefix_upper[i] + k._prefix_lower[i]
+                      - k._total_lower)
+            assert k(t) == prefix + upper[0] / 1.0 + lower[0] / 1.0, t
+
+    def test_no_abscissa_twice_in_a_partial_panel(self):
+        g, calls = self.counted(lambda s: 2.0 + s)
+        k = CumulativeKernel(g, 0.0, 1.0, 1.5)
+        for t in (0.11, 0.5 + 1e-6, 0.93):
+            del calls[:]
+            k(t)
+            assert len(calls) == len(set(calls)) == 15, t
+
+    def test_build_calls_are_distinct(self):
+        g, calls = self.counted(lambda s: 1.0 + s * s)
+        CumulativeKernel(g, 0.0, 1.0, 0.75)
+        assert len(calls) == len(set(calls))
 
 
 class TestQuadResultAlgebra:
