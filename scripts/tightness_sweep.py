@@ -17,8 +17,7 @@ import sys
 from frachh.fracops import FracSetting
 from frachh.functions import (HolderPair, builtin_function_corpus,
                               builtin_weight_corpus)
-from frachh.inequalities import (WEIGHTED_BOUNDS, trapezoid_bound,
-                                 weighted_bound)
+from frachh.inequalities import WEIGHTED_BOUNDS, weighted_bound
 
 ALPHAS = (0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
 
@@ -55,18 +54,18 @@ def main() -> int:
               f"{'pow-mean':>9} {'holder':>8} {'low-ord':>8}")
     print(header)
     print("-" * len(header))
-    widths = (8, 9, 8, 8)  # columns of bound-2-4 .. bound-2-7
+    widths = (8, 8, 9, 8, 8)  # columns of bound-1-5 .. bound-2-7
     for alpha in ALPHAS:
         s = FracSetting(args.a, args.b, alpha)
-        memo = {}  # the weighted bounds share one defect per order
-        plain = trapezoid_bound(f, s)
-        weighted = {ident: weighted_bound(ident, f, g, s, pair, memo=memo)
-                    for ident, form in WEIGHTED_BOUNDS.items()
-                    if alpha <= form.max_alpha}
-        cells = [f"{alpha:>6g}", f"{weighted['bound-2-4'].observed:>12.5e}",
-                 f"{plain.observed / plain.bound:>8.3f}"]
+        memo = {}  # bounds of one weight share one defect per order
+        reports = {ident: weighted_bound(
+                       ident, f, g if "g" in form.reads else None, s, pair,
+                       memo=memo)
+                   for ident, form in WEIGHTED_BOUNDS.items()
+                   if alpha <= form.max_alpha}
+        cells = [f"{alpha:>6g}", f"{reports['bound-2-4'].observed:>12.5e}"]
         for ident, width in zip(WEIGHTED_BOUNDS, widths):
-            r = weighted.get(ident)
+            r = reports.get(ident)
             cells.append(f"{r.observed / r.bound:>{width}.3f}" if r
                          else f"{'-':>{width}}")
         print(" ".join(cells))

@@ -11,10 +11,10 @@ The package splits into small layers:
   certification metadata,
 * fracops: one-sided fractional integral means,
 * inequalities: the verifiers, each returning a Report whose verdict
-  comes from one rule.  Theorems 2.4-2.7 are one weighted_bound
-  over the WEIGHTED_BOUNDS table of closed forms, the classical
-  sandwiches are the alpha = 1 case of the fractional ones, and Cell
-  computes the quantities they share once per (f, g, alpha) cell,
+  comes from one rule.  Bound 1.5 and Theorems 2.4-2.7 are one
+  weighted_bound over the WEIGHTED_BOUNDS table, the unweighted and
+  classical statements are the unit-weight and alpha = 1 cases, and
+  Cell computes the quantities they share once per (f, g, alpha) cell,
 * cli: the ``frachh`` command, dispatching from its THEOREMS registry.
 """
 
@@ -27,8 +27,8 @@ from .inequalities import (WEIGHTED_BOUNDS, Cell, Report, Status,
                            WeightedBound, aux_integrals, check_symmetry_lemma,
                            fejer_classical, fejer_fractional, hh_classical,
                            hh_fractional, scalar_power_lemma,
-                           trapezoid_bound, trapezoid_identity,
-                           weighted_bound, weighted_trapezoid_identity)
+                           trapezoid_identity, weighted_bound,
+                           weighted_trapezoid_identity)
 from .numerics import (DEFAULT_TOL, CumulativeKernel, DomainError,
                        EvaluationError, KernelSide, QuadResult, gamma,
                        integrate_singular, integrate_smooth)
@@ -51,6 +51,6 @@ __all__ = [
     "Cell", "Report", "Status", "WEIGHTED_BOUNDS", "WeightedBound",
     "aux_integrals", "check_symmetry_lemma", "fejer_classical",
     "fejer_fractional", "hh_classical", "hh_fractional",
-    "scalar_power_lemma", "trapezoid_bound", "trapezoid_identity",
-    "weighted_bound", "weighted_trapezoid_identity",
+    "scalar_power_lemma", "trapezoid_identity", "weighted_bound",
+    "weighted_trapezoid_identity",
 ]

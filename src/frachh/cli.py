@@ -82,9 +82,8 @@ THEOREMS: dict[str, TheoremInfo] = {t.ident: t for t in (
                 ("f", "alpha")),
     TheoremInfo("identity-2-3", "identity", ineq.weighted_trapezoid_identity,
                 ("f", "g", "alpha")),
-    TheoremInfo("bound-1-5", "bound", ineq.trapezoid_bound, ("f", "alpha")),
     *(TheoremInfo(ident, "bound", ineq.weighted_bound,
-                  ("f", "g", "alpha", *form.exponents), form.max_alpha)
+                  ("f", "alpha", *form.reads), form.max_alpha)
       for ident, form in ineq.WEIGHTED_BOUNDS.items()),
     TheoremInfo("aux-integrals", "aux", ineq.aux_integrals, ("alpha",)),
     TheoremInfo("lemma-1-6", "lemma", ineq.scalar_power_lemma, ("alpha",),

@@ -16,12 +16,11 @@ nothing downstream needs it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .numerics import (DEFAULT_TOL, DomainError, KernelSide, QuadResult,
-                       gamma, integrate_singular)
+from .numerics import (DEFAULT_TOL, KernelSide, QuadResult, check_interval,
+                       check_order, gamma, integrate_singular)
 
 __all__ = ["FracSetting", "j_left", "j_right"]
 
@@ -41,13 +40,8 @@ class FracSetting:
     alpha: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)
-                and self.a < self.b):
-            raise DomainError(
-                f"need finite a < b, got [{self.a!r}, {self.b!r}]")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise DomainError(
-                f"alpha must be positive and finite, got {self.alpha!r}")
+        check_interval(self.a, self.b)
+        check_order(self.alpha)
 
     @property
     def midpoint(self) -> float:

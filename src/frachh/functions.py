@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
-from .numerics import DomainError
+from .numerics import DomainError, check_interval
 
 __all__ = [
     "ConvexityKind",
@@ -153,8 +153,7 @@ def make_weight(label: str, fn: Callable[[float], float], a: float,
     a check does not raise; it just leaves the flag False, and the
     verifiers that need the property will refuse the weight.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError(f"need finite a < b, got [{a!r}, {b!r}]")
+    check_interval(a, b)
     pts = _grid(a, b, SYMMETRY_GRID)
     vals = [fn(x) for x in pts]
     for x, v in zip(pts, vals):
@@ -256,8 +255,7 @@ def builtin_function_corpus(a: float, b: float,
     Entries whose derivative has a kink carry deriv=None and so are
     skipped by derivative-based verifiers.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError(f"need finite a < b, got [{a!r}, {b!r}]")
+    check_interval(a, b)
     m = 0.5 * (a + b)
     rng = random.Random(seed)
     # random positive quadratic: minimum value bounded away from zero
@@ -321,8 +319,7 @@ def builtin_weight_corpus(a: float, b: float,
     overflows or is not finite on [a, b] (parabolic far from 0, bump
     where (b-a)^2 underflows) is left out, as in the function corpus.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError(f"need finite a < b, got [{a!r}, {b!r}]")
+    check_interval(a, b)
     m = 0.5 * (a + b)
     w = b - a
     rng = random.Random(seed)

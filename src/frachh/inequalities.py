@@ -6,9 +6,10 @@ output columns and are None where the statement produces nothing.
 
 The fractional quantities the statements share (J(f), the weight mass
 W, J(f g), ||g||_inf and the kernel K) are computed only by Cell, once
-per cell; verifiers given the same memo share them.  Theorems 2.4-2.7
-bound the same weighted defect and differ only in a closed form, so
-they are one function, weighted_bound, over the WEIGHTED_BOUNDS table.
+per cell; verifiers given the same memo share them.  A Cell with no
+weight stands for the unit weight, so the unweighted statements run as
+the weighted ones, and bound 1.5 and Theorems 2.4-2.7 are one function,
+weighted_bound, over the WEIGHTED_BOUNDS table of closed forms.
 
 Every verdict comes from one rule, _verdict: Violated when the worst
 case is below violated_below, Inconclusive when it is below holds_from,
@@ -66,7 +67,6 @@ __all__ = [
     "fejer_fractional",
     "trapezoid_identity",
     "weighted_trapezoid_identity",
-    "trapezoid_bound",
     "weighted_bound",
     "aux_integrals",
     "scalar_power_lemma",
@@ -169,7 +169,10 @@ class Cell:
     `memo` under the inputs it depends on, so cells sharing a memo share
     it (W, ||g||_inf and K across functions, J(f g) across exponents).
     `evaluations` counts the integrand calls this cell spent itself; a
-    memo hit costs nothing, and ||g||_inf is never charged.
+    memo hit costs nothing, and ||g||_inf is never charged.  With g = None,
+    g is the unit weight scaled to W = 1: W is exactly 1, J(f g) is
+    Gamma(alpha+1) / (2 (b-a)^alpha) (j_left(f) + j_right(f)) and
+    ||g||_inf reads 1.  Products by 1.0 and sums with 0.0 are exact.
     """
 
     def __init__(self, f: Optional[FunctionSpec], g: Optional[WeightSpec],
@@ -192,26 +195,27 @@ class Cell:
         if self.s.alpha == 1.0:  # both kernels are 1: one integral
             side = j_left
         f = self.f.fn if of != "g" else None
-        g = self.g.fn if of != "f" else None
+        g = self.g.fn if of != "f" and self.g is not None else None
         h = f if g is None else g if f is None else (lambda x: f(x) * g(x))
         return self._once((side, f, g, self.s, self.tol), lambda: (
             self._charged(side(h, self.s, self.tol))))
 
     def both(self, of: str) -> QuadResult:
         """j_left(h) + j_right(h); W = both("g")."""
-        return self.j(j_left, of) + self.j(j_right, of)
-
-    @property
-    def f_mean(self) -> QuadResult:
-        """Gamma(alpha+1) / (2 (b-a)^alpha) (j_left(f) + j_right(f))."""
+        if self.g is not None:
+            return self.j(j_left, of) + self.j(j_right, of)
+        if of == "g":
+            return QuadResult(1.0, 0.0, 0)
         s = self.s
-        return self.both("f").scaled(
+        return (self.j(j_left, of) + self.j(j_right, of)).scaled(
             gamma(s.alpha + 1.0) / (2.0 * s.width ** s.alpha))
 
     @property
     def gsup(self) -> float:
         """||g||_inf: |g| at the spec's sup_at points, or sampled."""
         g, s = self.g, self.s
+        if g is None:
+            return 1.0
         return self._once(("sup", g.fn, s.a, s.b), lambda: (
             max(abs(g.fn(x)) for x in g.sup_at) if g.sup_at
             else sup_norm(g.fn, s.a, s.b)))
@@ -227,14 +231,8 @@ class Cell:
         return 0.5 * (self.f.fn(self.s.a) + self.f.fn(self.s.b))
 
     @property
-    def defect(self) -> QuadResult:
-        """avg - f_mean, the left side of identity 1.4."""
-        mean = self.f_mean
-        return replace(mean, value=self.avg - mean.value)
-
-    @property
     def weighted_defect(self) -> QuadResult:
-        """avg W - (j_left(f g) + j_right(f g)), the left side of 2.3."""
+        """avg W - J(f g), the left side of 2.3, or of 1.4 with no weight."""
         return self.both("g").scaled(self.avg) + self.both("fg").scaled(-1.0)
 
 
@@ -357,20 +355,12 @@ def fejer_classical(f, g: WeightSpec, tol: float = DEFAULT_TOL,
 def hh_fractional(f, s: FracSetting, tol: float = DEFAULT_TOL,
                   force: bool = False,
                   memo: Optional[dict] = None) -> Report:
-    """Fractional sandwich of order alpha.
+    """Fractional sandwich of order alpha, the Fejer one at the unit weight.
 
     f(m)  <=  Gamma(alpha+1) / (2 (b-a)^alpha) * (j_left f + j_right f)
           <=  (f(a)+f(b))/2
     """
-    f = _as_function(f, s.a, s.b)
-    notes = _convex_gate(f, s.a, s.b, force, ())
-
-    def build(c: Cell) -> Report:
-        mean = c.f_mean
-        return _sandwich(f.fn(s.midpoint), mean.value, c.avg,
-                         mean.abs_error_estimate, c.evaluations, notes)
-
-    return _with_retry(build, Cell(f, None, s, tol, memo))
+    return _fejer(f, None, s, 1.0, tol, force, memo)
 
 
 def fejer_fractional(f, g: WeightSpec, s: FracSetting,
@@ -390,12 +380,12 @@ def fejer_fractional(f, g: WeightSpec, s: FracSetting,
     return _fejer(f, g, s, 1.0, tol, force, memo)
 
 
-def _fejer(f, g: WeightSpec, s: FracSetting, scale: float, tol: float,
-           force: bool, memo: Optional[dict],
+def _fejer(f, g: Optional[WeightSpec], s: FracSetting, scale: float,
+           tol: float, force: bool, memo: Optional[dict],
            extra_notes: tuple[str, ...] = ()) -> Report:
-    """The weighted sandwich with W and J(f g) multiplied by scale."""
+    """The weighted sandwich (unit weight for g = None), W, J(f g) x scale."""
     f = _as_function(f, s.a, s.b)
-    notes = _weight_gate(g, s.a, s.b, True, force, ())
+    notes = () if g is None else _weight_gate(g, s.a, s.b, True, force, ())
     notes = _convex_gate(f, s.a, s.b, force, notes) + extra_notes
 
     def build(c: Cell) -> Report:
@@ -424,7 +414,7 @@ def trapezoid_identity(f, s: FracSetting, tol: float = DEFAULT_TOL,
     a, b, alpha = s.a, s.b, s.alpha
 
     def build(c: Cell) -> Report:
-        lhs = c.defect
+        lhs = c.weighted_defect
         inner = integrate_smooth(
             lambda u: ((1.0 - u) ** alpha - u ** alpha) * d(u * a + (1.0 - u) * b),
             0.0, 1.0, c.tol)
@@ -475,29 +465,6 @@ def weighted_trapezoid_identity(f, g: WeightSpec, s: FracSetting,
     return _with_retry(build, Cell(f, g, s, tol, memo))
 
 
-def trapezoid_bound(f, s: FracSetting, tol: float = DEFAULT_TOL,
-                    force: bool = False,
-                    memo: Optional[dict] = None) -> Report:
-    """Defect bound from convexity of |f'|.
-
-    |trapezoid defect|  <=  (b-a)/(2(alpha+1)) (1 - 2^-alpha)
-                            (|f'(a)| + |f'(b)|)
-    """
-    f = _as_function(f, s.a, s.b)
-    notes = _deriv_power_gate(f, 1.0, force, ())
-    d = f.deriv
-    bound = (s.width / (2.0 * (s.alpha + 1.0))
-             * (1.0 - 2.0 ** (-s.alpha))
-             * (abs(d(s.a)) + abs(d(s.b))))
-
-    def build(c: Cell) -> Report:
-        gap = c.defect
-        return _bound(abs(gap.value), bound, gap.abs_error_estimate,
-                      c.evaluations, notes)
-
-    return _with_retry(build, Cell(f, None, s, tol, memo))
-
-
 def _power_mean(d: Callable[[float], float], a: float, b: float,
                 q: float) -> float:
     return ((abs(d(a)) ** q + abs(d(b)) ** q) / 2.0) ** (1.0 / q)
@@ -505,20 +472,25 @@ def _power_mean(d: Callable[[float], float], a: float, b: float,
 
 @dataclass(frozen=True)
 class WeightedBound:
-    """closed_form(s, gsup, f', pair) of one weighted defect bound; it
-    reads the exponents of the Holder pair named in `exponents`."""
+    """closed_form(s, gsup, f', pair) of one defect bound; `reads` names
+    what it takes of the weight g and the Holder exponents q and p."""
 
-    exponents: tuple[str, ...]
+    reads: tuple[str, ...]
     max_alpha: float
     closed_form: Callable[[FracSetting, float, Callable[[float], float],
                            Optional[HolderPair]], float]
 
 
-# Theorems 2.4-2.7, by the hypothesis on f each needs.  Each closed form
-# keeps the operation order of the printed formula.
+# Bound 1.5 and Theorems 2.4-2.7, by the hypothesis on f each needs.
+# Each closed form keeps the operation order of the printed formula.
 WEIGHTED_BOUNDS: dict[str, WeightedBound] = {
+    # convex |f'|, unit weight: 2.4 at the constant weight with W = 1
+    "bound-1-5": WeightedBound((), math.inf, lambda s, gsup, d, pair: (
+        s.width / (2.0 * (s.alpha + 1.0))
+        * (1.0 - 2.0 ** (-s.alpha))
+        * (abs(d(s.a)) + abs(d(s.b))))),
     # convex |f'|
-    "bound-2-4": WeightedBound((), math.inf, lambda s, gsup, d, pair: (
+    "bound-2-4": WeightedBound(("g",), math.inf, lambda s, gsup, d, pair: (
         s.width ** (s.alpha + 1.0) * gsup
         / ((s.alpha + 1.0) * gamma(s.alpha + 1.0))
         * (1.0 - 2.0 ** (-s.alpha))
@@ -526,52 +498,58 @@ WEIGHTED_BOUNDS: dict[str, WeightedBound] = {
     # convex |f'|^q, q > 1.  The 1/(b-a)^(1/q) factor makes it scale
     # like (b-a)^(alpha - 1/q) under dilation while the defect scales
     # like (b-a)^alpha, so on long intervals it can drop below the defect.
-    "bound-2-5": WeightedBound(("q",), math.inf, lambda s, gsup, d, pair: (
+    "bound-2-5": WeightedBound(("g", "q"), math.inf, lambda s, gsup, d, pair: (
         2.0 * s.width ** (s.alpha + 1.0) * gsup
         / (s.width ** (1.0 / pair.q) * (s.alpha + 1.0)
            * gamma(s.alpha + 1.0))
         * (1.0 - 2.0 ** (-s.alpha))
         * _power_mean(d, s.a, s.b, pair.q))),
     # convex |f'|^q, via the Holder inequality, any alpha > 0
-    "bound-2-6": WeightedBound(("p", "q"), math.inf, lambda s, gsup, d, pair: (
+    "bound-2-6": WeightedBound(("g", "p", "q"), math.inf, lambda s, gsup, d, pair: (
         2.0 ** (1.0 / pair.p) * gsup * s.width ** (s.alpha + 1.0)
         / ((s.alpha * pair.p + 1.0) ** (1.0 / pair.p) * gamma(s.alpha + 1.0))
         * (1.0 - 2.0 ** (-s.alpha * pair.p)) ** (1.0 / pair.p)
         * _power_mean(d, s.a, s.b, pair.q))),
     # sharper, but only for 0 < alpha <= 1: the proof runs through the
     # scalar power lemma, which fails for alpha > 1
-    "bound-2-7": WeightedBound(("p", "q"), 1.0, lambda s, gsup, d, pair: (
+    "bound-2-7": WeightedBound(("g", "p", "q"), 1.0, lambda s, gsup, d, pair: (
         gsup * s.width ** (s.alpha + 1.0)
         / ((s.alpha * pair.p + 1.0) ** (1.0 / pair.p) * gamma(s.alpha + 1.0))
         * _power_mean(d, s.a, s.b, pair.q))),
 }
 
 
-def weighted_bound(ident: str, f, g: WeightSpec, s: FracSetting,
+
+def weighted_bound(ident: str, f, g: Optional[WeightSpec], s: FracSetting,
                    pair: Optional[HolderPair] = None,
                    tol: float = DEFAULT_TOL, force: bool = False,
                    memo: Optional[dict] = None) -> Report:
-    """Theorems 2.4-2.7: |left side of identity 2.3| <= the closed form
-    WEIGHTED_BOUNDS[ident].  Forms reading exponents need the Holder
-    pair and convex |f'|^q; the others need convex |f'|."""
+    """|left side of 2.3| <= the closed form WEIGHTED_BOUNDS[ident], of 1.4
+    with g = None where it reads no weight.  Forms reading exponents need
+    the Holder pair and convex |f'|^q; the others need convex |f'|."""
     form = WEIGHTED_BOUNDS[ident]
     if not s.alpha <= form.max_alpha:
         raise DomainError(f"{ident} is restricted to 0 < alpha <= "
                           f"{form.max_alpha:g}, got {s.alpha!r}")
-    if form.exponents and pair is None:
+    if ("g" in form.reads) != (g is not None):
+        raise DomainError(f"{ident} needs a weight" if g is None
+                          else f"{ident} takes no weight")
+    if "q" in form.reads and pair is None:
         raise DomainError(f"{ident} needs a Holder pair (p, q)")
     f = _as_function(f, s.a, s.b)
-    notes = _weight_gate(g, s.a, s.b, False, force, ())
-    notes = _deriv_power_gate(f, pair.q if form.exponents else 1.0, force,
+    notes = () if g is None else _weight_gate(g, s.a, s.b, False, force, ())
+    notes = _deriv_power_gate(f, pair.q if "q" in form.reads else 1.0, force,
                               notes)
     cell = Cell(f, g, s, tol, memo)
     bound = form.closed_form(s, cell.gsup, f.deriv, pair)
+    # each weighted form is linear in ||g||_inf: pad by its error, 1e-9 for
+    # sup_norm or the ulp a sup_at value can sit below the float max of |g|
+    pad = 0.0 if g is None else 1e-9 * bound
 
     def build(c: Cell) -> Report:
         gap = c.weighted_defect
-        return _bound(abs(gap.value), bound,
-                      gap.abs_error_estimate + 1e-9 * bound, c.evaluations,
-                      notes)
+        return _bound(abs(gap.value), bound, gap.abs_error_estimate + pad,
+                      c.evaluations, notes)
 
     return _with_retry(build, cell)
 

@@ -55,6 +55,16 @@ class DomainError(ValueError):
     """An input lies outside the mathematical domain of an operation."""
 
 
+def check_interval(a: float, b: float) -> None:
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise DomainError(f"need finite a < b, got [{a!r}, {b!r}]")
+
+
+def check_order(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
+
+
 class EvaluationError(RuntimeError):
     """An integrand returned a non-finite value; keeps the abscissa."""
 
@@ -192,8 +202,7 @@ def integrate_smooth(h: Callable[[float], float], a: float, b: float,
     Refinement order is deterministic, and tightening tol only ever
     extends it, so halving tol never decreases the evaluation count.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError(f"need finite a < b, got [{a!r}, {b!r}]")
+    check_interval(a, b)
     if not (tol > 0):
         raise DomainError(f"tolerance must be positive, got {tol!r}")
     h = _checked(h)
@@ -267,12 +276,10 @@ def integrate_singular(h: Callable[[float], float], a: float, b: float,
     that.  For alpha >= 1 the kernel is bounded (exactly 1.0 at
     alpha = 1) and the product is integrated directly.
     """
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
+    check_order(alpha)
     if not isinstance(side, KernelSide):
         raise DomainError(f"side must be a KernelSide, got {side!r}")
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError(f"need finite a < b, got [{a!r}, {b!r}]")
+    check_interval(a, b)
     phi, lo, hi, c = _kernel_panel(h, a, b, alpha, side, a, b, alpha < 1.0)
     return integrate_smooth(phi, lo, hi, tol * c).scaled(1.0 / c)
 
@@ -324,10 +331,8 @@ class CumulativeKernel:
 
     def __init__(self, g: Callable[[float], float], a: float, b: float,
                  alpha: float, tol: float = DEFAULT_TOL):
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
-            raise DomainError(f"need finite a < b, got [{a!r}, {b!r}]")
-        if not (math.isfinite(alpha) and alpha > 0):
-            raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
+        check_interval(a, b)
+        check_order(alpha)
         if not (tol > 0):
             raise DomainError(f"tolerance must be positive, got {tol!r}")
         self.a = a

@@ -25,9 +25,8 @@ from frachh.functions import (HolderPair, builtin_function_corpus,
 from frachh.inequalities import (Cell, Status, aux_integrals,
                                  check_symmetry_lemma, fejer_classical,
                                  fejer_fractional, hh_fractional,
-                                 scalar_power_lemma, trapezoid_bound,
-                                 trapezoid_identity, weighted_bound,
-                                 weighted_trapezoid_identity)
+                                 scalar_power_lemma, trapezoid_identity,
+                                 weighted_bound, weighted_trapezoid_identity)
 from frachh.numerics import KernelSide, gamma, integrate_singular
 from frachh.oracle import beta_reference
 
@@ -136,7 +135,8 @@ def test_criterion_04_bound_dominance():
         for alpha in DEFAULT_ALPHA_GRID:
             s = FracSetting(interval[0], interval[1], alpha)
             for f in eligible:
-                record(trapezoid_bound(f, s), (f.label, alpha))
+                record(weighted_bound("bound-1-5", f, None, s),
+                       (f.label, alpha))
                 for g in weights:
                     record(weighted_bound("bound-2-4", f, g, s),
                            (f.label, g.label, alpha))

@@ -103,6 +103,7 @@ class TestExitCodes:
         (["bound-2-4", "--f", "sq", "--g", "one", "--alpha", "0.5",
           "--q", "3"], "q"),
         (["lemma-2-1", "--g", "one", "--alpha", "0.5", "--p", "2"], "p"),
+        (["bound-1-5", "--f", "sq", "--g", "one", "--alpha", "0.5"], "g"),
     ])
     def test_unread_argument_is_three(self, argv, flag, capsys):
         # the statement would run without it, so the user would get a

@@ -17,15 +17,15 @@ from frachh.fracops import FracSetting, j_left, j_right
 from frachh.functions import (ConvexityKind, FunctionSpec, HolderPair,
                               builtin_function_corpus, builtin_weight_corpus,
                               make_weight, sup_norm)
-from frachh.inequalities import (GRAY_FACTOR, Cell, Status, _bound,
+from frachh.inequalities import (ERROR_FLOOR, GRAY_FACTOR, WEIGHTED_BOUNDS,
+                                 Cell, Status, _bound,
                                  _identity, _sandwich, aux_integrals,
                                  fejer_classical,
                                  fejer_fractional, hh_classical,
                                  hh_fractional, scalar_power_lemma,
-                                 trapezoid_bound, trapezoid_identity,
-                                 weighted_bound,
+                                 trapezoid_identity, weighted_bound,
                                  weighted_trapezoid_identity)
-from frachh.numerics import DomainError, gamma
+from frachh.numerics import DEFAULT_TOL, DomainError, QuadResult, gamma
 
 HALF_UNIT = FracSetting(0.0, 1.0, 0.5)
 UNIT_FUNCS = {f.label: f for f in builtin_function_corpus(0.0, 1.0)}
@@ -252,6 +252,21 @@ class TestReductions:
             assert hh_classical(f, a, b) == hh_fractional(
                 f, FracSetting(a, b, 1.0)), f.label
 
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 3.0)])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.5, 3.0])
+    def test_no_weight_is_the_unit_weight(self, a, b, alpha):
+        # W = 1 exactly, and the defect is the unweighted one of 1.4
+        s = FracSetting(a, b, alpha)
+        scale = gamma(alpha + 1.0) / (2.0 * s.width ** alpha)
+        for f in builtin_function_corpus(a, b):
+            cell = Cell(f, None, s, DEFAULT_TOL)
+            assert cell.both("g") == QuadResult(1.0, 0.0, 0, True)
+            mean = (j_left(f.fn, s) + j_right(f.fn, s)).scaled(scale)
+            avg = 0.5 * (f(a) + f(b))
+            assert cell.weighted_defect == QuadResult(
+                avg - mean.value, mean.abs_error_estimate, mean.evaluations,
+                mean.tolerance_met), f.label
+
     @pytest.mark.parametrize("of", ["f", "g", "fg"])
     def test_order_one_sides_are_one_integral(self, of):
         f, g = UNIT_FUNCS["exp"], UNIT_WEIGHTS["parabolic"]
@@ -297,7 +312,7 @@ class TestReductions:
         w = scaling_factor(s)
         f = UNIT_FUNCS["sq"]
         weighted = weighted_bound("bound-2-4", f, UNIT_WEIGHTS["one"], s)
-        plain = trapezoid_bound(f, s)
+        plain = weighted_bound("bound-1-5", f, None, s)
         assert weighted.bound == pytest.approx(w * plain.bound, rel=1e-12)
         assert weighted.observed == pytest.approx(w * plain.observed,
                                                   rel=1e-9, abs=1e-12)
@@ -380,7 +395,7 @@ class TestIdentities:
 
 class TestBounds:
     def test_trapezoid_bound_square(self):
-        r = trapezoid_bound(UNIT_FUNCS["sq"], HALF_UNIT)
+        r = weighted_bound("bound-1-5", UNIT_FUNCS["sq"], None, HALF_UNIT)
         assert r.status is Status.HOLDS
         assert r.observed == pytest.approx(2.0 / 15.0, rel=1e-9)
         assert r.bound == pytest.approx(0.19526214587563498, rel=1e-12)
@@ -390,7 +405,7 @@ class TestBounds:
         s = FracSetting(709.0, 709.7, 0.5)
         f = {f.label: f for f in builtin_function_corpus(s.a, s.b)}["exp"]
         with pytest.raises(OverflowError):
-            trapezoid_bound(f, s)
+            weighted_bound("bound-1-5", f, None, s)
 
     def test_sup_bound_square_parabolic(self):
         r = weighted_bound("bound-2-4", UNIT_FUNCS["sq"],
@@ -440,7 +455,7 @@ class TestBounds:
         s = HALF_UNIT
         one = UNIT_WEIGHTS["one"]
         reports = [
-            trapezoid_bound(AFFINE, s),
+            weighted_bound("bound-1-5", AFFINE, None, s),
             weighted_bound("bound-2-4", AFFINE, one, s),
             weighted_bound("bound-2-5", AFFINE, one, s,
                            HolderPair.from_q(2.0)),
@@ -451,9 +466,43 @@ class TestBounds:
             assert r.status is Status.HOLDS
             assert abs(r.observed) <= r.error_budget
 
+    def test_weight_given_iff_the_form_reads_one(self):
+        with pytest.raises(DomainError, match="bound-1-5 takes no weight"):
+            weighted_bound("bound-1-5", UNIT_FUNCS["sq"], UNIT_WEIGHTS["one"],
+                           HALF_UNIT)
+        with pytest.raises(DomainError, match="bound-2-4 needs a weight"):
+            weighted_bound("bound-2-4", UNIT_FUNCS["sq"], None, HALF_UNIT)
+
+    def test_sup_pad_covers_the_certified_sup(self):
+        # on [-1e-3, 1] parabolic's certified sup |g(m)| sits an ulp below
+        # the sampled one; the 1e-9 pad on each weighted bound covers that
+        a, b = -1e-3, 1.0
+        s = FracSetting(a, b, 0.5)
+        f = {f.label: f for f in builtin_function_corpus(a, b)}["sq"]
+        g = {w.label: w for w in builtin_weight_corpus(a, b)}["parabolic"]
+        certified = Cell(None, g, s, DEFAULT_TOL).gsup
+        sampled = sup_norm(g.fn, a, b)
+        assert (certified, sampled) == (0.2505002499999999, 0.25050025)
+        pair = HolderPair(2.0, 2.0)
+
+        def budget(r, weight, pad):
+            gap = Cell(f, weight, s, DEFAULT_TOL).weighted_defect
+            return (gap.abs_error_estimate + pad
+                    + ERROR_FLOOR * max(abs(r.observed), abs(r.bound), 1.0))
+
+        for ident in ("bound-2-4", "bound-2-5", "bound-2-6", "bound-2-7"):
+            r = weighted_bound(ident, f, g, s, pair)
+            pad = 1e-9 * r.bound
+            from_sampled = WEIGHTED_BOUNDS[ident].closed_form(s, sampled,
+                                                              f.deriv, pair)
+            assert abs(from_sampled - r.bound) <= pad, ident
+            assert r.error_budget == budget(r, g, pad), ident
+        r = weighted_bound("bound-1-5", f, None, s)
+        assert r.error_budget == budget(r, None, 0.0)
+
     def test_kinked_derivative_rejected(self):
         with pytest.raises(DomainError):
-            trapezoid_bound(UNIT_FUNCS["abs"], HALF_UNIT)
+            weighted_bound("bound-1-5", UNIT_FUNCS["abs"], None, HALF_UNIT)
 
     def test_function_tied_to_another_interval_rejected(self):
         # xlogx is certified ANALYTIC_DERIV_CONVEX on [0.1, 0.3] only

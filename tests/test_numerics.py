@@ -10,11 +10,14 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frachh.fracops import FracSetting
+from frachh.functions import (builtin_function_corpus, builtin_weight_corpus,
+                              make_weight)
 from frachh.numerics import (DEFAULT_TOL, CumulativeKernel, DomainError,
                              EvaluationError, KERNEL_MESH_PANELS,
                              KernelSide, MAX_PANELS, QuadResult, _gk15,
-                             _graded_mesh, gamma, integrate_singular,
-                             integrate_smooth)
+                             _graded_mesh, check_interval, check_order, gamma,
+                             integrate_singular, integrate_smooth)
 from frachh.oracle import beta_reference
 
 SQRT_PI = 1.7724538509055160273
@@ -356,3 +359,51 @@ class TestQuadResultAlgebra:
         assert r.abs_error_estimate == 0.75
         assert r.evaluations == 45
         assert not r.tolerance_met
+
+
+class TestInputChecks:
+    # every entry point taking an interval or an order reports a bad one
+    # in the same words
+    INTERVAL_TAKERS = {
+        "integrate_smooth": lambda a, b: integrate_smooth(math.exp, a, b),
+        "integrate_singular": lambda a, b: integrate_singular(
+            math.exp, a, b, 0.5, KernelSide.LOWER_SINGULAR),
+        "CumulativeKernel": lambda a, b: CumulativeKernel(math.exp, a, b, 0.5),
+        "FracSetting": lambda a, b: FracSetting(a, b, 0.5),
+        "make_weight": lambda a, b: make_weight("one", lambda x: 1.0, a, b),
+        "builtin_function_corpus": builtin_function_corpus,
+        "builtin_weight_corpus": builtin_weight_corpus,
+    }
+    ORDER_TAKERS = {
+        "integrate_singular": lambda alpha: integrate_singular(
+            math.exp, 0.0, 1.0, alpha, KernelSide.LOWER_SINGULAR),
+        "CumulativeKernel": lambda alpha: CumulativeKernel(math.exp, 0.0, 1.0,
+                                                           alpha),
+        "FracSetting": lambda alpha: FracSetting(0.0, 1.0, alpha),
+    }
+
+    @pytest.mark.parametrize("name", sorted(INTERVAL_TAKERS))
+    @pytest.mark.parametrize("a,b", [(1.0, 0.0), (0.0, 0.0),
+                                     (0.0, math.inf), (math.nan, 1.0)])
+    def test_interval(self, name, a, b):
+        with pytest.raises(DomainError) as caught:
+            check_interval(a, b)
+        assert str(caught.value) == f"need finite a < b, got [{a!r}, {b!r}]"
+        with pytest.raises(DomainError) as again:
+            self.INTERVAL_TAKERS[name](a, b)
+        assert str(again.value) == str(caught.value)
+
+    @pytest.mark.parametrize("name", sorted(ORDER_TAKERS))
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, math.nan])
+    def test_order(self, name, alpha):
+        with pytest.raises(DomainError) as caught:
+            check_order(alpha)
+        assert str(caught.value) == (f"alpha must be positive and finite, "
+                                     f"got {alpha!r}")
+        with pytest.raises(DomainError) as again:
+            self.ORDER_TAKERS[name](alpha)
+        assert str(again.value) == str(caught.value)
+
+    def test_good_inputs_pass(self):
+        assert check_interval(-1e-3, 1.0) is None
+        assert check_order(1e-8) is None
