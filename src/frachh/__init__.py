@@ -5,8 +5,9 @@ The package splits into small layers:
 
 * numerics: adaptive Gauss-Kronrod quadrature, singular-kernel
   integration, and the cumulative kernel K (CumulativeKernel),
-* oracle: slow independent reimplementations used only to cross-check
-  the fast paths,
+* oracle: slow independent reimplementations and the convexity
+  sampler, used only by the tests to cross-check the fast paths and
+  re-check the corpus certificates,
 * functions: the convex-function and symmetric-weight corpus with
   certification metadata,
 * fracops: one-sided fractional integral means,
@@ -19,10 +20,9 @@ The package splits into small layers:
 """
 
 from .fracops import FracSetting, j_left, j_right
-from .functions import (ConvexityKind, ConvexityReport, FunctionSpec,
-                        HolderPair, WeightSpec, builtin_function_corpus,
-                        builtin_weight_corpus, check_convexity, make_weight,
-                        sup_norm, symmetrize)
+from .functions import (ConvexityKind, FunctionSpec, HolderPair, WeightSpec,
+                        builtin_function_corpus, builtin_weight_corpus,
+                        make_weight, sup_norm, symmetrize)
 from .inequalities import (WEIGHTED_BOUNDS, Cell, Report, Status,
                            WeightedBound, aux_integrals, check_symmetry_lemma,
                            fejer_classical, fejer_fractional, hh_classical,
@@ -42,9 +42,9 @@ __all__ = [
     "KernelSide", "QuadResult", "gamma", "integrate_singular",
     "integrate_smooth",
     # functions
-    "ConvexityKind", "ConvexityReport", "FunctionSpec", "HolderPair",
-    "WeightSpec", "builtin_function_corpus", "builtin_weight_corpus",
-    "check_convexity", "make_weight", "sup_norm", "symmetrize",
+    "ConvexityKind", "FunctionSpec", "HolderPair", "WeightSpec",
+    "builtin_function_corpus", "builtin_weight_corpus", "make_weight",
+    "sup_norm", "symmetrize",
     # fracops
     "FracSetting", "j_left", "j_right",
     # inequalities

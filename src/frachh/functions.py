@@ -1,4 +1,4 @@
-"""Test corpus: convex functions, midpoint-symmetric weights, checks.
+"""Test corpus: convex functions, midpoint-symmetric weights.
 
 A FunctionSpec bundles a scalar function with its exact derivative
 (when one exists everywhere on the interval) and a certification of
@@ -9,14 +9,16 @@ how convex it is.  Certification is a ladder:
   t >= 0), both shown analytically (the one-line proofs sit next to
   each corpus entry);
 * ANALYTIC_CONVEX: f is convex analytically, but no claim about |f'|;
-* UNVERIFIED: no certification, verifiers fall back to sampling.
+* UNVERIFIED: no certification.  The verifiers refuse it where they
+  need convexity unless forced; nothing is sampled in its place.
 
-WeightSpec carries a weight tied to an interval plus two flags,
-nonnegativity and symmetry about the midpoint.  The builtin weights
-hold both by construction (proofs next to each entry); make_weight
-and symmetrize set them by sampling for weights from elsewhere.  Both
-corpora are deterministic for a fixed seed, including their randomized
-entries, and leave out any entry that is not finite on [a, b].
+WeightSpec carries a weight tied to an interval, two flags
+(nonnegativity and symmetry about the midpoint) and sup_at, the points
+where |g| peaks.  The builtin weights hold all three by construction
+(proofs next to each entry); make_weight and symmetrize sample them
+once, when they build a weight from elsewhere.  Both corpora are
+deterministic for a fixed seed, including their randomized entries,
+and leave out any entry that is not finite on [a, b].
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .numerics import DomainError, check_interval
 
 __all__ = [
     "ConvexityKind",
-    "ConvexityReport",
     "FunctionSpec",
     "WeightSpec",
     "HolderPair",
@@ -39,19 +40,18 @@ __all__ = [
     "builtin_weight_corpus",
     "make_weight",
     "symmetrize",
-    "check_convexity",
-    "check_deriv_power_convexity",
     "sup_norm",
 ]
 
 DEFAULT_CORPUS_SEED = 271828
 SYMMETRY_GRID = 1001
 SYMMETRY_TOL = 1e-12
-CONVEXITY_SLACK = 1e-10
 SUP_NORM_GRID = 4097
 
 
 class ConvexityKind(Enum):
+    """How a FunctionSpec's convexity is certified; see the module doc."""
+
     ANALYTIC_DERIV_CONVEX = "analytic-deriv-convex"
     ANALYTIC_CONVEX = "analytic-convex"
     UNVERIFIED = "unverified"
@@ -89,9 +89,9 @@ class WeightSpec:
     certified by construction for the builtin corpus and sampled by
     make_weight otherwise; verifiers refuse a weight whose flag they
     need is False.  sup_at lists points of [a, b] where |g| attains its
-    supremum, proven next to each builtin entry that has one; when it is
-    empty (make_weight, symmetrize, poly-rand) the supremum is sampled
-    by sup_norm.
+    supremum, so ||g||_inf is the largest |g| there: proven next to each
+    builtin entry, and found by sup_norm in make_weight.  The bounds
+    that read ||g||_inf refuse a weight whose sup_at is empty.
     """
 
     label: str
@@ -129,14 +129,6 @@ class HolderPair:
         return cls(max(q / (q - 1.0), math.nextafter(1.0, 2.0)), q)
 
 
-@dataclass(frozen=True)
-class ConvexityReport:
-    convex: bool
-    worst_violation: float
-    samples: int
-    seed: int
-
-
 def _grid(a: float, b: float, n: int) -> list[float]:
     step = (b - a) / (n - 1)
     pts = [a + i * step for i in range(n)]
@@ -146,12 +138,13 @@ def _grid(a: float, b: float, n: int) -> list[float]:
 
 def make_weight(label: str, fn: Callable[[float], float], a: float,
                 b: float) -> WeightSpec:
-    """Wrap a raw weight, validating its flags on a dense grid.
+    """Wrap a raw weight, sampling its flags and sup_at once.
 
     Symmetry about (a+b)/2 is checked at 1001 points to 1e-12 (scaled
     by the grid magnitude), nonnegativity to the same slack.  Failing
     a check does not raise; it just leaves the flag False, and the
-    verifiers that need the property will refuse the weight.
+    verifiers that need the property will refuse the weight.  sup_at is
+    the point where sup_norm finds the largest |g|.
     """
     check_interval(a, b)
     pts = _grid(a, b, SYMMETRY_GRID)
@@ -163,7 +156,8 @@ def make_weight(label: str, fn: Callable[[float], float], a: float,
     symmetric = all(abs(v - fn(a + b - x)) <= SYMMETRY_TOL * scale
                     for x, v in zip(pts, vals))
     nonnegative = min(vals) >= -SYMMETRY_TOL * scale
-    return WeightSpec(label, fn, a, b, nonnegative, symmetric)
+    return WeightSpec(label, fn, a, b, nonnegative, symmetric,
+                      (sup_norm(fn, a, b)[1],))
 
 
 def symmetrize(g_raw: Callable[[float], float], a: float, b: float,
@@ -173,69 +167,29 @@ def symmetrize(g_raw: Callable[[float], float], a: float, b: float,
     return make_weight(label, fn, a, b)
 
 
-def check_convexity(f: Callable[[float], float], a: float, b: float,
-                    samples: int = 2000,
-                    seed: int = DEFAULT_CORPUS_SEED) -> ConvexityReport:
-    """Randomized convexity test on [a, b].
-
-    Draws triples (x, y, lam) and evaluates
-    f(lam*x + (1-lam)*y) - lam*f(x) - (1-lam)*f(y), which is <= 0 for
-    convex f.  The worst (largest) value is reported; the function is
-    considered refuted when it exceeds 1e-10 times the sampled scale.
-    A sampling test can refute convexity but never prove it.
-    """
-    if samples < 1:
-        raise DomainError(f"need at least one sample, got {samples}")
-    rng = random.Random(seed)
-    worst = -math.inf
-    scale = 1.0
-    for _ in range(samples):
-        x = rng.uniform(a, b)
-        y = rng.uniform(a, b)
-        lam = rng.random()
-        fx, fy = f(x), f(y)
-        gap = f(lam * x + (1.0 - lam) * y) - lam * fx - (1.0 - lam) * fy
-        worst = max(worst, gap)
-        scale = max(scale, abs(fx), abs(fy))
-    return ConvexityReport(worst <= CONVEXITY_SLACK * scale, worst,
-                           samples, seed)
-
-
-def check_deriv_power_convexity(f: FunctionSpec, q: float,
-                                samples: int = 2000,
-                                seed: int = DEFAULT_CORPUS_SEED) -> ConvexityReport:
-    """Sampling diagnostic for convexity of |f'|^q.
-
-    Secondary to the analytic certifications carried by the corpus;
-    useful when probing functions labeled UNVERIFIED.
-    """
-    if f.deriv is None:
-        raise DomainError(f"function {f.label!r} has no derivative")
-    if not (q >= 1):
-        raise DomainError(f"need q >= 1, got {q!r}")
-    d = f.deriv
-    return check_convexity(lambda x: abs(d(x)) ** q, f.a, f.b, samples, seed)
-
-
 def sup_norm(g: Callable[[float], float], a: float, b: float,
-             grid: int = SUP_NORM_GRID, refine_rounds: int = 4) -> float:
-    """Supremum of |g| on [a, b] by dense sampling plus local zoom.
+             grid: int = SUP_NORM_GRID,
+             refine_rounds: int = 4) -> tuple[float, float]:
+    """Supremum of |g| on [a, b] by dense sampling plus local zoom, and
+    the point where it is found.
 
     The coarse grid locates the maximizer to one cell; each refinement
     round re-samples 33 points inside the bracketing cells.  For the
     builtin corpus (smooth or piecewise linear weights) the result is
-    accurate to well under 1e-9 relative.
+    accurate to well under 1e-9 relative.  Only make_weight calls it;
+    the tests use it to re-check the proven sup_at of the corpus.
     """
     if grid < SUP_NORM_GRID:
         raise DomainError(f"grid must have at least {SUP_NORM_GRID} points")
-    lo, hi, best_val = a, b, 0.0
+    lo, hi, best_val, best_at = a, b, 0.0, a
     for n in (grid,) + (33,) * refine_rounds:
         pts = _grid(lo, hi, n)
         vals = [abs(g(x)) for x in pts]
         best = max(range(n), key=vals.__getitem__)
-        best_val = max(best_val, vals[best])
+        if vals[best] > best_val:
+            best_val, best_at = vals[best], pts[best]
         lo, hi = pts[max(best - 1, 0)], pts[min(best + 1, n - 1)]
-    return best_val
+    return best_val, best_at
 
 
 def _finite_on(fn: Callable[[float], float], a: float, b: float) -> bool:
@@ -313,11 +267,12 @@ def builtin_weight_corpus(a: float, b: float,
                           seed: int = DEFAULT_CORPUS_SEED) -> list[WeightSpec]:
     """Deterministic corpus of nonnegative midpoint-symmetric weights.
 
-    Six entries, both flags certified by construction (the one-line
-    proofs sit next to each entry), so nothing is sampled here; the
-    tests re-check every flag with make_weight.  An entry that
-    overflows or is not finite on [a, b] (parabolic far from 0, bump
-    where (b-a)^2 underflows) is left out, as in the function corpus.
+    Six entries, both flags and sup_at certified by construction (the
+    one-line proofs sit next to each entry), so nothing is sampled
+    here; the tests re-check every flag with make_weight and every
+    sup_at with sup_norm.  An entry that overflows or is not finite on
+    [a, b] (parabolic far from 0, bump where (b-a)^2 underflows) is
+    left out, as in the function corpus.
     """
     check_interval(a, b)
     m = 0.5 * (a + b)
@@ -334,6 +289,16 @@ def builtin_weight_corpus(a: float, b: float,
 
     def poly_rand(x: float) -> float:
         return (0.5 * (raw_poly(x) + raw_poly(a + b - x))) ** 2 + 0.1
+
+    # the even part of the polynomial is P = c0 + c2 xi^2 + c4 xi^4, a
+    # quadratic in xi^2 in [0, 1/4]: |P| peaks at xi = 0 or +-1/2 (m, a
+    # and b), or at its vertex xi^2 = -c2 / (2 c4) when that is inside
+    c2, c4 = coeffs[2], coeffs[4]
+    vertex = -c2 / (2.0 * c4) if c4 else 0.0
+    poly_peaks = (a, m, b)
+    if 0.0 < vertex < 0.25:
+        r = w * math.sqrt(vertex)
+        poly_peaks += (max(a, m - r), min(b, m + r))
 
     # w * w underflows to 0 below w ~ 1e-162: bump is then nan, left out
     lam = 8.0 / (w * w) if w * w else math.nan
@@ -355,7 +320,8 @@ def builtin_weight_corpus(a: float, b: float,
         # [-pi/2, pi/2], where it is >= 0 and largest at 0, i.e. at m
         WeightSpec("cos-arch", lambda x: math.cos(math.pi * (x - m) / w),
                    a, b, True, True, (m,)),
-        # the square of the even part of a polynomial, plus 0.1 > 0
-        WeightSpec("poly-rand", poly_rand, a, b, True, True),
+        # P(xi)^2 + 0.1 > 0, and x -> a+b-x is xi -> -xi, which leaves
+        # the even part P alone; |g| peaks where |P| does
+        WeightSpec("poly-rand", poly_rand, a, b, True, True, poly_peaks),
     ]
     return [spec for spec in entries if _finite_on(spec.fn, a, b)]

@@ -35,11 +35,13 @@ nan and inf fail every comparison, so a report whose value, margin or
 budget is not finite gets no verdict: its builder raises OverflowError.
 
 An Inconclusive first pass automatically retries once with tolerance
-tightened by 100 before the verdict is final.  Hypothesis gates
-(convexity certifications, weight flags) raise DomainError unless
-force=True, which instead records "hypotheses unmet" in the report
-notes and proceeds; that escape hatch exists to explore what happens
-to an inequality when its assumptions fail.
+tightened by 100 before the verdict is final.  Hypothesis gates read
+the certification the spec states (convexity kind, weight flags) and
+sample nothing, so a raw callable, which states none, is not certified
+convex.  A gate raises DomainError unless force=True, which instead
+records "hypotheses unmet" in the report notes and proceeds; that
+escape hatch exists to explore what happens to an inequality when its
+assumptions fail.
 """
 
 from __future__ import annotations
@@ -50,8 +52,7 @@ from enum import Enum
 from typing import Callable, Optional, Union
 
 from .fracops import FracSetting, j_left, j_right
-from .functions import (ConvexityKind, FunctionSpec, HolderPair, WeightSpec,
-                        check_convexity, check_deriv_power_convexity, sup_norm)
+from .functions import ConvexityKind, FunctionSpec, HolderPair, WeightSpec
 from .numerics import (DEFAULT_TOL, CumulativeKernel, DomainError, QuadResult,
                        gamma, integrate_smooth)
 
@@ -169,8 +170,9 @@ class Cell:
     `memo` under the inputs it depends on, so cells sharing a memo share
     it (W, ||g||_inf and K across functions, J(f g) across exponents).
     `evaluations` counts the integrand calls this cell spent itself; a
-    memo hit costs nothing, and ||g||_inf is never charged.  With g = None,
-    g is the unit weight scaled to W = 1: W is exactly 1, J(f g) is
+    memo hit costs nothing, and ||g||_inf, read at the spec's sup_at
+    points, is never charged.  With g = None, g is the unit weight
+    scaled to W = 1: W is exactly 1, J(f g) is
     Gamma(alpha+1) / (2 (b-a)^alpha) (j_left(f) + j_right(f)) and
     ||g||_inf reads 1.  Products by 1.0 and sums with 0.0 are exact.
     """
@@ -212,13 +214,14 @@ class Cell:
 
     @property
     def gsup(self) -> float:
-        """||g||_inf: |g| at the spec's sup_at points, or sampled."""
+        """||g||_inf: the largest |g| at the spec's sup_at points."""
         g, s = self.g, self.s
         if g is None:
             return 1.0
-        return self._once(("sup", g.fn, s.a, s.b), lambda: (
-            max(abs(g.fn(x)) for x in g.sup_at) if g.sup_at
-            else sup_norm(g.fn, s.a, s.b)))
+        if not g.sup_at:
+            raise DomainError(f"weight {g.label!r} states no sup_at")
+        return self._once(("sup", g.fn, s.a, s.b), lambda: max(
+            abs(g.fn(x)) for x in g.sup_at))
 
     @property
     def kernel(self) -> CumulativeKernel:
@@ -269,35 +272,6 @@ def _gate(ok: bool, message: str, force: bool,
     if force:
         return notes + (f"hypotheses unmet: {message}",)
     raise DomainError(message)
-
-
-def _convex_gate(f: FunctionSpec, a: float, b: float, force: bool,
-                 notes: tuple[str, ...]) -> tuple[str, ...]:
-    if f.certified_convex:
-        return notes
-    report = check_convexity(f.fn, a, b)
-    notes = _gate(report.convex,
-                  f"{f.label!r} failed the convexity sampling test "
-                  f"(worst violation {report.worst_violation:.3e})",
-                  force, notes)
-    if report.convex:
-        notes = notes + ("convexity sampled, not certified",)
-    return notes
-
-
-def _deriv_power_gate(f: FunctionSpec, q: float, force: bool,
-                      notes: tuple[str, ...]) -> tuple[str, ...]:
-    _require_deriv(f)
-    if f.admits_deriv_power(q):
-        return notes
-    report = check_deriv_power_convexity(f, q)
-    notes = _gate(report.convex,
-                  f"|{f.label}'|^{q:g} failed the convexity sampling test "
-                  f"(worst violation {report.worst_violation:.3e})",
-                  force, notes)
-    if report.convex:
-        notes = notes + (f"convexity of |f'|^{q:g} sampled, not certified",)
-    return notes
 
 
 def _weight_gate(g: WeightSpec, a: float, b: float, need_nonneg: bool,
@@ -386,7 +360,8 @@ def _fejer(f, g: Optional[WeightSpec], s: FracSetting, scale: float,
     """The weighted sandwich (unit weight for g = None), W, J(f g) x scale."""
     f = _as_function(f, s.a, s.b)
     notes = () if g is None else _weight_gate(g, s.a, s.b, True, force, ())
-    notes = _convex_gate(f, s.a, s.b, force, notes) + extra_notes
+    notes = _gate(f.certified_convex, f"{f.label!r} is not certified convex "
+                  f"on [{s.a!r}, {s.b!r}]", force, notes) + extra_notes
 
     def build(c: Cell) -> Report:
         w, mid = c.both("g").scaled(scale), c.both("fg").scaled(scale)
@@ -538,12 +513,15 @@ def weighted_bound(ident: str, f, g: Optional[WeightSpec], s: FracSetting,
         raise DomainError(f"{ident} needs a Holder pair (p, q)")
     f = _as_function(f, s.a, s.b)
     notes = () if g is None else _weight_gate(g, s.a, s.b, False, force, ())
-    notes = _deriv_power_gate(f, pair.q if "q" in form.reads else 1.0, force,
-                              notes)
+    _require_deriv(f)
+    q = pair.q if "q" in form.reads else 1.0
+    notes = _gate(f.admits_deriv_power(q), f"|{f.label}'|^{q:g} is not "
+                  f"certified convex on [{s.a!r}, {s.b!r}]", force, notes)
     cell = Cell(f, g, s, tol, memo)
     bound = form.closed_form(s, cell.gsup, f.deriv, pair)
     # each weighted form is linear in ||g||_inf: pad by its error, 1e-9 for
-    # sup_norm or the ulp a sup_at value can sit below the float max of |g|
+    # a sup_at that make_weight sampled, or the ulps a proven sup_at
+    # value can sit below the float max of |g|
     pad = 0.0 if g is None else 1e-9 * bound
 
     def build(c: Cell) -> Report:

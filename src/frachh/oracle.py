@@ -3,22 +3,32 @@
 These exist so the main quadrature paths can be cross-checked by code
 that shares nothing with them: a brute-force composite midpoint rule,
 a closed-form Beta-function evaluation for monomials, and a central
-finite difference.  They trade speed for transparency and are meant
-for tests and diagnostics, not for production evaluation.
+finite difference.  check_convexity samples convexity, so the tests
+can re-check the certificates the corpus states; a sampler can refute
+convexity but never prove it, so no verifier consults it.  They trade
+speed for transparency and are meant for tests and diagnostics, not
+for production evaluation.
 """
 
 from __future__ import annotations
 
 import math
+import random
+from dataclasses import dataclass
 from typing import Callable
 
+from .functions import DEFAULT_CORPUS_SEED
 from .numerics import DomainError, KernelSide, gamma
 
 __all__ = [
     "dense_singular_integral",
     "beta_reference",
     "finite_difference_derivative",
+    "ConvexityReport",
+    "check_convexity",
 ]
+
+CONVEXITY_SLACK = 1e-10
 
 
 def dense_singular_integral(h: Callable[[float], float], a: float, b: float,
@@ -82,3 +92,38 @@ def finite_difference_derivative(f: Callable[[float], float], x: float,
     if not (h > 0):
         raise DomainError(f"step must be positive, got {h!r}")
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+@dataclass(frozen=True)
+class ConvexityReport:
+    convex: bool
+    worst_violation: float
+    samples: int
+    seed: int
+
+
+def check_convexity(f: Callable[[float], float], a: float, b: float,
+                    samples: int = 2000,
+                    seed: int = DEFAULT_CORPUS_SEED) -> ConvexityReport:
+    """Randomized convexity test on [a, b].
+
+    Draws triples (x, y, lam) and evaluates
+    f(lam*x + (1-lam)*y) - lam*f(x) - (1-lam)*f(y), which is <= 0 for
+    convex f.  The worst (largest) value is reported; the function is
+    considered refuted when it exceeds 1e-10 times the sampled scale.
+    """
+    if samples < 1:
+        raise DomainError(f"need at least one sample, got {samples}")
+    rng = random.Random(seed)
+    worst = -math.inf
+    scale = 1.0
+    for _ in range(samples):
+        x = rng.uniform(a, b)
+        y = rng.uniform(a, b)
+        lam = rng.random()
+        fx, fy = f(x), f(y)
+        gap = f(lam * x + (1.0 - lam) * y) - lam * fx - (1.0 - lam) * fy
+        worst = max(worst, gap)
+        scale = max(scale, abs(fx), abs(fy))
+    return ConvexityReport(worst <= CONVEXITY_SLACK * scale, worst,
+                           samples, seed)

@@ -1,10 +1,13 @@
-"""The benchmark's correctness gate, run on two corpus workloads.
+"""The benchmark's corpus workloads, run in Tier-1.
 
 bench/gate.py compares a run's rows with the reference recorded in
 bench/reference.json.gz: verdicts may not flip, and every value must
 stay within the error budget.  Running it here makes value drift fail
-the test suite, not only a benchmark run.  The bench modules are
-imported as they are and nothing under bench/ is written.
+the test suite, not only a benchmark run.  The gate runs, the same
+workloads at a second seed, and one verify per statement all run with
+the samplers rigged to raise, so a run that samples a hypothesis or
+||g||_inf fails here.  The bench
+modules are imported as they are and nothing under bench/ is written.
 """
 
 import sys
@@ -12,14 +15,17 @@ from pathlib import Path
 
 import pytest
 
+import frachh.functions
+import frachh.oracle
 from frachh import cli
+from frachh.numerics import DomainError
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 _bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
 try:
     import gate
-    from workloads import corpus_argv
+    from workloads import CORPUS_ARGS, corpus_argv
 finally:
     sys.dont_write_bytecode = _bytecode
 
@@ -31,10 +37,47 @@ def reference():
     return gate.Reference()
 
 
-@pytest.mark.parametrize("workload", ["corpus-default", "corpus-tiny"])
-def test_corpus_passes_the_gate(workload, reference, capsys):
+@pytest.fixture
+def samplers_raise(monkeypatch):
+    """Replace sup_norm and check_convexity at every frachh binding."""
+
+    def tripwire(*args, **kwargs):
+        raise DomainError("sampled at run time")
+
+    for sampler in (frachh.functions.sup_norm, frachh.oracle.check_convexity):
+        for name, module in list(sys.modules.items()):
+            if name == "frachh" or name.startswith("frachh."):
+                for attr, value in list(vars(module).items()):
+                    if value is sampler:
+                        monkeypatch.setattr(module, attr, tripwire)
+
+
+@pytest.mark.parametrize("workload", ["corpus-default", "corpus-hard",
+                                      "corpus-tiny"])
+def test_corpus_passes_the_gate(workload, reference, samplers_raise, capsys):
     code = cli.main(corpus_argv(workload, SEED))
     out, err = capsys.readouterr()
     rows, failure = gate.invocation_rows((out, code, err))
     assert failure is None
     assert gate.check_rows(rows, *reference.rows(workload, SEED)) == []
+
+
+def _verify_argv(ident):
+    values = {"f": "quad-rand", "g": "poly-rand", "alpha": "0.5", "q": "2"}
+    argv = ["verify", "--thm", ident]
+    for name in cli.THEOREMS[ident].reads:
+        if name in values:
+            argv += [f"--{name}", values[name]]
+    return argv
+
+
+@pytest.mark.parametrize("argv", [
+    *(pytest.param(corpus_argv(workload, 2026), id=workload)
+      for workload in CORPUS_ARGS),
+    *(pytest.param(_verify_argv(ident), id=ident) for ident in cli.THEOREMS),
+])
+def test_runs_sample_nothing(argv, samplers_raise, capsys):
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code != 3, err
+    assert "sampled" not in err

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import frachh.inequalities
+import frachh.functions
 from frachh.fracops import FracSetting, j_left, j_right
 from frachh.functions import (ConvexityKind, FunctionSpec, HolderPair,
-                              builtin_function_corpus, builtin_weight_corpus,
-                              make_weight, sup_norm)
+                              WeightSpec, builtin_function_corpus,
+                              builtin_weight_corpus, make_weight, sup_norm)
 from frachh.inequalities import (ERROR_FLOOR, GRAY_FACTOR, WEIGHTED_BOUNDS,
                                  Cell, Status, _bound,
                                  _identity, _sandwich, aux_integrals,
@@ -178,10 +178,17 @@ class TestClassicalSandwiches:
         assert r.status is Status.VIOLATED
         assert any(n.startswith("hypotheses unmet") for n in r.notes)
 
-    def test_sampled_convexity_is_noted(self):
-        r = hh_classical(lambda x: math.exp(2.0 * x), 0.0, 1.0)
+    def test_raw_callable_is_not_certified(self):
+        # convex, but a raw callable states no certification and the
+        # gate samples nothing in its place
+        convex = lambda x: math.exp(2.0 * x)
+        with pytest.raises(DomainError, match=r"'<lambda>' is not certified "
+                           r"convex on \[0\.0, 1\.0\]"):
+            hh_classical(convex, 0.0, 1.0)
+        r = hh_classical(convex, 0.0, 1.0, force=True)
         assert r.status is Status.HOLDS
-        assert "convexity sampled, not certified" in r.notes
+        assert r.notes == ("hypotheses unmet: '<lambda>' is not certified "
+                           "convex on [0.0, 1.0]",)
 
     def test_interval_validated(self):
         with pytest.raises(DomainError):
@@ -481,7 +488,7 @@ class TestBounds:
         f = {f.label: f for f in builtin_function_corpus(a, b)}["sq"]
         g = {w.label: w for w in builtin_weight_corpus(a, b)}["parabolic"]
         certified = Cell(None, g, s, DEFAULT_TOL).gsup
-        sampled = sup_norm(g.fn, a, b)
+        sampled = sup_norm(g.fn, a, b)[0]
         assert (certified, sampled) == (0.2505002499999999, 0.25050025)
         pair = HolderPair(2.0, 2.0)
 
@@ -514,12 +521,14 @@ class TestBounds:
                            HolderPair.from_q(2.0))
 
     def test_uncertified_power_needs_force(self):
-        # |d/dx (x log x)|^q is concave on [1, 3], so the sampling gate
-        # refuses the exponent and force merely records the fact
+        # |d/dx (x log x)|^q is not certified convex on [1, 3] (it is
+        # concave there), so the gate refuses the exponent and force
+        # merely records the fact
         xlogx = {f.label: f for f in builtin_function_corpus(1.0, 3.0)}["xlogx"]
         one = {w.label: w for w in builtin_weight_corpus(1.0, 3.0)}["one"]
         s = FracSetting(1.0, 3.0, 0.5)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"\|xlogx'\|\^1\.5 is not "
+                           r"certified convex on \[1\.0, 3\.0\]"):
             weighted_bound("bound-2-5", xlogx, one, s, HolderPair.from_q(1.5))
         r = weighted_bound("bound-2-5", xlogx, one, s, HolderPair.from_q(1.5),
                            force=True)
@@ -538,19 +547,20 @@ class TestBounds:
         corrected = r.bound * s.width ** (1.0 / 1.5)
         assert r.observed <= corrected
 
-    def test_gsup_samples_only_weights_without_sup_at(self, monkeypatch):
-        sampled = []
+    def test_gsup_never_samples(self, monkeypatch):
+        sampled = {label: sup_norm(w.fn, 0.0, 1.0)[0]
+                   for label, w in UNIT_WEIGHTS.items()}
 
-        def counting_sup_norm(g, a, b):
-            sampled.append(g)
-            return sup_norm(g, a, b)
+        def tripwire(*args):
+            raise AssertionError("sup_norm called")
 
-        monkeypatch.setattr(frachh.inequalities, "sup_norm",
-                            counting_sup_norm)
-        for w in UNIT_WEIGHTS.values():
+        monkeypatch.setattr(frachh.functions, "sup_norm", tripwire)
+        for label, w in UNIT_WEIGHTS.items():
             gsup = Cell(None, w, HALF_UNIT, 1e-9).gsup
-            assert gsup == sup_norm(w.fn, 0.0, 1.0), w.label
-        assert sampled == [UNIT_WEIGHTS["poly-rand"].fn]
+            assert gsup == sampled[label], label
+        unknown = WeightSpec("unknown", lambda x: 1.0, 0.0, 1.0, True, True)
+        with pytest.raises(DomainError, match="'unknown' states no sup_at"):
+            Cell(None, unknown, HALF_UNIT, 1e-9).gsup
 
     def test_power_mean_bound_holds_on_unit_width_corpus(self):
         for alpha in (0.25, 0.5, 1.0, 2.0):
