@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import inspect
 import io
 import json
 import math
@@ -60,9 +59,10 @@ LEMMA_SCALAR_PAIRS = ((0.0, 1.0), (0.25, 1.25), (0.5, 2.0), (1.0, 3.0),
 class TheoremInfo:
     ident: str
     kind: str  # sandwich | identity | bound | aux | lemma
-    # called with those of ident, f, g, s, a, b, alpha, pair, tol, force
-    # and memo that its signature names
     verify: Callable[..., object]
+    # the keyword arguments verify takes, of ident, f, g, s, a, b,
+    # alpha, pair, tol, force and memo
+    args: tuple[str, ...]
     # the inputs it reads, of f, g, alpha, q and p.  With q it takes
     # --p in place of --q; with p it reports p of the pair as well
     reads: tuple[str, ...]
@@ -70,26 +70,31 @@ class TheoremInfo:
     intervals: tuple = ()  # corpus intervals in place of [a, b]
 
 
+_RUN_ARGS = ("tol", "force", "memo")  # the run settings a verifier takes
 THEOREMS: dict[str, TheoremInfo] = {t.ident: t for t in (
-    TheoremInfo("hh-classical", "sandwich", ineq.hh_classical, ("f",)),
+    TheoremInfo("hh-classical", "sandwich", ineq.hh_classical,
+                ("f", "a", "b", *_RUN_ARGS), ("f",)),
     TheoremInfo("fejer-classical", "sandwich", ineq.fejer_classical,
-                ("f", "g")),
+                ("f", "g", *_RUN_ARGS), ("f", "g")),
     TheoremInfo("hh-fractional", "sandwich", ineq.hh_fractional,
-                ("f", "alpha")),
+                ("f", "s", *_RUN_ARGS), ("f", "alpha")),
     TheoremInfo("fejer-fractional", "sandwich", ineq.fejer_fractional,
-                ("f", "g", "alpha")),
+                ("f", "g", "s", *_RUN_ARGS), ("f", "g", "alpha")),
     TheoremInfo("identity-1-4", "identity", ineq.trapezoid_identity,
-                ("f", "alpha")),
+                ("f", "s", "tol", "memo"), ("f", "alpha")),
     TheoremInfo("identity-2-3", "identity", ineq.weighted_trapezoid_identity,
-                ("f", "g", "alpha")),
+                ("f", "g", "s", "tol", "memo"), ("f", "g", "alpha")),
     *(TheoremInfo(ident, "bound", ineq.weighted_bound,
+                  ("ident", "f", "g", "s", "pair", *_RUN_ARGS),
                   ("f", "alpha", *form.reads), form.max_alpha)
       for ident, form in ineq.WEIGHTED_BOUNDS.items()),
-    TheoremInfo("aux-integrals", "aux", ineq.aux_integrals, ("alpha",)),
-    TheoremInfo("lemma-1-6", "lemma", ineq.scalar_power_lemma, ("alpha",),
-                max_alpha=1.0, intervals=LEMMA_SCALAR_PAIRS),
+    TheoremInfo("aux-integrals", "aux", ineq.aux_integrals, ("s",),
+                ("alpha",)),
+    TheoremInfo("lemma-1-6", "lemma", ineq.scalar_power_lemma,
+                ("a", "b", "alpha"), ("alpha",), max_alpha=1.0,
+                intervals=LEMMA_SCALAR_PAIRS),
     TheoremInfo("lemma-2-1", "lemma", ineq.check_symmetry_lemma,
-                ("g", "alpha")),
+                ("g", "s", "tol", "memo"), ("g", "alpha")),
 )}
 
 
@@ -191,10 +196,9 @@ def run_rows(ident: str, cfg: RunConfig, *, f: Optional[FunctionSpec] = None,
     args = dict(ident=ident, f=f, g=g, a=cfg.a, b=cfg.b, alpha=alpha,
                 pair=pair, tol=cfg.tol, force=cfg.force,
                 memo={} if memo is None else memo)
-    params = inspect.signature(info.verify).parameters
-    if "s" in params:
+    if "s" in info.args:
         args["s"] = FracSetting(cfg.a, cfg.b, alpha)
-    report = info.verify(**{k: v for k, v in args.items() if k in params})
+    report = info.verify(**{name: args[name] for name in info.args})
     reports = report if isinstance(report, tuple) else (report,)
     return _report_rows(ident, reports, cfg, f=f.label if f else None,
                         g=g.label if g else None, alpha=alpha,

@@ -75,6 +75,10 @@ __all__ = [
 ]
 
 ERROR_FLOOR = 1e-12
+# abscissae kept per value table (Cell.at): ~2 MB.  The hard bench grid's
+# largest table holds 3,272; an integral that cannot meet its tolerance
+# reads ~10^6 nodes, and past the cap a read calls fn and keeps nothing
+TABLE_CAP = 2 ** 14
 # identity residuals between 1 and 10 budgets are treated as ambiguous
 # rather than violations, since the budget is an estimate
 GRAY_FACTOR = 10.0
@@ -169,12 +173,26 @@ class Cell:
     The only place they are computed: each on first read, kept in
     `memo` under the inputs it depends on, so cells sharing a memo share
     it (W, ||g||_inf and K across functions, J(f g) across exponents).
-    `evaluations` counts the integrand calls this cell spent itself; a
-    memo hit costs nothing, and ||g||_inf, read at the spec's sup_at
-    points, is never charged.  With g = None, g is the unit weight
-    scaled to W = 1: W is exactly 1, J(f g) is
-    Gamma(alpha+1) / (2 (b-a)^alpha) (j_left(f) + j_right(f)) and
-    ||g||_inf reads 1.  Products by 1.0 and sums with 0.0 are exact.
+
+    Every quadrature of a cell, and the f' integrals of the identities,
+    read f, f' and g through `at`: one value table per callable and
+    role, kept in `memo`, so each is called at most once per float
+    abscissa across the cells sharing the memo, a retry at tol/100
+    included, for the first TABLE_CAP abscissae of each table.  The
+    tables assume each callable is a pure function of x.  A table read
+    costs one Python call more than calling fn, repaid only where
+    abscissae repeat.
+
+    `evaluations` counts the calls this cell made: its table misses and
+    the g calls of the kernel K it built (K reads the raw g, with its
+    own per-panel sharing; identity 2.3 adds the calls K makes at new
+    points).  A memo or table hit costs nothing.  Point reads, f(a),
+    f(b), f(m), f' at the ends and ||g||_inf at the spec's sup_at
+    points, call the spec directly and are not counted.
+
+    With g = None, g is the unit weight scaled to W = 1: W is exactly 1,
+    J(f g) is Gamma(alpha+1) / (2 (b-a)^alpha) (j_left(f) + j_right(f))
+    and ||g||_inf reads 1.  Products by 1.0 and sums with 0.0 are exact.
     """
 
     def __init__(self, f: Optional[FunctionSpec], g: Optional[WeightSpec],
@@ -192,15 +210,42 @@ class Cell:
         self.evaluations += result.evaluations
         return result
 
+    def at(self, fn: Callable[[float], float],
+           role: str = "fn") -> Callable[[float], float]:
+        """fn read through its value table; a miss is charged here.
+
+        One table per role ("fn" for f and g, "deriv" for f'): f and f'
+        can be one callable (exp), and a row's count must not depend on
+        whether they are.
+        """
+        table = self.memo.setdefault(("at", role, fn), {})
+
+        def read(x: float) -> float:
+            y = table.get(x)
+            if y is None:
+                y = fn(x)
+                if len(table) < TABLE_CAP:
+                    table[x] = y
+                self.evaluations += 1
+            return y
+
+        return read
+
     def j(self, side: Callable, of: str) -> QuadResult:
         """side(h) for side j_left or j_right and h = f, g or f g (`of`)."""
         if self.s.alpha == 1.0:  # both kernels are 1: one integral
             side = j_left
         f = self.f.fn if of != "g" else None
         g = self.g.fn if of != "f" and self.g is not None else None
-        h = f if g is None else g if f is None else (lambda x: f(x) * g(x))
-        return self._once((side, f, g, self.s, self.tol), lambda: (
-            self._charged(side(h, self.s, self.tol))))
+
+        def integral() -> QuadResult:
+            fx = None if f is None else self.at(f)
+            gx = None if g is None else self.at(g)
+            h = fx if gx is None else gx if fx is None else (
+                lambda x: fx(x) * gx(x))
+            return side(h, self.s, self.tol)
+
+        return self._once((side, f, g, self.s, self.tol), integral)
 
     def both(self, of: str) -> QuadResult:
         """j_left(h) + j_right(h); W = both("g")."""
@@ -226,6 +271,7 @@ class Cell:
     @property
     def kernel(self) -> CumulativeKernel:
         g, s = self.g.fn, self.s
+
         return self._once(("K", g, s, self.tol), lambda: self._charged(
             CumulativeKernel(g, s.a, s.b, s.alpha, tol=self.tol)))
 
@@ -389,16 +435,16 @@ def trapezoid_identity(f, s: FracSetting, tol: float = DEFAULT_TOL,
     a, b, alpha = s.a, s.b, s.alpha
 
     def build(c: Cell) -> Report:
-        lhs = c.weighted_defect
+        lhs, dx = c.weighted_defect, c.at(d, "deriv")
         inner = integrate_smooth(
-            lambda u: ((1.0 - u) ** alpha - u ** alpha) * d(u * a + (1.0 - u) * b),
+            lambda u: (((1.0 - u) ** alpha - u ** alpha)
+                       * dx(u * a + (1.0 - u) * b)),
             0.0, 1.0, c.tol)
         rhs = 0.5 * s.width * inner.value
         err = (lhs.abs_error_estimate
                + 0.5 * s.width * inner.abs_error_estimate)
         flagged = not (lhs.tolerance_met and inner.tolerance_met)
-        return _identity(lhs.value, rhs, err,
-                         c.evaluations + inner.evaluations, (), flagged)
+        return _identity(lhs.value, rhs, err, c.evaluations, (), flagged)
 
     return _with_retry(build, Cell(f, None, s, tol, memo))
 
@@ -424,9 +470,9 @@ def weighted_trapezoid_identity(f, g: WeightSpec, s: FracSetting,
     dsup = max(abs(d(a + i * step)) for i in range(33)) * 1.25 + 1.0
 
     def build(c: Cell) -> Report:
-        lhs, kern = c.weighted_defect, c.kernel
+        lhs, kern, dx = c.weighted_defect, c.kernel, c.at(d, "deriv")
         k0 = kern.evaluations
-        outer = integrate_smooth(lambda x: kern(x) * d(x), a, b,
+        outer = integrate_smooth(lambda x: kern(x) * dx(x), a, b,
                                  c.tol * gamma(alpha))
         rhs = inv_gamma * outer.value
         err = (lhs.abs_error_estimate
@@ -434,7 +480,7 @@ def weighted_trapezoid_identity(f, g: WeightSpec, s: FracSetting,
                               + kern.abs_error_estimate * (b - a) * dsup))
         flagged = not (lhs.tolerance_met and outer.tolerance_met
                        and kern.tolerance_met)
-        evals = c.evaluations + outer.evaluations + (kern.evaluations - k0)
+        evals = c.evaluations + (kern.evaluations - k0)
         return _identity(lhs.value, rhs, err, evals, notes, flagged)
 
     return _with_retry(build, Cell(f, g, s, tol, memo))

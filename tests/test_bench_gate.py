@@ -6,11 +6,14 @@ stay within the error budget.  Running it here makes value drift fail
 the test suite, not only a benchmark run.  The gate runs, the same
 workloads at a second seed, and one verify per statement all run with
 the samplers rigged to raise, so a run that samples a hypothesis or
-||g||_inf fails here.  The bench
-modules are imported as they are and nothing under bench/ is written.
+||g||_inf fails here.  The bench's integrand counter runs too: the
+evaluations a run reports may not exceed the calls it counts.  The
+bench modules are imported as they are and nothing under bench/ is
+written.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -25,7 +28,8 @@ sys.path.insert(0, str(BENCH))
 _bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
 try:
     import gate
-    from workloads import CORPUS_ARGS, corpus_argv
+    from instrument import Patches, count_integrands
+    from workloads import CORPUS_ARGS, WORKLOADS, corpus_argv, plan
 finally:
     sys.dont_write_bytecode = _bytecode
 
@@ -81,3 +85,27 @@ def test_runs_sample_nothing(argv, samplers_raise, capsys):
     err = capsys.readouterr().err
     assert code != 3, err
     assert "sampled" not in err
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_reported_evaluations_are_counted_calls(workload, reference, capsys):
+    # bench/run.py exits with "the counters miss calls" when the reported
+    # evaluations exceed the corpus f, f' and g calls it counts.  Only
+    # quadrature calls are reported, so the slack is the point reads
+    # (f(a), f(b), ...) less the aux-integrals rows' own integrands.
+    invocations, _ = plan(workload, SEED, reference.cells())
+    counts: Counter = Counter()
+    patches = Patches()
+    count_integrands(patches, counts)
+    reported = 0
+    try:
+        for argv in invocations:
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            rows, failure = gate.invocation_rows((out, code, err))
+            assert failure is None
+            reported += sum(row["evaluations"] for row in rows)
+    finally:
+        patches.restore()
+    assert patches.missing == []
+    assert 0 < reported <= counts["f"] + counts["deriv"] + counts["g"]

@@ -7,6 +7,7 @@ that are awkward to reach through argv.
 
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -16,6 +17,8 @@ import sys
 import pytest
 
 import frachh.cli
+import frachh.inequalities
+import frachh.numerics
 from frachh.cli import (CSV_COLUMNS, RunConfig, UsageError, _config_from,
                         _fmt_float, _sort_key, _worst_status, build_parser,
                         main, run_rows)
@@ -446,6 +449,104 @@ class TestSubcommands:
         assert capsys.readouterr().out == once
 
 
+def count_corpus_calls(monkeypatch, counts) -> list:
+    """Wrap f, f' and g of the corpus entries the CLI builds in counters;
+    a call adds 1 to the returned [total] when counts() is true."""
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(x):
+            if counts():
+                calls[0] += 1
+            return fn(x)
+        return wrapper
+
+    def counting(build, fields):
+        def counted_build(*args, **kwargs):
+            return [dataclasses.replace(spec, **{
+                        name: counted(getattr(spec, name))
+                        for name in fields
+                        if getattr(spec, name) is not None})
+                    for spec in build(*args, **kwargs)]
+        return counted_build
+
+    for name, fields in (("builtin_function_corpus", ("fn", "deriv")),
+                         ("builtin_weight_corpus", ("fn",))):
+        monkeypatch.setattr(frachh.cli, name,
+                            counting(getattr(frachh.cli, name), fields))
+    return calls
+
+
+# the code of the quadratures whose integrand calls a row is charged for
+_QUADRATURE_CODE = frozenset(fn.__code__ for fn in (
+    frachh.numerics.integrate_smooth, frachh.numerics.CumulativeKernel.__init__,
+    frachh.numerics.CumulativeKernel.__call__))
+
+
+def _in_quadrature() -> bool:
+    frame = sys._getframe(2)
+    while frame is not None:
+        if frame.f_code in _QUADRATURE_CODE:
+            return True
+        frame = frame.f_back
+    return False
+
+
+class TestEvaluations:
+    """A row is charged exactly the integrand calls its quadratures made.
+
+    Point reads (f(a), f(b), f(m), f' at the ends and at the 33 samples
+    of identity-2-3, ||g||_inf at sup_at) are made outside any
+    quadrature and are not charged; aux-integrals and lemma-1-6 read no
+    corpus entry.
+    """
+
+    @pytest.mark.parametrize("interval", [("0", "1"), ("0", "1e-6")],
+                             ids=["unit", "tiny"])
+    @pytest.mark.parametrize("ident", sorted(
+        set(frachh.cli.THEOREMS) - {"aux-integrals", "lemma-1-6"}))
+    def test_verify_row_is_charged_its_quadrature_calls(
+            self, ident, interval, monkeypatch, capsys):
+        # exp is f and f' at once; the tiny interval retries at tol/100
+        values = {"f": "exp", "g": "bump", "alpha": "0.5", "q": "2"}
+        argv = ["verify", "--thm", ident, "--a", interval[0],
+                "--b", interval[1]]
+        for name in frachh.cli.THEOREMS[ident].reads:
+            if name in values:
+                argv += [f"--{name}", values[name]]
+        calls = count_corpus_calls(monkeypatch, _in_quadrature)
+        assert main(argv) in (0, 2)
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert calls[0] > 0
+        assert row["evaluations"] == calls[0]
+
+    def test_corpus_column_sums_to_the_quadrature_calls(self, monkeypatch,
+                                                        capsys):
+        calls = count_corpus_calls(monkeypatch, _in_quadrature)
+        assert main(["corpus"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert sum(row["evaluations"] for row in rows
+                   if row["theorem"] != "aux-integrals") == calls[0]
+
+    def test_hard_grid_tables_stay_small(self, monkeypatch, capsys):
+        # one memo serves the run, and its value tables hold the nodes of
+        # the quadratures only: 56,983 abscissae on this grid at seed 42
+        memos = {}
+        init = frachh.inequalities.Cell.__init__
+
+        def recording(cell, *args, **kwargs):
+            init(cell, *args, **kwargs)
+            memos[id(cell.memo)] = cell.memo
+
+        monkeypatch.setattr(frachh.inequalities.Cell, "__init__", recording)
+        assert main(["corpus", "--a", "1", "--b", "3", "--alpha-grid",
+                     "0.1,0.75,1.25,1.5,2.5,5"]) == 0
+        capsys.readouterr()
+        (memo,) = memos.values()
+        assert sum(len(table) for key, table in memo.items()
+                   if key[0] == "at") <= 60_000
+
+
 class TestSharing:
     """Statements share derived quantities in a corpus run, never results."""
 
@@ -461,27 +562,7 @@ class TestSharing:
 
     def test_rows_do_not_depend_on_the_other_statements(self, tmp_path,
                                                          monkeypatch):
-        calls = [0]
-
-        def counted(fn):
-            def wrapper(x):
-                calls[0] += 1
-                return fn(x)
-            return wrapper
-
-        def counting(build, fields):
-            def counted_build(*args, **kwargs):
-                return [dataclasses.replace(spec, **{
-                            name: counted(getattr(spec, name))
-                            for name in fields
-                            if getattr(spec, name) is not None})
-                        for spec in build(*args, **kwargs)]
-            return counted_build
-
-        for name, fields in (("builtin_function_corpus", ("fn", "deriv")),
-                             ("builtin_weight_corpus", ("fn",))):
-            monkeypatch.setattr(frachh.cli, name,
-                                counting(getattr(frachh.cli, name), fields))
+        calls = count_corpus_calls(monkeypatch, lambda: True)
         everything = self.corpus(tmp_path, "all")
         assert calls[0] > 0
         # a shared quantity is charged once, so the column never exceeds
@@ -515,6 +596,14 @@ class TestSharing:
 
 
 class TestRowAssembly:
+    def test_theorem_args_are_what_the_verifier_takes(self):
+        # run_rows passes exactly the arguments each entry names
+        supplied = {"ident", "f", "g", "s", "a", "b", "alpha", "pair", "tol",
+                    "force", "memo"}
+        for ident, info in frachh.cli.THEOREMS.items():
+            params = inspect.signature(info.verify).parameters
+            assert set(info.args) == supplied & set(params), ident
+
     def test_worst_status_precedence(self):
         holds = {"status": "Holds"}
         inc = {"status": "Inconclusive"}

@@ -6,6 +6,7 @@ verifiers existed; the tests then pin both the values and the
 statuses.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import frachh.functions
+import frachh.inequalities
 from frachh.fracops import FracSetting, j_left, j_right
 from frachh.functions import (ConvexityKind, FunctionSpec, HolderPair,
                               WeightSpec, builtin_function_corpus,
@@ -323,6 +325,83 @@ class TestReductions:
         assert weighted.bound == pytest.approx(w * plain.bound, rel=1e-12)
         assert weighted.observed == pytest.approx(w * plain.observed,
                                                   rel=1e-9, abs=1e-12)
+
+
+class TestValueTables:
+    """Cells sharing a memo read f, f' and g through one value table each."""
+
+    def test_no_abscissa_is_called_twice(self):
+        calls = {"f": [], "g": []}
+
+        def counted(fn, key):
+            def wrapper(x):
+                calls[key].append(x)
+                return fn(x)
+            return wrapper
+
+        f = dataclasses.replace(UNIT_FUNCS["exp"],
+                                fn=counted(math.exp, "f"))
+        g = dataclasses.replace(UNIT_WEIGHTS["bump"],
+                                fn=counted(UNIT_WEIGHTS["bump"].fn, "g"))
+        memo, charged = {}, 0
+        for alpha in (0.5, 1.0, 1.25):
+            for tol in (1e-9, 1e-11):
+                cell = Cell(f, g, FracSetting(0.0, 1.0, alpha), tol, memo)
+                for of in ("f", "g", "fg"):
+                    cell.both(of)
+                charged += cell.evaluations
+        for xs in calls.values():
+            assert len(xs) == len(set(xs)) > 0
+        assert charged == len(calls["f"]) + len(calls["g"])
+
+    def test_tighter_tolerance_reuses_the_coarse_nodes(self):
+        memo, s = {}, FracSetting(0.0, 1.0, 0.75)
+        coarse_cell = Cell(UNIT_FUNCS["exp"], None, s, 1e-9, memo)
+        coarse = coarse_cell.j(j_left, "f")
+        fine_cell = Cell(UNIT_FUNCS["exp"], None, s, 1e-11, memo)
+        fine = fine_cell.j(j_left, "f")
+        assert fine.evaluations > coarse.evaluations == coarse_cell.evaluations
+        assert fine_cell.evaluations == fine.evaluations - coarse.evaluations
+
+    def test_derivative_has_a_table_of_its_own(self):
+        # exp is its own derivative: the row counts must not depend on it
+        exp = UNIT_FUNCS["exp"]
+        assert exp.fn is exp.deriv
+        memo = {}
+        r = trapezoid_identity(exp, HALF_UNIT, memo=memo)
+        copy = dataclasses.replace(exp, deriv=lambda x: math.exp(x))
+        assert trapezoid_identity(copy, HALF_UNIT).evaluations == r.evaluations
+        tables = [key for key in memo if key[0] == "at"]
+        assert len(tables) == 2
+
+    def test_a_full_table_keeps_nothing_more(self, monkeypatch):
+        # past TABLE_CAP a read calls fn and keeps nothing: the values
+        # are those of an unbounded table, and every call is counted
+        monkeypatch.setattr(frachh.inequalities, "TABLE_CAP", 10)
+        calls = []
+
+        def exp(x):
+            calls.append(x)
+            return math.exp(x)
+
+        memo = {}
+        cell = Cell(dataclasses.replace(UNIT_FUNCS["exp"], fn=exp), None,
+                    HALF_UNIT, 1e-9, memo)
+        assert cell.both("f") == Cell(UNIT_FUNCS["exp"], None, HALF_UNIT,
+                                      1e-9).both("f")
+        assert cell.evaluations == len(calls) > 10
+        assert [len(table) for key, table in memo.items()
+                if key[0] == "at"] == [10]
+
+    def test_kernel_reads_the_raw_weight(self):
+        # K keeps its own per-panel sharing of g: its nodes, about 71k on
+        # the hard grid, stay out of the run's value tables
+        memo = {}
+        cell = Cell(None, UNIT_WEIGHTS["bump"], HALF_UNIT, 1e-9, memo)
+        kern = cell.kernel
+        assert cell.evaluations == kern.evaluations > 0
+        kern(0.3)
+        assert not any(key[0] == "at" for key in memo)
 
 
 class TestIdentities:
