@@ -14,8 +14,9 @@ The package splits into small layers:
 * inequalities: the verifiers, each returning a Report whose verdict
   comes from one rule.  Bound 1.5 and Theorems 2.4-2.7 are one
   weighted_bound over the WEIGHTED_BOUNDS table, the unweighted and
-  classical statements are the unit-weight and alpha = 1 cases, and
-  Cell computes the quantities they share once per (f, g, alpha) cell,
+  classical statements are the unit-weight (g = None) and alpha = 1
+  cases, and Cell computes the quantities they share once per
+  (f, g, alpha) cell,
 * cli: the ``frachh`` command, dispatching from its THEOREMS registry.
 """
 
@@ -26,8 +27,7 @@ from .functions import (ConvexityKind, FunctionSpec, HolderPair, WeightSpec,
 from .inequalities import (WEIGHTED_BOUNDS, Cell, Report, Status,
                            WeightedBound, aux_integrals, check_symmetry_lemma,
                            fejer_classical, fejer_fractional, hh_classical,
-                           hh_fractional, scalar_power_lemma,
-                           trapezoid_identity, weighted_bound,
+                           scalar_power_lemma, weighted_bound,
                            weighted_trapezoid_identity)
 from .numerics import (DEFAULT_TOL, CumulativeKernel, DomainError,
                        EvaluationError, KernelSide, QuadResult, gamma,
@@ -50,7 +50,6 @@ __all__ = [
     # inequalities
     "Cell", "Report", "Status", "WEIGHTED_BOUNDS", "WeightedBound",
     "aux_integrals", "check_symmetry_lemma", "fejer_classical",
-    "fejer_fractional", "hh_classical", "hh_fractional",
-    "scalar_power_lemma", "trapezoid_identity", "weighted_bound",
-    "weighted_trapezoid_identity",
+    "fejer_fractional", "hh_classical", "scalar_power_lemma",
+    "weighted_bound", "weighted_trapezoid_identity",
 ]

@@ -76,12 +76,12 @@ THEOREMS: dict[str, TheoremInfo] = {t.ident: t for t in (
                 ("f", "a", "b", *_RUN_ARGS), ("f",)),
     TheoremInfo("fejer-classical", "sandwich", ineq.fejer_classical,
                 ("f", "g", *_RUN_ARGS), ("f", "g")),
-    TheoremInfo("hh-fractional", "sandwich", ineq.hh_fractional,
-                ("f", "s", *_RUN_ARGS), ("f", "alpha")),
+    TheoremInfo("hh-fractional", "sandwich", ineq.fejer_fractional,
+                ("f", "g", "s", *_RUN_ARGS), ("f", "alpha")),
     TheoremInfo("fejer-fractional", "sandwich", ineq.fejer_fractional,
                 ("f", "g", "s", *_RUN_ARGS), ("f", "g", "alpha")),
-    TheoremInfo("identity-1-4", "identity", ineq.trapezoid_identity,
-                ("f", "s", "tol", "memo"), ("f", "alpha")),
+    TheoremInfo("identity-1-4", "identity", ineq.weighted_trapezoid_identity,
+                ("f", "g", "s", "tol", "memo"), ("f", "alpha")),
     TheoremInfo("identity-2-3", "identity", ineq.weighted_trapezoid_identity,
                 ("f", "g", "s", "tol", "memo"), ("f", "g", "alpha")),
     *(TheoremInfo(ident, "bound", ineq.weighted_bound,

@@ -5,11 +5,13 @@ scratch and returns a Report, whose value fields are named after the
 output columns and are None where the statement produces nothing.
 
 The fractional quantities the statements share (J(f), the weight mass
-W, J(f g), ||g||_inf and the kernel K) are computed only by Cell, once
-per cell; verifiers given the same memo share them.  A Cell with no
-weight stands for the unit weight, so the unweighted statements run as
-the weighted ones, and bound 1.5 and Theorems 2.4-2.7 are one function,
-weighted_bound, over the WEIGHTED_BOUNDS table of closed forms.
+W, J(f g), ||g||_inf, the kernel K and the padded sup |f'|) are
+computed only by Cell, once per cell; verifiers given the same memo
+share them.  g = None stands for the unit weight, so the unweighted
+statements are the weighted ones at g = None: the fractional sandwich
+is fejer_fractional's, identity 1.4 is weighted_trapezoid_identity's,
+and bound 1.5 and Theorems 2.4-2.7 are one function, weighted_bound,
+over the WEIGHTED_BOUNDS table of closed forms.
 
 Every verdict comes from one rule, _verdict: Violated when the worst
 case is below violated_below, Inconclusive when it is below holds_from,
@@ -64,9 +66,7 @@ __all__ = [
     "WEIGHTED_BOUNDS",
     "hh_classical",
     "fejer_classical",
-    "hh_fractional",
     "fejer_fractional",
-    "trapezoid_identity",
     "weighted_trapezoid_identity",
     "weighted_bound",
     "aux_integrals",
@@ -167,6 +167,20 @@ def _identity(lhs: float, rhs: float, err: float, evaluations: int,
                   rhs=rhs)
 
 
+class _UnitKernel:
+    """K of the unit weight, Gamma(alpha) ((t-a)^alpha - (b-t)^alpha)
+    / (2 (b-a)^alpha): exact, so its error estimate is 0 at no calls."""
+
+    abs_error_estimate, evaluations, tolerance_met = 0.0, 0, True
+
+    def __init__(self, s: FracSetting):
+        self.s, self.c = s, gamma(s.alpha) / (2.0 * s.width ** s.alpha)
+
+    def __call__(self, t: float) -> float:
+        s = self.s
+        return self.c * ((t - s.a) ** s.alpha - (s.b - t) ** s.alpha)
+
+
 class Cell:
     """The derived quantities of one (f, g, alpha) cell at one tolerance.
 
@@ -187,12 +201,14 @@ class Cell:
     the g calls of the kernel K it built (K reads the raw g, with its
     own per-panel sharing; identity 2.3 adds the calls K makes at new
     points).  A memo or table hit costs nothing.  Point reads, f(a),
-    f(b), f(m), f' at the ends and ||g||_inf at the spec's sup_at
-    points, call the spec directly and are not counted.
+    f(b), f(m), f' at the ends and at the 33 points of dsup, and
+    ||g||_inf at the spec's sup_at points, call the spec directly and
+    are not counted.
 
     With g = None, g is the unit weight scaled to W = 1: W is exactly 1,
-    J(f g) is Gamma(alpha+1) / (2 (b-a)^alpha) (j_left(f) + j_right(f))
-    and ||g||_inf reads 1.  Products by 1.0 and sums with 0.0 are exact.
+    J(f g) is Gamma(alpha+1) / (2 (b-a)^alpha) (j_left(f) + j_right(f)),
+    ||g||_inf reads 1 and K is the closed form of _UnitKernel, exact at
+    no calls.  Products by 1.0 and sums with 0.0 are exact.
     """
 
     def __init__(self, f: Optional[FunctionSpec], g: Optional[WeightSpec],
@@ -269,11 +285,20 @@ class Cell:
             abs(g.fn(x)) for x in g.sup_at))
 
     @property
-    def kernel(self) -> CumulativeKernel:
+    def kernel(self) -> Union[CumulativeKernel, _UnitKernel]:
+        if self.g is None:
+            return _UnitKernel(self.s)
         g, s = self.g.fn, self.s
-
         return self._once(("K", g, s, self.tol), lambda: self._charged(
             CumulativeKernel(g, s.a, s.b, s.alpha, tol=self.tol)))
+
+    @property
+    def dsup(self) -> float:
+        """sup |f'| sampled at 33 points and padded: K's error factor."""
+        d, a, b = self.f.deriv, self.s.a, self.s.b
+        step = (b - a) / 32.0
+        return self._once(("dsup", d, a, b), lambda: max(
+            abs(d(a + i * step)) for i in range(33)) * 1.25 + 1.0)
 
     @property
     def avg(self) -> float:
@@ -347,10 +372,10 @@ def hh_classical(f, a: float, b: float, tol: float = DEFAULT_TOL,
                  memo: Optional[dict] = None) -> Report:
     """f((a+b)/2)  <=  mean of f over [a,b]  <=  (f(a)+f(b))/2.
 
-    The alpha = 1 case of hh_fractional, whose mean Gamma(2) / (2(b-a))
-    (J f + J f) is then the plain mean of f bit for bit.
+    The alpha = 1, g = None case of fejer_fractional, whose mean
+    Gamma(2) / (2(b-a)) (J f + J f) is then the plain mean of f bit for bit.
     """
-    return hh_fractional(f, FracSetting(a, b, 1.0), tol, force, memo)
+    return fejer_fractional(f, None, FracSetting(a, b, 1.0), tol, force, memo)
 
 
 def fejer_classical(f, g: WeightSpec, tol: float = DEFAULT_TOL,
@@ -372,18 +397,7 @@ def fejer_classical(f, g: WeightSpec, tol: float = DEFAULT_TOL,
                   (_FEJER_NOTE,))
 
 
-def hh_fractional(f, s: FracSetting, tol: float = DEFAULT_TOL,
-                  force: bool = False,
-                  memo: Optional[dict] = None) -> Report:
-    """Fractional sandwich of order alpha, the Fejer one at the unit weight.
-
-    f(m)  <=  Gamma(alpha+1) / (2 (b-a)^alpha) * (j_left f + j_right f)
-          <=  (f(a)+f(b))/2
-    """
-    return _fejer(f, None, s, 1.0, tol, force, memo)
-
-
-def fejer_fractional(f, g: WeightSpec, s: FracSetting,
+def fejer_fractional(f, g: Optional[WeightSpec], s: FracSetting,
                      tol: float = DEFAULT_TOL, force: bool = False,
                      memo: Optional[dict] = None) -> Report:
     """Weighted fractional sandwich of order alpha.
@@ -393,9 +407,10 @@ def fejer_fractional(f, g: WeightSpec, s: FracSetting,
         f(m) W  <=  j_left(f g) + j_right(f g)  <=  (f(a)+f(b))/2 W
 
     for g nonnegative and symmetric about the midpoint.  At alpha = 1
-    this degenerates to twice the classical weighted sandwich, and
-    with g = 1 to the plain fractional sandwich scaled by
-    2 (b-a)^alpha / Gamma(alpha+1).
+    this degenerates to twice the classical weighted sandwich.  g = None
+    is the unit weight, g = 1 scaled to W = 1, which gives the plain
+    fractional sandwich f(m) <= Gamma(alpha+1) / (2 (b-a)^alpha)
+    (j_left f + j_right f) <= (f(a)+f(b))/2.
     """
     return _fejer(f, g, s, 1.0, tol, force, memo)
 
@@ -420,36 +435,7 @@ def _fejer(f, g: Optional[WeightSpec], s: FracSetting, scale: float,
     return _with_retry(build, Cell(f, g, s, tol, memo))
 
 
-def trapezoid_identity(f, s: FracSetting, tol: float = DEFAULT_TOL,
-                       memo: Optional[dict] = None) -> Report:
-    """Exact representation of the trapezoid defect.
-
-    (f(a)+f(b))/2 - Gamma(alpha+1)/(2 (b-a)^alpha) (j_left f + j_right f)
-        = (b-a)/2 * int_0^1 [(1-t)^alpha - t^alpha] f'(t a + (1-t) b) dt
-
-    Both sides are computed by unrelated quadratures and compared by
-    residual.
-    """
-    f = _as_function(f, s.a, s.b)
-    d = _require_deriv(f)
-    a, b, alpha = s.a, s.b, s.alpha
-
-    def build(c: Cell) -> Report:
-        lhs, dx = c.weighted_defect, c.at(d, "deriv")
-        inner = integrate_smooth(
-            lambda u: (((1.0 - u) ** alpha - u ** alpha)
-                       * dx(u * a + (1.0 - u) * b)),
-            0.0, 1.0, c.tol)
-        rhs = 0.5 * s.width * inner.value
-        err = (lhs.abs_error_estimate
-               + 0.5 * s.width * inner.abs_error_estimate)
-        flagged = not (lhs.tolerance_met and inner.tolerance_met)
-        return _identity(lhs.value, rhs, err, c.evaluations, (), flagged)
-
-    return _with_retry(build, Cell(f, None, s, tol, memo))
-
-
-def weighted_trapezoid_identity(f, g: WeightSpec, s: FracSetting,
+def weighted_trapezoid_identity(f, g: Optional[WeightSpec], s: FracSetting,
                                 tol: float = DEFAULT_TOL,
                                 memo: Optional[dict] = None) -> Report:
     """Weighted trapezoid defect as an integral against f'.
@@ -460,24 +446,26 @@ def weighted_trapezoid_identity(f, g: WeightSpec, s: FracSetting,
         = (1/Gamma(alpha)) int_a^b K(t) f'(t) dt.
 
     Needs g symmetric about the midpoint (sign is unconstrained).
+    g = None is the unit weight, with K exact (_UnitKernel): identity 1.4,
+    whose right side is 1/(2 (b-a)^alpha) times the integral of
+    [(t-a)^alpha - (b-t)^alpha] f'(t) over [a, b].
     """
     f = _as_function(f, s.a, s.b)
     d = _require_deriv(f)
-    notes = _weight_gate(g, s.a, s.b, False, False, ())
+    notes = () if g is None else _weight_gate(g, s.a, s.b, False, False, ())
     a, b, alpha = s.a, s.b, s.alpha
     inv_gamma = 1.0 / gamma(alpha)
-    step = (b - a) / 32.0  # sampled sup |f'|, padded
-    dsup = max(abs(d(a + i * step)) for i in range(33)) * 1.25 + 1.0
 
     def build(c: Cell) -> Report:
         lhs, kern, dx = c.weighted_defect, c.kernel, c.at(d, "deriv")
         k0 = kern.evaluations
         outer = integrate_smooth(lambda x: kern(x) * dx(x), a, b,
                                  c.tol * gamma(alpha))
+        kerr = kern.abs_error_estimate  # an exact K samples no sup |f'|
         rhs = inv_gamma * outer.value
         err = (lhs.abs_error_estimate
                + inv_gamma * (outer.abs_error_estimate
-                              + kern.abs_error_estimate * (b - a) * dsup))
+                              + (kerr and kerr * (b - a) * c.dsup)))
         flagged = not (lhs.tolerance_met and outer.tolerance_met
                        and kern.tolerance_met)
         evals = c.evaluations + (kern.evaluations - k0)

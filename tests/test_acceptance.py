@@ -24,8 +24,7 @@ from frachh.functions import (HolderPair, builtin_function_corpus,
                               builtin_weight_corpus)
 from frachh.inequalities import (Cell, Status, aux_integrals,
                                  check_symmetry_lemma, fejer_classical,
-                                 fejer_fractional, hh_fractional,
-                                 scalar_power_lemma, trapezoid_identity,
+                                 fejer_fractional, scalar_power_lemma,
                                  weighted_bound, weighted_trapezoid_identity)
 from frachh.numerics import KernelSide, gamma, integrate_singular
 from frachh.oracle import beta_reference
@@ -95,7 +94,7 @@ def test_criterion_03_identity_residuals():
             for g in weights:  # each kernel K built once, shared below
                 Cell(None, g, s, 1e-9, memo).kernel
             for f in deriv_fs:
-                reports = [trapezoid_identity(f, s)]
+                reports = [weighted_trapezoid_identity(f, None, s)]
                 reports += [weighted_trapezoid_identity(f, g, s, memo=memo)
                             for g in weights]
                 for r in reports:
@@ -187,7 +186,7 @@ def test_criterion_05_reduction_exactness():
             w = 2.0 * s.width ** alpha / gamma(alpha + 1.0)
             for f in functions:
                 weighted = fejer_fractional(f, one, s)
-                plain = hh_fractional(f, s)
+                plain = fejer_fractional(f, None, s)
                 for u, v in ((weighted.lhs, w * plain.lhs),
                              (weighted.mid, w * plain.mid),
                              (weighted.rhs, w * plain.rhs)):

@@ -496,7 +496,7 @@ class TestEvaluations:
     """A row is charged exactly the integrand calls its quadratures made.
 
     Point reads (f(a), f(b), f(m), f' at the ends and at the 33 samples
-    of identity-2-3, ||g||_inf at sup_at) are made outside any
+    of Cell.dsup, ||g||_inf at sup_at) are made outside any
     quadrature and are not charged; aux-integrals and lemma-1-6 read no
     corpus entry.
     """

@@ -24,12 +24,14 @@ from frachh.inequalities import (ERROR_FLOOR, GRAY_FACTOR, WEIGHTED_BOUNDS,
                                  _identity, _sandwich, aux_integrals,
                                  fejer_classical,
                                  fejer_fractional, hh_classical,
-                                 hh_fractional, scalar_power_lemma,
-                                 trapezoid_identity, weighted_bound,
+                                 scalar_power_lemma, weighted_bound,
                                  weighted_trapezoid_identity)
 from frachh.numerics import DEFAULT_TOL, DomainError, QuadResult, gamma
 
 HALF_UNIT = FracSetting(0.0, 1.0, 0.5)
+# the grid of the kernel calibration in test_numerics
+CALIBRATION_ALPHAS = (0.01, 0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.5, 5.0)
+CALIBRATION_INTERVALS = ((0.0, 1.0), (1.0, 3.0), (0.0, 1e-6), (0.0, 10.0))
 UNIT_FUNCS = {f.label: f for f in builtin_function_corpus(0.0, 1.0)}
 UNIT_WEIGHTS = {w.label: w for w in builtin_weight_corpus(0.0, 1.0)}
 
@@ -210,7 +212,7 @@ class TestClassicalSandwiches:
 
 class TestFractionalSandwiches:
     def test_square_half_order(self):
-        r = hh_fractional(UNIT_FUNCS["sq"], HALF_UNIT)
+        r = fejer_fractional(UNIT_FUNCS["sq"], None, HALF_UNIT)
         assert r.status is Status.HOLDS
         assert r.lhs == 0.25
         assert r.mid == pytest.approx(11.0 / 30.0, rel=1e-10)
@@ -231,7 +233,7 @@ class TestFractionalSandwiches:
         fs = builtin_function_corpus(*interval)
         ws = builtin_weight_corpus(*interval)
         for f in fs:
-            r = hh_fractional(f, s)
+            r = fejer_fractional(f, None, s)
             assert r.status is Status.HOLDS, (f.label, alpha, interval)
             for w in ws:
                 r = fejer_fractional(f, w, s)
@@ -258,8 +260,8 @@ class TestReductions:
     @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 3.0)])
     def test_classical_sandwich_is_the_order_one_fractional_one(self, a, b):
         for f in builtin_function_corpus(a, b):
-            assert hh_classical(f, a, b) == hh_fractional(
-                f, FracSetting(a, b, 1.0)), f.label
+            assert hh_classical(f, a, b) == fejer_fractional(
+                f, None, FracSetting(a, b, 1.0)), f.label
 
     @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 3.0)])
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.5, 3.0])
@@ -310,7 +312,7 @@ class TestReductions:
         for flabel in ("sq", "exp"):
             f = UNIT_FUNCS[flabel]
             frac = fejer_fractional(f, UNIT_WEIGHTS["one"], s)
-            plain = hh_fractional(f, s)
+            plain = fejer_fractional(f, None, s)
             assert frac.lhs == pytest.approx(w * plain.lhs, rel=1e-10)
             assert frac.mid == pytest.approx(w * plain.mid, rel=1e-10)
             assert frac.rhs == pytest.approx(w * plain.rhs, rel=1e-10)
@@ -368,9 +370,10 @@ class TestValueTables:
         exp = UNIT_FUNCS["exp"]
         assert exp.fn is exp.deriv
         memo = {}
-        r = trapezoid_identity(exp, HALF_UNIT, memo=memo)
+        r = weighted_trapezoid_identity(exp, None, HALF_UNIT, memo=memo)
         copy = dataclasses.replace(exp, deriv=lambda x: math.exp(x))
-        assert trapezoid_identity(copy, HALF_UNIT).evaluations == r.evaluations
+        assert weighted_trapezoid_identity(
+            copy, None, HALF_UNIT).evaluations == r.evaluations
         tables = [key for key in memo if key[0] == "at"]
         assert len(tables) == 2
 
@@ -406,7 +409,7 @@ class TestValueTables:
 
 class TestIdentities:
     def test_exponential_half_order(self):
-        r = trapezoid_identity(UNIT_FUNCS["exp"], HALF_UNIT)
+        r = weighted_trapezoid_identity(UNIT_FUNCS["exp"], None, HALF_UNIT)
         assert r.status is Status.HOLDS
         assert r.lhs == pytest.approx(0.11277580663657933, rel=1e-9)
         assert abs(r.lhs - r.rhs) <= (r.error_budget
@@ -425,11 +428,27 @@ class TestIdentities:
         for f in builtin_function_corpus(1.0, 3.0):
             if f.deriv is None:
                 continue
-            r = trapezoid_identity(f, s)
+            r = weighted_trapezoid_identity(f, None, s)
             assert r.status is Status.HOLDS, (f.label, alpha)
             for w in ws[:3]:
                 r = weighted_trapezoid_identity(f, w, s)
                 assert r.status is Status.HOLDS, (f.label, w.label, alpha)
+
+    @pytest.mark.parametrize("interval", CALIBRATION_INTERVALS)
+    @pytest.mark.parametrize("alpha", CALIBRATION_ALPHAS)
+    def test_square_sides_meet_the_exact_value(self, alpha, interval):
+        # for sq, identity 1.4 is (b-a)^2 alpha / ((alpha+1)(alpha+2)),
+        # and 2.3 with g = one is that times W = 2 (b-a)^alpha / Gamma(alpha+1)
+        a, b = interval
+        s = FracSetting(a, b, alpha)
+        sq = {f.label: f for f in builtin_function_corpus(a, b)}["sq"]
+        one = {w.label: w for w in builtin_weight_corpus(a, b)}["one"]
+        exact = s.width ** 2 * alpha / ((alpha + 1.0) * (alpha + 2.0))
+        for g, value in ((None, exact), (one, exact * scaling_factor(s))):
+            r = weighted_trapezoid_identity(sq, g, s)
+            budget = r.error_budget * max(abs(r.lhs), abs(r.rhs), 1.0)
+            assert abs(r.lhs - value) <= budget, g
+            assert abs(r.rhs - value) <= budget, g
 
     def test_signed_symmetric_weight_accepted(self):
         neg = make_weight("neg-vee", lambda x: -abs(x - 0.5), 0.0, 1.0)
@@ -450,21 +469,22 @@ class TestIdentities:
         assert with_kern.evaluations < without.evaluations
 
     def test_unreachable_tolerance_is_flagged(self):
-        # f' has a kink, so the inner quadrature exhausts its panel
+        # f' has a kink, so the K f' quadrature exhausts its panel
         # budget at this tolerance and the verdict must not be Holds
         f = FunctionSpec(
             "c1-kink",
             lambda x: (x - 0.5) * abs(x - 0.5) ** 0.3 / 1.3,
             lambda x: abs(x - 0.5) ** 0.3,
             ConvexityKind.UNVERIFIED, 0.0, 1.0)
-        r = trapezoid_identity(f, FracSetting(0.0, 1.0, 1.0), tol=1e-30)
+        r = weighted_trapezoid_identity(f, None, FracSetting(0.0, 1.0, 1.0),
+                                        tol=1e-30)
         assert r.status is Status.INCONCLUSIVE
         assert "quadrature tolerance not met" in r.notes
         assert "retried at tol/100" in r.notes
 
     def test_derivative_required(self):
         with pytest.raises(DomainError):
-            trapezoid_identity(UNIT_FUNCS["abs"], HALF_UNIT)
+            weighted_trapezoid_identity(UNIT_FUNCS["abs"], None, HALF_UNIT)
         with pytest.raises(DomainError):
             weighted_trapezoid_identity(UNIT_FUNCS["plin"],
                                         UNIT_WEIGHTS["one"], HALF_UNIT)

@@ -22,6 +22,27 @@ from frachh.oracle import beta_reference
 
 SQRT_PI = 1.7724538509055160273
 
+# the grid of the kernel calibration; test_inequalities checks the
+# exact identity values on the same grid
+CALIBRATION_ALPHAS = (0.01, 0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.5, 5.0)
+CALIBRATION_INTERVALS = ((0.0, 1.0), (1.0, 3.0), (0.0, 1e-6), (0.0, 10.0))
+# (alpha, interval) -> true error over the error estimate, where above 1
+UNDER_ESTIMATED = {(0.01, (0.0, 1.0)): 3.7, (0.01, (0.0, 1e-6)): 9.5,
+                   (0.01, (0.0, 10.0)): 18.6, (0.1, (0.0, 10.0)): 4.4,
+                   (0.25, (0.0, 1e-6)): 1.2}
+
+
+def _calibration_cases():
+    for interval in CALIBRATION_INTERVALS:
+        for alpha in CALIBRATION_ALPHAS:
+            ratio = UNDER_ESTIMATED.get((alpha, interval))
+            marks = () if ratio is None else pytest.mark.xfail(
+                strict=True, reason=f"true error {ratio}x the error estimate "
+                "at small alpha (ROADMAP item 2)")
+            a, b = interval
+            yield pytest.param(alpha, interval, marks=marks,
+                               id=f"{alpha:g}-[{a:g},{b:g}]")
+
 
 class TestGamma:
     def test_integer_values(self):
@@ -283,6 +304,16 @@ class TestCumulativeKernel:
         for t in (-1e-12, 1.0 + 1e-12, math.nan):
             with pytest.raises(DomainError):
                 k(t)
+
+    @pytest.mark.parametrize("alpha,interval", list(_calibration_cases()))
+    def test_constant_weight_meets_its_error_estimate(self, alpha, interval):
+        # g = 1: K(t) = ((t-a)^alpha - (b-t)^alpha) / alpha, at 1,001 points
+        a, b = interval
+        k = CumulativeKernel(lambda s: 1.0, a, b, alpha)
+        ts = [a + (b - a) * i / 1000 for i in range(1001)]
+        exact = [((t - a) ** alpha - (b - t) ** alpha) / alpha for t in ts]
+        allowed = k.abs_error_estimate + 8 * math.ulp(max(map(abs, exact)))
+        assert max(abs(k(t) - e) for t, e in zip(ts, exact)) <= allowed
 
 
 class TestKernelCallsGOncePerNode:

@@ -1,5 +1,5 @@
 """Smoke tests: the scripts under scripts/ run with their defaults, and
-the README's command line examples run as written."""
+the README's command line and library examples run as written."""
 
 import os
 import re
@@ -28,6 +28,13 @@ def _readme_commands():
     return [line for line in block.splitlines() if line.startswith("frachh ")]
 
 
+def _readme_library_example():
+    # the python block under "## Library"
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
 @pytest.mark.parametrize("script", ["tightness_sweep.py",
                                     "width_scaling_demo.py"])
 def test_script_runs_with_defaults(script):
@@ -50,3 +57,11 @@ def test_readme_command_runs(command, tmp_path):
                           capture_output=True, text=True, env=_env(),
                           cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_example_runs(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", _readme_library_example()],
+                          capture_output=True, text=True, env=_env(),
+                          cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
