@@ -88,7 +88,7 @@ THEOREMS: dict[str, TheoremInfo] = {t.ident: t for t in (
                   ("ident", "f", "g", "s", "pair", *_RUN_ARGS),
                   ("f", "alpha", *form.reads), form.max_alpha)
       for ident, form in ineq.WEIGHTED_BOUNDS.items()),
-    TheoremInfo("aux-integrals", "aux", ineq.aux_integrals, ("s",),
+    TheoremInfo("aux-integrals", "aux", ineq.aux_integrals, ("s", "tol"),
                 ("alpha",)),
     TheoremInfo("lemma-1-6", "lemma", ineq.scalar_power_lemma,
                 ("a", "b", "alpha"), ("alpha",), max_alpha=1.0,

@@ -22,16 +22,14 @@ values, and a floor of 1e-12 times the report scale.  The thresholds:
     kind             worst                    violated_below  holds_from
     sandwich, bound  smallest margin, slack   -B              B
     identity         -|lhs - rhs|             -GRAY_FACTOR B  -B
-    aux-integrals    smallest 1e-10 max(1, |closed|)
-                       - |closed - numeric|   0               0
     lemma-1-6        slack                    -floor          0
 
-A quadrature that missed its tolerance makes an identity or
-aux-integrals report Inconclusive whatever its values.  An
-Inconclusive lemma-1-6 slack, whose budget is a rounding floor, takes
-its sign from decimal arithmetic.  Identities, lemma-2-1 and
-aux-integrals report their budget relative to max(|lhs|, |rhs|, 1),
-the others as an absolute value.
+The identity rows are identities 1.4 and 2.3, lemma-2-1 and the two
+aux-integrals parts.  A quadrature that missed its tolerance makes an
+identity report Inconclusive whatever its values.  An Inconclusive
+lemma-1-6 slack, whose budget is a rounding floor, takes its sign from
+decimal arithmetic.  Identity rows report their budget relative to
+max(|lhs|, |rhs|, 1), the others as an absolute value.
 
 nan and inf fail every comparison, so a report whose value, margin or
 budget is not finite gets no verdict: its builder raises OverflowError.
@@ -153,18 +151,19 @@ def _bound(observed: float, bound: float, err: float, evaluations: int,
                   notes, observed=observed, bound=bound, slack=slack)
 
 
-def _identity(lhs: float, rhs: float, err: float, evaluations: int,
-              notes: tuple[str, ...], flagged: bool) -> Report:
-    residual = abs(lhs - rhs)
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    budget = err + ERROR_FLOOR * scale
-    _finite(lhs, rhs, residual, budget)
+def _identity(lhs: QuadResult, rhs: QuadResult, evaluations: int,
+              notes: tuple[str, ...]) -> Report:
+    diff = lhs + rhs.scaled(-1.0)
+    residual = abs(diff.value)
+    scale = max(abs(lhs.value), abs(rhs.value), 1.0)
+    budget = diff.abs_error_estimate + ERROR_FLOOR * scale
+    _finite(lhs.value, rhs.value, residual, budget)
     status = _verdict(-residual, -GRAY_FACTOR * budget, -budget)
-    if flagged:
+    if not diff.tolerance_met:
         status = Status.INCONCLUSIVE
         notes = notes + ("quadrature tolerance not met",)
-    return Report(status, budget / scale, evaluations, notes, lhs=lhs,
-                  rhs=rhs)
+    return Report(status, budget / scale, evaluations, notes,
+                  lhs=lhs.value, rhs=rhs.value)
 
 
 class _UnitKernel:
@@ -201,9 +200,9 @@ class Cell:
     the g calls of the kernel K it built (K reads the raw g, with its
     own per-panel sharing; identity 2.3 adds the calls K makes at new
     points).  A memo or table hit costs nothing.  Point reads, f(a),
-    f(b), f(m), f' at the ends and at the 33 points of dsup, and
-    ||g||_inf at the spec's sup_at points, call the spec directly and
-    are not counted.
+    f(b), f(m), f' at a and b (the bounds, and dsup), and ||g||_inf at
+    the spec's sup_at points, call the spec directly and are not
+    counted.
 
     With g = None, g is the unit weight scaled to W = 1: W is exactly 1,
     J(f g) is Gamma(alpha+1) / (2 (b-a)^alpha) (j_left(f) + j_right(f)),
@@ -294,11 +293,14 @@ class Cell:
 
     @property
     def dsup(self) -> float:
-        """sup |f'| sampled at 33 points and padded: K's error factor."""
-        d, a, b = self.f.deriv, self.s.a, self.s.b
-        step = (b - a) / 32.0
-        return self._once(("dsup", d, a, b), lambda: max(
-            abs(d(a + i * step)) for i in range(33)) * 1.25 + 1.0)
+        """sup |f'|, padded: K's error factor.  f' of a certified convex
+        f is monotone, so the sup is max(|f'(a)|, |f'(b)|)."""
+        f, a, b = self.f, self.s.a, self.s.b
+        if not f.certified_convex:
+            raise DomainError(f"{f.label!r} is not certified convex on "
+                              f"[{a!r}, {b!r}], so sup |{f.label}'| is unknown")
+        return self._once(("dsup", f.deriv, a, b), lambda: max(
+            abs(f.deriv(a)), abs(f.deriv(b))) * 1.25 + 1.0)
 
     @property
     def avg(self) -> float:
@@ -445,7 +447,8 @@ def weighted_trapezoid_identity(f, g: Optional[WeightSpec], s: FracSetting,
     (f(a)+f(b))/2 * W - (j_left(fg) + j_right(fg))
         = (1/Gamma(alpha)) int_a^b K(t) f'(t) dt.
 
-    Needs g symmetric about the midpoint (sign is unconstrained).
+    Needs g symmetric about the midpoint (sign is unconstrained), and
+    then f certified convex: K's error scales by sup |f'| (Cell.dsup).
     g = None is the unit weight, with K exact (_UnitKernel): identity 1.4,
     whose right side is 1/(2 (b-a)^alpha) times the integral of
     [(t-a)^alpha - (b-t)^alpha] f'(t) over [a, b].
@@ -461,15 +464,12 @@ def weighted_trapezoid_identity(f, g: Optional[WeightSpec], s: FracSetting,
         k0 = kern.evaluations
         outer = integrate_smooth(lambda x: kern(x) * dx(x), a, b,
                                  c.tol * gamma(alpha))
-        kerr = kern.abs_error_estimate  # an exact K samples no sup |f'|
-        rhs = inv_gamma * outer.value
-        err = (lhs.abs_error_estimate
-               + inv_gamma * (outer.abs_error_estimate
-                              + (kerr and kerr * (b - a) * c.dsup)))
-        flagged = not (lhs.tolerance_met and outer.tolerance_met
-                       and kern.tolerance_met)
-        evals = c.evaluations + (kern.evaluations - k0)
-        return _identity(lhs.value, rhs, err, evals, notes, flagged)
+        kerr = kern.abs_error_estimate  # an exact K reads no sup |f'|
+        rhs = QuadResult(outer.value, outer.abs_error_estimate
+                         + (kerr and kerr * (b - a) * c.dsup), 0,
+                         outer.tolerance_met and kern.tolerance_met)
+        return _identity(lhs, rhs.scaled(inv_gamma),
+                         c.evaluations + (kern.evaluations - k0), notes)
 
     return _with_retry(build, Cell(f, g, s, tol, memo))
 
@@ -566,7 +566,8 @@ def weighted_bound(ident: str, f, g: Optional[WeightSpec], s: FracSetting,
     return _with_retry(build, cell)
 
 
-def aux_integrals(s: FracSetting) -> tuple[Report, Report]:
+def aux_integrals(s: FracSetting,
+                  tol: float = DEFAULT_TOL) -> tuple[Report, Report]:
     """Closed forms of two half-interval moments, checked numerically.
 
     e = int_a^m [(b-t)^alpha - (t-a)^alpha] (b-t) dt
@@ -575,32 +576,22 @@ def aux_integrals(s: FracSetting) -> tuple[Report, Report]:
       = (b-a)^(alpha+2)/(alpha+1) * (1/(alpha+2) - 2^-(alpha+1))
 
     Their sum, (b-a)^(alpha+2)/(alpha+1) * (1 - 2^-alpha), is the
-    quantity the defect bounds are built from.  One Report per part,
-    with the closed form as lhs and the quadrature as rhs.
+    quantity the defect bounds are built from.  One identity Report per
+    part, with the closed form as lhs and the quadrature at tol as rhs.
     """
     a, b, alpha = s.a, s.b, s.alpha
-    m = s.midpoint
     base = s.width ** (alpha + 2.0) / (alpha + 1.0)
-    e_closed = base * ((alpha + 1.0) / (alpha + 2.0) - 2.0 ** (-(alpha + 1.0)))
-    f_closed = base * (1.0 / (alpha + 2.0) - 2.0 ** (-(alpha + 1.0)))
-    scale = max(1.0, abs(e_closed), abs(f_closed))
-    t = 1e-12 * scale
     bracket = lambda x: (b - x) ** alpha - (x - a) ** alpha
-    e_num = integrate_smooth(lambda x: bracket(x) * (b - x), a, m, t)
-    f_num = integrate_smooth(lambda x: bracket(x) * (x - a), a, m, t)
-    err = e_num.abs_error_estimate + f_num.abs_error_estimate
-    _finite(e_closed, e_num.value, f_closed, f_num.value, err)
-    parts = (("e-part", e_closed, e_num), ("f-part", f_closed, f_num))
-    status = _verdict(min(1e-10 * max(1.0, abs(closed))
-                          - abs(closed - num.value)
-                          for _, closed, num in parts), 0.0, 0.0)
-    if not (e_num.tolerance_met and f_num.tolerance_met):
-        status = Status.INCONCLUSIVE
-    # one check in two rows: both carry its verdict and budget, each the
-    # cost of its own part
-    return tuple(Report(status, err / scale + ERROR_FLOOR, num.evaluations,
-                        lhs=closed, rhs=num.value, part=part)
-                 for part, closed, num in parts)
+    parts = (("e-part", (alpha + 1.0) / (alpha + 2.0), lambda x: b - x),
+             ("f-part", 1.0 / (alpha + 2.0), lambda x: x - a))
+    reports = []
+    for part, c, moment in parts:
+        closed = base * (c - 2.0 ** (-(alpha + 1.0)))
+        num = integrate_smooth(lambda x: bracket(x) * moment(x), a,
+                               s.midpoint, tol)
+        reports.append(replace(_identity(QuadResult(closed, 0.0, 0), num,
+                                         num.evaluations, ()), part=part))
+    return tuple(reports)
 
 
 def scalar_power_lemma(a: float, b: float, alpha: float) -> Report:
@@ -669,10 +660,7 @@ def check_symmetry_lemma(g, s: FracSetting, tol: float = DEFAULT_TOL,
     _weight_gate(g, s.a, s.b, False, False, ())
 
     def build(c: Cell) -> Report:
-        left, right = c.j(j_left, "g"), c.j(j_right, "g")
-        return _identity(left.value, right.value,
-                         left.abs_error_estimate + right.abs_error_estimate,
-                         c.evaluations, (),
-                         not (left.tolerance_met and right.tolerance_met))
+        return _identity(c.j(j_left, "g"), c.j(j_right, "g"),
+                         c.evaluations, ())
 
     return _with_retry(build, Cell(None, g, s, tol, memo))

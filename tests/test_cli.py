@@ -339,6 +339,28 @@ class TestTolerance:
                        "--tol", "1e-7")
         assert json.loads(proc.stdout)["config"]["tol"] == 1e-7
 
+    def test_aux_integrals_run_at_the_tolerance(self, capsys):
+        rows = {}
+        for tol in ("1e-9", "1e-6"):
+            assert main(["verify", "--thm", "aux-integrals", "--alpha", "0.5",
+                         "--tol", tol]) == 0
+            rows[tol] = json.loads(capsys.readouterr().out)["rows"]
+        for fine, coarse in zip(rows["1e-9"], rows["1e-6"]):
+            assert coarse["evaluations"] < fine["evaluations"]
+            assert coarse["error_budget"] > fine["error_budget"]
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: the absolute "
+                       "tolerance of J on [0, 1e-6], scaled by 1/(b-a)^alpha, "
+                       "gives a budget 1e8 times the values")
+    def test_tiny_interval_identity_is_not_vacuous(self, capsys):
+        # a Holds must mean the sides agree; today lhs 4.28e-8 and rhs
+        # 7.94e-14 Hold under a budget of 8.96e-6
+        main(["verify", "--thm", "identity-1-4", "--f", "exp", "--alpha",
+              "2.5", "--a", "0", "--b", "1e-6"])
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert (row["status"] != "Holds" or abs(row["lhs"] - row["rhs"])
+                <= 1e-6 * max(abs(row["lhs"]), abs(row["rhs"])))
+
 
 class TestSubcommands:
     def test_identity_grid(self):
@@ -495,8 +517,8 @@ def _in_quadrature() -> bool:
 class TestEvaluations:
     """A row is charged exactly the integrand calls its quadratures made.
 
-    Point reads (f(a), f(b), f(m), f' at the ends and at the 33 samples
-    of Cell.dsup, ||g||_inf at sup_at) are made outside any
+    Point reads (f(a), f(b), f(m), f' at the ends, which Cell.dsup
+    reads too, ||g||_inf at sup_at) are made outside any
     quadrature and are not charged; aux-integrals and lemma-1-6 read no
     corpus entry.
     """
@@ -519,6 +541,33 @@ class TestEvaluations:
         (row,) = json.loads(capsys.readouterr().out)["rows"]
         assert calls[0] > 0
         assert row["evaluations"] == calls[0]
+
+    @pytest.mark.parametrize("ident", ["identity-1-4", "identity-2-3"])
+    def test_derivative_is_read_at_the_ends_only(self, ident, monkeypatch,
+                                                 capsys):
+        # outside a quadrature f' is read only by dsup, at a and b once
+        # per f' and interval in the run's memo; the exact unit K of
+        # identity-1-4 needs no sup |f'|
+        reads = {}
+
+        def recorded(spec):
+            def deriv(x):
+                if not _in_quadrature():
+                    reads.setdefault(spec.label, []).append(x)
+                return spec.deriv(x)
+            return deriv
+
+        build = frachh.cli.builtin_function_corpus
+        monkeypatch.setattr(frachh.cli, "builtin_function_corpus", lambda
+                            *args: [dataclasses.replace(f, deriv=recorded(f))
+                                    if f.deriv else f for f in build(*args)])
+        assert main(["corpus", "--theorems", ident]) == 0
+        capsys.readouterr()
+        if ident == "identity-1-4":
+            assert reads == {}
+        else:
+            derivs = {f.label for f in build(0.0, 1.0) if f.deriv}
+            assert reads == dict.fromkeys(derivs, [0.0, 1.0])
 
     def test_corpus_column_sums_to_the_quadrature_calls(self, monkeypatch,
                                                         capsys):
