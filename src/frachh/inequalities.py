@@ -53,8 +53,8 @@ from typing import Callable, Optional, Union
 
 from .fracops import FracSetting, j_left, j_right
 from .functions import ConvexityKind, FunctionSpec, HolderPair, WeightSpec
-from .numerics import (DEFAULT_TOL, CumulativeKernel, DomainError, QuadResult,
-                       gamma, integrate_smooth)
+from .numerics import (DEFAULT_TOL, TABLE_CAP, CumulativeKernel, DomainError,
+                       QuadResult, gamma, integrate_smooth)
 
 __all__ = [
     "Status",
@@ -73,10 +73,6 @@ __all__ = [
 ]
 
 ERROR_FLOOR = 1e-12
-# abscissae kept per value table (Cell.at): ~2 MB.  The hard bench grid's
-# largest table holds 3,272; an integral that cannot meet its tolerance
-# reads ~10^6 nodes, and past the cap a read calls fn and keeps nothing
-TABLE_CAP = 2 ** 14
 # identity residuals between 1 and 10 budgets are treated as ambiguous
 # rather than violations, since the budget is an estimate
 GRAY_FACTOR = 10.0
@@ -197,12 +193,12 @@ class Cell:
     abscissae repeat.
 
     `evaluations` counts the calls this cell made: its table misses and
-    the g calls of the kernel K it built (K reads the raw g, with its
-    own per-panel sharing; identity 2.3 adds the calls K makes at new
-    points).  A memo or table hit costs nothing.  Point reads, f(a),
-    f(b), f(m), f' at a and b (the bounds, and dsup), and ||g||_inf at
-    the spec's sup_at points, call the spec directly and are not
-    counted.
+    the g calls of the kernel K it built (K reads g through a store in
+    `memo` shared by the kernels of one weight and interval, and pays
+    for its misses; identity 2.3 adds the calls K makes at new points).
+    A memo or table hit costs nothing.  Point reads, f(a), f(b), f(m),
+    f' at a and b (the bounds, and dsup), and ||g||_inf at the spec's
+    sup_at points, call the spec directly and are not counted.
 
     With g = None, g is the unit weight scaled to W = 1: W is exactly 1,
     J(f g) is Gamma(alpha+1) / (2 (b-a)^alpha) (j_left(f) + j_right(f)),
@@ -288,8 +284,9 @@ class Cell:
         if self.g is None:
             return _UnitKernel(self.s)
         g, s = self.g.fn, self.s
+        store = self.memo.setdefault(("K-g", g, s.a, s.b), ({}, {}))
         return self._once(("K", g, s, self.tol), lambda: self._charged(
-            CumulativeKernel(g, s.a, s.b, s.alpha, tol=self.tol)))
+            CumulativeKernel(g, s.a, s.b, s.alpha, self.tol, store)))
 
     @property
     def dsup(self) -> float:

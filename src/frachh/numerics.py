@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Optional
 
 __all__ = [
     "DomainError",
@@ -46,6 +47,11 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 MAX_PANELS = 2 ** 16
 KERNEL_MESH_PANELS = 64
+# entries kept per value table (inequalities.Cell.at, ~1.3 MB full) and
+# per part of a kernel store (~4 MB for its partial panels).  The hard
+# grid's largest table holds 3,272; an integral that cannot meet its
+# tolerance reads ~10^6 nodes, and past the cap a miss keeps nothing
+TABLE_CAP = 2 ** 14
 
 # math.gamma overflows just above this point (double precision).
 _GAMMA_OVERFLOW = 171.62
@@ -164,19 +170,26 @@ def _gk15(h: Callable[[float], float], lo: float, hi: float) -> tuple[float, flo
     return acc_k * r, abs(acc_k - acc_g) * r
 
 
-def _gk15_both(g: Callable[[float], float], a: float, b: float, alpha: float,
-               lo: float, hi: float) -> tuple[float, float]:
+def _gk15_nodes(lo: float, hi: float) -> list[float]:
+    """The nodes of _gk15 on [lo, hi] in its order: c, then c -+ r x."""
+    c = 0.5 * (lo + hi)
+    r = 0.5 * (hi - lo)
+    return [c] + [t for x, _, _ in _GK_ROWS for t in (c - r * x, c + r * x)]
+
+
+def _gk15_both(gv: array, a: float, b: float, alpha: float, lo: float,
+               hi: float) -> tuple[float, float]:
     """The _gk15 integrals of (b-t)^(alpha-1) g and (t-a)^(alpha-1) g on
-    [lo, hi], bit for bit, with one call of g per node."""
+    [lo, hi], bit for bit, from gv, the values of g at _gk15_nodes."""
     e = alpha - 1.0
     c = 0.5 * (lo + hi)
     r = 0.5 * (hi - lo)
-    gc = g(c)
+    values = iter(gv)
+    gc = next(values)
     acc_u = _WK_CENTER * ((b - c) ** e * gc)
     acc_l = _WK_CENTER * ((c - a) ** e * gc)
-    for x, wk, _ in _GK_ROWS:
+    for (x, wk, _), g1, g2 in zip(_GK_ROWS, values, values):
         t1, t2 = c - r * x, c + r * x
-        g1, g2 = g(t1), g(t2)
         acc_u += wk * ((b - t1) ** e * g1 + (b - t2) ** e * g2)
         acc_l += wk * ((t1 - a) ** e * g1 + (t2 - a) ** e * g2)
     return acc_u * r, acc_l * r
@@ -316,13 +329,15 @@ class CumulativeKernel:
     K(t) is computed once per kernel and kept, so a repeated t costs
     no evaluations and the memory grows with the distinct t called.
 
-    Both sides read g at one call per node.  Unless a side is
-    substituted (alpha < 1 in the first or last mesh panel), the two
-    partial-panel rules share their 15 nodes, so a new t costs 15
-    calls, not 30, with the same floats as two separate rules.  In the
-    build, the two adaptive runs of a mesh panel share g through a
-    dict that lives for that panel only.  `evaluations` counts the
-    calls of g actually made.
+    g is read through `store`, two dicts that every kernel of one g on
+    [a, b] may share, whatever its alpha and tol (the mesh, so each
+    partial panel [lo, t], depends on a and b only): g at the build's
+    abscissae, and per t an array('d') of g at the 15 plain nodes of
+    [lo, t], read by each side not substituted (alpha < 1 in an end
+    panel).  So a new t costs 15 calls, none if another kernel stored
+    it, plus 15 per substituted side.  Each part keeps at most TABLE_CAP
+    entries.  g is checked finite (else EvaluationError at its abscissa)
+    before it is stored; `evaluations` counts this kernel's calls of g.
 
     Endpoint values satisfy K(a) = -int_a^b (s-a)^(alpha-1) g ds and
     K(b) = +int_a^b (b-s)^(alpha-1) g ds; for weights symmetric about
@@ -330,7 +345,8 @@ class CumulativeKernel:
     """
 
     def __init__(self, g: Callable[[float], float], a: float, b: float,
-                 alpha: float, tol: float = DEFAULT_TOL):
+                 alpha: float, tol: float = DEFAULT_TOL,
+                 store: Optional[tuple[dict, dict]] = None):
         check_interval(a, b)
         check_order(alpha)
         if not (tol > 0):
@@ -339,6 +355,8 @@ class CumulativeKernel:
         self.b = b
         self.alpha = alpha
         self._g = g
+        self._nodes, self._partial = ({}, {}) if store is None else store
+        self.evaluations = 0
         self.breakpoints = _graded_mesh(a, b, KERNEL_MESH_PANELS)
         n = len(self.breakpoints) - 1
 
@@ -346,25 +364,16 @@ class CumulativeKernel:
         pre_u = [0.0]
         pre_l = [0.0]
         err = 0.0
-        evals = 0
         met = True
         worst_panel = 0.0
         for i in range(n):
             lo, hi = self.breakpoints[i], self.breakpoints[i + 1]
-            seen: dict[float, float] = {}  # g at this panel's nodes
-
-            def g_once(x: float) -> float:
-                y = seen.get(x)
-                if y is None:
-                    y = seen[x] = g(x)
-                return y
-
             ru, rl = (integrate_smooth(phi, ulo, uhi, ptol * c).scaled(1.0 / c)
-                      for phi, ulo, uhi, c in self._panels(g_once, lo, hi, hi))
+                      for phi, ulo, uhi, c in self._panels(self._node, lo, hi,
+                                                           hi))
             pre_u.append(pre_u[-1] + ru.value)
             pre_l.append(pre_l[-1] + rl.value)
             err += ru.abs_error_estimate + rl.abs_error_estimate
-            evals += len(seen)
             met = met and ru.tolerance_met and rl.tolerance_met
             worst_panel = max(worst_panel, ru.abs_error_estimate,
                               rl.abs_error_estimate)
@@ -375,9 +384,19 @@ class CumulativeKernel:
         # same (sub-)panels, so a couple of worst-panel estimates cover
         # them uniformly.
         self.abs_error_estimate = err + 2.0 * worst_panel
-        self.evaluations = evals
         self.tolerance_met = met
         self._values: dict[float, float] = {}  # t -> K(t), each computed once
+
+    def _node(self, x: float) -> float:
+        y = self._nodes.get(x)
+        if y is None:
+            y = self._g(x)
+            if not math.isfinite(y):
+                raise EvaluationError(x, y)
+            self.evaluations += 1
+            if len(self._nodes) < TABLE_CAP:
+                self._nodes[x] = y
+        return y
 
     def _panels(self, g: Callable[[float], float], lo: float, hi: float,
                 end: float) -> tuple:
@@ -411,14 +430,24 @@ class CumulativeKernel:
         k = self._prefix_upper[i] + self._prefix_lower[i] - self._total_lower
         if t != lo:
             (hu, ulo, uhi, cu), (hl, llo, lhi, cl) = self._panels(
-                self._g, lo, t, bp[i + 1])
-            if cu == cl == 1.0:  # neither side substituted: the same nodes
-                self.evaluations += 15
-                upper, lower = _gk15_both(self._g, a, b, self.alpha, lo, t)
-                k = k + upper + lower
-            else:
-                self.evaluations += 30
-                k = (k + _gk15(hu, ulo, uhi)[0] / cu
-                     + _gk15(hl, llo, lhi)[0] / cl)
+                _checked(self._g), lo, t, bp[i + 1])
+            if cu == 1.0 or cl == 1.0:  # a side on the plain nodes of [lo, t]
+                gv = self._partial.get(t)
+                if gv is None:  # checked once per panel
+                    xs = _gk15_nodes(lo, t)
+                    gv = array("d", map(self._g, xs))
+                    if not all(map(math.isfinite, gv)):
+                        raise next(EvaluationError(x, y) for x, y in
+                                   zip(xs, gv) if not math.isfinite(y))
+                    self.evaluations += 15
+                    if len(self._partial) < TABLE_CAP:
+                        self._partial[t] = gv
+                upper, lower = _gk15_both(gv, a, b, self.alpha, lo, t)
+            if cu != 1.0:
+                upper = _gk15(hu, ulo, uhi)[0] / cu
+            if cl != 1.0:
+                lower = _gk15(hl, llo, lhi)[0] / cl
+            self.evaluations += 15 * ((cu != 1.0) + (cl != 1.0))
+            k = k + upper + lower
         self._values[t] = k
         return k

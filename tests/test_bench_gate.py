@@ -7,7 +7,8 @@ the test suite, not only a benchmark run.  The gate runs, the same
 workloads at a second seed, and one verify per statement all run with
 the samplers rigged to raise, so a run that samples a hypothesis or
 ||g||_inf fails here.  The bench's integrand counter runs too: the
-evaluations a run reports may not exceed the calls it counts.  The
+evaluations a run reports may not exceed the calls it counts, and the
+corpus calls at SEED may not exceed a ceiling.  The
 bench modules are imported as they are and nothing under bench/ is
 written.
 """
@@ -34,6 +35,11 @@ finally:
     sys.dont_write_bytecode = _bytecode
 
 SEED = 42
+# ceilings on the counted calls at SEED: every kernel of one weight and
+# interval reads g through one store, which took them from 338,045,
+# 173,540 and 37,492 to 172,895, 99,560 and 17,512
+CALL_CEILINGS = {"corpus-hard": 180_000, "corpus-default": 105_000,
+                 "corpus-tiny": 19_000}
 
 
 @pytest.fixture(scope="module")
@@ -113,4 +119,7 @@ def test_reported_evaluations_are_counted_calls(workload, seed, reference,
     finally:
         patches.restore()
     assert patches.missing == []
-    assert 0 < reported <= counts["f"] + counts["deriv"] + counts["g"]
+    counted = counts["f"] + counts["deriv"] + counts["g"]
+    assert 0 < reported <= counted
+    if seed == SEED:
+        assert counted <= CALL_CEILINGS.get(workload, counted)

@@ -431,8 +431,9 @@ class TestValueTables:
                 if key[0] == "at"] == [10]
 
     def test_kernel_reads_the_raw_weight(self):
-        # K keeps its own per-panel sharing of g: its nodes, about 71k on
-        # the hard grid, stay out of the run's value tables
+        # K reads g through its own store, shared by the kernels of one
+        # weight and interval: its nodes, about 95k on the hard grid,
+        # stay out of the run's value tables
         memo = {}
         cell = Cell(None, UNIT_WEIGHTS["bump"], HALF_UNIT, 1e-9, memo)
         kern = cell.kernel

@@ -10,14 +10,16 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import frachh.numerics
 from frachh.fracops import FracSetting
 from frachh.functions import (builtin_function_corpus, builtin_weight_corpus,
                               make_weight)
 from frachh.numerics import (DEFAULT_TOL, CumulativeKernel, DomainError,
                              EvaluationError, KERNEL_MESH_PANELS,
                              KernelSide, MAX_PANELS, QuadResult, _gk15,
-                             _graded_mesh, check_interval, check_order, gamma,
-                             integrate_singular, integrate_smooth)
+                             _gk15_nodes, _graded_mesh, check_interval,
+                             check_order, gamma, integrate_singular,
+                             integrate_smooth)
 from frachh.oracle import beta_reference
 
 SQRT_PI = 1.7724538509055160273
@@ -314,6 +316,74 @@ class TestCumulativeKernel:
         exact = [((t - a) ** alpha - (b - t) ** alpha) / alpha for t in ts]
         allowed = k.abs_error_estimate + 8 * math.ulp(max(map(abs, exact)))
         assert max(abs(k(t) - e) for t, e in zip(ts, exact)) <= allowed
+
+    # Kernels of one weight on one interval share a store of g values.
+    # The 200 points include both end panels (4.7e-10 wide), where the
+    # alpha = 0.5 kernel substitutes one side
+    SHARED_ALPHAS = (0.5, 1.25, 2.5)
+    POINTS = ([1.0 + 2.0 * i / 195 for i in range(196)]
+              + [1.0 + 1e-12, 1.0 + 3e-10, 3.0 - 3e-10, 3.0 - 1e-12])
+
+    @staticmethod
+    def bump():
+        return {w.label: w for w in builtin_weight_corpus(1.0, 3.0)}["bump"].fn
+
+    def shared_run(self, alphas, store, tol=DEFAULT_TOL):
+        """(values, calls) of one kernel per alpha on store, where
+        calls[i] lists the abscissae kernel i called g at."""
+        bump, calls, values = self.bump(), [], []
+
+        def g(x):
+            calls[-1].append(x)
+            return bump(x)
+
+        for alpha in alphas:
+            calls.append([])
+            k = CumulativeKernel(g, 1.0, 3.0, alpha, tol, store)
+            values.append([k(t) for t in self.POINTS])
+            assert k.evaluations == len(calls[-1]), alpha
+        return values, calls
+
+    def test_shared_store_gives_the_values_of_own_stores(self):
+        values, calls = self.shared_run(self.SHARED_ALPHAS, ({}, {}))
+        own = [self.shared_run((alpha,), ({}, {}))
+               for alpha in self.SHARED_ALPHAS]
+        assert values == [run[0][0] for run in own]  # bit for bit
+        # no abscissa is called by two kernels, and each later kernel
+        # calls g less often than on a store of its own
+        called = [set(made) for made in calls]
+        assert len(set().union(*called)) == sum(map(len, called))
+        assert all(len(made) < len(run[1][0])
+                   for made, run in zip(calls[1:], own[1:]))
+
+    def test_retry_kernel_pays_only_its_new_nodes(self):
+        store = ({}, {})
+        _, (first,) = self.shared_run((1.25,), store)
+        _, (retry,) = self.shared_run((1.25,), store, DEFAULT_TOL / 100)
+        _, (alone,) = self.shared_run((1.25,), ({}, {}), DEFAULT_TOL / 100)
+        assert len(set(retry) - set(first)) == len(retry) < len(alone)
+
+    def test_store_is_capped(self, monkeypatch):
+        values, calls = self.shared_run(self.SHARED_ALPHAS, ({}, {}))
+        monkeypatch.setattr(frachh.numerics, "TABLE_CAP", 10)
+        store = ({}, {})
+        capped, capped_calls = self.shared_run(self.SHARED_ALPHAS, store)
+        assert capped == values
+        assert [len(part) for part in store] == [10, 10]
+        assert sum(map(len, capped_calls)) > sum(map(len, calls))
+
+    def test_non_finite_weight_is_caught_before_it_is_stored(self):
+        store = ({}, {})
+        k = CumulativeKernel(self.bump(), 1.0, 3.0, 1.25, store=store)
+        k(2.37)
+        sizes = [len(part) for part in store]
+        k._g = lambda x: math.nan
+        with pytest.raises(EvaluationError) as info:
+            k(2.41)
+        lo = k.breakpoints[bisect.bisect_right(k.breakpoints, 2.41) - 1]
+        assert info.value.abscissa in _gk15_nodes(lo, 2.41)
+        assert math.isnan(info.value.value)
+        assert [len(part) for part in store] == sizes
 
 
 class TestKernelCallsGOncePerNode:
