@@ -54,7 +54,7 @@ from typing import Callable, Optional, Union
 from .fracops import FracSetting, j_left, j_right
 from .functions import ConvexityKind, FunctionSpec, HolderPair, WeightSpec
 from .numerics import (DEFAULT_TOL, TABLE_CAP, CumulativeKernel, DomainError,
-                       QuadResult, gamma, integrate_smooth)
+                       QuadResult, gamma, integrate_panels, integrate_smooth)
 
 __all__ = [
     "Status",
@@ -171,9 +171,10 @@ class _UnitKernel:
     def __init__(self, s: FracSetting):
         self.s, self.c = s, gamma(s.alpha) / (2.0 * s.width ** s.alpha)
 
-    def __call__(self, t: float) -> float:
+    def values(self, ts: list[float]) -> list[float]:
         s = self.s
-        return self.c * ((t - s.a) ** s.alpha - (s.b - t) ** s.alpha)
+        return [self.c * ((t - s.a) ** s.alpha - (s.b - t) ** s.alpha)
+                for t in ts]
 
 
 class Cell:
@@ -195,7 +196,9 @@ class Cell:
     `evaluations` counts the calls this cell made: its table misses and
     the g calls of the kernel K it built (K reads g through a store in
     `memo` shared by the kernels of one weight and interval, and pays
-    for its misses; identity 2.3 adds the calls K makes at new points).
+    for its misses; identity 2.3 adds the calls K makes at new points,
+    asked for an outer panel at a time, so a partial-panel abscissa
+    shared by several of its nodes is called once).
     A memo or table hit costs nothing.  Point reads, f(a), f(b), f(m),
     f' at a and b (the bounds, and dsup), and ||g||_inf at the spec's
     sup_at points, call the spec directly and are not counted.
@@ -459,8 +462,9 @@ def weighted_trapezoid_identity(f, g: Optional[WeightSpec], s: FracSetting,
     def build(c: Cell) -> Report:
         lhs, kern, dx = c.weighted_defect, c.kernel, c.at(d, "deriv")
         k0 = kern.evaluations
-        outer = integrate_smooth(lambda x: kern(x) * dx(x), a, b,
-                                 c.tol * gamma(alpha))
+        outer = integrate_panels(lambda ts: [
+            k * y for k, y in zip(kern.values(ts), map(dx, ts))], a, b,
+            c.tol * gamma(alpha))
         kerr = kern.abs_error_estimate  # an exact K reads no sup |f'|
         rhs = QuadResult(outer.value, outer.abs_error_estimate
                          + (kerr and kerr * (b - a) * c.dsup), 0,

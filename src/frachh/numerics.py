@@ -4,12 +4,12 @@ Everything downstream (fractional integral operators, inequality
 verifiers) is built on three primitives:
 
 * ``gamma``, the Euler Gamma function restricted to the positive axis,
-* ``integrate_smooth``, globally adaptive Gauss-Kronrod quadrature,
+* ``integrate_smooth``, globally adaptive Gauss-Kronrod quadrature
+  (``integrate_panels`` for an integrand read a panel at a time),
 * ``integrate_singular``, the same engine applied after an algebraic
   change of variable that removes a power-law endpoint singularity,
 
-plus ``CumulativeKernel``, a piecewise representation of the signed
-kernel
+plus ``CumulativeKernel``, a piecewise representation of the signed kernel
 
     K(t) = int_a^t (b-s)^(alpha-1) g(s) ds
          - int_t^b (s-a)^(alpha-1) g(s) ds
@@ -31,7 +31,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 __all__ = [
     "DomainError",
@@ -40,6 +40,7 @@ __all__ = [
     "QuadResult",
     "CumulativeKernel",
     "gamma",
+    "integrate_panels",
     "integrate_smooth",
     "integrate_singular",
 ]
@@ -149,24 +150,25 @@ _GK_ROWS = (
 )
 _WK_CENTER = 0.20948214108472783
 _WG_CENTER = 0.41795918367346939
+_GK_X, _GK_K, _GK_G = zip(*_GK_ROWS)  # by column, for the unrolled rules
 
 
-def _gk15(h: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """One 15-point Kronrod application on [lo, hi].
+def _gk15(values: Sequence[float], lo: float,
+          hi: float) -> tuple[float, float]:
+    """One 15-point Kronrod application on [lo, hi], from the integrand's
+    values at _gk15_nodes(lo, hi), summed row by row, centre first.
 
     Returns (integral, error_estimate) where the estimate is the
     absolute difference from the embedded 7-point Gauss rule.
     """
-    c = 0.5 * (lo + hi)
+    fc, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6, a7, b7 = values
+    k1, k2, k3, k4, k5, k6, k7 = _GK_K
+    _, g2, _, g4, _, g6, _ = _GK_G  # 0.0 at the Kronrod-only rows
+    s2, s4, s6 = a2 + b2, a4 + b4, a6 + b6
+    acc_k = (_WK_CENTER * fc + k1 * (a1 + b1) + k2 * s2 + k3 * (a3 + b3)
+             + k4 * s4 + k5 * (a5 + b5) + k6 * s6 + k7 * (a7 + b7))
+    acc_g = _WG_CENTER * fc + g2 * s2 + g4 * s4 + g6 * s6
     r = 0.5 * (hi - lo)
-    fc = h(c)
-    acc_k = _WK_CENTER * fc
-    acc_g = _WG_CENTER * fc
-    for x, wk, wg in _GK_ROWS:
-        s = h(c - r * x) + h(c + r * x)
-        acc_k += wk * s
-        if wg:
-            acc_g += wg * s
     return acc_k * r, abs(acc_k - acc_g) * r
 
 
@@ -174,7 +176,11 @@ def _gk15_nodes(lo: float, hi: float) -> list[float]:
     """The nodes of _gk15 on [lo, hi] in its order: c, then c -+ r x."""
     c = 0.5 * (lo + hi)
     r = 0.5 * (hi - lo)
-    return [c] + [t for x, _, _ in _GK_ROWS for t in (c - r * x, c + r * x)]
+    x1, x2, x3, x4, x5, x6, x7 = _GK_X
+    d1, d2, d3, d4, d5, d6, d7 = (r * x1, r * x2, r * x3, r * x4, r * x5,
+                                  r * x6, r * x7)
+    return [c, c - d1, c + d1, c - d2, c + d2, c - d3, c + d3, c - d4,
+            c + d4, c - d5, c + d5, c - d6, c + d6, c - d7, c + d7]
 
 
 def _gk15_both(gv: array, a: float, b: float, alpha: float, lo: float,
@@ -195,32 +201,31 @@ def _gk15_both(gv: array, a: float, b: float, alpha: float, lo: float,
     return acc_u * r, acc_l * r
 
 
-def _checked(h: Callable[[float], float]) -> Callable[[float], float]:
-    def wrapped(x: float) -> float:
-        y = h(x)
-        if not math.isfinite(y):
-            raise EvaluationError(x, y)
-        return y
-
-    return wrapped
+def _check_finite(xs: Iterable[float], ys: Iterable[float]) -> None:
+    # the error names the first bad abscissa in node order
+    if not all(map(math.isfinite, ys)):
+        raise next(EvaluationError(x, y) for x, y in zip(xs, ys)
+                   if not math.isfinite(y))
 
 
-def integrate_smooth(h: Callable[[float], float], a: float, b: float,
-                     tol: float = DEFAULT_TOL) -> QuadResult:
-    """Adaptive quadrature of h over [a, b] to absolute tolerance tol.
-
-    Globally adaptive: the panel with the largest error estimate is
-    bisected until the accumulated estimate falls below tol or the
-    MAX_PANELS budget runs out (then tolerance_met is False).
-    Refinement order is deterministic, and tightening tol only ever
-    extends it, so halving tol never decreases the evaluation count.
-    """
+def integrate_panels(values: Callable[[list[float]], Sequence[float]],
+                     a: float, b: float, tol: float = DEFAULT_TOL) -> QuadResult:
+    """integrate_smooth of an integrand read a panel at a time: values(xs)
+    returns its values at the 15 nodes xs of a panel.  A non-finite value
+    raises EvaluationError at the first bad abscissa in node order."""
     check_interval(a, b)
     if not (tol > 0):
         raise DomainError(f"tolerance must be positive, got {tol!r}")
-    h = _checked(h)
 
-    val, err = _gk15(h, a, b)
+    def panel(lo: float, hi: float) -> tuple[float, float]:
+        xs = _gk15_nodes(lo, hi)
+        ys = values(xs)
+        val, err = _gk15(ys, lo, hi)
+        if not math.isfinite(val):  # as is any sum with a non-finite term
+            _check_finite(xs, ys)
+        return val, err
+
+    val, err = panel(a, b)
     evaluations = 15
     # heap entries: (-error, insertion order, lo, hi, value, error)
     heap = [(-err, 0, a, b, val, err)]
@@ -234,8 +239,8 @@ def integrate_smooth(h: Callable[[float], float], a: float, b: float,
             heapq.heappush(heap, (neg, seq, lo, hi, v, e))
             seq += 1
             break
-        v1, e1 = _gk15(h, lo, mid)
-        v2, e2 = _gk15(h, mid, hi)
+        v1, e1 = panel(lo, mid)
+        v2, e2 = panel(mid, hi)
         evaluations += 30
         heapq.heappush(heap, (-e1, seq, lo, mid, v1, e1))
         heapq.heappush(heap, (-e2, seq + 1, mid, hi, v2, e2))
@@ -244,6 +249,20 @@ def integrate_smooth(h: Callable[[float], float], a: float, b: float,
     value = math.fsum(entry[4] for entry in heap)
     abs_err = math.fsum(entry[5] for entry in heap)
     return QuadResult(value, abs_err, evaluations, abs_err <= tol)
+
+
+def integrate_smooth(h: Callable[[float], float], a: float, b: float,
+                     tol: float = DEFAULT_TOL) -> QuadResult:
+    """Adaptive quadrature of h over [a, b] to absolute tolerance tol.
+
+    Globally adaptive: the panel with the largest error estimate is
+    bisected until the accumulated estimate falls below tol or the
+    MAX_PANELS budget runs out (then tolerance_met is False).
+    Refinement order is deterministic, and tightening tol only ever
+    extends it, so halving tol never decreases the evaluation count.
+    h is read through integrate_panels, at the nodes of a panel in order.
+    """
+    return integrate_panels(lambda xs: list(map(h, xs)), a, b, tol)
 
 
 def _clip(x: float, lo: float, hi: float) -> float:
@@ -334,10 +353,12 @@ class CumulativeKernel:
     partial panel [lo, t], depends on a and b only): g at the build's
     abscissae, and per t an array('d') of g at the 15 plain nodes of
     [lo, t], read by each side not substituted (alpha < 1 in an end
-    panel).  So a new t costs 15 calls, none if another kernel stored
-    it, plus 15 per substituted side.  Each part keeps at most TABLE_CAP
-    entries.  g is checked finite (else EvaluationError at its abscissa)
-    before it is stored; `evaluations` counts this kernel's calls of g.
+    panel).  `values(ts)` takes the new t of an outer panel together and
+    calls g once per distinct abscissa of their partial panels, which
+    often coincide: a new t costs at most 15 calls, none if another kernel
+    stored it, plus 15 per substituted side.  Each part keeps at most
+    TABLE_CAP entries.  g is checked finite (else EvaluationError at its
+    abscissa) before anything is stored; `evaluations` counts its calls.
 
     Endpoint values satisfy K(a) = -int_a^b (s-a)^(alpha-1) g ds and
     K(b) = +int_a^b (b-s)^(alpha-1) g ds; for weights symmetric about
@@ -416,38 +437,53 @@ class CumulativeKernel:
         return self._prefix_upper[-1]
 
     def __call__(self, t: float) -> float:
-        k = self._values.get(t)
-        if k is not None:
-            return k
-        a, b = self.a, self.b
-        if not (a <= t <= b):
-            raise DomainError(f"t = {t!r} outside [{a!r}, {b!r}]")
-        bp = self.breakpoints
-        i = bisect_right(bp, t) - 1
-        if i >= len(bp) - 1:
-            i = len(bp) - 2
-        lo = bp[i]
-        k = self._prefix_upper[i] + self._prefix_lower[i] - self._total_lower
-        if t != lo:
-            (hu, ulo, uhi, cu), (hl, llo, lhi, cl) = self._panels(
-                _checked(self._g), lo, t, bp[i + 1])
-            if cu == 1.0 or cl == 1.0:  # a side on the plain nodes of [lo, t]
+        return self.values((t,))[0]
+
+    def values(self, ts: Sequence[float]) -> list[float]:
+        """[K(t) for t in ts], bit for bit, for the ts of one outer panel:
+        their new partial panels call g once per distinct abscissa, kept
+        for this call only, and checked finite before anything is stored."""
+        a, b, bp, known = self.a, self.b, self.breakpoints, self._values
+        todo, flat = [], []  # flat: the abscissae to read, 15 per side
+        for t in ts:
+            if t in known:
+                continue
+            if not (a <= t <= b):
+                raise DomainError(f"t = {t!r} outside [{a!r}, {b!r}]")
+            i = min(bisect_right(bp, t) - 1, len(bp) - 2)
+            lo, mapped, gv, at = bp[i], [], None, None
+            # (side, offset in flat, panel rule) per side substituted (alpha
+            # < 1 in an end panel; phi maps a node to its abscissa).  The
+            # others read g at the nodes of [lo, t], stored per t
+            if self.alpha < 1.0 and t != lo and (lo == a or bp[i + 1] == b):
+                for j, (phi, ulo, uhi, c) in enumerate(self._panels(
+                        lambda x: x, lo, t, bp[i + 1])):
+                    if c != 1.0:
+                        mapped.append((j, len(flat), ulo, uhi, c))
+                        flat += map(phi, _gk15_nodes(ulo, uhi))
+            if t != lo and len(mapped) < 2:
                 gv = self._partial.get(t)
-                if gv is None:  # checked once per panel
-                    xs = _gk15_nodes(lo, t)
-                    gv = array("d", map(self._g, xs))
-                    if not all(map(math.isfinite, gv)):
-                        raise next(EvaluationError(x, y) for x, y in
-                                   zip(xs, gv) if not math.isfinite(y))
-                    self.evaluations += 15
-                    if len(self._partial) < TABLE_CAP:
-                        self._partial[t] = gv
-                upper, lower = _gk15_both(gv, a, b, self.alpha, lo, t)
-            if cu != 1.0:
-                upper = _gk15(hu, ulo, uhi)[0] / cu
-            if cl != 1.0:
-                lower = _gk15(hl, llo, lhi)[0] / cl
-            self.evaluations += 15 * ((cu != 1.0) + (cl != 1.0))
-            k = k + upper + lower
-        self._values[t] = k
-        return k
+                if gv is None:
+                    at = len(flat)
+                    flat += _gk15_nodes(lo, t)
+            todo.append((t, i, gv, at, mapped))
+        if flat:
+            distinct = dict.fromkeys(flat)
+            gs = list(map(self._g, distinct))
+            _check_finite(distinct, gs)
+            self.evaluations += len(gs)
+            got = array("d", map(dict(zip(distinct, gs)).__getitem__, flat))
+        for t, i, gv, at, mapped in todo:
+            k = self._prefix_upper[i] + self._prefix_lower[i] - self._total_lower
+            if at is not None:
+                gv = got[at:at + 15]
+                if len(self._partial) < TABLE_CAP:
+                    self._partial[t] = gv
+            if t != bp[i]:
+                sides = [None, None] if gv is None else list(
+                    _gk15_both(gv, a, b, self.alpha, bp[i], t))
+                for j, at, ulo, uhi, c in mapped:
+                    sides[j] = _gk15(got[at:at + 15], ulo, uhi)[0] / c
+                k = k + sides[0] + sides[1]
+            known[t] = k
+        return [known[t] for t in ts]

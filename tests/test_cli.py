@@ -502,7 +502,8 @@ def count_corpus_calls(monkeypatch, counts) -> list:
 # the code of the quadratures whose integrand calls a row is charged for
 _QUADRATURE_CODE = frozenset(fn.__code__ for fn in (
     frachh.numerics.integrate_smooth, frachh.numerics.CumulativeKernel.__init__,
-    frachh.numerics.CumulativeKernel.__call__))
+    frachh.numerics.CumulativeKernel.__call__,
+    frachh.numerics.integrate_panels, frachh.numerics.CumulativeKernel.values))
 
 
 def _in_quadrature() -> bool:

@@ -372,6 +372,24 @@ class TestCumulativeKernel:
         assert [len(part) for part in store] == [10, 10]
         assert sum(map(len, capped_calls)) > sum(map(len, calls))
 
+    @pytest.mark.parametrize("alpha", [0.25, 0.5])
+    def test_substituted_sides_call_g_once_per_abscissa(self, alpha):
+        # near t = 1 + 1e-12 and t = 3, rounding maps nodes of a substituted
+        # side, and of the plain side, onto one float: each is called once
+        bump, calls = self.bump(), []
+
+        def g(x):
+            calls.append(x)
+            return bump(x)
+
+        for batch in (False, True):
+            k = CumulativeKernel(g, 1.0, 3.0, alpha)
+            for ts in [self.POINTS] if batch else [[t] for t in self.POINTS]:
+                before = k.evaluations
+                del calls[:]
+                k.values(ts)
+                assert k.evaluations - before == len(calls) == len(set(calls))
+
     def test_non_finite_weight_is_caught_before_it_is_stored(self):
         store = ({}, {})
         k = CumulativeKernel(self.bump(), 1.0, 3.0, 1.25, store=store)
@@ -426,8 +444,9 @@ class TestKernelCallsGOncePerNode:
             i = bisect.bisect_right(bp, t) - 1
             lo = bp[i]
             assert alpha >= 1.0 or a < lo < bp[i + 1] < b  # not substituted
-            upper = _gk15(lambda s: (b - s) ** (alpha - 1.0) * g(s), lo, t)
-            lower = _gk15(lambda s: (s - a) ** (alpha - 1.0) * g(s), lo, t)
+            xs = _gk15_nodes(lo, t)
+            upper = _gk15([(b - s) ** (alpha - 1.0) * g(s) for s in xs], lo, t)
+            lower = _gk15([(s - a) ** (alpha - 1.0) * g(s) for s in xs], lo, t)
             prefix = (k._prefix_upper[i] + k._prefix_lower[i]
                       - k._total_lower)
             assert k(t) == prefix + upper[0] / 1.0 + lower[0] / 1.0, t
@@ -444,6 +463,74 @@ class TestKernelCallsGOncePerNode:
         g, calls = self.counted(lambda s: 1.0 + s * s)
         CumulativeKernel(g, 0.0, 1.0, 0.75)
         assert len(calls) == len(set(calls))
+
+
+class TestKernelValues:
+    """values(ts) is K at every t of ts, with g called once per distinct
+    abscissa of the call's new partial panels."""
+
+    ALPHAS = (0.25, 0.5, 1.25, 2.5)
+    # an outer G7/K15 panel on [1, 3] that is the mesh panel [2, 2.5]:
+    # node k of [2, t_j] and node j of [2, t_k] often round alike
+    OUTER = _gk15_nodes(2.0, 2.5)
+
+    @staticmethod
+    def counted():
+        return TestKernelCallsGOncePerNode.counted(TestCumulativeKernel.bump())
+
+    @classmethod
+    def points(cls, k):
+        # a and b, both end panels (4.7e-10 wide), breakpoints, the interior
+        bp = k.breakpoints
+        return [1.0, 1.0 + 1e-12, 1.0 + 3e-10, bp[3], 1.37, 2.0, 2.0 + 1e-9,
+                2.71, bp[-4], 3.0 - 3e-10, 3.0 - 1e-12, 3.0] + cls.OUTER
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_batch_is_the_single_calls_bit_for_bit(self, alpha):
+        g, _ = self.counted()
+        batch = CumulativeKernel(g, 1.0, 3.0, alpha)
+        single = CumulativeKernel(g, 1.0, 3.0, alpha)
+        ts = self.points(batch)
+        assert batch.values(ts) == [single(t) for t in ts]
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_evaluations_are_the_distinct_abscissae_called(self, alpha):
+        g, calls = self.counted()
+        k = CumulativeKernel(g, 1.0, 3.0, alpha)
+        before = k.evaluations
+        del calls[:]
+        k.values(self.points(k))
+        assert k.evaluations - before == len(calls) == len(set(calls))
+        del calls[:]
+        k.values(self.points(k))  # every t is known now
+        assert calls == []
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_an_outer_panel_at_a_breakpoint_repeats_abscissae(self, alpha):
+        g, calls = self.counted()
+        k = CumulativeKernel(g, 1.0, 3.0, alpha)
+        del calls[:]
+        k.values(self.OUTER)
+        assert len(calls) == len(set(calls)) == 171  # of 15 x 15
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_non_finite_weight_raises_before_anything_is_stored(self, alpha):
+        g, _ = self.counted()
+        k = CumulativeKernel(g, 1.0, 3.0, alpha)
+        bad = set()
+
+        def nan_near_a(x):
+            if x < 1.0 + 1e-9:  # the first end panel and its neighbour
+                bad.add(x)
+                return math.nan
+            return g(x)
+
+        k._g = nan_near_a
+        with pytest.raises(EvaluationError) as info:
+            k.values(self.points(k)[::-1])  # the bad panels last
+        assert info.value.abscissa in bad
+        assert math.isnan(info.value.value)
+        assert k._partial == {} and k._values == {}
 
 
 class TestQuadResultAlgebra:
