@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -392,6 +393,7 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--out", default=None, help="write output to this path")
 
 
+@functools.cache  # built on the first call, not at import: ~15 parses
 def build_parser() -> _Parser:
     parser = _Parser(prog="frachh",
                      description="numerical checks of Hermite-Hadamard and "
@@ -498,9 +500,8 @@ def _run_command(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return _run_command(args)
     except (UsageError, DomainError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

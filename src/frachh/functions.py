@@ -195,7 +195,7 @@ def sup_norm(g: Callable[[float], float], a: float, b: float,
 def _finite_on(fn: Callable[[float], float], a: float, b: float) -> bool:
     try:
         return all(math.isfinite(fn(x)) for x in _grid(a, b, 33))
-    except OverflowError:
+    except (OverflowError, ValueError):  # math.cos(inf): a domain error
         return False
 
 

@@ -5,13 +5,13 @@ scratch and returns a Report, whose value fields are named after the
 output columns and are None where the statement produces nothing.
 
 The fractional quantities the statements share (J(f), the weight mass
-W, J(f g), ||g||_inf, the kernel K and the padded sup |f'|) are
-computed only by Cell, once per cell; verifiers given the same memo
-share them.  g = None stands for the unit weight, so the unweighted
-statements are the weighted ones at g = None: the fractional sandwich
-is fejer_fractional's, identity 1.4 is weighted_trapezoid_identity's,
-and bound 1.5 and Theorems 2.4-2.7 are one function, weighted_bound,
-over the WEIGHTED_BOUNDS table of closed forms.
+W, J(f g), ||g||_inf, the kernel K and the padded sup |f'|) are computed
+only by Cell, once per cell, from integrands read through one Integrand
+each; verifiers given the same memo share both.  g = None stands for the
+unit weight, so the unweighted statements are the weighted ones at
+g = None: the fractional sandwich is fejer_fractional's, identity 1.4 is
+weighted_trapezoid_identity's, and bound 1.5 and Theorems 2.4-2.7 are one
+function, weighted_bound, over the WEIGHTED_BOUNDS table of closed forms.
 
 Every verdict comes from one rule, _verdict: Violated when the worst
 case is below violated_below, Inconclusive when it is below holds_from,
@@ -53,8 +53,9 @@ from typing import Callable, Optional, Union
 
 from .fracops import FracSetting, j_left, j_right
 from .functions import ConvexityKind, FunctionSpec, HolderPair, WeightSpec
-from .numerics import (DEFAULT_TOL, TABLE_CAP, CumulativeKernel, DomainError,
-                       QuadResult, gamma, integrate_panels, integrate_smooth)
+from .numerics import (DEFAULT_TOL, CumulativeKernel, DomainError,
+                       Integrand, QuadResult, gamma, integrate_panels,
+                       integrate_smooth)
 
 __all__ = [
     "Status",
@@ -166,7 +167,7 @@ class _UnitKernel:
     """K of the unit weight, Gamma(alpha) ((t-a)^alpha - (b-t)^alpha)
     / (2 (b-a)^alpha): exact, so its error estimate is 0 at no calls."""
 
-    abs_error_estimate, evaluations, tolerance_met = 0.0, 0, True
+    abs_error_estimate, tolerance_met = 0.0, True
 
     def __init__(self, s: FracSetting):
         self.s, self.c = s, gamma(s.alpha) / (2.0 * s.width ** s.alpha)
@@ -184,24 +185,12 @@ class Cell:
     `memo` under the inputs it depends on, so cells sharing a memo share
     it (W, ||g||_inf and K across functions, J(f g) across exponents).
 
-    Every quadrature of a cell, and the f' integrals of the identities,
-    read f, f' and g through `at`: one value table per callable and
-    role, kept in `memo`, so each is called at most once per float
-    abscissa across the cells sharing the memo, a retry at tol/100
-    included, for the first TABLE_CAP abscissae of each table.  The
-    tables assume each callable is a pure function of x.  A table read
-    costs one Python call more than calling fn, repaid only where
-    abscissae repeat.
-
-    `evaluations` counts the calls this cell made: its table misses and
-    the g calls of the kernel K it built (K reads g through a store in
-    `memo` shared by the kernels of one weight and interval, and pays
-    for its misses; identity 2.3 adds the calls K makes at new points,
-    asked for an outer panel at a time, so a partial-panel abscissa
-    shared by several of its nodes is called once).
-    A memo or table hit costs nothing.  Point reads, f(a), f(b), f(m),
-    f' at a and b (the bounds, and dsup), and ||g||_inf at the spec's
-    sup_at points, call the spec directly and are not counted.
+    Every quadrature of a cell, K's build and the identities' f' integral
+    included, reads f, f' and g through the memo's Integrand of each
+    (`read`): J(g), J(f g) and K share one table of g.  `evaluations`
+    counts the calls made through the memo's Integrands since this cell
+    was made.  Point reads, f(a), f(b), f(m), f' at a and b (the bounds,
+    and dsup), and ||g||_inf at the sup_at points, are not counted.
 
     With g = None, g is the unit weight scaled to W = 1: W is exactly 1,
     J(f g) is Gamma(alpha+1) / (2 (b-a)^alpha) (j_left(f) + j_right(f)),
@@ -213,37 +202,24 @@ class Cell:
                  s: FracSetting, tol: float, memo: Optional[dict] = None):
         self.f, self.g, self.s, self.tol = f, g, s, tol
         self.memo = {} if memo is None else memo
-        self.evaluations = 0
+        self._reads = self.memo.setdefault("integrands", {})
+        self._spent = 0
+        self._spent = self.evaluations  # the memo's calls before this cell
+
+    @property
+    def evaluations(self) -> int:
+        return sum(read.calls for read in self._reads.values()) - self._spent
 
     def _once(self, key, compute):
         if key not in self.memo:
             self.memo[key] = compute()
         return self.memo[key]
 
-    def _charged(self, result):
-        self.evaluations += result.evaluations
-        return result
-
-    def at(self, fn: Callable[[float], float],
-           role: str = "fn") -> Callable[[float], float]:
-        """fn read through its value table; a miss is charged here.
-
-        One table per role ("fn" for f and g, "deriv" for f'): f and f'
-        can be one callable (exp), and a row's count must not depend on
-        whether they are.
-        """
-        table = self.memo.setdefault(("at", role, fn), {})
-
-        def read(x: float) -> float:
-            y = table.get(x)
-            if y is None:
-                y = fn(x)
-                if len(table) < TABLE_CAP:
-                    table[x] = y
-                self.evaluations += 1
-            return y
-
-        return read
+    def read(self, fn: Callable[[float], float], role: str = "fn") -> Integrand:
+        """The memo's Integrand of fn in role: "fn" for f and g, "deriv"
+        for f'.  f and f' can be one callable (exp), and a row's count
+        must not depend on whether they are."""
+        return self._reads.setdefault((role, fn), Integrand(fn))
 
     def j(self, side: Callable, of: str) -> QuadResult:
         """side(h) for side j_left or j_right and h = f, g or f g (`of`)."""
@@ -253,8 +229,8 @@ class Cell:
         g = self.g.fn if of != "f" and self.g is not None else None
 
         def integral() -> QuadResult:
-            fx = None if f is None else self.at(f)
-            gx = None if g is None else self.at(g)
+            fx = None if f is None else self.read(f).__call__
+            gx = None if g is None else self.read(g).__call__
             h = fx if gx is None else gx if fx is None else (
                 lambda x: fx(x) * gx(x))
             return side(h, self.s, self.tol)
@@ -287,9 +263,9 @@ class Cell:
         if self.g is None:
             return _UnitKernel(self.s)
         g, s = self.g.fn, self.s
-        store = self.memo.setdefault(("K-g", g, s.a, s.b), ({}, {}))
-        return self._once(("K", g, s, self.tol), lambda: self._charged(
-            CumulativeKernel(g, s.a, s.b, s.alpha, self.tol, store)))
+        partials = self.memo.setdefault(("K-g", g, s.a, s.b), {})
+        return self._once(("K", g, s, self.tol), lambda: CumulativeKernel(
+            self.read(g), s.a, s.b, s.alpha, self.tol, partials))
 
     @property
     def dsup(self) -> float:
@@ -460,17 +436,15 @@ def weighted_trapezoid_identity(f, g: Optional[WeightSpec], s: FracSetting,
     inv_gamma = 1.0 / gamma(alpha)
 
     def build(c: Cell) -> Report:
-        lhs, kern, dx = c.weighted_defect, c.kernel, c.at(d, "deriv")
-        k0 = kern.evaluations
+        lhs, kern, dx = c.weighted_defect, c.kernel, c.read(d, "deriv")
         outer = integrate_panels(lambda ts: [
-            k * y for k, y in zip(kern.values(ts), map(dx, ts))], a, b,
+            k * y for k, y in zip(kern.values(ts), dx.values(ts))], a, b,
             c.tol * gamma(alpha))
         kerr = kern.abs_error_estimate  # an exact K reads no sup |f'|
         rhs = QuadResult(outer.value, outer.abs_error_estimate
                          + (kerr and kerr * (b - a) * c.dsup), 0,
                          outer.tolerance_met and kern.tolerance_met)
-        return _identity(lhs, rhs.scaled(inv_gamma),
-                         c.evaluations + (kern.evaluations - k0), notes)
+        return _identity(lhs, rhs.scaled(inv_gamma), c.evaluations, notes)
 
     return _with_retry(build, Cell(f, g, s, tol, memo))
 

@@ -9,7 +9,8 @@ verifiers) is built on three primitives:
 * ``integrate_singular``, the same engine applied after an algebraic
   change of variable that removes a power-law endpoint singularity,
 
-plus ``CumulativeKernel``, a piecewise representation of the signed kernel
+plus ``Integrand``, an integrand read through a checked and counted value
+table, and ``CumulativeKernel``, a piecewise representation of the kernel
 
     K(t) = int_a^t (b-s)^(alpha-1) g(s) ds
          - int_t^b (s-a)^(alpha-1) g(s) ds
@@ -36,6 +37,7 @@ from typing import Callable, Iterable, Optional, Sequence
 __all__ = [
     "DomainError",
     "EvaluationError",
+    "Integrand",
     "KernelSide",
     "QuadResult",
     "CumulativeKernel",
@@ -48,10 +50,9 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 MAX_PANELS = 2 ** 16
 KERNEL_MESH_PANELS = 64
-# entries kept per value table (inequalities.Cell.at, ~1.3 MB full) and
-# per part of a kernel store (~4 MB for its partial panels).  The hard
-# grid's largest table holds 3,272; an integral that cannot meet its
-# tolerance reads ~10^6 nodes, and past the cap a miss keeps nothing
+# entries kept per Integrand table (~1.3 MB) and per kernel store of partial
+# panels (~4 MB): the hard grid's largest table holds ~11.8k, but an integral
+# missing its tolerance reads ~10^6 nodes.  Past the cap a miss keeps nothing
 TABLE_CAP = 2 ** 14
 
 # math.gamma overflows just above this point (double precision).
@@ -208,6 +209,43 @@ def _check_finite(xs: Iterable[float], ys: Iterable[float]) -> None:
                    if not math.isfinite(y))
 
 
+class Integrand:
+    """fn read through a value table: the one place a quadrature calls,
+    checks and counts an integrand.  A read of an abscissa not in `table`
+    calls fn, adds 1 to `calls`, checks the value finite (else
+    EvaluationError at that abscissa) and keeps it, for the first
+    TABLE_CAP abscissae (fn must be a pure function of x); past the cap a
+    read calls fn and keeps nothing.  As a callable, pass the bound method
+    `__call__`: a read through it takes ~30% less time."""
+
+    def __init__(self, fn: Callable[[float], float]):
+        self.fn, self.calls, self.table = fn, 0, {}
+
+    def __call__(self, x: float) -> float:
+        table = self.table
+        y = table.get(x)
+        if y is None:
+            y = self.fn(x)
+            self.calls += 1
+            if not math.isfinite(y):
+                raise EvaluationError(x, y)
+            if len(table) < TABLE_CAP:
+                table[x] = y
+        return y
+
+    def values(self, xs: Sequence[float]) -> list[float]:
+        """[self(x) for x in xs]."""
+        return list(map(self.__call__, xs))
+
+    def fresh(self, xs: Sequence[float]) -> list[float]:
+        """fn at xs, once per distinct abscissa; the table is not used."""
+        distinct = dict.fromkeys(xs)
+        ys = list(map(self.fn, distinct))
+        self.calls += len(ys)
+        _check_finite(distinct, ys)
+        return list(map(dict(zip(distinct, ys)).__getitem__, xs))
+
+
 def integrate_panels(values: Callable[[list[float]], Sequence[float]],
                      a: float, b: float, tol: float = DEFAULT_TOL) -> QuadResult:
     """integrate_smooth of an integrand read a panel at a time: values(xs)
@@ -348,26 +386,24 @@ class CumulativeKernel:
     K(t) is computed once per kernel and kept, so a repeated t costs
     no evaluations and the memory grows with the distinct t called.
 
-    g is read through `store`, two dicts that every kernel of one g on
-    [a, b] may share, whatever its alpha and tol (the mesh, so each
-    partial panel [lo, t], depends on a and b only): g at the build's
-    abscissae, and per t an array('d') of g at the 15 plain nodes of
-    [lo, t], read by each side not substituted (alpha < 1 in an end
-    panel).  `values(ts)` takes the new t of an outer panel together and
-    calls g once per distinct abscissa of their partial panels, which
-    often coincide: a new t costs at most 15 calls, none if another kernel
-    stored it, plus 15 per substituted side.  Each part keeps at most
-    TABLE_CAP entries.  g is checked finite (else EvaluationError at its
-    abscissa) before anything is stored; `evaluations` counts its calls.
+    The build reads g through an Integrand (a callable gets its own),
+    whose table it shares with every reader of g.  The partial panels stay
+    out of it: `partials`, which the kernels of one g on [a, b] may share,
+    keeps per t an array('d') of g at the 15 plain nodes of [lo, t], read
+    by each side not substituted (alpha < 1 in an end panel), for at most
+    TABLE_CAP values of t.  `values(ts)` reads the new partial panels of
+    an outer panel's ts together, calling g once per distinct abscissa: a
+    new t costs at most 15 calls, none if another kernel stored it, plus
+    15 per substituted side.  `evaluations` counts this kernel's calls.
 
     Endpoint values satisfy K(a) = -int_a^b (s-a)^(alpha-1) g ds and
     K(b) = +int_a^b (b-s)^(alpha-1) g ds; for weights symmetric about
     the midpoint, K is antisymmetric and vanishes there.
     """
 
-    def __init__(self, g: Callable[[float], float], a: float, b: float,
-                 alpha: float, tol: float = DEFAULT_TOL,
-                 store: Optional[tuple[dict, dict]] = None):
+    def __init__(self, g: Integrand | Callable[[float], float],
+                 a: float, b: float, alpha: float, tol: float = DEFAULT_TOL,
+                 partials: Optional[dict] = None):
         check_interval(a, b)
         check_order(alpha)
         if not (tol > 0):
@@ -375,9 +411,9 @@ class CumulativeKernel:
         self.a = a
         self.b = b
         self.alpha = alpha
-        self._g = g
-        self._nodes, self._partial = ({}, {}) if store is None else store
-        self.evaluations = 0
+        self._g = g if isinstance(g, Integrand) else Integrand(g)
+        self._partial = {} if partials is None else partials
+        calls = self._g.calls
         self.breakpoints = _graded_mesh(a, b, KERNEL_MESH_PANELS)
         n = len(self.breakpoints) - 1
 
@@ -390,8 +426,8 @@ class CumulativeKernel:
         for i in range(n):
             lo, hi = self.breakpoints[i], self.breakpoints[i + 1]
             ru, rl = (integrate_smooth(phi, ulo, uhi, ptol * c).scaled(1.0 / c)
-                      for phi, ulo, uhi, c in self._panels(self._node, lo, hi,
-                                                           hi))
+                      for phi, ulo, uhi, c in self._panels(
+                          self._g.__call__, lo, hi, hi))
             pre_u.append(pre_u[-1] + ru.value)
             pre_l.append(pre_l[-1] + rl.value)
             err += ru.abs_error_estimate + rl.abs_error_estimate
@@ -407,17 +443,7 @@ class CumulativeKernel:
         self.abs_error_estimate = err + 2.0 * worst_panel
         self.tolerance_met = met
         self._values: dict[float, float] = {}  # t -> K(t), each computed once
-
-    def _node(self, x: float) -> float:
-        y = self._nodes.get(x)
-        if y is None:
-            y = self._g(x)
-            if not math.isfinite(y):
-                raise EvaluationError(x, y)
-            self.evaluations += 1
-            if len(self._nodes) < TABLE_CAP:
-                self._nodes[x] = y
-        return y
+        self.evaluations = self._g.calls - calls
 
     def _panels(self, g: Callable[[float], float], lo: float, hi: float,
                 end: float) -> tuple:
@@ -468,11 +494,9 @@ class CumulativeKernel:
                     flat += _gk15_nodes(lo, t)
             todo.append((t, i, gv, at, mapped))
         if flat:
-            distinct = dict.fromkeys(flat)
-            gs = list(map(self._g, distinct))
-            _check_finite(distinct, gs)
-            self.evaluations += len(gs)
-            got = array("d", map(dict(zip(distinct, gs)).__getitem__, flat))
+            calls = self._g.calls
+            got = array("d", self._g.fresh(flat))
+            self.evaluations += self._g.calls - calls
         for t, i, gv, at, mapped in todo:
             k = self._prefix_upper[i] + self._prefix_lower[i] - self._total_lower
             if at is not None:

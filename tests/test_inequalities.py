@@ -385,6 +385,7 @@ class TestValueTables:
                 cell = Cell(f, g, FracSetting(0.0, 1.0, alpha), tol, memo)
                 for of in ("f", "g", "fg"):
                     cell.both(of)
+                cell.kernel  # its build reads the table of g too
                 charged += cell.evaluations
         for xs in calls.values():
             assert len(xs) == len(set(xs)) > 0
@@ -394,9 +395,11 @@ class TestValueTables:
         memo, s = {}, FracSetting(0.0, 1.0, 0.75)
         coarse_cell = Cell(UNIT_FUNCS["exp"], None, s, 1e-9, memo)
         coarse = coarse_cell.j(j_left, "f")
+        # a cell counts the memo's calls since it was made, later cells' too
+        coarse_calls = coarse_cell.evaluations
         fine_cell = Cell(UNIT_FUNCS["exp"], None, s, 1e-11, memo)
         fine = fine_cell.j(j_left, "f")
-        assert fine.evaluations > coarse.evaluations == coarse_cell.evaluations
+        assert fine.evaluations > coarse.evaluations == coarse_calls
         assert fine_cell.evaluations == fine.evaluations - coarse.evaluations
 
     def test_derivative_has_a_table_of_its_own(self):
@@ -408,13 +411,13 @@ class TestValueTables:
         copy = dataclasses.replace(exp, deriv=lambda x: math.exp(x))
         assert weighted_trapezoid_identity(
             copy, None, HALF_UNIT).evaluations == r.evaluations
-        tables = [key for key in memo if key[0] == "at"]
-        assert len(tables) == 2
+        roles = sorted(role for role, _ in memo["integrands"])
+        assert roles == ["deriv", "fn"]
 
     def test_a_full_table_keeps_nothing_more(self, monkeypatch):
         # past TABLE_CAP a read calls fn and keeps nothing: the values
         # are those of an unbounded table, and every call is counted
-        monkeypatch.setattr(frachh.inequalities, "TABLE_CAP", 10)
+        monkeypatch.setattr(frachh.numerics, "TABLE_CAP", 10)
         calls = []
 
         def exp(x):
@@ -427,19 +430,23 @@ class TestValueTables:
         assert cell.both("f") == Cell(UNIT_FUNCS["exp"], None, HALF_UNIT,
                                       1e-9).both("f")
         assert cell.evaluations == len(calls) > 10
-        assert [len(table) for key, table in memo.items()
-                if key[0] == "at"] == [10]
+        assert [len(read.table)
+                for read in memo["integrands"].values()] == [10]
 
-    def test_kernel_reads_the_raw_weight(self):
-        # K reads g through its own store, shared by the kernels of one
-        # weight and interval: its nodes, about 95k on the hard grid,
-        # stay out of the run's value tables
-        memo = {}
-        cell = Cell(None, UNIT_WEIGHTS["bump"], HALF_UNIT, 1e-9, memo)
+    def test_kernel_partial_panels_stay_out_of_the_table(self):
+        # K's build reads g through the memo's table of g, which J(g)
+        # shares; its partial panels, one per new t (~15k abscissae per
+        # weight on the hard grid), stay in a store of their own, shared
+        # by the kernels of one weight and interval
+        memo, g = {}, UNIT_WEIGHTS["bump"]
+        cell = Cell(None, g, HALF_UNIT, 1e-9, memo)
         kern = cell.kernel
         assert cell.evaluations == kern.evaluations > 0
+        (read,) = memo["integrands"].values()
+        kept = dict(read.table)
         kern(0.3)
-        assert not any(key[0] == "at" for key in memo)
+        assert read.table == kept
+        assert list(memo[("K-g", g.fn, 0.0, 1.0)]) == [0.3]
 
 
 class TestIdentities:

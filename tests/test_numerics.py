@@ -15,7 +15,7 @@ from frachh.fracops import FracSetting
 from frachh.functions import (builtin_function_corpus, builtin_weight_corpus,
                               make_weight)
 from frachh.numerics import (DEFAULT_TOL, CumulativeKernel, DomainError,
-                             EvaluationError, KERNEL_MESH_PANELS,
+                             EvaluationError, Integrand, KERNEL_MESH_PANELS,
                              KernelSide, MAX_PANELS, QuadResult, _gk15,
                              _gk15_nodes, _graded_mesh, check_interval,
                              check_order, gamma, integrate_singular,
@@ -230,6 +230,78 @@ class TestIntegrateSingular:
             integrate_singular(lambda t: 1.0, 0.0, 1.0, 0.5, "upper", 1e-9)
 
 
+class TestIntegrand:
+    """An Integrand calls, checks, counts and keeps every read of fn."""
+
+    @staticmethod
+    def counted(fn=math.exp):
+        calls = []
+
+        def h(x):
+            calls.append(x)
+            return fn(x)
+
+        return h, calls
+
+    def test_each_abscissa_is_called_once(self):
+        h, calls = self.counted()
+        read = Integrand(h)
+        xs = [0.1, 0.2, 0.1, 0.3, 0.2]  # repeats inside one values(xs)
+        assert read.values(xs) == [math.exp(x) for x in xs]
+        assert read(0.3) == math.exp(0.3)
+        assert read.values(xs[::-1]) == [math.exp(x) for x in xs[::-1]]
+        assert calls == [0.1, 0.2, 0.3] and read.calls == 3
+        assert read.table == {x: math.exp(x) for x in calls}
+
+    def test_past_the_cap_a_read_calls_and_keeps_nothing(self, monkeypatch):
+        monkeypatch.setattr(frachh.numerics, "TABLE_CAP", 2)
+        h, calls = self.counted()
+        read = Integrand(h)
+        xs = [0.1, 0.2, 0.3, 0.3]
+        assert read.values(xs) == [math.exp(x) for x in xs]
+        assert read(0.1) == math.exp(0.1) and read(0.3) == math.exp(0.3)
+        assert calls == [0.1, 0.2, 0.3, 0.3, 0.3] and read.calls == 5
+        assert list(read.table) == [0.1, 0.2]
+
+    def test_fresh_reads_call_each_distinct_abscissa_past_the_table(self):
+        h, calls = self.counted()
+        read = Integrand(h)
+        read(0.1)
+        xs = [0.1, 0.2, 0.1]
+        assert read.fresh(xs) == [math.exp(x) for x in xs]
+        assert calls == [0.1, 0.1, 0.2] and read.calls == 3
+        assert list(read.table) == [0.1]
+
+    @pytest.mark.parametrize("fresh", [False, True])
+    def test_a_nan_raises_at_its_abscissa_before_it_is_kept(self, fresh):
+        h, calls = self.counted(lambda x: math.nan if x == 0.2 else x)
+        read = Integrand(h)
+        with pytest.raises(EvaluationError) as info:
+            read(0.2)
+        with pytest.raises(EvaluationError) as in_values:
+            (read.fresh if fresh else read.values)([0.1, 0.2, 0.3])
+        for error in (info.value, in_values.value):
+            assert error.abscissa == 0.2 and math.isnan(error.value)
+        assert read.calls == len(calls)
+        assert read.table == ({} if fresh else {0.1: 0.1})
+
+    def test_a_substituted_integral_names_the_abscissa_of_fn(self):
+        # the quadrature runs in u = (b-t)^alpha, the error names t
+        read = Integrand(lambda x: math.inf if x > 0.7 else 1.0)
+        with pytest.raises(EvaluationError) as info:
+            integrate_singular(read, 0.0, 1.0, 0.5, KernelSide.UPPER_SINGULAR)
+        assert info.value.abscissa > 0.7
+
+    def test_calls_are_the_calls_of_fn(self):
+        h, calls = self.counted(lambda x: 1.0 + x * x)
+        read = Integrand(h)
+        integrate_smooth(read, 0.0, 1.0)
+        integrate_singular(read, 0.0, 1.0, 0.75, KernelSide.LOWER_SINGULAR)
+        k = CumulativeKernel(read, 0.0, 1.0, 1.25)
+        k.values(_gk15_nodes(0.2, 0.6))
+        assert read.calls == len(calls) > 0
+
+
 class TestCumulativeKernel:
     def test_alpha_one_closed_form(self):
         # g = 1, alpha = 1: K(t) = (t - a) - (b - t)
@@ -317,9 +389,9 @@ class TestCumulativeKernel:
         allowed = k.abs_error_estimate + 8 * math.ulp(max(map(abs, exact)))
         assert max(abs(k(t) - e) for t, e in zip(ts, exact)) <= allowed
 
-    # Kernels of one weight on one interval share a store of g values.
-    # The 200 points include both end panels (4.7e-10 wide), where the
-    # alpha = 0.5 kernel substitutes one side
+    # Kernels of one weight on one interval share a store: an Integrand of
+    # g and a dict of partial panels.  The 200 points include both end
+    # panels (4.7e-10 wide), where the alpha = 0.5 kernel substitutes one side
     SHARED_ALPHAS = (0.5, 1.25, 2.5)
     POINTS = ([1.0 + 2.0 * i / 195 for i in range(196)]
               + [1.0 + 1e-12, 1.0 + 3e-10, 3.0 - 3e-10, 3.0 - 1e-12])
@@ -328,25 +400,33 @@ class TestCumulativeKernel:
     def bump():
         return {w.label: w for w in builtin_weight_corpus(1.0, 3.0)}["bump"].fn
 
+    @staticmethod
+    def store():
+        """An empty store: an Integrand, whose fn shared_run sets, and a
+        dict of partial panels."""
+        return Integrand(None), {}
+
     def shared_run(self, alphas, store, tol=DEFAULT_TOL):
         """(values, calls) of one kernel per alpha on store, where
         calls[i] lists the abscissae kernel i called g at."""
         bump, calls, values = self.bump(), [], []
+        read, partials = store
 
         def g(x):
             calls[-1].append(x)
             return bump(x)
 
+        read.fn = g
         for alpha in alphas:
             calls.append([])
-            k = CumulativeKernel(g, 1.0, 3.0, alpha, tol, store)
+            k = CumulativeKernel(read, 1.0, 3.0, alpha, tol, partials)
             values.append([k(t) for t in self.POINTS])
             assert k.evaluations == len(calls[-1]), alpha
         return values, calls
 
     def test_shared_store_gives_the_values_of_own_stores(self):
-        values, calls = self.shared_run(self.SHARED_ALPHAS, ({}, {}))
-        own = [self.shared_run((alpha,), ({}, {}))
+        values, calls = self.shared_run(self.SHARED_ALPHAS, self.store())
+        own = [self.shared_run((alpha,), self.store())
                for alpha in self.SHARED_ALPHAS]
         assert values == [run[0][0] for run in own]  # bit for bit
         # no abscissa is called by two kernels, and each later kernel
@@ -357,19 +437,19 @@ class TestCumulativeKernel:
                    for made, run in zip(calls[1:], own[1:]))
 
     def test_retry_kernel_pays_only_its_new_nodes(self):
-        store = ({}, {})
+        store = self.store()
         _, (first,) = self.shared_run((1.25,), store)
         _, (retry,) = self.shared_run((1.25,), store, DEFAULT_TOL / 100)
-        _, (alone,) = self.shared_run((1.25,), ({}, {}), DEFAULT_TOL / 100)
+        _, (alone,) = self.shared_run((1.25,), self.store(), DEFAULT_TOL / 100)
         assert len(set(retry) - set(first)) == len(retry) < len(alone)
 
     def test_store_is_capped(self, monkeypatch):
-        values, calls = self.shared_run(self.SHARED_ALPHAS, ({}, {}))
+        values, calls = self.shared_run(self.SHARED_ALPHAS, self.store())
         monkeypatch.setattr(frachh.numerics, "TABLE_CAP", 10)
-        store = ({}, {})
+        read, partials = store = self.store()
         capped, capped_calls = self.shared_run(self.SHARED_ALPHAS, store)
         assert capped == values
-        assert [len(part) for part in store] == [10, 10]
+        assert [len(read.table), len(partials)] == [10, 10]
         assert sum(map(len, capped_calls)) > sum(map(len, calls))
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5])
@@ -391,17 +471,17 @@ class TestCumulativeKernel:
                 assert k.evaluations - before == len(calls) == len(set(calls))
 
     def test_non_finite_weight_is_caught_before_it_is_stored(self):
-        store = ({}, {})
-        k = CumulativeKernel(self.bump(), 1.0, 3.0, 1.25, store=store)
+        read, partials = Integrand(self.bump()), {}
+        k = CumulativeKernel(read, 1.0, 3.0, 1.25, partials=partials)
         k(2.37)
-        sizes = [len(part) for part in store]
-        k._g = lambda x: math.nan
+        sizes = [len(read.table), len(partials)]
+        read.fn = lambda x: math.nan
         with pytest.raises(EvaluationError) as info:
             k(2.41)
         lo = k.breakpoints[bisect.bisect_right(k.breakpoints, 2.41) - 1]
         assert info.value.abscissa in _gk15_nodes(lo, 2.41)
         assert math.isnan(info.value.value)
-        assert [len(part) for part in store] == sizes
+        assert [len(read.table), len(partials)] == sizes
 
 
 class TestKernelCallsGOncePerNode:
@@ -516,7 +596,8 @@ class TestKernelValues:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_non_finite_weight_raises_before_anything_is_stored(self, alpha):
         g, _ = self.counted()
-        k = CumulativeKernel(g, 1.0, 3.0, alpha)
+        read = Integrand(g)
+        k = CumulativeKernel(read, 1.0, 3.0, alpha)
         bad = set()
 
         def nan_near_a(x):
@@ -525,7 +606,7 @@ class TestKernelValues:
                 return math.nan
             return g(x)
 
-        k._g = nan_near_a
+        read.fn = nan_near_a
         with pytest.raises(EvaluationError) as info:
             k.values(self.points(k)[::-1])  # the bad panels last
         assert info.value.abscissa in bad
