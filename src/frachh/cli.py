@@ -506,13 +506,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, DomainError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OverflowError as exc:
-        print(f"error: overflow, a value exceeds the double range ({exc})",
-              file=sys.stderr)
-        return 3
-    except ZeroDivisionError as exc:
-        print(f"error: underflow, a divisor rounds to 0 ({exc})",
-              file=sys.stderr)
+    except (OverflowError, ZeroDivisionError) as exc:
+        what = ("overflow, a value exceeds the double range"
+                if isinstance(exc, OverflowError)
+                else "underflow, a divisor rounds to 0")
+        # the message alone: float ** raises with (errno, message) args
+        print(f"error: {what} ({exc.args[-1]})", file=sys.stderr)
         return 3
 
 

@@ -14,11 +14,13 @@ how convex it is.  Certification is a ladder:
 
 WeightSpec carries a weight tied to an interval, two flags
 (nonnegativity and symmetry about the midpoint) and sup_at, the points
-where |g| peaks.  The builtin weights hold all three by construction
-(proofs next to each entry); make_weight and symmetrize sample them
-once, when they build a weight from elsewhere.  Both corpora are
-deterministic for a fixed seed, including their randomized entries,
-and leave out any entry that is not finite on [a, b].
+where |g| peaks, all stated from a proof: next to each builtin entry,
+and by the caller for a weight from elsewhere (the even part of a raw
+g, lambda x: 0.5 * (g(x) + g(a + b - x)), is symmetric by
+construction).  Nothing here samples them; oracle.check_weight and
+sup_norm can refute them, never certify them.  Both corpora are
+deterministic for a fixed seed, randomized entries included, and leave
+out any entry that is not finite on [a, b].
 """
 
 from __future__ import annotations
@@ -38,14 +40,10 @@ __all__ = [
     "HolderPair",
     "builtin_function_corpus",
     "builtin_weight_corpus",
-    "make_weight",
-    "symmetrize",
     "sup_norm",
 ]
 
 DEFAULT_CORPUS_SEED = 271828
-SYMMETRY_GRID = 1001
-SYMMETRY_TOL = 1e-12
 SUP_NORM_GRID = 4097
 
 
@@ -85,13 +83,12 @@ class FunctionSpec:
 class WeightSpec:
     """A weight function tied to an interval, with its two hypothesis flags.
 
-    nonnegative and symmetric (about the midpoint of [a, b]) are
-    certified by construction for the builtin corpus and sampled by
-    make_weight otherwise; verifiers refuse a weight whose flag they
-    need is False.  sup_at lists points of [a, b] where |g| attains its
-    supremum, so ||g||_inf is the largest |g| there: proven next to each
-    builtin entry, and found by sup_norm in make_weight.  The bounds
-    that read ||g||_inf refuse a weight whose sup_at is empty.
+    nonnegative and symmetric (about the midpoint of [a, b]) are stated
+    by whoever builds the weight, from a proof; verifiers refuse a
+    weight whose flag they need is False.  sup_at lists points of
+    [a, b] where |g| attains its supremum, so ||g||_inf is the largest
+    |g| there, also stated from a proof.  The bounds that read
+    ||g||_inf refuse a weight whose sup_at is empty.
     """
 
     label: str
@@ -136,37 +133,6 @@ def _grid(a: float, b: float, n: int) -> list[float]:
     return pts
 
 
-def make_weight(label: str, fn: Callable[[float], float], a: float,
-                b: float) -> WeightSpec:
-    """Wrap a raw weight, sampling its flags and sup_at once.
-
-    Symmetry about (a+b)/2 is checked at 1001 points to 1e-12 (scaled
-    by the grid magnitude), nonnegativity to the same slack.  Failing
-    a check does not raise; it just leaves the flag False, and the
-    verifiers that need the property will refuse the weight.  sup_at is
-    the point where sup_norm finds the largest |g|.
-    """
-    check_interval(a, b)
-    pts = _grid(a, b, SYMMETRY_GRID)
-    vals = [fn(x) for x in pts]
-    for x, v in zip(pts, vals):
-        if not math.isfinite(v):
-            raise DomainError(f"weight {label!r} is not finite at x = {x!r}")
-    scale = max(1.0, max(abs(v) for v in vals))
-    symmetric = all(abs(v - fn(a + b - x)) <= SYMMETRY_TOL * scale
-                    for x, v in zip(pts, vals))
-    nonnegative = min(vals) >= -SYMMETRY_TOL * scale
-    return WeightSpec(label, fn, a, b, nonnegative, symmetric,
-                      (sup_norm(fn, a, b)[1],))
-
-
-def symmetrize(g_raw: Callable[[float], float], a: float, b: float,
-               label: str = "symmetrized") -> WeightSpec:
-    """Even part of g_raw about the midpoint: (g(x) + g(a+b-x)) / 2."""
-    fn = lambda x: 0.5 * (g_raw(x) + g_raw(a + b - x))
-    return make_weight(label, fn, a, b)
-
-
 def sup_norm(g: Callable[[float], float], a: float, b: float,
              grid: int = SUP_NORM_GRID,
              refine_rounds: int = 4) -> tuple[float, float]:
@@ -176,8 +142,8 @@ def sup_norm(g: Callable[[float], float], a: float, b: float,
     The coarse grid locates the maximizer to one cell; each refinement
     round re-samples 33 points inside the bracketing cells.  For the
     builtin corpus (smooth or piecewise linear weights) the result is
-    accurate to well under 1e-9 relative.  Only make_weight calls it;
-    the tests use it to re-check the proven sup_at of the corpus.
+    accurate to well under 1e-9 relative.  Only the tests and
+    oracle.check_weight call it, to re-check a stated sup_at.
     """
     if grid < SUP_NORM_GRID:
         raise DomainError(f"grid must have at least {SUP_NORM_GRID} points")
@@ -269,8 +235,8 @@ def builtin_weight_corpus(a: float, b: float,
 
     Six entries, both flags and sup_at certified by construction (the
     one-line proofs sit next to each entry), so nothing is sampled
-    here; the tests re-check every flag with make_weight and every
-    sup_at with sup_norm.  An entry that overflows or is not finite on
+    here; the tests re-check every flag with oracle.check_weight and
+    every sup_at with sup_norm.  An entry that overflows or is not finite on
     [a, b] (parabolic far from 0, bump where (b-a)^2 underflows) is
     left out, as in the function corpus.
     """

@@ -451,7 +451,12 @@ def weighted_trapezoid_identity(f, g: Optional[WeightSpec], s: FracSetting,
 
 def _power_mean(d: Callable[[float], float], a: float, b: float,
                 q: float) -> float:
-    return ((abs(d(a)) ** q + abs(d(b)) ** q) / 2.0) ** (1.0 / q)
+    # direct while m^q is a normal float, scaled by m past that
+    da, db = abs(d(a)), abs(d(b))
+    m = max(da, db)
+    if m == 0.0 or -1022.0 < q * math.log2(m) < 1023.0:
+        return ((da ** q + db ** q) / 2.0) ** (1.0 / q)
+    return m * (((da / m) ** q + (db / m) ** q) / 2.0) ** (1.0 / q)
 
 
 @dataclass(frozen=True)
@@ -528,9 +533,8 @@ def weighted_bound(ident: str, f, g: Optional[WeightSpec], s: FracSetting,
                   f"certified convex on [{s.a!r}, {s.b!r}]", force, notes)
     cell = Cell(f, g, s, tol, memo)
     bound = form.closed_form(s, cell.gsup, f.deriv, pair)
-    # each weighted form is linear in ||g||_inf: pad by its error, 1e-9 for
-    # a sup_at that make_weight sampled, or the ulps a proven sup_at
-    # value can sit below the float max of |g|
+    # each weighted form is linear in ||g||_inf: pad by its error, the
+    # ulps a proven sup_at value can sit below the float max of |g|
     pad = 0.0 if g is None else 1e-9 * bound
 
     def build(c: Cell) -> Report:

@@ -174,14 +174,17 @@ def _gk15(values: Sequence[float], lo: float,
 
 
 def _gk15_nodes(lo: float, hi: float) -> list[float]:
-    """The nodes of _gk15 on [lo, hi] in its order: c, then c -+ r x."""
+    """The nodes of _gk15 on [lo, hi] in its order: c, then c -+ r x,
+    clipped into [lo, hi] (a rounded c can take them past an end)."""
     c = 0.5 * (lo + hi)
     r = 0.5 * (hi - lo)
     x1, x2, x3, x4, x5, x6, x7 = _GK_X
     d1, d2, d3, d4, d5, d6, d7 = (r * x1, r * x2, r * x3, r * x4, r * x5,
                                   r * x6, r * x7)
-    return [c, c - d1, c + d1, c - d2, c + d2, c - d3, c + d3, c - d4,
-            c + d4, c - d5, c + d5, c - d6, c + d6, c - d7, c + d7]
+    nodes = [c, c - d1, c + d1, c - d2, c + d2, c - d3, c + d3, c - d4,
+             c + d4, c - d5, c + d5, c - d6, c + d6, c - d7, c + d7]
+    return (nodes if lo <= nodes[1] and nodes[2] <= hi
+            else [_clip(x, lo, hi) for x in nodes])
 
 
 def _gk15_both(gv: array, a: float, b: float, alpha: float, lo: float,
@@ -189,16 +192,14 @@ def _gk15_both(gv: array, a: float, b: float, alpha: float, lo: float,
     """The _gk15 integrals of (b-t)^(alpha-1) g and (t-a)^(alpha-1) g on
     [lo, hi], bit for bit, from gv, the values of g at _gk15_nodes."""
     e = alpha - 1.0
-    c = 0.5 * (lo + hi)
-    r = 0.5 * (hi - lo)
-    values = iter(gv)
-    gc = next(values)
+    nodes, values = iter(_gk15_nodes(lo, hi)), iter(gv)
+    c, gc = next(nodes), next(values)
     acc_u = _WK_CENTER * ((b - c) ** e * gc)
     acc_l = _WK_CENTER * ((c - a) ** e * gc)
-    for (x, wk, _), g1, g2 in zip(_GK_ROWS, values, values):
-        t1, t2 = c - r * x, c + r * x
+    for wk, t1, t2, g1, g2 in zip(_GK_K, nodes, nodes, values, values):
         acc_u += wk * ((b - t1) ** e * g1 + (b - t2) ** e * g2)
         acc_l += wk * ((t1 - a) ** e * g1 + (t2 - a) ** e * g2)
+    r = 0.5 * (hi - lo)
     return acc_u * r, acc_l * r
 
 

@@ -3,9 +3,11 @@
 These exist so the main quadrature paths can be cross-checked by code
 that shares nothing with them: a brute-force composite midpoint rule,
 a closed-form Beta-function evaluation for monomials, and a central
-finite difference.  check_convexity samples convexity, so the tests
+finite difference.  check_convexity samples convexity, and
+check_weight a weight's nonnegativity, symmetry and sup, so the tests
 can re-check the certificates the corpus states; a sampler can refute
-convexity but never prove it, so no verifier consults it.  They trade
+a stated property but never prove it, so no verifier consults one, and
+check_weight returns a report, never a WeightSpec.  They trade
 speed for transparency and are meant for tests and diagnostics, not
 for production evaluation.
 """
@@ -17,8 +19,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .functions import DEFAULT_CORPUS_SEED
-from .numerics import DomainError, KernelSide, gamma
+from .functions import DEFAULT_CORPUS_SEED, _grid, sup_norm
+from .numerics import (DomainError, KernelSide, _check_finite, check_interval,
+                       check_order, gamma)
 
 __all__ = [
     "dense_singular_integral",
@@ -26,9 +29,12 @@ __all__ = [
     "finite_difference_derivative",
     "ConvexityReport",
     "check_convexity",
+    "WeightReport",
+    "check_weight",
 ]
 
 CONVEXITY_SLACK = 1e-10
+WEIGHT_SLACK = 1e-12
 
 
 def dense_singular_integral(h: Callable[[float], float], a: float, b: float,
@@ -44,10 +50,8 @@ def dense_singular_integral(h: Callable[[float], float], a: float, b: float,
     and keeps order 2.  No error estimate is returned; 1e5 panels give
     roughly 1e-10 absolute accuracy on unit-scale problems.
     """
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError(f"need finite a < b, got [{a!r}, {b!r}]")
+    check_order(alpha)
+    check_interval(a, b)
     if panels < 100_000:
         raise DomainError(f"need at least 1e5 panels, got {panels}")
     if not isinstance(side, KernelSide):
@@ -79,10 +83,8 @@ def beta_reference(alpha: float, n: int, a: float = 0.0, b: float = 1.0) -> floa
     """
     if not isinstance(n, int) or n < 0 or n > 12:
         raise DomainError(f"n must be an integer in [0, 12], got {n!r}")
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError(f"need finite a < b, got [{a!r}, {b!r}]")
+    check_order(alpha)
+    check_interval(a, b)
     return gamma(n + 1.0) / gamma(n + 1.0 + alpha) * (b - a) ** (n + alpha)
 
 
@@ -127,3 +129,30 @@ def check_convexity(f: Callable[[float], float], a: float, b: float,
         scale = max(scale, abs(fx), abs(fy))
     return ConvexityReport(worst <= CONVEXITY_SLACK * scale, worst,
                            samples, seed)
+
+
+@dataclass(frozen=True)
+class WeightReport:
+    nonnegative: bool
+    symmetric: bool
+    sup: float
+    sup_at: float
+
+
+def check_weight(g: Callable[[float], float], a: float,
+                 b: float) -> WeightReport:
+    """Sampled test of a weight's hypothesis flags and sup on [a, b].
+
+    Symmetry about (a+b)/2 and nonnegativity are checked at 1001 points
+    to 1e-12 times the largest sampled |g| (at least 1); sup and sup_at
+    are sup_norm's.  A False flag, or a sup above |g| at each stated
+    sup_at point, refutes the stated property; a True flag proves
+    nothing.  A value that is not finite raises EvaluationError.
+    """
+    check_interval(a, b)
+    pts = _grid(a, b, 1001)
+    vals = [g(x) for x in pts]
+    _check_finite(pts, vals)
+    slack = WEIGHT_SLACK * max(1.0, max(map(abs, vals)))
+    symmetric = all(abs(v - g(a + b - x)) <= slack for x, v in zip(pts, vals))
+    return WeightReport(min(vals) >= -slack, symmetric, *sup_norm(g, a, b))

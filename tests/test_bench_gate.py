@@ -53,12 +53,14 @@ def reference():
 
 @pytest.fixture
 def samplers_raise(monkeypatch):
-    """Replace sup_norm and check_convexity at every frachh binding."""
+    """Replace sup_norm, check_convexity and check_weight at every frachh
+    binding."""
 
     def tripwire(*args, **kwargs):
         raise DomainError("sampled at run time")
 
-    for sampler in (frachh.functions.sup_norm, frachh.oracle.check_convexity):
+    for sampler in (frachh.functions.sup_norm, frachh.oracle.check_convexity,
+                    frachh.oracle.check_weight):
         for name, module in list(sys.modules.items()):
             if name == "frachh" or name.startswith("frachh."):
                 for attr, value in list(vars(module).items()):

@@ -23,8 +23,8 @@ from frachh.cli import (CSV_COLUMNS, RunConfig, UsageError, _config_from,
                         _fmt_float, _sort_key, _worst_status, build_parser,
                         main, run_rows)
 from frachh.fracops import FracSetting
-from frachh.functions import (ConvexityKind, FunctionSpec,
-                              builtin_weight_corpus, make_weight)
+from frachh.functions import (ConvexityKind, FunctionSpec, WeightSpec,
+                              builtin_weight_corpus)
 from frachh.inequalities import Report
 
 SEED = "271828"  # matches the default corpus seed used in library tests
@@ -152,15 +152,56 @@ class TestExitCodes:
         assert proc.returncode == 3
 
     @pytest.mark.parametrize("argv", [
+        # |exp'|^2 near 709 exceeds the double range in the power-mean bound
         ["--thm", "bound-2-6", "--f", "exp", "--g", "one", "--alpha", "0.5",
-         "--q", "2000"],
+         "--q", "2", "--a", "709", "--b", "709.7"],
         ["--thm", "hh-fractional", "--f", "sq", "--alpha", "200"],
-    ], ids=["power-mean", "gamma"])
+        ["--thm", "aux-integrals", "--alpha", "0.5", "--a", "1e308",
+         "--b", "1.7e308"],
+    ], ids=["power-mean", "gamma", "float-power"])
     def test_overflow_is_three(self, argv, capsys):
         assert main(["verify", *argv]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: overflow")
+        # one line, with the message and not an (errno, message) tuple
+        assert err.count("error:") == 1 and err.count("\n") == 1
+        assert "(34," not in err
+
+    @pytest.mark.parametrize("argv", [
+        # a graded mesh keeps a first panel 9 ulps wide, whose rounded
+        # centre took a node below a
+        *(["verify", "--thm", "identity-2-3", "--f", "sq", "--g", "one",
+           "--alpha", alpha, "--a", "1", "--b", "1.000000001"]
+          for alpha in ("0.5", "1.25", "1.5", "2.0", "2.5")),
+        ["sweep", "--thm", "identity-2-3", "--f", "exp-neg", "--g",
+         "parabolic", "--a", "1", "--b", "1.0000000002610487"],
+        # |f'|^q under- or overflows at large q
+        *(["verify", "--thm", "bound-2-6", "--f", f, "--g", "one", "--alpha",
+           "0.5", "--q", "1100"] for f in ("quart", "sq", "exp")),
+        ["verify", "--thm", "aux-integrals", "--alpha", "0.5", "--a",
+         "1e308", "--b", "1.7e308"],
+    ])
+    def test_edge_input_exits_without_traceback(self, argv, capsys):
+        code = main(argv + ["--format", "text"])
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3)
+        if code == 3:
+            assert err.count("error:") == 1 and err.count("\n") == 1
+        else:
+            assert err == ""
+
+    @pytest.mark.parametrize("q", ["1100", "1e17"])
+    @pytest.mark.parametrize("f", ["quart", "sq", "exp"])
+    @pytest.mark.parametrize("ident", ["bound-2-5", "bound-2-6", "bound-2-7"])
+    def test_power_mean_at_large_q_holds(self, ident, f, q, capsys):
+        # 0.5^1100 underflows to 0 and 2^1100 overflows: the power mean
+        # is scaled by the larger |f'| there, not read as 0 or inf
+        assert main(["verify", "--thm", ident, "--f", f, "--g", "one",
+                     "--alpha", "0.5", "--q", q]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["status"] == "Holds"
+        assert 0.0 < row["bound"] < math.inf
 
     def test_overflowing_corpus_entry_spares_the_others(self, capsys):
         # exp overflows on [700, 800]; sq is finite there
@@ -380,7 +421,7 @@ class TestTolerance:
             assert coarse["evaluations"] < fine["evaluations"]
             assert coarse["error_budget"] > fine["error_budget"]
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: the absolute "
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the absolute "
                        "tolerance of J on [0, 1e-6], scaled by 1/(b-a)^alpha, "
                        "gives a budget 1e8 times the values")
     def test_tiny_interval_identity_is_not_vacuous(self, capsys):
@@ -391,6 +432,26 @@ class TestTolerance:
         (row,) = json.loads(capsys.readouterr().out)["rows"]
         assert (row["status"] != "Holds" or abs(row["lhs"] - row["rhs"])
                 <= 1e-6 * max(abs(row["lhs"]), abs(row["rhs"])))
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: on [1000, 1000 + "
+                       "2e-3] mid sits ~5e-8 below lhs, past an absolute "
+                       "budget of 4.58e-8")
+    def test_shifted_narrow_fejer_is_not_violated(self, capsys):
+        # mid 1266.45816185 sits ~5e-8 below lhs 1266.4581619; the same
+        # width on [0, 0.0019893438712] Holds
+        main(["verify", "--thm", "fejer-classical", "--f", "sq", "--g",
+              "cos-arch", "--a", "1000", "--b", "1000.0019893438712"])
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["status"] != "Violated"
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: on an interval "
+                       "4 doubles wide the fractional mean of sq is 0.98331 "
+                       "against lhs = rhs = 1, budget 0.0132")
+    def test_four_ulp_interval_is_not_violated(self, capsys):
+        main(["verify", "--thm", "hh-fractional", "--f", "sq", "--alpha",
+              "1.5", "--a", "1", "--b", "1.0000000000000009"])
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["status"] != "Violated"
 
 
 class TestSubcommands:
@@ -697,7 +758,8 @@ class TestRowAssembly:
         assert _worst_status([]) == 0
 
     def test_forced_asymmetric_weight_yields_violated_row(self):
-        ramp = make_weight("ramp", lambda x: x, 0.0, 1.0)
+        # x >= 0 on [0, 1]; x and 1 - x differ, so not symmetric
+        ramp = WeightSpec("ramp", lambda x: x, 0.0, 1.0, nonnegative=True)
         cfg = RunConfig(force=True)
         rows = run_rows("fejer-fractional", cfg,
                         f=FunctionSpec("exp", math.exp, math.exp,

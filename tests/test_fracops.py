@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frachh.fracops import FracSetting, j_left, j_right
-from frachh.functions import builtin_function_corpus, builtin_weight_corpus, make_weight
+from frachh.functions import (WeightSpec, builtin_function_corpus,
+                              builtin_weight_corpus)
 from frachh.inequalities import Status, check_symmetry_lemma
 from frachh.numerics import DomainError, gamma, integrate_smooth
 
@@ -94,7 +95,7 @@ class TestOperatorValues:
 
 class TestSymmetryLemma:
     def test_requires_validated_symmetry(self):
-        skewed = make_weight("skewed", lambda x: x, 0.0, 1.0)
+        skewed = WeightSpec("skewed", lambda x: x, 0.0, 1.0, nonnegative=True)
         with pytest.raises(DomainError):
             check_symmetry_lemma(skewed, HALF_UNIT)
         with pytest.raises(DomainError):

@@ -1,8 +1,8 @@
 """Corpus and certification tests.
 
 Exact derivatives carried by the corpus are cross-checked against
-central differences, and every analytic convexity claim is re-checked
-by the sampling test (which can refute, never prove).
+central differences, and every analytic convexity claim and weight
+flag is re-checked by a sampling test (which can refute, never prove).
 """
 
 import math
@@ -10,16 +10,16 @@ import math
 import pytest
 
 import frachh.functions
+import frachh.oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frachh.fracops import FracSetting
 from frachh.functions import (DEFAULT_CORPUS_SEED, ConvexityKind, HolderPair,
-                              builtin_function_corpus, builtin_weight_corpus,
-                              make_weight, sup_norm, symmetrize)
-from frachh.inequalities import Cell
-from frachh.numerics import DomainError
-from frachh.oracle import check_convexity, finite_difference_derivative
+                              WeightSpec, builtin_function_corpus,
+                              builtin_weight_corpus, sup_norm)
+from frachh.numerics import DomainError, EvaluationError
+from frachh.oracle import (check_convexity, check_weight,
+                           finite_difference_derivative)
 
 UNIT = (0.0, 1.0)
 SHIFTED = (1.0, 3.0)
@@ -121,8 +121,8 @@ class TestWeightCorpus:
         for w in ws:
             assert w.nonnegative and w.symmetric, w.label
             assert (w.a, w.b) == interval
-            sampled = make_weight(w.label, w.fn, *interval)
-            assert sampled.nonnegative and sampled.symmetric, w.label
+            report = check_weight(w.fn, *interval)
+            assert report.nonnegative and report.symmetric, w.label
 
     @pytest.mark.parametrize("interval,left_out", [
         ((1e200, 1e201), ["parabolic", "bump"]),  # overflow
@@ -137,7 +137,8 @@ class TestWeightCorpus:
     def test_builder_samples_nothing(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("builtin weights are not sampled")
-        monkeypatch.setattr(frachh.functions, "make_weight", refuse)
+        monkeypatch.setattr(frachh.oracle, "check_weight", refuse)
+        monkeypatch.setattr(frachh.functions, "sup_norm", refuse)
         assert len(builtin_weight_corpus(*UNIT)) == 6
 
     def test_weight_values(self):
@@ -157,48 +158,40 @@ class TestWeightCorpus:
         assert [one(x) for x in xs] != [other(x) for x in xs]
 
 
-class TestMakeWeight:
+class TestCheckWeight:
     def test_flags_reflect_reality(self):
-        w = make_weight("identity", lambda x: x, 0.0, 1.0)
-        assert w.nonnegative and not w.symmetric
-        w = make_weight("signed", lambda x: x - 0.5, 0.0, 1.0)
-        assert not w.nonnegative and not w.symmetric
-        w = make_weight("neg-vee", lambda x: -abs(x - 0.5), 0.0, 1.0)
-        assert not w.nonnegative and w.symmetric
+        report = check_weight(lambda x: x, 0.0, 1.0)
+        assert report.nonnegative and not report.symmetric
+        report = check_weight(lambda x: x - 0.5, 0.0, 1.0)
+        assert not report.nonnegative and not report.symmetric
+        report = check_weight(lambda x: -abs(x - 0.5), 0.0, 1.0)
+        assert not report.nonnegative and report.symmetric
+        assert report.sup == 0.5
+
+    def test_a_true_flag_proves_nothing(self):
+        # every sample sits on a zero of sin(1000 pi x), so this weight
+        # passes; between samples it is not symmetric about 1/2
+        g = lambda x: 1.0 + 2.0 * math.sin(1000.0 * math.pi * x) ** 2 * (
+            x - 0.5)
+        assert check_weight(g, 0.0, 1.0).symmetric
+        assert (g(0.2005), g(0.7995)) == pytest.approx((0.401, 1.599))
+
+    def test_sup_refutes_a_wrong_sup_at(self):
+        # vee peaks at the ends; a stated peak at the midpoint is wrong
+        vee = WeightSpec("vee", lambda x: abs(x - 0.5), 0.0, 1.0, True, True,
+                         (0.5,))
+        report = check_weight(vee.fn, vee.a, vee.b)
+        assert report.sup == 0.5 and report.sup_at in (0.0, 1.0)
+        assert report.sup > max(abs(vee(x)) for x in vee.sup_at)
 
     def test_nonfinite_weight_rejected(self):
         bad = lambda x: math.nan if abs(x - 0.5) < 1e-9 else 1.0
-        with pytest.raises(DomainError):
-            make_weight("bad", bad, 0.0, 1.0)
+        with pytest.raises(EvaluationError, match="at x = 0.5"):
+            check_weight(bad, 0.0, 1.0)
 
     def test_interval_validated(self):
         with pytest.raises(DomainError):
-            make_weight("w", lambda x: 1.0, 1.0, 0.0)
-
-
-class TestSymmetrize:
-    def test_identity_becomes_constant(self):
-        w = symmetrize(lambda x: x, 0.0, 1.0)
-        assert w.symmetric
-        for x in (0.0, 0.25, 0.7):
-            assert w(x) == pytest.approx(0.5, rel=1e-15)
-
-    def test_square_even_part(self):
-        w = symmetrize(lambda x: x * x, 0.0, 1.0)
-        assert w(0.0) == pytest.approx(0.5)
-        assert w(0.3) == pytest.approx(0.5 * (0.09 + 0.49))
-
-    def test_idempotent_on_symmetric_input(self):
-        g = builtin_weight_corpus(*UNIT)[1]          # parabolic
-        w = symmetrize(g.fn, 0.0, 1.0)
-        for x in (0.1, 0.5, 0.85):
-            assert w(x) == pytest.approx(g(x), rel=1e-15)
-
-    @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
-    @settings(max_examples=50, deadline=None)
-    def test_output_always_flagged_symmetric(self, c0, c1, c2):
-        w = symmetrize(lambda x: c0 + c1 * x + c2 * x * x * x, 0.0, 1.0)
-        assert w.symmetric
+            check_weight(lambda x: 1.0, 1.0, 0.0)
 
 
 class TestConvexityCheck:
@@ -266,18 +259,6 @@ class TestSupNorm:
                 assert certified >= sampled, (seed, w.label)
                 if exact:
                     assert certified == sampled, (seed, w.label)
-
-    def test_sampled_weights_read_the_sampled_sup(self):
-        # make_weight samples sup_at once; ||g||_inf is then the sampled
-        # value bit for bit and nothing is sampled again
-        s = FracSetting(*UNIT, 0.5)
-        raw = lambda x: math.sin(3.0 * x) + 2.0
-        for w in (make_weight("id", lambda x: x, *UNIT),
-                  make_weight("wave", raw, *UNIT),
-                  symmetrize(lambda x: x, *UNIT),
-                  symmetrize(raw, *UNIT)):
-            assert Cell(None, w, s, 1e-9).gsup == sup_norm(w.fn, *UNIT)[0], \
-                w.label
 
 
 class TestHolderPair:

@@ -19,7 +19,7 @@ import frachh.numerics
 from frachh.fracops import FracSetting, j_left, j_right
 from frachh.functions import (ConvexityKind, FunctionSpec, HolderPair,
                               WeightSpec, builtin_function_corpus,
-                              builtin_weight_corpus, make_weight, sup_norm)
+                              builtin_weight_corpus, sup_norm)
 from frachh.inequalities import (ERROR_FLOOR, GRAY_FACTOR, WEIGHTED_BOUNDS,
                                  Cell, Status, _bound,
                                  _identity, _sandwich, aux_integrals,
@@ -211,7 +211,9 @@ class TestClassicalSandwiches:
             fejer_classical(UNIT_FUNCS["sq"], lambda x: 1.0)
 
     def test_negative_weight_needs_force(self):
-        neg = make_weight("neg-vee", lambda x: -abs(x - 0.5), 0.0, 1.0)
+        # -|x - 1/2| is symmetric about 1/2 and <= 0
+        neg = WeightSpec("neg-vee", lambda x: -abs(x - 0.5), 0.0, 1.0,
+                         symmetric=True)
         with pytest.raises(DomainError):
             fejer_classical(UNIT_FUNCS["sq"], neg)
         r = fejer_classical(UNIT_FUNCS["sq"], neg, force=True)
@@ -275,7 +277,8 @@ class TestFractionalSandwiches:
         assert abs(r.mid - exact) <= r.error_budget
 
     def test_asymmetric_weight_needs_force(self):
-        ramp = make_weight("ramp", lambda x: x, 0.0, 1.0)
+        # x >= 0 on [0, 1]; x and 1 - x differ, so not symmetric
+        ramp = WeightSpec("ramp", lambda x: x, 0.0, 1.0, nonnegative=True)
         s = FracSetting(0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             fejer_fractional(UNIT_FUNCS["exp"], ramp, s)
@@ -493,7 +496,9 @@ class TestIdentities:
             assert abs(r.rhs - value) <= budget, g
 
     def test_signed_symmetric_weight_accepted(self):
-        neg = make_weight("neg-vee", lambda x: -abs(x - 0.5), 0.0, 1.0)
+        # -|x - 1/2| is symmetric about 1/2 and <= 0
+        neg = WeightSpec("neg-vee", lambda x: -abs(x - 0.5), 0.0, 1.0,
+                         symmetric=True)
         r = weighted_trapezoid_identity(UNIT_FUNCS["exp"], neg, HALF_UNIT)
         assert r.status is Status.HOLDS
 

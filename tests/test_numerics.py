@@ -12,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import frachh.numerics
 from frachh.fracops import FracSetting
-from frachh.functions import (builtin_function_corpus, builtin_weight_corpus,
-                              make_weight)
+from frachh.functions import builtin_function_corpus, builtin_weight_corpus
 from frachh.numerics import (DEFAULT_TOL, CumulativeKernel, DomainError,
                              EvaluationError, Integrand, KERNEL_MESH_PANELS,
                              KernelSide, MAX_PANELS, QuadResult, _gk15,
@@ -153,6 +152,18 @@ def test_smooth_value_matches_polynomial_antiderivative(c2, c1, c0):
     assert r.value == pytest.approx(exact, abs=1e-10)
     assert r.abs_error_estimate >= 0.0
     assert r.evaluations >= 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.sampled_from([1.0, 1000.0, -3.0, 1e-300]),
+       ulps=st.integers(1, 256))
+def test_nodes_stay_inside_a_panel_a_few_ulps_wide(lo, ulps):
+    # the centre of such a panel rounds by up to half an ulp, which can
+    # take c -+ r x past an end; (t - a)^(alpha - 1) is complex there
+    hi = lo
+    for _ in range(ulps):
+        hi = math.nextafter(hi, math.inf)
+    assert all(lo <= x <= hi for x in _gk15_nodes(lo, hi))
 
 
 class TestIntegrateSingular:
@@ -639,7 +650,6 @@ class TestInputChecks:
             math.exp, a, b, 0.5, KernelSide.LOWER_SINGULAR),
         "CumulativeKernel": lambda a, b: CumulativeKernel(math.exp, a, b, 0.5),
         "FracSetting": lambda a, b: FracSetting(a, b, 0.5),
-        "make_weight": lambda a, b: make_weight("one", lambda x: 1.0, a, b),
         "builtin_function_corpus": builtin_function_corpus,
         "builtin_weight_corpus": builtin_weight_corpus,
     }
