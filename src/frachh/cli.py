@@ -187,8 +187,8 @@ def run_rows(ident: str, cfg: RunConfig, *, f: Optional[FunctionSpec] = None,
         if q is None:
             if p is None:
                 raise UsageError(f"{ident} needs --q (or --p)")
-            if not p > 1.0:
-                raise UsageError(f"need p > 1, got {p!r}")
+            if not 1.0 < p < math.inf:
+                raise UsageError(f"need finite p > 1, got {p!r}")
             q = HolderPair.from_q(p).p  # conjugacy is symmetric
         pair = HolderPair(p, q) if p is not None else HolderPair.from_q(q)
     elif q is not None or p is not None:
@@ -220,12 +220,10 @@ def _cells(info: TheoremInfo, functions: Sequence, weights: Sequence,
                     yield f, g, alpha, q
 
 
-def _admits(info: TheoremInfo, f: Optional[FunctionSpec],
-            q: Optional[float]) -> bool:
-    # identities need a derivative; bounds also need the certified
-    # convexity of |f'|^q, so uncertified entries are skipped there
+def _admits(info: TheoremInfo, f: Optional[FunctionSpec]) -> bool:
+    # identities need f'; bounds also a certified convex |f'| (any q >= 1)
     if info.kind == "bound":
-        return f.admits_deriv_power(1.0 if q is None else q)
+        return f.admits_deriv_power(1.0)
     return info.kind != "identity" or f.deriv is not None
 
 
@@ -241,7 +239,7 @@ def _corpus_rows(idents: Sequence[str], cfg: RunConfig, functions: Sequence,
             run_cfg = replace(cfg, a=a, b=b)
             for f, g, alpha, q in _cells(info, functions, weights, alphas,
                                          qs):
-                if _admits(info, f, q):
+                if _admits(info, f):
                     rows += run_rows(ident, run_cfg, f=f, g=g, alpha=alpha,
                                      q=q, memo=memo)
     return rows
@@ -375,6 +373,13 @@ def _grid(text: str) -> tuple[float, ...]:
     return values
 
 
+def _q_grid(text: str) -> tuple[float, ...]:
+    values = _grid(text)
+    if not all(1.0 < v < math.inf for v in values):
+        raise UsageError(f"q grid values must be finite and > 1: {text!r}")
+    return values
+
+
 def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--a", type=float, default=0.0,
                      help="left endpoint (default 0)")
@@ -417,7 +422,7 @@ def build_parser() -> _Parser:
                    help="comma list of theorem ids, or 'all'")
     p.add_argument("--alpha-grid", type=_grid, default=DEFAULT_ALPHA_GRID,
                    metavar="A1,A2,...")
-    p.add_argument("--q-grid", type=_grid, default=DEFAULT_Q_GRID,
+    p.add_argument("--q-grid", type=_q_grid, default=DEFAULT_Q_GRID,
                    metavar="Q1,Q2,...")
     _add_common(p)
 
@@ -429,7 +434,7 @@ def build_parser() -> _Parser:
     p.add_argument("--g", default=None)
     p.add_argument("--alpha-grid", type=_grid, default=None,
                    metavar="A1,A2,...")
-    p.add_argument("--q-grid", type=_grid, default=None, metavar="Q1,Q2,...")
+    p.add_argument("--q-grid", type=_q_grid, metavar="Q1,Q2,...")
     _add_common(p)
 
     return parser

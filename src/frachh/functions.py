@@ -19,8 +19,8 @@ and by the caller for a weight from elsewhere (the even part of a raw
 g, lambda x: 0.5 * (g(x) + g(a + b - x)), is symmetric by
 construction).  Nothing here samples them; oracle.check_weight and
 sup_norm can refute them, never certify them.  Both corpora are
-deterministic for a fixed seed, randomized entries included, and leave
-out any entry that is not finite on [a, b].
+deterministic for a fixed seed, randomized entries included, and admit
+an entry finite at a and b (a weight also at sup_at), read nowhere else.
 """
 
 from __future__ import annotations
@@ -119,8 +119,9 @@ class HolderPair:
 
     @classmethod
     def from_q(cls, q: float) -> "HolderPair":
-        if not (q > 1):
-            raise DomainError(f"need q > 1, got {q!r}")
+        """The pair with this q, for 1 < q < inf (q = inf gives p = nan)."""
+        if not (1 < q < math.inf):
+            raise DomainError(f"need finite q > 1, got {q!r}")
         # for q above ~1e16 the conjugate rounds to 1.0; the least
         # double above 1 is the nearest exponent that is still > 1
         return cls(max(q / (q - 1.0), math.nextafter(1.0, 2.0)), q)
@@ -158,9 +159,9 @@ def sup_norm(g: Callable[[float], float], a: float, b: float,
     return best_val, best_at
 
 
-def _finite_on(fn: Callable[[float], float], a: float, b: float) -> bool:
+def _finite_at(fn: Callable[[float], float], xs: tuple[float, ...]) -> bool:
     try:
-        return all(math.isfinite(fn(x)) for x in _grid(a, b, 33))
+        return all(math.isfinite(fn(x)) for x in xs)
     except (OverflowError, ValueError):  # math.cos(inf): a domain error
         return False
 
@@ -170,8 +171,8 @@ def builtin_function_corpus(a: float, b: float,
     """Deterministic corpus of convex functions on [a, b].
 
     Eight entries; two more (using logarithms) join on strictly
-    positive intervals.  An entry that overflows on [a, b] (exp and
-    cosh far from 0, say) is left out, so the others stay usable there.
+    positive intervals.  Each is read at a and b only (convex, it lies
+    between its chord and a tangent) and left out unless finite there.
     Entries whose derivative has a kink carry deriv=None and so are
     skipped by derivative-based verifiers.
     """
@@ -226,7 +227,7 @@ def builtin_function_corpus(a: float, b: float,
         entries.append(FunctionSpec("xlogx", lambda x: x * math.log(x),
                                     lambda x: math.log(x) + 1.0,
                                     xlogx_kind, a, b))
-    return [spec for spec in entries if _finite_on(spec.fn, a, b)]
+    return [spec for spec in entries if _finite_at(spec.fn, (a, b))]
 
 
 def builtin_weight_corpus(a: float, b: float,
@@ -236,9 +237,9 @@ def builtin_weight_corpus(a: float, b: float,
     Six entries, both flags and sup_at certified by construction (the
     one-line proofs sit next to each entry), so nothing is sampled
     here; the tests re-check every flag with oracle.check_weight and
-    every sup_at with sup_norm.  An entry that overflows or is not finite on
-    [a, b] (parabolic far from 0, bump where (b-a)^2 underflows) is
-    left out, as in the function corpus.
+    every sup_at with sup_norm.  Each is read at a, b and sup_at only, as
+    its proof gives |g| <= |g(sup_at)|, and left out unless finite there;
+    the ends catch bump, whose (x-m)^2 overflows once (b-a)^2 does.
     """
     check_interval(a, b)
     m = 0.5 * (a + b)
@@ -290,4 +291,4 @@ def builtin_weight_corpus(a: float, b: float,
         # the even part P alone; |g| peaks where |P| does
         WeightSpec("poly-rand", poly_rand, a, b, True, True, poly_peaks),
     ]
-    return [spec for spec in entries if _finite_on(spec.fn, a, b)]
+    return [w for w in entries if _finite_at(w.fn, (a, b, *w.sup_at))]

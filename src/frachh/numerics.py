@@ -64,8 +64,11 @@ class DomainError(ValueError):
 
 
 def check_interval(a: float, b: float) -> None:
+    """Refuse [a, b] unless a < b and a, b and the width b - a are finite."""
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError(f"need finite a < b, got [{a!r}, {b!r}]")
+    if not math.isfinite(b - a):
+        raise DomainError(f"the width b - a of [{a!r}, {b!r}] overflows")
 
 
 def check_order(alpha: float) -> None:
@@ -185,22 +188,6 @@ def _gk15_nodes(lo: float, hi: float) -> list[float]:
              c + d4, c - d5, c + d5, c - d6, c + d6, c - d7, c + d7]
     return (nodes if lo <= nodes[1] and nodes[2] <= hi
             else [_clip(x, lo, hi) for x in nodes])
-
-
-def _gk15_both(gv: array, a: float, b: float, alpha: float, lo: float,
-               hi: float) -> tuple[float, float]:
-    """The _gk15 integrals of (b-t)^(alpha-1) g and (t-a)^(alpha-1) g on
-    [lo, hi], bit for bit, from gv, the values of g at _gk15_nodes."""
-    e = alpha - 1.0
-    nodes, values = iter(_gk15_nodes(lo, hi)), iter(gv)
-    c, gc = next(nodes), next(values)
-    acc_u = _WK_CENTER * ((b - c) ** e * gc)
-    acc_l = _WK_CENTER * ((c - a) ** e * gc)
-    for wk, t1, t2, g1, g2 in zip(_GK_K, nodes, nodes, values, values):
-        acc_u += wk * ((b - t1) ** e * g1 + (b - t2) ** e * g2)
-        acc_l += wk * ((t1 - a) ** e * g1 + (t2 - a) ** e * g2)
-    r = 0.5 * (hi - lo)
-    return acc_u * r, acc_l * r
 
 
 def _check_finite(xs: Iterable[float], ys: Iterable[float]) -> None:
@@ -505,8 +492,13 @@ class CumulativeKernel:
                 if len(self._partial) < TABLE_CAP:
                     self._partial[t] = gv
             if t != bp[i]:
-                sides = [None, None] if gv is None else list(
-                    _gk15_both(gv, a, b, self.alpha, bp[i], t))
+                sides = [None, None]
+                if gv is not None:  # each plain side is _gk15 of kernel * g
+                    e, up, low = self.alpha - 1.0, [], []
+                    for x, y in zip(_gk15_nodes(bp[i], t), gv):
+                        up.append((b - x) ** e * y)
+                        low.append((x - a) ** e * y)
+                    sides = [_gk15(up, bp[i], t)[0], _gk15(low, bp[i], t)[0]]
                 for j, at, ulo, uhi, c in mapped:
                     sides[j] = _gk15(got[at:at + 15], ulo, uhi)[0] / c
                 k = k + sides[0] + sides[1]

@@ -5,8 +5,9 @@ bench/reference.json.gz: verdicts may not flip, and every value must
 stay within the error budget.  Running it here makes value drift fail
 the test suite, not only a benchmark run.  The gate runs, the same
 workloads at a second seed, and one verify per statement all run with
-the samplers rigged to raise, so a run that samples a hypothesis or
-||g||_inf fails here.  The bench's integrand counter runs too: the
+the samplers and their grid rigged to raise an exception the library does
+not catch, so a run that samples a hypothesis, ||g||_inf or the finiteness
+of a corpus entry fails here.  The bench's integrand counter runs too: the
 evaluations a run reports may not exceed the calls it counts, and the
 corpus calls at SEED may not exceed a ceiling.  The
 bench modules are imported as they are and nothing under bench/ is
@@ -22,7 +23,6 @@ import pytest
 import frachh.functions
 import frachh.oracle
 from frachh import cli
-from frachh.numerics import DomainError
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
@@ -51,16 +51,21 @@ def reference():
     return gate.Reference()
 
 
+class Sampled(Exception):
+    """Raised by the tripwire; no except clause in frachh catches it, so a
+    library handler cannot turn a sample into a dropped entry."""
+
+
 @pytest.fixture
 def samplers_raise(monkeypatch):
-    """Replace sup_norm, check_convexity and check_weight at every frachh
-    binding."""
+    """Replace sup_norm, check_convexity, check_weight and _grid, the grid
+    every sampler draws from, at every frachh binding."""
 
     def tripwire(*args, **kwargs):
-        raise DomainError("sampled at run time")
+        raise Sampled("sampled at run time")
 
     for sampler in (frachh.functions.sup_norm, frachh.oracle.check_convexity,
-                    frachh.oracle.check_weight):
+                    frachh.oracle.check_weight, frachh.functions._grid):
         for name, module in list(sys.modules.items()):
             if name == "frachh" or name.startswith("frachh."):
                 for attr, value in list(vars(module).items()):

@@ -276,6 +276,29 @@ class TestExitCodes:
         assert code in (0, 2)
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("argv,says", [
+        *(([*cmd, "--a", "-1e308", "--b", "1e308"], "overflows") for cmd in (
+            ["verify", "--thm", "hh-classical", "--f", "sq"],
+            ["sweep", "--thm", "hh-classical", "--f", "sq"], ["corpus"])),
+        *(([*cmd, "--q-grid", q], "q grid") for q in ("0.5", "1", "inf")
+          for cmd in (["corpus", "--theorems", "bound-2-6"],
+                      ["corpus", "--theorems", "all"],
+                      ["sweep", "--thm", "bound-2-6", "--f", "sq", "--g",
+                       "one"])),
+        *((["verify", "--thm", "bound-2-6", "--f", "sq", "--g", "one",
+            "--alpha", "0.5", f"--{name}", "inf"], f"need finite {name} > 1")
+          for name in ("q", "p")),
+    ])
+    def test_refused_input_is_three(self, argv, says, capsys):
+        # refused before any row is run: an overflowing width, and an
+        # exponent that is not finite and > 1, which a corpus once
+        # skipped cell by cell
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("error:") == 1 and err.count("\n") == 1
+        assert says in err and "Traceback" not in err
+
     def test_huge_p_holds(self):
         # p / (p - 1) rounds to 1.0 unless nudged above it
         proc = run_cli("verify", "--thm", "bound-2-6", "--f", "exp-neg",

@@ -158,6 +158,52 @@ class TestWeightCorpus:
         assert [one(x) for x in xs] != [other(x) for x in xs]
 
 
+def _finite_on_grid(fn, a, b):
+    # the 33-point rule the corpora once admitted entries by, kept as the
+    # reference that reading the certificates' points must agree with
+    step = (b - a) / 32
+    try:
+        return all(math.isfinite(fn(x))
+                   for x in [a + i * step for i in range(32)] + [b])
+    except (OverflowError, ValueError):
+        return False
+
+
+class TestAdmission:
+    # each entry is read only where its certificate decides finiteness:
+    # f at a and b (convex), g at a, b and sup_at
+    EDGES = [(0.0, 1.0), (700.0, 709.7), (1e154, 1.4e154), (0.0, 1e-162),
+             (5e-324, 1.0), (1e300, 1.0000001e300), (1e308, 1.5e308),
+             (-1e308, 5e307), (0.0, 1e308), (-8e307, 8e307), (2e154, 4e154),
+             (-1e154, 1e154), (0.0, 1e-300), (1e-320, 2e-320),
+             (-5e-324, 5e-324), (709.0, 710.0), (1e200, 1e201),
+             (1.0, math.nextafter(1.0, 2.0)), (1e17, 1e17 + 64)]
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("build", [builtin_function_corpus,
+                                       builtin_weight_corpus])
+    def test_labels_match_the_grid_rule(self, build, seed, monkeypatch):
+        for a, b in self.EDGES:
+            admitted = [e.label for e in build(a, b, seed)]
+            with monkeypatch.context() as m:
+                m.setattr(frachh.functions, "_finite_at", lambda fn, xs: True)
+                every = build(a, b, seed)
+            assert admitted == [e.label for e in every
+                                if _finite_on_grid(e.fn, a, b)], (a, b)
+
+    def test_bump_is_read_at_the_ends(self, monkeypatch):
+        # (b-a)^2 overflows: lambda = 0, so bump is 1 at its peak m but
+        # not finite near a and b, where (x-m)^2 overflows
+        a, b = 1e300, 1.0000001e300
+        monkeypatch.setattr(frachh.functions, "_finite_at",
+                            lambda fn, xs: True)
+        bump = {w.label: w for w in builtin_weight_corpus(a, b)}["bump"]
+        assert [bump(x) for x in bump.sup_at] == [1.0]
+        assert not _finite_on_grid(bump.fn, a, b)
+        monkeypatch.undo()
+        assert "bump" not in [w.label for w in builtin_weight_corpus(a, b)]
+
+
 class TestCheckWeight:
     def test_flags_reflect_reality(self):
         report = check_weight(lambda x: x, 0.0, 1.0)

@@ -672,6 +672,18 @@ class TestInputChecks:
             self.INTERVAL_TAKERS[name](a, b)
         assert str(again.value) == str(caught.value)
 
+    @pytest.mark.parametrize("name", sorted(INTERVAL_TAKERS))
+    def test_interval_width(self, name):
+        # finite ends, but b - a overflows: nodes and steps would be inf
+        a, b = -1e308, 1e308
+        with pytest.raises(DomainError) as caught:
+            check_interval(a, b)
+        assert str(caught.value) == (f"the width b - a of [{a!r}, {b!r}] "
+                                     "overflows")
+        with pytest.raises(DomainError) as again:
+            self.INTERVAL_TAKERS[name](a, b)
+        assert str(again.value) == str(caught.value)
+
     @pytest.mark.parametrize("name", sorted(ORDER_TAKERS))
     @pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, math.nan])
     def test_order(self, name, alpha):
