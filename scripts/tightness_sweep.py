@@ -46,7 +46,7 @@ def main() -> int:
              "weight")
     if f.deriv is None:
         sys.exit(f"{f.label!r} carries no derivative, pick another function")
-    pair = HolderPair.from_q(args.q)
+    pair = HolderPair(args.q)
 
     print(f"f={f.label} g={g.label} [{args.a:g}, {args.b:g}] q={args.q:g} "
           f"(ratios are defect/bound)")

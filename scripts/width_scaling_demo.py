@@ -48,7 +48,7 @@ def main() -> int:
             sys.exit(f"unknown labels; have {sorted(fs)} and {sorted(ws)}")
         s = FracSetting(0.0, width, args.alpha)
         r = weighted_bound("bound-2-5", fs[args.f], ws[args.g], s,
-                           HolderPair.from_q(args.q))
+                           HolderPair(args.q))
         rescaled = r.bound * width ** (1.0 / args.q)
         flipped = flipped or r.status is Status.VIOLATED
         print(f"{width:>6g} {r.observed:>12.5e} {r.bound:>12.5e} "

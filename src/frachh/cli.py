@@ -6,6 +6,9 @@ Three subcommands:
 * corpus: every requested theorem over the builtin corpus and grids.
 * sweep: one theorem and one function across alpha (and q) grids.
 
+The Holder bounds take q alone (--q, --q-grid); their pair is
+functions.HolderPair(q), and the p column is its conjugate.
+
 Output is JSON by default (--format csv or text otherwise), written to
 stdout or --out.  Floats are rendered with 17 significant digits, rows
 are emitted in a deterministic sorted order, and the builtin corpus is
@@ -64,8 +67,8 @@ class TheoremInfo:
     # the keyword arguments verify takes, of ident, f, g, s, a, b,
     # alpha, pair, tol, force and memo
     args: tuple[str, ...]
-    # the inputs it reads, of f, g, alpha, q and p.  With q it takes
-    # --p in place of --q; with p it reports p of the pair as well
+    # the inputs it reads, of f, g, alpha and q; "p" marks the rows that
+    # report p, the conjugate of q, as well
     reads: tuple[str, ...]
     max_alpha: float = math.inf  # larger orders are skipped in grids
     intervals: tuple = ()  # corpus intervals in place of [a, b]
@@ -172,7 +175,7 @@ def _check_orders(ident: str, alphas: Sequence[float]) -> None:
 
 def run_rows(ident: str, cfg: RunConfig, *, f: Optional[FunctionSpec] = None,
              g: Optional[WeightSpec] = None, alpha: Optional[float] = None,
-             q: Optional[float] = None, p: Optional[float] = None,
+             q: Optional[float] = None,
              memo: Optional[dict] = None) -> list[dict]:
     """Run one theorem once and flatten the report into output rows.
 
@@ -181,18 +184,8 @@ def run_rows(ident: str, cfg: RunConfig, *, f: Optional[FunctionSpec] = None,
     evaluations of the row that first reads it.
     """
     info = THEOREMS[ident]
-    _check_inputs(ident, f=f, g=g, alpha=alpha)
-    pair = None
-    if "q" in info.reads:
-        if q is None:
-            if p is None:
-                raise UsageError(f"{ident} needs --q (or --p)")
-            if not 1.0 < p < math.inf:
-                raise UsageError(f"need finite p > 1, got {p!r}")
-            q = HolderPair.from_q(p).p  # conjugacy is symmetric
-        pair = HolderPair(p, q) if p is not None else HolderPair.from_q(q)
-    elif q is not None or p is not None:
-        raise UsageError(f"{ident} takes no --{'q' if q is not None else 'p'}")
+    _check_inputs(ident, f=f, g=g, alpha=alpha, q=q)
+    pair = None if q is None else HolderPair(q)
 
     args = dict(ident=ident, f=f, g=g, a=cfg.a, b=cfg.b, alpha=alpha,
                 pair=pair, tol=cfg.tol, force=cfg.force,
@@ -299,11 +292,12 @@ def _render_text(rows: list[dict]) -> str:
     lines = []
     for row in rows:
         head = row["theorem"]
+        # each number as the shortest text that reads back as it
+        tag = lambda k: repr(row[k]).removesuffix(".0")
         tags = [f"{k}={row[k]}" for k in ("f", "g") if row[k]]
-        for k in ("alpha", "q", "p"):
-            if row[k] is not None:
-                tags.append(f"{k}={row[k]:g}")
-        tags.append(f"[{row['a']:g}, {row['b']:g}]")
+        tags += [f"{k}={tag(k)}" for k in ("alpha", "q", "p")
+                 if row[k] is not None]
+        tags.append(f"[{tag('a')}, {tag('b')}]")
         body = []
         if row["lhs"] is not None and row["mid"] is not None:
             body.append(f"lhs={row['lhs']:.12g} mid={row['mid']:.12g} "
@@ -413,7 +407,6 @@ def build_parser() -> _Parser:
     p.add_argument("--g", default=None, help="weight label from the corpus")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--q", type=float, default=None)
-    p.add_argument("--p", type=float, default=None)
     _add_common(p)
 
     p = subs.add_parser("corpus",
@@ -485,7 +478,7 @@ def _run_command(args) -> int:
         g = _lookup(args.g, weights, "weight")
         if args.command == "verify":
             rows = run_rows(args.theorem, cfg, f=f, g=g, alpha=args.alpha,
-                            q=args.q, p=args.p)
+                            q=args.q)
         else:  # sweep: one statement across grids
             ident = args.theorem
             # _cells would drop unread inputs, so refuse them first

@@ -21,6 +21,9 @@ construction).  Nothing here samples them; oracle.check_weight and
 sup_norm can refute them, never certify them.  Both corpora are
 deterministic for a fixed seed, randomized entries included, and admit
 an entry finite at a and b (a weight also at sup_at), read nowhere else.
+
+HolderPair(q) is the pair of conjugate exponents of Theorems 2.5-2.7:
+1/p + 1/q = 1 makes q the whole pair, and p is derived from it.
 """
 
 from __future__ import annotations
@@ -105,26 +108,19 @@ class WeightSpec:
 
 @dataclass(frozen=True)
 class HolderPair:
-    """Conjugate exponents with 1/p + 1/q = 1, both finite and > 1."""
+    """Conjugate exponents 1/p + 1/q = 1, given by q, finite and > 1."""
 
-    p: float
     q: float
 
     def __post_init__(self):
-        if not (self.p > 1 and self.q > 1):
-            raise DomainError(f"need p, q > 1, got p={self.p!r}, q={self.q!r}")
-        if abs(1.0 / self.p + 1.0 / self.q - 1.0) > 1e-12:
-            raise DomainError(
-                f"p={self.p!r} and q={self.q!r} are not conjugate")
+        if not 1 < self.q < math.inf:
+            raise DomainError(f"need finite q > 1, got {self.q!r}")
 
-    @classmethod
-    def from_q(cls, q: float) -> "HolderPair":
-        """The pair with this q, for 1 < q < inf (q = inf gives p = nan)."""
-        if not (1 < q < math.inf):
-            raise DomainError(f"need finite q > 1, got {q!r}")
+    @property
+    def p(self) -> float:
         # for q above ~1e16 the conjugate rounds to 1.0; the least
         # double above 1 is the nearest exponent that is still > 1
-        return cls(max(q / (q - 1.0), math.nextafter(1.0, 2.0)), q)
+        return max(self.q / (self.q - 1.0), math.nextafter(1.0, 2.0))
 
 
 def _grid(a: float, b: float, n: int) -> list[float]:

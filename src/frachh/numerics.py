@@ -442,14 +442,6 @@ class CumulativeKernel:
                 _kernel_panel(g, a, b, alpha, KernelSide.LOWER_SINGULAR, lo,
                               hi, alpha < 1.0 and lo == a))
 
-    @property
-    def value_at_a(self) -> float:
-        return -self._total_lower
-
-    @property
-    def value_at_b(self) -> float:
-        return self._prefix_upper[-1]
-
     def __call__(self, t: float) -> float:
         return self.values((t,))[0]
 
@@ -494,11 +486,19 @@ class CumulativeKernel:
             if t != bp[i]:
                 sides = [None, None]
                 if gv is not None:  # each plain side is _gk15 of kernel * g
-                    e, up, low = self.alpha - 1.0, [], []
-                    for x, y in zip(_gk15_nodes(bp[i], t), gv):
-                        up.append((b - x) ** e * y)
-                        low.append((x - a) ** e * y)
-                    sides = [_gk15(up, bp[i], t)[0], _gk15(low, bp[i], t)[0]]
+                    e, xs = self.alpha - 1.0, _gk15_nodes(bp[i], t)
+                    if mapped:  # the other side's kernel may be 1/0 at a
+                        j = 1 - mapped[0][0]  # node: build this side only
+                        ys = [(x - a if j else b - x) ** e * y
+                              for x, y in zip(xs, gv)]
+                        sides[j] = _gk15(ys, bp[i], t)[0]
+                    else:
+                        up, low = [], []
+                        for x, y in zip(xs, gv):
+                            up.append((b - x) ** e * y)
+                            low.append((x - a) ** e * y)
+                        sides = [_gk15(up, bp[i], t)[0],
+                                 _gk15(low, bp[i], t)[0]]
                 for j, at, ulo, uhi, c in mapped:
                     sides[j] = _gk15(got[at:at + 15], ulo, uhi)[0] / c
                 k = k + sides[0] + sides[1]

@@ -116,7 +116,7 @@ def test_criterion_04_bound_dominance():
     test_inequalities), so it is exercised on [0, 1]; the four
     dilation-sound bounds run on both intervals.
     """
-    holder_pairs = (HolderPair(2.0, 2.0), HolderPair(4.0, 4.0 / 3.0))
+    holder_pairs = (HolderPair(2.0), HolderPair(4.0 / 3.0))
     checks, violations, min_slack = 0, 0, math.inf
 
     def record(report, context):
@@ -144,7 +144,7 @@ def test_criterion_04_bound_dominance():
                             if f.admits_deriv_power(q):
                                 record(weighted_bound(
                                            "bound-2-5", f, g, s,
-                                           HolderPair.from_q(q)),
+                                           HolderPair(q)),
                                        (f.label, g.label, alpha, q))
                     for pair in holder_pairs:
                         if not f.admits_deriv_power(pair.q):

@@ -105,7 +105,7 @@ class TestExitCodes:
         (["hh-fractional", "--f", "sq", "--g", "one", "--alpha", "0.5"], "g"),
         (["bound-2-4", "--f", "sq", "--g", "one", "--alpha", "0.5",
           "--q", "3"], "q"),
-        (["lemma-2-1", "--g", "one", "--alpha", "0.5", "--p", "2"], "p"),
+        (["lemma-2-1", "--g", "one", "--alpha", "0.5", "--q", "2"], "q"),
         (["bound-1-5", "--f", "sq", "--g", "one", "--alpha", "0.5"], "g"),
     ])
     def test_unread_argument_is_three(self, argv, flag, capsys):
@@ -285,28 +285,21 @@ class TestExitCodes:
                       ["corpus", "--theorems", "all"],
                       ["sweep", "--thm", "bound-2-6", "--f", "sq", "--g",
                        "one"])),
-        *((["verify", "--thm", "bound-2-6", "--f", "sq", "--g", "one",
-            "--alpha", "0.5", f"--{name}", "inf"], f"need finite {name} > 1")
-          for name in ("q", "p")),
+        (["verify", "--thm", "bound-2-6", "--f", "sq", "--g", "one",
+          "--alpha", "0.5", "--q", "inf"], "need finite q > 1"),
+        (["verify", "--thm", "bound-2-6", "--f", "sq", "--g", "one",
+          "--alpha", "0.5", "--p", "inf", "--q", "1.0000000000000002"],
+         "unrecognized arguments: --p inf"),
     ])
     def test_refused_input_is_three(self, argv, says, capsys):
-        # refused before any row is run: an overflowing width, and an
+        # refused before any row is run: an overflowing width, an
         # exponent that is not finite and > 1, which a corpus once
-        # skipped cell by cell
+        # skipped cell by cell, and --p: q is the whole Holder pair
         assert main(argv) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err.count("error:") == 1 and err.count("\n") == 1
         assert says in err and "Traceback" not in err
-
-    def test_huge_p_holds(self):
-        # p / (p - 1) rounds to 1.0 unless nudged above it
-        proc = run_cli("verify", "--thm", "bound-2-6", "--f", "exp-neg",
-                       "--g", "one", "--alpha", "0.5", "--p", "1e17")
-        assert proc.returncode == 0, proc.stderr
-        (row,) = json.loads(proc.stdout)["rows"]
-        assert row["status"] == "Holds"
-        assert (row["p"], row["q"]) == (1e17, math.nextafter(1.0, 2.0))
 
     def test_huge_q_holds(self):
         # the conjugate of q = 1e17 rounds to 1.0 unless nudged above it
@@ -364,6 +357,18 @@ class TestOutputFormats:
         assert proc.stdout.startswith("Holds")
         assert proc.stdout.strip().endswith(
             "rows=1 holds=1 violated=0 inconclusive=0")
+
+    @pytest.mark.parametrize("argv,tag", [
+        (["fejer-classical", "--f", "sq", "--g", "cos-arch", "--a", "1000",
+          "--b", "1000.0019893438712"], "[1000, 1000.0019893438712]"),
+        (["bound-2-6", "--f", "sq", "--g", "one", "--alpha", "0.5", "--q",
+          "1.0000000000000002"],
+         "q=1.0000000000000002 p=4503599627370497 [0, 1]"),
+    ])
+    def test_text_tags_name_their_cell(self, argv, tag, capsys):
+        # six digits printed both cells as [1000, 1000] and q=1
+        main(["verify", "--thm", *argv, "--format", "text"])
+        assert tag in capsys.readouterr().out
 
     def test_out_file(self, tmp_path):
         path = tmp_path / "rows.json"
@@ -798,14 +803,6 @@ class TestRowAssembly:
         rows = run_rows("hh-fractional", RunConfig(), f=affine, alpha=0.5)
         assert _worst_status(rows) == 2
         assert "retried at tol/100" in rows[0]["notes"]
-
-    def test_p_alone_determines_conjugate_q(self):
-        f = FunctionSpec("sq", lambda x: x * x, lambda x: 2.0 * x,
-                         ConvexityKind.ANALYTIC_DERIV_CONVEX, 0.0, 1.0)
-        one = builtin_weight_corpus(0.0, 1.0)[0]
-        rows = run_rows("bound-2-5", RunConfig(), f=f, g=one, alpha=0.5,
-                        p=3.0)
-        assert rows[0]["q"] == pytest.approx(1.5)
 
     def test_missing_requirements_raise_usage_errors(self):
         with pytest.raises(UsageError):

@@ -582,7 +582,7 @@ class TestBounds:
     def test_power_mean_bound_square(self):
         s = FracSetting(0.0, 1.0, 1.0)
         r = weighted_bound("bound-2-5", UNIT_FUNCS["sq"], UNIT_WEIGHTS["one"],
-                           s, HolderPair.from_q(2.0))
+                           s, HolderPair(2.0))
         assert r.status is Status.HOLDS
         assert r.observed == pytest.approx(1.0 / 3.0, rel=1e-9)
         assert r.bound == pytest.approx(0.7071067811865475, rel=1e-12)
@@ -590,14 +590,14 @@ class TestBounds:
     def test_holder_bound_square(self):
         s = FracSetting(0.0, 1.0, 1.0)
         r = weighted_bound("bound-2-6", UNIT_FUNCS["sq"], UNIT_WEIGHTS["one"],
-                           s, HolderPair(2.0, 2.0))
+                           s, HolderPair(2.0))
         assert r.status is Status.HOLDS
         assert r.bound == pytest.approx(1.0, rel=1e-12)
 
     def test_low_order_holder_bound_square(self):
         s = FracSetting(0.0, 1.0, 1.0)
         r = weighted_bound("bound-2-7", UNIT_FUNCS["sq"],
-                           UNIT_WEIGHTS["one"], s, HolderPair(2.0, 2.0))
+                           UNIT_WEIGHTS["one"], s, HolderPair(2.0))
         assert r.status is Status.HOLDS
         assert r.bound == pytest.approx(0.81649658092772603, rel=1e-12)
 
@@ -605,13 +605,13 @@ class TestBounds:
         s = FracSetting(0.0, 1.0, 1.5)
         with pytest.raises(DomainError):
             weighted_bound("bound-2-7", UNIT_FUNCS["sq"],
-                           UNIT_WEIGHTS["one"], s, HolderPair(2.0, 2.0),
+                           UNIT_WEIGHTS["one"], s, HolderPair(2.0),
                            force=True)
 
     def test_power_mean_exponent_validated(self):
         with pytest.raises(DomainError):
             weighted_bound("bound-2-5", UNIT_FUNCS["sq"], UNIT_WEIGHTS["one"],
-                           HALF_UNIT, HolderPair.from_q(1.0))
+                           HALF_UNIT, HolderPair(1.0))
         with pytest.raises(DomainError):
             weighted_bound("bound-2-5", UNIT_FUNCS["sq"], UNIT_WEIGHTS["one"],
                            HALF_UNIT)
@@ -623,9 +623,9 @@ class TestBounds:
             weighted_bound("bound-1-5", AFFINE, None, s),
             weighted_bound("bound-2-4", AFFINE, one, s),
             weighted_bound("bound-2-5", AFFINE, one, s,
-                           HolderPair.from_q(2.0)),
-            weighted_bound("bound-2-6", AFFINE, one, s, HolderPair(2.0, 2.0)),
-            weighted_bound("bound-2-7", AFFINE, one, s, HolderPair(2.0, 2.0)),
+                           HolderPair(2.0)),
+            weighted_bound("bound-2-6", AFFINE, one, s, HolderPair(2.0)),
+            weighted_bound("bound-2-7", AFFINE, one, s, HolderPair(2.0)),
         ]
         for r in reports:
             assert r.status is Status.HOLDS
@@ -648,7 +648,7 @@ class TestBounds:
         certified = Cell(None, g, s, DEFAULT_TOL).gsup
         sampled = sup_norm(g.fn, a, b)[0]
         assert (certified, sampled) == (0.2505002499999999, 0.25050025)
-        pair = HolderPair(2.0, 2.0)
+        pair = HolderPair(2.0)
 
         def budget(r, weight, pad):
             gap = Cell(f, weight, s, DEFAULT_TOL).weighted_defect
@@ -676,7 +676,7 @@ class TestBounds:
         with pytest.raises(DomainError, match=r"'xlogx' is tied to "
                            r"\[0\.1, 0\.3\], not \[0\.1, 3\.0\]"):
             weighted_bound("bound-2-5", xlogx, one, FracSetting(0.1, 3.0, 0.5),
-                           HolderPair.from_q(2.0))
+                           HolderPair(2.0))
 
     def test_uncertified_power_needs_force(self):
         # |d/dx (x log x)|^q is not certified convex on [1, 3] (it is
@@ -687,8 +687,8 @@ class TestBounds:
         s = FracSetting(1.0, 3.0, 0.5)
         with pytest.raises(DomainError, match=r"\|xlogx'\|\^1\.5 is not "
                            r"certified convex on \[1\.0, 3\.0\]"):
-            weighted_bound("bound-2-5", xlogx, one, s, HolderPair.from_q(1.5))
-        r = weighted_bound("bound-2-5", xlogx, one, s, HolderPair.from_q(1.5),
+            weighted_bound("bound-2-5", xlogx, one, s, HolderPair(1.5))
+        r = weighted_bound("bound-2-5", xlogx, one, s, HolderPair(1.5),
                            force=True)
         assert any(n.startswith("hypotheses unmet") for n in r.notes)
 
@@ -699,7 +699,7 @@ class TestBounds:
         ws = {w.label: w for w in builtin_weight_corpus(1.0, 3.0)}
         s = FracSetting(1.0, 3.0, 0.5)
         r = weighted_bound("bound-2-5", fs["quad-rand"], ws["one"], s,
-                           HolderPair.from_q(1.5))
+                           HolderPair(1.5))
         assert r.status is Status.VIOLATED
         assert r.slack == pytest.approx(-0.14357732192235995, rel=1e-6)
         corrected = r.bound * s.width ** (1.0 / 1.5)
@@ -728,7 +728,7 @@ class TestBounds:
                     if f.deriv is None or not f.admits_deriv_power(q):
                         continue
                     r = weighted_bound("bound-2-5", f, UNIT_WEIGHTS["vee"], s,
-                                       HolderPair.from_q(q))
+                                       HolderPair(q))
                     assert r.status is Status.HOLDS, (f.label, alpha, q)
 
 
