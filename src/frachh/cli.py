@@ -354,7 +354,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _grid(text: str) -> tuple[float, ...]:
+def _grid(text: str, least: float = 0.0,
+          refusal: str = "alpha grid values must be positive and finite"
+          ) -> tuple[float, ...]:
+    """The distinct values of a comma list, each finite and > least."""
     try:
         values = tuple(dict.fromkeys(  # the first copy of each value
             float(part) for part in text.split(",") if part.strip()))
@@ -362,16 +365,13 @@ def _grid(text: str) -> tuple[float, ...]:
         raise UsageError(f"bad grid {text!r}: {exc}")
     if not values:
         raise UsageError(f"empty grid {text!r}")
-    if any(not v > 0.0 for v in values):
-        raise UsageError(f"grid values must be positive: {text!r}")
+    if not all(least < v < math.inf for v in values):
+        raise UsageError(f"{refusal}: {text!r}")
     return values
 
 
 def _q_grid(text: str) -> tuple[float, ...]:
-    values = _grid(text)
-    if not all(1.0 < v < math.inf for v in values):
-        raise UsageError(f"q grid values must be finite and > 1: {text!r}")
-    return values
+    return _grid(text, 1.0, "q grid values must be finite and > 1")
 
 
 def _add_common(sub: argparse.ArgumentParser):

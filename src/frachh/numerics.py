@@ -16,7 +16,8 @@ table, and ``CumulativeKernel``, a piecewise representation of the kernel
          - int_t^b (s-a)^(alpha-1) g(s) ds
 
 on a fixed 64-panel graded mesh, which weighted trapezoid identities
-integrate against f'.  Both integrate the kernel by one panel rule.
+integrate against f'.  Both integrate the kernel by one panel rule; at a
+t off the end panels both sides of K(t) share g at the nodes of [lo, t].
 
 Every quadrature result carries an absolute error estimate, the number
 of integrand evaluations spent, and a flag saying whether the requested
@@ -51,8 +52,10 @@ DEFAULT_TOL = 1e-9
 MAX_PANELS = 2 ** 16
 KERNEL_MESH_PANELS = 64
 # entries kept per Integrand table (~1.3 MB) and per kernel store of partial
-# panels (~4 MB): the hard grid's largest table holds ~11.8k, but an integral
-# missing its tolerance reads ~10^6 nodes.  Past the cap a miss keeps nothing
+# panels (~4 MB), which is no table: it keeps a t's 15 values as one array, and
+# the batch reads each abscissa once.  The hard grid's largest table holds
+# ~11.8k, but an integral missing its tolerance reads ~10^6 nodes.  Past the
+# cap a miss keeps nothing
 TABLE_CAP = 2 ** 14
 
 # math.gamma overflows just above this point (double precision).
@@ -375,14 +378,15 @@ class CumulativeKernel:
     no evaluations and the memory grows with the distinct t called.
 
     The build reads g through an Integrand (a callable gets its own),
-    whose table it shares with every reader of g.  The partial panels stay
-    out of it: `partials`, which the kernels of one g on [a, b] may share,
-    keeps per t an array('d') of g at the 15 plain nodes of [lo, t], read
-    by each side not substituted (alpha < 1 in an end panel), for at most
-    TABLE_CAP values of t.  `values(ts)` reads the new partial panels of
-    an outer panel's ts together, calling g once per distinct abscissa: a
-    new t costs at most 15 calls, none if another kernel stored it, plus
-    15 per substituted side.  `evaluations` counts this kernel's calls.
+    whose table it shares with every reader of g, and so does the build's
+    panel rule on [lo, t] for a t in the first or last mesh panel.  Other
+    partial panels stay out of the table: `partials`, which the kernels of
+    one g on [a, b] may share, keeps per t an array('d') of g at the 15
+    nodes of [lo, t], read by both sides, for at most TABLE_CAP values of
+    t, and `values(ts)` reads the new ones of an outer panel's ts
+    together, calling g once per distinct abscissa.  The store keeps a
+    t's 15 values as one array, and the batch reads each abscissa once.
+    `evaluations` counts this kernel's calls.
 
     Endpoint values satisfy K(a) = -int_a^b (s-a)^(alpha-1) g ds and
     K(b) = +int_a^b (b-s)^(alpha-1) g ds; for weights symmetric about
@@ -446,61 +450,43 @@ class CumulativeKernel:
         return self.values((t,))[0]
 
     def values(self, ts: Sequence[float]) -> list[float]:
-        """[K(t) for t in ts], bit for bit, for the ts of one outer panel:
-        their new partial panels call g once per distinct abscissa, kept
-        for this call only, and checked finite before anything is stored."""
+        """[K(t) for t in ts], bit for bit, for the ts of one outer panel.
+        A t in an end panel takes the build's panel rule, reading g through
+        the kernel's Integrand; the other new partial panels call g once
+        per distinct abscissa, kept for this call only.  Every read is
+        checked finite before anything is stored."""
         a, b, bp, known = self.a, self.b, self.breakpoints, self._values
-        todo, flat = [], []  # flat: the abscissae to read, 15 per side
+        calls, new, todo, flat = self._g.calls, {}, [], []
         for t in ts:
-            if t in known:
+            if t in known or t in new:
                 continue
             if not (a <= t <= b):
                 raise DomainError(f"t = {t!r} outside [{a!r}, {b!r}]")
             i = min(bisect_right(bp, t) - 1, len(bp) - 2)
-            lo, mapped, gv, at = bp[i], [], None, None
-            # (side, offset in flat, panel rule) per side substituted (alpha
-            # < 1 in an end panel; phi maps a node to its abscissa).  The
-            # others read g at the nodes of [lo, t], stored per t
-            if self.alpha < 1.0 and t != lo and (lo == a or bp[i + 1] == b):
-                for j, (phi, ulo, uhi, c) in enumerate(self._panels(
-                        lambda x: x, lo, t, bp[i + 1])):
-                    if c != 1.0:
-                        mapped.append((j, len(flat), ulo, uhi, c))
-                        flat += map(phi, _gk15_nodes(ulo, uhi))
-            if t != lo and len(mapped) < 2:
-                gv = self._partial.get(t)
-                if gv is None:
-                    at = len(flat)
-                    flat += _gk15_nodes(lo, t)
-            todo.append((t, i, gv, at, mapped))
-        if flat:
-            calls = self._g.calls
-            got = array("d", self._g.fresh(flat))
-            self.evaluations += self._g.calls - calls
-        for t, i, gv, at, mapped in todo:
+            lo, hi = bp[i], bp[i + 1]
             k = self._prefix_upper[i] + self._prefix_lower[i] - self._total_lower
-            if at is not None:
+            if t != lo and (lo == a or hi == b):
+                for phi, u, v, c in self._panels(self._g.__call__, lo, t, hi):
+                    k += _gk15(list(map(phi, _gk15_nodes(u, v))), u, v)[0] / c
+            elif t != lo:  # both sides read g at the nodes of [lo, t]
+                gv = self._partial.get(t)
+                todo.append((t, lo, gv, len(flat)))
+                if gv is None:
+                    flat += _gk15_nodes(lo, t)
+            new[t] = k
+        if flat:
+            got = array("d", self._g.fresh(flat))
+        e = self.alpha - 1.0
+        for t, lo, gv, at in todo:
+            if gv is None:
                 gv = got[at:at + 15]
                 if len(self._partial) < TABLE_CAP:
                     self._partial[t] = gv
-            if t != bp[i]:
-                sides = [None, None]
-                if gv is not None:  # each plain side is _gk15 of kernel * g
-                    e, xs = self.alpha - 1.0, _gk15_nodes(bp[i], t)
-                    if mapped:  # the other side's kernel may be 1/0 at a
-                        j = 1 - mapped[0][0]  # node: build this side only
-                        ys = [(x - a if j else b - x) ** e * y
-                              for x, y in zip(xs, gv)]
-                        sides[j] = _gk15(ys, bp[i], t)[0]
-                    else:
-                        up, low = [], []
-                        for x, y in zip(xs, gv):
-                            up.append((b - x) ** e * y)
-                            low.append((x - a) ** e * y)
-                        sides = [_gk15(up, bp[i], t)[0],
-                                 _gk15(low, bp[i], t)[0]]
-                for j, at, ulo, uhi, c in mapped:
-                    sides[j] = _gk15(got[at:at + 15], ulo, uhi)[0] / c
-                k = k + sides[0] + sides[1]
-            known[t] = k
+            up, low = [], []
+            for x, y in zip(_gk15_nodes(lo, t), gv):
+                up.append((b - x) ** e * y)
+                low.append((x - a) ** e * y)
+            new[t] = new[t] + _gk15(up, lo, t)[0] + _gk15(low, lo, t)[0]
+        known.update(new)
+        self.evaluations += self._g.calls - calls
         return [known[t] for t in ts]

@@ -290,11 +290,18 @@ class TestExitCodes:
         (["verify", "--thm", "bound-2-6", "--f", "sq", "--g", "one",
           "--alpha", "0.5", "--p", "inf", "--q", "1.0000000000000002"],
          "unrecognized arguments: --p inf"),
+        *((argv, "alpha grid") for argv in (
+            ["corpus", "--theorems", "hh-classical", "--alpha-grid", "inf"],
+            ["corpus", "--alpha-grid", "1e-4,inf"],
+            ["sweep", "--thm", "hh-fractional", "--f", "sq", "--alpha-grid",
+             "0.5,inf"])),
     ])
     def test_refused_input_is_three(self, argv, says, capsys):
         # refused before any row is run: an overflowing width, an
         # exponent that is not finite and > 1, which a corpus once
-        # skipped cell by cell, and --p: q is the whole Holder pair
+        # skipped cell by cell, an order that is not finite, which a
+        # sweep once refused after its first cell, and --p: q is the
+        # whole Holder pair
         assert main(argv) == 3
         out, err = capsys.readouterr()
         assert out == ""

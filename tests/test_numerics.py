@@ -16,9 +16,9 @@ from frachh.functions import builtin_function_corpus, builtin_weight_corpus
 from frachh.numerics import (DEFAULT_TOL, CumulativeKernel, DomainError,
                              EvaluationError, Integrand, KERNEL_MESH_PANELS,
                              KernelSide, MAX_PANELS, QuadResult, _gk15,
-                             _gk15_nodes, _graded_mesh, check_interval,
-                             check_order, gamma, integrate_singular,
-                             integrate_smooth)
+                             _gk15_nodes, _graded_mesh, _kernel_panel,
+                             check_interval, check_order, gamma,
+                             integrate_singular, integrate_smooth)
 from frachh.oracle import beta_reference
 
 SQRT_PI = 1.7724538509055160273
@@ -570,6 +570,41 @@ class TestKernelCallsGOncePerNode:
             prefix = (k._prefix_upper[i] + k._prefix_lower[i]
                       - k._total_lower)
             assert k(t) == prefix + upper[0] / 1.0 + lower[0] / 1.0, t
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.25, 4.0])
+    def test_end_panel_value_is_the_panel_rule_value(self, alpha):
+        a, b = 1.0, 3.0
+        g = lambda s: math.exp(-((s - 1.7) ** 2))
+        k = CumulativeKernel(g, a, b, alpha)
+        bp = k.breakpoints
+        for t in (a + 1e-12, a + 3e-10, b - 3e-10, b - 1e-12):
+            i = bisect.bisect_right(bp, t) - 1
+            lo, hi = bp[i], bp[i + 1]
+            assert lo == a or hi == b  # an end panel
+            value = k._prefix_upper[i] + k._prefix_lower[i] - k._total_lower
+            for side, singular in ((KernelSide.UPPER_SINGULAR, hi == b),
+                                   (KernelSide.LOWER_SINGULAR, lo == a)):
+                phi, ulo, uhi, c = _kernel_panel(g, a, b, alpha, side, lo, t,
+                                                 alpha < 1.0 and singular)
+                xs = _gk15_nodes(ulo, uhi)
+                value += _gk15([phi(x) for x in xs], ulo, uhi)[0] / c
+            assert k(t) == value, t
+
+    def test_end_panel_reads_go_through_the_table(self):
+        # so the kernels of one Integrand share them, as builds do
+        g, calls = self.counted(lambda s: math.exp(-((s - 1.7) ** 2)))
+        read = Integrand(g)
+        k = CumulativeKernel(read, 1.0, 3.0, 0.5)
+        del calls[:]
+        k(1.0 + 1e-12)
+        ends = set(calls)
+        assert set(_gk15_nodes(1.0, 1.0 + 1e-12)) <= ends <= set(read.table)
+        kept = dict(read.table)
+        k(2.37)  # an interior t keeps its partial panel out of the table
+        assert read.table == kept
+        del calls[:]
+        CumulativeKernel(read, 1.0, 3.0, 1.25)(1.0 + 1e-12)
+        assert not ends & set(calls)
 
     def test_no_abscissa_twice_in_a_partial_panel(self):
         g, calls = self.counted(lambda s: 2.0 + s)
