@@ -263,9 +263,8 @@ class Cell:
         if self.g is None:
             return _UnitKernel(self.s)
         g, s = self.g.fn, self.s
-        partials = self.memo.setdefault(("K-g", g, s.a, s.b), {})
         return self._once(("K", g, s, self.tol), lambda: CumulativeKernel(
-            self.read(g), s.a, s.b, s.alpha, self.tol, partials))
+            self.read(g), s.a, s.b, s.alpha, self.tol))
 
     @property
     def dsup(self) -> float:

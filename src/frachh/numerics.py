@@ -16,8 +16,9 @@ table, and ``CumulativeKernel``, a piecewise representation of the kernel
          - int_t^b (s-a)^(alpha-1) g(s) ds
 
 on a fixed 64-panel graded mesh, which weighted trapezoid identities
-integrate against f'.  Both integrate the kernel by one panel rule; at a
-t off the end panels both sides of K(t) share g at the nodes of [lo, t].
+integrate against f'.  Both integrate the kernel by one panel rule; K(t)
+integrates the degree-14 interpolant at the 15 nodes of the build's final
+panels exactly, so it reads g only at nodes the build read.
 
 Every quadrature result carries an absolute error estimate, the number
 of integrand evaluations spent, and a flag saying whether the requested
@@ -27,13 +28,16 @@ the error of derived quantities.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+import operator
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "DomainError",
@@ -51,11 +55,9 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 MAX_PANELS = 2 ** 16
 KERNEL_MESH_PANELS = 64
-# entries kept per Integrand table (~1.3 MB) and per kernel store of partial
-# panels (~4 MB), which is no table: it keeps a t's 15 values as one array, and
-# the batch reads each abscissa once.  The hard grid's largest table holds
-# ~11.8k, but an integral missing its tolerance reads ~10^6 nodes.  Past the
-# cap a miss keeps nothing
+# entries kept per Integrand table (~1.3 MB).  The hard grid's largest table
+# holds ~11.8k, but an integral missing its tolerance reads ~10^6 nodes.  Past
+# the cap a miss keeps nothing
 TABLE_CAP = 2 ** 14
 
 # math.gamma overflows just above this point (double precision).
@@ -228,20 +230,19 @@ class Integrand:
         """[self(x) for x in xs]."""
         return list(map(self.__call__, xs))
 
-    def fresh(self, xs: Sequence[float]) -> list[float]:
-        """fn at xs, once per distinct abscissa; the table is not used."""
-        distinct = dict.fromkeys(xs)
-        ys = list(map(self.fn, distinct))
-        self.calls += len(ys)
-        _check_finite(distinct, ys)
-        return list(map(dict(zip(distinct, ys)).__getitem__, xs))
-
 
 def integrate_panels(values: Callable[[list[float]], Sequence[float]],
                      a: float, b: float, tol: float = DEFAULT_TOL) -> QuadResult:
     """integrate_smooth of an integrand read a panel at a time: values(xs)
     returns its values at the 15 nodes xs of a panel.  A non-finite value
     raises EvaluationError at the first bad abscissa in node order."""
+    return _adaptive(values, a, b, tol)[0]
+
+
+def _adaptive(values: Callable[[list[float]], Sequence[float]], a: float,
+              b: float, tol: float) -> tuple[QuadResult, list[tuple]]:
+    """integrate_panels, and its final panels, which tile [a, b], as heap
+    entries (-error, insertion order, lo, hi, value, error)."""
     check_interval(a, b)
     if not (tol > 0):
         raise DomainError(f"tolerance must be positive, got {tol!r}")
@@ -256,7 +257,6 @@ def integrate_panels(values: Callable[[list[float]], Sequence[float]],
 
     val, err = panel(a, b)
     evaluations = 15
-    # heap entries: (-error, insertion order, lo, hi, value, error)
     heap = [(-err, 0, a, b, val, err)]
     seq = 1
     total_err = err
@@ -277,7 +277,7 @@ def integrate_panels(values: Callable[[list[float]], Sequence[float]],
         total_err += e1 + e2 - e
     value = math.fsum(entry[4] for entry in heap)
     abs_err = math.fsum(entry[5] for entry in heap)
-    return QuadResult(value, abs_err, evaluations, abs_err <= tol)
+    return QuadResult(value, abs_err, evaluations, abs_err <= tol), heap
 
 
 def integrate_smooth(h: Callable[[float], float], a: float, b: float,
@@ -364,29 +364,62 @@ def _graded_mesh(a: float, b: float, panels: int) -> list[float]:
     return pts
 
 
+@functools.cache
+def _dense_rule() -> list[tuple[float, ...]]:
+    """Rows d_15, ..., d_0 of M = D V^-1, mapping a panel's values y at its
+    _gk15_nodes to the Legendre coefficients on [-1, 1] of the integral from
+    -1 of their degree-14 interpolant: c = V^-1 y for V[j][n] = P_n(x_j), and
+    int_-1^x P_n = (P_{n+1} - P_{n-1}) / (2n+1) gives d_0 = c_0 - c_1/3, d_k
+    = c_{k-1}/(2k-1) - c_{k+1}/(2k+3).  Built on first use (~1 ms)."""
+    xs = _gk15_nodes(-1.0, 1.0)
+    p = [[1.0] * 15, xs]  # p[n][j] = P_n(x_j)
+    for n in range(1, 14):
+        p.append([((2 * n + 1) * x * u - n * v) / (n + 1)
+                  for x, u, v in zip(xs, p[n], p[n - 1])])
+    rows = [p[n] + [(k == n == 0) + (n == k - 1) / (2 * k - 1)
+                    - (n == k + 1) / (2 * k + 3) for k in range(16)]
+            for n in range(15)]
+    for col in range(15):  # Gauss-Jordan: rows becomes [I | M^T]
+        pivot = max(range(col, 15), key=lambda r: abs(rows[r][col]))
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(15):
+            if r != col:
+                rows[r] = [v - rows[r][col] * w for v, w in zip(rows[r], top)]
+    return list(zip(*(row[15:] for row in rows)))[::-1]
+
+
+# Clenshaw's terms of P_{k+1} = (2k+1)/(k+1) x P_k - k/(k+1) P_{k-1}
+_CLENSHAW = tuple(((2 * k + 1) / (k + 1), (k + 1) / (k + 2))
+                  for k in range(15, -1, -1))
+
+
+def _clenshaw(d: Sequence[float], x: float) -> float:
+    """sum_k d_k P_k(x), for d given as d_15, ..., d_0."""
+    b1 = b2 = 0.0
+    for dk, (p, q) in zip(d, _CLENSHAW):
+        b1, b2 = dk + p * x * b1 - q * b2, b1
+    return b1
+
+
 class CumulativeKernel:
     """Piecewise representation of the signed kernel K(t) on [a, b].
 
     K(t) = int_a^t (b-s)^(alpha-1) g(s) ds - int_t^b (s-a)^(alpha-1) g(s) ds.
 
     Built over a fixed mesh of KERNEL_MESH_PANELS panels graded toward
-    both endpoints: per-panel integrals of both one-sided kernels are
-    precomputed with the adaptive engine through the panel rule, and an
-    evaluation at arbitrary t adds one 15-point partial-panel integral
-    per side, by the same rule, to the stored prefix sums.  Each value
-    K(t) is computed once per kernel and kept, so a repeated t costs
-    no evaluations and the memory grows with the distinct t called.
-
-    The build reads g through an Integrand (a callable gets its own),
-    whose table it shares with every reader of g, and so does the build's
-    panel rule on [lo, t] for a t in the first or last mesh panel.  Other
-    partial panels stay out of the table: `partials`, which the kernels of
-    one g on [a, b] may share, keeps per t an array('d') of g at the 15
-    nodes of [lo, t], read by both sides, for at most TABLE_CAP values of
-    t, and `values(ts)` reads the new ones of an outer panel's ts
-    together, calling g once per distinct abscissa.  The store keeps a
-    t's 15 values as one array, and the batch reads each abscissa once.
-    `evaluations` counts this kernel's calls.
+    both endpoints, by the adaptive engine through the panel rule on each
+    side of each panel, which keeps the final panels ("leaves") of its
+    integral: their ends and prefix sums in the rule's variable.  K(t) adds
+    to the mesh prefix sum the leaves below t and the exact integral, from
+    the leaf's lo to t, of the degree-14 interpolant at the leaf's 15 nodes
+    (in u = (b-t)^alpha or (t-a)^alpha on a substituted side; of both
+    sides' sum where they share their leaves).  Over a whole leaf that is
+    the leaf's K15 value, so K is continuous at leaf ends.  g is read
+    through an Integrand (a callable gets its own), whose table the build
+    shares with every reader of g; the first t in a leaf reads its nodes
+    again, so K(t) calls g only past TABLE_CAP.  Each K(t) is computed once
+    and kept.  `evaluations` counts this kernel's calls.
 
     Endpoint values satisfy K(a) = -int_a^b (s-a)^(alpha-1) g ds and
     K(b) = +int_a^b (b-s)^(alpha-1) g ds; for weights symmetric about
@@ -394,99 +427,89 @@ class CumulativeKernel:
     """
 
     def __init__(self, g: Integrand | Callable[[float], float],
-                 a: float, b: float, alpha: float, tol: float = DEFAULT_TOL,
-                 partials: Optional[dict] = None):
+                 a: float, b: float, alpha: float, tol: float = DEFAULT_TOL):
         check_interval(a, b)
         check_order(alpha)
         if not (tol > 0):
             raise DomainError(f"tolerance must be positive, got {tol!r}")
-        self.a = a
-        self.b = b
-        self.alpha = alpha
+        self.a, self.b, self.alpha = a, b, alpha
         self._g = g if isinstance(g, Integrand) else Integrand(g)
-        self._partial = {} if partials is None else partials
         calls = self._g.calls
         self.breakpoints = _graded_mesh(a, b, KERNEL_MESH_PANELS)
         n = len(self.breakpoints) - 1
-
         ptol = tol / (2 * n)
-        pre_u = [0.0]
-        pre_l = [0.0]
-        err = 0.0
-        met = True
-        worst_panel = 0.0
+        vals, errs, met = [], [], True  # per panel, upper side then lower
+        # per panel: (phi, c, upper, leaf ends, prefix sums, {leaf: d}) in u
+        self._parts = []
         for i in range(n):
             lo, hi = self.breakpoints[i], self.breakpoints[i + 1]
-            ru, rl = (integrate_smooth(phi, ulo, uhi, ptol * c).scaled(1.0 / c)
-                      for phi, ulo, uhi, c in self._panels(
-                          self._g.__call__, lo, hi, hi))
-            pre_u.append(pre_u[-1] + ru.value)
-            pre_l.append(pre_l[-1] + rl.value)
-            err += ru.abs_error_estimate + rl.abs_error_estimate
-            met = met and ru.tolerance_met and rl.tolerance_met
-            worst_panel = max(worst_panel, ru.abs_error_estimate,
-                              rl.abs_error_estimate)
-        self._prefix_upper = pre_u
-        self._prefix_lower = pre_l
-        self._total_lower = pre_l[-1]
-        # Partial-panel evaluations use one Kronrod application on the
-        # same (sub-)panels, so a couple of worst-panel estimates cover
-        # them uniformly.
-        self.abs_error_estimate = err + 2.0 * worst_panel
+            parts = []
+            for side, end in ((KernelSide.UPPER_SINGULAR, hi == b),
+                              (KernelSide.LOWER_SINGULAR, lo == a)):
+                phi, ulo, uhi, c = _kernel_panel(self._g.__call__, a, b, alpha,
+                                                 side, lo, hi,
+                                                 alpha < 1.0 and end)
+                r, heap = _adaptive(lambda xs: list(map(phi, xs)), ulo, uhi,
+                                    ptol * c)
+                heap.sort(key=operator.itemgetter(2))  # leaves tile [ulo, uhi]
+                parts.append((phi, c, side is KernelSide.UPPER_SINGULAR,
+                              array("d", [e[2] for e in heap] + [uhi]),
+                              array("d", accumulate([e[4] for e in heap],
+                                                    initial=0.0)), {}))
+                inv = 1.0 / c  # as QuadResult.scaled(1.0 / c)
+                vals.append(inv * r.value)
+                errs.append(inv * r.abs_error_estimate)
+                met = met and r.tolerance_met
+            (pu, cu, _, eu, su, _), (pl, cl, _, el, sl, _) = parts
+            if cu == cl == 1.0 and eu == el:
+                parts = [(lambda x, pu=pu, pl=pl: pu(x) + pl(x), 1.0, False,
+                          eu, array("d", map(operator.add, su, sl)), {})]
+            self._parts.append(parts)
+        pre_u = list(accumulate(vals[::2], initial=0.0))
+        pre_l = list(accumulate(vals[1::2], initial=0.0))
+        # K at each breakpoint, before the panel above it
+        self._base = [u + v - pre_l[-1] for u, v in zip(pre_u, pre_l)]
+        # Inside a leaf the interpolant's integral differs from the exact
+        # one by about the leaf's G7 difference, at most the worst panel's
+        # estimate per side, so two of them cover every K(t).
+        self.abs_error_estimate = sum(errs) + 2.0 * max(errs)
         self.tolerance_met = met
         self._values: dict[float, float] = {}  # t -> K(t), each computed once
         self.evaluations = self._g.calls - calls
 
-    def _panels(self, g: Callable[[float], float], lo: float, hi: float,
-                end: float) -> tuple:
-        # The panel rule, upper side first, on [lo, hi] in [lo, end].
-        a, b, alpha = self.a, self.b, self.alpha
-        return (_kernel_panel(g, a, b, alpha, KernelSide.UPPER_SINGULAR, lo,
-                              hi, alpha < 1.0 and end == b),
-                _kernel_panel(g, a, b, alpha, KernelSide.LOWER_SINGULAR, lo,
-                              hi, alpha < 1.0 and lo == a))
-
     def __call__(self, t: float) -> float:
         return self.values((t,))[0]
 
+    def _part(self, part: tuple, t: float) -> float:
+        """The integral of one part of t's mesh panel over [lo, t]."""
+        phi, c, upper, ends, pre, dense = part
+        u = t if c == 1.0 else (self.b - t if upper else t - self.a) ** self.alpha
+        j = min(bisect_right(ends, u) - 1, len(ends) - 2)
+        lo, hi = ends[j], ends[j + 1]
+        d = dense.get(j)
+        if d is None:
+            ys = list(map(phi, _gk15_nodes(lo, hi)))
+            d = dense[j] = array("d", [sum(map(operator.mul, row, ys))
+                                       for row in _dense_rule()])
+        r = 0.5 * (hi - lo)
+        v = pre[j] + r * _clenshaw(d, (u - 0.5 * (lo + hi)) / r)
+        # u = (b-t)^alpha falls as t rises: [lo, t] is the top of [ulo, uhi]
+        return (pre[-1] - v if upper and c != 1.0 else v) / c
+
     def values(self, ts: Sequence[float]) -> list[float]:
-        """[K(t) for t in ts], bit for bit, for the ts of one outer panel.
-        A t in an end panel takes the build's panel rule, reading g through
-        the kernel's Integrand; the other new partial panels call g once
-        per distinct abscissa, kept for this call only.  Every read is
-        checked finite before anything is stored."""
+        """[K(t) for t in ts], bit for bit.  A read of g, by the first t in a
+        leaf, goes through the kernel's Integrand, which checks it finite."""
         a, b, bp, known = self.a, self.b, self.breakpoints, self._values
-        calls, new, todo, flat = self._g.calls, {}, [], []
+        calls = self._g.calls
         for t in ts:
-            if t in known or t in new:
+            if t in known:
                 continue
             if not (a <= t <= b):
                 raise DomainError(f"t = {t!r} outside [{a!r}, {b!r}]")
             i = min(bisect_right(bp, t) - 1, len(bp) - 2)
-            lo, hi = bp[i], bp[i + 1]
-            k = self._prefix_upper[i] + self._prefix_lower[i] - self._total_lower
-            if t != lo and (lo == a or hi == b):
-                for phi, u, v, c in self._panels(self._g.__call__, lo, t, hi):
-                    k += _gk15(list(map(phi, _gk15_nodes(u, v))), u, v)[0] / c
-            elif t != lo:  # both sides read g at the nodes of [lo, t]
-                gv = self._partial.get(t)
-                todo.append((t, lo, gv, len(flat)))
-                if gv is None:
-                    flat += _gk15_nodes(lo, t)
-            new[t] = k
-        if flat:
-            got = array("d", self._g.fresh(flat))
-        e = self.alpha - 1.0
-        for t, lo, gv, at in todo:
-            if gv is None:
-                gv = got[at:at + 15]
-                if len(self._partial) < TABLE_CAP:
-                    self._partial[t] = gv
-            up, low = [], []
-            for x, y in zip(_gk15_nodes(lo, t), gv):
-                up.append((b - x) ** e * y)
-                low.append((x - a) ** e * y)
-            new[t] = new[t] + _gk15(up, lo, t)[0] + _gk15(low, lo, t)[0]
-        known.update(new)
+            k = self._base[i]
+            for part in self._parts[i] if t != bp[i] else ():
+                k += self._part(part, t)
+            known[t] = k
         self.evaluations += self._g.calls - calls
         return [known[t] for t in ts]

@@ -438,29 +438,17 @@ class TestValueTables:
 
     def test_kernel_partial_panels_stay_out_of_the_table(self):
         # K's build reads g through the memo's table of g, which J(g)
-        # shares, and so does a t in an end panel; the other partial
-        # panels, one per new t (~15k abscissae per weight on the hard
-        # grid), stay in a store of their own, shared by the kernels of
-        # one weight and interval.  Measured at seed 42 (2 CPUs, Python
-        # 3.11.7), the alternatives cost more.  All partial panels through
-        # the table fill the largest g table at TABLE_CAP 2^14, and
-        # corpus-hard calls go 157,251 -> 220,883; at 2^15 a pass's peak
-        # RSS rises 3.7 MB (corpus-default) and 5.4 MB (corpus-hard),
-        # passes slow (corpus-default 0.46-0.53 -> 0.62-0.73 s,
-        # verify-cells 0.73-0.84 -> 0.88-1.02 s) and --alpha-grid
-        # 1e-4,1e-2 evaluations rise 16%.  Per-t reads without the batch
-        # add 11.2%, 8.3% and 8.8% calls on corpus-default, corpus-hard
-        # and verify-cells.  The panel rule at every t slows verify-cells
-        # passes from 0.72-0.79 s to 1.10-1.19 s
+        # shares, and K(t) on [lo, t] reads again only nodes of the
+        # build's panels, which the table holds
         memo, g = {}, UNIT_WEIGHTS["bump"]
         cell = Cell(None, g, HALF_UNIT, 1e-9, memo)
         kern = cell.kernel
         assert cell.evaluations == kern.evaluations > 0
         (read,) = memo["integrands"].values()
         kept = dict(read.table)
-        kern(0.3)
+        kern.values([i / 100 for i in range(101)])
         assert read.table == kept
-        assert list(memo[("K-g", g.fn, 0.0, 1.0)]) == [0.3]
+        assert cell.evaluations == kern.evaluations
 
 
 class TestIdentities:
