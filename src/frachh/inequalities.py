@@ -5,7 +5,7 @@ scratch and returns a Report, whose value fields are named after the
 output columns and are None where the statement produces nothing.
 
 The fractional quantities the statements share (J(f), the weight mass
-W, J(f g), ||g||_inf, the kernel K and the padded sup |f'|) are computed
+W, J(f g), ||g||_inf, the kernel K and sup |f'|) are computed
 only by Cell, once per cell, from integrands read through one Integrand
 each; verifiers given the same memo share both.  g = None stands for the
 unit weight, so the unweighted statements are the weighted ones at
@@ -268,14 +268,14 @@ class Cell:
 
     @property
     def dsup(self) -> float:
-        """sup |f'|, padded: K's error factor.  f' of a certified convex
-        f is monotone, so the sup is max(|f'(a)|, |f'(b)|)."""
+        """sup |f'|: K's error factor.  f' of a certified convex f is
+        monotone, so the sup is max(|f'(a)|, |f'(b)|)."""
         f, a, b = self.f, self.s.a, self.s.b
         if not f.certified_convex:
             raise DomainError(f"{f.label!r} is not certified convex on "
                               f"[{a!r}, {b!r}], so sup |{f.label}'| is unknown")
         return self._once(("dsup", f.deriv, a, b), lambda: max(
-            abs(f.deriv(a)), abs(f.deriv(b))) * 1.25 + 1.0)
+            abs(f.deriv(a)), abs(f.deriv(b))))
 
     @property
     def avg(self) -> float:

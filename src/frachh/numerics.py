@@ -15,10 +15,11 @@ table, and ``CumulativeKernel``, a piecewise representation of the kernel
     K(t) = int_a^t (b-s)^(alpha-1) g(s) ds
          - int_t^b (s-a)^(alpha-1) g(s) ds
 
-on a fixed 64-panel graded mesh, which weighted trapezoid identities
-integrate against f'.  Both integrate the kernel by one panel rule; K(t)
-integrates the degree-14 interpolant at the 15 nodes of the build's final
-panels exactly, so it reads g only at nodes the build read.
+of a weight g symmetric about the midpoint m, which weighted trapezoid
+identities integrate against f'.  Symmetry makes K one integral from m,
+so it is built on [a, m] only, in offsets from a; K(t) integrates the
+degree-14 interpolant at the 15 nodes of the build's final panels
+exactly, so it reads g only at nodes the build read.
 
 Every quadrature result carries an absolute error estimate, the number
 of integrand evaluations spent, and a flag saying whether the requested
@@ -298,38 +299,15 @@ def _clip(x: float, lo: float, hi: float) -> float:
     return lo if x < lo else hi if x > hi else x
 
 
-def _kernel_panel(h: Callable[[float], float], a: float, b: float,
-                  alpha: float, side: KernelSide, lo: float, hi: float,
-                  substitute: bool):
-    """The panel rule: (phi, ulo, uhi, c) with int_lo^hi kernel * h equal
-    to (1/c) int_ulo^uhi phi, for the kernel of side on [a, b].
-
-    With substitute (alpha < 1 on a panel touching the singular end),
-    u = (b-t)^alpha (resp. (t-a)^alpha) leaves the continuous h(t(u))
-    and c = alpha; otherwise phi is the product kernel * h and c = 1.
-    """
-    upper = side is KernelSide.UPPER_SINGULAR
-    if substitute:
-        inv = 1.0 / alpha
-        if upper:
-            return (lambda u: h(_clip(b - u ** inv, a, b)),
-                    (b - hi) ** alpha, (b - lo) ** alpha, alpha)
-        return (lambda u: h(_clip(a + u ** inv, a, b)),
-                (lo - a) ** alpha, (hi - a) ** alpha, alpha)
-    if upper:
-        return lambda t: (b - t) ** (alpha - 1.0) * h(t), lo, hi, 1.0
-    return lambda t: (t - a) ** (alpha - 1.0) * h(t), lo, hi, 1.0
-
-
 def integrate_singular(h: Callable[[float], float], a: float, b: float,
                        alpha: float, side: KernelSide,
                        tol: float = DEFAULT_TOL) -> QuadResult:
     """Integral of kernel(t) * h(t) over [a, b] with a power-law kernel.
 
     The kernel is (b-t)^(alpha-1) for KernelSide.UPPER_SINGULAR and
-    (t-a)^(alpha-1) for KernelSide.LOWER_SINGULAR.  It applies the panel
-    rule to all of [a, b]: for alpha < 1 the substitution u = (b-t)^alpha
-    (resp. (t-a)^alpha) turns the integral into
+    (t-a)^(alpha-1) for KernelSide.LOWER_SINGULAR.  For alpha < 1 the
+    substitution u = (b-t)^alpha (resp. (t-a)^alpha) turns the integral
+    into
 
         (1/alpha) * int_0^{(b-a)^alpha} h(b - u^(1/alpha)) du
 
@@ -341,26 +319,29 @@ def integrate_singular(h: Callable[[float], float], a: float, b: float,
     if not isinstance(side, KernelSide):
         raise DomainError(f"side must be a KernelSide, got {side!r}")
     check_interval(a, b)
-    phi, lo, hi, c = _kernel_panel(h, a, b, alpha, side, a, b, alpha < 1.0)
-    return integrate_smooth(phi, lo, hi, tol * c).scaled(1.0 / c)
+    upper = side is KernelSide.UPPER_SINGULAR
+    if alpha < 1.0:
+        inv = 1.0 / alpha
+        phi = ((lambda u: h(_clip(b - u ** inv, a, b))) if upper
+               else (lambda u: h(_clip(a + u ** inv, a, b))))
+        return integrate_smooth(phi, 0.0, (b - a) ** alpha,
+                                tol * alpha).scaled(inv)
+    phi = ((lambda t: (b - t) ** (alpha - 1.0) * h(t)) if upper
+           else (lambda t: (t - a) ** (alpha - 1.0) * h(t)))
+    return integrate_smooth(phi, a, b, tol)
 
 
-def _graded_mesh(a: float, b: float, panels: int) -> list[float]:
-    # Geometric grading, ratio 2, toward both endpoints; the interval
-    # midpoint is always a breakpoint so kinks planted there by
-    # symmetric weights never sit inside a panel.  Deep meshes would
-    # grade below one ulp near the endpoints, so increments smaller
-    # than a few ulps are dropped rather than emitting empty panels.
-    half = panels // 2
-    w = 0.5 * (b - a)
-    raw = [a + w * 2.0 ** (k + 1 - half) for k in range(half)]
-    raw += [b - w * 2.0 ** (-j) for j in range(1, half)]
-    tiny = 4.0 * math.ulp(max(abs(a), abs(b), 1.0))
-    pts = [a]
-    for x in raw:
-        if x - pts[-1] > tiny and b - x > tiny:
+def _graded_mesh(h: float, panels: int) -> list[float]:
+    # Offsets 0 < h 2^(1-panels) < ... < h/2 < h: geometric grading, ratio
+    # 2, toward 0.  The half width h is always a breakpoint, so kinks that
+    # symmetric weights plant at the midpoint never sit inside a panel.
+    # Offsets that underflow to an earlier one are dropped rather than
+    # emitting empty panels.
+    pts = [0.0]
+    for k in range(panels):
+        x = h * 2.0 ** (k + 1 - panels)
+        if x > pts[-1]:
             pts.append(x)
-    pts.append(b)
     return pts
 
 
@@ -403,27 +384,31 @@ def _clenshaw(d: Sequence[float], x: float) -> float:
 
 
 class CumulativeKernel:
-    """Piecewise representation of the signed kernel K(t) on [a, b].
+    """The signed kernel K(t) on [a, b] of a weight g symmetric about the
+    midpoint m:
 
     K(t) = int_a^t (b-s)^(alpha-1) g(s) ds - int_t^b (s-a)^(alpha-1) g(s) ds.
 
-    Built over a fixed mesh of KERNEL_MESH_PANELS panels graded toward
-    both endpoints, by the adaptive engine through the panel rule on each
-    side of each panel, which keeps the final panels ("leaves") of its
-    integral: their ends and prefix sums in the rule's variable.  K(t) adds
-    to the mesh prefix sum the leaves below t and the exact integral, from
-    the leaf's lo to t, of the degree-14 interpolant at the leaf's 15 nodes
-    (in u = (b-t)^alpha or (t-a)^alpha on a substituted side; of both
-    sides' sum where they share their leaves).  Over a whole leaf that is
-    the leaf's K15 value, so K is continuous at leaf ends.  g is read
-    through an Integrand (a callable gets its own), whose table the build
-    shares with every reader of g; the first t in a leaf reads its nodes
-    again, so K(t) calls g only past TABLE_CAP.  Each K(t) is computed once
-    and kept.  `evaluations` counts this kernel's calls.
+    Symmetry makes K(m) = 0 and K(a+b-t) = -K(t), so K is one integral of
+    its derivative phi = ((b-s)^(alpha-1) + (s-a)^(alpha-1)) g(s): K(t) =
+    -int_t^m phi, and above m, K(t) is -K at the offset b - t.  For an
+    asymmetric g the result is not its kernel; the caller checks symmetry.
 
-    Endpoint values satisfy K(a) = -int_a^b (s-a)^(alpha-1) g ds and
-    K(b) = +int_a^b (b-s)^(alpha-1) g ds; for weights symmetric about
-    the midpoint, K is antisymmetric and vanishes there.
+    Only the half [a, m] is built, in the offset x = s - a: the factors
+    read x^(alpha-1) and (w-x)^(alpha-1) for w = b - a, never a rounded
+    b - s or s - a, and g is read at a + x.  The half width w/2 is split
+    into KERNEL_MESH_PANELS/2 panels graded toward a, and the adaptive
+    engine integrates phi over each, keeping the final panels ("leaves") of
+    its integral: their ends and prefix sums.  For alpha < 1 the panel at a
+    runs in u = x^alpha, where phi dx is ((x/(w-x))^(1-alpha) g + g)/alpha
+    du.  K(t) adds to K at the mesh breakpoint below t the leaves below t
+    and the exact integral, from the leaf's lo to t, of the degree-14
+    interpolant at the leaf's 15 nodes.  Over a whole leaf that is the
+    leaf's K15 value, so K is continuous at leaf ends.  g is read through
+    an Integrand (a callable gets its own), whose table the build shares
+    with every reader of g; the first t in a leaf reads its nodes again, so
+    K(t) calls g only past TABLE_CAP.  Each K(t) is computed once and kept.
+    `evaluations` counts this kernel's calls.
     """
 
     def __init__(self, g: Integrand | Callable[[float], float],
@@ -432,46 +417,46 @@ class CumulativeKernel:
         check_order(alpha)
         if not (tol > 0):
             raise DomainError(f"tolerance must be positive, got {tol!r}")
+        w = b - a
+        if not (0.5 * w > 0.0):
+            raise DomainError(f"the half width of [{a!r}, {b!r}] underflows")
         self.a, self.b, self.alpha = a, b, alpha
         self._g = g if isinstance(g, Integrand) else Integrand(g)
         calls = self._g.calls
-        self.breakpoints = _graded_mesh(a, b, KERNEL_MESH_PANELS)
-        n = len(self.breakpoints) - 1
-        ptol = tol / (2 * n)
-        vals, errs, met = [], [], True  # per panel, upper side then lower
-        # per panel: (phi, c, upper, leaf ends, prefix sums, {leaf: d}) in u
+        read, am1, inv = self._g.__call__, alpha - 1.0, 1.0 / alpha
+
+        def phi(x: float) -> float:
+            return ((w - x) ** am1 + x ** am1) * read(a + x)
+
+        def phi_u(u: float) -> float:  # phi dx / du for u = x^alpha
+            x = u ** inv
+            y = read(a + x)
+            return ((x / (w - x)) ** (1.0 - alpha) * y + y) * inv
+
+        bp = self.breakpoints = _graded_mesh(0.5 * w, KERNEL_MESH_PANELS // 2)
+        vals, errs, met = [], [], True
+        # per mesh panel: (phi, leaf ends, prefix sums, {leaf: d}), in u on
+        # the substituted panel
         self._parts = []
-        for i in range(n):
-            lo, hi = self.breakpoints[i], self.breakpoints[i + 1]
-            parts = []
-            for side, end in ((KernelSide.UPPER_SINGULAR, hi == b),
-                              (KernelSide.LOWER_SINGULAR, lo == a)):
-                phi, ulo, uhi, c = _kernel_panel(self._g.__call__, a, b, alpha,
-                                                 side, lo, hi,
-                                                 alpha < 1.0 and end)
-                r, heap = _adaptive(lambda xs: list(map(phi, xs)), ulo, uhi,
-                                    ptol * c)
-                heap.sort(key=operator.itemgetter(2))  # leaves tile [ulo, uhi]
-                parts.append((phi, c, side is KernelSide.UPPER_SINGULAR,
-                              array("d", [e[2] for e in heap] + [uhi]),
-                              array("d", accumulate([e[4] for e in heap],
-                                                    initial=0.0)), {}))
-                inv = 1.0 / c  # as QuadResult.scaled(1.0 / c)
-                vals.append(inv * r.value)
-                errs.append(inv * r.abs_error_estimate)
-                met = met and r.tolerance_met
-            (pu, cu, _, eu, su, _), (pl, cl, _, el, sl, _) = parts
-            if cu == cl == 1.0 and eu == el:
-                parts = [(lambda x, pu=pu, pl=pl: pu(x) + pl(x), 1.0, False,
-                          eu, array("d", map(operator.add, su, sl)), {})]
-            self._parts.append(parts)
-        pre_u = list(accumulate(vals[::2], initial=0.0))
-        pre_l = list(accumulate(vals[1::2], initial=0.0))
-        # K at each breakpoint, before the panel above it
-        self._base = [u + v - pre_l[-1] for u, v in zip(pre_u, pre_l)]
+        for i, (lo, hi) in enumerate(zip(bp, bp[1:])):
+            fn = phi_u if i == 0 and alpha < 1.0 else phi
+            if fn is phi_u:
+                lo, hi = lo ** alpha, hi ** alpha
+            r, heap = _adaptive(lambda xs: list(map(fn, xs)), lo, hi,
+                                tol / (2 * KERNEL_MESH_PANELS))
+            heap.sort(key=operator.itemgetter(2))  # leaves tile [lo, hi]
+            self._parts.append((fn, array("d", [e[2] for e in heap] + [hi]),
+                                array("d", accumulate([e[4] for e in heap],
+                                                      initial=0.0)), {}))
+            vals.append(r.value)
+            errs.append(r.abs_error_estimate)
+            met = met and r.tolerance_met
+        pre = list(accumulate(vals, initial=0.0))
+        # K at each breakpoint, -int_x^m phi: 0.0 at m
+        self._base = [p - pre[-1] for p in pre]
         # Inside a leaf the interpolant's integral differs from the exact
         # one by about the leaf's G7 difference, at most the worst panel's
-        # estimate per side, so two of them cover every K(t).
+        # estimate, which the second term covers twice.
         self.abs_error_estimate = sum(errs) + 2.0 * max(errs)
         self.tolerance_met = met
         self._values: dict[float, float] = {}  # t -> K(t), each computed once
@@ -480,10 +465,14 @@ class CumulativeKernel:
     def __call__(self, t: float) -> float:
         return self.values((t,))[0]
 
-    def _part(self, part: tuple, t: float) -> float:
-        """The integral of one part of t's mesh panel over [lo, t]."""
-        phi, c, upper, ends, pre, dense = part
-        u = t if c == 1.0 else (self.b - t if upper else t - self.a) ** self.alpha
+    def _at(self, x: float) -> float:
+        """K at the offset x in [0, w/2]."""
+        bp = self.breakpoints
+        i = bisect_right(bp, x) - 1
+        if x == bp[i]:
+            return self._base[i]
+        phi, ends, pre, dense = self._parts[i]
+        u = x ** self.alpha if i == 0 and self.alpha < 1.0 else x
         j = min(bisect_right(ends, u) - 1, len(ends) - 2)
         lo, hi = ends[j], ends[j + 1]
         d = dense.get(j)
@@ -492,24 +481,21 @@ class CumulativeKernel:
             d = dense[j] = array("d", [sum(map(operator.mul, row, ys))
                                        for row in _dense_rule()])
         r = 0.5 * (hi - lo)
-        v = pre[j] + r * _clenshaw(d, (u - 0.5 * (lo + hi)) / r)
-        # u = (b-t)^alpha falls as t rises: [lo, t] is the top of [ulo, uhi]
-        return (pre[-1] - v if upper and c != 1.0 else v) / c
+        return self._base[i] + (pre[j] + r * _clenshaw(
+            d, (u - 0.5 * (lo + hi)) / r))
 
     def values(self, ts: Sequence[float]) -> list[float]:
         """[K(t) for t in ts], bit for bit.  A read of g, by the first t in a
         leaf, goes through the kernel's Integrand, which checks it finite."""
-        a, b, bp, known = self.a, self.b, self.breakpoints, self._values
+        a, b, half, known = self.a, self.b, self.breakpoints[-1], self._values
         calls = self._g.calls
         for t in ts:
             if t in known:
                 continue
             if not (a <= t <= b):
                 raise DomainError(f"t = {t!r} outside [{a!r}, {b!r}]")
-            i = min(bisect_right(bp, t) - 1, len(bp) - 2)
-            k = self._base[i]
-            for part in self._parts[i] if t != bp[i] else ():
-                k += self._part(part, t)
-            known[t] = k
+            x = t - a
+            known[t] = (self._at(x) if x <= half
+                        else -self._at(min(b - t, half)))
         self.evaluations += self._g.calls - calls
         return [known[t] for t in ts]

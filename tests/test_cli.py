@@ -488,6 +488,17 @@ class TestTolerance:
         (row,) = json.loads(capsys.readouterr().out)["rows"]
         assert row["status"] != "Violated"
 
+    def test_wide_small_order_identity_holds_cheaply(self, capsys):
+        # in abscissae the kernel's panels next to b read (b-t)^(alpha-1)
+        # from t rounded to 5.7e-14, and bisected 6.56M calls without
+        # meeting the tolerance; in offsets they mirror the panels at a
+        assert main(["verify", "--thm", "identity-2-3", "--f", "sq", "--g",
+                     "vee", "--alpha", "0.007173896463311801", "--a", "0.5",
+                     "--b", "389.73614587210216"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["status"] == "Holds" and row["notes"] == []
+        assert row["evaluations"] <= 20_000
+
 
 class TestSubcommands:
     def test_identity_grid(self):

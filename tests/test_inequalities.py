@@ -32,7 +32,8 @@ from frachh.numerics import DEFAULT_TOL, DomainError, QuadResult, gamma
 HALF_UNIT = FracSetting(0.0, 1.0, 0.5)
 # the grid of the kernel calibration in test_numerics
 CALIBRATION_ALPHAS = (0.01, 0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.5, 5.0)
-CALIBRATION_INTERVALS = ((0.0, 1.0), (1.0, 3.0), (0.0, 1e-6), (0.0, 10.0))
+CALIBRATION_INTERVALS = ((0.0, 1.0), (1.0, 3.0), (0.0, 1e-6), (0.0, 10.0),
+                         (10.0, 10.5))
 UNIT_FUNCS = {f.label: f for f in builtin_function_corpus(0.0, 1.0)}
 UNIT_WEIGHTS = {w.label: w for w in builtin_weight_corpus(0.0, 1.0)}
 

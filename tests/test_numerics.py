@@ -28,28 +28,15 @@ SQRT_PI = 1.7724538509055160273
 # the grid of the kernel calibration; test_inequalities checks the
 # exact identity values on the same grid
 CALIBRATION_ALPHAS = (0.01, 0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.5, 5.0)
-CALIBRATION_INTERVALS = ((0.0, 1.0), (1.0, 3.0), (0.0, 1e-6), (0.0, 10.0))
-# (alpha, interval) -> true error over the error estimate, where above 1,
-# for g = 1 and for g = (s - m)^2
-UNDER_ESTIMATED = {(0.01, (0.0, 1.0)): 3.7, (0.01, (0.0, 1e-6)): 9.5,
-                   (0.01, (0.0, 10.0)): 18.6, (0.1, (0.0, 10.0)): 4.4,
-                   (0.25, (0.0, 1e-6)): 1.2}
-SQUARE_UNDER_ESTIMATED = {(0.1, (0.0, 1.0)): 1.1, (0.01, (0.0, 1e-6)): 2.3,
-                          (0.1, (0.0, 1e-6)): 2.9, (0.25, (0.0, 1e-6)): 1.2,
-                          (0.01, (0.0, 10.0)): 5.1, (0.1, (0.0, 10.0)): 4.7,
-                          (0.25, (0.0, 10.0)): 11.2}
+CALIBRATION_INTERVALS = ((0.0, 1.0), (1.0, 3.0), (0.0, 1e-6), (0.0, 10.0),
+                         (10.0, 10.5))
 
 
-def _calibration_cases(under_estimated):
+def _calibration_cases():
     for interval in CALIBRATION_INTERVALS:
         for alpha in CALIBRATION_ALPHAS:
-            ratio = under_estimated.get((alpha, interval))
-            marks = () if ratio is None else pytest.mark.xfail(
-                strict=True, reason=f"true error {ratio}x the error estimate "
-                "at small alpha (ROADMAP item 2)")
             a, b = interval
-            yield pytest.param(alpha, interval, marks=marks,
-                               id=f"{alpha:g}-[{a:g},{b:g}]")
+            yield pytest.param(alpha, interval, id=f"{alpha:g}-[{a:g},{b:g}]")
 
 
 class TestGamma:
@@ -303,7 +290,7 @@ class TestIntegrand:
         assert info.value.abscissa > 0.7
 
     def test_calls_are_the_calls_of_fn(self):
-        h, calls = self.counted(lambda x: 1.0 + x * x)
+        h, calls = self.counted(lambda x: 1.0 + (x - 0.5) ** 2)
         read = Integrand(h)
         integrate_smooth(read, 0.0, 1.0)
         integrate_singular(read, 0.0, 1.0, 0.75, KernelSide.LOWER_SINGULAR)
@@ -322,8 +309,8 @@ class TestCumulativeKernel:
     def test_half_order_closed_form(self):
         # g = 1, alpha = 1/2: K(t) = 2 sqrt(t) - 2 sqrt(1-t)
         k = CumulativeKernel(lambda s: 1.0, 0.0, 1.0, 0.5)
-        # t = 1e-12 and 1 - 1e-12 lie inside the end panels (2.3e-10
-        # wide), so they reach both substituted partial-panel branches
+        # t = 1e-12 lies inside the substituted panel at a (2.3e-10 wide),
+        # and 1 - 1e-12 reads it at the offset b - t
         for t in (0.0, 1e-12, 0.2, 0.25, 0.5, 0.6, 0.9, 1.0 - 1e-12, 1.0):
             exact = 2.0 * math.sqrt(t) - 2.0 * math.sqrt(1.0 - t)
             assert k(t) == pytest.approx(exact, abs=1e-9)
@@ -351,16 +338,21 @@ class TestCumulativeKernel:
             assert abs(k(t) + k(a + b - t)) <= budget
 
     def test_graded_mesh_increases(self):
-        # regression: the right half of the graded mesh must ascend
-        for panels in (32, 64, 128, 512):
-            pts = _graded_mesh(0.0, 1.0, panels)
-            assert pts[0] == 0.0 and pts[-1] == 1.0
-            assert all(x < y for x, y in zip(pts, pts[1:])), panels
+        # offsets from 0 to the half width, ascending; ones that round to
+        # an earlier one as subnormals (h = 5e-321) are dropped
+        for h in (0.5, 1e-300, 5e-321):
+            for panels in (16, 32, 64, 256):
+                pts = _graded_mesh(h, panels)
+                assert pts[0] == 0.0 and pts[-1] == h
+                assert all(x < y for x, y in zip(pts, pts[1:])), (h, panels)
+                assert len(pts) <= panels + 1
 
     def test_unit_weight_kernel_vanishes_at_midpoint(self):
         for alpha in (0.3, 1.0, 2.0):
             k = CumulativeKernel(lambda s: 1.0, 0.0, 1.0, alpha)
-            assert len(k.breakpoints) == KERNEL_MESH_PANELS + 1
+            # the half [a, m] of the mesh, in offsets from a
+            assert len(k.breakpoints) == KERNEL_MESH_PANELS // 2 + 1
+            assert k.breakpoints[-1] == 0.5
             assert k(0.5) == pytest.approx(0.0, abs=1e-9), alpha
 
     def test_evaluation_counter_grows(self, monkeypatch):
@@ -374,7 +366,7 @@ class TestCumulativeKernel:
     @pytest.mark.parametrize("alpha", [0.3, 2.0])
     def test_repeated_abscissa_costs_nothing(self, alpha, monkeypatch):
         monkeypatch.setattr(frachh.numerics, "TABLE_CAP", 0)
-        k = CumulativeKernel(lambda s: 1.0 + s * s, 0.0, 1.0, alpha)
+        k = CumulativeKernel(lambda s: 1.0 + (s - 0.5) ** 2, 0.0, 1.0, alpha)
         built = k.evaluations
         first = k(0.37)
         cost = k.evaluations - built
@@ -389,8 +381,13 @@ class TestCumulativeKernel:
             with pytest.raises(DomainError):
                 k(t)
 
+    def test_a_half_width_that_underflows_is_refused(self):
+        # [0, 5e-324] has no offset for m: half its width rounds to 0
+        with pytest.raises(DomainError, match="half width"):
+            CumulativeKernel(lambda s: 1.0, 0.0, 5e-324, 0.5)
+
     @pytest.mark.parametrize("alpha,interval",
-                             list(_calibration_cases(UNDER_ESTIMATED)))
+                             list(_calibration_cases()))
     def test_constant_weight_meets_its_error_estimate(self, alpha, interval):
         # g = 1: K(t) = ((t-a)^alpha - (b-t)^alpha) / alpha, at 1,001 points
         a, b = interval
@@ -413,7 +410,7 @@ class TestCumulativeKernel:
                                [Decimal(b) - t for t in ts])]
 
     @pytest.mark.parametrize("alpha,interval",
-                             list(_calibration_cases(SQUARE_UNDER_ESTIMATED)))
+                             list(_calibration_cases()))
     def test_square_weight_meets_its_error_estimate(self, alpha, interval):
         # g = (s-m)^2: K(t) = F(t-a) - F(b-t) with F(x) = int_0^x v^(alpha-1)
         # (w/2 - v)^2 dv, at the 1,001 points of the constant weight, in
@@ -432,9 +429,10 @@ class TestCumulativeKernel:
         allowed = k.abs_error_estimate + 8 * math.ulp(max(map(abs, exact)))
         assert max(abs(k(t) - e) for t, e in zip(ts, exact)) <= allowed
 
-    # (a, b, alpha) where a partial panel at or one ulp inside an end,
-    # with one side substituted, read the other side's kernel at that end:
-    # 1/0, or an overflow on [1e-300, 1.2e-9]
+    # (a, b, alpha) where K at or one ulp inside an end can read a kernel
+    # factor at 0 (1/0, or an overflow on [1e-300, 1.2e-9]), and a narrow
+    # interval far from 0, where b - t and t - a read from rounded
+    # abscissae missed K(a) by 67x its estimate
     END_CASES = [(0.5, 1.5, 0.5), (1.0, 3.0, 0.25), (0.0, 1.0, 0.5),
                  (1e-300, 1.198676303231777e-09, 0.018391169842110686),
                  (1000.0, 1000.0060321960971, 0.3891522660358974)]
@@ -451,11 +449,7 @@ class TestCumulativeKernel:
         _, values, _ = self._at_the_ends(a, b, alpha)
         assert all(map(math.isfinite, values))
 
-    @pytest.mark.parametrize("a,b,alpha", [
-        *END_CASES[:-1], pytest.param(*END_CASES[-1], marks=pytest.mark.xfail(
-            strict=True, reason="ROADMAP item 2: K(a) misses -(b-a)^alpha/"
-            "alpha by 1.8e-8, 67x its estimate; the same width at 0 is "
-            "exact to 6e-17"))])
+    @pytest.mark.parametrize("a,b,alpha", END_CASES)
     def test_constant_weight_next_to_the_ends(self, a, b, alpha):
         # g = 1 as in the calibration, at a, b and one ulp inside each
         k, values, exact = self._at_the_ends(a, b, alpha)
@@ -463,9 +457,25 @@ class TestCumulativeKernel:
                    + 8 * math.ulp((b - a) ** alpha / alpha))
         assert max(abs(v - e) for v, e in zip(values, exact)) <= allowed
 
+    @settings(max_examples=40, deadline=None)
+    @given(c=st.floats(-1e6, 1e6),
+           log_width=st.floats(math.log(1e-3), math.log(10.0)),
+           log_alpha=st.floats(math.log(0.01), math.log(5.0)))
+    def test_constant_weight_under_translation(self, c, log_width, log_alpha):
+        # g = 1 on [c, c + w]: K depends on t only through the offsets
+        # t - a and b - t, wherever the interval sits
+        a, alpha = c, math.exp(log_alpha)
+        b = a + math.exp(log_width)
+        k = CumulativeKernel(lambda s: 1.0, a, b, alpha)
+        ts = [a + (b - a) * i / 64 for i in range(65)] + [
+            math.nextafter(a, b), math.nextafter(b, a)]
+        exact = [((t - a) ** alpha - (b - t) ** alpha) / alpha for t in ts]
+        allowed = k.abs_error_estimate + 8 * math.ulp(max(map(abs, exact)))
+        assert max(abs(k(t) - e) for t, e in zip(ts, exact)) <= allowed
+
     # Kernels of one weight on one interval share a store, an Integrand of
-    # g.  The 200 points include both end panels (4.7e-10 wide), where the
-    # alpha = 0.5 kernel substitutes one side
+    # g.  The 200 points include both end panels (4.7e-10 wide), which read
+    # the panel at a, substituted for alpha = 0.5
     SHARED_ALPHAS = (0.5, 1.25, 2.5)
     POINTS = ([1.0 + 2.0 * i / 195 for i in range(196)]
               + [1.0 + 1e-12, 1.0 + 3e-10, 3.0 - 3e-10, 3.0 - 1e-12])
@@ -529,8 +539,8 @@ class TestCumulativeKernel:
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5])
     def test_substituted_sides_call_g_once_per_abscissa(self, alpha):
-        # near t = 1 + 1e-12 and t = 3, rounding maps nodes of a substituted
-        # side, and of the plain side, onto one float: each is called once
+        # near t = 1 + 1e-12 and t = 3, rounding maps nodes of the
+        # substituted panel at a onto one float: each is called once
         bump, calls = self.bump(), []
 
         def g(x):
@@ -546,19 +556,23 @@ class TestCumulativeKernel:
                 assert k.evaluations - before == len(calls) == len(set(calls))
 
     def test_non_finite_weight_is_caught_before_it_is_stored(self):
-        # the build raises at the bad abscissa, which the table never keeps
+        # the build raises at the bad abscissa, which the table never keeps;
+        # it reads g on [a, m] only
         bump = self.bump()
         for alpha in (0.5, 1.25):
-            read = Integrand(lambda x: math.nan if x > 2.6 else bump(x))
+            read = Integrand(
+                lambda x: math.nan if 0.3 < abs(x - 2.0) < 0.4 else bump(x))
             with pytest.raises(EvaluationError) as info:
                 CumulativeKernel(read, 1.0, 3.0, alpha)
-            assert info.value.abscissa > 2.6, alpha
+            assert 1.6 < info.value.abscissa < 1.7, alpha
             assert math.isnan(info.value.value)
-            assert max(read.table) <= 2.6
+            assert read.table and max(read.table) <= 2.0
+            assert not any(1.6 < x < 1.7 for x in read.table)
 
 
 class TestKernelCallsGOncePerNode:
-    """g is called once per node: both sides of K read the same value."""
+    """g is called once per node: both kernel factors read the same value,
+    and K above m reads the nodes of [a, m]."""
 
     @staticmethod
     def counted(g):
@@ -572,7 +586,7 @@ class TestKernelCallsGOncePerNode:
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5])
     def test_evaluations_are_the_calls_made(self, alpha):
-        g, calls = self.counted(lambda s: 1.0 + math.cos(3.0 * s))
+        g, calls = self.counted(lambda s: 1.0 + math.cos(3.0 * (s - 0.5)))
         k = CumulativeKernel(g, 0.0, 1.0, alpha)
         assert k.evaluations == len(calls)
         # interior t, and t in both end panels (substituted for alpha < 1)
@@ -583,7 +597,7 @@ class TestKernelCallsGOncePerNode:
     def test_partial_panel_cost(self):
         # K(t) on [lo, t] re-reads nodes the build kept in the table: no
         # calls at any t, in the end panels (4.7e-10 wide) too
-        g, calls = self.counted(lambda s: 1.0 + math.cos(3.0 * s))
+        g, calls = self.counted(lambda s: 1.0 + math.cos(3.0 * (s - 0.5)))
         ts = ([i / 199 for i in range(200)]
               + [1e-12, 3e-10, 1.0 - 3e-10, 1.0 - 1e-12])
         for alpha in (0.25, 0.5, 1.25, 2.5):
@@ -594,34 +608,39 @@ class TestKernelCallsGOncePerNode:
             assert (calls, k.evaluations) == ([], before), alpha
 
     @staticmethod
-    def by_the_panel_rule(k, t):
+    def substituted(k):
+        """Per mesh panel, whether it runs in u = x^alpha."""
+        plain = k._parts[-1][0]
+        return [phi is not plain for phi, _, _, _ in k._parts]
+
+    @classmethod
+    def by_the_panel_rule(cls, k, t):
         """K(t) from the build's leaves, with the leaf's interpolant in
         Lagrange's form integrated over [leaf lo, u] by K15, which is exact
-        for its degree 14."""
-        bp = k.breakpoints
-        i = min(bisect.bisect_right(bp, t) - 1, len(bp) - 2)
-        value = k._base[i]
-        for phi, c, upper, ends, pre, _ in k._parts[i]:
-            u = (t if c == 1.0 else (k.b - t) ** k.alpha if upper
-                 else (t - k.a) ** k.alpha)
-            j = min(bisect.bisect_right(ends, u) - 1, len(ends) - 2)
-            xs = _gk15_nodes(ends[j], ends[j + 1])
-            ys = [phi(x) for x in xs]
+        for its degree 14; above m, -K at the offset b - t."""
+        bp, sign, x = k.breakpoints, 1.0, t - k.a
+        if x > bp[-1]:
+            sign, x = -1.0, k.b - t
+        i = min(bisect.bisect_right(bp, x) - 1, len(bp) - 2)
+        phi, ends, pre, _ = k._parts[i]
+        u = x ** k.alpha if cls.substituted(k)[i] else x
+        j = min(bisect.bisect_right(ends, u) - 1, len(ends) - 2)
+        xs = _gk15_nodes(ends[j], ends[j + 1])
+        ys = [phi(x) for x in xs]
 
-            def interpolant(x):
-                return sum(y * math.prod((x - xm) / (xj - xm)
-                                         for xm in xs if xm != xj)
-                           for xj, y in zip(xs, ys))
+        def interpolant(x):
+            return sum(y * math.prod((x - xm) / (xj - xm)
+                                     for xm in xs if xm != xj)
+                       for xj, y in zip(xs, ys))
 
-            v = pre[j]
-            if u > ends[j]:
-                v += _gk15([interpolant(x) for x in _gk15_nodes(ends[j], u)],
-                           ends[j], u)[0]
-            value += (pre[-1] - v if upper and c != 1.0 else v) / c
-        return value
+        v = pre[j]
+        if u > ends[j]:
+            v += _gk15([interpolant(x) for x in _gk15_nodes(ends[j], u)],
+                       ends[j], u)[0]
+        return sign * (k._base[i] + v)
 
     def assert_panel_rule_values(self, alpha, ts):
-        g = lambda s: math.exp(-((s - 1.7) ** 2))
+        g = lambda s: math.exp(-((s - 2.0) ** 2))
         k = CumulativeKernel(g, 1.0, 3.0, alpha)
         allowed = 4 * math.ulp(max(abs(k(1.0)), abs(k(3.0))))
         for t in ts:
@@ -630,24 +649,23 @@ class TestKernelCallsGOncePerNode:
 
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.25, 4.0])
     def test_paired_value_is_the_two_rule_value(self, alpha):
-        # off the end panels both sides are the product kernel * g, on
-        # one interpolant of their sum where they share their leaves
+        # off the panel at a, phi is the sum of both kernel factors times
+        # g, on one interpolant, on either side of m
         k = self.assert_panel_rule_values(
             alpha, (1.0 + 1e-3, 1.37, 2.0 + 1e-9, 2.5, 2.93))
-        assert all(len(parts) == 1 and parts[0][1] == 1.0
-                   for parts in k._parts[1:-1])
+        assert not any(self.substituted(k)[1:])
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.25, 4.0])
     def test_end_panel_value_is_the_panel_rule_value(self, alpha):
-        # in u = (t-a)^alpha or (b-t)^alpha on a substituted side
+        # in u = x^alpha on the substituted panel at a, for x = t - a
+        # below m and x = b - t above it
         k = self.assert_panel_rule_values(
             alpha, (1.0 + 1e-12, 1.0 + 3e-10, 3.0 - 3e-10, 3.0 - 1e-12))
-        substituted = [part[1] != 1.0 for parts in k._parts for part in parts]
-        assert substituted.count(True) == (2 if alpha < 1.0 else 0)
+        assert self.substituted(k) == [alpha < 1.0] + [False] * 31
 
     def test_end_panel_reads_go_through_the_table(self):
         # a leaf's nodes read again are counted and kept, as builds' are
-        g, calls = self.counted(lambda s: math.exp(-((s - 1.7) ** 2)))
+        g, calls = self.counted(lambda s: math.exp(-((s - 2.0) ** 2)))
         read = Integrand(g)
         k = CumulativeKernel(read, 1.0, 3.0, 0.5)
         read.table.clear()
@@ -658,11 +676,12 @@ class TestKernelCallsGOncePerNode:
         assert k.evaluations - before == len(calls)
 
     def test_no_abscissa_twice_in_a_partial_panel(self):
-        # both sides of [lo, t] read g through one table
-        g, calls = self.counted(lambda s: 2.0 + s)
+        # both kernel factors on [lo, t] read g through one table; each t
+        # lies in a leaf of its own (0.97 at the offset 0.03)
+        g, calls = self.counted(lambda s: 2.0 + (s - 0.5) ** 2)
         read = Integrand(g)
         k = CumulativeKernel(read, 0.0, 1.0, 1.5)
-        for t in (0.11, 0.5 + 1e-6, 0.93):
+        for t in (0.11, 0.5 + 1e-6, 0.97):
             read.table.clear()
             del calls[:]
             k(t)
@@ -672,11 +691,10 @@ class TestKernelCallsGOncePerNode:
     def test_a_whole_leaf_integrates_to_its_k15_value(self, alpha):
         # at every leaf end the dense value from the left leaf is the one
         # from the right leaf: K is continuous where it changes leaf
-        k = CumulativeKernel(lambda s: 2.0 + math.cos(40.0 * s), 1.0, 3.0,
-                             alpha)
+        k = CumulativeKernel(lambda s: 2.0 + math.cos(80.0 * (s - 2.0)), 1.0,
+                             3.0, alpha)
         ends = 0
-        for phi, _, _, edges, pre, _ in (part for parts in k._parts
-                                         for part in parts):
+        for phi, edges, pre, _ in k._parts:
             scale = max(map(abs, pre))
             for j in range(len(edges) - 1):
                 lo, hi = edges[j], edges[j + 1]
@@ -693,7 +711,7 @@ class TestKernelCallsGOncePerNode:
         assert ends > 20  # the build bisected
 
     def test_build_calls_are_distinct(self):
-        g, calls = self.counted(lambda s: 1.0 + s * s)
+        g, calls = self.counted(lambda s: 1.0 + (s - 0.5) ** 2)
         CumulativeKernel(g, 0.0, 1.0, 0.75)
         assert len(calls) == len(set(calls))
 
@@ -703,8 +721,8 @@ class TestKernelValues:
     abscissa it reads again."""
 
     ALPHAS = (0.25, 0.5, 1.25, 2.5)
-    # an outer G7/K15 panel on [1, 3] that is the mesh panel [2, 2.5]:
-    # node k of [2, t_j] and node j of [2, t_k] often round alike
+    # an outer G7/K15 panel on [1, 3] that mirrors the mesh panel [1.5, 2]
+    # (offsets [0.5, 1]): its nodes' offsets b - t often round alike
     OUTER = _gk15_nodes(2.0, 2.5)
 
     @staticmethod
@@ -713,10 +731,11 @@ class TestKernelValues:
 
     @classmethod
     def points(cls, k):
-        # a and b, both end panels (4.7e-10 wide), breakpoints, the interior
-        bp = k.breakpoints
-        return [1.0, 1.0 + 1e-12, 1.0 + 3e-10, bp[3], 1.37, 2.0, 2.0 + 1e-9,
-                2.71, bp[-4], 3.0 - 3e-10, 3.0 - 1e-12, 3.0] + cls.OUTER
+        # a and b, both end panels (4.7e-10 wide), breakpoints on both
+        # sides of m, the interior
+        x = k.breakpoints[3]
+        return [1.0, 1.0 + 1e-12, 1.0 + 3e-10, 1.0 + x, 1.37, 2.0, 2.0 + 1e-9,
+                2.71, 3.0 - x, 3.0 - 3e-10, 3.0 - 1e-12, 3.0] + cls.OUTER
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_batch_is_the_single_calls_bit_for_bit(self, alpha):
@@ -740,8 +759,8 @@ class TestKernelValues:
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_an_outer_panel_at_a_breakpoint_repeats_abscissae(self, alpha):
-        # the nodes of the panel [2, 2.5] share leaves, and the repeated
-        # reads of their nodes are table hits
+        # the nodes of the panel [2, 2.5] share leaves of the mesh panel
+        # [1.5, 2], and the repeated reads of their nodes are table hits
         g, calls = self.counted()
         k = CumulativeKernel(g, 1.0, 3.0, alpha)
         k._g.table.clear()
@@ -762,8 +781,9 @@ class TestKernelValues:
         assert 1.0 <= info.value.abscissa <= 3.0
         assert math.isnan(info.value.value)
         # K at a breakpoint reads no g
-        assert not any(part[5] for parts in k._parts for part in parts)
-        assert set(k._values) <= set(k.breakpoints)
+        assert not any(dense for _, _, _, dense in k._parts)
+        assert {t - 1.0 if t <= 2.0 else 3.0 - t
+                for t in k._values} <= set(k.breakpoints)
 
 
 class TestQuadResultAlgebra:
