@@ -17,7 +17,8 @@ table, and ``CumulativeKernel``, a piecewise representation of the kernel
 
 of a weight g symmetric about the midpoint m, which weighted trapezoid
 identities integrate against f'.  Symmetry makes K one integral from m,
-so it is built on [a, m] only, in offsets from a; K(t) integrates the
+so it is built on [a, m] only, in offsets from a, and the singular term
+g(a) (t-a)^(alpha-1) is integrated in closed form; K(t) integrates the
 degree-14 interpolant at the 15 nodes of the build's final panels
 exactly, so it reads g only at nodes the build read.
 
@@ -55,7 +56,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 MAX_PANELS = 2 ** 16
-KERNEL_MESH_PANELS = 64
+KERNEL_MESH_PANELS = 32
 # entries kept per Integrand table (~1.3 MB).  The hard grid's largest table
 # holds ~11.8k, but an integral missing its tolerance reads ~10^6 nodes.  Past
 # the cap a miss keeps nothing
@@ -397,18 +398,18 @@ class CumulativeKernel:
     Only the half [a, m] is built, in the offset x = s - a: the factors
     read x^(alpha-1) and (w-x)^(alpha-1) for w = b - a, never a rounded
     b - s or s - a, and g is read at a + x.  The half width w/2 is split
-    into KERNEL_MESH_PANELS/2 panels graded toward a, and the adaptive
+    into KERNEL_MESH_PANELS panels graded toward a, and the adaptive
     engine integrates phi over each, keeping the final panels ("leaves") of
-    its integral: their ends and prefix sums.  For alpha < 1 the panel at a
-    runs in u = x^alpha, where phi dx is ((x/(w-x))^(1-alpha) g + g)/alpha
-    du.  K(t) adds to K at the mesh breakpoint below t the leaves below t
-    and the exact integral, from the leaf's lo to t, of the degree-14
-    interpolant at the leaf's 15 nodes.  Over a whole leaf that is the
-    leaf's K15 value, so K is continuous at leaf ends.  g is read through
-    an Integrand (a callable gets its own), whose table the build shares
-    with every reader of g; the first t in a leaf reads its nodes again, so
-    K(t) calls g only past TABLE_CAP.  Each K(t) is computed once and kept.
-    `evaluations` counts this kernel's calls.
+    its integral: their ends and prefix sums.  The panel at a integrates
+    phi - g(a) x^(alpha-1), bounded for a Lipschitz g at any alpha, and
+    adds g(a) x^alpha/alpha.  K(t) adds to K at the mesh breakpoint below t
+    the leaves below t and the exact integral, from the leaf's lo to t, of
+    the degree-14 interpolant at the leaf's 15 nodes.  Over a whole leaf
+    that is the leaf's K15 value, so K is continuous at leaf ends.  g is
+    read through an Integrand (a callable gets its own), whose table the
+    build shares with every reader of g; the first t in a leaf reads its
+    nodes again, so K(t) calls g only past TABLE_CAP.  Each K(t) is
+    computed once and kept; `evaluations` counts this kernel's calls.
     """
 
     def __init__(self, g: Integrand | Callable[[float], float],
@@ -423,32 +424,30 @@ class CumulativeKernel:
         self.a, self.b, self.alpha = a, b, alpha
         self._g = g if isinstance(g, Integrand) else Integrand(g)
         calls = self._g.calls
-        read, am1, inv = self._g.__call__, alpha - 1.0, 1.0 / alpha
+        read, am1 = self._g.__call__, alpha - 1.0
+        ga = read(a)
+        c = self._c = ga / alpha  # int_0^x g(a) v^(alpha-1) dv = c x^alpha
 
         def phi(x: float) -> float:
             return ((w - x) ** am1 + x ** am1) * read(a + x)
 
-        def phi_u(u: float) -> float:  # phi dx / du for u = x^alpha
-            x = u ** inv
-            y = read(a + x)
-            return ((x / (w - x)) ** (1.0 - alpha) * y + y) * inv
+        def phi_a(x: float) -> float:  # phi - g(a) x^(alpha-1)
+            y = read(a + x)  # g(a) at x = 0, where x^(alpha-1) may be 1/0
+            return (w - x) ** am1 * y + (x ** am1 * (y - ga) if x else 0.0)
 
-        bp = self.breakpoints = _graded_mesh(0.5 * w, KERNEL_MESH_PANELS // 2)
+        bp = self.breakpoints = _graded_mesh(0.5 * w, KERNEL_MESH_PANELS)
         vals, errs, met = [], [], True
-        # per mesh panel: (phi, leaf ends, prefix sums, {leaf: d}), in u on
-        # the substituted panel
+        # per mesh panel: (phi, leaf ends, prefix sums, {leaf: d})
         self._parts = []
         for i, (lo, hi) in enumerate(zip(bp, bp[1:])):
-            fn = phi_u if i == 0 and alpha < 1.0 else phi
-            if fn is phi_u:
-                lo, hi = lo ** alpha, hi ** alpha
+            fn = phi if i else phi_a
             r, heap = _adaptive(lambda xs: list(map(fn, xs)), lo, hi,
-                                tol / (2 * KERNEL_MESH_PANELS))
+                                tol / (4 * KERNEL_MESH_PANELS))
             heap.sort(key=operator.itemgetter(2))  # leaves tile [lo, hi]
             self._parts.append((fn, array("d", [e[2] for e in heap] + [hi]),
                                 array("d", accumulate([e[4] for e in heap],
                                                       initial=0.0)), {}))
-            vals.append(r.value)
+            vals.append(r.value if i else r.value + c * hi ** alpha)
             errs.append(r.abs_error_estimate)
             met = met and r.tolerance_met
         pre = list(accumulate(vals, initial=0.0))
@@ -472,8 +471,7 @@ class CumulativeKernel:
         if x == bp[i]:
             return self._base[i]
         phi, ends, pre, dense = self._parts[i]
-        u = x ** self.alpha if i == 0 and self.alpha < 1.0 else x
-        j = min(bisect_right(ends, u) - 1, len(ends) - 2)
+        j = min(bisect_right(ends, x) - 1, len(ends) - 2)
         lo, hi = ends[j], ends[j + 1]
         d = dense.get(j)
         if d is None:
@@ -481,8 +479,8 @@ class CumulativeKernel:
             d = dense[j] = array("d", [sum(map(operator.mul, row, ys))
                                        for row in _dense_rule()])
         r = 0.5 * (hi - lo)
-        return self._base[i] + (pre[j] + r * _clenshaw(
-            d, (u - 0.5 * (lo + hi)) / r))
+        v = pre[j] + r * _clenshaw(d, (x - 0.5 * (lo + hi)) / r)
+        return self._base[i] + (v if i else v + self._c * x ** self.alpha)
 
     def values(self, ts: Sequence[float]) -> list[float]:
         """[K(t) for t in ts], bit for bit.  A read of g, by the first t in a

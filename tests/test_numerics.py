@@ -309,7 +309,7 @@ class TestCumulativeKernel:
     def test_half_order_closed_form(self):
         # g = 1, alpha = 1/2: K(t) = 2 sqrt(t) - 2 sqrt(1-t)
         k = CumulativeKernel(lambda s: 1.0, 0.0, 1.0, 0.5)
-        # t = 1e-12 lies inside the substituted panel at a (2.3e-10 wide),
+        # t = 1e-12 lies inside the panel at a (2.3e-10 wide),
         # and 1 - 1e-12 reads it at the offset b - t
         for t in (0.0, 1e-12, 0.2, 0.25, 0.5, 0.6, 0.9, 1.0 - 1e-12, 1.0):
             exact = 2.0 * math.sqrt(t) - 2.0 * math.sqrt(1.0 - t)
@@ -351,7 +351,7 @@ class TestCumulativeKernel:
         for alpha in (0.3, 1.0, 2.0):
             k = CumulativeKernel(lambda s: 1.0, 0.0, 1.0, alpha)
             # the half [a, m] of the mesh, in offsets from a
-            assert len(k.breakpoints) == KERNEL_MESH_PANELS // 2 + 1
+            assert len(k.breakpoints) == KERNEL_MESH_PANELS + 1
             assert k.breakpoints[-1] == 0.5
             assert k(0.5) == pytest.approx(0.0, abs=1e-9), alpha
 
@@ -380,6 +380,15 @@ class TestCumulativeKernel:
         for t in (-1e-12, 1.0 + 1e-12, math.nan):
             with pytest.raises(DomainError):
                 k(t)
+
+    @pytest.mark.parametrize("alpha", [1e-8, 1e-6])
+    def test_tiny_order_meets_its_tolerance(self, alpha):
+        # g(a) x^(alpha-1), nearly 1/x, is what the panel at a leaves out:
+        # the rest is bounded, and the build neither bisects to MAX_PANELS
+        # nor misses its tolerance
+        bump = {w.label: w for w in builtin_weight_corpus(0.0, 1.0)}["bump"]
+        k = CumulativeKernel(bump.fn, 0.0, 1.0, alpha)
+        assert k.tolerance_met and k.evaluations <= 1000
 
     def test_a_half_width_that_underflows_is_refused(self):
         # [0, 5e-324] has no offset for m: half its width rounds to 0
@@ -444,7 +453,12 @@ class TestCumulativeKernel:
         return k, [k(t) for t in ts], [
             ((t - a) ** alpha - (b - t) ** alpha) / alpha for t in ts]
 
-    @pytest.mark.parametrize("a,b,alpha", END_CASES)
+    # widths of a few subnormals, where nodes of the panel at a round
+    # onto a, and x^(alpha-1) at x = 0 is 1/0
+    NARROW_CASES = [(0.0, b, alpha) for b in (1e-318, 1e-320, 2e-323)
+                    for alpha in (0.25, 0.5)]
+
+    @pytest.mark.parametrize("a,b,alpha", END_CASES + NARROW_CASES)
     def test_finite_at_and_next_to_the_ends(self, a, b, alpha):
         _, values, _ = self._at_the_ends(a, b, alpha)
         assert all(map(math.isfinite, values))
@@ -475,7 +489,7 @@ class TestCumulativeKernel:
 
     # Kernels of one weight on one interval share a store, an Integrand of
     # g.  The 200 points include both end panels (4.7e-10 wide), which read
-    # the panel at a, substituted for alpha = 0.5
+    # the panel at a
     SHARED_ALPHAS = (0.5, 1.25, 2.5)
     POINTS = ([1.0 + 2.0 * i / 195 for i in range(196)]
               + [1.0 + 1e-12, 1.0 + 3e-10, 3.0 - 3e-10, 3.0 - 1e-12])
@@ -538,9 +552,9 @@ class TestCumulativeKernel:
         assert sum(map(len, capped_calls)) > sum(map(len, calls))
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5])
-    def test_substituted_sides_call_g_once_per_abscissa(self, alpha):
-        # near t = 1 + 1e-12 and t = 3, rounding maps nodes of the
-        # substituted panel at a onto one float: each is called once
+    def test_end_panels_call_g_once_per_abscissa(self, alpha):
+        # near t = 1 + 1e-12 and t = 3, rounding maps a + x for nodes x of
+        # the panel at a onto one float: each is called once
         bump, calls = self.bump(), []
 
         def g(x):
@@ -589,7 +603,7 @@ class TestKernelCallsGOncePerNode:
         g, calls = self.counted(lambda s: 1.0 + math.cos(3.0 * (s - 0.5)))
         k = CumulativeKernel(g, 0.0, 1.0, alpha)
         assert k.evaluations == len(calls)
-        # interior t, and t in both end panels (substituted for alpha < 1)
+        # interior t, and t in both end panels, which read the panel at a
         for t in (0.37, 0.5, 0.81, 1e-12, 1.0 - 1e-12, 0.37):
             k(t)
             assert k.evaluations == len(calls), t
@@ -608,35 +622,36 @@ class TestKernelCallsGOncePerNode:
             assert (calls, k.evaluations) == ([], before), alpha
 
     @staticmethod
-    def substituted(k):
-        """Per mesh panel, whether it runs in u = x^alpha."""
-        plain = k._parts[-1][0]
-        return [phi is not plain for phi, _, _, _ in k._parts]
-
-    @classmethod
-    def by_the_panel_rule(cls, k, t):
-        """K(t) from the build's leaves, with the leaf's interpolant in
-        Lagrange's form integrated over [leaf lo, u] by K15, which is exact
-        for its degree 14; above m, -K at the offset b - t."""
+    def by_the_panel_rule(k, t):
+        """K(t) from the build's leaves: the prefix sum, plus the leaf's
+        interpolant of phi in Lagrange's form integrated over [leaf lo, x]
+        by K15, which is exact for its degree 14, where the panel at a
+        interpolates phi - g(a) x^(alpha-1) and adds g(a) x^alpha/alpha;
+        above m, -K at the offset b - t."""
         bp, sign, x = k.breakpoints, 1.0, t - k.a
         if x > bp[-1]:
             sign, x = -1.0, k.b - t
         i = min(bisect.bisect_right(bp, x) - 1, len(bp) - 2)
-        phi, ends, pre, _ = k._parts[i]
-        u = x ** k.alpha if cls.substituted(k)[i] else x
-        j = min(bisect.bisect_right(ends, u) - 1, len(ends) - 2)
+        _, ends, pre, _ = k._parts[i]
+        w, am1, g = k.b - k.a, k.alpha - 1.0, k._g.fn
+        ga = g(k.a) if i == 0 else 0.0
+
+        def phi(s):
+            return ((w - s) ** am1 + s ** am1) * g(k.a + s) - ga * s ** am1
+
+        j = min(bisect.bisect_right(ends, x) - 1, len(ends) - 2)
         xs = _gk15_nodes(ends[j], ends[j + 1])
-        ys = [phi(x) for x in xs]
+        ys = [phi(s) for s in xs]
 
         def interpolant(x):
             return sum(y * math.prod((x - xm) / (xj - xm)
                                      for xm in xs if xm != xj)
                        for xj, y in zip(xs, ys))
 
-        v = pre[j]
-        if u > ends[j]:
-            v += _gk15([interpolant(x) for x in _gk15_nodes(ends[j], u)],
-                       ends[j], u)[0]
+        v = pre[j] + ga * x ** k.alpha / k.alpha
+        if x > ends[j]:
+            v += _gk15([interpolant(s) for s in _gk15_nodes(ends[j], x)],
+                       ends[j], x)[0]
         return sign * (k._base[i] + v)
 
     def assert_panel_rule_values(self, alpha, ts):
@@ -645,23 +660,20 @@ class TestKernelCallsGOncePerNode:
         allowed = 4 * math.ulp(max(abs(k(1.0)), abs(k(3.0))))
         for t in ts:
             assert abs(k(t) - self.by_the_panel_rule(k, t)) <= allowed, t
-        return k
 
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.25, 4.0])
     def test_paired_value_is_the_two_rule_value(self, alpha):
         # off the panel at a, phi is the sum of both kernel factors times
         # g, on one interpolant, on either side of m
-        k = self.assert_panel_rule_values(
+        self.assert_panel_rule_values(
             alpha, (1.0 + 1e-3, 1.37, 2.0 + 1e-9, 2.5, 2.93))
-        assert not any(self.substituted(k)[1:])
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.25, 4.0])
     def test_end_panel_value_is_the_panel_rule_value(self, alpha):
-        # in u = x^alpha on the substituted panel at a, for x = t - a
+        # g(a) x^(alpha-1) subtracted on the panel at a, in x = t - a
         # below m and x = b - t above it
-        k = self.assert_panel_rule_values(
+        self.assert_panel_rule_values(
             alpha, (1.0 + 1e-12, 1.0 + 3e-10, 3.0 - 3e-10, 3.0 - 1e-12))
-        assert self.substituted(k) == [alpha < 1.0] + [False] * 31
 
     def test_end_panel_reads_go_through_the_table(self):
         # a leaf's nodes read again are counted and kept, as builds' are
