@@ -44,8 +44,10 @@ SEED = 42
 # kernel builds took corpus-hard to 157,251; K read from the build's own
 # leaves, on [a, m] only, with g(a) x^(alpha-1) subtracted on the panel at a,
 # took corpus-hard, corpus-default, corpus-tiny and verify-cells to 65,477,
-# 30,221, 13,378 and 127,343, and each ceiling sits about 5% above its count
-CALL_CEILINGS = {"corpus-hard": 68_800, "corpus-default": 31_800,
+# 30,221, 13,378 and 127,343; a rule exact for the kernel on the end panel
+# of a fractional integral at non-integer alpha > 1 took corpus-hard to
+# 53,795.  Each ceiling sits about 5% above its count
+CALL_CEILINGS = {"corpus-hard": 56_500, "corpus-default": 31_800,
                  "corpus-tiny": 14_100, "verify-cells": 133_800}
 
 

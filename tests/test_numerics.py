@@ -7,6 +7,9 @@ Closed-form values used as expectations were recomputed independently
 import bisect
 import functools
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 
 import pytest
@@ -30,6 +33,11 @@ SQRT_PI = 1.7724538509055160273
 CALIBRATION_ALPHAS = (0.01, 0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.5, 5.0)
 CALIBRATION_INTERVALS = ((0.0, 1.0), (1.0, 3.0), (0.0, 1e-6), (0.0, 10.0),
                          (10.0, 10.5))
+# the calibration of integrate_singular's end rule: non-integer orders in
+# (1, 12], log-uniform in alpha - 1
+END_RULE_INTERVALS = ((0.0, 1.0), (1.0, 3.0), (0.0, 1e-6), (10.0, 10.5))
+NON_INTEGER_ORDERS = st.floats(-8.0, math.log10(11.0)).map(
+    lambda e: 1.0 + 10.0 ** e).filter(lambda alpha: not alpha.is_integer())
 
 
 def _calibration_cases():
@@ -223,6 +231,74 @@ class TestIntegrateSingular:
                                1e-9).scaled(1.0 / gamma(alpha))
         floor = 4e-15 * max(1.0, abs(exact))
         assert abs(r.value - exact) <= 10.0 * r.abs_error_estimate + floor
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(alpha=NON_INTEGER_ORDERS, n=st.integers(0, 12),
+           interval=st.sampled_from(END_RULE_INTERVALS),
+           side=st.sampled_from(list(KernelSide)))
+    def test_end_rule_estimate_covers_the_beta_integral(self, alpha, n,
+                                                       interval, side):
+        # a polynomial of degree <= 12 is integrated exactly by the end rule
+        # and by its nested 13-point rule, so the estimate is their rounding
+        # floor; without it the estimate missed by 2e-10 relative at alpha
+        # ~12, n = 12.  [1000, 1001] is left out: h is read there at
+        # rounded abscissae, and the error reaches 1.4e-13 relative
+        # (ROADMAP item 12)
+        a, b = interval
+        h = ((lambda t: (t - a) ** n) if side is KernelSide.UPPER_SINGULAR
+             else (lambda t: (b - t) ** n))
+        r = integrate_singular(h, a, b, alpha, side)
+        exact = gamma(alpha) * beta_reference(alpha, n, a, b)
+        assert abs(r.value - exact) <= r.abs_error_estimate + 4 * math.ulp(exact)
+        assert r.evaluations <= 95
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(alpha=NON_INTEGER_ORDERS,
+           interval=st.sampled_from(END_RULE_INTERVALS[:3]),
+           side=st.sampled_from(list(KernelSide)))
+    def test_end_rule_estimate_covers_a_kink_at_the_midpoint(self, alpha,
+                                                            interval, side):
+        # one bisection: the end rule on the half at the singular end and
+        # G7/K15 on the other.  [10, 10.5] is left out: the G7/K15 half
+        # reads |t - m| at abscissae rounded by 1.8e-15, 1e-14 of the value,
+        # and has no rounding floor (ROADMAP item 12)
+        a, b = interval
+        m, w = 0.5 * (a + b), b - a
+        r = integrate_singular(lambda t: abs(t - m), a, b, alpha, side)
+        exact = (w ** (alpha + 1.0) / (alpha * (alpha + 1.0))
+                 * (0.5 * (alpha - 1.0) + 2.0 ** -alpha))
+        assert abs(r.value - exact) <= r.abs_error_estimate + 4 * math.ulp(exact)
+        assert r.evaluations <= 65
+
+    @pytest.mark.parametrize("side", list(KernelSide))
+    def test_end_rule_reads_the_singular_end(self, side):
+        # the kernel is 0 there for alpha > 1, but h is still read
+        a, b = 1.0, 3.0
+        end = b if side is KernelSide.UPPER_SINGULAR else a
+        with pytest.raises(EvaluationError) as info:
+            integrate_singular(lambda t: math.inf if t == end else t, a, b,
+                               1.5, side)
+        assert info.value.abscissa == end
+
+    @pytest.mark.parametrize("alpha", [2.0, 3.0])
+    @pytest.mark.parametrize("side", list(KernelSide))
+    def test_integer_order_integrates_the_product(self, alpha, side):
+        a, b = 1.0, 3.0
+        kernel = ((lambda t: (b - t) ** (alpha - 1.0))
+                  if side is KernelSide.UPPER_SINGULAR
+                  else (lambda t: (t - a) ** (alpha - 1.0)))
+        assert (integrate_singular(math.exp, a, b, alpha, side)
+                == integrate_smooth(lambda t: kernel(t) * math.exp(t), a, b))
+
+    def test_importing_the_cli_builds_no_end_rule(self):
+        # the weights are built on first use, not at import (bench setup_s)
+        code = ("import frachh.cli, frachh.numerics as n; "
+                "print(n._end_rule.cache_info().currsize)")
+        src = os.path.dirname(os.path.dirname(frachh.numerics.__file__))
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "0"
 
     def test_alpha_domain(self):
         for bad in (0.0, -0.5, math.nan):
