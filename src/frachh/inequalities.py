@@ -5,7 +5,7 @@ scratch and returns a Report, whose value fields are named after the
 output columns and are None where the statement produces nothing.
 
 The fractional quantities the statements share (J(f), the weight mass
-W, J(f g), ||g||_inf, the kernel K and sup |f'|) are computed
+W, J(f g), ||g||_inf, the kernel K, sup |f'| and Cell.ends) are computed
 only by Cell, once per cell, from integrands read through one Integrand
 each; verifiers given the same memo share both.  g = None stands for the
 unit weight, so the unweighted statements are the weighted ones at
@@ -49,13 +49,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from .fracops import FracSetting, j_left, j_right
 from .functions import ConvexityKind, FunctionSpec, HolderPair, WeightSpec
 from .numerics import (DEFAULT_TOL, CumulativeKernel, DomainError,
-                       Integrand, QuadResult, gamma, integrate_panels,
-                       integrate_smooth)
+                       Integrand, KernelSide, QuadResult, gamma,
+                       integrate_panels, integrate_singular, integrate_smooth)
 
 __all__ = [
     "Status",
@@ -163,21 +163,6 @@ def _identity(lhs: QuadResult, rhs: QuadResult, evaluations: int,
                   lhs=lhs.value, rhs=rhs.value)
 
 
-class _UnitKernel:
-    """K of the unit weight, Gamma(alpha) ((t-a)^alpha - (b-t)^alpha)
-    / (2 (b-a)^alpha): exact, so its error estimate is 0 at no calls."""
-
-    abs_error_estimate, tolerance_met = 0.0, True
-
-    def __init__(self, s: FracSetting):
-        self.s, self.c = s, gamma(s.alpha) / (2.0 * s.width ** s.alpha)
-
-    def values(self, ts: list[float]) -> list[float]:
-        s = self.s
-        return [self.c * ((t - s.a) ** s.alpha - (s.b - t) ** s.alpha)
-                for t in ts]
-
-
 class Cell:
     """The derived quantities of one (f, g, alpha) cell at one tolerance.
 
@@ -185,7 +170,7 @@ class Cell:
     `memo` under the inputs it depends on, so cells sharing a memo share
     it (W, ||g||_inf and K across functions, J(f g) across exponents).
 
-    Every quadrature of a cell, K's build and the identities' f' integral
+    Every quadrature of a cell, K's build and the identities' f' integrals
     included, reads f, f' and g through the memo's Integrand of each
     (`read`): J(g), J(f g) and K share one table of g.  `evaluations`
     counts the calls made through the memo's Integrands since this cell
@@ -193,9 +178,9 @@ class Cell:
     and dsup), and ||g||_inf at the sup_at points, are not counted.
 
     With g = None, g is the unit weight scaled to W = 1: W is exactly 1,
-    J(f g) is Gamma(alpha+1) / (2 (b-a)^alpha) (j_left(f) + j_right(f)),
-    ||g||_inf reads 1 and K is the closed form of _UnitKernel, exact at
-    no calls.  Products by 1.0 and sums with 0.0 are exact.
+    J(f g) is Gamma(alpha+1) / (2 (b-a)^alpha) (j_left(f) + j_right(f))
+    and ||g||_inf reads 1; there is no K, since identity 1.4's right side
+    is `ends` alone.  Products by 1.0 and sums with 0.0 are exact.
     """
 
     def __init__(self, f: Optional[FunctionSpec], g: Optional[WeightSpec],
@@ -259,12 +244,21 @@ class Cell:
             abs(g.fn(x)) for x in g.sup_at))
 
     @property
-    def kernel(self) -> Union[CumulativeKernel, _UnitKernel]:
-        if self.g is None:
-            return _UnitKernel(self.s)
+    def kernel(self) -> CumulativeKernel:
         g, s = self.g.fn, self.s
         return self._once(("K", g, s, self.tol), lambda: CumulativeKernel(
             self.read(g), s.a, s.b, s.alpha, self.tol))
+
+    @property
+    def ends(self) -> tuple[QuadResult, QuadResult]:
+        """int_a^b (b-t)^alpha f' and (t-a)^alpha f', each to tol (b-a)^alpha
+        (ulp(0) where that underflows); kept without g for both identities."""
+        d, s = self.f.deriv, self.s
+        tol = max(self.tol * s.width ** s.alpha, math.ulp(0.0))
+        return self._once(("ends", d, s, self.tol), lambda: tuple(
+            integrate_singular(self.read(d, "deriv").__call__, s.a, s.b,
+                               s.alpha + 1.0, side, tol)
+            for side in KernelSide))
 
     @property
     def dsup(self) -> float:
@@ -424,26 +418,30 @@ def weighted_trapezoid_identity(f, g: Optional[WeightSpec], s: FracSetting,
 
     Needs g symmetric about the midpoint (sign is unconstrained), and
     then f certified convex: K's error scales by sup |f'| (Cell.dsup).
-    g = None is the unit weight, with K exact (_UnitKernel): identity 1.4,
-    whose right side is 1/(2 (b-a)^alpha) times the integral of
-    [(t-a)^alpha - (b-t)^alpha] f'(t) over [a, b].
+    With E = int_a^b [(t-a)^alpha - (b-t)^alpha] f' (Cell.ends) and c = K.c,
+    Gamma(alpha) rhs = c E + int_a^b (K - c [(t-a)^alpha - (b-t)^alpha]) f',
+    the last by G7/K15; g = None (identity 1.4) has rhs = E / (2 (b-a)^alpha).
     """
     f = _as_function(f, s.a, s.b)
     d = _require_deriv(f)
     notes = () if g is None else _weight_gate(g, s.a, s.b, False, False, ())
     a, b, alpha = s.a, s.b, s.alpha
-    inv_gamma = 1.0 / gamma(alpha)
 
     def build(c: Cell) -> Report:
-        lhs, kern, dx = c.weighted_defect, c.kernel, c.read(d, "deriv")
-        outer = integrate_panels(lambda ts: [
-            k * y for k, y in zip(kern.values(ts), dx.values(ts))], a, b,
-            c.tol * gamma(alpha))
-        kerr = kern.abs_error_estimate  # an exact K reads no sup |f'|
-        rhs = QuadResult(outer.value, outer.abs_error_estimate
-                         + (kerr and kerr * (b - a) * c.dsup), 0,
-                         outer.tolerance_met and kern.tolerance_met)
-        return _identity(lhs, rhs.scaled(inv_gamma), c.evaluations, notes)
+        upper, lower = c.ends
+        rhs = lower + upper.scaled(-1.0)  # E
+        if g is None:
+            rhs = rhs.scaled(0.5 / s.width ** alpha)
+        else:
+            kern, dx = c.kernel, c.read(d, "deriv")
+            outer = integrate_panels(lambda ts: [
+                (k - kern.c * ((t - a) ** alpha - (b - t) ** alpha)) * y
+                for t, k, y in zip(ts, kern.values(ts), dx.values(ts))], a, b,
+                c.tol * gamma(alpha))
+            rhs = (outer + rhs.scaled(kern.c) + QuadResult(  # K's error
+                0.0, kern.abs_error_estimate * (b - a) * c.dsup, 0,
+                kern.tolerance_met)).scaled(1.0 / gamma(alpha))
+        return _identity(c.weighted_defect, rhs, c.evaluations, notes)
 
     return _with_retry(build, Cell(f, g, s, tol, memo))
 

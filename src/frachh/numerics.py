@@ -17,12 +17,12 @@ table, and ``CumulativeKernel``, a piecewise representation of the kernel
     K(t) = int_a^t (b-s)^(alpha-1) g(s) ds
          - int_t^b (s-a)^(alpha-1) g(s) ds
 
-of a weight g symmetric about the midpoint m, which weighted trapezoid
-identities integrate against f'.  Symmetry makes K one integral from m,
-so it is built on [a, m] only, in offsets from a, and the singular term
-g(a) (t-a)^(alpha-1) is integrated in closed form; K(t) integrates the
-degree-14 interpolant at the 15 nodes of the build's final panels
-exactly, so it reads g only at nodes the build read.
+of a weight g symmetric about the midpoint m: one integral from m, built
+on [a, m] only, in offsets from a, its singular term g(a) (t-a)^(alpha-1)
+integrated in closed form.  K(t) integrates the degree-14 interpolant at
+the 15 nodes of the build's final panels, so it reads g only where the
+build did.  The identities integrate K's terms c (t-a)^alpha and
+-c (b-t)^alpha (c = K.c) against f' by integrate_singular at order alpha+1.
 
 Every quadrature result carries an absolute error estimate, the number
 of integrand evaluations spent, and a flag saying whether the requested
@@ -59,7 +59,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 MAX_PANELS = 2 ** 16
-KERNEL_MESH_PANELS = 32
+KERNEL_MESH_PANELS = 16
 # entries kept per Integrand table (~1.3 MB).  The hard grid's largest table
 # holds ~11.8k, but an integral missing its tolerance reads ~10^6 nodes.  Past
 # the cap a miss keeps nothing
@@ -357,10 +357,11 @@ def integrate_singular(h: Callable[[float], float], a: float, b: float,
     return _adaptive(panel, a, b, tol)[0]
 
 
-# Chebyshev-Lobatto points cos(j pi / 24), j = 0..24, of _end_panel; the
-# even ones are the 13 points of the nested rule
+# Chebyshev-Lobatto points cos(j pi / 24), j = 0..24, of _end_panel, the even
+# ones the nested rule's, exactly odd in j - 12 so both sides read alike
 _END_N = 24
-_END_NODES = tuple(math.cos(math.pi * j / _END_N) for j in range(_END_N + 1))
+_END_NODES = tuple(math.cos(math.pi * j / _END_N) for j in range(_END_N // 2))
+_END_NODES += (0.0, *(-s for s in reversed(_END_NODES)))
 
 
 def _chebyshev_rows(n: int) -> list[list[float]]:
@@ -503,14 +504,14 @@ class CumulativeKernel:
     engine integrates phi over each, keeping the final panels ("leaves") of
     its integral: their ends and prefix sums.  The panel at a integrates
     phi - g(a) x^(alpha-1), bounded for a Lipschitz g at any alpha, and
-    adds g(a) x^alpha/alpha.  K(t) adds to K at the mesh breakpoint below t
-    the leaves below t and the exact integral, from the leaf's lo to t, of
-    the degree-14 interpolant at the leaf's 15 nodes.  Over a whole leaf
-    that is the leaf's K15 value, so K is continuous at leaf ends.  g is
-    read through an Integrand (a callable gets its own), whose table the
-    build shares with every reader of g; the first t in a leaf reads its
-    nodes again, so K(t) calls g only past TABLE_CAP.  Each K(t) is
-    computed once and kept; `evaluations` counts this kernel's calls.
+    adds c x^alpha for c = g(a)/alpha (`c`).  K(t) adds to K at the mesh
+    breakpoint below t the leaves below t and the exact integral, from the
+    leaf's lo to t, of the degree-14 interpolant at the leaf's 15 nodes.
+    Over a whole leaf that is the leaf's K15 value, so K is continuous at
+    leaf ends.  g is read through an Integrand (a callable gets its own),
+    whose table the build shares with every reader of g; the first t in a
+    leaf reads its nodes again, so K(t) calls g only past TABLE_CAP.  Each
+    K(t) is computed once and kept; `evaluations` counts this kernel's calls.
     """
 
     def __init__(self, g: Integrand | Callable[[float], float],
@@ -527,7 +528,7 @@ class CumulativeKernel:
         calls = self._g.calls
         read, am1 = self._g.__call__, alpha - 1.0
         ga = read(a)
-        c = self._c = ga / alpha  # int_0^x g(a) v^(alpha-1) dv = c x^alpha
+        c = self.c = ga / alpha  # int_0^x g(a) v^(alpha-1) dv = c x^alpha
 
         def phi(x: float) -> float:
             return ((w - x) ** am1 + x ** am1) * read(a + x)
@@ -581,7 +582,7 @@ class CumulativeKernel:
                                        for row in _dense_rule()])
         r = 0.5 * (hi - lo)
         v = pre[j] + r * _clenshaw(d, (x - 0.5 * (lo + hi)) / r)
-        return self._base[i] + (v if i else v + self._c * x ** self.alpha)
+        return self._base[i] + (v if i else v + self.c * x ** self.alpha)
 
     def values(self, ts: Sequence[float]) -> list[float]:
         """[K(t) for t in ts], bit for bit.  A read of g, by the first t in a

@@ -668,7 +668,20 @@ def count_corpus_calls(monkeypatch, counts) -> list:
 _QUADRATURE_CODE = frozenset(fn.__code__ for fn in (
     frachh.numerics.integrate_smooth, frachh.numerics.CumulativeKernel.__init__,
     frachh.numerics.CumulativeKernel.__call__,
-    frachh.numerics.integrate_panels, frachh.numerics.CumulativeKernel.values))
+    frachh.numerics.integrate_panels, frachh.numerics.CumulativeKernel.values,
+    frachh.numerics.integrate_singular))
+
+# the statements whose verify row reads a corpus entry, on [0, 1] and
+# [0, 1e-6] at order 0.5, and on [0, 1] at 1.5 where the statement reads
+# and allows it: a non-integer order above 1 runs the end rule
+_CHARGED = sorted(set(frachh.cli.THEOREMS) - {"aux-integrals", "lemma-1-6"})
+_CHARGE_CASES = [
+    *(pytest.param(ident, interval, "0.5", id=f"{ident}-{name}")
+      for ident in _CHARGED
+      for name, interval in (("unit", ("0", "1")), ("tiny", ("0", "1e-6")))),
+    *(pytest.param(ident, ("0", "1"), "1.5", id=f"{ident}-order-1.5")
+      for ident in _CHARGED if "alpha" in frachh.cli.THEOREMS[ident].reads
+      and frachh.cli.THEOREMS[ident].max_alpha >= 1.5)]
 
 
 def _in_quadrature() -> bool:
@@ -689,14 +702,11 @@ class TestEvaluations:
     corpus entry.
     """
 
-    @pytest.mark.parametrize("interval", [("0", "1"), ("0", "1e-6")],
-                             ids=["unit", "tiny"])
-    @pytest.mark.parametrize("ident", sorted(
-        set(frachh.cli.THEOREMS) - {"aux-integrals", "lemma-1-6"}))
+    @pytest.mark.parametrize("ident,interval,alpha", _CHARGE_CASES)
     def test_verify_row_is_charged_its_quadrature_calls(
-            self, ident, interval, monkeypatch, capsys):
+            self, ident, interval, alpha, monkeypatch, capsys):
         # exp is f and f' at once; the tiny interval retries at tol/100
-        values = {"f": "exp", "g": "bump", "alpha": "0.5", "q": "2"}
+        values = {"f": "exp", "g": "bump", "alpha": alpha, "q": "2"}
         argv = ["verify", "--thm", ident, "--a", interval[0],
                 "--b", interval[1]]
         for name in frachh.cli.THEOREMS[ident].reads:
@@ -745,7 +755,7 @@ class TestEvaluations:
 
     def test_hard_grid_tables_stay_small(self, monkeypatch, capsys):
         # one memo serves the run, and its value tables hold the nodes of
-        # the quadratures and kernel builds: 77,176 abscissae on this grid
+        # the quadratures and kernel builds: 38,595 abscissae on this grid
         # at seed 42, and none of them fills up
         memos = {}
         init = frachh.inequalities.Cell.__init__

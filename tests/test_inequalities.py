@@ -495,6 +495,65 @@ class TestIdentities:
             assert abs(r.lhs - value) <= budget, g
             assert abs(r.rhs - value) <= budget, g
 
+    @pytest.mark.parametrize("interval", [(0.0, 1.0), (1.0, 3.0)])
+    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.75, 1.5, 2.5])
+    def test_unit_weight_rhs_is_the_end_integrals_closed_form(self, alpha,
+                                                             interval):
+        # for sq, f' = 2t: I_L = int (t-a)^alpha f' and I_U = int (b-t)^alpha
+        # f' in closed form, and identity 1.4's rhs is (I_L - I_U) / (2 w^alpha)
+        a, b = interval
+        w = b - a
+        s = FracSetting(a, b, alpha)
+        sq = {f.label: f for f in builtin_function_corpus(a, b)}["sq"]
+        lower = 2.0 * (w ** (alpha + 2.0) / (alpha + 2.0)
+                       + a * w ** (alpha + 1.0) / (alpha + 1.0))
+        upper = 2.0 * (b * w ** (alpha + 1.0) / (alpha + 1.0)
+                       - w ** (alpha + 2.0) / (alpha + 2.0))
+        r = weighted_trapezoid_identity(sq, None, s)
+        budget = r.error_budget * max(abs(r.lhs), abs(r.rhs), 1.0)
+        assert abs(r.rhs - (lower - upper) / (2.0 * w ** alpha)) <= budget
+        # Cell.ends in KernelSide order, (b-t)^alpha first
+        ends = Cell(sq, None, s, DEFAULT_TOL).ends
+        tol = DEFAULT_TOL * w ** alpha
+        assert abs(ends[0].value - upper) <= tol
+        assert abs(ends[1].value - lower) <= tol
+
+    @pytest.mark.parametrize("interval", [(0.0, 1.0), (1.0, 3.0)])
+    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.75, 1.5, 2.5])
+    def test_constant_weight_kernel_is_all_end_terms(self, alpha, interval):
+        # with g = one, K = ((t-a)^alpha - (b-t)^alpha) / alpha exactly, so
+        # c = 1/alpha, the part of K f' left to G7/K15 is 0 within K's
+        # error term, and the rhs is (I_L - I_U) / (alpha Gamma(alpha))
+        a, b = interval
+        s = FracSetting(a, b, alpha)
+        f = {f.label: f for f in builtin_function_corpus(a, b)}["exp"]
+        one = {w.label: w for w in builtin_weight_corpus(a, b)}["one"]
+        cell = Cell(f, one, s, DEFAULT_TOL)
+        kern, dx = cell.kernel, cell.read(f.deriv, "deriv")
+        assert kern.c == 1.0 / alpha
+        rest = frachh.numerics.integrate_panels(lambda ts: [
+            (k - kern.c * ((t - a) ** alpha - (b - t) ** alpha)) * y
+            for t, k, y in zip(ts, kern.values(ts), dx.values(ts))], a, b,
+            DEFAULT_TOL * gamma(alpha))
+        kerr = kern.abs_error_estimate * (b - a) * cell.dsup
+        assert abs(rest.value) <= kerr + rest.abs_error_estimate
+        upper, lower = cell.ends
+        r = weighted_trapezoid_identity(f, one, s, memo=cell.memo)
+        assert r.status is Status.HOLDS
+        budget = r.error_budget * max(abs(r.lhs), abs(r.rhs), 1.0)
+        exact = (lower.value - upper.value) / (alpha * gamma(alpha))
+        assert abs(r.rhs - exact) <= budget
+
+    def test_end_integrals_keep_a_tolerance_where_it_underflows(self):
+        # tol (b-a)^alpha is 1e-369 here, below the least float: the end
+        # integrals take ulp(0) instead, and the row Holds with both sides 0
+        s = FracSetting(0.0, 1e-6, 60.0)
+        f = {f.label: f for f in builtin_function_corpus(0.0, 1e-6)}["exp"]
+        g = {w.label: w for w in builtin_weight_corpus(0.0, 1e-6)}["bump"]
+        r = weighted_trapezoid_identity(f, g, s)
+        assert r.status is Status.HOLDS
+        assert r.lhs == r.rhs == 0.0
+
     def test_signed_symmetric_weight_accepted(self):
         # -|x - 1/2| is symmetric about 1/2 and <= 0
         neg = WeightSpec("neg-vee", lambda x: -abs(x - 0.5), 0.0, 1.0,

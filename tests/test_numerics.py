@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import frachh.numerics
-from frachh.fracops import FracSetting
+from frachh.fracops import FracSetting, j_left, j_right
 from frachh.functions import builtin_function_corpus, builtin_weight_corpus
 from frachh.numerics import (DEFAULT_TOL, CumulativeKernel, DomainError,
                              EvaluationError, Integrand, KERNEL_MESH_PANELS,
@@ -289,6 +289,19 @@ class TestIntegrateSingular:
                   else (lambda t: (t - a) ** (alpha - 1.0)))
         assert (integrate_singular(math.exp, a, b, alpha, side)
                 == integrate_smooth(lambda t: kernel(t) * math.exp(t), a, b))
+
+    def test_end_rule_nodes_are_odd_so_both_sides_share_their_reads(self):
+        # s_j = -s_(24-j) bit for bit, so the end panels of the two sides
+        # on one interval read the same 25 abscissae
+        nodes = frachh.numerics._END_NODES
+        assert len(nodes) == 25 and nodes[12] == 0.0
+        assert all(nodes[j].hex() == (-nodes[24 - j]).hex()
+                   for j in range(25) if j != 12)
+        read = Integrand(math.exp)
+        s = FracSetting(0.0, 1e-6, 1.5)
+        left, right = j_left(read.__call__, s), j_right(read.__call__, s)
+        assert left.evaluations == right.evaluations == 25  # one panel each
+        assert read.calls == len(read.table) == 25
 
     def test_importing_the_cli_builds_no_end_rule(self):
         # the weights are built on first use, not at import (bench setup_s)
