@@ -208,8 +208,6 @@ class Cell:
 
     def j(self, side: Callable, of: str) -> QuadResult:
         """side(h) for side j_left or j_right and h = f, g or f g (`of`)."""
-        if self.s.alpha == 1.0:  # both kernels are 1: one integral
-            side = j_left
         f = self.f.fn if of != "g" else None
         g = self.g.fn if of != "f" and self.g is not None else None
 
@@ -293,7 +291,7 @@ def _with_retry(build: Callable[[Cell], object], cell: Cell):
     return report
 
 
-def _as_function(f: Union[FunctionSpec, Callable[[float], float]], a: float,
+def _as_function(f: FunctionSpec | Callable[[float], float], a: float,
                  b: float) -> FunctionSpec:
     if isinstance(f, FunctionSpec):
         # its certification was issued for [f.a, f.b] only

@@ -17,12 +17,13 @@ table, and ``CumulativeKernel``, a piecewise representation of the kernel
     K(t) = int_a^t (b-s)^(alpha-1) g(s) ds
          - int_t^b (s-a)^(alpha-1) g(s) ds
 
-of a weight g symmetric about the midpoint m: one integral from m, built
-on [a, m] only, in offsets from a, its singular term g(a) (t-a)^(alpha-1)
-integrated in closed form.  K(t) integrates the degree-14 interpolant at
-the 15 nodes of the build's final panels, so it reads g only where the
-build did.  The identities integrate K's terms c (t-a)^alpha and
--c (b-t)^alpha (c = K.c) against f' by integrate_singular at order alpha+1.
+of a weight g symmetric about the midpoint m: one adaptive integral from
+m, over [a, m] only, in offsets from a, seeded with a mesh graded toward
+a, its singular term g(a) (t-a)^(alpha-1) integrated in closed form.
+K(t) integrates the degree-14 interpolant at the 15 nodes of the build's
+final panels, so it reads g only where the build did.  The identities
+integrate K's terms c (t-a)^alpha and -c (b-t)^alpha (c = K.c) against f'
+by integrate_singular at order alpha+1.
 
 Every quadrature result carries an absolute error estimate, the number
 of integrand evaluations spent, and a flag saying whether the requested
@@ -243,7 +244,7 @@ def integrate_panels(values: Callable[[list[float]], Sequence[float]],
     """integrate_smooth of an integrand read a panel at a time: values(xs)
     returns its values at the 15 nodes xs of a panel.  A non-finite value
     raises EvaluationError at the first bad abscissa in node order."""
-    return _adaptive(_gk15_rule(values), a, b, tol)[0]
+    return _adaptive(_gk15_rule(values), (a, b), tol)[0]
 
 
 def _gk15_rule(values: Callable[[list[float]], Sequence[float]]
@@ -262,18 +263,26 @@ def _gk15_rule(values: Callable[[list[float]], Sequence[float]]
 
 
 def _adaptive(panel: Callable[[float, float], tuple[float, float, int]],
-              a: float, b: float, tol: float) -> tuple[QuadResult, list[tuple]]:
+              mesh: Sequence[float],
+              tol: float) -> tuple[QuadResult, list[tuple]]:
     """The adaptive loop: panel(lo, hi) gives the value, error estimate and
-    number of nodes read of a panel rule on [lo, hi].  Returns the result
-    and the final panels, which tile [a, b], as heap entries (-error,
-    insertion order, lo, hi, value, error)."""
-    check_interval(a, b)
+    number of nodes read of a panel rule on [lo, hi].  One heap starts from
+    the panels between consecutive points of the ascending mesh and
+    bisects the worst panel until the summed estimate is within tol.
+    Returns the result and the final panels, which tile [mesh[0],
+    mesh[-1]], as heap entries (-error, insertion order, lo, hi, value,
+    error)."""
+    check_interval(mesh[0], mesh[-1])
     if not (tol > 0):
         raise DomainError(f"tolerance must be positive, got {tol!r}")
-    val, err, evaluations = panel(a, b)
-    heap = [(-err, 0, a, b, val, err)]
-    seq = 1
-    total_err = err
+    heap, evaluations = [], 0
+    for seq, (lo, hi) in enumerate(zip(mesh, mesh[1:])):
+        val, err, n = panel(lo, hi)
+        heap.append((-err, seq, lo, hi, val, err))
+        evaluations += n
+    heapq.heapify(heap)
+    seq = len(heap)
+    total_err = sum(entry[5] for entry in heap)
     while total_err > tol and len(heap) < MAX_PANELS:
         neg, _, lo, hi, v, e = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
@@ -354,7 +363,7 @@ def integrate_singular(h: Callable[[float], float], a: float, b: float,
             return _end_panel(h, lo, hi, alpha, upper)
         return product(lo, hi)
 
-    return _adaptive(panel, a, b, tol)[0]
+    return _adaptive(panel, (a, b), tol)[0]
 
 
 # Chebyshev-Lobatto points cos(j pi / 24), j = 0..24, of _end_panel, the even
@@ -493,25 +502,28 @@ class CumulativeKernel:
     K(t) = int_a^t (b-s)^(alpha-1) g(s) ds - int_t^b (s-a)^(alpha-1) g(s) ds.
 
     Symmetry makes K(m) = 0 and K(a+b-t) = -K(t), so K is one integral of
-    its derivative phi = ((b-s)^(alpha-1) + (s-a)^(alpha-1)) g(s): K(t) =
-    -int_t^m phi, and above m, K(t) is -K at the offset b - t.  For an
-    asymmetric g the result is not its kernel; the caller checks symmetry.
+    its derivative ((b-s)^(alpha-1) + (s-a)^(alpha-1)) g(s): K(t) is minus
+    its integral from t to m, and above m, K(t) is -K at the offset b - t.
+    For an asymmetric g the result is not its kernel; the caller checks
+    symmetry.
 
     Only the half [a, m] is built, in the offset x = s - a: the factors
     read x^(alpha-1) and (w-x)^(alpha-1) for w = b - a, never a rounded
-    b - s or s - a, and g is read at a + x.  The half width w/2 is split
-    into KERNEL_MESH_PANELS panels graded toward a, and the adaptive
-    engine integrates phi over each, keeping the final panels ("leaves") of
-    its integral: their ends and prefix sums.  The panel at a integrates
-    phi - g(a) x^(alpha-1), bounded for a Lipschitz g at any alpha, and
-    adds c x^alpha for c = g(a)/alpha (`c`).  K(t) adds to K at the mesh
-    breakpoint below t the leaves below t and the exact integral, from the
-    leaf's lo to t, of the degree-14 interpolant at the leaf's 15 nodes.
-    Over a whole leaf that is the leaf's K15 value, so K is continuous at
-    leaf ends.  g is read through an Integrand (a callable gets its own),
-    whose table the build shares with every reader of g; the first t in a
-    leaf reads its nodes again, so K(t) calls g only past TABLE_CAP.  Each
-    K(t) is computed once and kept; `evaluations` counts this kernel's calls.
+    b - s or s - a, and g is read at a + x.  The one integrand is phi, the
+    derivative less g(a) x^(alpha-1), bounded for a Lipschitz g at any
+    alpha; the term left out is c x^alpha in closed form, c = g(a)/alpha
+    (`c`).  One adaptive integral of phi over [0, w/2], seeded with
+    KERNEL_MESH_PANELS panels graded toward a, keeps its final panels
+    ("leaves"): their ends and prefix sums.  K at x is the prefix sum below
+    x's leaf, plus the exact integral, from the leaf's lo to x, of the
+    degree-14 interpolant at the leaf's 15 nodes, plus c x^alpha, less the
+    same sum at w/2; so K is its prefix term at a leaf end and 0.0 at m.
+    Over a whole leaf the interpolant integrates to the leaf's K15 value,
+    so K is continuous.  g is read through an Integrand (a callable gets
+    its own), whose table the build shares with every reader of g; the
+    first x inside a leaf reads its nodes again, so K(t) calls g only past
+    TABLE_CAP.  Each K(t) is computed once and kept; `evaluations` counts
+    this kernel's calls.
     """
 
     def __init__(self, g: Integrand | Callable[[float], float],
@@ -521,7 +533,8 @@ class CumulativeKernel:
         if not (tol > 0):
             raise DomainError(f"tolerance must be positive, got {tol!r}")
         w = b - a
-        if not (0.5 * w > 0.0):
+        half = 0.5 * w
+        if not (half > 0.0):
             raise DomainError(f"the half width of [{a!r}, {b!r}] underflows")
         self.a, self.b, self.alpha = a, b, alpha
         self._g = g if isinstance(g, Integrand) else Integrand(g)
@@ -530,36 +543,24 @@ class CumulativeKernel:
         ga = read(a)
         c = self.c = ga / alpha  # int_0^x g(a) v^(alpha-1) dv = c x^alpha
 
-        def phi(x: float) -> float:
-            return ((w - x) ** am1 + x ** am1) * read(a + x)
-
-        def phi_a(x: float) -> float:  # phi - g(a) x^(alpha-1)
+        def phi(x: float) -> float:  # K' - g(a) x^(alpha-1)
             y = read(a + x)  # g(a) at x = 0, where x^(alpha-1) may be 1/0
             return (w - x) ** am1 * y + (x ** am1 * (y - ga) if x else 0.0)
 
-        bp = self.breakpoints = _graded_mesh(0.5 * w, KERNEL_MESH_PANELS)
-        vals, errs, met = [], [], True
-        # per mesh panel: (phi, leaf ends, prefix sums, {leaf: d})
-        self._parts = []
-        for i, (lo, hi) in enumerate(zip(bp, bp[1:])):
-            fn = phi if i else phi_a
-            r, heap = _adaptive(_gk15_rule(lambda xs: list(map(fn, xs))),
-                                lo, hi, tol / (4 * KERNEL_MESH_PANELS))
-            heap.sort(key=operator.itemgetter(2))  # leaves tile [lo, hi]
-            self._parts.append((fn, array("d", [e[2] for e in heap] + [hi]),
-                                array("d", accumulate([e[4] for e in heap],
-                                                      initial=0.0)), {}))
-            vals.append(r.value if i else r.value + c * hi ** alpha)
-            errs.append(r.abs_error_estimate)
-            met = met and r.tolerance_met
-        pre = list(accumulate(vals, initial=0.0))
-        # K at each breakpoint, -int_x^m phi: 0.0 at m
-        self._base = [p - pre[-1] for p in pre]
+        self._phi = phi
+        r, heap = _adaptive(_gk15_rule(lambda xs: list(map(phi, xs))),
+                            _graded_mesh(half, KERNEL_MESH_PANELS), tol / 4)
+        heap.sort(key=operator.itemgetter(2))  # the leaves tile [0, w/2]
+        self._ends = array("d", [e[2] for e in heap] + [half])
+        self._pre = array("d", accumulate((e[4] for e in heap), initial=0.0))
+        self._top = self._pre[-1] + c * half ** alpha  # -K(a)
         # Inside a leaf the interpolant's integral differs from the exact
-        # one by about the leaf's G7 difference, at most the worst panel's
+        # one by about the leaf's G7 difference, at most the worst leaf's
         # estimate, which the second term covers twice.
-        self.abs_error_estimate = sum(errs) + 2.0 * max(errs)
-        self.tolerance_met = met
+        self.abs_error_estimate = (r.abs_error_estimate
+                                   + 2.0 * max(e[5] for e in heap))
+        self.tolerance_met = r.tolerance_met
+        self._dense: dict[int, array] = {}  # leaf -> its interpolant's d
         self._values: dict[float, float] = {}  # t -> K(t), each computed once
         self.evaluations = self._g.calls - calls
 
@@ -568,26 +569,24 @@ class CumulativeKernel:
 
     def _at(self, x: float) -> float:
         """K at the offset x in [0, w/2]."""
-        bp = self.breakpoints
-        i = bisect_right(bp, x) - 1
-        if x == bp[i]:
-            return self._base[i]
-        phi, ends, pre, dense = self._parts[i]
-        j = min(bisect_right(ends, x) - 1, len(ends) - 2)
-        lo, hi = ends[j], ends[j + 1]
-        d = dense.get(j)
-        if d is None:
-            ys = list(map(phi, _gk15_nodes(lo, hi)))
-            d = dense[j] = array("d", [sum(map(operator.mul, row, ys))
-                                       for row in _dense_rule()])
-        r = 0.5 * (hi - lo)
-        v = pre[j] + r * _clenshaw(d, (x - 0.5 * (lo + hi)) / r)
-        return self._base[i] + (v if i else v + self.c * x ** self.alpha)
+        ends = self._ends
+        j = bisect_right(ends, x) - 1
+        lo, v = ends[j], self._pre[j]
+        if x > lo:  # inside leaf j
+            hi = ends[j + 1]
+            d = self._dense.get(j)
+            if d is None:
+                ys = list(map(self._phi, _gk15_nodes(lo, hi)))
+                d = self._dense[j] = array("d", [
+                    sum(map(operator.mul, row, ys)) for row in _dense_rule()])
+            r = 0.5 * (hi - lo)
+            v += r * _clenshaw(d, (x - 0.5 * (lo + hi)) / r)
+        return v + self.c * x ** self.alpha - self._top
 
     def values(self, ts: Sequence[float]) -> list[float]:
         """[K(t) for t in ts], bit for bit.  A read of g, by the first t in a
         leaf, goes through the kernel's Integrand, which checks it finite."""
-        a, b, half, known = self.a, self.b, self.breakpoints[-1], self._values
+        a, b, half, known = self.a, self.b, self._ends[-1], self._values
         calls = self._g.calls
         for t in ts:
             if t in known:

@@ -436,12 +436,33 @@ class TestCumulativeKernel:
                 assert all(x < y for x, y in zip(pts, pts[1:])), (h, panels)
                 assert len(pts) <= panels + 1
 
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.25, 4.0])
+    @pytest.mark.parametrize("a,b", [(1.0, 3.0), (0.0, 1e-6)])
+    def test_leaves_tile_the_half_width_from_the_mesh(self, a, b, alpha):
+        # one integral of phi over [0, w/2] seeded with the graded mesh:
+        # its leaves tile the half width in order, every mesh point is a
+        # leaf end, and the leaves' estimates sum to at most tol/4
+        m = 0.5 * (a + b)
+        k = CumulativeKernel(
+            lambda s: 2.0 + math.cos(80.0 * (s - m) / (b - a)), a, b, alpha)
+        ends, half = list(k._ends), 0.5 * (b - a)
+        assert ends[0] == 0.0 and ends[-1] == half
+        assert all(lo < hi for lo, hi in zip(ends, ends[1:]))
+        assert set(_graded_mesh(half, KERNEL_MESH_PANELS)) <= set(ends)
+        assert len(k._pre) == len(ends) and k._pre[0] == 0.0
+        errs = [_gk15([k._phi(x) for x in _gk15_nodes(lo, hi)], lo, hi)[1]
+                for lo, hi in zip(ends, ends[1:])]
+        assert k.tolerance_met
+        assert math.fsum(errs) <= DEFAULT_TOL / 4
+        assert k.abs_error_estimate == math.fsum(errs) + 2.0 * max(errs)
+
     def test_unit_weight_kernel_vanishes_at_midpoint(self):
         for alpha in (0.3, 1.0, 2.0):
             k = CumulativeKernel(lambda s: 1.0, 0.0, 1.0, alpha)
             # the half [a, m] of the mesh, in offsets from a
-            assert len(k.breakpoints) == KERNEL_MESH_PANELS + 1
-            assert k.breakpoints[-1] == 0.5
+            mesh = _graded_mesh(0.5, KERNEL_MESH_PANELS)
+            assert len(mesh) == KERNEL_MESH_PANELS + 1
+            assert set(mesh) <= set(k._ends) and k._ends[-1] == 0.5
             assert k(0.5) == pytest.approx(0.0, abs=1e-9), alpha
 
     def test_evaluation_counter_grows(self, monkeypatch):
@@ -472,7 +493,7 @@ class TestCumulativeKernel:
 
     @pytest.mark.parametrize("alpha", [1e-8, 1e-6])
     def test_tiny_order_meets_its_tolerance(self, alpha):
-        # g(a) x^(alpha-1), nearly 1/x, is what the panel at a leaves out:
+        # g(a) x^(alpha-1), nearly 1/x, is what phi leaves out:
         # the rest is bounded, and the build neither bisects to MAX_PANELS
         # nor misses its tolerance
         bump = {w.label: w for w in builtin_weight_corpus(0.0, 1.0)}["bump"]
@@ -713,17 +734,15 @@ class TestKernelCallsGOncePerNode:
     @staticmethod
     def by_the_panel_rule(k, t):
         """K(t) from the build's leaves: the prefix sum, plus the leaf's
-        interpolant of phi in Lagrange's form integrated over [leaf lo, x]
-        by K15, which is exact for its degree 14, where the panel at a
-        interpolates phi - g(a) x^(alpha-1) and adds g(a) x^alpha/alpha;
-        above m, -K at the offset b - t."""
-        bp, sign, x = k.breakpoints, 1.0, t - k.a
-        if x > bp[-1]:
+        interpolant of phi - g(a) x^(alpha-1) in Lagrange's form integrated
+        over [leaf lo, x] by K15, which is exact for its degree 14, plus
+        g(a) x^alpha/alpha, less the same sum at m; above m, -K at the
+        offset b - t."""
+        ends, pre, sign, x = k._ends, k._pre, 1.0, t - k.a
+        if x > ends[-1]:
             sign, x = -1.0, k.b - t
-        i = min(bisect.bisect_right(bp, x) - 1, len(bp) - 2)
-        _, ends, pre, _ = k._parts[i]
         w, am1, g = k.b - k.a, k.alpha - 1.0, k._g.fn
-        ga = g(k.a) if i == 0 else 0.0
+        ga = g(k.a)
 
         def phi(s):
             return ((w - s) ** am1 + s ** am1) * g(k.a + s) - ga * s ** am1
@@ -741,7 +760,7 @@ class TestKernelCallsGOncePerNode:
         if x > ends[j]:
             v += _gk15([interpolant(s) for s in _gk15_nodes(ends[j], x)],
                        ends[j], x)[0]
-        return sign * (k._base[i] + v)
+        return sign * (v - (pre[-1] + ga * ends[-1] ** k.alpha / k.alpha))
 
     def assert_panel_rule_values(self, alpha, ts):
         g = lambda s: math.exp(-((s - 2.0) ** 2))
@@ -752,15 +771,15 @@ class TestKernelCallsGOncePerNode:
 
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.25, 4.0])
     def test_paired_value_is_the_two_rule_value(self, alpha):
-        # off the panel at a, phi is the sum of both kernel factors times
-        # g, on one interpolant, on either side of m
+        # away from a, phi is both kernel factors times g less g(a)
+        # x^(alpha-1), on one interpolant, on either side of m
         self.assert_panel_rule_values(
             alpha, (1.0 + 1e-3, 1.37, 2.0 + 1e-9, 2.5, 2.93))
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.25, 4.0])
     def test_end_panel_value_is_the_panel_rule_value(self, alpha):
-        # g(a) x^(alpha-1) subtracted on the panel at a, in x = t - a
-        # below m and x = b - t above it
+        # on the panel at a, where g(a) x^(alpha-1) is nearly all of the
+        # derivative, in x = t - a below m and x = b - t above it
         self.assert_panel_rule_values(
             alpha, (1.0 + 1e-12, 1.0 + 3e-10, 3.0 - 3e-10, 3.0 - 1e-12))
 
@@ -794,22 +813,26 @@ class TestKernelCallsGOncePerNode:
         # from the right leaf: K is continuous where it changes leaf
         k = CumulativeKernel(lambda s: 2.0 + math.cos(80.0 * (s - 2.0)), 1.0,
                              3.0, alpha)
-        ends = 0
-        for phi, edges, pre, _ in k._parts:
-            scale = max(map(abs, pre))
-            for j in range(len(edges) - 1):
+        phi, edges, pre = k._phi, k._ends, k._pre
+        mesh = _graded_mesh(1.0, KERNEL_MESH_PANELS)
+        firsts = [edges.index(x) for x in mesh]  # each mesh panel's leaves
+        joined = 8 * math.ulp(max(map(abs, pre)))
+        for first, stop in zip(firsts, firsts[1:]):
+            # a leaf's own rounding is that of its mesh panel's sums; its
+            # prefix term's is that of the global prefix
+            local = 8 * math.ulp(max(abs(pre[i] - pre[first])
+                                     for i in range(first, stop + 1)))
+            for j in range(first, stop):
                 lo, hi = edges[j], edges[j + 1]
                 ys = [phi(x) for x in _gk15_nodes(lo, hi)]
                 d = [sum(m * y for m, y in zip(row, ys))
                      for row in _dense_rule()]
                 whole = 0.5 * (hi - lo) * _clenshaw(d, 1.0)
                 none = 0.5 * (hi - lo) * _clenshaw(d, -1.0)
-                allowed = 8 * math.ulp(scale)
-                assert abs(whole - _gk15(ys, lo, hi)[0]) <= allowed
-                assert abs(pre[j] + whole - pre[j + 1]) <= allowed
-                assert abs(none) <= allowed
-            ends += len(edges) - 2
-        assert ends > 20  # the build bisected
+                assert abs(whole - _gk15(ys, lo, hi)[0]) <= local
+                assert abs(pre[j] + whole - pre[j + 1]) <= joined
+                assert abs(none) <= local
+        assert len(edges) - 1 - KERNEL_MESH_PANELS > 10  # the build bisected
 
     def test_build_calls_are_distinct(self):
         g, calls = self.counted(lambda s: 1.0 + (s - 0.5) ** 2)
@@ -832,9 +855,9 @@ class TestKernelValues:
 
     @classmethod
     def points(cls, k):
-        # a and b, both end panels (4.7e-10 wide), breakpoints on both
+        # a and b, both end panels (4.7e-10 wide), mesh points on both
         # sides of m, the interior
-        x = k.breakpoints[3]
+        x = _graded_mesh(1.0, KERNEL_MESH_PANELS)[3]
         return [1.0, 1.0 + 1e-12, 1.0 + 3e-10, 1.0 + x, 1.37, 2.0, 2.0 + 1e-9,
                 2.71, 3.0 - x, 3.0 - 3e-10, 3.0 - 1e-12, 3.0] + cls.OUTER
 
@@ -881,10 +904,10 @@ class TestKernelValues:
             k.values(self.points(k)[::-1])
         assert 1.0 <= info.value.abscissa <= 3.0
         assert math.isnan(info.value.value)
-        # K at a breakpoint reads no g
-        assert not any(dense for _, _, _, dense in k._parts)
-        assert {t - 1.0 if t <= 2.0 else 3.0 - t
-                for t in k._values} <= set(k.breakpoints)
+        # K at a mesh point reads no g
+        assert not k._dense
+        assert {t - 1.0 if t <= 2.0 else 3.0 - t for t in k._values} <= set(
+            _graded_mesh(1.0, KERNEL_MESH_PANELS))
 
 
 class TestQuadResultAlgebra:
