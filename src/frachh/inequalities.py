@@ -174,8 +174,9 @@ class Cell:
     included, reads f, f' and g through the memo's Integrand of each
     (`read`): J(g), J(f g) and K share one table of g.  `evaluations`
     counts the calls made through the memo's Integrands since this cell
-    was made.  Point reads, f(a), f(b), f(m), f' at a and b (the bounds,
-    and dsup), and ||g||_inf at the sup_at points, are not counted.
+    was made.  Point reads are not counted: f at a, m and b (avg, fm),
+    sup |f'| and ||g||_inf are read once per memo, f' at a and b once
+    per bound row (the closed forms).
 
     With g = None, g is the unit weight scaled to W = 1: W is exactly 1,
     J(f g) is Gamma(alpha+1) / (2 (b-a)^alpha) (j_left(f) + j_right(f))
@@ -271,7 +272,13 @@ class Cell:
 
     @property
     def avg(self) -> float:
-        return 0.5 * (self.f.fn(self.s.a) + self.f.fn(self.s.b))
+        f, a, b = self.f.fn, self.s.a, self.s.b
+        return self._once(("avg", f, a, b), lambda: 0.5 * (f(a) + f(b)))
+
+    @property
+    def fm(self) -> float:
+        f, m = self.f.fn, self.s.midpoint
+        return self._once(("fm", f, m), lambda: f(m))
 
     @property
     def weighted_defect(self) -> QuadResult:
@@ -395,7 +402,7 @@ def _fejer(f, g: Optional[WeightSpec], s: FracSetting, scale: float,
 
     def build(c: Cell) -> Report:
         w, mid = c.both("g").scaled(scale), c.both("fg").scaled(scale)
-        fm, avg = f.fn(s.midpoint), c.avg
+        fm, avg = c.fm, c.avg
         err = ((abs(fm) + abs(avg)) * w.abs_error_estimate
                + mid.abs_error_estimate)
         return _sandwich(fm * w.value, mid.value, avg * w.value, err,

@@ -298,6 +298,8 @@ def _adaptive(panel: Callable[[float, float], tuple[float, float, int]],
         heapq.heappush(heap, (-e2, seq + 1, mid, hi, v2, e2))
         seq += 2
         total_err += e1 + e2 - e
+        if len(heap) & (len(heap) - 1) == 0:  # shed the sum's rounding residue
+            total_err = math.fsum(entry[5] for entry in heap)
     value = math.fsum(entry[4] for entry in heap)
     abs_err = math.fsum(entry[5] for entry in heap)
     return QuadResult(value, abs_err, evaluations, abs_err <= tol), heap

@@ -8,6 +8,7 @@ statuses.
 
 import dataclasses
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -436,6 +437,30 @@ class TestValueTables:
         assert cell.evaluations == len(calls) > 10
         assert [len(read.table)
                 for read in memo["integrands"].values()] == [10]
+
+    def test_point_values_are_read_once_per_memo(self):
+        # f(a), f(m) and f(b) are memo entries like ||g||_inf: statements,
+        # orders and the tol/100 retry on [0, 1e-6] all read the first call
+        a, b = 0.0, 1e-6
+        spec = {f.label: f for f in builtin_function_corpus(a, b)}["sq"]
+        g = {w.label: w for w in builtin_weight_corpus(a, b)}["bump"]
+        quadrature = frachh.numerics.Integrand.__call__.__code__
+        reads = []
+
+        def sq(x):
+            if sys._getframe(1).f_code is not quadrature:
+                reads.append(x)
+            return spec.fn(x)
+
+        f, memo, retried = dataclasses.replace(spec, fn=sq), {}, 0
+        for alpha in (0.5, 1.0, 1.5):
+            s = FracSetting(a, b, alpha)
+            for report in (fejer_fractional(f, g, s, memo=memo),
+                           weighted_bound("bound-2-4", f, g, s, memo=memo),
+                           weighted_trapezoid_identity(f, g, s, memo=memo)):
+                retried += "retried at tol/100" in report.notes
+        assert retried > 0
+        assert sorted(reads) == [a, (a + b) / 2, b]
 
     def test_kernel_partial_panels_stay_out_of_the_table(self):
         # K's build reads g through the memo's table of g, which J(g)

@@ -187,6 +187,17 @@ class TestIntegrateSingular:
                                KernelSide.UPPER_SINGULAR, 1e-10)
         assert r.value == pytest.approx(16.0 / 15.0, abs=1e-10)
 
+    def test_summed_estimate_is_resummed_exactly(self):
+        # (t-a)^100 e^t on [0, 100], ~1e243, to tol 1e191: a running sum of
+        # the panels' estimates keeps the rounding residue of the first
+        # ones, ~1e226, so it never sees tol met and bisects on to the
+        # rounding floor, 168,285 nodes; re-summed at every power of two
+        # panels, it stops where the leaves' estimates meet tol
+        r = integrate_singular(math.exp, 0.0, 100.0, 101.0,
+                               KernelSide.LOWER_SINGULAR, 1e191)
+        assert r.tolerance_met
+        assert r.evaluations == 139_725
+
     def test_alpha_one_matches_plain_quadrature(self):
         h = lambda t: math.exp(-t) * (1.0 + t)
         r1 = integrate_singular(h, 0.0, 2.0, 1.0,
