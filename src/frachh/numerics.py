@@ -7,9 +7,10 @@ verifiers) is built on three primitives:
 * ``integrate_smooth``, globally adaptive Gauss-Kronrod quadrature
   (``integrate_panels`` for an integrand read a panel at a time),
 * ``integrate_singular``, the same engine for a power-law kernel: after
-  a change of variable that removes the singularity for orders below 1,
-  on the product at integer orders, and with a modified Clenshaw-Curtis
-  rule exact for the kernel on the panel at its singular end otherwise,
+  a change of variable that removes the singularity for orders up to
+  1/2, on the product at integer orders, and with a modified
+  Clenshaw-Curtis rule exact for the kernel on the panel at its singular
+  end otherwise, the kernel read at each node's distance from that end,
 
 plus ``Integrand``, an integrand read through a checked and counted value
 table, and ``CumulativeKernel``, a piecewise representation of the kernel
@@ -329,41 +330,55 @@ def integrate_singular(h: Callable[[float], float], a: float, b: float,
     """Integral of kernel(t) * h(t) over [a, b] with a power-law kernel.
 
     The kernel is (b-t)^(alpha-1) for KernelSide.UPPER_SINGULAR and
-    (t-a)^(alpha-1) for KernelSide.LOWER_SINGULAR.  For alpha < 1 the
-    substitution u = (b-t)^alpha (resp. (t-a)^alpha) turns the integral
-    into
+    (t-a)^(alpha-1) for KernelSide.LOWER_SINGULAR.  For alpha <= 1/2
+    the substitution u = (b-t)^alpha (resp. (t-a)^alpha) turns the
+    integral into
 
         (1/alpha) * int_0^{(b-a)^alpha} h(b - u^(1/alpha)) du
 
-    whose integrand is continuous, and the adaptive engine runs on
-    that.  At an integer alpha the kernel is a polynomial (exactly 1.0
-    at alpha = 1) and the product is integrated directly.  At any other
-    alpha > 1 the product's derivative is singular at the end, so the
-    panel that touches it takes _end_panel, a rule exact for the kernel
-    that reads h at both ends of the panel, the singular end included
-    (where the kernel is 0); every other panel integrates the product.
+    whose integrand is C^1 for a smooth h (smooth when 1/alpha is an
+    integer), and the adaptive engine runs on that.  At an integer alpha
+    the kernel is a polynomial (exactly 1.0 at alpha = 1) and the
+    product is integrated directly.  At any other alpha > 1/2 the
+    product or its derivative is singular at the end, so the panel that
+    touches it takes _end_panel, a rule exact for the kernel that reads
+    h at both ends of the panel, the singular end included; every other
+    panel integrates the product by G7/K15, h read at the nodes and the
+    kernel at each node's distance from the singular end, taken from the
+    panel's b - hi and b - lo (resp. lo - a and hi - a): below alpha = 1
+    the factor blows up there, and a node's b - t is off by up to ulp(b).
     """
     check_order(alpha)
     if not isinstance(side, KernelSide):
         raise DomainError(f"side must be a KernelSide, got {side!r}")
     check_interval(a, b)
     upper = side is KernelSide.UPPER_SINGULAR
-    if alpha < 1.0:
+    if alpha <= 0.5:
         inv = 1.0 / alpha
         phi = ((lambda u: h(_clip(b - u ** inv, a, b))) if upper
                else (lambda u: h(_clip(a + u ** inv, a, b))))
         return integrate_smooth(phi, 0.0, (b - a) ** alpha,
                                 tol * alpha).scaled(inv)
-    phi = ((lambda t: (b - t) ** (alpha - 1.0) * h(t)) if upper
-           else (lambda t: (t - a) ** (alpha - 1.0) * h(t)))
+    am1 = alpha - 1.0
     if float(alpha).is_integer():
+        phi = ((lambda t: (b - t) ** am1 * h(t)) if upper
+               else (lambda t: (t - a) ** am1 * h(t)))
         return integrate_smooth(phi, a, b, tol)
-    product = _gk15_rule(lambda xs: list(map(phi, xs)))
 
     def panel(lo: float, hi: float) -> tuple[float, float, int]:
         if (hi == b) if upper else (lo == a):
             return _end_panel(h, lo, hi, alpha, upper)
-        return product(lo, hi)
+        xs = _gk15_nodes(lo, hi)
+        if upper:  # the node c -+ r x lies at the distance (b - c) +- r x
+            ds = _gk15_nodes(b - hi, b - lo)
+            ds[1::2], ds[2::2] = ds[2::2], ds[1::2]
+        else:
+            ds = _gk15_nodes(lo - a, hi - a)
+        ys = [d ** am1 * h(x) for d, x in zip(ds, xs)]
+        val, err = _gk15(ys, lo, hi)
+        if not math.isfinite(val):
+            _check_finite(xs, ys)
+        return val, err, 15
 
     return _adaptive(panel, (a, b), tol)[0]
 
@@ -401,9 +416,16 @@ def _end_rule(beta: float) -> tuple[list[list[float]], list[float]]:
 
         M_k = -(1 + k (k-beta-2) M_{k-1}) / ((k-1) (k+beta+1)),
 
-    which is stable forward: its homogeneous solution decays like
-    k^(-2 beta - 2), faster than the moments.  Built on first use for
-    each beta (~0.4 ms) and cached for the 32 most recent."""
+    which is stable forward: its homogeneous solution alternates in sign
+    and decays like k^(-2 beta - 2).  For beta > 0 that is faster than the
+    moments (~k^-2).  For beta in (-1/2, 0) it is the rate of their
+    leading term, the alternating one from u = 0, so a rounding error
+    keeps its size relative to the moments: at beta = -1/4 they match
+    exact rationals to 7e-16 relative (tests/test_numerics.py), and M_0 =
+    1/(beta+1) < 2 keeps sum_k |c_k M_k| of order 1.  Toward beta = -1,
+    M_k ~ (-1)^k M_0 grows like 1/(beta+1) and the sum cancels, so the
+    rule is not used below beta = -1/2.  Built on first use for each beta
+    (~0.4 ms) and cached for the 32 most recent."""
     m = [1.0 / (beta + 1.0), beta / ((beta + 1.0) * (beta + 2.0))]
     for k in range(2, _END_N + 1):
         m.append(-(1.0 + k * (k - beta - 2.0) * m[-1])

@@ -526,6 +526,25 @@ class TestTolerance:
         assert row["status"] == "Holds" and row["notes"] == []
         assert row["evaluations"] <= 20_000
 
+    @pytest.mark.parametrize("argv, most", [
+        (["identity-1-4", "--f", "exp", "--a", "0", "--b", "20"], 10_000),
+        (["fejer-fractional", "--f", "sq", "--g", "cos-arch", "--a", "1000",
+          "--b", "1001"], 2_000),
+        (["identity-2-3", "--f", "sq", "--g", "vee", "--a", "0.5", "--b",
+          "389.73614587210216"], 11_840),
+    ], ids=["identity-1-4", "fejer-fractional", "identity-2-3"])
+    def test_order_three_quarters_holds_cheaply(self, argv, most, capsys):
+        # the substitution u = (b-t)^alpha left h(b - u^(4/3)), and G7/K15
+        # bisected toward u = 0: identity-1-4 was Inconclusive after 5.89M
+        # evaluations and fejer-fractional took 7.86M.  The end rule alone
+        # fixes fejer-fractional, but with the kernel factor read at a
+        # rounded b - t the identities stay Inconclusive after 3.92M and
+        # 7.86M; read at each node's distance from the end, they Hold
+        assert main(["verify", "--thm", *argv, "--alpha", "0.75"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["status"] == "Holds" and row["notes"] == []
+        assert row["evaluations"] <= most
+
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: at alpha 1e-8 "
                        "the substitution of integrate_singular maps its nodes "
                        "onto the ends, and lhs reads 0 against an exact "

@@ -397,7 +397,10 @@ class TestValueTables:
         assert charged == len(calls["f"]) + len(calls["g"])
 
     def test_tighter_tolerance_reuses_the_coarse_nodes(self):
-        memo, s = {}, FracSetting(0.0, 1.0, 0.75)
+        # at an order the substitution u = t^alpha takes (alpha <= 1/2):
+        # the end rule meets 1e-11 on the panel that met 1e-9, so above
+        # 1/2 the finer tolerance reads nothing new
+        memo, s = {}, FracSetting(0.0, 1.0, 0.4)
         coarse_cell = Cell(UNIT_FUNCS["exp"], None, s, 1e-9, memo)
         coarse = coarse_cell.j(j_left, "f")
         # a cell counts the memo's calls since it was made, later cells' too

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,10 +35,13 @@ CALIBRATION_ALPHAS = (0.01, 0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.5, 5.0)
 CALIBRATION_INTERVALS = ((0.0, 1.0), (1.0, 3.0), (0.0, 1e-6), (0.0, 10.0),
                          (10.0, 10.5))
 # the calibration of integrate_singular's end rule: non-integer orders in
-# (1, 12], log-uniform in alpha - 1
+# (1/2, 1), log-uniform in 1 - alpha, and in (1, 12], log-uniform in
+# alpha - 1
 END_RULE_INTERVALS = ((0.0, 1.0), (1.0, 3.0), (0.0, 1e-6), (10.0, 10.5))
-NON_INTEGER_ORDERS = st.floats(-8.0, math.log10(11.0)).map(
-    lambda e: 1.0 + 10.0 ** e).filter(lambda alpha: not alpha.is_integer())
+NON_INTEGER_ORDERS = st.one_of(
+    st.floats(-8.0, math.log10(0.5)).map(lambda e: 1.0 - 10.0 ** e),
+    st.floats(-8.0, math.log10(11.0)).map(lambda e: 1.0 + 10.0 ** e),
+).filter(lambda alpha: alpha > 0.5 and not alpha.is_integer())
 
 
 def _calibration_cases():
@@ -313,6 +317,33 @@ class TestIntegrateSingular:
         left, right = j_left(read.__call__, s), j_right(read.__call__, s)
         assert left.evaluations == right.evaluations == 25  # one panel each
         assert read.calls == len(read.table) == 25
+
+    def test_end_rule_moments_at_an_order_below_one(self):
+        # beta = -1/4 (alpha 0.75): the forward recurrence against the exact
+        # moments M_k = int_0^1 u^beta T_k(2u - 1) du, sums of int_0^1
+        # u^(beta+j) du = 1/(beta+j+1) over the monomials of T_k(2u - 1);
+        # then both rules integrate u^n exactly, the full one for n <= 24
+        # and the nested one for n <= 12, at u = (1+s)/2
+        beta = Fraction(-1, 4)
+        rows, nested = frachh.numerics._end_rule(float(beta))
+        cheb = frachh.numerics._chebyshev_rows(24)
+        polys = [[Fraction(1)], [Fraction(-1), Fraction(2)]]
+        while len(polys) < 25:  # T_(k+1) = 2 (2u - 1) T_k - T_(k-1)
+            p, q = polys[-1], polys[-2]
+            nxt = [-2 * c - d for c, d in zip(p + [0], q + [0, 0])]
+            polys.append([c + 4 * d for c, d in zip(nxt, [0] + p)])
+        for k, poly in enumerate(polys):
+            exact = float(sum(c / (beta + j + 1) for j, c in enumerate(poly)))
+            assert rows[k][0] / cheb[k][0] == pytest.approx(exact, rel=4e-15)
+        us = [(1.0 + s) / 2.0 for s in frachh.numerics._END_NODES]
+        for n in range(25):
+            ys = [u ** n for u in us]
+            exact = float(1 / (beta + n + 1))
+            full = math.fsum(sum(map(float.__mul__, row, ys)) for row in rows)
+            assert full == pytest.approx(exact, rel=4e-15)
+            if n <= 12:
+                assert sum(map(float.__mul__, nested, ys[::2])) == (
+                    pytest.approx(exact, rel=4e-15))
 
     def test_importing_the_cli_builds_no_end_rule(self):
         # the weights are built on first use, not at import (bench setup_s)
