@@ -55,7 +55,7 @@ from .fracops import FracSetting, j_left, j_right
 from .functions import ConvexityKind, FunctionSpec, HolderPair, WeightSpec
 from .numerics import (DEFAULT_TOL, CumulativeKernel, DomainError,
                        Integrand, KernelSide, QuadResult, gamma,
-                       integrate_panels, integrate_singular, integrate_smooth)
+                       integrate_singular, integrate_smooth)
 
 __all__ = [
     "Status",
@@ -438,11 +438,11 @@ def weighted_trapezoid_identity(f, g: Optional[WeightSpec], s: FracSetting,
         if g is None:
             rhs = rhs.scaled(0.5 / s.width ** alpha)
         else:
-            kern, dx = c.kernel, c.read(d, "deriv")
-            outer = integrate_panels(lambda ts: [
-                (k - kern.c * ((t - a) ** alpha - (b - t) ** alpha)) * y
-                for t, k, y in zip(ts, kern.values(ts), dx.values(ts))], a, b,
-                c.tol * gamma(alpha))
+            kern, dx = c.kernel, c.read(d, "deriv").__call__
+            outer = integrate_smooth(
+                lambda t: (kern(t) - kern.c * ((t - a) ** alpha
+                                               - (b - t) ** alpha)) * dx(t),
+                a, b, c.tol * gamma(alpha))
             rhs = (outer + rhs.scaled(kern.c) + QuadResult(  # K's error
                 0.0, kern.abs_error_estimate * (b - a) * c.dsup, 0,
                 kern.tolerance_met)).scaled(1.0 / gamma(alpha))

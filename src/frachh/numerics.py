@@ -4,8 +4,7 @@ Everything downstream (fractional integral operators, inequality
 verifiers) is built on three primitives:
 
 * ``gamma``, the Euler Gamma function restricted to the positive axis,
-* ``integrate_smooth``, globally adaptive Gauss-Kronrod quadrature
-  (``integrate_panels`` for an integrand read a panel at a time),
+* ``integrate_smooth``, globally adaptive Gauss-Kronrod quadrature,
 * ``integrate_singular``, the same engine for a power-law kernel: after
   a change of variable that removes the singularity for orders up to
   1/2, on the product at integer orders, and with a modified
@@ -54,7 +53,6 @@ __all__ = [
     "QuadResult",
     "CumulativeKernel",
     "gamma",
-    "integrate_panels",
     "integrate_smooth",
     "integrate_singular",
 ]
@@ -235,26 +233,15 @@ class Integrand:
                 table[x] = y
         return y
 
-    def values(self, xs: Sequence[float]) -> list[float]:
-        """[self(x) for x in xs]."""
-        return list(map(self.__call__, xs))
 
-
-def integrate_panels(values: Callable[[list[float]], Sequence[float]],
-                     a: float, b: float, tol: float = DEFAULT_TOL) -> QuadResult:
-    """integrate_smooth of an integrand read a panel at a time: values(xs)
-    returns its values at the 15 nodes xs of a panel.  A non-finite value
-    raises EvaluationError at the first bad abscissa in node order."""
-    return _adaptive(_gk15_rule(values), (a, b), tol)[0]
-
-
-def _gk15_rule(values: Callable[[list[float]], Sequence[float]]
+def _gk15_rule(h: Callable[[float], float]
                ) -> Callable[[float, float], tuple[float, float, int]]:
-    """The G7/K15 panel rule of _adaptive for an integrand read a panel at
-    a time, as in integrate_panels."""
+    """The G7/K15 panel rule of _adaptive for h, read at the nodes of a
+    panel in order.  A non-finite value raises EvaluationError at the first
+    bad abscissa in node order."""
     def panel(lo: float, hi: float) -> tuple[float, float, int]:
         xs = _gk15_nodes(lo, hi)
-        ys = values(xs)
+        ys = list(map(h, xs))
         val, err = _gk15(ys, lo, hi)
         if not math.isfinite(val):  # as is any sum with a non-finite term
             _check_finite(xs, ys)
@@ -315,9 +302,9 @@ def integrate_smooth(h: Callable[[float], float], a: float, b: float,
     MAX_PANELS budget runs out (then tolerance_met is False).
     Refinement order is deterministic, and tightening tol only ever
     extends it, so halving tol never decreases the evaluation count.
-    h is read through integrate_panels, at the nodes of a panel in order.
+    h is read at the nodes of a panel in order.
     """
-    return integrate_panels(lambda xs: list(map(h, xs)), a, b, tol)
+    return _adaptive(_gk15_rule(h), (a, b), tol)[0]
 
 
 def _clip(x: float, lo: float, hi: float) -> float:
@@ -572,7 +559,7 @@ class CumulativeKernel:
             return (w - x) ** am1 * y + (x ** am1 * (y - ga) if x else 0.0)
 
         self._phi = phi
-        r, heap = _adaptive(_gk15_rule(lambda xs: list(map(phi, xs))),
+        r, heap = _adaptive(_gk15_rule(phi),
                             _graded_mesh(half, KERNEL_MESH_PANELS), tol / 4)
         heap.sort(key=operator.itemgetter(2))  # the leaves tile [0, w/2]
         self._ends = array("d", [e[2] for e in heap] + [half])
@@ -589,7 +576,19 @@ class CumulativeKernel:
         self.evaluations = self._g.calls - calls
 
     def __call__(self, t: float) -> float:
-        return self.values((t,))[0]
+        """K(t).  A read of g, by the first t in a leaf, goes through the
+        kernel's Integrand, which checks it finite."""
+        y = self._values.get(t)
+        if y is None:
+            a, b, half = self.a, self.b, self._ends[-1]
+            if not (a <= t <= b):
+                raise DomainError(f"t = {t!r} outside [{a!r}, {b!r}]")
+            calls = self._g.calls
+            x = t - a
+            y = self._values[t] = (self._at(x) if x <= half
+                                   else -self._at(min(b - t, half)))
+            self.evaluations += self._g.calls - calls
+        return y
 
     def _at(self, x: float) -> float:
         """K at the offset x in [0, w/2]."""
@@ -606,19 +605,3 @@ class CumulativeKernel:
             r = 0.5 * (hi - lo)
             v += r * _clenshaw(d, (x - 0.5 * (lo + hi)) / r)
         return v + self.c * x ** self.alpha - self._top
-
-    def values(self, ts: Sequence[float]) -> list[float]:
-        """[K(t) for t in ts], bit for bit.  A read of g, by the first t in a
-        leaf, goes through the kernel's Integrand, which checks it finite."""
-        a, b, half, known = self.a, self.b, self._ends[-1], self._values
-        calls = self._g.calls
-        for t in ts:
-            if t in known:
-                continue
-            if not (a <= t <= b):
-                raise DomainError(f"t = {t!r} outside [{a!r}, {b!r}]")
-            x = t - a
-            known[t] = (self._at(x) if x <= half
-                        else -self._at(min(b - t, half)))
-        self.evaluations += self._g.calls - calls
-        return [known[t] for t in ts]

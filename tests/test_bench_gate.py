@@ -163,6 +163,13 @@ def test_traced_run_is_the_untraced_run(argv, capsys):
     # cannot find prints MISSING, and a changed output fails the pass
     untraced = (cli.main(argv), *capsys.readouterr())
     tracer, patches = Tracer(), Patches()
+    wrapped, wrap = set(), tracer.wrap
+
+    def recording(fn, name, *rest):
+        wrapped.add(name)
+        return wrap(fn, name, *rest)
+
+    tracer.wrap = recording
     tracer.install(patches)
     try:
         traced = (cli.main(argv), *capsys.readouterr())
@@ -172,3 +179,9 @@ def test_traced_run_is_the_untraced_run(argv, capsys):
     assert traced == untraced
     assert tracer.calls["numerics.integrate_singular"] > 0
     assert tracer.counts["numerics.CumulativeKernel.build.evals"] > 0
+    if argv[0] == "corpus":
+        # a corpus calls every traced name, but no CLI path calls sup_norm
+        named = {name for name in wrapped if isinstance(name, str)}
+        assert "numerics.CumulativeKernel.call" in named
+        assert {name for name in named - {"functions.sup_norm"}
+                if tracer.calls[name] == 0} == set()

@@ -697,10 +697,9 @@ def count_corpus_calls(monkeypatch, counts) -> list:
 
 # the code of the quadratures whose integrand calls a row is charged for
 _QUADRATURE_CODE = frozenset(fn.__code__ for fn in (
-    frachh.numerics.integrate_smooth, frachh.numerics.CumulativeKernel.__init__,
-    frachh.numerics.CumulativeKernel.__call__,
-    frachh.numerics.integrate_panels, frachh.numerics.CumulativeKernel.values,
-    frachh.numerics.integrate_singular))
+    frachh.numerics.integrate_smooth, frachh.numerics.integrate_singular,
+    frachh.numerics.CumulativeKernel.__init__,
+    frachh.numerics.CumulativeKernel.__call__))
 
 # the statements whose verify row reads a corpus entry, on [0, 1] and
 # [0, 1e-6] at order 0.5, and on [0, 1] at 1.5 where the statement reads

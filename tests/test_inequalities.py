@@ -475,7 +475,8 @@ class TestValueTables:
         assert cell.evaluations == kern.evaluations > 0
         (read,) = memo["integrands"].values()
         kept = dict(read.table)
-        kern.values([i / 100 for i in range(101)])
+        for i in range(101):
+            kern(i / 100)
         assert read.table == kept
         assert cell.evaluations == kern.evaluations
 
@@ -559,10 +560,10 @@ class TestIdentities:
         cell = Cell(f, one, s, DEFAULT_TOL)
         kern, dx = cell.kernel, cell.read(f.deriv, "deriv")
         assert kern.c == 1.0 / alpha
-        rest = frachh.numerics.integrate_panels(lambda ts: [
-            (k - kern.c * ((t - a) ** alpha - (b - t) ** alpha)) * y
-            for t, k, y in zip(ts, kern.values(ts), dx.values(ts))], a, b,
-            DEFAULT_TOL * gamma(alpha))
+        rest = frachh.numerics.integrate_smooth(
+            lambda t: (kern(t) - kern.c * ((t - a) ** alpha
+                                           - (b - t) ** alpha)) * dx(t),
+            a, b, DEFAULT_TOL * gamma(alpha))
         kerr = kern.abs_error_estimate * (b - a) * cell.dsup
         assert abs(rest.value) <= kerr + rest.abs_error_estimate
         upper, lower = cell.ends

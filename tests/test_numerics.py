@@ -382,10 +382,10 @@ class TestIntegrand:
     def test_each_abscissa_is_called_once(self):
         h, calls = self.counted()
         read = Integrand(h)
-        xs = [0.1, 0.2, 0.1, 0.3, 0.2]  # repeats inside one values(xs)
-        assert read.values(xs) == [math.exp(x) for x in xs]
+        xs = [0.1, 0.2, 0.1, 0.3, 0.2]  # repeats inside one pass
+        assert [read(x) for x in xs] == [math.exp(x) for x in xs]
         assert read(0.3) == math.exp(0.3)
-        assert read.values(xs[::-1]) == [math.exp(x) for x in xs[::-1]]
+        assert [read(x) for x in xs[::-1]] == [math.exp(x) for x in xs[::-1]]
         assert calls == [0.1, 0.2, 0.3] and read.calls == 3
         assert read.table == {x: math.exp(x) for x in calls}
 
@@ -394,21 +394,19 @@ class TestIntegrand:
         h, calls = self.counted()
         read = Integrand(h)
         xs = [0.1, 0.2, 0.3, 0.3]
-        assert read.values(xs) == [math.exp(x) for x in xs]
+        assert [read(x) for x in xs] == [math.exp(x) for x in xs]
         assert read(0.1) == math.exp(0.1) and read(0.3) == math.exp(0.3)
         assert calls == [0.1, 0.2, 0.3, 0.3, 0.3] and read.calls == 5
         assert list(read.table) == [0.1, 0.2]
 
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_a_nan_raises_at_its_abscissa_before_it_is_kept(self, batch):
+    def test_a_nan_raises_at_its_abscissa_before_it_is_kept(self):
         h, calls = self.counted(lambda x: math.nan if x == 0.2 else x)
         read = Integrand(h)
         with pytest.raises(EvaluationError) as info:
             read(0.2)
-        with pytest.raises(EvaluationError) as in_values:
-            xs = [0.1, 0.2, 0.3]
-            read.values(xs) if batch else [read(x) for x in xs]
-        for error in (info.value, in_values.value):
+        with pytest.raises(EvaluationError) as in_a_pass:
+            [read(x) for x in (0.1, 0.2, 0.3)]
+        for error in (info.value, in_a_pass.value):
             assert error.abscissa == 0.2 and math.isnan(error.value)
         assert read.calls == len(calls)
         assert read.table == {0.1: 0.1}
@@ -426,7 +424,8 @@ class TestIntegrand:
         integrate_smooth(read, 0.0, 1.0)
         integrate_singular(read, 0.0, 1.0, 0.75, KernelSide.LOWER_SINGULAR)
         k = CumulativeKernel(read, 0.0, 1.0, 1.25)
-        k.values(_gk15_nodes(0.2, 0.6))
+        for t in _gk15_nodes(0.2, 0.6):
+            k(t)
         assert read.calls == len(calls) > 0
 
 
@@ -713,13 +712,12 @@ class TestCumulativeKernel:
             calls.append(x)
             return bump(x)
 
-        for batch in (False, True):
-            k = CumulativeKernel(g, 1.0, 3.0, alpha)
-            for ts in [self.POINTS] if batch else [[t] for t in self.POINTS]:
-                before = k.evaluations
-                del calls[:]
-                k.values(ts)
-                assert k.evaluations - before == len(calls) == len(set(calls))
+        k = CumulativeKernel(g, 1.0, 3.0, alpha)
+        for t in self.POINTS:
+            before = k.evaluations
+            del calls[:]
+            k(t)
+            assert k.evaluations - before == len(calls) == len(set(calls))
 
     def test_non_finite_weight_is_caught_before_it_is_stored(self):
         # the build raises at the bad abscissa, which the table never keeps;
@@ -770,7 +768,7 @@ class TestKernelCallsGOncePerNode:
             k = CumulativeKernel(g, 0.0, 1.0, alpha)
             del calls[:]
             before = k.evaluations
-            k.values(ts)
+            list(map(k, ts))
             assert (calls, k.evaluations) == ([], before), alpha
 
     @staticmethod
@@ -833,7 +831,8 @@ class TestKernelCallsGOncePerNode:
         read.table.clear()
         del calls[:]
         before = k.evaluations
-        k.values([1.0 + 1e-12, 3.0 - 1e-12])
+        for t in (1.0 + 1e-12, 3.0 - 1e-12):
+            k(t)
         assert calls and set(calls) <= set(read.table)
         assert k.evaluations - before == len(calls)
 
@@ -883,7 +882,7 @@ class TestKernelCallsGOncePerNode:
 
 
 class TestKernelValues:
-    """values(ts) is K at every t of ts, with g called once per distinct
+    """K(t) at points in every kind of leaf calls g once per distinct
     abscissa it reads again."""
 
     ALPHAS = (0.25, 0.5, 1.25, 2.5)
@@ -904,23 +903,15 @@ class TestKernelValues:
                 2.71, 3.0 - x, 3.0 - 3e-10, 3.0 - 1e-12, 3.0] + cls.OUTER
 
     @pytest.mark.parametrize("alpha", ALPHAS)
-    def test_batch_is_the_single_calls_bit_for_bit(self, alpha):
-        g, _ = self.counted()
-        batch = CumulativeKernel(g, 1.0, 3.0, alpha)
-        single = CumulativeKernel(g, 1.0, 3.0, alpha)
-        ts = self.points(batch)
-        assert batch.values(ts) == [single(t) for t in ts]
-
-    @pytest.mark.parametrize("alpha", ALPHAS)
     def test_evaluations_are_the_distinct_abscissae_called(self, alpha):
         g, calls = self.counted()
         k = CumulativeKernel(g, 1.0, 3.0, alpha)
         before = k.evaluations
         del calls[:]
-        k.values(self.points(k))
+        list(map(k, self.points(k)))
         assert k.evaluations - before == len(calls) == len(set(calls))
         del calls[:]
-        k.values(self.points(k))  # every t is known now
+        list(map(k, self.points(k)))  # every t is known now
         assert calls == []
 
     @pytest.mark.parametrize("alpha", ALPHAS)
@@ -931,7 +922,7 @@ class TestKernelValues:
         k = CumulativeKernel(g, 1.0, 3.0, alpha)
         k._g.table.clear()
         del calls[:]
-        k.values(self.OUTER)
+        list(map(k, self.OUTER))
         assert 0 < len(calls) == len(set(calls)) <= 2 * 15 * 15
 
     @pytest.mark.parametrize("alpha", ALPHAS)
@@ -943,7 +934,7 @@ class TestKernelValues:
         k = CumulativeKernel(g, 1.0, 3.0, alpha)
         k._g.fn = lambda x: math.nan
         with pytest.raises(EvaluationError) as info:
-            k.values(self.points(k)[::-1])
+            list(map(k, self.points(k)[::-1]))
         assert 1.0 <= info.value.abscissa <= 3.0
         assert math.isnan(info.value.value)
         # K at a mesh point reads no g
