@@ -5,9 +5,6 @@ The package splits into small layers:
 
 * numerics: adaptive Gauss-Kronrod quadrature, singular-kernel
   integration, and the cumulative kernel K (CumulativeKernel),
-* oracle: slow independent reimplementations and the convexity and
-  weight samplers, used only by the tests to cross-check the fast paths
-  and re-check the corpus certificates,
 * functions: the convex-function and symmetric-weight corpus with
   certification metadata,
 * fracops: one-sided fractional integral means,
@@ -22,8 +19,7 @@ The package splits into small layers:
 
 from .fracops import FracSetting, j_left, j_right
 from .functions import (ConvexityKind, FunctionSpec, HolderPair, WeightSpec,
-                        builtin_function_corpus, builtin_weight_corpus,
-                        sup_norm)
+                        builtin_function_corpus, builtin_weight_corpus)
 from .inequalities import (WEIGHTED_BOUNDS, Cell, Report, Status,
                            WeightedBound, aux_integrals, check_symmetry_lemma,
                            fejer_classical, fejer_fractional, hh_classical,
@@ -43,7 +39,7 @@ __all__ = [
     "integrate_smooth",
     # functions
     "ConvexityKind", "FunctionSpec", "HolderPair", "WeightSpec",
-    "builtin_function_corpus", "builtin_weight_corpus", "sup_norm",
+    "builtin_function_corpus", "builtin_weight_corpus",
     # fracops
     "FracSetting", "j_left", "j_right",
     # inequalities

@@ -17,7 +17,7 @@ WeightSpec carries a weight tied to an interval, two flags
 where |g| peaks, all stated from a proof: next to each builtin entry,
 and by the caller for a weight from elsewhere (the even part of a raw
 g, lambda x: 0.5 * (g(x) + g(a + b - x)), is symmetric by
-construction).  Nothing here samples them; oracle.check_weight and
+construction).  Nothing here samples them; the tests' check_weight and
 sup_norm can refute them, never certify them.  Both corpora are
 deterministic for a fixed seed, randomized entries included, and admit
 an entry finite at a and b (a weight also at sup_at), read nowhere else.
@@ -139,8 +139,9 @@ def sup_norm(g: Callable[[float], float], a: float, b: float,
     The coarse grid locates the maximizer to one cell; each refinement
     round re-samples 33 points inside the bracketing cells.  For the
     builtin corpus (smooth or piecewise linear weights) the result is
-    accurate to well under 1e-9 relative.  Only the tests and
-    oracle.check_weight call it, to re-check a stated sup_at.
+    accurate to well under 1e-9 relative.  Only the tests call it, to
+    re-check a stated sup_at; no runtime path does.  It stays in this
+    module only because bench/instrument.py wraps it by this path.
     """
     if grid < SUP_NORM_GRID:
         raise DomainError(f"grid must have at least {SUP_NORM_GRID} points")
@@ -232,7 +233,7 @@ def builtin_weight_corpus(a: float, b: float,
 
     Six entries, both flags and sup_at certified by construction (the
     one-line proofs sit next to each entry), so nothing is sampled
-    here; the tests re-check every flag with oracle.check_weight and
+    here; the tests re-check every flag with their check_weight and
     every sup_at with sup_norm.  Each is read at a, b and sup_at only, as
     its proof gives |g| <= |g(sup_at)|, and left out unless finite there;
     the ends catch bump, whose (x-m)^2 overflows once (b-a)^2 does.

@@ -1,15 +1,13 @@
-"""Slow, independent reference computations.
+"""Independent reference computations for the tests.
 
-These exist so the main quadrature paths can be cross-checked by code
-that shares nothing with them: a brute-force composite midpoint rule,
-a closed-form Beta-function evaluation for monomials, and a central
-finite difference.  check_convexity samples convexity, and
+They cross-check the main paths with code that shares nothing with
+them: a closed-form Beta-function evaluation for monomials and a
+central finite difference.  check_convexity samples convexity, and
 check_weight a weight's nonnegativity, symmetry and sup, so the tests
 can re-check the certificates the corpus states; a sampler can refute
 a stated property but never prove it, so no verifier consults one, and
-check_weight returns a report, never a WeightSpec.  They trade
-speed for transparency and are meant for tests and diagnostics, not
-for production evaluation.
+check_weight returns a report, never a WeightSpec.  Nothing under
+src/ imports this module.
 """
 
 from __future__ import annotations
@@ -19,57 +17,12 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .functions import DEFAULT_CORPUS_SEED, _grid, sup_norm
-from .numerics import (DomainError, KernelSide, _check_finite, check_interval,
-                       check_order, gamma)
-
-__all__ = [
-    "dense_singular_integral",
-    "beta_reference",
-    "finite_difference_derivative",
-    "ConvexityReport",
-    "check_convexity",
-    "WeightReport",
-    "check_weight",
-]
+from frachh.functions import DEFAULT_CORPUS_SEED, _grid, sup_norm
+from frachh.numerics import (DomainError, _check_finite, check_interval,
+                             check_order, gamma)
 
 CONVEXITY_SLACK = 1e-10
 WEIGHT_SLACK = 1e-12
-
-
-def dense_singular_integral(h: Callable[[float], float], a: float, b: float,
-                            alpha: float, side: KernelSide,
-                            panels: int = 100_000) -> float:
-    """Brute-force value of int_a^b kernel(t) * h(t) dt.
-
-    A plain composite midpoint rule with exact summation.  For
-    alpha < 2 it runs after the change of variable u = (b-t)^alpha
-    (respectively (t-a)^alpha) that removes the kernel, where it
-    converges at order min(2, 1 + 1/alpha).  For alpha >= 2 the kernel
-    has a bounded derivative, so the rule samples the product itself
-    and keeps order 2.  No error estimate is returned; 1e5 panels give
-    roughly 1e-10 absolute accuracy on unit-scale problems.
-    """
-    check_order(alpha)
-    check_interval(a, b)
-    if panels < 100_000:
-        raise DomainError(f"need at least 1e5 panels, got {panels}")
-    if not isinstance(side, KernelSide):
-        raise DomainError(f"side must be a KernelSide, got {side!r}")
-    upper = side is KernelSide.UPPER_SINGULAR
-    raw = alpha >= 2.0
-    step = (b - a) ** (1.0 if raw else alpha) / panels
-    inv = 1.0 / alpha
-
-    def sample(j: int) -> float:
-        # r: distance of the node from the singular endpoint
-        r = (j + 0.5) * step if raw else ((j + 0.5) * step) ** inv
-        t = b - r if upper else a + r
-        t = a if t < a else b if t > b else t
-        return r ** (alpha - 1.0) * h(t) if raw else h(t)
-
-    total = math.fsum(sample(j) for j in range(panels)) * step
-    return total if raw else total * inv
 
 
 def beta_reference(alpha: float, n: int, a: float = 0.0, b: float = 1.0) -> float:

@@ -27,7 +27,7 @@ from frachh.inequalities import (Cell, Status, aux_integrals,
                                  fejer_fractional, scalar_power_lemma,
                                  weighted_bound, weighted_trapezoid_identity)
 from frachh.numerics import KernelSide, gamma, integrate_singular
-from frachh.oracle import beta_reference
+from reference import beta_reference
 
 INTERVALS = ((0.0, 1.0), (1.0, 3.0))
 

@@ -545,6 +545,21 @@ class TestTolerance:
         assert row["status"] == "Holds" and row["notes"] == []
         assert row["evaluations"] <= most
 
+    @pytest.mark.parametrize("tol", [
+        "1e-3",
+        pytest.param("1e-6", marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 2: identity-2-3 of cosh and vee "
+            "at alpha 0.5 reads lhs 0.03605875207978293 against rhs "
+            "0.03603016752957395, past its budget of 2.8e-6")),
+        "1e-12",
+    ])
+    def test_default_grid_has_no_violated_row(self, tol, capsys):
+        main(["corpus", "--tol", tol])
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert rows
+        assert [(row["theorem"], row["f"], row["g"], row["alpha"])
+                for row in rows if row["status"] == "Violated"] == []
+
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: at alpha 1e-8 "
                        "the substitution of integrate_singular maps its nodes "
                        "onto the ends, and lhs reads 0 against an exact "

@@ -1,8 +1,7 @@
 """Operator-level tests for the fractional integral pair.
 
-Frozen reference values were computed two ways before being pinned:
-with the closed Beta form where one exists and with the dense midpoint
-oracle otherwise.
+Frozen reference values are closed forms: Beta-function values,
+(b-a)^alpha / Gamma(alpha+1) and elementary integrals.
 """
 
 import math

@@ -1,5 +1,5 @@
-"""The package runs on the standard library alone, and its annotations
-name what it imports.
+"""The package runs on the standard library alone, ships only what the
+command loads, and its annotations name what it imports.
 
 Every import in src/frachh is read from the source, so an import that
 happens to succeed here (a third-party package installed on this
@@ -11,6 +11,7 @@ import is found only by resolving them.
 import ast
 import importlib
 import inspect
+import subprocess
 import sys
 import typing
 from pathlib import Path
@@ -42,6 +43,18 @@ def test_the_check_sees_a_third_party_import():
     tree = ast.parse("import math\nfrom mpmath import mpf\nfrom . import cli\n")
     assert [name for name in _imported(tree)
             if name not in sys.stdlib_module_names] == ["mpmath"]
+
+
+def test_the_command_loads_every_module():
+    # a fresh interpreter, so no test has imported a module already; a
+    # module the command never loads is code the runtime does not need
+    probe = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); "
+             "import frachh.cli; print(*sorted(sys.modules))")
+    loaded = subprocess.run([sys.executable, "-c", probe], check=True,
+                            capture_output=True, text=True).stdout.split()
+    shipped = {"frachh" if path.stem == "__init__" else f"frachh.{path.stem}"
+               for path in SRC.glob("*.py") if path.stem != "__main__"}
+    assert shipped - set(loaded) == set()
 
 
 def _defined(namespace, module):

@@ -25,7 +25,7 @@ from frachh.numerics import (DEFAULT_TOL, CumulativeKernel, DomainError,
                              _dense_rule, _gk15, _gk15_nodes, _graded_mesh,
                              check_interval, check_order, gamma,
                              integrate_singular, integrate_smooth)
-from frachh.oracle import beta_reference
+from reference import beta_reference
 
 SQRT_PI = 1.7724538509055160273
 

@@ -1,54 +1,26 @@
 """Reference-path tests.
 
-The dense midpoint oracle and the Beta closed form certify each other
-and the main adaptive path.  Below alpha = 2 the oracle runs on the
-substituted integrand, where it converges at order min(2, 1 + 1/alpha),
-so alpha = 1.5 needs more panels; from alpha = 2 on it samples the
-untransformed product at order 2, so alpha = 2.5 needs no more than
-the small orders.
+The Beta closed form and the main adaptive path are checked against
+exact values: tests/data/record_exact.py computes them with mpmath and
+stores them in tests/data/exact.json, which these tests read.  The two
+cross-checks keep the names they had when a dense midpoint rule was
+the reference.
 """
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
 from frachh.functions import builtin_function_corpus
 from frachh.numerics import DomainError, KernelSide, gamma, integrate_singular
-from frachh.oracle import (beta_reference, dense_singular_integral,
-                           finite_difference_derivative)
+from reference import beta_reference, finite_difference_derivative
 
-# panels per alpha, sized so the midpoint rule reaches ~5e-9 relative
-_PANELS = {0.25: 200_000, 0.5: 200_000, 1.0: 200_000, 1.5: 400_000,
-           2.5: 200_000}
-
-
-class TestDenseSingularIntegral:
-    def test_constant_half_order(self):
-        value = dense_singular_integral(lambda t: 1.0, 0.0, 1.0, 0.5,
-                                        KernelSide.UPPER_SINGULAR,
-                                        panels=1_000_000)
-        assert value == pytest.approx(2.0, abs=1e-9)
-
-    def test_monomial_half_order(self):
-        value = dense_singular_integral(lambda t: t * t, 0.0, 1.0, 0.5,
-                                        KernelSide.LOWER_SINGULAR,
-                                        panels=1_000_000)
-        assert value == pytest.approx(0.4, abs=1e-9)
-
-    def test_cubic_combination_matches_beta(self):
-        # t^2 (1 - t) against the upper kernel, via linearity of the
-        # closed form (raw integrals carry the Gamma(alpha) factor)
-        value = dense_singular_integral(lambda t: t * t * (1.0 - t),
-                                        0.0, 1.0, 0.5,
-                                        KernelSide.UPPER_SINGULAR,
-                                        panels=1_000_000)
-        exact = gamma(0.5) * (beta_reference(0.5, 2) - beta_reference(0.5, 3))
-        assert value == pytest.approx(exact, rel=1e-8)
-
-    def test_panel_floor_enforced(self):
-        with pytest.raises(DomainError):
-            dense_singular_integral(lambda t: 1.0, 0.0, 1.0, 0.5,
-                                    KernelSide.UPPER_SINGULAR, panels=50_000)
+ALPHAS = (0.25, 0.5, 1.0, 1.5, 2.5)
+DEGREES = range(7)
+EXACT = json.loads((Path(__file__).resolve().parent / "data" / "exact.json")
+                   .read_text(encoding="utf-8"))
 
 
 class TestBetaReference:
@@ -93,24 +65,29 @@ class TestFiniteDifference:
         assert finite_difference_derivative(f, 0.9, 1e-5) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("alpha", sorted(_PANELS))
+def test_every_checked_case_has_a_stored_value():
+    labels = [f.label for f in builtin_function_corpus(0.0, 1.0)]
+    missing = [f"{label} at alpha {alpha}" for label in labels
+               for alpha in ALPHAS
+               if repr(alpha) not in EXACT["upper"].get(label, {})]
+    missing += [f"Beta at alpha {alpha}" for alpha in ALPHAS
+                if len(EXACT["beta"].get(repr(alpha), ())) < len(DEGREES)]
+    assert not missing, f"re-run tests/data/record_exact.py: {missing}"
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
 def test_beta_agrees_with_dense_oracle(alpha):
-    for n in range(7):
-        exact = beta_reference(alpha, n)
-        raw = dense_singular_integral(lambda t, n=n: t ** n, 0.0, 1.0, alpha,
-                                      KernelSide.UPPER_SINGULAR,
-                                      panels=_PANELS[alpha])
-        assert raw / gamma(alpha) == pytest.approx(exact, rel=1e-8), \
+    for n in DEGREES:
+        exact = EXACT["beta"][repr(alpha)][n]
+        assert beta_reference(alpha, n) == pytest.approx(exact, rel=1e-8), \
             f"alpha={alpha} n={n}"
 
 
-@pytest.mark.parametrize("alpha", sorted(_PANELS))
+@pytest.mark.parametrize("alpha", ALPHAS)
 def test_main_path_agrees_with_dense_oracle_on_corpus(alpha):
     for f in builtin_function_corpus(0.0, 1.0):
-        dense = dense_singular_integral(f.fn, 0.0, 1.0, alpha,
-                                        KernelSide.UPPER_SINGULAR,
-                                        panels=_PANELS[alpha])
+        exact = EXACT["upper"][f.label][repr(alpha)]
         main = integrate_singular(f.fn, 0.0, 1.0, alpha,
                                   KernelSide.UPPER_SINGULAR, 1e-9)
-        tol = max(1e-8 * abs(dense), 10.0 * main.abs_error_estimate)
-        assert abs(dense - main.value) <= tol, f.label
+        tol = max(1e-8 * abs(exact), 10.0 * main.abs_error_estimate)
+        assert abs(exact - main.value) <= tol, f.label
