@@ -439,6 +439,7 @@ def weighted_trapezoid_identity(f, g: Optional[WeightSpec], s: FracSetting,
             rhs = rhs.scaled(0.5 / s.width ** alpha)
         else:
             kern, dx = c.kernel, c.read(d, "deriv").__call__
+            # K(t) adds this very c (...) to its rest, so here it cancels
             outer = integrate_smooth(
                 lambda t: (kern(t) - kern.c * ((t - a) ** alpha
                                                - (b - t) ** alpha)) * dx(t),

@@ -18,12 +18,13 @@ table, and ``CumulativeKernel``, a piecewise representation of the kernel
          - int_t^b (s-a)^(alpha-1) g(s) ds
 
 of a weight g symmetric about the midpoint m: one adaptive integral from
-m, over [a, m] only, in offsets from a, seeded with a mesh graded toward
-a, its singular term g(a) (t-a)^(alpha-1) integrated in closed form.
-K(t) integrates the degree-14 interpolant at the 15 nodes of the build's
-final panels, so it reads g only where the build did.  The identities
-integrate K's terms c (t-a)^alpha and -c (b-t)^alpha (c = K.c) against f'
-by integrate_singular at order alpha+1.
+m, over [a, m] only, in offsets from a, on 25-point Chebyshev panels,
+its singular term g(a) (t-a)^(alpha-1) integrated in closed form and
+the panel at a by the end rule's weights.  K(t) integrates the degree-24
+interpolants of the build's final panels, so it reads g only where the
+build did.  The identities integrate K's terms c (t-a)^alpha and
+-c (b-t)^alpha (c = K.c) against f' by integrate_singular at order
+alpha+1.
 
 Every quadrature result carries an absolute error estimate, the number
 of integrand evaluations spent, and a flag saying whether the requested
@@ -59,7 +60,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 MAX_PANELS = 2 ** 16
-KERNEL_MESH_PANELS = 16
 # entries kept per Integrand table (~1.3 MB).  The hard grid's largest table
 # holds ~11.8k, but an integral missing its tolerance reads ~10^6 nodes.  Past
 # the cap a miss keeps nothing
@@ -377,6 +377,7 @@ _END_NODES = tuple(math.cos(math.pi * j / _END_N) for j in range(_END_N // 2))
 _END_NODES += (0.0, *(-s for s in reversed(_END_NODES)))
 
 
+@functools.cache
 def _chebyshev_rows(n: int) -> list[list[float]]:
     """Row k maps values y_j at cos(j pi / n), j = 0..n, to the coefficient
     of T_k in their degree-n interpolant: (2/n) sum'' y_j cos(j k pi / n),
@@ -390,38 +391,54 @@ def _chebyshev_rows(n: int) -> list[list[float]]:
 
 
 @functools.lru_cache(maxsize=32)
-def _end_rule(beta: float) -> tuple[list[list[float]], list[float]]:
-    """The weights of _end_panel for the weight ((1+s)/2)^beta on [-1, 1].
+def _end_rule(alpha: float) -> tuple[list[float], list[float]]:
+    """The weights of the rule exact for u^(alpha-1) on [0, 1], u = (1+s)/2,
+    in subtracted form: for the degree-24 interpolant p of values y at
+    _END_NODES, int_0^1 u^(alpha-1) p(u) du = p(0)/alpha + sum_j v_j y_j,
+    p(0) being y at the last node (s = -1); then the 13 weights of the
+    nested degree-12 rule at the even nodes, which p(0)/alpha completes
+    alike.  v = N C for C = _chebyshev_rows and the moments N_k =
+    int_0^1 u^(alpha-1) (T_k(2u-1) - T_k(-1)) du, which are QUADPACK's
+    modified moments M_k (dqmomo, Piessens et al. 1983) less (-1)^k/alpha,
+    by their forward recurrence with the 1/alpha terms cancelled by hand:
+    N_0 = 0, N_1 = 2/(alpha+1) and, for k >= 2,
 
-    With the moments M_k = (1/2) int_-1^1 ((1+s)/2)^beta T_k(s) ds, row k
-    of the first part maps the values y at _END_NODES to c_k M_k for the
-    coefficient c_k of T_k in their degree-24 interpolant, so the rows'
-    sum integrates it; the second part are the 13 weights of the nested
-    degree-12 interpolant at the even nodes.  The moments come from the
-    two-term forward recurrence of QUADPACK's dqmomo (Piessens et al.
-    1983), M_0 = 1/(beta+1), M_1 = M_0 beta/(beta+2) and, for k >= 2,
+        (k-1) (k+alpha) N_k = -1 - k (k-alpha-1) N_(k-1) + (-1)^k (1-2k).
 
-        M_k = -(1 + k (k-beta-2) M_{k-1}) / ((k-1) (k+beta+1)),
-
-    which is stable forward: its homogeneous solution alternates in sign
-    and decays like k^(-2 beta - 2).  For beta > 0 that is faster than the
-    moments (~k^-2).  For beta in (-1/2, 0) it is the rate of their
-    leading term, the alternating one from u = 0, so a rounding error
-    keeps its size relative to the moments: at beta = -1/4 they match
-    exact rationals to 7e-16 relative (tests/test_numerics.py), and M_0 =
-    1/(beta+1) < 2 keeps sum_k |c_k M_k| of order 1.  Toward beta = -1,
-    M_k ~ (-1)^k M_0 grows like 1/(beta+1) and the sum cancels, so the
-    rule is not used below beta = -1/2.  Built on first use for each beta
+    Its homogeneous solution alternates in sign and decays like
+    k^(-2 alpha), so a rounding error keeps at most its size, and the N_k
+    stay of order 1 (|N_k| < 9) at every alpha > 0, where the M_k grow like
+    1/alpha and cancel: the rule is exact to 4e-15 from alpha = 1e-8 to
+    12.3 (tests/test_numerics.py).  Built on first use for each alpha
     (~0.4 ms) and cached for the 32 most recent."""
-    m = [1.0 / (beta + 1.0), beta / ((beta + 1.0) * (beta + 2.0))]
+    n = [0.0, 2.0 / (alpha + 1.0)]
     for k in range(2, _END_N + 1):
-        m.append(-(1.0 + k * (k - beta - 2.0) * m[-1])
-                 / ((k - 1) * (k + beta + 1.0)))
-    rows = [[mk * v for v in row]
-            for mk, row in zip(m, _chebyshev_rows(_END_N))]
-    nested = [sum(map(operator.mul, m, col))
-              for col in zip(*_chebyshev_rows(_END_N // 2))]
-    return rows, nested
+        n.append((-1.0 - k * (k - alpha - 1.0) * n[-1]
+                  + (-1) ** k * (1 - 2 * k)) / ((k - 1) * (k + alpha)))
+    return tuple([math.fsum(map(operator.mul, n, col)) for col in zip(*rows)]
+                 for rows in map(_chebyshev_rows, (_END_N, _END_N // 2)))
+
+
+def _end_nodes(lo: float, hi: float, upper: bool) -> list[float]:
+    """The abscissae of _END_NODES on [lo, hi], from the far end to the end
+    at hi (upper) or lo, clipped into [lo, hi]."""
+    c = 0.5 * (lo + hi)
+    r = 0.5 * (hi - lo)
+    far, end, d = (lo, hi, -r) if upper else (hi, lo, r)
+    return [far, *(_clip(c + d * s, lo, hi) for s in _END_NODES[1:-1]), end]
+
+
+def _subtracted(rule: tuple[list[float], list[float]], ys: Sequence[float],
+                head: float) -> tuple[float, float, float]:
+    """For values ys at _end_nodes and the rule (v, nested) of _end_rule:
+    head + sum_j v_j y_j (head = p(0)/alpha, or 0.0 to leave it out), the
+    sum's difference from the nested rule's, and |head| + sum_j |v_j y_j|,
+    the size its rounding scales with (head and the sum can cancel)."""
+    full, nested = rule
+    terms = list(map(operator.mul, full, ys))
+    value = math.fsum(terms)
+    gap = abs(value - sum(map(operator.mul, nested, ys[::2])))
+    return head + value, gap, abs(head) + math.fsum(map(abs, terms))
 
 
 def _end_panel(h: Callable[[float], float], lo: float, hi: float,
@@ -429,81 +446,53 @@ def _end_panel(h: Callable[[float], float], lo: float, hi: float,
     """The panel rule of integrate_singular on a panel [lo, hi] that ends
     at the kernel's singular point: hi if upper, else lo.
 
-    In s with t = c -+ r s (c the centre, r the half width), the kernel is
-    (hi - lo)^(alpha-1) ((1+s)/2)^(alpha-1); the rule integrates the
-    degree-24 interpolant of h at the 25 Chebyshev-Lobatto points against
-    it exactly (modified Clenshaw-Curtis, as in QUADPACK's QAWS).  The
-    error estimate is the difference from the nested 13-point rule, plus
-    a rounding floor of 50 eps (hi - lo)^alpha sum_k |c_k M_k| that covers
-    the rounding of the coefficients and moments when the two agree.  h is
-    read at both ends of the panel; a non-finite value raises
-    EvaluationError at the first bad abscissa in node order (from the far
-    end toward the singular one)."""
-    rows, nested = _end_rule(alpha - 1.0)
-    c = 0.5 * (lo + hi)
-    r = 0.5 * (hi - lo)
-    far, end, d = (lo, hi, -r) if upper else (hi, lo, r)
-    xs = [far, *(_clip(c + d * s, lo, hi) for s in _END_NODES[1:-1]), end]
+    In u, the distance from that end over hi - lo, the kernel is
+    (hi - lo)^(alpha-1) u^(alpha-1); the rule integrates the degree-24
+    interpolant of h at the 25 Chebyshev-Lobatto points against it exactly
+    (modified Clenshaw-Curtis, as in QUADPACK's QAWS), as (hi - lo)^alpha
+    (h(end)/alpha + sum_j v_j y_j) (_end_rule).  The error estimate is the
+    difference from the nested 13-point rule, plus a rounding floor of
+    50 eps (hi - lo)^alpha (|h(end)|/alpha + sum_j |v_j y_j|) that covers
+    the rounding of the terms, of h(end)/alpha and of (hi - lo)^alpha when
+    the two rules agree.  h is read at both ends of the panel; a non-finite
+    value raises EvaluationError at the first bad abscissa in node order
+    (from the far end toward the singular one)."""
+    xs = _end_nodes(lo, hi, upper)
     ys = list(map(h, xs))
     _check_finite(xs, ys)
-    terms = [sum(map(operator.mul, row, ys)) for row in rows]
-    full = math.fsum(terms)
+    value, gap, size = _subtracted(_end_rule(alpha), ys, ys[-1] / alpha)
     scale = (hi - lo) ** alpha
-    err = scale * (abs(full - sum(map(operator.mul, nested, ys[::2])))
-                   + 50.0 * _EPS * math.fsum(map(abs, terms)))
-    return scale * full, err, _END_N + 1
+    return scale * value, scale * (gap + 50.0 * _EPS * size), _END_N + 1
 
 
-def _graded_mesh(h: float, panels: int) -> list[float]:
-    # Offsets 0 < h 2^(1-panels) < ... < h/2 < h: geometric grading, ratio
-    # 2, toward 0.  The half width h is always a breakpoint, so kinks that
-    # symmetric weights plant at the midpoint never sit inside a panel.
-    # Offsets that underflow to an earlier one are dropped rather than
-    # emitting empty panels.
-    pts = [0.0]
-    for k in range(panels):
-        x = h * 2.0 ** (k + 1 - panels)
-        if x > pts[-1]:
-            pts.append(x)
-    return pts
+def _antiderivative(c: Sequence[float], beta: float) -> list[float]:
+    """The Chebyshev coefficients of Phi with int_0^u v^(beta-1) (p(v) -
+    p(0)) dv = u^beta Phi(u), u = (1+s)/2, for p = sum_k c_k T_k(s): a
+    spectral integration (Greengard, SIAM J. Numer. Anal. 28, 1991) for the
+    weight v^(beta-1).  Phi solves beta Phi + (1+s) Phi'(s) = p - p(0);
+    with Phi' = D_0/2 + sum_k D_k T_k, D_(k-1) = D_(k+1) + 2k phi_k, that is
+    (beta+k) phi_k = c_k - D_k - D_(k+1) for k >= 1, solved downward, and
+    Phi(-1) = 0 gives phi_0."""
+    phi = [0.0] * len(c)
+    d1 = d2 = 0.0  # D_k, D_(k+1)
+    for k in range(len(c) - 1, 0, -1):
+        phi[k] = (c[k] - d1 - d2) / (beta + k)
+        d1, d2 = d2 + 2 * k * phi[k], d1
+    phi[0] = math.fsum(p if k % 2 else -p for k, p in enumerate(phi) if k)
+    return phi
 
 
-@functools.cache
-def _dense_rule() -> list[tuple[float, ...]]:
-    """Rows d_15, ..., d_0 of M = D V^-1, mapping a panel's values y at its
-    _gk15_nodes to the Legendre coefficients on [-1, 1] of the integral from
-    -1 of their degree-14 interpolant: c = V^-1 y for V[j][n] = P_n(x_j), and
-    int_-1^x P_n = (P_{n+1} - P_{n-1}) / (2n+1) gives d_0 = c_0 - c_1/3, d_k
-    = c_{k-1}/(2k-1) - c_{k+1}/(2k+3).  Built on first use (~1 ms)."""
-    xs = _gk15_nodes(-1.0, 1.0)
-    p = [[1.0] * 15, xs]  # p[n][j] = P_n(x_j)
-    for n in range(1, 14):
-        p.append([((2 * n + 1) * x * u - n * v) / (n + 1)
-                  for x, u, v in zip(xs, p[n], p[n - 1])])
-    rows = [p[n] + [(k == n == 0) + (n == k - 1) / (2 * k - 1)
-                    - (n == k + 1) / (2 * k + 3) for k in range(16)]
-            for n in range(15)]
-    for col in range(15):  # Gauss-Jordan: rows becomes [I | M^T]
-        pivot = max(range(col, 15), key=lambda r: abs(rows[r][col]))
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        top = rows[col] = [v / rows[col][col] for v in rows[col]]
-        for r in range(15):
-            if r != col:
-                rows[r] = [v - rows[r][col] * w for v, w in zip(rows[r], top)]
-    return list(zip(*(row[15:] for row in rows)))[::-1]
-
-
-# Clenshaw's terms of P_{k+1} = (2k+1)/(k+1) x P_k - k/(k+1) P_{k-1}
-_CLENSHAW = tuple(((2 * k + 1) / (k + 1), (k + 1) / (k + 2))
-                  for k in range(15, -1, -1))
-
-
-def _clenshaw(d: Sequence[float], x: float) -> float:
-    """sum_k d_k P_k(x), for d given as d_15, ..., d_0."""
-    b1 = b2 = 0.0
-    for dk, (p, q) in zip(d, _CLENSHAW):
-        b1, b2 = dk + p * x * b1 - q * b2, b1
-    return b1
+def _chebyshev(d: Sequence[float], s: float) -> float:
+    """sum_k d_k T_k(s) by Clenshaw's recurrence in Reinsch's form, on
+    differences from the end s is nearer, whose rounding, unlike the plain
+    form's, does not grow toward s = -1 and 1."""
+    sign = 1.0 if s >= 0.0 else -1.0
+    u = s - sign
+    b = e = 0.0
+    for dk in reversed(d[1:]):
+        e = dk + 2.0 * u * b + sign * e
+        b = sign * b + e
+    return d[0] + u * b + sign * e
 
 
 class CumulativeKernel:
@@ -520,21 +509,24 @@ class CumulativeKernel:
 
     Only the half [a, m] is built, in the offset x = s - a: the factors
     read x^(alpha-1) and (w-x)^(alpha-1) for w = b - a, never a rounded
-    b - s or s - a, and g is read at a + x.  The one integrand is phi, the
-    derivative less g(a) x^(alpha-1), bounded for a Lipschitz g at any
-    alpha; the term left out is c x^alpha in closed form, c = g(a)/alpha
-    (`c`).  One adaptive integral of phi over [0, w/2], seeded with
-    KERNEL_MESH_PANELS panels graded toward a, keeps its final panels
-    ("leaves"): their ends and prefix sums.  K at x is the prefix sum below
-    x's leaf, plus the exact integral, from the leaf's lo to x, of the
-    degree-14 interpolant at the leaf's 15 nodes, plus c x^alpha, less the
-    same sum at w/2; so K is its prefix term at a leaf end and 0.0 at m.
-    Over a whole leaf the interpolant integrates to the leaf's K15 value,
-    so K is continuous.  g is read through an Integrand (a callable gets
-    its own), whose table the build shares with every reader of g; the
-    first x inside a leaf reads its nodes again, so K(t) calls g only past
-    TABLE_CAP.  Each K(t) is computed once and kept; `evaluations` counts
-    this kernel's calls.
+    b - s or s - a, and g is read at a + x.  The term g(a) x^(alpha-1) is
+    integrated in closed form, c x^alpha with c = g(a)/alpha (`c`).  One
+    adaptive integral of the rest over [0, w/2], on 25-point Chebyshev
+    panels with the nested 13-point rule's difference as the estimate,
+    keeps its final panels ("leaves"): their ends and prefix sums.  The
+    leaf at 0 integrates x^(alpha-1) (g - g(a)) by _end_rule(alpha), and
+    (w-x)^(alpha-1) g, its factor read at each node's exact offset, by
+    the order-1 rule (Clenshaw-Curtis), from one read of g per node; any
+    other leaf integrates phi, the derivative less g(a) x^(alpha-1), by
+    the order-1 rule.  `abs_error_estimate` adds the leaves' rounding
+    floors, which the stopping test leaves out so as not to chase them.
+    K at x is minus the integral of the leaves' interpolants from x to w/2
+    (_antiderivative, whole leaves by their prefix sums), so continuous and
+    0.0 at m, plus c (x^alpha - (w/2)^alpha).  g is read through an
+    Integrand (a callable gets its own), whose table the build shares with
+    every reader of g; the first x inside a leaf reads its nodes again, so
+    K(t) calls g only past TABLE_CAP.  Each K(t) is computed once and kept;
+    `evaluations` counts this kernel's calls.
     """
 
     def __init__(self, g: Integrand | Callable[[float], float],
@@ -554,24 +546,42 @@ class CumulativeKernel:
         ga = read(a)
         c = self.c = ga / alpha  # int_0^x g(a) v^(alpha-1) dv = c x^alpha
 
-        def phi(x: float) -> float:  # K' - g(a) x^(alpha-1)
-            y = read(a + x)  # g(a) at x = 0, where x^(alpha-1) may be 1/0
-            return (w - x) ** am1 * y + (x ** am1 * (y - ga) if x else 0.0)
+        def values(lo: float, hi: float) -> tuple[list[float], list[float]]:
+            # a leaf's integrand at its nodes, and g there on the leaf at 0
+            xs = _end_nodes(lo, hi, False)
+            gs = [read(a + x) for x in xs]
+            if lo:  # x^(alpha-1) * 0 is nan where x^(alpha-1) overflows
+                return [(w - x) ** am1 * y
+                        + (x ** am1 * (y - ga) if y != ga else 0.0)
+                        for x, y in zip(xs, gs)], []
+            q, wp = hi / w, w ** am1  # exact offsets, subnormal widths too
+            return [wp * (1.0 - q * 0.5 * (1.0 + s)) ** am1 * y
+                    for s, y in zip(_END_NODES, gs)], gs
 
-        self._phi = phi
-        r, heap = _adaptive(_gk15_rule(phi),
-                            _graded_mesh(half, KERNEL_MESH_PANELS), tol / 4)
+        floors: dict[float, float] = {}  # lo -> its last panel's: a leaf's
+
+        def panel(lo: float, hi: float) -> tuple[float, float, int]:
+            ys, gs = values(lo, hi)
+            val, gap, size = _subtracted(_end_rule(1.0), ys, ys[-1])
+            width = hi - lo
+            val, err, floor = width * val, width * gap, width * size
+            if gs:
+                part, gap, size = _subtracted(_end_rule(alpha), gs, 0.0)
+                scale = hi ** alpha
+                val, err, floor = (val + scale * part, err + scale * gap,
+                                   floor + scale * size)
+            floors[lo] = 50.0 * _EPS * floor
+            return val, err, _END_N + 1
+
+        self._values_at = values
+        r, heap = _adaptive(panel, (0.0, half), tol / 4)
         heap.sort(key=operator.itemgetter(2))  # the leaves tile [0, w/2]
         self._ends = array("d", [e[2] for e in heap] + [half])
         self._pre = array("d", accumulate((e[4] for e in heap), initial=0.0))
-        self._top = self._pre[-1] + c * half ** alpha  # -K(a)
-        # Inside a leaf the interpolant's integral differs from the exact
-        # one by about the leaf's G7 difference, at most the worst leaf's
-        # estimate, which the second term covers twice.
         self.abs_error_estimate = (r.abs_error_estimate
-                                   + 2.0 * max(e[5] for e in heap))
+                                   + math.fsum(floors[e[2]] for e in heap))
         self.tolerance_met = r.tolerance_met
-        self._dense: dict[int, array] = {}  # leaf -> its interpolant's d
+        self._dense: dict[int, tuple] = {}  # leaf -> its Phi's coefficients
         self._values: dict[float, float] = {}  # t -> K(t), each computed once
         self.evaluations = self._g.calls - calls
 
@@ -580,28 +590,43 @@ class CumulativeKernel:
         kernel's Integrand, which checks it finite."""
         y = self._values.get(t)
         if y is None:
-            a, b, half = self.a, self.b, self._ends[-1]
+            a, b, half, alpha = self.a, self.b, self._ends[-1], self.alpha
             if not (a <= t <= b):
                 raise DomainError(f"t = {t!r} outside [{a!r}, {b!r}]")
             calls = self._g.calls
-            x = t - a
-            y = self._values[t] = (self._at(x) if x <= half
-                                   else -self._at(min(b - t, half)))
+            x, d = t - a, b - t
+            rest = self._rest(x) if x <= half else -self._rest(min(d, half))
+            # c ((t-a)^alpha - (b-t)^alpha) as identity 2.3 subtracts it, so
+            # that there its rounding cancels, and K - c (...) is rest
+            y = self._values[t] = rest + self.c * (x ** alpha - d ** alpha)
             self.evaluations += self._g.calls - calls
         return y
 
-    def _at(self, x: float) -> float:
-        """K at the offset x in [0, w/2]."""
-        ends = self._ends
+    def _rest(self, x: float) -> float:
+        """K - c (x^alpha - (w-x)^alpha) at the offset x in [0, w/2], small
+        near m: c ((w-x)^alpha - (w/2)^alpha) by expm1."""
+        ends, alpha, half = self._ends, self.alpha, self._ends[-1]
         j = bisect_right(ends, x) - 1
-        lo, v = ends[j], self._pre[j]
+        lo, v = ends[j], self._pre[j] - self._pre[-1]
         if x > lo:  # inside leaf j
-            hi = ends[j + 1]
             d = self._dense.get(j)
             if d is None:
-                ys = list(map(self._phi, _gk15_nodes(lo, hi)))
-                d = self._dense[j] = array("d", [
-                    sum(map(operator.mul, row, ys)) for row in _dense_rule()])
-            r = 0.5 * (hi - lo)
-            v += r * _clenshaw(d, (x - 0.5 * (lo + hi)) / r)
-        return v + self.c * x ** self.alpha - self._top
+                d = self._dense[j] = self._leaf(lo, ends[j + 1])
+            s = 2.0 * (x - lo) / (ends[j + 1] - lo) - 1.0
+            v += (x - lo) * _chebyshev(d[0], s)
+            if not lo:
+                v += x ** alpha * _chebyshev(d[1], s)
+        return v + self.c * half ** alpha * math.expm1(
+            alpha * math.log1p((half - x) / half))
+
+    def _leaf(self, lo: float, hi: float) -> tuple[list[float], ...]:
+        """The Chebyshev coefficients of the leaf's Phi (_antiderivative):
+        at order 1, its p(lo) added, and on the leaf at 0, of g at order
+        alpha."""
+        ys, gs = self._values_at(lo, hi)
+        rows = _chebyshev_rows(_END_N)
+        phis = [_antiderivative([sum(map(operator.mul, row, y))
+                                 for row in rows], beta)
+                for y, beta in ((ys, 1.0), (gs, self.alpha)) if y]
+        phis[0][0] += ys[-1]
+        return tuple(phis)

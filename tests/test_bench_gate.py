@@ -50,9 +50,12 @@ SEED = 42
 # corpus-hard, corpus-default, corpus-tiny and verify-cells to 41,081,
 # 22,757, 6,728 and 107,518; the end rule at orders in (1/2, 1), with the
 # kernel read at each node's distance from the singular end, took
-# corpus-hard to 23,201.  Each ceiling sits about 5% above its count
-CALL_CEILINGS = {"corpus-hard": 24_400, "corpus-default": 23_900,
-                 "corpus-tiny": 7_100, "verify-cells": 112_900}
+# corpus-hard to 23,201; K as one adaptive integral on 25-point Chebyshev
+# panels, whose panel at a reads g once at its 25 nodes, took corpus-hard,
+# corpus-default, corpus-tiny and verify-cells to 21,189, 21,269, 5,420 and
+# 98,663.  Each ceiling sits about 5% above its count
+CALL_CEILINGS = {"corpus-hard": 22_250, "corpus-default": 22_330,
+                 "corpus-tiny": 5_690, "verify-cells": 103_600}
 
 
 @pytest.fixture(scope="module")
