@@ -34,14 +34,16 @@ max(|lhs|, |rhs|, 1), the others as an absolute value.
 nan and inf fail every comparison, so a report whose value, margin or
 budget is not finite gets no verdict: its builder raises OverflowError.
 
-An Inconclusive first pass automatically retries once with tolerance
-tightened by 100 before the verdict is final.  Hypothesis gates read
-the certification the spec states (convexity kind, weight flags) and
-sample nothing, so a raw callable, which states none, is not certified
-convex.  A gate raises DomainError unless force=True, which instead
-records "hypotheses unmet" in the report notes and proceeds; that
-escape hatch exists to explore what happens to an inequality when its
-assumptions fail.
+A first pass that does not Hold retries once with tolerance tightened
+by 100 before the verdict is final, Violated included, since the budget
+is an estimate; not when a quadrature missed its tolerance, since the
+retry would run out at the same panels.  Hypothesis gates read the
+certification the spec states (convexity kind, weight flags) and sample
+nothing, so a raw callable, which states none, is not certified convex.
+A gate raises DomainError unless force=True, which instead records
+"hypotheses unmet" in the report notes and proceeds; that escape hatch
+exists to explore what happens to an inequality when its assumptions
+fail.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .fracops import FracSetting, j_left, j_right
 from .functions import ConvexityKind, FunctionSpec, HolderPair, WeightSpec
 from .numerics import (DEFAULT_TOL, CumulativeKernel, DomainError,
                        Integrand, KernelSide, QuadResult, gamma,
-                       integrate_singular, integrate_smooth)
+                       integrate_graded, integrate_singular, integrate_smooth)
 
 __all__ = [
     "Status",
@@ -77,6 +79,8 @@ ERROR_FLOOR = 1e-12
 # identity residuals between 1 and 10 budgets are treated as ambiguous
 # rather than violations, since the budget is an estimate
 GRAY_FACTOR = 10.0
+# the note of an identity row whose quadrature ran out of panels
+_TOL_UNMET = "quadrature tolerance not met"
 
 _FEJER_NOTE = ("weighted mean term carries no 1/(b-a) factor; all three "
                "terms scale with the weight integral, matching the alpha=1 "
@@ -158,7 +162,7 @@ def _identity(lhs: QuadResult, rhs: QuadResult, evaluations: int,
     status = _verdict(-residual, -GRAY_FACTOR * budget, -budget)
     if not diff.tolerance_met:
         status = Status.INCONCLUSIVE
-        notes = notes + ("quadrature tolerance not met",)
+        notes = notes + (_TOL_UNMET,)
     return Report(status, budget / scale, evaluations, notes,
                   lhs=lhs.value, rhs=rhs.value)
 
@@ -287,9 +291,10 @@ class Cell:
 
 
 def _with_retry(build: Callable[[Cell], object], cell: Cell):
-    """build(cell), then once more at tol/100 if that was Inconclusive."""
+    """build(cell), then once more at tol/100 unless that Holds or missed
+    its tolerance: the heap would run out at the same panels again."""
     report = build(cell)
-    if report.status is Status.INCONCLUSIVE:
+    if report.status is not Status.HOLDS and _TOL_UNMET not in report.notes:
         tighter = build(Cell(cell.f, cell.g, cell.s, cell.tol / 100.0,
                              cell.memo))
         return replace(tighter,
@@ -425,7 +430,9 @@ def weighted_trapezoid_identity(f, g: Optional[WeightSpec], s: FracSetting,
     then f certified convex: K's error scales by sup |f'| (Cell.dsup).
     With E = int_a^b [(t-a)^alpha - (b-t)^alpha] f' (Cell.ends) and c = K.c,
     Gamma(alpha) rhs = c E + int_a^b (K - c [(t-a)^alpha - (b-t)^alpha]) f',
-    the last by G7/K15; g = None (identity 1.4) has rhs = E / (2 (b-a)^alpha).
+    the last by integrate_graded, since it vanishes like (t-a)^(alpha+1) at
+    a and (b-t)^(alpha+1) at b; g = None (identity 1.4) has
+    rhs = E / (2 (b-a)^alpha).
     """
     f = _as_function(f, s.a, s.b)
     d = _require_deriv(f)
@@ -440,7 +447,7 @@ def weighted_trapezoid_identity(f, g: Optional[WeightSpec], s: FracSetting,
         else:
             kern, dx = c.kernel, c.read(d, "deriv").__call__
             # K(t) adds this very c (...) to its rest, so here it cancels
-            outer = integrate_smooth(
+            outer = integrate_graded(
                 lambda t: (kern(t) - kern.c * ((t - a) ** alpha
                                                - (b - t) ** alpha)) * dx(t),
                 a, b, c.tol * gamma(alpha))

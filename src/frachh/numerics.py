@@ -1,10 +1,12 @@
 """Low-level quadrature and special-function kernels.
 
 Everything downstream (fractional integral operators, inequality
-verifiers) is built on three primitives:
+verifiers) is built on four primitives:
 
 * ``gamma``, the Euler Gamma function restricted to the positive axis,
 * ``integrate_smooth``, globally adaptive Gauss-Kronrod quadrature,
+* ``integrate_graded``, the same for an integrand that vanishes like a
+  power at both ends, on panels at a and b graded toward that end,
 * ``integrate_singular``, the same engine for a power-law kernel: after
   a change of variable that removes the singularity for orders up to
   1/2, on the product at integer orders, and with a modified
@@ -24,7 +26,7 @@ the panel at a by the end rule's weights.  K(t) integrates the degree-24
 interpolants of the build's final panels, so it reads g only where the
 build did.  The identities integrate K's terms c (t-a)^alpha and
 -c (b-t)^alpha (c = K.c) against f' by integrate_singular at order
-alpha+1.
+alpha+1, and the rest of K against f' by integrate_graded.
 
 Every quadrature result carries an absolute error estimate, the number
 of integrand evaluations spent, and a flag saying whether the requested
@@ -55,6 +57,7 @@ __all__ = [
     "CumulativeKernel",
     "gamma",
     "integrate_smooth",
+    "integrate_graded",
     "integrate_singular",
 ]
 
@@ -307,8 +310,38 @@ def integrate_smooth(h: Callable[[float], float], a: float, b: float,
     return _adaptive(_gk15_rule(h), (a, b), tol)[0]
 
 
+def integrate_graded(h: Callable[[float], float], a: float, b: float,
+                     tol: float = DEFAULT_TOL) -> QuadResult:
+    """integrate_smooth for an h that vanishes like a power at a and b.
+
+    The first panel is integrate_smooth's, [a, b] by G7/K15.  Every later
+    panel [lo, hi] that ends at a is taken by G7/K15 in tau on [0, 1]
+    with t = lo + (hi - lo) tau^2 and weight 2 (hi - lo) tau, and one that
+    ends at b with t = hi - (hi - lo) tau^2: there (t - a)^beta becomes
+    tau^(2 beta + 1), which the rule resolves in fewer bisections.
+    """
+    smooth = _gk15_rule(h)
+
+    def panel(lo: float, hi: float) -> tuple[float, float, int]:
+        if (lo == a) == (hi == b):  # [a, b] itself, or an inner panel
+            return smooth(lo, hi)
+        w = hi - lo
+        end, d = (lo, w) if lo == a else (hi, -w)
+        xs = [_clip(end + d * u * u, lo, hi) for u in _TAUS]
+        ys = [2.0 * w * u * y for u, y in zip(_TAUS, map(h, xs))]
+        val, err = _gk15(ys, 0.0, 1.0)
+        if not math.isfinite(val):
+            _check_finite(xs, ys)
+        return val, err, 15
+
+    return _adaptive(panel, (a, b), tol)[0]
+
+
 def _clip(x: float, lo: float, hi: float) -> float:
     return lo if x < lo else hi if x > hi else x
+
+
+_TAUS = _gk15_nodes(0.0, 1.0)  # integrate_graded's nodes in tau
 
 
 def integrate_singular(h: Callable[[float], float], a: float, b: float,

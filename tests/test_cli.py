@@ -483,9 +483,10 @@ class TestTolerance:
                        "integrates (t-a)^100 e^t on [0, 100], ~1e243, to the "
                        "absolute tol (b-a)^alpha = 1e191, 1e-52 relative")
     def test_wide_large_order_identity_stops_early(self, capsys):
-        # today 645,232 evaluations and Inconclusive after the tol/100
-        # retry; J(f) reads ~96,000 nodes a side, the end integral of
-        # (t-a)^100 e^t 139,725
+        # today 332,910 evaluations and Inconclusive "quadrature tolerance
+        # not met", with no tol/100 retry, which would run out at the same
+        # panels (645,232 with it); J(f) reads ~96,000 nodes a side, the
+        # end integral of (t-a)^100 e^t 139,725
         main(["verify", "--thm", "identity-1-4", "--f", "exp", "--a", "0",
               "--b", "100", "--alpha", "100"])
         (row,) = json.loads(capsys.readouterr().out)["rows"]
@@ -545,15 +546,12 @@ class TestTolerance:
         assert row["status"] == "Holds" and row["notes"] == []
         assert row["evaluations"] <= most
 
-    @pytest.mark.parametrize("tol", [
-        "1e-3",
-        pytest.param("1e-6", marks=pytest.mark.xfail(
-            strict=True, reason="ROADMAP item 2: identity-2-3 of cosh and vee "
-            "at alpha 0.5 reads lhs 0.03605875207978293 against rhs "
-            "0.03603016752957395, past its budget of 2.8e-6")),
-        "1e-12",
-    ])
+    @pytest.mark.parametrize("tol", ["1e-3", "1e-6", "1e-12"])
     def test_default_grid_has_no_violated_row(self, tol, capsys):
+        # at 1e-6 the first pass of identity-2-3 of cosh and vee at alpha
+        # 0.5 reads lhs 0.03605875207978293 against rhs 0.03603016752957395,
+        # past its budget of 2.8e-6 (ROADMAP item 2); it Holds after the
+        # tol/100 retry that confirms a Violated row
         main(["corpus", "--tol", tol])
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert rows
@@ -712,7 +710,8 @@ def count_corpus_calls(monkeypatch, counts) -> list:
 
 # the code of the quadratures whose integrand calls a row is charged for
 _QUADRATURE_CODE = frozenset(fn.__code__ for fn in (
-    frachh.numerics.integrate_smooth, frachh.numerics.integrate_singular,
+    frachh.numerics.integrate_smooth, frachh.numerics.integrate_graded,
+    frachh.numerics.integrate_singular,
     frachh.numerics.CumulativeKernel.__init__,
     frachh.numerics.CumulativeKernel.__call__))
 

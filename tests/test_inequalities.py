@@ -628,7 +628,8 @@ class TestIdentities:
     def test_unreachable_tolerance_is_flagged(self, monkeypatch):
         # f' has a kink, so the K f' quadrature exhausts its panel
         # budget at this tolerance and the verdict must not be Holds;
-        # a small budget runs out as surely as the real one, in less time
+        # a small budget runs out as surely as the real one, in less time,
+        # and at tol/100 it would run out at the same panels: no retry
         monkeypatch.setattr(frachh.numerics, "MAX_PANELS", 2 ** 8)
         f = FunctionSpec(
             "c1-kink",
@@ -639,7 +640,7 @@ class TestIdentities:
                                         tol=1e-30)
         assert r.status is Status.INCONCLUSIVE
         assert "quadrature tolerance not met" in r.notes
-        assert "retried at tol/100" in r.notes
+        assert "retried at tol/100" not in r.notes
 
     def test_weighted_identity_needs_a_certified_f(self):
         # K's error is scaled by sup |f'|, read at the ends because f' of

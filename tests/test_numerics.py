@@ -24,7 +24,8 @@ from frachh.numerics import (DEFAULT_TOL, CumulativeKernel, DomainError,
                              MAX_PANELS, QuadResult, _chebyshev, _end_nodes,
                              _end_rule, _gk15_nodes, _subtracted,
                              check_interval, check_order, gamma,
-                             integrate_singular, integrate_smooth)
+                             integrate_graded, integrate_singular,
+                             integrate_smooth)
 from reference import beta_reference
 
 SQRT_PI = 1.7724538509055160273
@@ -170,6 +171,58 @@ def test_nodes_stay_inside_a_panel_a_few_ulps_wide(lo, ulps):
     for _ in range(ulps):
         hi = math.nextafter(hi, math.inf)
     assert all(lo <= x <= hi for x in _gk15_nodes(lo, hi))
+
+
+class TestIntegrateGraded:
+    """integrate_graded takes an integrand that vanishes like (t - a)^beta
+    at a or b on panels graded toward that end; beta = alpha + 1 is the
+    behaviour of identity 2.3's outer integrand."""
+
+    @pytest.mark.parametrize("interval", [(0.0, 1.0), (1.0, 3.0),
+                                          (0.0, 1e-6)])
+    @pytest.mark.parametrize("alpha", [1e-4, 0.1, 0.25, 0.5, 0.75, 1.5])
+    def test_power_and_beta_integrals(self, alpha, interval):
+        a, b = interval
+        beta, w = alpha + 1.0, b - a
+        one_end = w ** (beta + 1.0) / (beta + 1.0)
+        both_ends = (gamma(beta + 1.0) ** 2 / gamma(2.0 * beta + 2.0)
+                     * w ** (2.0 * beta + 1.0))
+        for h, exact in ((lambda t: (t - a) ** beta, one_end),
+                         (lambda t: (b - t) ** beta, one_end),
+                         (lambda t: ((t - a) * (b - t)) ** beta, both_ends)):
+            for tol in (DEFAULT_TOL, 1e-12 * exact):
+                r = integrate_graded(h, a, b, tol)
+                assert r.tolerance_met
+                assert (abs(r.value - exact)
+                        <= r.abs_error_estimate + 4 * math.ulp(exact))
+
+    @pytest.mark.parametrize("interval", [(0.0, 1.0), (1.0, 3.0),
+                                          (0.0, 1e-6)])
+    def test_one_panel_is_integrate_smooths(self, interval):
+        r = integrate_graded(math.exp, *interval)
+        assert r == integrate_smooth(math.exp, *interval)
+        assert r.evaluations == 15
+
+    @pytest.mark.parametrize("interval", [(0.0, 1.0), (1.0, 3.0),
+                                          (0.0, 1e-6)])
+    def test_a_power_at_an_end_reads_half_the_nodes(self, interval):
+        # at the outer tolerance of identity 2.3 at alpha 0.1, 1e-9
+        # Gamma(0.1), for an integrand of size 1 on the interval
+        a, b = interval
+        tol = 1e-9 * gamma(0.1) * (b - a) ** 2.1
+        for h in (lambda t: (t - a) ** 1.1, lambda t: (b - t) ** 1.1):
+            graded = integrate_graded(h, a, b, tol)
+            assert graded.tolerance_met
+            assert 2 * graded.evaluations <= integrate_smooth(
+                h, a, b, tol).evaluations
+
+    def test_nonfinite_integrand_reported_with_abscissa(self):
+        # no node of the first panel lies below 1e-3; the first node of
+        # the graded panel at 0 does, at t = 0.5 tau^2 for tau ~ 4.3e-3
+        with pytest.raises(EvaluationError) as info:
+            integrate_graded(lambda t: math.inf if t < 1e-3 else t ** 0.5,
+                             0.0, 1.0, 1e-12)
+        assert 0.0 < info.value.abscissa < 1e-3
 
 
 class TestIntegrateSingular:
