@@ -115,10 +115,10 @@ class QuadResult:
     """Value of a quadrature together with its accounting.
 
     abs_error_estimate is a sum of per-panel differences from an embedded
-    lower-order rule (|K15 - G7|, or |I25 - I13|; integrate_singular adds
-    the final panels' rounding floors), so it is an estimate, not a
-    rigorous bound.  tolerance_met is False when the panel budget ran out
-    before the estimate dropped below the requested tolerance.
+    lower-order rule (|K15 - G7|, or |I25 - I13|) plus the final panels'
+    rounding floors (_adaptive), so it is an estimate, not a rigorous
+    bound.  tolerance_met is False when the panel budget ran out before
+    the differences dropped below the requested tolerance.
     """
 
     value: float
@@ -238,62 +238,65 @@ class Integrand:
 
 
 def _gk15_rule(h: Callable[[float], float]
-               ) -> Callable[[float, float], tuple[float, float, int]]:
+               ) -> Callable[[float, float], tuple[float, float, float, int]]:
     """The G7/K15 panel rule of _adaptive for h, read at the nodes of a
-    panel in order.  A non-finite value raises EvaluationError at the first
-    bad abscissa in node order."""
-    def panel(lo: float, hi: float) -> tuple[float, float, int]:
+    panel in order, with a rounding floor of 0.0.  A non-finite value
+    raises EvaluationError at the first bad abscissa in node order."""
+    def panel(lo: float, hi: float) -> tuple[float, float, float, int]:
         xs = _gk15_nodes(lo, hi)
         ys = list(map(h, xs))
         val, err = _gk15(ys, lo, hi)
         if not math.isfinite(val):  # as is any sum with a non-finite term
             _check_finite(xs, ys)
-        return val, err, 15
+        return val, err, 0.0, 15
 
     return panel
 
 
-def _adaptive(panel: Callable[[float, float], tuple[float, float, int]],
+def _adaptive(panel: Callable[[float, float], tuple[float, float, float, int]],
               mesh: Sequence[float],
               tol: float) -> tuple[QuadResult, list[tuple]]:
-    """The adaptive loop: panel(lo, hi) gives the value, error estimate and
-    number of nodes read of a panel rule on [lo, hi].  One heap starts from
-    the panels between consecutive points of the ascending mesh and
-    bisects the worst panel until the summed estimate is within tol.
+    """The adaptive loop: panel(lo, hi) gives the value, error estimate,
+    rounding floor and number of nodes read of a panel rule on [lo, hi].
+    One heap starts from the panels between consecutive points of the
+    ascending mesh and bisects the worst panel until the summed error
+    estimate is within tol.  abs_error_estimate adds the final panels'
+    floors, which the stopping test leaves out so as not to chase them.
     Returns the result and the final panels, which tile [mesh[0],
     mesh[-1]], as heap entries (-error, insertion order, lo, hi, value,
-    error)."""
+    error, floor)."""
     check_interval(mesh[0], mesh[-1])
     if not (tol > 0):
         raise DomainError(f"tolerance must be positive, got {tol!r}")
     heap, evaluations = [], 0
     for seq, (lo, hi) in enumerate(zip(mesh, mesh[1:])):
-        val, err, n = panel(lo, hi)
-        heap.append((-err, seq, lo, hi, val, err))
+        val, err, floor, n = panel(lo, hi)
+        heap.append((-err, seq, lo, hi, val, err, floor))
         evaluations += n
     heapq.heapify(heap)
     seq = len(heap)
     total_err = sum(entry[5] for entry in heap)
     while total_err > tol and len(heap) < MAX_PANELS:
-        neg, _, lo, hi, v, e = heapq.heappop(heap)
+        neg, _, lo, hi, v, e, f = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
             # panel width at rounding floor, cannot refine further
-            heapq.heappush(heap, (neg, seq, lo, hi, v, e))
+            heapq.heappush(heap, (neg, seq, lo, hi, v, e, f))
             seq += 1
             break
-        v1, e1, n1 = panel(lo, mid)
-        v2, e2, n2 = panel(mid, hi)
+        v1, e1, f1, n1 = panel(lo, mid)
+        v2, e2, f2, n2 = panel(mid, hi)
         evaluations += n1 + n2
-        heapq.heappush(heap, (-e1, seq, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, seq + 1, mid, hi, v2, e2))
+        heapq.heappush(heap, (-e1, seq, lo, mid, v1, e1, f1))
+        heapq.heappush(heap, (-e2, seq + 1, mid, hi, v2, e2, f2))
         seq += 2
         total_err += e1 + e2 - e
         if len(heap) & (len(heap) - 1) == 0:  # shed the sum's rounding residue
             total_err = math.fsum(entry[5] for entry in heap)
     value = math.fsum(entry[4] for entry in heap)
-    abs_err = math.fsum(entry[5] for entry in heap)
-    return QuadResult(value, abs_err, evaluations, abs_err <= tol), heap
+    err = math.fsum(entry[5] for entry in heap)
+    floor = math.fsum(entry[6] for entry in heap)
+    return QuadResult(value, err + floor, evaluations, err <= tol), heap
 
 
 def integrate_smooth(h: Callable[[float], float], a: float, b: float,
@@ -322,7 +325,7 @@ def integrate_graded(h: Callable[[float], float], a: float, b: float,
     """
     smooth = _gk15_rule(h)
 
-    def panel(lo: float, hi: float) -> tuple[float, float, int]:
+    def panel(lo: float, hi: float) -> tuple[float, float, float, int]:
         if (lo == a) == (hi == b):  # [a, b] itself, or an inner panel
             return smooth(lo, hi)
         w = hi - lo
@@ -332,7 +335,7 @@ def integrate_graded(h: Callable[[float], float], a: float, b: float,
         val, err = _gk15(ys, 0.0, 1.0)
         if not math.isfinite(val):
             _check_finite(xs, ys)
-        return val, err, 15
+        return val, err, 0.0, 15
 
     return _adaptive(panel, (a, b), tol)[0]
 
@@ -371,9 +374,8 @@ def integrate_singular(h: Callable[[float], float], a: float, b: float,
     at each node's distance from the singular end, taken from the
     panel's b - hi and b - lo (resp. lo - a and hi - a): below alpha = 1
     the factor blows up there, and a node's b - t is off by up to ulp(b).
-    The estimate adds the final panels' rounding floors, _end_panel's and
-    50 eps times G7/K15 of |kernel * h| on the others, after the loop, so
-    the stopping test does not chase them.
+    Each panel hands _adaptive its rounding floor: _end_panel's, or 50 eps
+    times G7/K15 of |kernel * h|.
     """
     check_order(alpha)
     if not isinstance(side, KernelSide):
@@ -392,12 +394,9 @@ def integrate_singular(h: Callable[[float], float], a: float, b: float,
                else (lambda t: (t - a) ** am1 * h(t)))
         return integrate_smooth(phi, a, b, tol)
 
-    floors: dict[float, float] = {}  # lo -> its last panel's: a leaf's
-
-    def panel(lo: float, hi: float) -> tuple[float, float, int]:
+    def panel(lo: float, hi: float) -> tuple[float, float, float, int]:
         if (hi == b) if upper else (lo == a):
-            val, err, floors[lo] = _end_panel(h, lo, hi, alpha, upper)
-            return val, err, _END_N + 1
+            return _end_panel(h, lo, hi, alpha, upper)
         xs = _gk15_nodes(lo, hi)
         if upper:  # the node c -+ r x lies at the distance (b - c) +- r x
             ds = _gk15_nodes(b - hi, b - lo)
@@ -408,13 +407,10 @@ def integrate_singular(h: Callable[[float], float], a: float, b: float,
         val, err = _gk15(ys, lo, hi)
         if not math.isfinite(val):
             _check_finite(xs, ys)
-        floors[lo] = 50.0 * _EPS * _gk15(list(map(abs, ys)), lo, hi)[0]
-        return val, err, 15
+        floor = 50.0 * _EPS * _gk15(list(map(abs, ys)), lo, hi)[0]
+        return val, err, floor, 15
 
-    r, heap = _adaptive(panel, (a, b), tol)
-    return QuadResult(r.value, r.abs_error_estimate
-                      + math.fsum(floors[e[2]] for e in heap),
-                      r.evaluations, r.tolerance_met)
+    return _adaptive(panel, (a, b), tol)[0]
 
 
 # Chebyshev-Lobatto points cos(j pi / 24), j = 0..24, of _end_panel, the even
@@ -489,7 +485,7 @@ def _subtracted(rule: tuple[list[float], list[float]], ys: Sequence[float],
 
 
 def _end_panel(h: Callable[[float], float], lo: float, hi: float,
-               alpha: float, upper: bool) -> tuple[float, float, float]:
+               alpha: float, upper: bool) -> tuple[float, float, float, int]:
     """The panel rule of integrate_singular on a panel [lo, hi] that ends
     at the kernel's singular point: hi if upper, else lo.
 
@@ -498,10 +494,10 @@ def _end_panel(h: Callable[[float], float], lo: float, hi: float,
     interpolant of h at the 25 Chebyshev-Lobatto points against it exactly
     (modified Clenshaw-Curtis, as in QUADPACK's QAWS), as (hi - lo)^alpha
     (h(end)/alpha + sum_j v_j y_j) (_end_rule).  Returns that value, the
-    difference from the nested 13-point rule as the error estimate, and
-    apart from it a rounding floor of 50 eps (hi - lo)^alpha (|h(end)|/alpha
-    + sum_j |v_j y_j|) that covers the rounding of the terms, of
-    h(end)/alpha and of (hi - lo)^alpha when the two rules agree.  h is
+    difference from the nested 13-point rule as the error estimate, a
+    rounding floor of 50 eps (hi - lo)^alpha (|h(end)|/alpha + sum_j
+    |v_j y_j|) that covers the rounding of the terms, of h(end)/alpha and
+    of (hi - lo)^alpha when the two rules agree, and the 25 reads.  h is
     read at both ends of the panel; a non-finite value raises
     EvaluationError at the first bad abscissa in node order (from the far
     end toward the singular one)."""
@@ -510,7 +506,7 @@ def _end_panel(h: Callable[[float], float], lo: float, hi: float,
     _check_finite(xs, ys)
     value, gap, size = _subtracted(_end_rule(alpha), ys, ys[-1] / alpha)
     scale = (hi - lo) ** alpha
-    return scale * value, scale * gap, scale * 50.0 * _EPS * size
+    return scale * value, scale * gap, scale * 50.0 * _EPS * size, _END_N + 1
 
 
 def _antiderivative(c: Sequence[float], beta: float) -> list[float]:
@@ -566,8 +562,8 @@ class CumulativeKernel:
     (w-x)^(alpha-1) g, its factor read at each node's exact offset, by
     the order-1 rule (Clenshaw-Curtis), from one read of g per node; any
     other leaf integrates phi, the derivative less g(a) x^(alpha-1), by
-    the order-1 rule.  `abs_error_estimate` adds the leaves' rounding
-    floors, which the stopping test leaves out so as not to chase them.
+    the order-1 rule.  Each leaf hands _adaptive its rounding floor, which
+    `abs_error_estimate` includes.
     K at x is minus the integral of the leaves' interpolants from x to w/2
     (_antiderivative, whole leaves by their prefix sums), so continuous and
     0.0 at m, plus c (x^alpha - (w/2)^alpha).  g is read through an
@@ -606,9 +602,7 @@ class CumulativeKernel:
             return [wp * (1.0 - q * 0.5 * (1.0 + s)) ** am1 * y
                     for s, y in zip(_END_NODES, gs)], gs
 
-        floors: dict[float, float] = {}  # lo -> its last panel's: a leaf's
-
-        def panel(lo: float, hi: float) -> tuple[float, float, int]:
+        def panel(lo: float, hi: float) -> tuple[float, float, float, int]:
             ys, gs = values(lo, hi)
             val, gap, size = _subtracted(_end_rule(1.0), ys, ys[-1])
             width = hi - lo
@@ -618,16 +612,14 @@ class CumulativeKernel:
                 scale = hi ** alpha
                 val, err, floor = (val + scale * part, err + scale * gap,
                                    floor + scale * size)
-            floors[lo] = 50.0 * _EPS * floor
-            return val, err, _END_N + 1
+            return val, err, 50.0 * _EPS * floor, _END_N + 1
 
         self._values_at = values
         r, heap = _adaptive(panel, (0.0, half), tol / 4)
         heap.sort(key=operator.itemgetter(2))  # the leaves tile [0, w/2]
         self._ends = array("d", [e[2] for e in heap] + [half])
         self._pre = array("d", accumulate((e[4] for e in heap), initial=0.0))
-        self.abs_error_estimate = (r.abs_error_estimate
-                                   + math.fsum(floors[e[2]] for e in heap))
+        self.abs_error_estimate = r.abs_error_estimate
         self.tolerance_met = r.tolerance_met
         self._dense: dict[int, tuple] = {}  # leaf -> its Phi's coefficients
         self._values: dict[float, float] = {}  # t -> K(t), each computed once

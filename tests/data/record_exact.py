@@ -15,8 +15,16 @@ ALPHAS it records the upper-kernel integral
 the kernel removed by u = (1-t)^alpha and the range split at
 u = (1/2)^alpha, the image of the midpoint, where abs and plin have
 their kink.  For each alpha it also records Gamma(n+1)/Gamma(n+1+alpha)
-for n = 0..6, beta_reference's closed form on [0, 1].  Every value is
-computed at DPS digits and rounded once to a double.
+for n = 0..6, beta_reference's closed form on [0, 1].  For the end
+rule's calibration in tests/test_numerics.py it records, for each order
+in END_RULE_ORDERS and each [a, b] in END_RULE_INTERVALS (w = b - a),
+the two kernel integrals of exp in closed form:
+
+    int_a^b (b-t)^(alpha-1) e^t dt = e^b gamma(alpha, w)           (upper)
+    int_a^b (t-a)^(alpha-1) e^t dt = e^a w^alpha 1F1(alpha; alpha+1; w)/alpha
+                                                                   (lower)
+
+Every value is computed at DPS digits and rounded once to a double.
 """
 
 from __future__ import annotations
@@ -31,6 +39,12 @@ from frachh.functions import builtin_function_corpus
 EXACT = Path(__file__).resolve().with_name("exact.json")
 ALPHAS = (0.25, 0.5, 1.0, 1.5, 2.5)
 DEGREES = range(7)
+# no integer order, and none in [1/4, 1/2], where integrate_singular
+# substitutes instead of taking the end rule
+END_RULE_ORDERS = (1e-8, 1e-4, 0.1, 0.2, 0.6, 0.75, 0.9, 1.25, 2.5, 5.5,
+                   11.3)
+END_RULE_INTERVALS = ((0.0, 1.0), (1.0, 3.0), (0.0, 1e-6), (10.0, 10.5),
+                      (0.0, 10.0))
 DPS = 40
 # the corpus entries whose own code goes through math's double-precision
 # functions; every other entry is arithmetic and evaluates at an mpf
@@ -58,6 +72,15 @@ def upper_integral(fn, alpha: float) -> float:
     return float(value / order)
 
 
+def exp_integrals(a: float, b: float, alpha: float) -> dict:
+    """The upper- and lower-kernel integrals of exp over [a, b]."""
+    order, lo, hi = mpf(alpha), mpf(a), mpf(b)
+    w = hi - lo
+    return {"upper": float(mp.exp(hi) * mp.gammainc(order, 0, w)),
+            "lower": float(mp.exp(lo) * w ** order
+                           * mp.hyp1f1(order, order + 1, w) / order)}
+
+
 def record() -> dict:
     upper = {}
     for f in builtin_function_corpus(0.0, 1.0):
@@ -67,7 +90,12 @@ def record() -> dict:
     beta = {repr(alpha): [float(mp.gamma(n + 1) / mp.gamma(n + 1 + mpf(alpha)))
                           for n in DEGREES]
             for alpha in ALPHAS}
-    return {"upper": upper, "beta": beta}
+    exp = {"upper": {}, "lower": {}}
+    for a, b in END_RULE_INTERVALS:
+        for alpha in END_RULE_ORDERS:
+            for side, value in exp_integrals(a, b, alpha).items():
+                exp[side].setdefault(f"{a!r},{b!r}", {})[repr(alpha)] = value
+    return {"upper": upper, "beta": beta, "exp": exp}
 
 
 def main() -> None:

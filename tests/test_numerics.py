@@ -6,12 +6,14 @@ Closed-form values used as expectations were recomputed independently
 
 import bisect
 import functools
+import json
 import math
 import os
 import subprocess
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -45,6 +47,12 @@ NON_INTEGER_ORDERS = st.one_of(
     st.floats(-8.0, math.log10(11.0)).map(lambda e: 1.0 + 10.0 ** e),
 ).filter(lambda alpha: (alpha < 0.25 or alpha > 0.5)
          and not alpha.is_integer())
+# the end rule's calibration for exp, against the closed forms that
+# tests/data/record_exact.py stores in exact.json on the same grid
+EXP_ORDERS = (1e-8, 1e-4, 0.1, 0.2, 0.6, 0.75, 0.9, 1.25, 2.5, 5.5, 11.3)
+EXP_INTERVALS = END_RULE_INTERVALS + ((0.0, 10.0),)
+EXACT_EXP = json.loads((Path(__file__).resolve().parent / "data"
+                        / "exact.json").read_text(encoding="utf-8"))["exp"]
 
 
 def _calibration_cases():
@@ -173,6 +181,22 @@ def test_nodes_stay_inside_a_panel_a_few_ulps_wide(lo, ulps):
     for _ in range(ulps):
         hi = math.nextafter(hi, math.inf)
     assert all(lo <= x <= hi for x in _gk15_nodes(lo, hi))
+
+
+def test_adaptive_adds_the_floors_outside_its_stopping_test():
+    # a panel rule whose error meets tol on the mesh panel and whose
+    # rounding floor is 1000 times tol: the loop stops on the error alone,
+    # after one panel, and the estimate is the error plus the floor
+    tol, read = 1e-9, []
+
+    def panel(lo, hi):
+        read.append((lo, hi))
+        return 1.0, 0.5 * tol, 1000.0 * tol, 15
+
+    r, _ = frachh.numerics._adaptive(panel, (0.0, 1.0), tol)
+    assert read == [(0.0, 1.0)] and r.evaluations == 15
+    assert r.tolerance_met
+    assert r.abs_error_estimate == 0.5 * tol + 1000.0 * tol
 
 
 class TestIntegrateGraded:
@@ -347,6 +371,22 @@ class TestIntegrateSingular:
                  * (0.5 * (alpha - 1.0) + 2.0 ** -alpha))
         assert abs(r.value - exact) <= r.abs_error_estimate + 4 * math.ulp(exact)
         assert r.evaluations <= 65
+
+    @pytest.mark.parametrize("side", list(KernelSide))
+    @pytest.mark.parametrize("interval", EXP_INTERVALS,
+                             ids=lambda i: f"[{i[0]:g},{i[1]:g}]")
+    @pytest.mark.parametrize("alpha", EXP_ORDERS)
+    def test_end_rule_estimate_covers_the_exp_integral(self, alpha, interval,
+                                                      side):
+        # e^b gamma(alpha, w) (upper) and e^a w^alpha 1F1(alpha; alpha+1;
+        # w)/alpha (lower), w = b - a; on [0, 10] the absolute tolerance
+        # 1e-9 meets values up to 2e14 (alpha 11.3), and the loop bisects
+        # to ~1,200 evaluations
+        a, b = interval
+        exact = EXACT_EXP[side.value][f"{a!r},{b!r}"][repr(alpha)]
+        r = integrate_singular(math.exp, a, b, alpha, side)
+        assert abs(r.value - exact) <= r.abs_error_estimate + 4 * math.ulp(exact)
+        assert r.evaluations <= 1_300
 
     @pytest.mark.parametrize("side", list(KernelSide))
     def test_end_rule_reads_the_singular_end(self, side):
