@@ -5,8 +5,8 @@ scratch and returns a Report, whose value fields are named after the
 output columns and are None where the statement produces nothing.
 
 The fractional quantities the statements share (J(f), the weight mass
-W, J(f g), ||g||_inf, the kernel K, sup |f'| and Cell.ends) are computed
-only by Cell, once per cell, from integrands read through one Integrand
+W, J(f g), ||g||_inf, the kernel K and sup |f'|) are computed only by
+Cell, once per cell, from integrands read through one Integrand
 each; verifiers given the same memo share both.  g = None stands for the
 unit weight, so the unweighted statements are the weighted ones at
 g = None: the fractional sandwich is fejer_fractional's, identity 1.4 is
@@ -56,8 +56,8 @@ from typing import Callable, Optional
 from .fracops import FracSetting, j_left, j_right
 from .functions import ConvexityKind, FunctionSpec, HolderPair, WeightSpec
 from .numerics import (DEFAULT_TOL, CumulativeKernel, DomainError,
-                       Integrand, KernelSide, QuadResult, gamma,
-                       integrate_graded, integrate_singular, integrate_smooth)
+                       Integrand, QuadResult, gamma, integrate_odd,
+                       integrate_smooth)
 
 __all__ = [
     "Status",
@@ -184,8 +184,9 @@ class Cell:
 
     With g = None, g is the unit weight scaled to W = 1: W is exactly 1,
     J(f g) is Gamma(alpha+1) / (2 (b-a)^alpha) (j_left(f) + j_right(f))
-    and ||g||_inf reads 1; there is no K, since identity 1.4's right side
-    is `ends` alone.  Products by 1.0 and sums with 0.0 are exact.
+    and ||g||_inf reads 1; there is no K, since identity 1.4's kernel
+    (t-a)^alpha - (b-t)^alpha is known.  Products by 1.0 and sums with 0.0
+    are exact.
     """
 
     def __init__(self, f: Optional[FunctionSpec], g: Optional[WeightSpec],
@@ -251,17 +252,6 @@ class Cell:
         g, s = self.g.fn, self.s
         return self._once(("K", g, s, self.tol), lambda: CumulativeKernel(
             self.read(g), s.a, s.b, s.alpha, self.tol))
-
-    @property
-    def ends(self) -> tuple[QuadResult, QuadResult]:
-        """int_a^b (b-t)^alpha f' and (t-a)^alpha f', each to tol (b-a)^alpha
-        (ulp(0) where that underflows); kept without g for both identities."""
-        d, s = self.f.deriv, self.s
-        tol = max(self.tol * s.width ** s.alpha, math.ulp(0.0))
-        return self._once(("ends", d, s, self.tol), lambda: tuple(
-            integrate_singular(self.read(d, "deriv").__call__, s.a, s.b,
-                               s.alpha + 1.0, side, tol)
-            for side in KernelSide))
 
     @property
     def dsup(self) -> float:
@@ -428,32 +418,30 @@ def weighted_trapezoid_identity(f, g: Optional[WeightSpec], s: FracSetting,
 
     Needs g symmetric about the midpoint (sign is unconstrained), and
     then f certified convex: K's error scales by sup |f'| (Cell.dsup).
-    With E = int_a^b [(t-a)^alpha - (b-t)^alpha] f' (Cell.ends) and c = K.c,
-    Gamma(alpha) rhs = c E + int_a^b (K - c [(t-a)^alpha - (b-t)^alpha]) f',
-    the last by integrate_graded, since it vanishes like (t-a)^(alpha+1) at
-    a and (b-t)^(alpha+1) at b; g = None (identity 1.4) has
-    rhs = E / (2 (b-a)^alpha).
+    Both sides of m fold onto [a, m], where integrate_odd reads f' at
+    a + x and b - x on the leaves of K (its parts).  g = None (identity
+    1.4) has rhs = int_a^b [(t-a)^alpha - (b-t)^alpha] f' / (2 (b-a)^alpha),
+    on the one panel [a, m] before bisection.
     """
     f = _as_function(f, s.a, s.b)
     d = _require_deriv(f)
     notes = () if g is None else _weight_gate(g, s.a, s.b, False, False, ())
-    a, b, alpha = s.a, s.b, s.alpha
+    a, b, alpha, w = s.a, s.b, s.alpha, s.width
 
     def build(c: Cell) -> Report:
-        upper, lower = c.ends
-        rhs = lower + upper.scaled(-1.0)  # E
+        dx = c.read(d, "deriv")
         if g is None:
-            rhs = rhs.scaled(0.5 / s.width ** alpha)
+            rhs = integrate_odd(
+                dx, a, b, alpha, lambda x: (1.0, -(w - x) ** alpha),
+                (0.0, 0.5 * w), max(c.tol * w ** alpha, math.ulp(0.0))
+            ).scaled(0.5 / w ** alpha)
         else:
-            kern, dx = c.kernel, c.read(d, "deriv").__call__
-            # K(t) adds this very c (...) to its rest, so here it cancels
-            outer = integrate_graded(
-                lambda t: (kern(t) - kern.c * ((t - a) ** alpha
-                                               - (b - t) ** alpha)) * dx(t),
-                a, b, c.tol * gamma(alpha))
-            rhs = (outer + rhs.scaled(kern.c) + QuadResult(  # K's error
-                0.0, kern.abs_error_estimate * (b - a) * c.dsup, 0,
-                kern.tolerance_met)).scaled(1.0 / gamma(alpha))
+            kern = c.kernel
+            rhs = (integrate_odd(dx, a, b, alpha, kern.parts, kern.ends,
+                                 c.tol * gamma(alpha))
+                   + QuadResult(0.0, kern.abs_error_estimate * w * c.dsup,
+                                0, kern.tolerance_met)  # K's error
+                   ).scaled(1.0 / gamma(alpha))
         return _identity(c.weighted_defect, rhs, c.evaluations, notes)
 
     return _with_retry(build, Cell(f, g, s, tol, memo))

@@ -5,13 +5,14 @@ verifiers) is built on four primitives:
 
 * ``gamma``, the Euler Gamma function restricted to the positive axis,
 * ``integrate_smooth``, globally adaptive Gauss-Kronrod quadrature,
-* ``integrate_graded``, the same for an integrand that vanishes like a
-  power at both ends, on panels at a and b graded toward that end,
 * ``integrate_singular``, the same engine for a power-law kernel: after
   a change of variable that removes the singularity for orders in
   [1/4, 1/2], on the product at integer orders, and with a modified
   Clenshaw-Curtis rule exact for the kernel on the panel at its singular
   end otherwise, the kernel read at each node's distance from that end,
+* ``integrate_odd``, int_a^b k f' for a kernel k odd about the midpoint
+  m and given on [a, m] as (t-a)^alpha S + R, folded onto [a, m] and
+  integrated on 25-point Chebyshev panels, the one at a by the end rule,
 
 plus ``Integrand``, an integrand read through a checked and counted value
 table, and ``CumulativeKernel``, a piecewise representation of the kernel
@@ -22,11 +23,10 @@ table, and ``CumulativeKernel``, a piecewise representation of the kernel
 of a weight g symmetric about the midpoint m: one adaptive integral from
 m, over [a, m] only, in offsets from a, on 25-point Chebyshev panels,
 its singular term g(a) (t-a)^(alpha-1) integrated in closed form and
-the panel at a by the end rule's weights.  K(t) integrates the degree-24
-interpolants of the build's final panels, so it reads g only where the
-build did.  The identities integrate K's terms c (t-a)^alpha and
--c (b-t)^alpha (c = K.c) against f' by integrate_singular at order
-alpha+1, and the rest of K against f' by integrate_graded.
+the panel at a by the end rule's weights.  K integrates the degree-24
+interpolants of the build's final panels ("leaves"), so it reads g only
+where the build did.  The identities take S and R from K's leaves
+(K.parts) and run integrate_odd on K's leaf ends.
 
 Every quadrature result carries an absolute error estimate, the number
 of integrand evaluations spent, and a flag saying whether the requested
@@ -57,7 +57,7 @@ __all__ = [
     "CumulativeKernel",
     "gamma",
     "integrate_smooth",
-    "integrate_graded",
+    "integrate_odd",
     "integrate_singular",
 ]
 
@@ -259,44 +259,51 @@ def _adaptive(panel: Callable[[float, float], tuple[float, float, float, int]],
     """The adaptive loop: panel(lo, hi) gives the value, error estimate,
     rounding floor and number of nodes read of a panel rule on [lo, hi].
     One heap starts from the panels between consecutive points of the
-    ascending mesh and bisects the worst panel until the summed error
-    estimate is within tol.  abs_error_estimate adds the final panels'
-    floors, which the stopping test leaves out so as not to chase them.
-    Returns the result and the final panels, which tile [mesh[0],
-    mesh[-1]], as heap entries (-error, insertion order, lo, hi, value,
-    error, floor)."""
+    ascending mesh and bisects the worst open panel until the open panels'
+    summed error estimate is within tol.  A panel whose error is within
+    its floor is final: bisecting it would chase rounding, so it leaves
+    the heap and the stopping test.  abs_error_estimate adds every
+    panel's error and floor.  Returns the result and the panels, which
+    tile [mesh[0], mesh[-1]], as heap entries (-error, insertion order,
+    lo, hi, value, error, floor)."""
     check_interval(mesh[0], mesh[-1])
     if not (tol > 0):
         raise DomainError(f"tolerance must be positive, got {tol!r}")
-    heap, evaluations = [], 0
-    for seq, (lo, hi) in enumerate(zip(mesh, mesh[1:])):
+    heap, final, evaluations, total_err = [], [], 0, 0.0
+
+    def add(seq: int, lo: float, hi: float) -> float:
+        # the panel's error if it stays open, else 0.0
+        nonlocal evaluations
         val, err, floor, n = panel(lo, hi)
-        heap.append((-err, seq, lo, hi, val, err, floor))
         evaluations += n
-    heapq.heapify(heap)
-    seq = len(heap)
-    total_err = sum(entry[5] for entry in heap)
-    while total_err > tol and len(heap) < MAX_PANELS:
-        neg, _, lo, hi, v, e, f = heapq.heappop(heap)
+        entry = (-err, seq, lo, hi, val, err, floor)
+        if err <= floor:
+            final.append(entry)
+            return 0.0
+        heapq.heappush(heap, entry)
+        return err
+
+    for seq, (lo, hi) in enumerate(zip(mesh, mesh[1:])):
+        total_err += add(seq, lo, hi)
+    seq = len(mesh) - 1
+    while heap and total_err > tol and len(heap) + len(final) < MAX_PANELS:
+        entry = heapq.heappop(heap)
+        lo, hi, e = entry[2], entry[3], entry[5]
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
             # panel width at rounding floor, cannot refine further
-            heapq.heappush(heap, (neg, seq, lo, hi, v, e, f))
-            seq += 1
+            heapq.heappush(heap, entry)
             break
-        v1, e1, f1, n1 = panel(lo, mid)
-        v2, e2, f2, n2 = panel(mid, hi)
-        evaluations += n1 + n2
-        heapq.heappush(heap, (-e1, seq, lo, mid, v1, e1, f1))
-        heapq.heappush(heap, (-e2, seq + 1, mid, hi, v2, e2, f2))
+        total_err += add(seq, lo, mid) + add(seq + 1, mid, hi) - e
         seq += 2
-        total_err += e1 + e2 - e
-        if len(heap) & (len(heap) - 1) == 0:  # shed the sum's rounding residue
+        n = len(heap) + len(final)
+        if n & (n - 1) == 0:  # shed the sum's rounding residue
             total_err = math.fsum(entry[5] for entry in heap)
-    value = math.fsum(entry[4] for entry in heap)
-    err = math.fsum(entry[5] for entry in heap)
-    floor = math.fsum(entry[6] for entry in heap)
-    return QuadResult(value, err + floor, evaluations, err <= tol), heap
+    panels = heap + final
+    value, err, floor = (math.fsum(entry[i] for entry in panels)
+                         for i in (4, 5, 6))
+    met = math.fsum(entry[5] for entry in heap) <= tol
+    return QuadResult(value, err + floor, evaluations, met), panels
 
 
 def integrate_smooth(h: Callable[[float], float], a: float, b: float,
@@ -313,38 +320,10 @@ def integrate_smooth(h: Callable[[float], float], a: float, b: float,
     return _adaptive(_gk15_rule(h), (a, b), tol)[0]
 
 
-def integrate_graded(h: Callable[[float], float], a: float, b: float,
-                     tol: float = DEFAULT_TOL) -> QuadResult:
-    """integrate_smooth for an h that vanishes like a power at a and b.
-
-    The first panel is integrate_smooth's, [a, b] by G7/K15.  Every later
-    panel [lo, hi] that ends at a is taken by G7/K15 in tau on [0, 1]
-    with t = lo + (hi - lo) tau^2 and weight 2 (hi - lo) tau, and one that
-    ends at b with t = hi - (hi - lo) tau^2: there (t - a)^beta becomes
-    tau^(2 beta + 1), which the rule resolves in fewer bisections.
-    """
-    smooth = _gk15_rule(h)
-
-    def panel(lo: float, hi: float) -> tuple[float, float, float, int]:
-        if (lo == a) == (hi == b):  # [a, b] itself, or an inner panel
-            return smooth(lo, hi)
-        w = hi - lo
-        end, d = (lo, w) if lo == a else (hi, -w)
-        xs = [_clip(end + d * u * u, lo, hi) for u in _TAUS]
-        ys = [2.0 * w * u * y for u, y in zip(_TAUS, map(h, xs))]
-        val, err = _gk15(ys, 0.0, 1.0)
-        if not math.isfinite(val):
-            _check_finite(xs, ys)
-        return val, err, 0.0, 15
-
-    return _adaptive(panel, (a, b), tol)[0]
-
-
 def _clip(x: float, lo: float, hi: float) -> float:
     return lo if x < lo else hi if x > hi else x
 
 
-_TAUS = _gk15_nodes(0.0, 1.0)  # integrate_graded's nodes in tau
 # integrate_singular substitutes from this order to 1/2: bench's reference
 # holds the substitution's kinked means of abs and plin at 1/4 and 1/2; the
 # band goes when ROADMAP item 1's bench half stores exact references
@@ -509,6 +488,57 @@ def _end_panel(h: Callable[[float], float], lo: float, hi: float,
     return scale * value, scale * gap, scale * 50.0 * _EPS * size, _END_N + 1
 
 
+def _leaf_panel(lo: float, hi: float, ys: Sequence[float],
+                gs: Sequence[float], beta: float,
+                head: float) -> tuple[float, float, float]:
+    """The value, error and rounding floor of a panel [lo, hi] on
+    _end_nodes: the order-1 rule on the values ys, plus, on a panel at 0
+    (else gs is empty), the rule of order beta on gs, scaled by hi^beta,
+    with head for its p(0)/beta (_subtracted)."""
+    val, gap, size = _subtracted(_end_rule(1.0), ys, ys[-1])
+    width = hi - lo
+    val, err, floor = width * val, width * gap, width * size
+    if gs:
+        part, gap, size = _subtracted(_end_rule(beta), gs, head)
+        scale = hi ** beta
+        val, err, floor = (val + scale * part, err + scale * gap,
+                           floor + scale * size)
+    return val, err, 50.0 * _EPS * floor
+
+
+def integrate_odd(d: Integrand | Callable[[float], float], a: float,
+                  b: float, alpha: float,
+                  parts: Callable[[float], tuple[float, float]],
+                  mesh: Sequence[float], tol: float = DEFAULT_TOL
+                  ) -> QuadResult:
+    """int_a^b k(t) d(t) dt for a k odd about the midpoint, with k(a+x) =
+    x^alpha S(x) + R(x) for (S, R) = parts(x) on [0, w/2], w = b - a.
+
+    That is int_0^(w/2) k(a+x) (d(a+x) - d(b-x)) dx, by _adaptive from
+    the ascending mesh of offsets, every panel on _end_nodes: S times the
+    difference by _end_rule(alpha+1) on the panel at 0, and R times it
+    there, k times it elsewhere, by the order-1 rule (_leaf_panel).  d is
+    read through an Integrand (a callable gets its own), so a non-finite
+    value raises EvaluationError at its abscissa."""
+    check_interval(a, b)
+    check_order(alpha)
+    read = (d if isinstance(d, Integrand) else Integrand(d)).__call__
+    beta = alpha + 1.0
+
+    def panel(lo: float, hi: float) -> tuple[float, float, float, int]:
+        xs = _end_nodes(lo, hi, False)
+        ds = [read(a + x) - read(b - x) for x in xs]
+        ss, rs = zip(*map(parts, xs))
+        if lo:  # k = x^alpha S + R
+            rs, ss = [x ** alpha * k + r for x, k, r in zip(xs, ss, rs)], ()
+        gs = list(map(operator.mul, ss, ds))
+        return (*_leaf_panel(lo, hi, list(map(operator.mul, rs, ds)), gs,
+                             beta, gs[-1] / beta if gs else 0.0),
+                2 * _END_N + 2)
+
+    return _adaptive(panel, mesh, tol)[0]
+
+
 def _antiderivative(c: Sequence[float], beta: float) -> list[float]:
     """The Chebyshev coefficients of Phi with int_0^u v^(beta-1) (p(v) -
     p(0)) dv = u^beta Phi(u), u = (1+s)/2, for p = sum_k c_k T_k(s): a
@@ -566,11 +596,14 @@ class CumulativeKernel:
     `abs_error_estimate` includes.
     K at x is minus the integral of the leaves' interpolants from x to w/2
     (_antiderivative, whole leaves by their prefix sums), so continuous and
-    0.0 at m, plus c (x^alpha - (w/2)^alpha).  g is read through an
-    Integrand (a callable gets its own), whose table the build shares with
-    every reader of g; the first x inside a leaf reads its nodes again, so
-    K(t) calls g only past TABLE_CAP.  Each K(t) is computed once and kept;
-    `evaluations` counts this kernel's calls.
+    0.0 at m, plus c (x^alpha - (w/2)^alpha): `parts` gives it as x^alpha S
+    + R on the leaves, whose ends are `ends`, for integrate_odd.  g is read
+    through an Integrand (a callable gets its own), whose table the build
+    shares with every reader of g; the first x inside a leaf reads its
+    nodes again, so K calls g only past TABLE_CAP.  The parts at each x are
+    computed once and kept, so their memory grows with the distinct
+    offsets read.  K(t) is read by no verifier; `evaluations` counts the
+    calls of the build and of K(t).
     """
 
     def __init__(self, g: Integrand | Callable[[float], float],
@@ -603,61 +636,53 @@ class CumulativeKernel:
                     for s, y in zip(_END_NODES, gs)], gs
 
         def panel(lo: float, hi: float) -> tuple[float, float, float, int]:
-            ys, gs = values(lo, hi)
-            val, gap, size = _subtracted(_end_rule(1.0), ys, ys[-1])
-            width = hi - lo
-            val, err, floor = width * val, width * gap, width * size
-            if gs:
-                part, gap, size = _subtracted(_end_rule(alpha), gs, 0.0)
-                scale = hi ** alpha
-                val, err, floor = (val + scale * part, err + scale * gap,
-                                   floor + scale * size)
-            return val, err, 50.0 * _EPS * floor, _END_N + 1
+            return (*_leaf_panel(lo, hi, *values(lo, hi), alpha, 0.0),
+                    _END_N + 1)
 
         self._values_at = values
         r, heap = _adaptive(panel, (0.0, half), tol / 4)
         heap.sort(key=operator.itemgetter(2))  # the leaves tile [0, w/2]
-        self._ends = array("d", [e[2] for e in heap] + [half])
+        self.ends = array("d", [e[2] for e in heap] + [half])
         self._pre = array("d", accumulate((e[4] for e in heap), initial=0.0))
         self.abs_error_estimate = r.abs_error_estimate
         self.tolerance_met = r.tolerance_met
         self._dense: dict[int, tuple] = {}  # leaf -> its Phi's coefficients
-        self._values: dict[float, float] = {}  # t -> K(t), each computed once
+        self._parts: dict[float, tuple] = {}  # x -> (S, R), each computed once
         self.evaluations = self._g.calls - calls
 
     def __call__(self, t: float) -> float:
         """K(t).  A read of g, by the first t in a leaf, goes through the
         kernel's Integrand, which checks it finite."""
-        y = self._values.get(t)
-        if y is None:
-            a, b, half, alpha = self.a, self.b, self._ends[-1], self.alpha
-            if not (a <= t <= b):
-                raise DomainError(f"t = {t!r} outside [{a!r}, {b!r}]")
-            calls = self._g.calls
-            x, d = t - a, b - t
-            rest = self._rest(x) if x <= half else -self._rest(min(d, half))
-            # c ((t-a)^alpha - (b-t)^alpha) as identity 2.3 subtracts it, so
-            # that there its rounding cancels, and K - c (...) is rest
-            y = self._values[t] = rest + self.c * (x ** alpha - d ** alpha)
-            self.evaluations += self._g.calls - calls
-        return y
+        a, b, half = self.a, self.b, self.ends[-1]
+        if not (a <= t <= b):
+            raise DomainError(f"t = {t!r} outside [{a!r}, {b!r}]")
+        calls = self._g.calls
+        x, sign = (t - a, 1.0) if t - a <= half else (min(b - t, half), -1.0)
+        k, r = self.parts(x)
+        self.evaluations += self._g.calls - calls
+        return sign * (x ** self.alpha * k + r)
 
-    def _rest(self, x: float) -> float:
-        """K - c (x^alpha - (w-x)^alpha) at the offset x in [0, w/2], small
-        near m: c ((w-x)^alpha - (w/2)^alpha) by expm1."""
-        ends, alpha, half = self._ends, self.alpha, self._ends[-1]
+    def parts(self, x: float) -> tuple[float, float]:
+        """(S, R) with K(a+x) = x^alpha S(x) + R(x) at the offset x in [0,
+        w/2]: S is c plus, on the leaf at 0, the series at order alpha, and
+        R minus the integral of the leaves' order-1 series from x to w/2,
+        less c (w/2)^alpha.  The c (w-x)^alpha terms cancel: none is read."""
+        kr = self._parts.get(x)
+        if kr is not None:
+            return kr
+        ends, c = self.ends, self.c
         j = bisect_right(ends, x) - 1
-        lo, v = ends[j], self._pre[j] - self._pre[-1]
+        lo, k, r = ends[j], c, self._pre[j] - self._pre[-1]
         if x > lo:  # inside leaf j
             d = self._dense.get(j)
             if d is None:
                 d = self._dense[j] = self._leaf(lo, ends[j + 1])
             s = 2.0 * (x - lo) / (ends[j + 1] - lo) - 1.0
-            v += (x - lo) * _chebyshev(d[0], s)
+            r += (x - lo) * _chebyshev(d[0], s)
             if not lo:
-                v += x ** alpha * _chebyshev(d[1], s)
-        return v + self.c * half ** alpha * math.expm1(
-            alpha * math.log1p((half - x) / half))
+                k += _chebyshev(d[1], s)
+        kr = self._parts[x] = k, r - c * ends[-1] ** self.alpha
+        return kr
 
     def _leaf(self, lo: float, hi: float) -> tuple[list[float], ...]:
         """The Chebyshev coefficients of the leaf's Phi (_antiderivative):

@@ -26,7 +26,7 @@ from frachh.numerics import (DEFAULT_TOL, CumulativeKernel, DomainError,
                              MAX_PANELS, QuadResult, _chebyshev, _end_nodes,
                              _end_rule, _gk15_nodes, _subtracted,
                              check_interval, check_order, gamma,
-                             integrate_graded, integrate_singular,
+                             integrate_odd, integrate_singular,
                              integrate_smooth)
 from reference import beta_reference
 
@@ -199,56 +199,83 @@ def test_adaptive_adds_the_floors_outside_its_stopping_test():
     assert r.abs_error_estimate == 0.5 * tol + 1000.0 * tol
 
 
-class TestIntegrateGraded:
-    """integrate_graded takes an integrand that vanishes like (t - a)^beta
-    at a or b on panels graded toward that end; beta = alpha + 1 is the
-    behaviour of identity 2.3's outer integrand."""
+def test_adaptive_sets_a_panel_at_its_floor_aside():
+    # a panel rule whose error, 1000 times tol, equals its rounding floor
+    # on every panel: bisecting would only chase rounding, so the loop
+    # stops after the mesh panel with the tolerance met (without the rule
+    # it ran to MAX_PANELS), and the estimate is the error plus the floor
+    tol, read = 1e-9, []
+
+    def panel(lo, hi):
+        read.append((lo, hi))
+        return 1.0, 1000.0 * tol, 1000.0 * tol, 15
+
+    r, panels = frachh.numerics._adaptive(panel, (0.0, 1.0), tol)
+    assert read == [(0.0, 1.0)] and len(panels) == 1
+    assert r.tolerance_met and r.evaluations == 15
+    assert r.abs_error_estimate == 2000.0 * tol
+
+
+class TestIntegrateOdd:
+    """integrate_odd folds int_a^b k f' onto [a, m] for a k odd about m;
+    identity 1.4 reads it with k(a+x) = x^alpha - (w-x)^alpha, so S = 1
+    and R = -(w-x)^alpha."""
+
+    @staticmethod
+    def _end_difference(d, a, b, alpha):
+        w = b - a
+        return integrate_odd(d, a, b, alpha, lambda x: (1.0, -(w - x) ** alpha),
+                             (0.0, 0.5 * w))
 
     @pytest.mark.parametrize("interval", [(0.0, 1.0), (1.0, 3.0),
                                           (0.0, 1e-6)])
     @pytest.mark.parametrize("alpha", [1e-4, 0.1, 0.25, 0.5, 0.75, 1.5])
-    def test_power_and_beta_integrals(self, alpha, interval):
+    def test_linear_derivative_on_a_mesh(self, alpha, interval):
+        # f' = t - a: E = w^(alpha+2) alpha / ((alpha+1) (alpha+2)), on the
+        # one panel [0, w/2] and on a mesh of four, whose inner panels take
+        # k = x^alpha S + R by the order-1 rule
         a, b = interval
-        beta, w = alpha + 1.0, b - a
-        one_end = w ** (beta + 1.0) / (beta + 1.0)
-        both_ends = (gamma(beta + 1.0) ** 2 / gamma(2.0 * beta + 2.0)
-                     * w ** (2.0 * beta + 1.0))
-        for h, exact in ((lambda t: (t - a) ** beta, one_end),
-                         (lambda t: (b - t) ** beta, one_end),
-                         (lambda t: ((t - a) * (b - t)) ** beta, both_ends)):
+        w = b - a
+        exact = w ** (alpha + 2.0) * alpha / ((alpha + 1.0) * (alpha + 2.0))
+        for mesh in ((0.0, 0.5 * w), (0.0, w / 16, w / 8, w / 4, 0.5 * w)):
             for tol in (DEFAULT_TOL, 1e-12 * exact):
-                r = integrate_graded(h, a, b, tol)
+                r = integrate_odd(lambda t: t - a, a, b, alpha,
+                                  lambda x: (1.0, -(w - x) ** alpha), mesh,
+                                  tol)
                 assert r.tolerance_met
                 assert (abs(r.value - exact)
                         <= r.abs_error_estimate + 4 * math.ulp(exact))
 
-    @pytest.mark.parametrize("interval", [(0.0, 1.0), (1.0, 3.0),
-                                          (0.0, 1e-6)])
-    def test_one_panel_is_integrate_smooths(self, interval):
-        r = integrate_graded(math.exp, *interval)
-        assert r == integrate_smooth(math.exp, *interval)
-        assert r.evaluations == 15
-
-    @pytest.mark.parametrize("interval", [(0.0, 1.0), (1.0, 3.0),
-                                          (0.0, 1e-6)])
-    def test_a_power_at_an_end_reads_half_the_nodes(self, interval):
-        # at the outer tolerance of identity 2.3 at alpha 0.1, 1e-9
-        # Gamma(0.1), for an integrand of size 1 on the interval
+    @pytest.mark.parametrize("interval", END_RULE_INTERVALS,
+                             ids=lambda i: f"[{i[0]:g},{i[1]:g}]")
+    @pytest.mark.parametrize("alpha", [0.25, 1.5, 4.5])
+    def test_end_difference_of_exp(self, alpha, interval):
+        # E = int (t-a)^alpha e^t - int (b-t)^alpha e^t: the "exp" entries
+        # of exact.json at order alpha + 1, lower minus upper.  Each entry
+        # is rounded, so their difference is exact to the ulps of the
+        # entries: on [0, 1e-6] at alpha 4.5 it cancels 6 digits, and is
+        # 1.2e-50 off mpmath's E, where the value is 4.4e-52 off
         a, b = interval
-        tol = 1e-9 * gamma(0.1) * (b - a) ** 2.1
-        for h in (lambda t: (t - a) ** 1.1, lambda t: (b - t) ** 1.1):
-            graded = integrate_graded(h, a, b, tol)
-            assert graded.tolerance_met
-            assert 2 * graded.evaluations <= integrate_smooth(
-                h, a, b, tol).evaluations
+        key, order = f"{a!r},{b!r}", repr(alpha + 1.0)
+        lower, upper = (EXACT_EXP[side][key][order]
+                        for side in ("lower", "upper"))
+        r = self._end_difference(math.exp, a, b, alpha)
+        assert r.tolerance_met
+        assert (abs(r.value - (lower - upper))
+                <= r.abs_error_estimate + 4 * math.ulp(max(lower, upper)))
 
-    def test_nonfinite_integrand_reported_with_abscissa(self):
-        # no node of the first panel lies below 1e-3; the first node of
-        # the graded panel at 0 does, at t = 0.5 tau^2 for tau ~ 4.3e-3
+    @pytest.mark.parametrize("bad, within", [
+        (lambda t: math.inf if t < 1.5 else t, (1.0, 1.5)),
+        (lambda t: math.nan if t > 2.5 else t, (2.5, 3.0)),
+        (lambda t: math.inf if t == 3.0 else t, (3.0, 3.0)),
+    ], ids=["below-m", "above-m", "at-b"])
+    def test_nonfinite_derivative_reported_with_abscissa(self, bad, within):
+        # f' is read at a + x and at b - x, and the error names the read
         with pytest.raises(EvaluationError) as info:
-            integrate_graded(lambda t: math.inf if t < 1e-3 else t ** 0.5,
-                             0.0, 1.0, 1e-12)
-        assert 0.0 < info.value.abscissa < 1e-3
+            self._end_difference(bad, 1.0, 3.0, 0.5)
+        lo, hi = within
+        assert lo <= info.value.abscissa <= hi
+        assert not math.isfinite(bad(info.value.abscissa))
 
 
 class TestIntegrateSingular:
@@ -585,7 +612,7 @@ class TestCumulativeKernel:
         m = 0.5 * (a + b)
         k = CumulativeKernel(
             lambda s: 2.0 + math.cos(80.0 * (s - m) / (b - a)), a, b, alpha)
-        ends, half = list(k._ends), 0.5 * (b - a)
+        ends, half = list(k.ends), 0.5 * (b - a)
         assert ends[0] == 0.0 and ends[-1] == half
         assert all(lo < hi for lo, hi in zip(ends, ends[1:]))
         assert len(k._pre) == len(ends) and k._pre[0] == 0.0
@@ -610,7 +637,7 @@ class TestCumulativeKernel:
             k = CumulativeKernel(lambda s: 1.0, 0.0, 1.0, alpha)
             # one leaf, read at its 25 nodes, covers the half [a, m] in
             # offsets from a, and K at its end is its prefix term
-            assert list(k._ends) == [0.0, 0.5] and k.evaluations == 25
+            assert list(k.ends) == [0.0, 0.5] and k.evaluations == 25
             assert k(0.5) == 0.0, alpha
 
     def test_evaluation_counter_grows(self, monkeypatch):
@@ -901,7 +928,7 @@ class TestKernelCallsGOncePerNode:
         of (w-x)^(alpha-1) g at order 1 and of g - g(a) at order alpha;
         plus g(a) x^alpha/alpha, less the same sum at m; above m, -K at the
         offset b - t."""
-        ends, pre, sign, x = k._ends, k._pre, 1.0, t - k.a
+        ends, pre, sign, x = k.ends, k._pre, 1.0, t - k.a
         if x > ends[-1]:
             sign, x = -1.0, k.b - t
         w, am1, g = k.b - k.a, k.alpha - 1.0, k._g.fn
@@ -986,7 +1013,7 @@ class TestKernelCallsGOncePerNode:
         # the one from the right leaf: K is continuous where it changes leaf
         k = CumulativeKernel(lambda s: 2.0 + math.cos(80.0 * (s - 2.0)), 1.0,
                              3.0, alpha)
-        edges, pre = k._ends, k._pre
+        edges, pre = k.ends, k._pre
         joined = 8 * math.ulp(max(map(abs, pre)))
         for j, (lo, hi) in enumerate(zip(edges, edges[1:])):
             ys, gs = k._values_at(lo, hi)
@@ -1072,8 +1099,7 @@ class TestKernelValues:
         assert math.isnan(info.value.value)
         # K at a leaf end reads no g
         assert not k._dense
-        assert {t - 1.0 if t <= 2.0 else 3.0 - t for t in k._values} <= set(
-            k._ends)
+        assert set(k._parts) <= set(k.ends)
 
 
 class TestQuadResultAlgebra:
@@ -1100,6 +1126,8 @@ class TestInputChecks:
         "integrate_singular": lambda a, b: integrate_singular(
             math.exp, a, b, 0.5, KernelSide.LOWER_SINGULAR),
         "CumulativeKernel": lambda a, b: CumulativeKernel(math.exp, a, b, 0.5),
+        "integrate_odd": lambda a, b: integrate_odd(
+            math.exp, a, b, 0.5, lambda x: (1.0, 0.0), (0.0, 1.0)),
         "FracSetting": lambda a, b: FracSetting(a, b, 0.5),
         "builtin_function_corpus": builtin_function_corpus,
         "builtin_weight_corpus": builtin_weight_corpus,
@@ -1109,6 +1137,8 @@ class TestInputChecks:
             math.exp, 0.0, 1.0, alpha, KernelSide.LOWER_SINGULAR),
         "CumulativeKernel": lambda alpha: CumulativeKernel(math.exp, 0.0, 1.0,
                                                            alpha),
+        "integrate_odd": lambda alpha: integrate_odd(
+            math.exp, 0.0, 1.0, alpha, lambda x: (1.0, 0.0), (0.0, 0.5)),
         "FracSetting": lambda alpha: FracSetting(0.0, 1.0, alpha),
     }
 
