@@ -7,9 +7,11 @@ verifiers) is built on four primitives:
 * ``integrate_smooth``, globally adaptive Gauss-Kronrod quadrature,
 * ``integrate_singular``, the same engine for a power-law kernel: after
   a change of variable that removes the singularity for orders in
-  [1/4, 1/2], on the product at integer orders, and with a modified
-  Clenshaw-Curtis rule exact for the kernel on the panel at its singular
-  end otherwise, the kernel read at each node's distance from that end,
+  [1/4, 1/2], on the product at integer orders, and otherwise on
+  25-point Chebyshev panels, the one at the singular end by a modified
+  Clenshaw-Curtis rule exact for the kernel (the end rule), every other
+  by Clenshaw-Curtis on the product, the kernel read at each node's
+  distance from that end,
 * ``integrate_odd``, int_a^b k f' for a kernel k odd about the midpoint
   m and given on [a, m] as (t-a)^alpha S + R, folded onto [a, m] and
   integrated on 25-point Chebyshev panels, the one at a by the end rule,
@@ -26,7 +28,8 @@ its singular term g(a) (t-a)^(alpha-1) integrated in closed form and
 the panel at a by the end rule's weights.  K integrates the degree-24
 interpolants of the build's final panels ("leaves"), so it reads g only
 where the build did.  The identities take S and R from K's leaves
-(K.parts) and run integrate_odd on K's leaf ends.
+(K.parts) and run integrate_odd on K's leaf ends.  One routine,
+_leaf_panel, sums every 25-point panel of the three.
 
 Every quadrature result carries an absolute error estimate, the number
 of integrand evaluations spent, and a flag saying whether the requested
@@ -346,15 +349,15 @@ def integrate_singular(h: Callable[[float], float], a: float, b: float,
     integer), and the adaptive engine runs on that.  At an integer alpha
     the kernel is a polynomial (exactly 1.0 at alpha = 1) and the
     product is integrated directly.  At any other alpha the product or
-    its derivative is singular at the end, so the panel that touches it
-    takes _end_panel, a rule exact for the kernel that reads h at both
-    ends of the panel, the singular end included; every other panel
-    integrates the product by G7/K15, h read at the nodes and the kernel
-    at each node's distance from the singular end, taken from the
-    panel's b - hi and b - lo (resp. lo - a and hi - a): below alpha = 1
-    the factor blows up there, and a node's b - t is off by up to ulp(b).
-    Each panel hands _adaptive its rounding floor: _end_panel's, or 50 eps
-    times G7/K15 of |kernel * h|.
+    its derivative is singular at the end, and every panel is on
+    _end_nodes (_leaf_panel): the one at the singular end takes the rule
+    exact for the kernel, h read at both of its ends, and every other
+    the order-1 rule on the product, the kernel read at the nodes of
+    the panel's distances b - hi to b - lo (resp. lo - a to hi - a):
+    below alpha = 1 it blows up there, and a node's b - t is off by up
+    to ulp(b).  The nodes are exactly odd, so both sides' panels on one
+    mesh read the same abscissae.  A non-finite value summed raises
+    EvaluationError at the first bad abscissa in node order.
     """
     check_order(alpha)
     if not isinstance(side, KernelSide):
@@ -374,25 +377,21 @@ def integrate_singular(h: Callable[[float], float], a: float, b: float,
         return integrate_smooth(phi, a, b, tol)
 
     def panel(lo: float, hi: float) -> tuple[float, float, float, int]:
+        xs = _end_nodes(lo, hi, upper)
+        hs = list(map(h, xs))
         if (hi == b) if upper else (lo == a):
-            return _end_panel(h, lo, hi, alpha, upper)
-        xs = _gk15_nodes(lo, hi)
-        if upper:  # the node c -+ r x lies at the distance (b - c) +- r x
-            ds = _gk15_nodes(b - hi, b - lo)
-            ds[1::2], ds[2::2] = ds[2::2], ds[1::2]
-        else:
-            ds = _gk15_nodes(lo - a, hi - a)
-        ys = [d ** am1 * h(x) for d, x in zip(ds, xs)]
-        val, err = _gk15(ys, lo, hi)
-        if not math.isfinite(val):
-            _check_finite(xs, ys)
-        floor = 50.0 * _EPS * _gk15(list(map(abs, ys)), lo, hi)[0]
-        return val, err, floor, 15
+            ys, gs, head = (), hs, hs[-1] / alpha
+        else:  # the distances from the singular end, in the order of xs
+            ds = (_end_nodes(b - hi, b - lo, False) if upper
+                  else _end_nodes(lo - a, hi - a, False))
+            ys, gs, head = [d ** am1 * y for d, y in zip(ds, hs)], (), 0.0
+        _check_finite(xs, gs or ys)  # before fsum, which raises on inf - inf
+        return (*_leaf_panel(lo, hi, ys, gs, alpha, head), _END_N + 1)
 
     return _adaptive(panel, (a, b), tol)[0]
 
 
-# Chebyshev-Lobatto points cos(j pi / 24), j = 0..24, of _end_panel, the even
+# Chebyshev-Lobatto points cos(j pi / 24), j = 0..24, of _end_nodes, the even
 # ones the nested rule's, exactly odd in j - 12 so both sides read alike
 _END_N = 24
 _END_NODES = tuple(math.cos(math.pi * j / _END_N) for j in range(_END_N // 2))
@@ -463,44 +462,25 @@ def _subtracted(rule: tuple[list[float], list[float]], ys: Sequence[float],
     return head + value, gap, abs(head) + math.fsum(map(abs, terms))
 
 
-def _end_panel(h: Callable[[float], float], lo: float, hi: float,
-               alpha: float, upper: bool) -> tuple[float, float, float, int]:
-    """The panel rule of integrate_singular on a panel [lo, hi] that ends
-    at the kernel's singular point: hi if upper, else lo.
-
-    In u, the distance from that end over hi - lo, the kernel is
-    (hi - lo)^(alpha-1) u^(alpha-1); the rule integrates the degree-24
-    interpolant of h at the 25 Chebyshev-Lobatto points against it exactly
-    (modified Clenshaw-Curtis, as in QUADPACK's QAWS), as (hi - lo)^alpha
-    (h(end)/alpha + sum_j v_j y_j) (_end_rule).  Returns that value, the
-    difference from the nested 13-point rule as the error estimate, a
-    rounding floor of 50 eps (hi - lo)^alpha (|h(end)|/alpha + sum_j
-    |v_j y_j|) that covers the rounding of the terms, of h(end)/alpha and
-    of (hi - lo)^alpha when the two rules agree, and the 25 reads.  h is
-    read at both ends of the panel; a non-finite value raises
-    EvaluationError at the first bad abscissa in node order (from the far
-    end toward the singular one)."""
-    xs = _end_nodes(lo, hi, upper)
-    ys = list(map(h, xs))
-    _check_finite(xs, ys)
-    value, gap, size = _subtracted(_end_rule(alpha), ys, ys[-1] / alpha)
-    scale = (hi - lo) ** alpha
-    return scale * value, scale * gap, scale * 50.0 * _EPS * size, _END_N + 1
-
-
 def _leaf_panel(lo: float, hi: float, ys: Sequence[float],
                 gs: Sequence[float], beta: float,
                 head: float) -> tuple[float, float, float]:
     """The value, error and rounding floor of a panel [lo, hi] on
-    _end_nodes: the order-1 rule on the values ys, plus, on a panel at 0
-    (else gs is empty), the rule of order beta on gs, scaled by hi^beta,
-    with head for its p(0)/beta (_subtracted)."""
-    val, gap, size = _subtracted(_end_rule(1.0), ys, ys[-1])
+    _end_nodes, the one place every 25-point panel is summed: the order-1
+    rule on ys, scaled by hi - lo, plus, on a panel at the singular end,
+    the rule of order beta on gs, exact for u^(beta-1) in u, the distance
+    from the last node over hi - lo, scaled by (hi - lo)^beta, with head
+    for its p(0)/beta (_subtracted).  Either part may be empty.  The
+    error is the nested rule's difference, and the floor 50 eps times
+    the rules on |terms|: the rounding of the terms, head and scales."""
+    val = err = floor = 0.0
     width = hi - lo
-    val, err, floor = width * val, width * gap, width * size
+    if ys:
+        val, gap, size = _subtracted(_end_rule(1.0), ys, ys[-1])
+        val, err, floor = width * val, width * gap, width * size
     if gs:
         part, gap, size = _subtracted(_end_rule(beta), gs, head)
-        scale = hi ** beta
+        scale = width ** beta
         val, err, floor = (val + scale * part, err + scale * gap,
                            floor + scale * size)
     return val, err, 50.0 * _EPS * floor

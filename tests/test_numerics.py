@@ -386,18 +386,19 @@ class TestIntegrateSingular:
     @example(alpha=11.09, interval=(10.0, 10.5), side=KernelSide.UPPER_SINGULAR)
     def test_end_rule_estimate_covers_a_kink_at_the_midpoint(self, alpha,
                                                             interval, side):
-        # one bisection: the end rule on the half at the singular end and
-        # G7/K15 on the other.  On [10, 10.5] the G7/K15 half reads |t - m|
-        # at abscissae rounded by 1.8e-15, 1e-14 of the value: without its
-        # rounding floor the error was 1.5e-20 against an estimate of
-        # 1.8e-21 at alpha 11.09
+        # one bisection, three 25-point panels: the end rule on [a, b] and
+        # on the half at the singular end, and the order-1 rule on the
+        # product on the other half.  On [10, 10.5] that half reads |t - m|
+        # at abscissae rounded by 1.8e-15, 1e-14 of the value, which its
+        # rounding floor covers: at alpha 11.09 the error is 1.7e-21
+        # against an estimate of 9.9e-20
         a, b = interval
         m, w = 0.5 * (a + b), b - a
         r = integrate_singular(lambda t: abs(t - m), a, b, alpha, side)
         exact = (w ** (alpha + 1.0) / (alpha * (alpha + 1.0))
                  * (0.5 * (alpha - 1.0) + 2.0 ** -alpha))
         assert abs(r.value - exact) <= r.abs_error_estimate + 4 * math.ulp(exact)
-        assert r.evaluations <= 65
+        assert r.evaluations <= 75
 
     @pytest.mark.parametrize("side", list(KernelSide))
     @pytest.mark.parametrize("interval", EXP_INTERVALS,
@@ -435,18 +436,44 @@ class TestIntegrateSingular:
         assert (integrate_singular(math.exp, a, b, alpha, side)
                 == integrate_smooth(lambda t: kernel(t) * math.exp(t), a, b))
 
-    def test_end_rule_nodes_are_odd_so_both_sides_share_their_reads(self):
-        # s_j = -s_(24-j) bit for bit, so the end panels of the two sides
-        # on one interval read the same 25 abscissae
+    @pytest.mark.parametrize("alpha,a,b,kinked",
+                             [(1.5, 0.0, 1e-6, False)]
+                             + [(alpha, 1.0, 3.0, True)
+                                for alpha in (0.1, 0.75, 1.5, 2.5)])
+    def test_end_rule_nodes_are_odd_so_both_sides_share_their_reads(
+            self, alpha, a, b, kinked):
+        # s_j = -s_(24-j) bit for bit, so the panels of the two sides on
+        # one mesh read the same abscissae: exp on [0, 1e-6] takes one
+        # panel a side, and |t - m| bisects once at its kink, after which
+        # J_right still reads only what J_left did
         nodes = frachh.numerics._END_NODES
         assert len(nodes) == 25 and nodes[12] == 0.0
         assert all(nodes[j].hex() == (-nodes[24 - j]).hex()
                    for j in range(25) if j != 12)
-        read = Integrand(math.exp)
-        s = FracSetting(0.0, 1e-6, 1.5)
-        left, right = j_left(read.__call__, s), j_right(read.__call__, s)
-        assert left.evaluations == right.evaluations == 25  # one panel each
-        assert read.calls == len(read.table) == 25
+        m = 0.5 * (a + b)
+        read = Integrand((lambda t: abs(t - m)) if kinked else math.exp)
+        s = FracSetting(a, b, alpha)
+        left = j_left(read.__call__, s)
+        calls = read.calls
+        right = j_right(read.__call__, s)
+        assert left.evaluations == right.evaluations == (75 if kinked else 25)
+        assert read.calls == calls == len(read.table)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.75, 2.5])
+    @pytest.mark.parametrize("side", list(KernelSide))
+    def test_non_finite_value_on_an_interior_panel_names_its_abscissa(
+            self, side, alpha):
+        # |t - m| bisects once; the bad node lies on the half away from the
+        # singular end, read by no other panel
+        a, b, m = 1.0, 3.0, 2.0
+        upper = side is KernelSide.UPPER_SINGULAR
+        bad = (_end_nodes(a, m, True) if upper
+               else _end_nodes(m, b, False))[3]
+        assert bad not in _end_nodes(a, b, upper)
+        with pytest.raises(EvaluationError) as info:
+            integrate_singular(lambda t: math.nan if t == bad else abs(t - m),
+                               a, b, alpha, side)
+        assert info.value.abscissa == bad
 
     def test_end_rule_moments_match_exact_rationals(self):
         # the subtracted rule read at T_k(s) is its moment N_k = int_0^1
