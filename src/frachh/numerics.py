@@ -29,7 +29,7 @@ the panel at a by the end rule's weights.  K integrates the degree-24
 interpolants of the build's final panels ("leaves"), so it reads g only
 where the build did.  The identities take S and R from K's leaves
 (K.parts) and run integrate_odd on K's leaf ends.  One routine,
-_leaf_panel, sums every 25-point panel of the three.
+_cheb_panel, sums every 25-point panel of the three.
 
 Every quadrature result carries an absolute error estimate, the number
 of integrand evaluations spent, and a flag saying whether the requested
@@ -350,7 +350,7 @@ def integrate_singular(h: Callable[[float], float], a: float, b: float,
     the kernel is a polynomial (exactly 1.0 at alpha = 1) and the
     product is integrated directly.  At any other alpha the product or
     its derivative is singular at the end, and every panel is on
-    _end_nodes (_leaf_panel): the one at the singular end takes the rule
+    _end_nodes (_cheb_panel): the one at the singular end takes the rule
     exact for the kernel, h read at both of its ends, and every other
     the order-1 rule on the product, the kernel read at the nodes of
     the panel's distances b - hi to b - lo (resp. lo - a to hi - a):
@@ -386,7 +386,7 @@ def integrate_singular(h: Callable[[float], float], a: float, b: float,
                   else _end_nodes(lo - a, hi - a, False))
             ys, gs, head = [d ** am1 * y for d, y in zip(ds, hs)], (), 0.0
         _check_finite(xs, gs or ys)  # before fsum, which raises on inf - inf
-        return (*_leaf_panel(lo, hi, ys, gs, alpha, head), _END_N + 1)
+        return (*_cheb_panel(lo, hi, ys, gs, alpha, head), _END_N + 1)
 
     return _adaptive(panel, (a, b), tol)[0]
 
@@ -462,7 +462,7 @@ def _subtracted(rule: tuple[list[float], list[float]], ys: Sequence[float],
     return head + value, gap, abs(head) + math.fsum(map(abs, terms))
 
 
-def _leaf_panel(lo: float, hi: float, ys: Sequence[float],
+def _cheb_panel(lo: float, hi: float, ys: Sequence[float],
                 gs: Sequence[float], beta: float,
                 head: float) -> tuple[float, float, float]:
     """The value, error and rounding floor of a panel [lo, hi] on
@@ -497,7 +497,7 @@ def integrate_odd(d: Integrand | Callable[[float], float], a: float,
     That is int_0^(w/2) k(a+x) (d(a+x) - d(b-x)) dx, by _adaptive from
     the ascending mesh of offsets, every panel on _end_nodes: S times the
     difference by _end_rule(alpha+1) on the panel at 0, and R times it
-    there, k times it elsewhere, by the order-1 rule (_leaf_panel).  d is
+    there, k times it elsewhere, by the order-1 rule (_cheb_panel).  d is
     read through an Integrand (a callable gets its own), so a non-finite
     value raises EvaluationError at its abscissa."""
     check_interval(a, b)
@@ -512,7 +512,7 @@ def integrate_odd(d: Integrand | Callable[[float], float], a: float,
         if lo:  # k = x^alpha S + R
             rs, ss = [x ** alpha * k + r for x, k, r in zip(xs, ss, rs)], ()
         gs = list(map(operator.mul, ss, ds))
-        return (*_leaf_panel(lo, hi, list(map(operator.mul, rs, ds)), gs,
+        return (*_cheb_panel(lo, hi, list(map(operator.mul, rs, ds)), gs,
                              beta, gs[-1] / beta if gs else 0.0),
                 2 * _END_N + 2)
 
@@ -616,7 +616,7 @@ class CumulativeKernel:
                     for s, y in zip(_END_NODES, gs)], gs
 
         def panel(lo: float, hi: float) -> tuple[float, float, float, int]:
-            return (*_leaf_panel(lo, hi, *values(lo, hi), alpha, 0.0),
+            return (*_cheb_panel(lo, hi, *values(lo, hi), alpha, 0.0),
                     _END_N + 1)
 
         self._values_at = values

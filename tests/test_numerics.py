@@ -436,16 +436,19 @@ class TestIntegrateSingular:
         assert (integrate_singular(math.exp, a, b, alpha, side)
                 == integrate_smooth(lambda t: kernel(t) * math.exp(t), a, b))
 
-    @pytest.mark.parametrize("alpha,a,b,kinked",
-                             [(1.5, 0.0, 1e-6, False)]
-                             + [(alpha, 1.0, 3.0, True)
+    @pytest.mark.parametrize("alpha,a,b,kinked,calls",
+                             [(1.5, 0.0, 1e-6, False, 25)]
+                             + [(alpha, 1.0, 3.0, True, 69)
                                 for alpha in (0.1, 0.75, 1.5, 2.5)])
     def test_end_rule_nodes_are_odd_so_both_sides_share_their_reads(
-            self, alpha, a, b, kinked):
+            self, alpha, a, b, kinked, calls):
         # s_j = -s_(24-j) bit for bit, so the panels of the two sides on
         # one mesh read the same abscissae: exp on [0, 1e-6] takes one
-        # panel a side, and |t - m| bisects once at its kink, after which
-        # J_right still reads only what J_left did
+        # panel a side, 25 distinct abscissae, and |t - m| bisects once at
+        # its kink, three panels a side whose 75 nodes hold 69 distinct
+        # abscissae (a, m and b close two panels each, m three, and the
+        # halves' midpoints are nodes of [a, b] too), after which J_right
+        # still reads only what J_left did
         nodes = frachh.numerics._END_NODES
         assert len(nodes) == 25 and nodes[12] == 0.0
         assert all(nodes[j].hex() == (-nodes[24 - j]).hex()
@@ -454,10 +457,10 @@ class TestIntegrateSingular:
         read = Integrand((lambda t: abs(t - m)) if kinked else math.exp)
         s = FracSetting(a, b, alpha)
         left = j_left(read.__call__, s)
-        calls = read.calls
+        after_left = read.calls
         right = j_right(read.__call__, s)
         assert left.evaluations == right.evaluations == (75 if kinked else 25)
-        assert read.calls == calls == len(read.table)
+        assert read.calls == after_left == len(read.table) == calls
 
     @pytest.mark.parametrize("alpha", [0.1, 0.75, 2.5])
     @pytest.mark.parametrize("side", list(KernelSide))
