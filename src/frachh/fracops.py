@@ -8,7 +8,8 @@ integral evaluated at the left endpoint,
     j_right(h) = (1/Gamma(alpha)) int_a^b (t-a)^(alpha-1) h(t) dt.
 
 At alpha = 1 both reduce to the plain integral of h over [a, b], so
-the classical statements are their alpha = 1 case.
+the classical statements are their alpha = 1 case.  j_both is their
+sum at h = f g for a g symmetric about the midpoint.
 alpha = 0 is rejected outright rather than special-cased to the
 identity operator; the scaling 1/Gamma(alpha) is continuous there but
 nothing downstream needs it.
@@ -20,9 +21,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .numerics import (DEFAULT_TOL, KernelSide, QuadResult, check_interval,
-                       check_order, gamma, integrate_singular)
+                       check_order, gamma, integrate_singular,
+                       integrate_symmetric)
 
-__all__ = ["FracSetting", "j_left", "j_right"]
+__all__ = ["FracSetting", "j_left", "j_right", "j_both"]
 
 
 @dataclass(frozen=True)
@@ -69,3 +71,12 @@ def j_right(h: Callable[[float], float], s: FracSetting,
             tol: float = DEFAULT_TOL) -> QuadResult:
     """Right fractional integral of order alpha, evaluated at a."""
     return _fractional(h, s, tol, KernelSide.LOWER_SINGULAR)
+
+
+def j_both(f: Callable[[float], float] | None, g: Callable[[float], float],
+           s: FracSetting, tol: float = DEFAULT_TOL) -> QuadResult:
+    """j_left(f g) + j_right(f g) for g symmetric about the midpoint, f =
+    None reading f = 1, each side to tol."""
+    g_alpha = gamma(s.alpha)
+    return integrate_symmetric(f, g, s.a, s.b, s.alpha, tol * g_alpha,
+                               1.0 / g_alpha)

@@ -53,7 +53,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
 
-from .fracops import FracSetting, j_left, j_right
+from .fracops import FracSetting, j_both, j_left, j_right
 from .functions import ConvexityKind, FunctionSpec, HolderPair, WeightSpec
 from .numerics import (DEFAULT_TOL, CumulativeKernel, DomainError,
                        Integrand, QuadResult, gamma, integrate_odd,
@@ -210,7 +210,9 @@ class Cell:
         """The memo's Integrand of fn in role: "fn" for f and g, "deriv"
         for f'.  f and f' can be one callable (exp), and a row's count
         must not depend on whether they are."""
-        return self._reads.setdefault((role, fn), Integrand(fn))
+        if (role, fn) not in self._reads:
+            self._reads[role, fn] = Integrand(fn)
+        return self._reads[role, fn]
 
     def j(self, side: Callable, of: str) -> QuadResult:
         """side(h) for side j_left or j_right and h = f, g or f g (`of`)."""
@@ -227,12 +229,24 @@ class Cell:
         return self._once((side, f, g, self.s, self.tol), integral)
 
     def both(self, of: str) -> QuadResult:
-        """j_left(h) + j_right(h); W = both("g")."""
-        if self.g is not None:
+        """j_left(h) + j_right(h) for h = f, g or f g; W = both("g").
+
+        For a weight stating symmetry, W and J(f g) are one j_both each,
+        kept under a key of their own: for 1/4 <= alpha <= 1/2 one
+        integral in u reads f at b - d and a + d, d = u^(1/alpha), and g
+        at b - d only (W, with f = 1, is 2 j_left(g)); at other orders it
+        is j_left + j_right.  "f", a forced asymmetric weight and the unit
+        weight sum the one-sided integrals of j, which lemma-2-1 reads."""
+        g, s = self.g, self.s
+        if g is not None and g.symmetric and of != "f":
+            f = self.f.fn if of == "fg" else None
+            return self._once(("both", f, g.fn, s, self.tol), lambda: j_both(
+                None if f is None else self.read(f).__call__,
+                self.read(g.fn).__call__, s, self.tol))
+        if g is not None:
             return self.j(j_left, of) + self.j(j_right, of)
         if of == "g":
             return QuadResult(1.0, 0.0, 0)
-        s = self.s
         return (self.j(j_left, of) + self.j(j_right, of)).scaled(
             gamma(s.alpha + 1.0) / (2.0 * s.width ** s.alpha))
 

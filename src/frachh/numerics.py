@@ -1,7 +1,7 @@
 """Low-level quadrature and special-function kernels.
 
 Everything downstream (fractional integral operators, inequality
-verifiers) is built on four primitives:
+verifiers) is built on five primitives:
 
 * ``gamma``, the Euler Gamma function restricted to the positive axis,
 * ``integrate_smooth``, globally adaptive Gauss-Kronrod quadrature,
@@ -12,6 +12,9 @@ verifiers) is built on four primitives:
   Clenshaw-Curtis rule exact for the kernel (the end rule), every other
   by Clenshaw-Curtis on the product, the kernel read at each node's
   distance from that end,
+* ``integrate_symmetric``, both power-law kernels against f g for a g
+  symmetric about the midpoint: one substituted integral for orders in
+  [1/4, 1/2], reading g on one side only, else integrate_singular twice,
 * ``integrate_odd``, int_a^b k f' for a kernel k odd about the midpoint
   m and given on [a, m] as (t-a)^alpha S + R, folded onto [a, m] and
   integrated on 25-point Chebyshev panels, the one at a by the end rule,
@@ -62,13 +65,15 @@ __all__ = [
     "integrate_smooth",
     "integrate_odd",
     "integrate_singular",
+    "integrate_symmetric",
 ]
 
 DEFAULT_TOL = 1e-9
 MAX_PANELS = 2 ** 16
-# entries kept per Integrand table (~1.3 MB).  The hard grid's largest table
-# holds ~11.8k, but an integral missing its tolerance reads ~10^6 nodes.  Past
-# the cap a miss keeps nothing
+# entries kept per Integrand table (~1.3 MB).  The corpus grids' largest table
+# holds 1,322 (the default grid at seed 42; 112 on the hard grid), but an
+# integral missing its tolerance reads ~10^6 nodes.  Past the cap a miss keeps
+# nothing
 TABLE_CAP = 2 ** 14
 
 # math.gamma overflows just above this point (double precision).
@@ -327,9 +332,10 @@ def _clip(x: float, lo: float, hi: float) -> float:
     return lo if x < lo else hi if x > hi else x
 
 
-# integrate_singular substitutes from this order to 1/2: bench's reference
-# holds the substitution's kinked means of abs and plin at 1/4 and 1/2; the
-# band goes when ROADMAP item 1's bench half stores exact references
+# integrate_singular substitutes, and integrate_symmetric pairs the sides,
+# from this order to 1/2: bench's reference holds the substitution's kinked
+# means of abs and plin at 1/4 and 1/2; the band goes, the pairing with it,
+# when ROADMAP item 1's bench half stores exact references
 _SUBSTITUTED_FROM = 0.25
 
 
@@ -389,6 +395,42 @@ def integrate_singular(h: Callable[[float], float], a: float, b: float,
         return (*_cheb_panel(lo, hi, ys, gs, alpha, head), _END_N + 1)
 
     return _adaptive(panel, (a, b), tol)[0]
+
+
+def integrate_symmetric(f: Callable[[float], float] | None,
+                        g: Callable[[float], float], a: float, b: float,
+                        alpha: float, tol: float = DEFAULT_TOL,
+                        scale: float = 1.0) -> QuadResult:
+    """scale times int_a^b ((b-t)^(alpha-1) + (t-a)^(alpha-1)) f g dt for
+    a g symmetric about the midpoint, each side to tol; f = None reads 1.
+
+    Where integrate_singular substitutes, u = (b-t)^alpha and (t-a)^alpha
+    meet at one u, and g(a+d) = g(b-d) for d = u^(1/alpha), so both sides
+    are (2/alpha) int_0^{(b-a)^alpha} (f(b-d) g(b-d) + f(a+d) g(b-d))/2 du
+    to one side's tolerance: g is read at b - d only, f at both ends,
+    clipped as integrate_singular clips them, and each product is halved
+    before the sum, which two terms near the float max would overflow.
+    At other orders it is integrate_singular on each side, each scaled
+    before the sum.
+    """
+    check_interval(a, b)  # integrate_singular checks alpha
+    if _SUBSTITUTED_FROM <= alpha <= 0.5:
+        inv = 1.0 / alpha
+
+        def phi(u: float) -> float:
+            d = u ** inv
+            x = _clip(b - d, a, b)
+            y = g(x)
+            if f is None:
+                return y
+            return 0.5 * f(x) * y + 0.5 * f(_clip(a + d, a, b)) * y
+
+        return integrate_smooth(phi, 0.0, (b - a) ** alpha,
+                                tol * alpha).scaled(2.0 * scale * inv)
+    h = g if f is None else lambda t: f(t) * g(t)
+    upper, lower = (integrate_singular(h, a, b, alpha, side, tol).scaled(scale)
+                    for side in KernelSide)
+    return upper + lower
 
 
 # Chebyshev-Lobatto points cos(j pi / 24), j = 0..24, of _end_nodes, the even

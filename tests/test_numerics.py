@@ -27,7 +27,7 @@ from frachh.numerics import (DEFAULT_TOL, CumulativeKernel, DomainError,
                              _end_rule, _gk15_nodes, _subtracted,
                              check_interval, check_order, gamma,
                              integrate_odd, integrate_singular,
-                             integrate_smooth)
+                             integrate_smooth, integrate_symmetric)
 from reference import beta_reference
 
 SQRT_PI = 1.7724538509055160273
@@ -529,6 +529,46 @@ class TestIntegrateSingular:
     def test_side_type_checked(self):
         with pytest.raises(DomainError):
             integrate_singular(lambda t: 1.0, 0.0, 1.0, 0.5, "upper", 1e-9)
+
+
+class TestIntegrateSymmetric:
+    # the bump weight on [1, 3], symmetric about 2
+    @staticmethod
+    def bump(t):
+        return math.exp(-2.0 * (t - 2.0) ** 2)
+
+    def sides(self, h, alpha, scale=1.0):
+        return [integrate_singular(h, 1.0, 3.0, alpha, side).scaled(scale)
+                for side in KernelSide]
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.75, 1.0, 2.5])
+    def test_outside_the_band_is_the_two_sides(self, alpha):
+        scale = 1.0 / gamma(alpha)
+        upper, lower = self.sides(lambda t: math.exp(t) * self.bump(t),
+                                  alpha, scale)
+        assert integrate_symmetric(math.exp, self.bump, 1.0, 3.0, alpha,
+                                   DEFAULT_TOL, scale) == upper + lower
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.3, 0.5])
+    @pytest.mark.parametrize("f", [None, math.exp])
+    def test_in_the_band_it_is_one_integral(self, alpha, f):
+        h = self.bump if f is None else lambda t: f(t) * self.bump(t)
+        upper, lower = self.sides(h, alpha)
+        both = integrate_symmetric(f, self.bump, 1.0, 3.0, alpha)
+        assert both.evaluations < upper.evaluations + lower.evaluations
+        assert abs(both.value - (upper + lower).value) <= (
+            upper.abs_error_estimate + lower.abs_error_estimate)
+        if f is None:  # one side, twice
+            assert both.evaluations == upper.evaluations
+            assert both.value == pytest.approx(2.0 * upper.value, rel=1e-15)
+
+    def test_products_near_the_float_max_are_halved_first(self):
+        # f g is 1e308 on both sides, so their plain sum is inf and would
+        # raise EvaluationError; halved first, every value read is finite
+        # and only the integral overflows, which callers report as such
+        both = integrate_symmetric(lambda t: 1e308, lambda t: 1.0, 0.0, 1.0,
+                                   0.5)
+        assert both.value == math.inf
 
 
 class TestIntegrand:
@@ -1158,6 +1198,8 @@ class TestInputChecks:
         "CumulativeKernel": lambda a, b: CumulativeKernel(math.exp, a, b, 0.5),
         "integrate_odd": lambda a, b: integrate_odd(
             math.exp, a, b, 0.5, lambda x: (1.0, 0.0), (0.0, 1.0)),
+        "integrate_symmetric": lambda a, b: integrate_symmetric(
+            math.exp, lambda t: 1.0, a, b, 0.5),
         "FracSetting": lambda a, b: FracSetting(a, b, 0.5),
         "builtin_function_corpus": builtin_function_corpus,
         "builtin_weight_corpus": builtin_weight_corpus,
@@ -1169,6 +1211,8 @@ class TestInputChecks:
                                                            alpha),
         "integrate_odd": lambda alpha: integrate_odd(
             math.exp, 0.0, 1.0, alpha, lambda x: (1.0, 0.0), (0.0, 0.5)),
+        "integrate_symmetric": lambda alpha: integrate_symmetric(
+            math.exp, lambda t: 1.0, 0.0, 1.0, alpha),
         "FracSetting": lambda alpha: FracSetting(0.0, 1.0, alpha),
     }
 
