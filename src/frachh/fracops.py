@@ -9,7 +9,8 @@ integral evaluated at the left endpoint,
 
 At alpha = 1 both reduce to the plain integral of h over [a, b], so
 the classical statements are their alpha = 1 case.  j_both is their
-sum at h = f g for a g symmetric about the midpoint.
+sum at h = f g for a g symmetric about the midpoint, or for the unit
+weight g = None, at h = f.
 alpha = 0 is rejected outright rather than special-cased to the
 identity operator; the scaling 1/Gamma(alpha) is continuous there but
 nothing downstream needs it.
@@ -73,10 +74,12 @@ def j_right(h: Callable[[float], float], s: FracSetting,
     return _fractional(h, s, tol, KernelSide.LOWER_SINGULAR)
 
 
-def j_both(f: Callable[[float], float] | None, g: Callable[[float], float],
-           s: FracSetting, tol: float = DEFAULT_TOL) -> QuadResult:
-    """j_left(f g) + j_right(f g) for g symmetric about the midpoint, f =
-    None reading f = 1, each side to tol."""
+def j_both(f: Callable[[float], float] | None,
+           g: Callable[[float], float] | None, s: FracSetting,
+           tol: float = DEFAULT_TOL) -> QuadResult:
+    """j_left(f g) + j_right(f g) for g symmetric about the midpoint, each
+    side to tol; f = None reads f = 1, and g = None, the unit weight,
+    reads g = 1 and never calls g (integrate_symmetric)."""
     g_alpha = gamma(s.alpha)
     return integrate_symmetric(f, g, s.a, s.b, s.alpha, tol * g_alpha,
                                1.0 / g_alpha)

@@ -8,8 +8,10 @@ The fractional quantities the statements share (J(f), the weight mass
 W, J(f g), ||g||_inf, the kernel K and sup |f'|) are computed only by
 Cell, once per cell, from integrands read through one Integrand
 each; verifiers given the same memo share both.  g = None stands for the
-unit weight, so the unweighted statements are the weighted ones at
-g = None: the fractional sandwich is fejer_fractional's, identity 1.4 is
+unit weight, a symmetric weight whose g is never read, so W and J(f g)
+come from one rule for every weight that states symmetry (Cell.both),
+and the unweighted statements are the weighted ones at g = None: the
+fractional sandwich is fejer_fractional's, identity 1.4 is
 weighted_trapezoid_identity's, and bound 1.5 and Theorems 2.4-2.7 are one
 function, weighted_bound, over the WEIGHTED_BOUNDS table of closed forms.
 
@@ -183,8 +185,8 @@ class Cell:
     per bound row (the closed forms).
 
     With g = None, g is the unit weight scaled to W = 1: W is exactly 1,
-    J(f g) is Gamma(alpha+1) / (2 (b-a)^alpha) (j_left(f) + j_right(f))
-    and ||g||_inf reads 1; there is no K, since identity 1.4's kernel
+    J(f g) is Gamma(alpha+1) / (2 (b-a)^alpha) j_both(f, None), the
+    scaled j_left(f) + j_right(f), and ||g||_inf reads 1; there is no K, since identity 1.4's kernel
     (t-a)^alpha - (b-t)^alpha is known.  Products by 1.0 and sums with 0.0
     are exact.
     """
@@ -231,24 +233,26 @@ class Cell:
     def both(self, of: str) -> QuadResult:
         """j_left(h) + j_right(h) for h = f, g or f g; W = both("g").
 
-        For a weight stating symmetry, W and J(f g) are one j_both each,
-        kept under a key of their own: for 1/4 <= alpha <= 1/2 one
-        integral in u reads f at b - d and a + d, d = u^(1/alpha), and g
-        at b - d only (W, with f = 1, is 2 j_left(g)); at other orders it
-        is j_left + j_right.  "f", a forced asymmetric weight and the unit
-        weight sum the one-sided integrals of j, which lemma-2-1 reads."""
+        A weight stating symmetry and the unit weight, whose g is never
+        read, take each h as one j_both, kept under a key of its own: for
+        1/4 <= alpha <= 1/2 one integral in u reads f at b - d and a + d,
+        d = u^(1/alpha), and g at b - d only; at other orders it is j_left
+        + j_right.  A forced asymmetric weight sums the one-sided integrals
+        of j, which lemma-2-1 reads.  The unit weight's W is 1 and its
+        J(f g) and J(f) are scaled as the class docstring says."""
         g, s = self.g, self.s
-        if g is not None and g.symmetric and of != "f":
-            f = self.f.fn if of == "fg" else None
-            return self._once(("both", f, g.fn, s, self.tol), lambda: j_both(
-                None if f is None else self.read(f).__call__,
-                self.read(g.fn).__call__, s, self.tol))
-        if g is not None:
+        if g is not None and not g.symmetric:
             return self.j(j_left, of) + self.j(j_right, of)
-        if of == "g":
+        if g is None and of == "g":
             return QuadResult(1.0, 0.0, 0)
-        return (self.j(j_left, of) + self.j(j_right, of)).scaled(
-            gamma(s.alpha + 1.0) / (2.0 * s.width ** s.alpha))
+        f = None if of == "g" else self.f.fn
+        gfn = None if g is None or of == "f" else g.fn
+        both = self._once(("both", f, gfn, s, self.tol), lambda: j_both(
+            None if f is None else self.read(f).__call__,
+            None if gfn is None else self.read(gfn).__call__, s, self.tol))
+        if g is not None:
+            return both
+        return both.scaled(gamma(s.alpha + 1.0) / (2.0 * s.width ** s.alpha))
 
     @property
     def gsup(self) -> float:

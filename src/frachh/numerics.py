@@ -5,16 +5,15 @@ verifiers) is built on five primitives:
 
 * ``gamma``, the Euler Gamma function restricted to the positive axis,
 * ``integrate_smooth``, globally adaptive Gauss-Kronrod quadrature,
-* ``integrate_singular``, the same engine for a power-law kernel: after
-  a change of variable that removes the singularity for orders in
-  [1/4, 1/2], on the product at integer orders, and otherwise on
-  25-point Chebyshev panels, the one at the singular end by a modified
-  Clenshaw-Curtis rule exact for the kernel (the end rule), every other
-  by Clenshaw-Curtis on the product, the kernel read at each node's
-  distance from that end,
+* ``integrate_singular``, the same engine for a power-law kernel: on
+  the product at integer orders, and otherwise on 25-point Chebyshev
+  panels, the one at the singular end by a modified Clenshaw-Curtis rule
+  exact for the kernel (the end rule), every other by Clenshaw-Curtis on
+  the product, the kernel read at each node's distance from that end,
 * ``integrate_symmetric``, both power-law kernels against f g for a g
-  symmetric about the midpoint: one substituted integral for orders in
-  [1/4, 1/2], reading g on one side only, else integrate_singular twice,
+  symmetric about the midpoint, or the unit weight: one substituted
+  integral for orders in [1/4, 1/2], reading g on one side only, else
+  integrate_singular twice,
 * ``integrate_odd``, int_a^b k f' for a kernel k odd about the midpoint
   m and given on [a, m] as (t-a)^alpha S + R, folded onto [a, m] and
   integrated on 25-point Chebyshev panels, the one at a by the end rule,
@@ -332,27 +331,13 @@ def _clip(x: float, lo: float, hi: float) -> float:
     return lo if x < lo else hi if x > hi else x
 
 
-# integrate_singular substitutes, and integrate_symmetric pairs the sides,
-# from this order to 1/2: bench's reference holds the substitution's kinked
-# means of abs and plin at 1/4 and 1/2; the band goes, the pairing with it,
-# when ROADMAP item 1's bench half stores exact references
-_SUBSTITUTED_FROM = 0.25
-
-
 def integrate_singular(h: Callable[[float], float], a: float, b: float,
                        alpha: float, side: KernelSide,
                        tol: float = DEFAULT_TOL) -> QuadResult:
     """Integral of kernel(t) * h(t) over [a, b] with a power-law kernel.
 
     The kernel is (b-t)^(alpha-1) for KernelSide.UPPER_SINGULAR and
-    (t-a)^(alpha-1) for KernelSide.LOWER_SINGULAR.  For 1/4 <= alpha <=
-    1/2 (_SUBSTITUTED_FROM) the substitution u = (b-t)^alpha (resp.
-    (t-a)^alpha) turns the integral into
-
-        (1/alpha) * int_0^{(b-a)^alpha} h(b - u^(1/alpha)) du
-
-    whose integrand is C^1 for a smooth h (smooth when 1/alpha is an
-    integer), and the adaptive engine runs on that.  At an integer alpha
+    (t-a)^(alpha-1) for KernelSide.LOWER_SINGULAR.  At an integer alpha
     the kernel is a polynomial (exactly 1.0 at alpha = 1) and the
     product is integrated directly.  At any other alpha the product or
     its derivative is singular at the end, and every panel is on
@@ -370,12 +355,6 @@ def integrate_singular(h: Callable[[float], float], a: float, b: float,
         raise DomainError(f"side must be a KernelSide, got {side!r}")
     check_interval(a, b)
     upper = side is KernelSide.UPPER_SINGULAR
-    if _SUBSTITUTED_FROM <= alpha <= 0.5:
-        inv = 1.0 / alpha
-        phi = ((lambda u: h(_clip(b - u ** inv, a, b))) if upper
-               else (lambda u: h(_clip(a + u ** inv, a, b))))
-        return integrate_smooth(phi, 0.0, (b - a) ** alpha,
-                                tol * alpha).scaled(inv)
     am1 = alpha - 1.0
     if float(alpha).is_integer():
         phi = ((lambda t: (b - t) ** am1 * h(t)) if upper
@@ -397,21 +376,29 @@ def integrate_singular(h: Callable[[float], float], a: float, b: float,
     return _adaptive(panel, (a, b), tol)[0]
 
 
+# integrate_symmetric pairs the sides by a substitution from this order to
+# 1/2: bench's reference holds its kinked W and J(f g) of symmetric weights
+# and the unit weight's J(f), e.g. the means of abs and plin at 1/4 and 1/2;
+# the band goes when ROADMAP item 1's bench half stores exact references
+_SUBSTITUTED_FROM = 0.25
+
+
 def integrate_symmetric(f: Callable[[float], float] | None,
-                        g: Callable[[float], float], a: float, b: float,
-                        alpha: float, tol: float = DEFAULT_TOL,
+                        g: Callable[[float], float] | None, a: float,
+                        b: float, alpha: float, tol: float = DEFAULT_TOL,
                         scale: float = 1.0) -> QuadResult:
     """scale times int_a^b ((b-t)^(alpha-1) + (t-a)^(alpha-1)) f g dt for
-    a g symmetric about the midpoint, each side to tol; f = None reads 1.
+    a g symmetric about the midpoint, each side to tol; f = None reads 1,
+    and so does g = None, the unit weight, whose g is never read.
 
-    Where integrate_singular substitutes, u = (b-t)^alpha and (t-a)^alpha
-    meet at one u, and g(a+d) = g(b-d) for d = u^(1/alpha), so both sides
-    are (2/alpha) int_0^{(b-a)^alpha} (f(b-d) g(b-d) + f(a+d) g(b-d))/2 du
-    to one side's tolerance: g is read at b - d only, f at both ends,
-    clipped as integrate_singular clips them, and each product is halved
-    before the sum, which two terms near the float max would overflow.
-    At other orders it is integrate_singular on each side, each scaled
-    before the sum.
+    For 1/4 <= alpha <= 1/2 (_SUBSTITUTED_FROM), u = (b-t)^alpha and
+    (t-a)^alpha meet at one u, and g(a+d) = g(b-d) for d = u^(1/alpha), so
+    both sides are (2/alpha) int_0^{(b-a)^alpha} (f(b-d) g(b-d) + f(a+d)
+    g(b-d))/2 du to one side's tolerance: g is read at b - d only, f at
+    both ends, each clipped into [a, b], and each product is halved before
+    the sum, which two terms near the float max would overflow.  At other
+    orders it is integrate_singular on each side, each scaled before the
+    sum.
     """
     check_interval(a, b)  # integrate_singular checks alpha
     if _SUBSTITUTED_FROM <= alpha <= 0.5:
@@ -420,14 +407,14 @@ def integrate_symmetric(f: Callable[[float], float] | None,
         def phi(u: float) -> float:
             d = u ** inv
             x = _clip(b - d, a, b)
-            y = g(x)
+            y = 1.0 if g is None else g(x)
             if f is None:
                 return y
             return 0.5 * f(x) * y + 0.5 * f(_clip(a + d, a, b)) * y
 
         return integrate_smooth(phi, 0.0, (b - a) ** alpha,
                                 tol * alpha).scaled(2.0 * scale * inv)
-    h = g if f is None else lambda t: f(t) * g(t)
+    h = g if f is None else f if g is None else lambda t: f(t) * g(t)
     upper, lower = (integrate_singular(h, a, b, alpha, side, tol).scaled(scale)
                     for side in KernelSide)
     return upper + lower
