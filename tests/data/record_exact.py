@@ -39,10 +39,11 @@ from frachh.functions import builtin_function_corpus
 EXACT = Path(__file__).resolve().with_name("exact.json")
 ALPHAS = (0.25, 0.5, 1.0, 1.5, 2.5)
 DEGREES = range(7)
-# no integer order, and none in [1/4, 1/2], where integrate_singular
-# substitutes instead of taking the end rule
-END_RULE_ORDERS = (1e-8, 1e-4, 0.1, 0.2, 0.6, 0.75, 0.9, 1.25, 2.5, 5.5,
-                   11.3)
+# no integer order, where integrate_singular takes the product instead of
+# the end rule; tests/test_numerics.py reads the orders and intervals from
+# the keys of exact.json
+END_RULE_ORDERS = (1e-8, 1e-4, 0.1, 0.2, 0.25, 0.3, 0.5, 0.6, 0.75, 0.9,
+                   1.25, 2.5, 5.5, 11.3)
 END_RULE_INTERVALS = ((0.0, 1.0), (1.0, 3.0), (0.0, 1e-6), (10.0, 10.5),
                       (0.0, 10.0))
 DPS = 40

@@ -127,6 +127,19 @@ class TestSymmetryLemma:
         assert report.status is Status.HOLDS
         assert report.lhs == pytest.approx(0.25, rel=1e-10)
 
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("alpha", [0.25, 0.5])
+    def test_vee_weight_meets_its_closed_form(self, alpha, tol):
+        # (1/Gamma(alpha)) int_0^1 (1-t)^(alpha-1) |t - 1/2| dt =
+        # ((alpha-1)/2 + 2^-alpha) / Gamma(alpha+2); each side is on the
+        # end rule, whose first bisection puts a panel end at the kink
+        w = builtin_weight_corpus(0.0, 1.0)[2]
+        report = check_symmetry_lemma(w, FracSetting(0.0, 1.0, alpha), tol)
+        exact = (0.5 * (alpha - 1.0) + 2.0 ** -alpha) / gamma(alpha + 2.0)
+        assert report.status is Status.HOLDS
+        for side in (report.lhs, report.rhs):
+            assert abs(side - exact) <= 1e-15 * exact
+
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5, 2.5])
     @pytest.mark.parametrize("interval", [(0.0, 1.0), (1.0, 3.0), (-1.0, 2.0)])
     def test_full_weight_corpus(self, alpha, interval):
