@@ -185,8 +185,8 @@ class Cell:
     per bound row (the closed forms).
 
     With g = None, g is the unit weight scaled to W = 1: W is exactly 1,
-    J(f g) is Gamma(alpha+1) / (2 (b-a)^alpha) j_both(f, None), the
-    scaled j_left(f) + j_right(f), and ||g||_inf reads 1; there is no K, since identity 1.4's kernel
+    J(f g) is Gamma(alpha+1) / (2 (b-a)^alpha) j_both(f, None) and
+    ||g||_inf reads 1; there is no K, since identity 1.4's kernel
     (t-a)^alpha - (b-t)^alpha is known.  Products by 1.0 and sums with 0.0
     are exact.
     """
@@ -233,13 +233,12 @@ class Cell:
     def both(self, of: str) -> QuadResult:
         """j_left(h) + j_right(h) for h = f, g or f g; W = both("g").
 
-        A weight stating symmetry and the unit weight, whose g is never
-        read, take each h as one j_both, kept under a key of its own: for
-        1/4 <= alpha <= 1/2 one integral in u reads f at b - d and a + d,
-        d = u^(1/alpha), and g at b - d only; at other orders it is j_left
-        + j_right.  A forced asymmetric weight sums the one-sided integrals
-        of j, which lemma-2-1 reads.  The unit weight's W is 1 and its
-        J(f g) and J(f) are scaled as the class docstring says."""
+        A weight stating symmetry and the unit weight (W = 1, the rest
+        scaled as the class says) take each h as one j_both, kept under a
+        key of its own: for 1/4 <= alpha <= 1/2 one integral in u reads f
+        at b - d and a + d, d = u^(1/alpha), and g at b - d only; at other
+        orders it is j_left + j_right.  A forced asymmetric weight sums
+        the one-sided integrals of j, which lemma-2-1 reads."""
         g, s = self.g, self.s
         if g is not None and not g.symmetric:
             return self.j(j_left, of) + self.j(j_right, of)
@@ -250,9 +249,8 @@ class Cell:
         both = self._once(("both", f, gfn, s, self.tol), lambda: j_both(
             None if f is None else self.read(f).__call__,
             None if gfn is None else self.read(gfn).__call__, s, self.tol))
-        if g is not None:
-            return both
-        return both.scaled(gamma(s.alpha + 1.0) / (2.0 * s.width ** s.alpha))
+        return both if g is not None else both.scaled(
+            gamma(s.alpha + 1.0) / (2.0 * s.width ** s.alpha))
 
     @property
     def gsup(self) -> float:
@@ -294,8 +292,15 @@ class Cell:
 
     @property
     def weighted_defect(self) -> QuadResult:
-        """avg W - J(f g), the left side of 2.3, or of 1.4 with no weight."""
-        return self.both("g").scaled(self.avg) + self.both("fg").scaled(-1.0)
+        """avg W - J(f g), the left side of 2.3, or of 1.4 with no weight.
+
+        Its estimate adds 2 eps (|avg W| + |J(f g)|), eps = ulp(1), for
+        its rounding: the sum in avg and avg W round once each (the halving
+        is exact), by eps/2 of |avg W|, and the difference once, by eps/2
+        of |avg W| + |J(f g)|; 1.5 eps to first order, 2 past that."""
+        mean, j = self.both("g").scaled(self.avg), self.both("fg")
+        rounding = 2.0 * math.ulp(1.0) * (abs(mean.value) + abs(j.value))
+        return mean + j.scaled(-1.0) + QuadResult(0.0, rounding, 0)
 
 
 def _with_retry(build: Callable[[Cell], object], cell: Cell):

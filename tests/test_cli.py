@@ -548,6 +548,23 @@ class TestTolerance:
         assert row["status"] == "Holds" and row["notes"] == []
         assert row["evaluations"] <= most
 
+    @pytest.mark.parametrize("argv", [
+        ["identity-1-4", "--f", "sq", "--alpha", "0.25"],
+        ["identity-1-4", "--f", "sq", "--alpha", "0.5"],
+        ["identity-2-3", "--f", "sq", "--g", "one", "--alpha", "0.25"],
+        ["identity-2-3", "--f", "xlogx", "--g", "one", "--alpha", "0.25"],
+    ], ids=["1-4-sq-0.25", "1-4-sq-0.5", "2-3-sq-0.25", "2-3-xlogx-0.25"])
+    def test_shifted_defect_budget_covers_its_rounding(self, argv, capsys):
+        # on [1000, 1001] the defect avg W - J(f g) cancels operands up to
+        # ~2.2e6, one ulp of which is 4.7e-10: the lhs of identity-2-3
+        # sq/one sits 4.1e-10 off the rhs, past the quadrature estimates
+        # alone (7.7e-11 after the retry), and within 2 eps of its operands
+        assert main(["verify", "--thm", *argv, "--a", "1000",
+                     "--b", "1001"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["status"] == "Holds" and row["notes"] == []
+        assert row["error_budget"] <= 1e-8
+
     @pytest.mark.parametrize("tol", ["1e-3", "1e-6", "1e-12"])
     def test_default_grid_has_no_violated_row(self, tol, capsys):
         # at 1e-6 the first pass of identity-2-3 of cosh and vee at alpha
