@@ -231,7 +231,7 @@ class Cell:
         return self._once((side, f, g, self.s, self.tol), integral)
 
     def both(self, of: str) -> QuadResult:
-        """j_left(h) + j_right(h) for h = f, g or f g; W = both("g").
+        """j_left(h) + j_right(h) for h = g or f g (`of`); W = both("g").
 
         A weight stating symmetry and the unit weight (W = 1, the rest
         scaled as the class says) take each h as one j_both, kept under a
@@ -245,7 +245,7 @@ class Cell:
         if g is None and of == "g":
             return QuadResult(1.0, 0.0, 0)
         f = None if of == "g" else self.f.fn
-        gfn = None if g is None or of == "f" else g.fn
+        gfn = None if g is None else g.fn
         both = self._once(("both", f, gfn, s, self.tol), lambda: j_both(
             None if f is None else self.read(f).__call__,
             None if gfn is None else self.read(gfn).__call__, s, self.tol))

@@ -408,7 +408,8 @@ class TestValueTables:
         for alpha in (0.5, 1.0, 1.25):
             for tol in (1e-9, 1e-11):
                 cell = Cell(f, g, FracSetting(0.0, 1.0, alpha), tol, memo)
-                for of in ("f", "g", "fg"):
+                cell.j(j_left, "f")
+                for of in ("g", "fg"):
                     cell.both(of)
                 cell.kernel  # its build reads the table of g too
                 charged += cell.evaluations
@@ -467,8 +468,8 @@ class TestValueTables:
         memo = {}
         cell = Cell(dataclasses.replace(UNIT_FUNCS["exp"], fn=exp), None,
                     HALF_UNIT, 1e-9, memo)
-        assert cell.both("f") == Cell(UNIT_FUNCS["exp"], None, HALF_UNIT,
-                                      1e-9).both("f")
+        assert cell.both("fg") == Cell(UNIT_FUNCS["exp"], None, HALF_UNIT,
+                                       1e-9).both("fg")
         assert cell.evaluations == len(calls) > 10
         assert [len(read.table)
                 for read in memo["integrands"].values()] == [10]
