@@ -26,12 +26,13 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import inspect
 import io
 import json
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import inequalities as ineq
@@ -59,46 +60,50 @@ LEMMA_SCALAR_PAIRS = ((0.0, 1.0), (0.25, 1.25), (0.5, 2.0), (1.0, 3.0),
                       (2.0, 2.5))
 
 
+# the keyword arguments run_rows supplies a verifier
+_SUPPLIED = frozenset(("ident", "f", "g", "s", "a", "b", "alpha", "pair",
+                       "tol", "force", "memo"))
+
+
 @dataclass(frozen=True)
 class TheoremInfo:
     ident: str
     kind: str  # sandwich | identity | bound | aux | lemma
     verify: Callable[..., object]
-    # the keyword arguments verify takes, of ident, f, g, s, a, b,
-    # alpha, pair, tol, force and memo
-    args: tuple[str, ...]
     # the inputs it reads, of f, g, alpha and q; "p" marks the rows that
     # report p, the conjugate of q, as well
     reads: tuple[str, ...]
     max_alpha: float = math.inf  # larger orders are skipped in grids
     intervals: tuple = ()  # corpus intervals in place of [a, b]
+    # the parameters of verify that run_rows supplies, in signature order
+    args: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "args", tuple(
+            name for name in inspect.signature(self.verify).parameters
+            if name in _SUPPLIED))
 
 
-_RUN_ARGS = ("tol", "force", "memo")  # the run settings a verifier takes
 THEOREMS: dict[str, TheoremInfo] = {t.ident: t for t in (
-    TheoremInfo("hh-classical", "sandwich", ineq.hh_classical,
-                ("f", "a", "b", *_RUN_ARGS), ("f",)),
+    TheoremInfo("hh-classical", "sandwich", ineq.hh_classical, ("f",)),
     TheoremInfo("fejer-classical", "sandwich", ineq.fejer_classical,
-                ("f", "g", *_RUN_ARGS), ("f", "g")),
+                ("f", "g")),
     TheoremInfo("hh-fractional", "sandwich", ineq.fejer_fractional,
-                ("f", "g", "s", *_RUN_ARGS), ("f", "alpha")),
+                ("f", "alpha")),
     TheoremInfo("fejer-fractional", "sandwich", ineq.fejer_fractional,
-                ("f", "g", "s", *_RUN_ARGS), ("f", "g", "alpha")),
+                ("f", "g", "alpha")),
     TheoremInfo("identity-1-4", "identity", ineq.weighted_trapezoid_identity,
-                ("f", "g", "s", "tol", "memo"), ("f", "alpha")),
+                ("f", "alpha")),
     TheoremInfo("identity-2-3", "identity", ineq.weighted_trapezoid_identity,
-                ("f", "g", "s", "tol", "memo"), ("f", "g", "alpha")),
+                ("f", "g", "alpha")),
     *(TheoremInfo(ident, "bound", ineq.weighted_bound,
-                  ("ident", "f", "g", "s", "pair", *_RUN_ARGS),
                   ("f", "alpha", *form.reads), form.max_alpha)
       for ident, form in ineq.WEIGHTED_BOUNDS.items()),
-    TheoremInfo("aux-integrals", "aux", ineq.aux_integrals, ("s", "tol"),
-                ("alpha",)),
-    TheoremInfo("lemma-1-6", "lemma", ineq.scalar_power_lemma,
-                ("a", "b", "alpha"), ("alpha",), max_alpha=1.0,
-                intervals=LEMMA_SCALAR_PAIRS),
+    TheoremInfo("aux-integrals", "aux", ineq.aux_integrals, ("alpha",)),
+    TheoremInfo("lemma-1-6", "lemma", ineq.scalar_power_lemma, ("alpha",),
+                max_alpha=1.0, intervals=LEMMA_SCALAR_PAIRS),
     TheoremInfo("lemma-2-1", "lemma", ineq.check_symmetry_lemma,
-                ("g", "s", "tol", "memo"), ("g", "alpha")),
+                ("g", "alpha")),
 )}
 
 

@@ -8,9 +8,8 @@ integral evaluated at the left endpoint,
     j_right(h) = (1/Gamma(alpha)) int_a^b (t-a)^(alpha-1) h(t) dt.
 
 At alpha = 1 both reduce to the plain integral of h over [a, b], so
-the classical statements are their alpha = 1 case.  j_both is their
-sum at h = f g for a g symmetric about the midpoint, or for the unit
-weight g = None, at h = f.
+the classical statements are their alpha = 1 case.  Their sum is
+taken by inequalities.Cell.both.
 alpha = 0 is rejected outright rather than special-cased to the
 identity operator; the scaling 1/Gamma(alpha) is continuous there but
 nothing downstream needs it.
@@ -22,10 +21,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .numerics import (DEFAULT_TOL, KernelSide, QuadResult, check_interval,
-                       check_order, gamma, integrate_singular,
-                       integrate_symmetric)
+                       check_order, gamma, integrate_singular)
 
-__all__ = ["FracSetting", "j_left", "j_right", "j_both"]
+__all__ = ["FracSetting", "j_left", "j_right"]
 
 
 @dataclass(frozen=True)
@@ -73,13 +71,3 @@ def j_right(h: Callable[[float], float], s: FracSetting,
     """Right fractional integral of order alpha, evaluated at a."""
     return _fractional(h, s, tol, KernelSide.LOWER_SINGULAR)
 
-
-def j_both(f: Callable[[float], float] | None,
-           g: Callable[[float], float] | None, s: FracSetting,
-           tol: float = DEFAULT_TOL) -> QuadResult:
-    """j_left(f g) + j_right(f g) for g symmetric about the midpoint, each
-    side to tol; f = None reads f = 1, and g = None, the unit weight,
-    reads g = 1 and never calls g (integrate_symmetric)."""
-    g_alpha = gamma(s.alpha)
-    return integrate_symmetric(f, g, s.a, s.b, s.alpha, tol * g_alpha,
-                               1.0 / g_alpha)

@@ -55,11 +55,11 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
 
-from .fracops import FracSetting, j_both, j_left, j_right
+from .fracops import FracSetting, j_left, j_right
 from .functions import ConvexityKind, FunctionSpec, HolderPair, WeightSpec
 from .numerics import (DEFAULT_TOL, CumulativeKernel, DomainError,
                        Integrand, QuadResult, gamma, integrate_odd,
-                       integrate_smooth)
+                       integrate_smooth, integrate_symmetric)
 
 __all__ = [
     "Status",
@@ -169,6 +169,13 @@ def _identity(lhs: QuadResult, rhs: QuadResult, evaluations: int,
                   lhs=lhs.value, rhs=rhs.value)
 
 
+# Cell.both pairs the sides by a substitution from this order to 1/2:
+# bench's reference holds its kinked W and J(f g) of symmetric weights and
+# the unit weight's J(f), e.g. the means of abs and plin at 1/4 and 1/2; the
+# band goes when ROADMAP item 1's bench half stores exact references
+_SUBSTITUTED_FROM = 0.25
+
+
 class Cell:
     """The derived quantities of one (f, g, alpha) cell at one tolerance.
 
@@ -185,8 +192,8 @@ class Cell:
     per bound row (the closed forms).
 
     With g = None, g is the unit weight scaled to W = 1: W is exactly 1,
-    J(f g) is Gamma(alpha+1) / (2 (b-a)^alpha) j_both(f, None) and
-    ||g||_inf reads 1; there is no K, since identity 1.4's kernel
+    J(f g) is Gamma(alpha+1) / (2 (b-a)^alpha) (j_left(f) + j_right(f))
+    and ||g||_inf reads 1; there is no K, since identity 1.4's kernel
     (t-a)^alpha - (b-t)^alpha is known.  Products by 1.0 and sums with 0.0
     are exact.
     """
@@ -233,22 +240,27 @@ class Cell:
     def both(self, of: str) -> QuadResult:
         """j_left(h) + j_right(h) for h = g or f g (`of`); W = both("g").
 
-        A weight stating symmetry and the unit weight (W = 1, the rest
-        scaled as the class says) take each h as one j_both, kept under a
-        key of its own: for 1/4 <= alpha <= 1/2 one integral in u reads f
-        at b - d and a + d, d = u^(1/alpha), and g at b - d only; at other
-        orders it is j_left + j_right.  A forced asymmetric weight sums
-        the one-sided integrals of j, which lemma-2-1 reads."""
+        The unit weight's W is exactly 1.  For 1/4 <= alpha <= 1/2
+        (_SUBSTITUTED_FROM) a weight stating symmetry and the unit weight
+        take each h as one integrate_symmetric, kept under a key of its
+        own, which reads f at b - d and a + d, d = u^(1/alpha), and g at
+        b - d only.  Every other case sums the one-sided integrals of j,
+        which lemma-2-1 reads too."""
         g, s = self.g, self.s
-        if g is not None and not g.symmetric:
-            return self.j(j_left, of) + self.j(j_right, of)
         if g is None and of == "g":
             return QuadResult(1.0, 0.0, 0)
-        f = None if of == "g" else self.f.fn
-        gfn = None if g is None else g.fn
-        both = self._once(("both", f, gfn, s, self.tol), lambda: j_both(
-            None if f is None else self.read(f).__call__,
-            None if gfn is None else self.read(gfn).__call__, s, self.tol))
+        if (g is None or g.symmetric) and _SUBSTITUTED_FROM <= s.alpha <= 0.5:
+            f = None if of == "g" else self.f.fn
+            gfn = None if g is None else g.fn
+            g_alpha = gamma(s.alpha)
+            both = self._once(("both", f, gfn, s, self.tol), lambda: (
+                integrate_symmetric(
+                    None if f is None else self.read(f).__call__,
+                    None if gfn is None else self.read(gfn).__call__,
+                    s.a, s.b, s.alpha, self.tol * g_alpha * s.alpha
+                ).scaled(2.0 * (1.0 / g_alpha) * (1.0 / s.alpha))))
+        else:
+            both = self.j(j_left, of) + self.j(j_right, of)
         return both if g is not None else both.scaled(
             gamma(s.alpha + 1.0) / (2.0 * s.width ** s.alpha))
 

@@ -10,10 +10,9 @@ verifiers) is built on five primitives:
   panels, the one at the singular end by a modified Clenshaw-Curtis rule
   exact for the kernel (the end rule), every other by Clenshaw-Curtis on
   the product, the kernel read at each node's distance from that end,
-* ``integrate_symmetric``, both power-law kernels against f g for a g
-  symmetric about the midpoint, or the unit weight: one substituted
-  integral for orders in [1/4, 1/2], reading g on one side only, else
-  integrate_singular twice,
+* ``integrate_symmetric``, alpha/2 times both power-law kernels against
+  f g for a g symmetric about the midpoint, or the unit weight, as one
+  integral in u = (b-t)^alpha that reads g on one side only,
 * ``integrate_odd``, int_a^b k f' for a kernel k odd about the midpoint
   m and given on [a, m] as (t-a)^alpha S + R, folded onto [a, m] and
   integrated on 25-point Chebyshev panels, the one at a by the end rule,
@@ -376,48 +375,34 @@ def integrate_singular(h: Callable[[float], float], a: float, b: float,
     return _adaptive(panel, (a, b), tol)[0]
 
 
-# integrate_symmetric pairs the sides by a substitution from this order to
-# 1/2: bench's reference holds its kinked W and J(f g) of symmetric weights
-# and the unit weight's J(f), e.g. the means of abs and plin at 1/4 and 1/2;
-# the band goes when ROADMAP item 1's bench half stores exact references
-_SUBSTITUTED_FROM = 0.25
-
-
 def integrate_symmetric(f: Callable[[float], float] | None,
                         g: Callable[[float], float] | None, a: float,
-                        b: float, alpha: float, tol: float = DEFAULT_TOL,
-                        scale: float = 1.0) -> QuadResult:
-    """scale times int_a^b ((b-t)^(alpha-1) + (t-a)^(alpha-1)) f g dt for
-    a g symmetric about the midpoint, each side to tol; f = None reads 1,
-    and so does g = None, the unit weight, whose g is never read.
+                        b: float, alpha: float,
+                        tol: float = DEFAULT_TOL) -> QuadResult:
+    """int_0^{(b-a)^alpha} (f(b-d) g(b-d) + f(a+d) g(b-d))/2 du to tol, for
+    d = u^(1/alpha); f = None reads 1, and so does g = None, the unit
+    weight, whose g is never read.
 
-    For 1/4 <= alpha <= 1/2 (_SUBSTITUTED_FROM), u = (b-t)^alpha and
-    (t-a)^alpha meet at one u, and g(a+d) = g(b-d) for d = u^(1/alpha), so
-    both sides are (2/alpha) int_0^{(b-a)^alpha} (f(b-d) g(b-d) + f(a+d)
-    g(b-d))/2 du to one side's tolerance: g is read at b - d only, f at
-    both ends, each clipped into [a, b], and each product is halved before
-    the sum, which two terms near the float max would overflow.  At other
-    orders it is integrate_singular on each side, each scaled before the
-    sum.
+    For a g symmetric about the midpoint, g(a+d) = g(b-d), so
+    u = (b-t)^alpha and (t-a)^alpha meet at one u and this is alpha/2
+    int_a^b ((b-t)^(alpha-1) + (t-a)^(alpha-1)) f g dt.  g is read at
+    b - d only, f at both ends, each clipped into [a, b], and each product
+    is halved before the sum, which two terms near the float max would
+    overflow.
     """
-    check_interval(a, b)  # integrate_singular checks alpha
-    if _SUBSTITUTED_FROM <= alpha <= 0.5:
-        inv = 1.0 / alpha
+    check_interval(a, b)
+    check_order(alpha)
+    inv = 1.0 / alpha
 
-        def phi(u: float) -> float:
-            d = u ** inv
-            x = _clip(b - d, a, b)
-            y = 1.0 if g is None else g(x)
-            if f is None:
-                return y
-            return 0.5 * f(x) * y + 0.5 * f(_clip(a + d, a, b)) * y
+    def phi(u: float) -> float:
+        d = u ** inv
+        x = _clip(b - d, a, b)
+        y = 1.0 if g is None else g(x)
+        if f is None:
+            return y
+        return 0.5 * f(x) * y + 0.5 * f(_clip(a + d, a, b)) * y
 
-        return integrate_smooth(phi, 0.0, (b - a) ** alpha,
-                                tol * alpha).scaled(2.0 * scale * inv)
-    h = g if f is None else f if g is None else lambda t: f(t) * g(t)
-    upper, lower = (integrate_singular(h, a, b, alpha, side, tol).scaled(scale)
-                    for side in KernelSide)
-    return upper + lower
+    return integrate_smooth(phi, 0.0, (b - a) ** alpha, tol)
 
 
 # Chebyshev-Lobatto points cos(j pi / 24), j = 0..24, of _end_nodes, the even

@@ -192,6 +192,9 @@ def test_traced_run_is_the_untraced_run(argv, capsys):
     # at alpha 0.5 a symmetric weight's two sides are one integrate_smooth
     # (numerics.integrate_symmetric); the corpus calls every name (below)
     assert tracer.calls["numerics.integrate_smooth"] > 0
+    # every one-sided integral runs through the wrapped j_left and j_right
+    assert tracer.calls["fracops.j"] == tracer.calls[
+        "numerics.integrate_singular"]
     assert tracer.counts["numerics.CumulativeKernel.build.evals"] > 0
     if argv[0] == "corpus":
         # a corpus calls every traced name, but no CLI path calls sup_norm,

@@ -897,12 +897,16 @@ class TestSharing:
 
 class TestRowAssembly:
     def test_theorem_args_are_what_the_verifier_takes(self):
-        # run_rows passes exactly the arguments each entry names
+        # run_rows supplies every parameter a verifier needs, and passes
+        # each entry's args, its verifier's parameters it supplies
         supplied = {"ident", "f", "g", "s", "a", "b", "alpha", "pair", "tol",
                     "force", "memo"}
         for ident, info in frachh.cli.THEOREMS.items():
             params = inspect.signature(info.verify).parameters
-            assert set(info.args) == supplied & set(params), ident
+            assert {name for name, p in params.items()
+                    if p.default is p.empty} <= supplied, ident
+            assert info.args == tuple(name for name in params
+                                      if name in supplied), ident
 
     def test_worst_status_precedence(self):
         holds = {"status": "Holds"}

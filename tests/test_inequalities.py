@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import frachh.fracops
 import frachh.functions
 import frachh.inequalities
 import frachh.numerics
@@ -24,7 +25,7 @@ from frachh.functions import (ConvexityKind, FunctionSpec, HolderPair,
 from frachh.inequalities import (ERROR_FLOOR, GRAY_FACTOR, WEIGHTED_BOUNDS,
                                  Cell, Status, _bound,
                                  _identity, _sandwich, aux_integrals,
-                                 fejer_classical,
+                                 check_symmetry_lemma, fejer_classical,
                                  fejer_fractional, hh_classical,
                                  scalar_power_lemma, weighted_bound,
                                  weighted_trapezoid_identity)
@@ -308,20 +309,23 @@ class TestReductions:
     @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 1.0, 1.5, 3.0])
     def test_no_weight_is_the_unit_weight(self, a, b, alpha):
         # W = 1 exactly, and the defect is the unweighted one of 1.4, its
-        # mean the unit weight's integrate_symmetric: one integral in the
-        # band, j_left + j_right bit for bit elsewhere
+        # mean Gamma(alpha+1) / (2 (b-a)^alpha) (J f + J f): one
+        # integrate_symmetric in the band, j_left + j_right bit for bit
+        # elsewhere
         s = FracSetting(a, b, alpha)
         g_alpha = gamma(alpha)
         scale = gamma(alpha + 1.0) / (2.0 * s.width ** alpha)
         for f in builtin_function_corpus(a, b):
             cell = Cell(f, None, s, DEFAULT_TOL)
             assert cell.both("g") == QuadResult(1.0, 0.0, 0, True)
-            mean = integrate_symmetric(f.fn, None, a, b, alpha,
-                                       DEFAULT_TOL * g_alpha,
-                                       1.0 / g_alpha).scaled(scale)
-            if not 0.25 <= alpha <= 0.5:
-                assert mean == (j_left(f.fn, s) + j_right(f.fn, s)).scaled(
-                    scale), f.label
+            mean = cell.both("fg")
+            if 0.25 <= alpha <= 0.5:
+                sides = integrate_symmetric(
+                    f.fn, None, a, b, alpha, DEFAULT_TOL * g_alpha * alpha
+                ).scaled(2.0 * (1.0 / g_alpha) * (1.0 / alpha))
+            else:
+                sides = j_left(f.fn, s) + j_right(f.fn, s)
+            assert mean == sides.scaled(scale), f.label
             avg = 0.5 * (f(a) + f(b))
             # and the rounding of avg - mean, 2 eps of its operands
             rounding = 2.0 * sys.float_info.epsilon * (abs(avg)
@@ -555,6 +559,47 @@ class TestPairedSides:
         w, _ = self._reads(lambda c: c.both("g"), weight="bump")
         sides, _ = self._reads(self._sides("g"), weight="bump")
         assert abs(w.value - sides.value) <= sides.abs_error_estimate
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.75, 1.0, 2.5])
+    def test_outside_the_band_is_the_two_sides(self, alpha):
+        # W and J(f g) of a symmetric weight, and the unit weight's J(f)
+        # before its scaling, are j_left + j_right bit for bit, from the
+        # memo entries of j that lemma-2-1 reads
+        s = FracSetting(0.0, 1.0, alpha)
+        f, g = UNIT_FUNCS["exp"], UNIT_WEIGHTS["bump"]
+        scale = gamma(alpha + 1.0) / (2.0 * s.width ** alpha)
+        for weight, of, h, k in ((g, "g", g.fn, 1.0),
+                                 (g, "fg", lambda t: f(t) * g(t), 1.0),
+                                 (None, "fg", f.fn, scale)):
+            memo = {}
+            both = Cell(f, weight, s, DEFAULT_TOL, memo).both(of)
+            assert both == (j_left(h, s) + j_right(h, s)).scaled(k), of
+            entries = len(memo)
+            cell = Cell(f, weight, s, DEFAULT_TOL, memo)
+            assert (cell.j(j_left, of) + cell.j(j_right, of)).scaled(k) == both
+            assert len(memo) == entries and cell.evaluations == 0
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0, 2.0])
+    def test_symmetry_lemma_reads_the_sides_of_w(self, alpha, monkeypatch):
+        # outside the band lemma-2-1 compares the two sides that the
+        # sandwich's W summed, integrating nothing; in it, W was one
+        # substituted integral, so the lemma takes its two end-rule sides
+        calls = []
+        singular = frachh.fracops.integrate_singular
+
+        def counted(*args):
+            calls.append(args)
+            return singular(*args)
+
+        monkeypatch.setattr(frachh.fracops, "integrate_singular", counted)
+        memo, g = {}, UNIT_WEIGHTS["bump"]
+        s = FracSetting(0.0, 1.0, alpha)
+        assert fejer_fractional(UNIT_FUNCS["exp"], g, s, memo=memo).status \
+            is Status.HOLDS
+        entries, before = len(memo), len(calls)
+        assert check_symmetry_lemma(g, s, memo=memo).status is Status.HOLDS
+        paired = 0.25 <= alpha <= 0.5
+        assert len(memo) - entries == len(calls) - before == 2 * paired
 
     @pytest.mark.parametrize("alpha", [0.25, 0.75])
     def test_asymmetric_weight_keeps_both_sides(self, alpha):
