@@ -5,15 +5,18 @@ scratch and returns a Report, whose value fields are named after the
 output columns and are None where the statement produces nothing.
 
 The fractional quantities the statements share (J(f), the weight mass
-W, J(f g), ||g||_inf, the kernel K and sup |f'|) are computed only by
-Cell, once per cell, from integrands read through one Integrand
-each; verifiers given the same memo share both.  g = None stands for the
-unit weight, a symmetric weight whose g is never read, so W and J(f g)
-come from one rule for every weight that states symmetry (Cell.both),
-and the unweighted statements are the weighted ones at g = None: the
-fractional sandwich is fejer_fractional's, identity 1.4 is
-weighted_trapezoid_identity's, and bound 1.5 and Theorems 2.4-2.7 are one
-function, weighted_bound, over the WEIGHTED_BOUNDS table of closed forms.
+W, J(f g), the defect avg W - J(f g), ||g||_inf, the kernel K and sup
+|f'|) are computed only by Cell, once per cell, from integrands read
+through one Integrand each; verifiers given the same memo share both.
+g = None stands for the unit weight, a symmetric weight whose g is never
+read, so W and J(f g) come from one rule for every weight that states
+symmetry (Cell.both), and the unweighted statements are the weighted
+ones at g = None: the fractional sandwich is fejer_fractional's,
+identity 1.4 is weighted_trapezoid_identity's, and bound 1.5 and
+Theorems 2.4-2.7 are one function, weighted_bound, over the
+WEIGHTED_BOUNDS table of closed forms.  The defect, the left side of 2.3
+that those bounds read, is one integral, j_left + j_right of (avg - f) g,
+so its rounding scales with the defect and not with |f| W.
 
 Every verdict comes from one rule, _verdict: Violated when the worst
 case is below violated_below, Inconclusive when it is below holds_from,
@@ -36,16 +39,13 @@ max(|lhs|, |rhs|, 1), the others as an absolute value.
 nan and inf fail every comparison, so a report whose value, margin or
 budget is not finite gets no verdict: its builder raises OverflowError.
 
-A first pass that does not Hold retries once with tolerance tightened
-by 100 before the verdict is final, Violated included, since the budget
-is an estimate; not when a quadrature missed its tolerance, since the
-retry would run out at the same panels.  Hypothesis gates read the
-certification the spec states (convexity kind, weight flags) and sample
-nothing, so a raw callable, which states none, is not certified convex.
-A gate raises DomainError unless force=True, which instead records
-"hypotheses unmet" in the report notes and proceeds; that escape hatch
-exists to explore what happens to an inequality when its assumptions
-fail.
+Every report is computed in one pass at the tolerance asked.  The
+hypothesis gates read the certification the spec states (convexity
+kind, weight flags) and sample nothing, so a raw callable, which states
+none, is not certified convex.  A gate raises DomainError unless
+force=True, which instead records "hypotheses unmet" in the report notes
+and proceeds; that escape hatch exists to explore what happens to an
+inequality when its assumptions fail.
 """
 
 from __future__ import annotations
@@ -81,8 +81,6 @@ ERROR_FLOOR = 1e-12
 # identity residuals between 1 and 10 budgets are treated as ambiguous
 # rather than violations, since the budget is an estimate
 GRAY_FACTOR = 10.0
-# the note of an identity row whose quadrature ran out of panels
-_TOL_UNMET = "quadrature tolerance not met"
 
 _FEJER_NOTE = ("weighted mean term carries no 1/(b-a) factor; all three "
                "terms scale with the weight integral, matching the alpha=1 "
@@ -164,7 +162,7 @@ def _identity(lhs: QuadResult, rhs: QuadResult, evaluations: int,
     status = _verdict(-residual, -GRAY_FACTOR * budget, -budget)
     if not diff.tolerance_met:
         status = Status.INCONCLUSIVE
-        notes = notes + (_TOL_UNMET,)
+        notes = notes + ("quadrature tolerance not met",)
     return Report(status, budget / scale, evaluations, notes,
                   lhs=lhs.value, rhs=rhs.value)
 
@@ -181,7 +179,8 @@ class Cell:
 
     The only place they are computed: each on first read, kept in
     `memo` under the inputs it depends on, so cells sharing a memo share
-    it (W, ||g||_inf and K across functions, J(f g) across exponents).
+    it (W, ||g||_inf and K across functions, J(f g) and the defect
+    across exponents).
 
     Every quadrature of a cell, K's build and the identities' f' integrals
     included, reads f, f' and g through the memo's Integrand of each
@@ -192,10 +191,10 @@ class Cell:
     per bound row (the closed forms).
 
     With g = None, g is the unit weight scaled to W = 1: W is exactly 1,
-    J(f g) is Gamma(alpha+1) / (2 (b-a)^alpha) (j_left(f) + j_right(f))
-    and ||g||_inf reads 1; there is no K, since identity 1.4's kernel
-    (t-a)^alpha - (b-t)^alpha is known.  Products by 1.0 and sums with 0.0
-    are exact.
+    J(f g) and the defect are Gamma(alpha+1) / (2 (b-a)^alpha) times
+    j_left + j_right of f and of avg - f, and ||g||_inf reads 1; there is
+    no K, since identity 1.4's kernel (t-a)^alpha - (b-t)^alpha is known.
+    Products by 1.0 and sums with 0.0 are exact.
     """
 
     def __init__(self, f: Optional[FunctionSpec], g: Optional[WeightSpec],
@@ -238,26 +237,36 @@ class Cell:
         return self._once((side, f, g, self.s, self.tol), integral)
 
     def both(self, of: str) -> QuadResult:
-        """j_left(h) + j_right(h) for h = g or f g (`of`); W = both("g").
+        """j_left(h) + j_right(h) for h = g, f g or, for "defect", the
+        defect's integrand (avg - f) g (`of`); W = both("g").
 
-        The unit weight's W is exactly 1.  For 1/4 <= alpha <= 1/2
-        (_SUBSTITUTED_FROM) a weight stating symmetry and the unit weight
-        take each h as one integrate_symmetric, kept under a key of its
-        own, which reads f at b - d and a + d, d = u^(1/alpha), and g at
-        b - d only.  Every other case sums the one-sided integrals of j,
-        which lemma-2-1 reads too."""
-        g, s = self.g, self.s
+        The unit weight's W is exactly 1.  The defect is one sum of the
+        one-sided integrals, kept under a key of its own.  For 1/4 <=
+        alpha <= 1/2 (_SUBSTITUTED_FROM) a weight stating symmetry and the
+        unit weight take g and f g as one integrate_symmetric each, kept
+        under a key of its own, which reads f at b - d and a + d, d =
+        u^(1/alpha), and g at b - d only.  Every other case sums the
+        one-sided integrals of j, which lemma-2-1 reads too."""
+        g, s, tol = self.g, self.s, self.tol
+        f = None if of == "g" else self.f.fn
+        gfn = None if g is None else g.fn
         if g is None and of == "g":
             return QuadResult(1.0, 0.0, 0)
-        if (g is None or g.symmetric) and _SUBSTITUTED_FROM <= s.alpha <= 0.5:
-            f = None if of == "g" else self.f.fn
-            gfn = None if g is None else g.fn
+        if of == "defect":
+            avg, fx = self.avg, self.read(f).__call__
+            gx = None if gfn is None else self.read(gfn).__call__
+            h = ((lambda x: avg - fx(x)) if gx is None
+                 else (lambda x: (avg - fx(x)) * gx(x)))
+            both = self._once(("defect", f, gfn, s, tol), lambda: (
+                j_left(h, s, tol) + j_right(h, s, tol)))
+        elif ((g is None or g.symmetric)
+              and _SUBSTITUTED_FROM <= s.alpha <= 0.5):
             g_alpha = gamma(s.alpha)
-            both = self._once(("both", f, gfn, s, self.tol), lambda: (
+            both = self._once(("both", f, gfn, s, tol), lambda: (
                 integrate_symmetric(
                     None if f is None else self.read(f).__call__,
                     None if gfn is None else self.read(gfn).__call__,
-                    s.a, s.b, s.alpha, self.tol * g_alpha * s.alpha
+                    s.a, s.b, s.alpha, tol * g_alpha * s.alpha
                 ).scaled(2.0 * (1.0 / g_alpha) * (1.0 / s.alpha))))
         else:
             both = self.j(j_left, of) + self.j(j_right, of)
@@ -295,7 +304,8 @@ class Cell:
     @property
     def avg(self) -> float:
         f, a, b = self.f.fn, self.s.a, self.s.b
-        return self._once(("avg", f, a, b), lambda: 0.5 * (f(a) + f(b)))
+        # halved before the sum, which two values near the float max overflow
+        return self._once(("avg", f, a, b), lambda: 0.5 * f(a) + 0.5 * f(b))
 
     @property
     def fm(self) -> float:
@@ -304,28 +314,10 @@ class Cell:
 
     @property
     def weighted_defect(self) -> QuadResult:
-        """avg W - J(f g), the left side of 2.3, or of 1.4 with no weight.
-
-        Its estimate adds 2 eps (|avg W| + |J(f g)|), eps = ulp(1), for
-        its rounding: the sum in avg and avg W round once each (the halving
-        is exact), by eps/2 of |avg W|, and the difference once, by eps/2
-        of |avg W| + |J(f g)|; 1.5 eps to first order, 2 past that."""
-        mean, j = self.both("g").scaled(self.avg), self.both("fg")
-        rounding = 2.0 * math.ulp(1.0) * (abs(mean.value) + abs(j.value))
-        return mean + j.scaled(-1.0) + QuadResult(0.0, rounding, 0)
-
-
-def _with_retry(build: Callable[[Cell], object], cell: Cell):
-    """build(cell), then once more at tol/100 unless that Holds or missed
-    its tolerance: the heap would run out at the same panels again."""
-    report = build(cell)
-    if report.status is not Status.HOLDS and _TOL_UNMET not in report.notes:
-        tighter = build(Cell(cell.f, cell.g, cell.s, cell.tol / 100.0,
-                             cell.memo))
-        return replace(tighter,
-                       evaluations=report.evaluations + tighter.evaluations,
-                       notes=tighter.notes + ("retried at tol/100",))
-    return report
+        """avg W - J(f g), the left side of 2.3, or of 1.4 with no weight:
+        both("defect"), one integral that rounds with the defect, not two
+        of size |f| W."""
+        return self.both("defect")
 
 
 def _as_function(f: FunctionSpec | Callable[[float], float], a: float,
@@ -430,15 +422,12 @@ def _fejer(f, g: Optional[WeightSpec], s: FracSetting, scale: float,
     notes = _gate(f.certified_convex, f"{f.label!r} is not certified convex "
                   f"on [{s.a!r}, {s.b!r}]", force, notes) + extra_notes
 
-    def build(c: Cell) -> Report:
-        w, mid = c.both("g").scaled(scale), c.both("fg").scaled(scale)
-        fm, avg = c.fm, c.avg
-        err = ((abs(fm) + abs(avg)) * w.abs_error_estimate
-               + mid.abs_error_estimate)
-        return _sandwich(fm * w.value, mid.value, avg * w.value, err,
-                         c.evaluations, notes)
-
-    return _with_retry(build, Cell(f, g, s, tol, memo))
+    c = Cell(f, g, s, tol, memo)
+    w, mid = c.both("g").scaled(scale), c.both("fg").scaled(scale)
+    fm, avg = c.fm, c.avg
+    err = (abs(fm) + abs(avg)) * w.abs_error_estimate + mid.abs_error_estimate
+    return _sandwich(fm * w.value, mid.value, avg * w.value, err,
+                     c.evaluations, notes)
 
 
 def weighted_trapezoid_identity(f, g: Optional[WeightSpec], s: FracSetting,
@@ -463,23 +452,21 @@ def weighted_trapezoid_identity(f, g: Optional[WeightSpec], s: FracSetting,
     notes = () if g is None else _weight_gate(g, s.a, s.b, False, False, ())
     a, b, alpha, w = s.a, s.b, s.alpha, s.width
 
-    def build(c: Cell) -> Report:
-        dx = c.read(d, "deriv")
-        if g is None:
-            rhs = integrate_odd(
-                dx, a, b, alpha, lambda x: (1.0, -(w - x) ** alpha),
-                (0.0, 0.5 * w), max(c.tol * w ** alpha, math.ulp(0.0))
-            ).scaled(0.5 / w ** alpha)
-        else:
-            kern = c.kernel
-            rhs = (integrate_odd(dx, a, b, alpha, kern.parts, kern.ends,
-                                 c.tol * gamma(alpha))
-                   + QuadResult(0.0, kern.abs_error_estimate * w * c.dsup,
-                                0, kern.tolerance_met)  # K's error
-                   ).scaled(1.0 / gamma(alpha))
-        return _identity(c.weighted_defect, rhs, c.evaluations, notes)
-
-    return _with_retry(build, Cell(f, g, s, tol, memo))
+    c = Cell(f, g, s, tol, memo)
+    dx = c.read(d, "deriv")
+    if g is None:
+        rhs = integrate_odd(
+            dx, a, b, alpha, lambda x: (1.0, -(w - x) ** alpha),
+            (0.0, 0.5 * w), max(tol * w ** alpha, math.ulp(0.0))
+        ).scaled(0.5 / w ** alpha)
+    else:
+        kern = c.kernel
+        rhs = (integrate_odd(dx, a, b, alpha, kern.parts, kern.ends,
+                             tol * gamma(alpha))
+               + QuadResult(0.0, kern.abs_error_estimate * w * c.dsup,
+                            0, kern.tolerance_met)  # K's error
+               ).scaled(1.0 / gamma(alpha))
+    return _identity(c.weighted_defect, rhs, c.evaluations, notes)
 
 
 def _power_mean(d: Callable[[float], float], a: float, b: float,
@@ -564,18 +551,14 @@ def weighted_bound(ident: str, f, g: Optional[WeightSpec], s: FracSetting,
     q = pair.q if "q" in form.reads else 1.0
     notes = _gate(f.admits_deriv_power(q), f"|{f.label}'|^{q:g} is not "
                   f"certified convex on [{s.a!r}, {s.b!r}]", force, notes)
-    cell = Cell(f, g, s, tol, memo)
-    bound = form.closed_form(s, cell.gsup, f.deriv, pair)
+    c = Cell(f, g, s, tol, memo)
+    bound = form.closed_form(s, c.gsup, f.deriv, pair)
     # each weighted form is linear in ||g||_inf: pad by its error, the
     # ulps a proven sup_at value can sit below the float max of |g|
     pad = 0.0 if g is None else 1e-9 * bound
-
-    def build(c: Cell) -> Report:
-        gap = c.weighted_defect
-        return _bound(abs(gap.value), bound, gap.abs_error_estimate + pad,
-                      c.evaluations, notes)
-
-    return _with_retry(build, cell)
+    gap = c.weighted_defect
+    return _bound(abs(gap.value), bound, gap.abs_error_estimate + pad,
+                  c.evaluations, notes)
 
 
 def aux_integrals(s: FracSetting,
@@ -670,9 +653,5 @@ def check_symmetry_lemma(g, s: FracSetting, tol: float = DEFAULT_TOL,
     computed independently and compared by residual like any identity.
     """
     _weight_gate(g, s.a, s.b, False, False, ())
-
-    def build(c: Cell) -> Report:
-        return _identity(c.j(j_left, "g"), c.j(j_right, "g"),
-                         c.evaluations, ())
-
-    return _with_retry(build, Cell(None, g, s, tol, memo))
+    c = Cell(None, g, s, tol, memo)
+    return _identity(c.j(j_left, "g"), c.j(j_right, "g"), c.evaluations, ())

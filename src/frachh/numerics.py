@@ -246,15 +246,16 @@ class Integrand:
 def _gk15_rule(h: Callable[[float], float]
                ) -> Callable[[float, float], tuple[float, float, float, int]]:
     """The G7/K15 panel rule of _adaptive for h, read at the nodes of a
-    panel in order, with a rounding floor of 0.0.  A non-finite value
-    raises EvaluationError at the first bad abscissa in node order."""
+    panel in order, with QUADPACK's rounding floor 50 eps K15(|h|) (dqk15).
+    A non-finite value raises EvaluationError at the first bad abscissa."""
     def panel(lo: float, hi: float) -> tuple[float, float, float, int]:
         xs = _gk15_nodes(lo, hi)
         ys = list(map(h, xs))
         val, err = _gk15(ys, lo, hi)
         if not math.isfinite(val):  # as is any sum with a non-finite term
             _check_finite(xs, ys)
-        return val, err, 0.0, 15
+        size = _gk15(list(map(abs, ys)), lo, hi)[0]
+        return val, err, 50.0 * _EPS * size, 15
 
     return panel
 

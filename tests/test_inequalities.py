@@ -180,10 +180,11 @@ class TestClassicalSandwiches:
         assert r.rhs == pytest.approx(1.0 / 12.0, rel=1e-10)
         assert any("no 1/(b-a) factor" in n for n in r.notes)
 
-    def test_affine_is_inconclusive_with_retry(self):
+    def test_affine_is_inconclusive(self):
+        # f(m) = mean = avg: both margins are rounding, and one pass says so
         r = hh_classical(AFFINE, 0.0, 1.0)
         assert r.status is Status.INCONCLUSIVE
-        assert "retried at tol/100" in r.notes
+        assert r.notes == ()
         assert abs(r.margin_lower) <= r.error_budget
         assert abs(r.margin_upper) <= r.error_budget
 
@@ -308,10 +309,10 @@ class TestReductions:
     @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 3.0)])
     @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 1.0, 1.5, 3.0])
     def test_no_weight_is_the_unit_weight(self, a, b, alpha):
-        # W = 1 exactly, and the defect is the unweighted one of 1.4, its
-        # mean Gamma(alpha+1) / (2 (b-a)^alpha) (J f + J f): one
-        # integrate_symmetric in the band, j_left + j_right bit for bit
-        # elsewhere
+        # W = 1 exactly; the mean is Gamma(alpha+1) / (2 (b-a)^alpha)
+        # (J f + J f): one integrate_symmetric in the band, j_left + j_right
+        # bit for bit elsewhere; and the defect of 1.4 is the same scaling
+        # of j_left + j_right of avg - f, bit for bit at every order
         s = FracSetting(a, b, alpha)
         g_alpha = gamma(alpha)
         scale = gamma(alpha + 1.0) / (2.0 * s.width ** alpha)
@@ -326,13 +327,10 @@ class TestReductions:
             else:
                 sides = j_left(f.fn, s) + j_right(f.fn, s)
             assert mean == sides.scaled(scale), f.label
-            avg = 0.5 * (f(a) + f(b))
-            # and the rounding of avg - mean, 2 eps of its operands
-            rounding = 2.0 * sys.float_info.epsilon * (abs(avg)
-                                                       + abs(mean.value))
-            assert cell.weighted_defect == QuadResult(
-                avg - mean.value, mean.abs_error_estimate + rounding,
-                mean.evaluations, mean.tolerance_met), f.label
+            avg = 0.5 * f(a) + 0.5 * f(b)
+            defect = lambda x: avg - f(x)
+            assert cell.weighted_defect == (
+                j_left(defect, s) + j_right(defect, s)).scaled(scale), f.label
 
     @pytest.mark.parametrize("of", ["f", "g", "fg"])
     def test_order_one_sides_are_one_integral(self, of):
@@ -480,7 +478,7 @@ class TestValueTables:
 
     def test_point_values_are_read_once_per_memo(self):
         # f(a), f(m) and f(b) are memo entries like ||g||_inf: statements,
-        # orders and the tol/100 retry on [0, 1e-6] all read the first call
+        # orders and tolerances on [0, 1e-6] all read the first call
         a, b = 0.0, 1e-6
         spec = {f.label: f for f in builtin_function_corpus(a, b)}["sq"]
         g = {w.label: w for w in builtin_weight_corpus(a, b)}["bump"]
@@ -492,14 +490,13 @@ class TestValueTables:
                 reads.append(x)
             return spec.fn(x)
 
-        f, memo, retried = dataclasses.replace(spec, fn=sq), {}, 0
+        f, memo = dataclasses.replace(spec, fn=sq), {}
         for alpha in (0.5, 1.0, 1.5):
             s = FracSetting(a, b, alpha)
-            for report in (fejer_fractional(f, g, s, memo=memo),
-                           weighted_bound("bound-2-4", f, g, s, memo=memo),
-                           weighted_trapezoid_identity(f, g, s, memo=memo)):
-                retried += "retried at tol/100" in report.notes
-        assert retried > 0
+            for tol in (1e-9, 1e-11):
+                fejer_fractional(f, g, s, tol, memo=memo)
+                weighted_bound("bound-2-4", f, g, s, tol=tol, memo=memo)
+                weighted_trapezoid_identity(f, g, s, tol, memo=memo)
         assert sorted(reads) == [a, (a + b) / 2, b]
 
     def test_kernel_partial_panels_stay_out_of_the_table(self):
@@ -629,11 +626,10 @@ class TestIdentities:
 
     # identity-2-3 of exp, sq and cosh with vee at alpha 0.25 on [1, 3]:
     # the rhs is within 1.1e-15 of the exact value (mpmath at 60 digits,
-    # split at m), but the lhs is 3.5e-10, 3.1e-11 and 6.4e-11 off after
-    # the retry, because the alpha <= 1/2 substitution straddles the kink
-    # of vee at m (ROADMAP item 2), and all three end Inconclusive.  sq and
-    # cosh Held only while a looser rhs budget covered a first-pass lhs
-    # 5.97e-9 and 6.96e-9 off
+    # split at m).  The lhs was 3.5e-10, 3.1e-11 and 6.4e-11 off while it
+    # was avg W - J(f g) with both integrals read by the alpha <= 1/2
+    # substitution, which straddles the kink of vee at m (ROADMAP item 2);
+    # as one one-sided integral of (avg - f) g it Holds
     KINKED = {("exp", "vee", 0.25): 1.7377503406839325,
               ("sq", "vee", 0.25): 0.418364961633710693,
               ("cosh", "vee", 0.25): 0.884789174201337086}
@@ -649,10 +645,7 @@ class TestIdentities:
             assert r.status is Status.HOLDS, (f.label, alpha)
             for w in ws[:3]:
                 r = weighted_trapezoid_identity(f, w, s)
-                if (f.label, w.label, alpha) in self.KINKED:
-                    assert r.status is not Status.VIOLATED
-                else:
-                    assert r.status is Status.HOLDS, (f.label, w.label, alpha)
+                assert r.status is Status.HOLDS, (f.label, w.label, alpha)
 
     def _kinked(self, cell):
         f, g, alpha = cell
@@ -661,26 +654,14 @@ class TestIdentities:
         return weighted_trapezoid_identity(fs[f], ws[g], FracSetting(1.0, 3.0,
                                                                      alpha))
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the alpha <= 1/2 "
-                       "substitution straddles the kink of vee at m, so the "
-                       "lhs of identity-2-3 of exp and vee at alpha 0.25 on "
-                       "[1, 3] is 3.5e-10 off, past its budget")
-    def test_derivative_corpus_across_a_kink(self):
-        assert self._kinked(("exp", "vee", 0.25)).status is Status.HOLDS
-
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the alpha <= 1/2 "
-                       "substitution straddles the kink of vee at m, so the "
-                       "lhs of identity-2-3 with vee at alpha 0.25 on [1, 3] "
-                       "is 3.1e-11 (sq) and 6.4e-11 (cosh) off after the "
-                       "retry, past its budget of ~2e-11")
-    @pytest.mark.parametrize("f", ["sq", "cosh"])
+    @pytest.mark.parametrize("f", ["exp", "sq", "cosh"])
     def test_derivative_corpus_holds_across_a_kink(self, f):
         assert self._kinked((f, "vee", 0.25)).status is Status.HOLDS
 
     @pytest.mark.parametrize("cell", sorted(KINKED), ids=lambda c: c[0])
     def test_rhs_across_a_kink_is_exact(self, cell):
         # the side that reads f' on K's leaves is within its budget of the
-        # exact value; the lhs is what misses
+        # exact value
         r = self._kinked(cell)
         budget = r.error_budget * max(abs(r.lhs), abs(r.rhs), 1.0)
         assert abs(r.rhs - self.KINKED[cell]) <= budget
@@ -807,8 +788,7 @@ class TestIdentities:
     def test_unreachable_tolerance_is_flagged(self, monkeypatch):
         # f' has a kink, so the K f' quadrature exhausts its panel
         # budget at this tolerance and the verdict must not be Holds;
-        # a small budget runs out as surely as the real one, in less time,
-        # and at tol/100 it would run out at the same panels: no retry
+        # a small budget runs out as surely as the real one, in less time
         monkeypatch.setattr(frachh.numerics, "MAX_PANELS", 2 ** 8)
         f = FunctionSpec(
             "c1-kink",
@@ -819,7 +799,6 @@ class TestIdentities:
                                         tol=1e-30)
         assert r.status is Status.INCONCLUSIVE
         assert "quadrature tolerance not met" in r.notes
-        assert "retried at tol/100" not in r.notes
 
     def test_weighted_identity_needs_a_certified_f(self):
         # K's error is scaled by sup |f'|, read at the ends because f' of
@@ -1046,11 +1025,24 @@ class TestAuxIntegrals:
 
     def test_unreachable_tolerance_is_flagged(self, monkeypatch):
         # each part is an identity row at the tolerance it is given; a
-        # small panel budget runs out as surely as the real one
-        monkeypatch.setattr(frachh.numerics, "MAX_PANELS", 2 ** 8)
+        # panel budget that runs out before the panels next to a's square
+        # root reach their rounding floor leaves the tolerance unmet: 2^5
+        # panels, where the parts need 131 and 69 (below)
+        monkeypatch.setattr(frachh.numerics, "MAX_PANELS", 2 ** 5)
         for r in aux_integrals(HALF_UNIT, tol=1e-30):
             assert r.status is Status.INCONCLUSIVE
             assert "quadrature tolerance not met" in r.notes
+
+    def test_tolerance_below_rounding_is_met_at_the_floor(self):
+        # a G7/K15 panel whose error is within its rounding floor, 50 eps
+        # times K15 of |h| (QUADPACK's dqk15), is final, so tol 1e-30 is
+        # met once every open panel is: on 131 and 69 of the 2^16 panels
+        # allowed, within the parts' budgets of their closed forms
+        e, f = aux_integrals(HALF_UNIT, tol=1e-30)
+        assert (e.evaluations, f.evaluations) == (1_965, 1_035)
+        for r in (e, f):
+            assert r.status is Status.HOLDS and r.notes == ()
+            assert abs(r.lhs - r.rhs) <= r.error_budget
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.7, 3.0])
     @pytest.mark.parametrize("interval", [(0.0, 1.0), (1.0, 3.0), (-2.0, 0.5)])
