@@ -5,11 +5,13 @@ verifiers) is built on five primitives:
 
 * ``gamma``, the Euler Gamma function restricted to the positive axis,
 * ``integrate_smooth``, globally adaptive Gauss-Kronrod quadrature,
-* ``integrate_singular``, the same engine for a power-law kernel: on
-  the product at integer orders, and otherwise on 25-point Chebyshev
-  panels, the one at the singular end by a modified Clenshaw-Curtis rule
-  exact for the kernel (the end rule), every other by Clenshaw-Curtis on
-  the product, the kernel read at each node's distance from that end,
+* ``integrate_singular``, the same engine for a power-law kernel, at
+  every order on Chebyshev panels, the one at the singular end by a
+  modified Clenshaw-Curtis rule exact for the kernel (the end rule), every
+  other by Clenshaw-Curtis on the product, the kernel read at each node's
+  distance from that end; a panel reads its 13 even nodes first and the
+  other 12 only when the degree-12 series is short of its rounding
+  plateau (Oliver, Comput. J. 15, 1972),
 * ``integrate_symmetric``, alpha/2 times both power-law kernels against
   f g for a g symmetric about the midpoint, or the unit weight, as one
   integral in u = (b-t)^alpha that reads g on one side only,
@@ -30,7 +32,8 @@ the panel at a by the end rule's weights.  K integrates the degree-24
 interpolants of the build's final panels ("leaves"), so it reads g only
 where the build did.  The identities take S and R from K's leaves
 (K.parts) and run integrate_odd on K's leaf ends.  One routine,
-_cheb_panel, sums every 25-point panel of the three.
+_cheb_panel, sums every Chebyshev panel of the three, and estimates its
+error from the tail of the interpolant's Chebyshev coefficients (_tail).
 
 Every quadrature result carries an absolute error estimate, the number
 of integrand evaluations spent, and a flag saying whether the requested
@@ -120,11 +123,11 @@ class KernelSide(Enum):
 class QuadResult:
     """Value of a quadrature together with its accounting.
 
-    abs_error_estimate is a sum of per-panel differences from an embedded
-    lower-order rule (|K15 - G7|, or |I25 - I13|) plus the final panels'
-    rounding floors (_adaptive), so it is an estimate, not a rigorous
-    bound.  tolerance_met is False when the panel budget ran out before
-    the differences dropped below the requested tolerance.
+    abs_error_estimate is a sum of per-panel estimates (|K15 - G7|, or a
+    Chebyshev panel's coefficient tail) plus the final panels' rounding
+    floors (_adaptive), so it is an estimate, not a rigorous bound.
+    tolerance_met is False when the panel budget ran out before the
+    estimates dropped below the requested tolerance.
     """
 
     value: float
@@ -267,8 +270,10 @@ def _adaptive(panel: Callable[[float, float], tuple[float, float, float, int]],
     rounding floor and number of nodes read of a panel rule on [lo, hi].
     One heap starts from the panels between consecutive points of the
     ascending mesh and bisects the worst open panel until the open panels'
-    summed error estimate is within tol.  A panel whose error is within
-    its floor is final: bisecting it would chase rounding, so it leaves
+    summed error estimate is within tol: a running sum, which rounds as
+    large estimates leave it, so it is re-summed exactly at every power of
+    two panels and before the loop stops on it.  A panel whose error is
+    within its floor is final: bisecting it would chase rounding, so it leaves
     the heap and the stopping test.  abs_error_estimate adds every
     panel's error and floor.  Returns the result and the panels, which
     tile [mesh[0], mesh[-1]], as heap entries (-error, insertion order,
@@ -293,7 +298,11 @@ def _adaptive(panel: Callable[[float, float], tuple[float, float, float, int]],
     for seq, (lo, hi) in enumerate(zip(mesh, mesh[1:])):
         total_err += add(seq, lo, hi)
     seq = len(mesh) - 1
-    while heap and total_err > tol and len(heap) + len(final) < MAX_PANELS:
+    while heap and len(heap) + len(final) < MAX_PANELS:
+        if total_err <= tol:  # stop on the exact sum, not a drifted one
+            total_err = math.fsum(entry[5] for entry in heap)
+            if total_err <= tol:
+                break
         entry = heapq.heappop(heap)
         lo, hi, e = entry[2], entry[3], entry[5]
         mid = 0.5 * (lo + hi)
@@ -337,18 +346,21 @@ def integrate_singular(h: Callable[[float], float], a: float, b: float,
     """Integral of kernel(t) * h(t) over [a, b] with a power-law kernel.
 
     The kernel is (b-t)^(alpha-1) for KernelSide.UPPER_SINGULAR and
-    (t-a)^(alpha-1) for KernelSide.LOWER_SINGULAR.  At an integer alpha
-    the kernel is a polynomial (exactly 1.0 at alpha = 1) and the
-    product is integrated directly.  At any other alpha the product or
-    its derivative is singular at the end, and every panel is on
-    _end_nodes (_cheb_panel): the one at the singular end takes the rule
-    exact for the kernel, h read at both of its ends, and every other
-    the order-1 rule on the product, the kernel read at the nodes of
-    the panel's distances b - hi to b - lo (resp. lo - a to hi - a):
-    below alpha = 1 it blows up there, and a node's b - t is off by up
-    to ulp(b).  The nodes are exactly odd, so both sides' panels on one
-    mesh read the same abscissae.  A non-finite value summed raises
-    EvaluationError at the first bad abscissa in node order.
+    (t-a)^(alpha-1) for KernelSide.LOWER_SINGULAR.  At every alpha, an
+    integer one included, every panel is on _end_nodes (_cheb_panel): the
+    one at the singular end takes the rule exact for the kernel, h read at
+    both of its ends, and every other the order-1 rule on the product, the
+    kernel read at the nodes of the panel's distances b - hi to b - lo
+    (resp. lo - a to hi - a): below alpha = 1 it blows up there, and a
+    node's b - t is off by up to ulp(b).  A panel reads h at its 13 even
+    nodes first, the Chebyshev points of degree 12, and stops there with
+    the nested rule's value when that series is at its rounding plateau
+    (_tail); otherwise it reads the 12 odd nodes and takes the 25-point
+    rule, its error from the coefficients' tail.  The nodes are exactly
+    odd, so both sides' panels on one mesh read the same abscissae, and
+    the even nodes of one side's panel are those of the other's.  A
+    non-finite value summed raises EvaluationError at the first bad
+    abscissa of the nodes read, in node order.
     """
     check_order(alpha)
     if not isinstance(side, KernelSide):
@@ -356,22 +368,29 @@ def integrate_singular(h: Callable[[float], float], a: float, b: float,
     check_interval(a, b)
     upper = side is KernelSide.UPPER_SINGULAR
     am1 = alpha - 1.0
-    if float(alpha).is_integer():
-        phi = ((lambda t: (b - t) ** am1 * h(t)) if upper
-               else (lambda t: (t - a) ** am1 * h(t)))
-        return integrate_smooth(phi, a, b, tol)
+
+    def parts(ds: list[float] | None, hs: list[float]
+              ) -> tuple[Sequence[float], Sequence[float], float]:
+        # ys, gs and head of _cheb_panel from h at the nodes
+        if ds is None:  # the panel at the singular end
+            return (), hs, hs[-1] / alpha
+        return [d ** am1 * y for d, y in zip(ds, hs)], (), 0.0
 
     def panel(lo: float, hi: float) -> tuple[float, float, float, int]:
         xs = _end_nodes(lo, hi, upper)
-        hs = list(map(h, xs))
-        if (hi == b) if upper else (lo == a):
-            ys, gs, head = (), hs, hs[-1] / alpha
-        else:  # the distances from the singular end, in the order of xs
-            ds = (_end_nodes(b - hi, b - lo, False) if upper
-                  else _end_nodes(lo - a, hi - a, False))
-            ys, gs, head = [d ** am1 * y for d, y in zip(ds, hs)], (), 0.0
+        # the distances from the singular end, in the order of xs
+        ds = (None if ((hi == b) if upper else (lo == a))
+              else _end_nodes(b - hi, b - lo, False) if upper
+              else _end_nodes(lo - a, hi - a, False))
+        even = list(map(h, xs[::2]))
+        ys, gs, head = parts(ds and ds[::2], even)
+        if _tail(gs or ys):  # the degree-12 series is short of its plateau
+            hs = [y for pair in zip(even, map(h, xs[1::2])) for y in pair]
+            ys, gs, head = parts(ds, hs + even[-1:])
+        else:
+            xs = xs[::2]
         _check_finite(xs, gs or ys)  # before fsum, which raises on inf - inf
-        return (*_cheb_panel(lo, hi, ys, gs, alpha, head), _END_N + 1)
+        return (*_cheb_panel(lo, hi, ys, gs, alpha, head), len(xs))
 
     return _adaptive(panel, (a, b), tol)[0]
 
@@ -411,6 +430,13 @@ def integrate_symmetric(f: Callable[[float], float] | None,
 _END_N = 24
 _END_NODES = tuple(math.cos(math.pi * j / _END_N) for j in range(_END_N // 2))
 _END_NODES += (0.0, *(-s for s in reversed(_END_NODES)))
+# _tail's estimate.  The interpolant misses f by at most 2 sum_(k>n) |c_k|
+# (aliasing), for which the last _TAIL_LEN coefficients, both parities,
+# stand in; the factor 3 is that 2 and half again.  Calibrated: at 1 or 2
+# fejer-fractional rows of vee at order 1e-8 end Inconclusive, a kinked
+# panel's estimate stopping just below tol; 3 to 10 pass every calibration
+_TAIL_LEN = 4
+_TAIL_FACTOR = 3.0
 
 
 @functools.cache
@@ -464,39 +490,69 @@ def _end_nodes(lo: float, hi: float, upper: bool) -> list[float]:
     return [far, *(_clip(c + d * s, lo, hi) for s in _END_NODES[1:-1]), end]
 
 
-def _subtracted(rule: tuple[list[float], list[float]], ys: Sequence[float],
+def _tail(ys: Sequence[float]) -> float:
+    """The error of the degree-n interpolant of values ys at cos(j pi / n),
+    j = 0..n, n = 24 or 12, in units of its Chebyshev coefficients c_k:
+    _TAIL_FACTOR times the sum of the last _TAIL_LEN |c_k| (Gonnet, ACM
+    TOMS 37, 2010), or 0.0 at its rounding plateau, Aurentz & Trefethen's
+    test (ACM TOMS 43, 2017) for a fixed n.  With e the largest |c_k| of
+    the tail over max_j |y_j|, and e' the largest of the tail and the block
+    before it, the series is at its plateau when e <= eps, or when e <=
+    eps^(2/3) and e >= 3 (1 - log e / log eps) e': the closer to eps, the
+    less flat it must be.  Rounding, of the values or of the abscissae
+    they were read at, levels off; an unresolved series still decays."""
+    rows = _chebyshev_rows(len(ys) - 1)
+    tail = [abs(sum(map(operator.mul, row, ys))) for row in rows[-_TAIL_LEN:]]
+    top = max(map(abs, ys))
+    e = max(tail) / top if top else 0.0
+    if e <= _EPS:
+        return 0.0
+    if e <= _EPS ** (2 / 3):  # e' from the block before the tail
+        e1 = max(e, *(abs(sum(map(operator.mul, row, ys))) / top
+                      for row in rows[-2 * _TAIL_LEN:-_TAIL_LEN]))
+        if e >= 3.0 * (1.0 - math.log(e) / math.log(_EPS)) * e1:
+            return 0.0
+    return _TAIL_FACTOR * sum(tail)
+
+
+def _subtracted(alpha: float, ys: Sequence[float],
                 head: float) -> tuple[float, float, float]:
-    """For values ys at _end_nodes and the rule (v, nested) of _end_rule:
-    head + sum_j v_j y_j (head = p(0)/alpha, or 0.0 to leave it out), the
-    sum's difference from the nested rule's, and |head| + sum_j |v_j y_j|,
-    the size its rounding scales with (head and the sum can cancel)."""
-    full, nested = rule
-    terms = list(map(operator.mul, full, ys))
-    value = math.fsum(terms)
-    gap = abs(value - sum(map(operator.mul, nested, ys[::2])))
-    return head + value, gap, abs(head) + math.fsum(map(abs, terms))
+    """For values ys at _end_nodes, or at its 13 even nodes, and the rule v
+    of _end_rule(alpha) of that length: head + sum_j v_j y_j (head =
+    p(0)/alpha, or 0.0 to leave it out), its error estimate, the
+    coefficients' tail (_tail) times sum_j |v_j|, which bounds the rule on
+    a p - p(0) of size 1 at the nodes (2/alpha above alpha ~ 1/2, 13.8 at
+    alpha 1e-8), and |head| + sum_j |v_j y_j|, the size its rounding scales
+    with (head and the sum can cancel)."""
+    full, nested = _end_rule(alpha)
+    v = full if len(ys) == len(full) else nested
+    terms = list(map(operator.mul, v, ys))
+    tail = _tail(ys)
+    return (head + math.fsum(terms), tail and tail * math.fsum(map(abs, v)),
+            abs(head) + math.fsum(map(abs, terms)))
 
 
 def _cheb_panel(lo: float, hi: float, ys: Sequence[float],
                 gs: Sequence[float], beta: float,
                 head: float) -> tuple[float, float, float]:
     """The value, error and rounding floor of a panel [lo, hi] on
-    _end_nodes, the one place every 25-point panel is summed: the order-1
-    rule on ys, scaled by hi - lo, plus, on a panel at the singular end,
-    the rule of order beta on gs, exact for u^(beta-1) in u, the distance
-    from the last node over hi - lo, scaled by (hi - lo)^beta, with head
-    for its p(0)/beta (_subtracted).  Either part may be empty.  The
-    error is the nested rule's difference, and the floor 50 eps times
-    the rules on |terms|: the rounding of the terms, head and scales."""
+    _end_nodes, or on its 13 even nodes, the one place every Chebyshev
+    panel is summed: the order-1 rule on ys, scaled by hi - lo, plus, on a
+    panel at the singular end, the rule of order beta on gs, exact for
+    u^(beta-1) in u, the distance from the last node over hi - lo, scaled
+    by (hi - lo)^beta, with head for its p(0)/beta (_subtracted).  Either
+    part may be empty.  The error is the parts' coefficient tails, 0.0
+    for a part at its plateau, and the floor 50 eps times the rules on
+    |terms|: the rounding of the terms, head and scales."""
     val = err = floor = 0.0
     width = hi - lo
     if ys:
-        val, gap, size = _subtracted(_end_rule(1.0), ys, ys[-1])
-        val, err, floor = width * val, width * gap, width * size
+        val, est, size = _subtracted(1.0, ys, ys[-1])
+        val, err, floor = width * val, width * est, width * size
     if gs:
-        part, gap, size = _subtracted(_end_rule(beta), gs, head)
+        part, est, size = _subtracted(beta, gs, head)
         scale = width ** beta
-        val, err, floor = (val + scale * part, err + scale * gap,
+        val, err, floor = (val + scale * part, err + scale * est,
                            floor + scale * size)
     return val, err, 50.0 * _EPS * floor
 
@@ -581,7 +637,7 @@ class CumulativeKernel:
     b - s or s - a, and g is read at a + x.  The term g(a) x^(alpha-1) is
     integrated in closed form, c x^alpha with c = g(a)/alpha (`c`).  One
     adaptive integral of the rest over [0, w/2], on 25-point Chebyshev
-    panels with the nested 13-point rule's difference as the estimate,
+    panels with their coefficients' tail as the estimate (_tail),
     keeps its final panels ("leaves"): their ends and prefix sums.  The
     leaf at 0 integrates x^(alpha-1) (g - g(a)) by _end_rule(alpha), and
     (w-x)^(alpha-1) g, its factor read at each node's exact offset, by

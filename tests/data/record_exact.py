@@ -24,6 +24,8 @@ the two kernel integrals of exp in closed form:
     int_a^b (t-a)^(alpha-1) e^t dt = e^a w^alpha 1F1(alpha; alpha+1; w)/alpha
                                                                    (lower)
 
+and both kernel integrals of -log on [1, 3] at order 0.1 (NEG_LOG).
+
 Every value is computed at DPS digits and rounded once to a double.
 """
 
@@ -39,11 +41,13 @@ from frachh.functions import builtin_function_corpus
 EXACT = Path(__file__).resolve().with_name("exact.json")
 ALPHAS = (0.25, 0.5, 1.0, 1.5, 2.5)
 DEGREES = range(7)
-# no integer order, where integrate_singular takes the product instead of
-# the end rule; tests/test_numerics.py reads the orders and intervals from
-# the keys of exact.json
+# integer orders run the end rule too; tests/test_numerics.py reads the
+# orders and intervals from the keys of exact.json
 END_RULE_ORDERS = (1e-8, 1e-4, 0.1, 0.2, 0.25, 0.3, 0.5, 0.6, 0.75, 0.9,
-                   1.25, 2.5, 5.5, 11.3)
+                   1.0, 1.25, 2.0, 2.5, 3.0, 5.5, 11.3)
+# -log on [1, 3] at order 0.1, where the nested rule's difference overshot
+# the error ~1e7 times
+NEG_LOG = (1.0, 3.0, 0.1)
 END_RULE_INTERVALS = ((0.0, 1.0), (1.0, 3.0), (0.0, 1e-6), (10.0, 10.5),
                       (0.0, 10.0))
 DPS = 40
@@ -82,6 +86,21 @@ def exp_integrals(a: float, b: float, alpha: float) -> dict:
                            * mp.hyp1f1(order, order + 1, w) / order)}
 
 
+def neg_log_integrals(a: float, b: float, alpha: float) -> dict:
+    """The upper- and lower-kernel integrals of -log over [a, b], each in
+    u = (b-t)^alpha (resp. (t-a)^alpha), which removes the kernel."""
+    order, lo, hi = mpf(alpha), mpf(a), mpf(b)
+    power, top = 1 / order, (hi - lo) ** order
+    values = {}
+    for side, at in (("upper", lambda u: hi - u ** power),
+                     ("lower", lambda u: lo + u ** power)):
+        value, error = mp.quad(lambda u: -mp.log(at(u)), [0, top], error=True)
+        if not error <= mpf(10) ** (10 - DPS) * abs(value):
+            raise ArithmeticError(f"quadrature error {error} ({side})")
+        values[side] = float(value / order)
+    return values
+
+
 def record() -> dict:
     upper = {}
     for f in builtin_function_corpus(0.0, 1.0):
@@ -96,7 +115,9 @@ def record() -> dict:
         for alpha in END_RULE_ORDERS:
             for side, value in exp_integrals(a, b, alpha).items():
                 exp[side].setdefault(f"{a!r},{b!r}", {})[repr(alpha)] = value
-    return {"upper": upper, "beta": beta, "exp": exp}
+    a, b, alpha = NEG_LOG
+    neg_log = {f"{a!r},{b!r}": {repr(alpha): neg_log_integrals(a, b, alpha)}}
+    return {"upper": upper, "beta": beta, "exp": exp, "neg-log": neg_log}
 
 
 def main() -> None:

@@ -89,8 +89,6 @@ def test_main_path_agrees_with_dense_oracle_on_corpus(alpha):
         exact = EXACT["upper"][f.label][repr(alpha)]
         main = integrate_singular(f.fn, 0.0, 1.0, alpha,
                                   KernelSide.UPPER_SINGULAR, 1e-9)
-        # at a non-integer order the end rule's own estimate covers the
-        # error, kinks at m included
-        tol = (max(1e-8 * abs(exact), 10.0 * main.abs_error_estimate)
-               if float(alpha).is_integer() else main.abs_error_estimate)
-        assert abs(exact - main.value) <= tol, f.label
+        # at every order, an integer one included, the end rule's own
+        # estimate covers the error, kinks at m included
+        assert abs(exact - main.value) <= main.abs_error_estimate, f.label
