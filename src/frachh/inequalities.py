@@ -59,7 +59,7 @@ from .fracops import FracSetting, j_left, j_right
 from .functions import ConvexityKind, FunctionSpec, HolderPair, WeightSpec
 from .numerics import (DEFAULT_TOL, CumulativeKernel, DomainError,
                        Integrand, QuadResult, gamma, integrate_odd,
-                       integrate_smooth, integrate_symmetric)
+                       integrate_symmetric)
 
 __all__ = [
     "Status",
@@ -223,44 +223,40 @@ class Cell:
         return self._reads[role, fn]
 
     def j(self, side: Callable, of: str) -> QuadResult:
-        """side(h) for side j_left or j_right and h = f, g or f g (`of`)."""
+        """side(h) for side j_left or j_right and h = f, g, f g or, for
+        "defect", (avg - f) g (`of`), g = 1 for the unit weight."""
         f = self.f.fn if of != "g" else None
         g = self.g.fn if of != "f" and self.g is not None else None
 
         def integral() -> QuadResult:
             fx = None if f is None else self.read(f).__call__
             gx = None if g is None else self.read(g).__call__
+            if of == "defect":
+                avg, read_f = self.avg, fx
+                fx = lambda x: avg - read_f(x)
             h = fx if gx is None else gx if fx is None else (
                 lambda x: fx(x) * gx(x))
             return side(h, self.s, self.tol)
 
-        return self._once((side, f, g, self.s, self.tol), integral)
+        return self._once((side, of, f, g, self.s, self.tol), integral)
 
     def both(self, of: str) -> QuadResult:
         """j_left(h) + j_right(h) for h = g, f g or, for "defect", the
         defect's integrand (avg - f) g (`of`); W = both("g").
 
-        The unit weight's W is exactly 1.  The defect is one sum of the
-        one-sided integrals, kept under a key of its own.  For 1/4 <=
-        alpha <= 1/2 (_SUBSTITUTED_FROM) a weight stating symmetry and the
-        unit weight take g and f g as one integrate_symmetric each, kept
-        under a key of its own, which reads f at b - d and a + d, d =
-        u^(1/alpha), and g at b - d only.  Every other case sums the
+        The unit weight's W is exactly 1.  For 1/4 <= alpha <= 1/2
+        (_SUBSTITUTED_FROM) a weight stating symmetry and the unit weight
+        take g and f g as one integrate_symmetric each, kept under a key of
+        its own, which reads f at b - d and a + d, d = u^(1/alpha), and g at
+        b - d only.  Every other case, the defect included, sums the
         one-sided integrals of j, which lemma-2-1 reads too."""
         g, s, tol = self.g, self.s, self.tol
         f = None if of == "g" else self.f.fn
         gfn = None if g is None else g.fn
         if g is None and of == "g":
             return QuadResult(1.0, 0.0, 0)
-        if of == "defect":
-            avg, fx = self.avg, self.read(f).__call__
-            gx = None if gfn is None else self.read(gfn).__call__
-            h = ((lambda x: avg - fx(x)) if gx is None
-                 else (lambda x: (avg - fx(x)) * gx(x)))
-            both = self._once(("defect", f, gfn, s, tol), lambda: (
-                j_left(h, s, tol) + j_right(h, s, tol)))
-        elif ((g is None or g.symmetric)
-              and _SUBSTITUTED_FROM <= s.alpha <= 0.5):
+        if (of != "defect" and (g is None or g.symmetric)
+                and _SUBSTITUTED_FROM <= s.alpha <= 0.5):
             g_alpha = gamma(s.alpha)
             both = self._once(("both", f, gfn, s, tol), lambda: (
                 integrate_symmetric(
@@ -454,14 +450,14 @@ def weighted_trapezoid_identity(f, g: Optional[WeightSpec], s: FracSetting,
 
     c = Cell(f, g, s, tol, memo)
     dx = c.read(d, "deriv")
+    fold = lambda x: dx(a + x) - dx(b - x)
     if g is None:
         rhs = integrate_odd(
-            dx, a, b, alpha, lambda x: (1.0, -(w - x) ** alpha),
-            (0.0, 0.5 * w), max(tol * w ** alpha, math.ulp(0.0))
-        ).scaled(0.5 / w ** alpha)
+            fold, alpha, lambda x: (1.0, -(w - x) ** alpha), (0.0, 0.5 * w),
+            max(tol * w ** alpha, math.ulp(0.0))).scaled(0.5 / w ** alpha)
     else:
         kern = c.kernel
-        rhs = (integrate_odd(dx, a, b, alpha, kern.parts, kern.ends,
+        rhs = (integrate_odd(fold, alpha, kern.parts, kern.ends,
                              tol * gamma(alpha))
                + QuadResult(0.0, kern.abs_error_estimate * w * c.dsup,
                             0, kern.tolerance_met)  # K's error
@@ -574,16 +570,17 @@ def aux_integrals(s: FracSetting,
     quantity the defect bounds are built from.  One identity Report per
     part, with the closed form as lhs and the quadrature at tol as rhs.
     """
-    a, b, alpha = s.a, s.b, s.alpha
-    base = s.width ** (alpha + 2.0) / (alpha + 1.0)
-    bracket = lambda x: (b - x) ** alpha - (x - a) ** alpha
-    parts = (("e-part", (alpha + 1.0) / (alpha + 2.0), lambda x: b - x),
-             ("f-part", 1.0 / (alpha + 2.0), lambda x: x - a))
+    alpha, w = s.alpha, s.width
+    base = w ** (alpha + 2.0) / (alpha + 1.0)
+    # identity 1.4's kernel x^alpha - (w-x)^alpha is minus the bracket, so
+    # its moments are -(w-x) and -x, in the offset x = t - a
+    kernel = lambda x: (1.0, -(w - x) ** alpha)
+    moments = (("e-part", (alpha + 1.0) / (alpha + 2.0), lambda x: x - w),
+               ("f-part", 1.0 / (alpha + 2.0), lambda x: -x))
     reports = []
-    for part, c, moment in parts:
+    for part, c, moment in moments:
         closed = base * (c - 2.0 ** (-(alpha + 1.0)))
-        num = integrate_smooth(lambda x: bracket(x) * moment(x), a,
-                               s.midpoint, tol)
+        num = integrate_odd(moment, alpha, kernel, (0.0, 0.5 * w), tol)
         reports.append(replace(_identity(QuadResult(closed, 0.0, 0), num,
                                          num.evaluations, ()), part=part))
     return tuple(reports)

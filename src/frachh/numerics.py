@@ -4,7 +4,8 @@ Everything downstream (fractional integral operators, inequality
 verifiers) is built on five primitives:
 
 * ``gamma``, the Euler Gamma function restricted to the positive axis,
-* ``integrate_smooth``, globally adaptive Gauss-Kronrod quadrature,
+* ``integrate_smooth``, globally adaptive Gauss-Kronrod quadrature, the
+  rule of integrate_symmetric alone,
 * ``integrate_singular``, the same engine for a power-law kernel, at
   every order on Chebyshev panels, the one at the singular end by a
   modified Clenshaw-Curtis rule exact for the kernel (the end rule), every
@@ -15,9 +16,10 @@ verifiers) is built on five primitives:
 * ``integrate_symmetric``, alpha/2 times both power-law kernels against
   f g for a g symmetric about the midpoint, or the unit weight, as one
   integral in u = (b-t)^alpha that reads g on one side only,
-* ``integrate_odd``, int_a^b k f' for a kernel k odd about the midpoint
-  m and given on [a, m] as (t-a)^alpha S + R, folded onto [a, m] and
-  integrated on 25-point Chebyshev panels, the one at a by the end rule,
+* ``integrate_odd``, int_0^X (x^alpha S + R) h dx on 25-point Chebyshev
+  panels, the one at 0 by the end rule: the identities' int_a^b k f' for
+  a kernel k odd about the midpoint, folded onto [a, m], and the two
+  half-interval moments of aux-integrals,
 
 plus ``Integrand``, an integrand read through a checked and counted value
 table, and ``CumulativeKernel``, a piecewise representation of the kernel
@@ -557,35 +559,32 @@ def _cheb_panel(lo: float, hi: float, ys: Sequence[float],
     return val, err, 50.0 * _EPS * floor
 
 
-def integrate_odd(d: Integrand | Callable[[float], float], a: float,
-                  b: float, alpha: float,
+def integrate_odd(h: Callable[[float], float], alpha: float,
                   parts: Callable[[float], tuple[float, float]],
                   mesh: Sequence[float], tol: float = DEFAULT_TOL
                   ) -> QuadResult:
-    """int_a^b k(t) d(t) dt for a k odd about the midpoint, with k(a+x) =
-    x^alpha S(x) + R(x) for (S, R) = parts(x) on [0, w/2], w = b - a.
+    """int_0^X (x^alpha S(x) + R(x)) h(x) dx for (S, R) = parts(x), X =
+    mesh[-1], with h given on the offsets x.
 
-    That is int_0^(w/2) k(a+x) (d(a+x) - d(b-x)) dx, by _adaptive from
-    the ascending mesh of offsets, every panel on _end_nodes: S times the
-    difference by _end_rule(alpha+1) on the panel at 0, and R times it
-    there, k times it elsewhere, by the order-1 rule (_cheb_panel).  d is
-    read through an Integrand (a callable gets its own), so a non-finite
-    value raises EvaluationError at its abscissa."""
-    check_interval(a, b)
+    By _adaptive from the ascending mesh of offsets, every panel on
+    _end_nodes: S h by _end_rule(alpha+1) on the panel at 0, and R h
+    there, (x^alpha S + R) h elsewhere, by the order-1 rule (_cheb_panel).
+    The identities pass the fold d(a+x) - d(b-x) of f' = d, for a kernel
+    odd about the midpoint, and aux-integrals its moments.  A non-finite
+    h raises EvaluationError at the first bad offset, in node order."""
     check_order(alpha)
-    read = (d if isinstance(d, Integrand) else Integrand(d)).__call__
     beta = alpha + 1.0
 
     def panel(lo: float, hi: float) -> tuple[float, float, float, int]:
         xs = _end_nodes(lo, hi, False)
-        ds = [read(a + x) - read(b - x) for x in xs]
+        hs = list(map(h, xs))
+        _check_finite(xs, hs)
         ss, rs = zip(*map(parts, xs))
         if lo:  # k = x^alpha S + R
             rs, ss = [x ** alpha * k + r for x, k, r in zip(xs, ss, rs)], ()
-        gs = list(map(operator.mul, ss, ds))
-        return (*_cheb_panel(lo, hi, list(map(operator.mul, rs, ds)), gs,
-                             beta, gs[-1] / beta if gs else 0.0),
-                2 * _END_N + 2)
+        gs = list(map(operator.mul, ss, hs))
+        return (*_cheb_panel(lo, hi, list(map(operator.mul, rs, hs)), gs,
+                             beta, gs[-1] / beta if gs else 0.0), _END_N + 1)
 
     return _adaptive(panel, mesh, tol)[0]
 

@@ -446,15 +446,23 @@ class TestTolerance:
                        "--tol", "1e-7")
         assert json.loads(proc.stdout)["config"]["tol"] == 1e-7
 
-    def test_aux_integrals_run_at_the_tolerance(self, capsys):
-        rows = {}
+    def test_aux_integrals_run_at_the_tolerance(self, monkeypatch, capsys):
+        # the end rule meets both parts on one panel at its rounding
+        # plateau, in the same 25 evaluations at 1e-6 as at 1e-9, so the
+        # tolerance is checked where it reaches the quadrature
+        tols = []
+        integrate = frachh.inequalities.integrate_odd
+
+        def recording(*args):
+            tols.append(args[-1])
+            return integrate(*args)
+
+        monkeypatch.setattr(frachh.inequalities, "integrate_odd", recording)
         for tol in ("1e-9", "1e-6"):
             assert main(["verify", "--thm", "aux-integrals", "--alpha", "0.5",
                          "--tol", tol]) == 0
-            rows[tol] = json.loads(capsys.readouterr().out)["rows"]
-        for fine, coarse in zip(rows["1e-9"], rows["1e-6"]):
-            assert coarse["evaluations"] < fine["evaluations"]
-            assert coarse["error_budget"] > fine["error_budget"]
+            capsys.readouterr()
+        assert tols == [1e-9, 1e-9, 1e-6, 1e-6]
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the absolute "
                        "tolerance of J on [0, 1e-6], scaled by 1/(b-a)^alpha, "
@@ -678,7 +686,7 @@ class TestSubcommands:
         # the two rows share a verdict but not a cost: their evaluations
         # sum to the integrand calls actually made
         calls = [0]
-        integrate = frachh.inequalities.integrate_smooth
+        integrate = frachh.inequalities.integrate_odd
 
         def counting(h, *args):
             def counted(x):
@@ -686,13 +694,29 @@ class TestSubcommands:
                 return h(x)
             return integrate(counted, *args)
 
-        monkeypatch.setattr(frachh.inequalities, "integrate_smooth", counting)
+        monkeypatch.setattr(frachh.inequalities, "integrate_odd", counting)
         assert main(["verify", "--thm", "aux-integrals", "--alpha", "0.5",
                      "--format", "csv"]) == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [r["f"] for r in rows] == ["e-part", "f-part"]
         assert all(int(r["evaluations"]) > 0 for r in rows)
         assert sum(int(r["evaluations"]) for r in rows) == calls[0]
+
+    @pytest.mark.parametrize("grid", [
+        [], ["--a", "1", "--b", "3", "--alpha-grid", "0.1,0.75,1.25,1.5,2.5,5"],
+        ["--a", "0", "--b", "1e-6"]], ids=["default", "hard", "tiny"])
+    def test_aux_rows_meet_their_closed_forms(self, grid, capsys):
+        # each part is identity 1.4's kernel against a line, which the end
+        # rule integrates to rounding on one panel of 25 nodes; the absolute
+        # budget of 1e-12 would hide a miss on [0, 1e-6], where the parts
+        # are ~1e-15 in size
+        assert main(["corpus", "--theorems", "aux-integrals", *grid,
+                     "--seed", "42"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(rows) >= 8
+        for row in rows:
+            assert abs(row["lhs"] - row["rhs"]) <= 1e-14 * abs(row["lhs"]), row
+            assert row["evaluations"] <= 50, row
 
     def test_lemma_2_1_row(self):
         proc = run_cli("verify", "--thm", "lemma-2-1", "--g", "parabolic",

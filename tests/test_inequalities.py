@@ -722,19 +722,20 @@ class TestIdentities:
         one = {w.label: w for w in builtin_weight_corpus(a, b)}["one"]
         cell = Cell(f, one, s, DEFAULT_TOL)
         kern, dx = cell.kernel, cell.read(f.deriv, "deriv")
+        fold = lambda x: dx(a + x) - dx(b - x)
         assert kern.c == 1.0 / alpha
 
         def rest_parts(x):
             k, r = kern.parts(x)
             return k - kern.c, r + kern.c * (w - x) ** alpha
 
-        rest = frachh.numerics.integrate_odd(dx, a, b, alpha, rest_parts,
+        rest = frachh.numerics.integrate_odd(fold, alpha, rest_parts,
                                              kern.ends,
                                              DEFAULT_TOL * gamma(alpha))
         kerr = kern.abs_error_estimate * w * cell.dsup
         assert abs(rest.value) <= kerr + rest.abs_error_estimate
         ends = frachh.numerics.integrate_odd(
-            dx, a, b, alpha, lambda x: (1.0, -(w - x) ** alpha),
+            fold, alpha, lambda x: (1.0, -(w - x) ** alpha),
             (0.0, 0.5 * w), DEFAULT_TOL * w ** alpha)
         r = weighted_trapezoid_identity(f, one, s, memo=cell.memo)
         assert r.status is Status.HOLDS
@@ -1030,26 +1031,19 @@ class TestAuxIntegrals:
         assert e.lhs == pytest.approx(10.0 / 3.0, rel=1e-14)
         assert f.lhs == pytest.approx(2.0 / 3.0, rel=1e-14)
 
-    def test_unreachable_tolerance_is_flagged(self, monkeypatch):
-        # each part is an identity row at the tolerance it is given; a
-        # panel budget that runs out before the panels next to a's square
-        # root reach their rounding floor leaves the tolerance unmet: 2^5
-        # panels, where the parts need 131 and 69 (below)
+    def test_tolerance_below_rounding_is_met_at_the_floor(self, monkeypatch):
+        # each part is an identity row at the tolerance it is given.  Its
+        # integrand on the end rule's panel at 0 is x^alpha times a line
+        # plus (w-x)^(alpha+1), so that one panel of 25 nodes reaches its
+        # rounding plateau and is final: tol 1e-30 is met within a budget
+        # of 2^5 panels, where G7/K15 on the bracket needed 131 and 69
+        # (TestIntegrateSmooth's root moments)
         monkeypatch.setattr(frachh.numerics, "MAX_PANELS", 2 ** 5)
-        for r in aux_integrals(HALF_UNIT, tol=1e-30):
-            assert r.status is Status.INCONCLUSIVE
-            assert "quadrature tolerance not met" in r.notes
-
-    def test_tolerance_below_rounding_is_met_at_the_floor(self):
-        # a G7/K15 panel whose error is within its rounding floor, 50 eps
-        # times K15 of |h| (QUADPACK's dqk15), is final, so tol 1e-30 is
-        # met once every open panel is: on 131 and 69 of the 2^16 panels
-        # allowed, within the parts' budgets of their closed forms
         e, f = aux_integrals(HALF_UNIT, tol=1e-30)
-        assert (e.evaluations, f.evaluations) == (1_965, 1_035)
+        assert (e.evaluations, f.evaluations) == (25, 25)
         for r in (e, f):
             assert r.status is Status.HOLDS and r.notes == ()
-            assert abs(r.lhs - r.rhs) <= r.error_budget
+            assert abs(r.lhs - r.rhs) <= 1e-14 * abs(r.lhs)
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.7, 3.0])
     @pytest.mark.parametrize("interval", [(0.0, 1.0), (1.0, 3.0), (-2.0, 0.5)])

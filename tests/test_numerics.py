@@ -146,6 +146,42 @@ class TestIntegrateSmooth:
         assert r.evaluations <= 15 * (2 * MAX_PANELS + 1)
         assert r.value == pytest.approx(0.63850207177, abs=1e-8)
 
+    # the two half-interval moments of (1-t)^(1/2) - t^(1/2) on [0, 1/2],
+    # whose derivative is singular at 0: times 1 - t and t they are
+    # aux-integrals' e and f at order 1/2 on [0, 1], with their closed forms
+    ROOT_MOMENTS = [
+        pytest.param(lambda t: 1.0 - t, 0.16429773960448413, 1_965,
+                     id="e-part"),
+        pytest.param(lambda t: t, 0.030964406271150824, 1_035, id="f-part"),
+    ]
+
+    @staticmethod
+    def _root_moment(moment, tol):
+        return integrate_smooth(
+            lambda t: ((1.0 - t) ** 0.5 - t ** 0.5) * moment(t), 0.0, 0.5, tol)
+
+    @pytest.mark.parametrize("moment, exact, evaluations", ROOT_MOMENTS)
+    def test_tolerance_below_rounding_is_met_at_the_floor(self, moment, exact,
+                                                          evaluations):
+        # a G7/K15 panel whose error is within its rounding floor, 50 eps
+        # times K15 of |h| (QUADPACK's dqk15), is final, so tol 1e-30 is
+        # met once every open panel is: on 131 and 69 of the 2^16 panels
+        # allowed, within the estimate of the closed form
+        r = self._root_moment(moment, 1e-30)
+        assert r.tolerance_met and r.evaluations == evaluations
+        assert abs(r.value - exact) <= r.abs_error_estimate
+
+    @pytest.mark.parametrize("moment, exact, evaluations", ROOT_MOMENTS)
+    def test_panel_cap_leaves_the_tolerance_unmet(self, monkeypatch, moment,
+                                                  exact, evaluations):
+        # a panel budget that runs out before the panels next to 0's square
+        # root reach their rounding floor leaves the tolerance unmet: 2^5
+        # panels, where the moments need 131 and 69 (above)
+        monkeypatch.setattr(frachh.numerics, "MAX_PANELS", 2 ** 5)
+        r = self._root_moment(moment, 1e-30)
+        assert not r.tolerance_met and r.evaluations < evaluations
+        assert r.value == pytest.approx(exact, rel=1e-14)
+
     def test_monotone_cost_in_tolerance(self):
         h = lambda x: math.exp(-3.0 * x) * math.sin(5.0 * x)
         evals = [integrate_smooth(h, 0.0, 2.0, tol).evaluations
@@ -221,14 +257,20 @@ def test_adaptive_sets_a_panel_at_its_floor_aside():
 
 
 class TestIntegrateOdd:
-    """integrate_odd folds int_a^b k f' onto [a, m] for a k odd about m;
-    identity 1.4 reads it with k(a+x) = x^alpha - (w-x)^alpha, so S = 1
-    and R = -(w-x)^alpha."""
+    """integrate_odd integrates (x^alpha S + R) h over the offsets [0, X];
+    identity 1.4 passes the fold h = f'(a+x) - f'(b-x) of int_a^b k f' for
+    its k odd about m, k(a+x) = x^alpha - (w-x)^alpha, so S = 1 and R =
+    -(w-x)^alpha."""
 
     @staticmethod
-    def _end_difference(d, a, b, alpha):
+    def _fold(d, a, b):
+        return lambda x: d(a + x) - d(b - x)
+
+    @classmethod
+    def _end_difference(cls, d, a, b, alpha):
         w = b - a
-        return integrate_odd(d, a, b, alpha, lambda x: (1.0, -(w - x) ** alpha),
+        return integrate_odd(cls._fold(d, a, b), alpha,
+                             lambda x: (1.0, -(w - x) ** alpha),
                              (0.0, 0.5 * w))
 
     @pytest.mark.parametrize("interval", [(0.0, 1.0), (1.0, 3.0),
@@ -243,7 +285,7 @@ class TestIntegrateOdd:
         exact = w ** (alpha + 2.0) * alpha / ((alpha + 1.0) * (alpha + 2.0))
         for mesh in ((0.0, 0.5 * w), (0.0, w / 16, w / 8, w / 4, 0.5 * w)):
             for tol in (DEFAULT_TOL, 1e-12 * exact):
-                r = integrate_odd(lambda t: t - a, a, b, alpha,
+                r = integrate_odd(self._fold(lambda t: t - a, a, b), alpha,
                                   lambda x: (1.0, -(w - x) ** alpha), mesh,
                                   tol)
                 assert r.tolerance_met
@@ -269,17 +311,22 @@ class TestIntegrateOdd:
                 <= r.abs_error_estimate + 4 * math.ulp(max(lower, upper)))
 
     @pytest.mark.parametrize("bad, within", [
-        (lambda t: math.inf if t < 1.5 else t, (1.0, 1.5)),
-        (lambda t: math.nan if t > 2.5 else t, (2.5, 3.0)),
-        (lambda t: math.inf if t == 3.0 else t, (3.0, 3.0)),
+        (lambda t: math.inf if t < 1.5 else t, (0.0, 0.5)),
+        (lambda t: math.nan if t > 2.5 else t, (0.0, 0.5)),
+        (lambda t: math.inf if t == 3.0 else t, (0.0, 0.0)),
     ], ids=["below-m", "above-m", "at-b"])
     def test_nonfinite_derivative_reported_with_abscissa(self, bad, within):
-        # f' is read at a + x and at b - x, and the error names the read
+        # the fold reads f' at a + x and at b - x on [1, 3], and the error
+        # names the first offset x of the panel's nodes where it is not
+        # finite
         with pytest.raises(EvaluationError) as info:
             self._end_difference(bad, 1.0, 3.0, 0.5)
+        h = self._fold(bad, 1.0, 3.0)
         lo, hi = within
         assert lo <= info.value.abscissa <= hi
-        assert not math.isfinite(bad(info.value.abscissa))
+        assert info.value.abscissa == next(
+            x for x in frachh.numerics._end_nodes(0.0, 1.0, False)
+            if not math.isfinite(h(x)))
 
 
 class TestIntegrateSingular:
@@ -1266,7 +1313,7 @@ class TestInputChecks:
             math.exp, a, b, 0.5, KernelSide.LOWER_SINGULAR),
         "CumulativeKernel": lambda a, b: CumulativeKernel(math.exp, a, b, 0.5),
         "integrate_odd": lambda a, b: integrate_odd(
-            math.exp, a, b, 0.5, lambda x: (1.0, 0.0), (0.0, 1.0)),
+            math.exp, 0.5, lambda x: (1.0, 0.0), (a, b)),
         "integrate_symmetric": lambda a, b: integrate_symmetric(
             math.exp, lambda t: 1.0, a, b, 0.5),
         "FracSetting": lambda a, b: FracSetting(a, b, 0.5),
@@ -1279,7 +1326,7 @@ class TestInputChecks:
         "CumulativeKernel": lambda alpha: CumulativeKernel(math.exp, 0.0, 1.0,
                                                            alpha),
         "integrate_odd": lambda alpha: integrate_odd(
-            math.exp, 0.0, 1.0, alpha, lambda x: (1.0, 0.0), (0.0, 0.5)),
+            math.exp, alpha, lambda x: (1.0, 0.0), (0.0, 0.5)),
         "integrate_symmetric": lambda alpha: integrate_symmetric(
             math.exp, lambda t: 1.0, 0.0, 1.0, alpha),
         "FracSetting": lambda alpha: FracSetting(0.0, 1.0, alpha),
