@@ -3,8 +3,9 @@ for fractional integral means.
 
 The package splits into small layers:
 
-* numerics: adaptive Gauss-Kronrod quadrature, singular-kernel
-  integration, and the cumulative kernel K (CumulativeKernel),
+* numerics: Chebyshev panels for every power-kernel integral (one-sided,
+  the identities' odd ones, and the cumulative kernel K, CumulativeKernel),
+  and Gauss-Kronrod quadrature for the substituted band alone,
 * functions: the convex-function and symmetric-weight corpus with
   certification metadata,
 * fracops: one-sided fractional integral means,

@@ -6,20 +6,14 @@ verifiers) is built on five primitives:
 * ``gamma``, the Euler Gamma function restricted to the positive axis,
 * ``integrate_smooth``, globally adaptive Gauss-Kronrod quadrature, the
   rule of integrate_symmetric alone,
-* ``integrate_singular``, the same engine for a power-law kernel, at
-  every order on Chebyshev panels, the one at the singular end by a
-  modified Clenshaw-Curtis rule exact for the kernel (the end rule), every
-  other by Clenshaw-Curtis on the product, the kernel read at each node's
-  distance from that end; a panel reads its 13 even nodes first and the
-  other 12 only when the degree-12 series is short of its rounding
-  plateau (Oliver, Comput. J. 15, 1972),
+* ``integrate_singular``, int_a^b of a power-law kernel, singular at
+  a or b, times h,
 * ``integrate_symmetric``, alpha/2 times both power-law kernels against
   f g for a g symmetric about the midpoint, or the unit weight, as one
   integral in u = (b-t)^alpha that reads g on one side only,
-* ``integrate_odd``, int_0^X (x^alpha S + R) h dx on 25-point Chebyshev
-  panels, the one at 0 by the end rule: the identities' int_a^b k f' for
-  a kernel k odd about the midpoint, folded onto [a, m], and the two
-  half-interval moments of aux-integrals,
+* ``integrate_odd``, int_0^X (x^alpha S + R) h dx: the identities'
+  int_a^b k f' for a kernel k odd about the midpoint, folded onto [a, m],
+  and the two half-interval moments of aux-integrals,
 
 plus ``Integrand``, an integrand read through a checked and counted value
 table, and ``CumulativeKernel``, a piecewise representation of the kernel
@@ -27,15 +21,22 @@ table, and ``CumulativeKernel``, a piecewise representation of the kernel
     K(t) = int_a^t (b-s)^(alpha-1) g(s) ds
          - int_t^b (s-a)^(alpha-1) g(s) ds
 
-of a weight g symmetric about the midpoint m: one adaptive integral from
-m, over [a, m] only, in offsets from a, on 25-point Chebyshev panels,
-its singular term g(a) (t-a)^(alpha-1) integrated in closed form and
-the panel at a by the end rule's weights.  K integrates the degree-24
-interpolants of the build's final panels ("leaves"), so it reads g only
-where the build did.  The identities take S and R from K's leaves
-(K.parts) and run integrate_odd on K's leaf ends.  One routine,
-_cheb_panel, sums every Chebyshev panel of the three, and estimates its
-error from the tail of the interpolant's Chebyshev coefficients (_tail).
+of a weight g symmetric about the midpoint m: g(a)/alpha times identity
+1.4's kernel in closed form, less one adaptive integral of g - g(a) from
+m, over [a, m] only, in offsets from a.  K integrates the interpolants of
+the build's final panels ("leaves"), so it reads g only where the build
+did.  The identities take S and R from K's leaves (K.parts) and run
+integrate_odd on K's leaf ends.
+
+integrate_singular, integrate_odd and K's build integrate (d^(beta-1)
+S(d) + R(d)) h, d the distance from the singular end, on one panel rule,
+_power_rule: Chebyshev panels, the one at that end by a modified
+Clenshaw-Curtis rule exact for the kernel (the end rule), every other by
+Clenshaw-Curtis on the product; a panel reads its 13 even nodes first and
+the other 12 only when the degree-12 series is short of its rounding
+plateau (Oliver, Comput. J. 15, 1972).  One routine, _cheb_panel, sums
+every such panel, and estimates its error from the tail of the
+interpolant's Chebyshev coefficients (_tail).
 
 Every quadrature result carries an absolute error estimate, the number
 of integrand evaluations spent, and a flag saying whether the requested
@@ -349,51 +350,20 @@ def integrate_singular(h: Callable[[float], float], a: float, b: float,
 
     The kernel is (b-t)^(alpha-1) for KernelSide.UPPER_SINGULAR and
     (t-a)^(alpha-1) for KernelSide.LOWER_SINGULAR.  At every alpha, an
-    integer one included, every panel is on _end_nodes (_cheb_panel): the
-    one at the singular end takes the rule exact for the kernel, h read at
-    both of its ends, and every other the order-1 rule on the product, the
-    kernel read at the nodes of the panel's distances b - hi to b - lo
-    (resp. lo - a to hi - a): below alpha = 1 it blows up there, and a
-    node's b - t is off by up to ulp(b).  A panel reads h at its 13 even
-    nodes first, the Chebyshev points of degree 12, and stops there with
-    the nested rule's value when that series is at its rounding plateau
-    (_tail); otherwise it reads the 12 odd nodes and takes the 25-point
-    rule, its error from the coefficients' tail.  The nodes are exactly
-    odd, so both sides' panels on one mesh read the same abscissae, and
-    the even nodes of one side's panel are those of the other's.  A
-    non-finite value summed raises EvaluationError at the first bad
-    abscissa of the nodes read, in node order.
+    integer one included, the panels are _power_rule's at beta = alpha
+    with (S, R) = (1, 0), from the singular end b (resp. a): the kernel
+    is read at the nodes of the panel's distances b - hi to b - lo (resp.
+    lo - a to hi - a), as below alpha = 1 it blows up there, and a node's
+    b - t is off by up to ulp(b).  The nodes are exactly odd, so both
+    sides' panels on one mesh read the same abscissae, and the even nodes
+    of one side's panel are those of the other's.
     """
     check_order(alpha)
     if not isinstance(side, KernelSide):
         raise DomainError(f"side must be a KernelSide, got {side!r}")
     check_interval(a, b)
     upper = side is KernelSide.UPPER_SINGULAR
-    am1 = alpha - 1.0
-
-    def parts(ds: list[float] | None, hs: list[float]
-              ) -> tuple[Sequence[float], Sequence[float], float]:
-        # ys, gs and head of _cheb_panel from h at the nodes
-        if ds is None:  # the panel at the singular end
-            return (), hs, hs[-1] / alpha
-        return [d ** am1 * y for d, y in zip(ds, hs)], (), 0.0
-
-    def panel(lo: float, hi: float) -> tuple[float, float, float, int]:
-        xs = _end_nodes(lo, hi, upper)
-        # the distances from the singular end, in the order of xs
-        ds = (None if ((hi == b) if upper else (lo == a))
-              else _end_nodes(b - hi, b - lo, False) if upper
-              else _end_nodes(lo - a, hi - a, False))
-        even = list(map(h, xs[::2]))
-        ys, gs, head = parts(ds and ds[::2], even)
-        if _tail(gs or ys):  # the degree-12 series is short of its plateau
-            hs = [y for pair in zip(even, map(h, xs[1::2])) for y in pair]
-            ys, gs, head = parts(ds, hs + even[-1:])
-        else:
-            xs = xs[::2]
-        _check_finite(xs, gs or ys)  # before fsum, which raises on inf - inf
-        return (*_cheb_panel(lo, hi, ys, gs, alpha, head), len(xs))
-
+    panel, _ = _power_rule(h, alpha, None, b if upper else a, upper)
     return _adaptive(panel, (a, b), tol)[0]
 
 
@@ -535,17 +505,18 @@ def _subtracted(alpha: float, ys: Sequence[float],
 
 
 def _cheb_panel(lo: float, hi: float, ys: Sequence[float],
-                gs: Sequence[float], beta: float,
-                head: float) -> tuple[float, float, float]:
-    """The value, error and rounding floor of a panel [lo, hi] on
-    _end_nodes, or on its 13 even nodes, the one place every Chebyshev
-    panel is summed: the order-1 rule on ys, scaled by hi - lo, plus, on a
-    panel at the singular end, the rule of order beta on gs, exact for
-    u^(beta-1) in u, the distance from the last node over hi - lo, scaled
-    by (hi - lo)^beta, with head for its p(0)/beta (_subtracted).  Either
-    part may be empty.  The error is the parts' coefficient tails, 0.0
-    for a part at its plateau, and the floor 50 eps times the rules on
-    |terms|: the rounding of the terms, head and scales."""
+                gs: Sequence[float], head: float,
+                beta: float) -> tuple[float, float, float, int]:
+    """The value, error, rounding floor and number of nodes of a panel
+    [lo, hi] on _end_nodes, or on its 13 even nodes, the one place every
+    Chebyshev panel is summed: the order-1 rule on ys, scaled by hi - lo,
+    plus, on a panel at the singular end, the rule of order beta on gs,
+    exact for u^(beta-1) in u, the distance from the last node over
+    hi - lo, scaled by (hi - lo)^beta, with head for its p(0)/beta
+    (_subtracted).  Either part may be empty.  The error is the parts'
+    coefficient tails, 0.0 for a part at its plateau, and the floor 50 eps
+    times the rules on |terms|: the rounding of the terms, head and
+    scales."""
     val = err = floor = 0.0
     width = hi - lo
     if ys:
@@ -556,7 +527,60 @@ def _cheb_panel(lo: float, hi: float, ys: Sequence[float],
         scale = width ** beta
         val, err, floor = (val + scale * part, err + scale * est,
                            floor + scale * size)
-    return val, err, 50.0 * _EPS * floor
+    return val, err, 50.0 * _EPS * floor, len(ys or gs)
+
+
+def _power_rule(h: Callable[[float], float], beta: float,
+                parts: Callable[[float], tuple[float, float]] | None,
+                end: float, upper: bool) -> tuple[Callable, Callable]:
+    """The panel rule of _adaptive, and its reader, for int (d^(beta-1)
+    S(d) + R(d)) h(t) dt on an ascending mesh: d is a node's distance from
+    the singular end `end`, the hi (upper) or lo of the panel touching it,
+    and (S, R) = parts(d), or (1, 0) for parts None, which reads no R.
+    Every panel is on _end_nodes, h read at its abscissae and d at the
+    nodes of its distances from end.  The panel at end takes S h by
+    _end_rule(beta), with head S h / beta at d = 0, and R h by the order-1
+    rule; every other takes (d^(beta-1) S + R) h by the order-1 rule, a
+    term 0.0 where h is, whatever d^(beta-1) (it overflows at subnormal
+    d).  read(lo, hi) reads h at the 13 even nodes, the Chebyshev points of
+    degree 12, and at the 12 odd ones only when a part's degree-12 series
+    is short of its rounding plateau (_tail; a doubly adaptive panel,
+    Oliver, Comput. J. 15, 1972), and gives _cheb_panel's ys, gs and head
+    at the nodes read.  A non-finite term raises EvaluationError at the
+    first bad abscissa of the nodes read, in node order."""
+    bm1 = beta - 1.0
+
+    def terms(at_end: bool, ds: Sequence[float], hs: list[float]
+              ) -> tuple[Sequence[float], Sequence[float], float]:
+        if parts is None:
+            if at_end:
+                return (), hs, hs[-1] / beta
+            return [d ** bm1 * y if y else 0.0
+                    for d, y in zip(ds, hs)], (), 0.0
+        ss, rs = zip(*map(parts, ds))
+        if at_end:
+            gs = list(map(operator.mul, ss, hs))
+            return list(map(operator.mul, rs, hs)), gs, gs[-1] / beta
+        return [(d ** bm1 * s + r) * y if y else 0.0
+                for d, s, r, y in zip(ds, ss, rs, hs)], (), 0.0
+
+    def read(lo: float, hi: float
+             ) -> tuple[Sequence[float], Sequence[float], float]:
+        xs = _end_nodes(lo, hi, upper)
+        near, far = (end - hi, end - lo) if upper else (lo - end, hi - end)
+        ds = _end_nodes(near, far, False)
+        even = list(map(h, xs[::2]))
+        ys, gs, head = terms(not near, ds[::2], even)
+        if any(_tail(p) for p in (ys, gs) if p):  # short of its plateau
+            hs = [y for pair in zip(even, map(h, xs[1::2])) for y in pair]
+            ys, gs, head = terms(not near, ds, hs + even[-1:])
+        else:
+            xs = xs[::2]
+        for p in (ys, gs):  # before fsum, which raises on inf - inf
+            _check_finite(xs, p)
+        return ys, gs, head
+
+    return (lambda lo, hi: _cheb_panel(lo, hi, *read(lo, hi), beta)), read
 
 
 def integrate_odd(h: Callable[[float], float], alpha: float,
@@ -566,26 +590,15 @@ def integrate_odd(h: Callable[[float], float], alpha: float,
     """int_0^X (x^alpha S(x) + R(x)) h(x) dx for (S, R) = parts(x), X =
     mesh[-1], with h given on the offsets x.
 
-    By _adaptive from the ascending mesh of offsets, every panel on
-    _end_nodes: S h by _end_rule(alpha+1) on the panel at 0, and R h
-    there, (x^alpha S + R) h elsewhere, by the order-1 rule (_cheb_panel).
-    The identities pass the fold d(a+x) - d(b-x) of f' = d, for a kernel
-    odd about the midpoint, and aux-integrals its moments.  A non-finite
-    h raises EvaluationError at the first bad offset, in node order."""
+    By _adaptive from the ascending mesh of offsets on _power_rule's
+    panels at beta = alpha + 1 from 0: S h by _end_rule(alpha+1) and R h
+    by the order-1 rule on the panel at 0, (x^alpha S + R) h by the
+    order-1 rule elsewhere.  The identities pass the fold d(a+x) - d(b-x)
+    of f' = d, for a kernel odd about the midpoint, and aux-integrals its
+    moments.  A non-finite h raises EvaluationError at the first bad
+    offset of the nodes read, in node order."""
     check_order(alpha)
-    beta = alpha + 1.0
-
-    def panel(lo: float, hi: float) -> tuple[float, float, float, int]:
-        xs = _end_nodes(lo, hi, False)
-        hs = list(map(h, xs))
-        _check_finite(xs, hs)
-        ss, rs = zip(*map(parts, xs))
-        if lo:  # k = x^alpha S + R
-            rs, ss = [x ** alpha * k + r for x, k, r in zip(xs, ss, rs)], ()
-        gs = list(map(operator.mul, ss, hs))
-        return (*_cheb_panel(lo, hi, list(map(operator.mul, rs, hs)), gs,
-                             beta, gs[-1] / beta if gs else 0.0), _END_N + 1)
-
+    panel, _ = _power_rule(h, alpha + 1.0, parts, 0.0, False)
     return _adaptive(panel, mesh, tol)[0]
 
 
@@ -633,27 +646,27 @@ class CumulativeKernel:
 
     Only the half [a, m] is built, in the offset x = s - a: the factors
     read x^(alpha-1) and (w-x)^(alpha-1) for w = b - a, never a rounded
-    b - s or s - a, and g is read at a + x.  The term g(a) x^(alpha-1) is
-    integrated in closed form, c x^alpha with c = g(a)/alpha (`c`).  One
-    adaptive integral of the rest over [0, w/2], on 25-point Chebyshev
-    panels with their coefficients' tail as the estimate (_tail),
-    keeps its final panels ("leaves"): their ends and prefix sums.  The
-    leaf at 0 integrates x^(alpha-1) (g - g(a)) by _end_rule(alpha), and
-    (w-x)^(alpha-1) g, its factor read at each node's exact offset, by
-    the order-1 rule (Clenshaw-Curtis), from one read of g per node; any
-    other leaf integrates phi, the derivative less g(a) x^(alpha-1), by
-    the order-1 rule.  Each leaf hands _adaptive its rounding floor, which
-    `abs_error_estimate` includes.
-    K at x is minus the integral of the leaves' interpolants from x to w/2
-    (_antiderivative, whole leaves by their prefix sums), so continuous and
-    0.0 at m, plus c (x^alpha - (w/2)^alpha): `parts` gives it as x^alpha S
-    + R on the leaves, whose ends are `ends`, for integrate_odd.  g is read
-    through an Integrand (a callable gets its own), whose table the build
-    shares with every reader of g; the first x inside a leaf reads its
-    nodes again, so K calls g only past TABLE_CAP.  The parts at each x are
-    computed once and kept, so their memory grows with the distinct
-    offsets read.  K(t) is read by no verifier; `evaluations` counts the
-    calls of the build and of K(t).
+    b - s or s - a, and g is read at a + x.  With g = g(a) + (g - g(a)),
+
+        K(a+x) = c (x^alpha - (w-x)^alpha)
+                 - int_x^(w/2) (v^(alpha-1) + (w-v)^(alpha-1)) h(v) dv
+
+    for c = g(a)/alpha (`c`) and h(v) = g(a+v) - g(a): the first term is
+    identity 1.4's kernel in closed form, and the integral of the rest is
+    one adaptive integral over [0, w/2] on _power_rule's panels at beta =
+    alpha, (S, R) = (1, (w-x)^(alpha-1)), whose final panels ("leaves")
+    it keeps: their ends and prefix sums.  Each leaf hands _adaptive its
+    rounding floor, which `abs_error_estimate` includes.  K at x
+    integrates the degree-12 or degree-24 interpolants of the leaves, at
+    the nodes the build read (_antiderivative, whole leaves by their
+    prefix sums), so it is continuous and 0.0 at m: `parts` gives it as
+    x^alpha S + R on the leaves, whose ends are `ends`, for integrate_odd.
+    g is read through an Integrand (a callable gets its own), whose table
+    the build shares with every reader of g; the first x inside a leaf
+    reads its nodes again, so K calls g only past TABLE_CAP.  The parts at
+    each x are computed once and kept, so their memory grows with the
+    distinct offsets read.  K(t) is read by no verifier; `evaluations`
+    counts the calls of the build and of K(t).
     """
 
     def __init__(self, g: Integrand | Callable[[float], float],
@@ -662,34 +675,19 @@ class CumulativeKernel:
         check_order(alpha)
         if not (tol > 0):
             raise DomainError(f"tolerance must be positive, got {tol!r}")
-        w = b - a
-        half = 0.5 * w
+        half = 0.5 * (b - a)
         if not (half > 0.0):
             raise DomainError(f"the half width of [{a!r}, {b!r}] underflows")
+        # b - a, but at an odd subnormal width, where w - w/2 misses w/2
+        w = self._w = 2.0 * half
         self.a, self.b, self.alpha = a, b, alpha
         self._g = g if isinstance(g, Integrand) else Integrand(g)
-        calls = self._g.calls
-        read, am1 = self._g.__call__, alpha - 1.0
-        ga = read(a)
-        c = self.c = ga / alpha  # int_0^x g(a) v^(alpha-1) dv = c x^alpha
-
-        def values(lo: float, hi: float) -> tuple[list[float], list[float]]:
-            # a leaf's integrand at its nodes, and g there on the leaf at 0
-            xs = _end_nodes(lo, hi, False)
-            gs = [read(a + x) for x in xs]
-            if lo:  # x^(alpha-1) * 0 is nan where x^(alpha-1) overflows
-                return [(w - x) ** am1 * y
-                        + (x ** am1 * (y - ga) if y != ga else 0.0)
-                        for x, y in zip(xs, gs)], []
-            q, wp = hi / w, w ** am1  # exact offsets, subnormal widths too
-            return [wp * (1.0 - q * 0.5 * (1.0 + s)) ** am1 * y
-                    for s, y in zip(_END_NODES, gs)], gs
-
-        def panel(lo: float, hi: float) -> tuple[float, float, float, int]:
-            return (*_cheb_panel(lo, hi, *values(lo, hi), alpha, 0.0),
-                    _END_N + 1)
-
-        self._values_at = values
+        calls, gx, am1 = self._g.calls, self._g.__call__, alpha - 1.0
+        ga = gx(a)
+        self.c = ga / alpha
+        panel, self._read = _power_rule(
+            lambda x: gx(a + x) - ga, alpha,
+            lambda x: (1.0, (w - x) ** am1), 0.0, False)
         r, heap = _adaptive(panel, (0.0, half), tol / 4)
         heap.sort(key=operator.itemgetter(2))  # the leaves tile [0, w/2]
         self.ends = array("d", [e[2] for e in heap] + [half])
@@ -716,7 +714,7 @@ class CumulativeKernel:
         """(S, R) with K(a+x) = x^alpha S(x) + R(x) at the offset x in [0,
         w/2]: S is c plus, on the leaf at 0, the series at order alpha, and
         R minus the integral of the leaves' order-1 series from x to w/2,
-        less c (w/2)^alpha.  The c (w-x)^alpha terms cancel: none is read."""
+        less c (w-x)^alpha."""
         kr = self._parts.get(x)
         if kr is not None:
             return kr
@@ -731,15 +729,15 @@ class CumulativeKernel:
             r += (x - lo) * _chebyshev(d[0], s)
             if not lo:
                 k += _chebyshev(d[1], s)
-        kr = self._parts[x] = k, r - c * ends[-1] ** self.alpha
+        kr = self._parts[x] = k, r - c * (self._w - x) ** self.alpha
         return kr
 
     def _leaf(self, lo: float, hi: float) -> tuple[list[float], ...]:
-        """The Chebyshev coefficients of the leaf's Phi (_antiderivative):
-        at order 1, its p(lo) added, and on the leaf at 0, of g at order
-        alpha."""
-        ys, gs = self._values_at(lo, hi)
-        rows = _chebyshev_rows(_END_N)
+        """The Chebyshev coefficients of the leaf's Phi (_antiderivative),
+        from the build's reader: at order 1, its p(lo) added, and on the
+        leaf at 0, of h at order alpha."""
+        ys, gs, _ = self._read(lo, hi)
+        rows = _chebyshev_rows(len(ys) - 1)
         phis = [_antiderivative([sum(map(operator.mul, row, y))
                                  for row in rows], beta)
                 for y, beta in ((ys, 1.0), (gs, self.alpha)) if y]
