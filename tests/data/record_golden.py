@@ -1,4 +1,4 @@
-"""Record the sha256 of the corpus output that tests/test_golden.py pins.
+"""Record the sha256 of the CLI output that tests/test_golden.py pins.
 
 Run from the repository root as
 
@@ -33,6 +33,15 @@ INVOCATIONS = {
     for fmt, seeds in (("json", (42, 2026)), ("csv", (42,)), ("text", (42,)))
     for seed in seeds
 }
+# what the corpus never renders: a forced row's "hypotheses unmet" note, and
+# a sweep's rows, which carry p and q
+INVOCATIONS["verify-force-json-42"] = [
+    "verify", "--thm", "bound-1-5", "--f", "xlogx", "--a", "1", "--b", "3",
+    "--alpha", "0.5", "--force", "--format", "json"]
+INVOCATIONS.update(
+    (f"sweep-{fmt}-42", ["sweep", "--thm", "bound-2-5", "--f", "exp", "--g",
+                         "bump", "--format", fmt])
+    for fmt in ("json", "csv", "text"))
 
 
 def digest(argv: list[str]) -> dict:

@@ -20,8 +20,8 @@ import frachh.cli
 import frachh.inequalities
 import frachh.numerics
 from frachh.cli import (CSV_COLUMNS, RunConfig, UsageError, _config_from,
-                        _fmt_float, _sort_key, _worst_status, build_parser,
-                        main, run_rows)
+                        _fmt_float, _render_csv, _render_json, _sort_key,
+                        _worst_status, build_parser, main, run_rows)
 from frachh.fracops import FracSetting
 from frachh.functions import (ConvexityKind, FunctionSpec, WeightSpec,
                               builtin_weight_corpus)
@@ -1034,6 +1034,57 @@ class TestSerialization:
             _fmt_float(math.inf)
         with pytest.raises(ValueError):
             _fmt_float(math.nan)
+
+    # a hand-built row: a label with a quote, a backslash, a newline and
+    # non-ASCII text; None, int, -0.0 and subnormal values; two notes.  Its
+    # evaluations 1 and seed 0 are equal as keys to the config's true and
+    # false, so a cache of quoted values that ignores type would mix them
+    ROW = {**dict.fromkeys(CSV_COLUMNS),
+           "theorem": 'say "hi"\\ to\n\u2131-\u03bb, ok', "f": "exp",
+           "a": -0.0, "b": 5e-324, "alpha": 2, "q": 3.0, "lhs": 1.0 / 3.0,
+           "observed": -2.5e-310, "error_budget": 1e-12, "status": "Holds",
+           "evaluations": 1, "seed": 0,
+           "notes": ("hypotheses unmet: |f'|^1 is not \"convex\"",
+                     "\u00fcn\u00efcode \u2713")}
+    CFG = RunConfig(a=-0.0, b=5e-324, force=True)
+    # its bytes, pinned (tests/test_golden.py pins whole runs)
+    ROW_JSON = (
+        '{\n  "config": {"a": -0, "b": 4.9406564584124654e-324, '
+        '"tol": 1.0000000000000001e-09, "seed": 42, "force": true, '
+        '"strict_paper": false},\n  "rows": [\n    {"theorem": '
+        '"say \\"hi\\"\\\\ to\\n\\u2131-\\u03bb, ok", "f": "exp", '
+        '"g": null, "a": -0, "b": 4.9406564584124654e-324, "alpha": 2, '
+        '"p": null, "q": 3, "lhs": 0.33333333333333331, "mid": null, '
+        '"rhs": null, "observed": -2.5000000000000171e-310, "bound": null, '
+        '"margin_lower": null, "margin_upper": null, "slack": null, '
+        '"error_budget": 9.9999999999999998e-13, "status": "Holds", '
+        '"evaluations": 1, "seed": 0, "notes": ["hypotheses unmet: '
+        '|f\'|^1 is not \\"convex\\"", "\\u00fcn\\u00efcode \\u2713"]}'
+        '\n  ]\n}\n')
+    ROW_CSV = (
+        "theorem,f,g,a,b,alpha,p,q,lhs,mid,rhs,observed,bound,margin_lower,"
+        "margin_upper,slack,error_budget,status,evaluations,seed\n"
+        '"say ""hi""\\ to\n\u2131-\u03bb, ok",exp,,-0,'
+        "4.9406564584124654e-324,2,,3,0.33333333333333331,,,"
+        "-2.5000000000000171e-310,,,,,9.9999999999999998e-13,Holds,1,0\n")
+
+    def test_json_reads_back_as_the_row(self):
+        data = json.loads(_render_json([self.ROW], self.CFG))
+        assert data["config"] == dataclasses.asdict(self.CFG)
+        (row,) = data["rows"]
+        assert row == {**self.ROW, "notes": list(self.ROW["notes"])}
+        assert type(row["evaluations"]) is type(row["seed"]) is int
+
+    def test_json_bytes_are_pinned(self):
+        assert _render_json([self.ROW], self.CFG) == self.ROW_JSON
+        assert _render_json([], RunConfig()) == (
+            '{\n  "config": {"a": 0, "b": 1, "tol": 1.0000000000000001e-09, '
+            '"seed": 42, "force": false, "strict_paper": false},\n'
+            '  "rows": [\n\n  ]\n}\n')
+
+    def test_csv_bytes_are_pinned(self):
+        assert _render_csv([self.ROW]) == self.ROW_CSV
+        assert _render_csv([]) == self.ROW_CSV.partition("\n")[0] + "\n"
 
     def test_sort_key_places_missing_fields_first(self):
         with_f = {"theorem": "t", "f": "sq", "g": None, "a": 0.0, "b": 1.0,

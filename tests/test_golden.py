@@ -1,4 +1,4 @@
-"""The corpus output, byte for byte: every invocation of
+"""The CLI output, byte for byte: every invocation of
 tests/data/record_golden.py still exits with the recorded code and writes
 the recorded sha256.  A change that moves values on purpose re-records
 tests/data/golden.json and lists the moved rows."""
