@@ -30,9 +30,10 @@ import inspect
 import io
 import json
 import math
+import operator
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import inequalities as ineq
@@ -251,45 +252,36 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _json_scalar(value) -> str:
-    return _fmt_float(value) if isinstance(value, float) else json.dumps(value)
+def _texts(values, null: str, quote: Callable) -> list[str]:
+    # each value as output text: a float by _fmt_float, None as null,
+    # anything else by quote
+    return [null if v is None else _fmt_float(v) if isinstance(v, float)
+            else quote(v) for v in values]
+
+
+_column_values = operator.itemgetter(*CSV_COLUMNS)
+_JSON_ROW = ("    {{" + "".join(f'"{c}": {{}}, ' for c in CSV_COLUMNS)
+             + '"notes": [{}]}}')
 
 
 def _render_json(rows: list[dict], cfg: RunConfig) -> str:
-    out = io.StringIO()
-    out.write("{\n  \"config\": {")
-    cfg_items = (("a", cfg.a), ("b", cfg.b), ("tol", cfg.tol),
-                 ("seed", cfg.seed), ("force", cfg.force),
-                 ("strict_paper", cfg.strict_paper))
-    out.write(", ".join(f"\"{k}\": {_json_scalar(v)}" for k, v in cfg_items))
-    out.write("},\n  \"rows\": [\n")
-    chunks = []
-    for row in rows:
-        fields = [f"\"{key}\": {_json_scalar(row[key])}"
-                  for key in CSV_COLUMNS]
-        notes = ", ".join(json.dumps(n) for n in row["notes"])
-        fields.append(f"\"notes\": [{notes}]")
-        chunks.append("    {" + ", ".join(fields) + "}")
-    out.write(",\n".join(chunks))
-    out.write("\n  ]\n}\n")
-    return out.getvalue()
+    # labels, statuses and notes repeat, so each is quoted once; typed, so
+    # 1 and 0 never share an entry with true and false
+    quote = functools.lru_cache(maxsize=None, typed=True)(json.dumps)
+    config = ", ".join(f'"{f.name}": {text}' for f, text in zip(
+        fields(cfg), _texts(astuple(cfg), "null", quote)))
+    body = ",\n".join(
+        _JSON_ROW.format(*_texts(_column_values(row), "null", quote),
+                         ", ".join(map(quote, row["notes"])))
+        for row in rows)
+    return f'{{\n  "config": {{{config}}},\n  "rows": [\n{body}\n  ]\n}}\n'
 
 
 def _render_csv(rows: list[dict]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        record = []
-        for key in CSV_COLUMNS:
-            value = row[key]
-            if value is None:
-                record.append("")
-            elif isinstance(value, float):
-                record.append(_fmt_float(value))
-            else:
-                record.append(str(value))
-        writer.writerow(record)
+    writer.writerows(_texts(_column_values(row), "", str) for row in rows)
     return out.getvalue()
 
 
@@ -331,12 +323,8 @@ def _render_text(rows: list[dict]) -> str:
 def _emit(rows: list[dict], cfg: RunConfig, fmt: str,
           out_path: Optional[str]) -> None:
     rows = sorted(rows, key=_sort_key)
-    if fmt == "json":
-        text = _render_json(rows, cfg)
-    elif fmt == "csv":
-        text = _render_csv(rows)
-    else:
-        text = _render_text(rows)
+    text = (_render_json(rows, cfg) if fmt == "json" else
+            _render_csv(rows) if fmt == "csv" else _render_text(rows))
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8", newline="") as fh:

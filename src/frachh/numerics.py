@@ -75,9 +75,9 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 MAX_PANELS = 2 ** 16
 # entries kept per Integrand table (~1.3 MB).  The corpus grids' largest table
-# holds 1,322 (the default grid at seed 42; 112 on the hard grid), but an
-# integral missing its tolerance reads ~10^6 nodes.  Past the cap a miss keeps
-# nothing
+# holds 1,324 (the default grid at seed 42; 70 on the hard grid, 263 on the
+# tiny), but an integral missing its tolerance reads ~10^6 nodes.  Past the
+# cap a miss keeps nothing
 TABLE_CAP = 2 ** 14
 
 # math.gamma overflows just above this point (double precision).
@@ -487,25 +487,24 @@ def _tail(ys: Sequence[float]) -> float:
     return _TAIL_FACTOR * sum(tail)
 
 
-def _subtracted(alpha: float, ys: Sequence[float],
-                head: float) -> tuple[float, float, float]:
-    """For values ys at _end_nodes, or at its 13 even nodes, and the rule v
-    of _end_rule(alpha) of that length: head + sum_j v_j y_j (head =
-    p(0)/alpha, or 0.0 to leave it out), its error estimate, the
-    coefficients' tail (_tail) times sum_j |v_j|, which bounds the rule on
-    a p - p(0) of size 1 at the nodes (2/alpha above alpha ~ 1/2, 13.8 at
-    alpha 1e-8), and |head| + sum_j |v_j y_j|, the size its rounding scales
-    with (head and the sum can cancel)."""
+def _subtracted(alpha: float, ys: Sequence[float], head: float,
+                tail: float) -> tuple[float, float, float]:
+    """For values ys at _end_nodes, or at its 13 even nodes, their
+    coefficients' tail (_tail) and the rule v of _end_rule(alpha) of that
+    length: head + sum_j v_j y_j (head = p(0)/alpha, or 0.0 to leave it
+    out), its error estimate, tail times sum_j |v_j|, which bounds the rule
+    on a p - p(0) of size 1 at the nodes (2/alpha above alpha ~ 1/2, 13.8
+    at alpha 1e-8), and |head| + sum_j |v_j y_j|, the size its rounding
+    scales with (head and the sum can cancel)."""
     full, nested = _end_rule(alpha)
     v = full if len(ys) == len(full) else nested
     terms = list(map(operator.mul, v, ys))
-    tail = _tail(ys)
     return (head + math.fsum(terms), tail and tail * math.fsum(map(abs, v)),
             abs(head) + math.fsum(map(abs, terms)))
 
 
 def _cheb_panel(lo: float, hi: float, ys: Sequence[float],
-                gs: Sequence[float], head: float,
+                gs: Sequence[float], head: float, tails: Sequence[float],
                 beta: float) -> tuple[float, float, float, int]:
     """The value, error, rounding floor and number of nodes of a panel
     [lo, hi] on _end_nodes, or on its 13 even nodes, the one place every
@@ -513,17 +512,16 @@ def _cheb_panel(lo: float, hi: float, ys: Sequence[float],
     plus, on a panel at the singular end, the rule of order beta on gs,
     exact for u^(beta-1) in u, the distance from the last node over
     hi - lo, scaled by (hi - lo)^beta, with head for its p(0)/beta
-    (_subtracted).  Either part may be empty.  The error is the parts'
-    coefficient tails, 0.0 for a part at its plateau, and the floor 50 eps
-    times the rules on |terms|: the rounding of the terms, head and
-    scales."""
+    (_subtracted).  Either part may be empty.  The error is from the
+    parts' coefficient tails, 0.0 for a part at its plateau, and the floor
+    50 eps times the rules on |terms|: the rounding of terms, head, scales."""
     val = err = floor = 0.0
     width = hi - lo
     if ys:
-        val, est, size = _subtracted(1.0, ys, ys[-1])
+        val, est, size = _subtracted(1.0, ys, ys[-1], tails[0])
         val, err, floor = width * val, width * est, width * size
     if gs:
-        part, est, size = _subtracted(beta, gs, head)
+        part, est, size = _subtracted(beta, gs, head, tails[1])
         scale = width ** beta
         val, err, floor = (val + scale * part, err + scale * est,
                            floor + scale * size)
@@ -545,9 +543,9 @@ def _power_rule(h: Callable[[float], float], beta: float,
     d).  read(lo, hi) reads h at the 13 even nodes, the Chebyshev points of
     degree 12, and at the 12 odd ones only when a part's degree-12 series
     is short of its rounding plateau (_tail; a doubly adaptive panel,
-    Oliver, Comput. J. 15, 1972), and gives _cheb_panel's ys, gs and head
-    at the nodes read.  A non-finite term raises EvaluationError at the
-    first bad abscissa of the nodes read, in node order."""
+    Oliver, Comput. J. 15, 1972), and gives _cheb_panel's ys, gs, head and
+    tails at the nodes read.  A non-finite term raises EvaluationError at
+    the first bad abscissa of the nodes read, in node order."""
     bm1 = beta - 1.0
 
     def terms(at_end: bool, ds: Sequence[float], hs: list[float]
@@ -565,20 +563,22 @@ def _power_rule(h: Callable[[float], float], beta: float,
                 for d, s, r, y in zip(ds, ss, rs, hs)], (), 0.0
 
     def read(lo: float, hi: float
-             ) -> tuple[Sequence[float], Sequence[float], float]:
+             ) -> tuple[Sequence[float], Sequence[float], float, list]:
         xs = _end_nodes(lo, hi, upper)
         near, far = (end - hi, end - lo) if upper else (lo - end, hi - end)
         ds = _end_nodes(near, far, False)
         even = list(map(h, xs[::2]))
         ys, gs, head = terms(not near, ds[::2], even)
+        tails = [0.0, 0.0]  # every part at its plateau
         if any(_tail(p) for p in (ys, gs) if p):  # short of its plateau
             hs = [y for pair in zip(even, map(h, xs[1::2])) for y in pair]
             ys, gs, head = terms(not near, ds, hs + even[-1:])
+            tails = [_tail(p) if p else 0.0 for p in (ys, gs)]
         else:
             xs = xs[::2]
         for p in (ys, gs):  # before fsum, which raises on inf - inf
             _check_finite(xs, p)
-        return ys, gs, head
+        return ys, gs, head, tails
 
     return (lambda lo, hi: _cheb_panel(lo, hi, *read(lo, hi), beta)), read
 
@@ -736,7 +736,7 @@ class CumulativeKernel:
         """The Chebyshev coefficients of the leaf's Phi (_antiderivative),
         from the build's reader: at order 1, its p(lo) added, and on the
         leaf at 0, of h at order alpha."""
-        ys, gs, _ = self._read(lo, hi)
+        ys, gs = self._read(lo, hi)[:2]
         rows = _chebyshev_rows(len(ys) - 1)
         phis = [_antiderivative([sum(map(operator.mul, row, y))
                                  for row in rows], beta)

@@ -24,7 +24,7 @@ from frachh.functions import builtin_function_corpus, builtin_weight_corpus
 from frachh.numerics import (DEFAULT_TOL, CumulativeKernel, DomainError,
                              EvaluationError, Integrand, KernelSide,
                              MAX_PANELS, QuadResult, _chebyshev, _end_nodes,
-                             _end_rule, _gk15_nodes, _subtracted,
+                             _end_rule, _gk15_nodes, _subtracted, _tail,
                              check_interval, check_order, gamma,
                              integrate_odd, integrate_singular,
                              integrate_smooth, integrate_symmetric)
@@ -843,12 +843,12 @@ class TestCumulativeKernel:
         assert len(k._pre) == len(ends) and k._pre[0] == 0.0
         errs, floors = [], []
         for lo, hi in zip(ends, ends[1:]):
-            ys, gs, head = k._read(lo, hi)
+            ys, gs, head, _ = k._read(lo, hi)
             assert bool(gs) == (lo == 0.0) and head == 0.0
-            _, gap, size = _subtracted(1.0, ys, ys[-1])
+            _, gap, size = _subtracted(1.0, ys, ys[-1], _tail(ys))
             err, floor = (hi - lo) * gap, (hi - lo) * size
             if gs:
-                _, gap, size = _subtracted(alpha, gs, head)
+                _, gap, size = _subtracted(alpha, gs, head, _tail(gs))
                 scale = hi ** alpha
                 err, floor = err + scale * gap, floor + scale * size
             errs.append(err)
@@ -1249,14 +1249,14 @@ class TestKernelCallsGOncePerNode:
         edges, pre = k.ends, k._pre
         joined = 8 * math.ulp(max(map(abs, pre)))
         for j, (lo, hi) in enumerate(zip(edges, edges[1:])):
-            ys, gs, head = k._read(lo, hi)
-            value, _, size = _subtracted(1.0, ys, ys[-1])
+            ys, gs, head, _ = k._read(lo, hi)
+            value, _, size = _subtracted(1.0, ys, ys[-1], 0.0)
             value, local = (hi - lo) * value, (hi - lo) * size
             d = k._leaf(lo, hi)
             whole = (hi - lo) * _chebyshev(d[0], 1.0)
             none = _chebyshev(d[0], -1.0) - ys[-1]
             if gs:
-                full, _, size = _subtracted(alpha, gs, head)
+                full, _, size = _subtracted(alpha, gs, head, 0.0)
                 value += hi ** alpha * full
                 local += hi ** alpha * size
                 whole += hi ** alpha * _chebyshev(d[1], 1.0)
