@@ -5,7 +5,10 @@ For one function/weight pair the script prints, per order alpha, the
 weighted trapezoid defect together with each bound that applies and
 the ratio defect/bound (1.0 would be a sharp bound).  Useful for
 eyeballing which bound wins where; the Holder-type bound with the
-alpha <= 1 restriction drops out of the table past its range.
+alpha <= 1 restriction drops out of the table past its range.  After the
+table it prints each bound's largest ratio over the sweep and its
+detection threshold, 1 - that ratio: the least fraction a bound must be
+scaled down by before some order of the sweep reads Violated.
 
     python scripts/tightness_sweep.py --f exp --g parabolic --q 2
 """
@@ -55,6 +58,7 @@ def main() -> int:
     print(header)
     print("-" * len(header))
     widths = (8, 8, 9, 8, 8)  # columns of bound-1-5 .. bound-2-7
+    ratios = {ident: [] for ident in WEIGHTED_BOUNDS}
     for alpha in ALPHAS:
         s = FracSetting(args.a, args.b, alpha)
         memo = {}  # bounds of one weight share one defect per order
@@ -66,9 +70,15 @@ def main() -> int:
         cells = [f"{alpha:>6g}", f"{reports['bound-2-4'].observed:>12.5e}"]
         for ident, width in zip(WEIGHTED_BOUNDS, widths):
             r = reports.get(ident)
-            cells.append(f"{r.observed / r.bound:>{width}.3f}" if r
+            if r:
+                ratios[ident].append(r.observed / r.bound)
+            cells.append(f"{ratios[ident][-1]:>{width}.3f}" if r
                          else f"{'-':>{width}}")
         print(" ".join(cells))
+    print()
+    print(f"{'bound':<10} {'max ratio':>9} {'threshold':>9}")
+    for ident, seen in ratios.items():
+        print(f"{ident:<10} {max(seen):>9.3f} {1.0 - max(seen):>9.3f}")
     return 0
 
 

@@ -141,11 +141,8 @@ def _report_rows(ident: str, reports: Sequence[ineq.Report], cfg: RunConfig,
 
 
 def _sort_key(row: dict):
-    def k(key):
-        v = row[key]
-        return (v is not None, v if v is not None else 0)
-    return tuple(k(c) for c in ("theorem", "f", "g", "a", "b", "alpha",
-                                "q", "p"))
+    return tuple([(row[c] is not None, 0 if row[c] is None else row[c])
+                  for c in ("theorem", "f", "g", "a", "b", "alpha", "q", "p")])
 
 
 def _worst_status(rows: Sequence[dict]) -> int:

@@ -187,8 +187,8 @@ class Cell:
     (`read`): J(g), J(f g) and K share one table of g.  `evaluations`
     counts the calls made through the memo's Integrands since this cell
     was made.  Point reads are not counted: f at a, m and b (avg, fm),
-    sup |f'| and ||g||_inf are read once per memo, f' at a and b once
-    per bound row (the closed forms).
+    sup |f'| and ||g||_inf are read once per memo, |f'| at a and b (dends,
+    the one reader of f' outside a quadrature) once per bound row.
 
     With g = None, g is the unit weight scaled to W = 1: W is exactly 1,
     J(f g) and the defect are Gamma(alpha+1) / (2 (b-a)^alpha) times
@@ -287,15 +287,20 @@ class Cell:
             self.read(g), s.a, s.b, s.alpha, self.tol))
 
     @property
+    def dends(self) -> tuple[float, float]:
+        # on each access, not once per memo: bench/run.py's counters check
+        # needs these uncounted reads (ROADMAP item 4)
+        return abs(self.f.deriv(self.s.a)), abs(self.f.deriv(self.s.b))
+
+    @property
     def dsup(self) -> float:
         """sup |f'|: K's error factor.  f' of a certified convex f is
-        monotone, so the sup is max(|f'(a)|, |f'(b)|)."""
+        monotone, so the sup is max(dends)."""
         f, a, b = self.f, self.s.a, self.s.b
         if not f.certified_convex:
             raise DomainError(f"{f.label!r} is not certified convex on "
                               f"[{a!r}, {b!r}], so sup |{f.label}'| is unknown")
-        return self._once(("dsup", f.deriv, a, b), lambda: max(
-            abs(f.deriv(a)), abs(f.deriv(b))))
+        return self._once(("dsup", f.deriv, a, b), lambda: max(self.dends))
 
     @property
     def avg(self) -> float:
@@ -465,10 +470,8 @@ def weighted_trapezoid_identity(f, g: Optional[WeightSpec], s: FracSetting,
     return _identity(c.weighted_defect, rhs, c.evaluations, notes)
 
 
-def _power_mean(d: Callable[[float], float], a: float, b: float,
-                q: float) -> float:
+def _power_mean(da: float, db: float, q: float) -> float:
     # direct while m^q is a normal float, scaled by m past that
-    da, db = abs(d(a)), abs(d(b))
     m = max(da, db)
     if m == 0.0 or -1022.0 < q * math.log2(m) < 1023.0:
         return ((da ** q + db ** q) / 2.0) ** (1.0 / q)
@@ -477,12 +480,12 @@ def _power_mean(d: Callable[[float], float], a: float, b: float,
 
 @dataclass(frozen=True)
 class WeightedBound:
-    """closed_form(s, gsup, f', pair) of one defect bound; `reads` names
-    what it takes of the weight g and the Holder exponents q and p."""
+    """closed_form(s, gsup, |f'(a)|, |f'(b)|, pair) of one defect bound;
+    `reads` names what it takes of the weight g and the Holder q and p."""
 
     reads: tuple[str, ...]
     max_alpha: float
-    closed_form: Callable[[FracSetting, float, Callable[[float], float],
+    closed_form: Callable[[FracSetting, float, float, float,
                            Optional[HolderPair]], float]
 
 
@@ -490,39 +493,38 @@ class WeightedBound:
 # Each closed form keeps the operation order of the printed formula.
 WEIGHTED_BOUNDS: dict[str, WeightedBound] = {
     # convex |f'|, unit weight: 2.4 at the constant weight with W = 1
-    "bound-1-5": WeightedBound((), math.inf, lambda s, gsup, d, pair: (
+    "bound-1-5": WeightedBound((), math.inf, lambda s, gsup, da, db, pair: (
         s.width / (2.0 * (s.alpha + 1.0))
         * (1.0 - 2.0 ** (-s.alpha))
-        * (abs(d(s.a)) + abs(d(s.b))))),
+        * (da + db))),
     # convex |f'|
-    "bound-2-4": WeightedBound(("g",), math.inf, lambda s, gsup, d, pair: (
+    "bound-2-4": WeightedBound(("g",), math.inf, lambda s, gsup, da, db, pair: (
         s.width ** (s.alpha + 1.0) * gsup
         / ((s.alpha + 1.0) * gamma(s.alpha + 1.0))
         * (1.0 - 2.0 ** (-s.alpha))
-        * (abs(d(s.a)) + abs(d(s.b))))),
+        * (da + db))),
     # convex |f'|^q, q > 1.  The 1/(b-a)^(1/q) factor makes it scale
     # like (b-a)^(alpha - 1/q) under dilation while the defect scales
     # like (b-a)^alpha, so on long intervals it can drop below the defect.
-    "bound-2-5": WeightedBound(("g", "q"), math.inf, lambda s, gsup, d, pair: (
+    "bound-2-5": WeightedBound(("g", "q"), math.inf, lambda s, gsup, da, db, pair: (
         2.0 * s.width ** (s.alpha + 1.0) * gsup
         / (s.width ** (1.0 / pair.q) * (s.alpha + 1.0)
            * gamma(s.alpha + 1.0))
         * (1.0 - 2.0 ** (-s.alpha))
-        * _power_mean(d, s.a, s.b, pair.q))),
+        * _power_mean(da, db, pair.q))),
     # convex |f'|^q, via the Holder inequality, any alpha > 0
-    "bound-2-6": WeightedBound(("g", "p", "q"), math.inf, lambda s, gsup, d, pair: (
+    "bound-2-6": WeightedBound(("g", "p", "q"), math.inf, lambda s, gsup, da, db, pair: (
         2.0 ** (1.0 / pair.p) * gsup * s.width ** (s.alpha + 1.0)
         / ((s.alpha * pair.p + 1.0) ** (1.0 / pair.p) * gamma(s.alpha + 1.0))
         * (1.0 - 2.0 ** (-s.alpha * pair.p)) ** (1.0 / pair.p)
-        * _power_mean(d, s.a, s.b, pair.q))),
+        * _power_mean(da, db, pair.q))),
     # sharper, but only for 0 < alpha <= 1: the proof runs through the
     # scalar power lemma, which fails for alpha > 1
-    "bound-2-7": WeightedBound(("g", "p", "q"), 1.0, lambda s, gsup, d, pair: (
+    "bound-2-7": WeightedBound(("g", "p", "q"), 1.0, lambda s, gsup, da, db, pair: (
         gsup * s.width ** (s.alpha + 1.0)
         / ((s.alpha * pair.p + 1.0) ** (1.0 / pair.p) * gamma(s.alpha + 1.0))
-        * _power_mean(d, s.a, s.b, pair.q))),
+        * _power_mean(da, db, pair.q))),
 }
-
 
 
 def weighted_bound(ident: str, f, g: Optional[WeightSpec], s: FracSetting,
@@ -548,7 +550,7 @@ def weighted_bound(ident: str, f, g: Optional[WeightSpec], s: FracSetting,
     notes = _gate(f.admits_deriv_power(q), f"|{f.label}'|^{q:g} is not "
                   f"certified convex on [{s.a!r}, {s.b!r}]", force, notes)
     c = Cell(f, g, s, tol, memo)
-    bound = form.closed_form(s, c.gsup, f.deriv, pair)
+    bound = form.closed_form(s, c.gsup, *c.dends, pair)
     # each weighted form is linear in ||g||_inf: pad by its error, the
     # ulps a proven sup_at value can sit below the float max of |g|
     pad = 0.0 if g is None else 1e-9 * bound

@@ -26,6 +26,23 @@ the two kernel integrals of exp in closed form:
 
 and both kernel integrals of -log on [1, 3] at order 0.1 (NEG_LOG).
 
+For tests/test_oracle.py it records the five closed forms of
+inequalities.WEIGHTED_BOUNDS, as printed, at each order in BOUND_ORDERS
+(at most 1 for bound-2-7) and each [a, b] in BOUND_INTERVALS, with
+||g||_inf = BOUND_GSUP, |f'| at the ends of f' = 2x + 0.3 (computed in
+doubles, as the tests pass them) and each q in BOUND_QS for the forms
+that read q.  For the kernel calibration in tests/test_numerics.py it
+records K(t) = F(t-a) - F(b-t), F(x) = int_0^x v^(alpha-1) g(a+v) dv, of
+each weight in KERNEL_WEIGHTS at each order in KERNEL_ORDERS on each
+[a, b] in KERNEL_INTERVALS, at t = a + (b-a) i/200, i = 0..200.  With
+h = (b-a)/2, g(a+v) is a polynomial in h - v, so F is x^alpha times a
+polynomial in x:
+
+    (s-m)^2:      F(x) = x^alpha (h^2/alpha - 2hx/(alpha+1) + x^2/(alpha+2))
+    (s-m)^4 + 1:  F(x) = x^alpha ((h^4+1)/alpha - 4h^3 x/(alpha+1)
+                         + 6h^2 x^2/(alpha+2) - 4h x^3/(alpha+3)
+                         + x^4/(alpha+4))
+
 Every value is computed at DPS digits and rounded once to a double.
 """
 
@@ -50,6 +67,14 @@ END_RULE_ORDERS = (1e-8, 1e-4, 0.1, 0.2, 0.25, 0.3, 0.5, 0.6, 0.75, 0.9,
 NEG_LOG = (1.0, 3.0, 0.1)
 END_RULE_INTERVALS = ((0.0, 1.0), (1.0, 3.0), (0.0, 1e-6), (10.0, 10.5),
                       (0.0, 10.0))
+BOUND_ORDERS = (1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.25, 0.5, 0.75, 1.0, 2.0, 5.0)
+BOUND_INTERVALS = ((0.0, 1.0), (1.0, 3.0), (0.0, 1e-6))
+BOUND_GSUP = 1.7
+BOUND_QS = (2.0, 3.0)
+KERNEL_ORDERS = (0.1, 0.5, 1.5, 5.0)
+KERNEL_INTERVALS = ((0.0, 1.0), (1.0, 3.0))
+# (k, c) of each weight g = (s-m)^k + c
+KERNEL_WEIGHTS = {"square": (2, 0), "quartic-plus-one": (4, 1)}
 DPS = 40
 # the corpus entries whose own code goes through math's double-precision
 # functions; every other entry is arithmetic and evaluates at an mpf
@@ -101,6 +126,47 @@ def neg_log_integrals(a: float, b: float, alpha: float) -> dict:
     return values
 
 
+def bound_forms(a: float, b: float, alpha: float) -> dict:
+    """{ident: value} of the forms that read no q, {ident: {q: value}}
+    of the others; bound-2-7 only at alpha <= 1."""
+    da, db = (mpf(abs(2.0 * x + 0.3)) for x in (a, b))
+    w, order, gsup = mpf(b) - mpf(a), mpf(alpha), mpf(BOUND_GSUP)
+    gam, halving = mp.gamma(order + 1), 1 - mpf(2) ** -order
+    forms = {
+        "bound-1-5": float(w / (2 * (order + 1)) * halving * (da + db)),
+        "bound-2-4": float(w ** (order + 1) * gsup / ((order + 1) * gam)
+                           * halving * (da + db))}
+    for q in map(mpf, BOUND_QS):
+        p = q / (q - 1)
+        mean = ((da ** q + db ** q) / 2) ** (1 / q)
+        holder = gsup * w ** (order + 1) / ((order * p + 1) ** (1 / p) * gam)
+        values = {
+            "bound-2-5": 2 * w ** (order + 1) * gsup
+            / (w ** (1 / q) * (order + 1) * gam) * halving * mean,
+            "bound-2-6": 2 ** (1 / p) * holder
+            * (1 - mpf(2) ** (-order * p)) ** (1 / p) * mean,
+            "bound-2-7": holder * mean if alpha <= 1.0 else None}
+        for ident, value in values.items():
+            if value is not None:
+                forms.setdefault(ident, {})[repr(float(q))] = float(value)
+    return forms
+
+
+def kernel_values(a: float, b: float, alpha: float, degree: int,
+                  shift: int) -> list:
+    """K(t) at t = a + (b-a) i/200 of g = (s-m)^degree + shift."""
+    order, lo, hi = mpf(alpha), mpf(a), mpf(b)
+    h = (hi - lo) / 2
+
+    def big_f(x):
+        terms = [(-1) ** j * mp.binomial(degree, j) * h ** (degree - j)
+                 * x ** j / (order + j) for j in range(degree + 1)]
+        return x ** order * (mp.fsum(terms) + shift / order)
+
+    ts = [mpf(a + (b - a) * i / 200) for i in range(201)]
+    return [float(big_f(t - lo) - big_f(hi - t)) for t in ts]
+
+
 def record() -> dict:
     upper = {}
     for f in builtin_function_corpus(0.0, 1.0):
@@ -117,7 +183,18 @@ def record() -> dict:
                 exp[side].setdefault(f"{a!r},{b!r}", {})[repr(alpha)] = value
     a, b, alpha = NEG_LOG
     neg_log = {f"{a!r},{b!r}": {repr(alpha): neg_log_integrals(a, b, alpha)}}
-    return {"upper": upper, "beta": beta, "exp": exp, "neg-log": neg_log}
+    bounds = {}
+    for a, b in BOUND_INTERVALS:
+        for alpha in BOUND_ORDERS:
+            for ident, value in bound_forms(a, b, alpha).items():
+                bounds.setdefault(ident, {}).setdefault(
+                    f"{a!r},{b!r}", {})[repr(alpha)] = value
+    kernel = {label: {f"{a!r},{b!r}": {
+        repr(alpha): kernel_values(a, b, alpha, degree, shift)
+        for alpha in KERNEL_ORDERS} for a, b in KERNEL_INTERVALS}
+        for label, (degree, shift) in KERNEL_WEIGHTS.items()}
+    return {"upper": upper, "beta": beta, "exp": exp, "neg-log": neg_log,
+            "bounds": bounds, "kernel": kernel}
 
 
 def main() -> None:

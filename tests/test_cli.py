@@ -825,10 +825,10 @@ def _in_quadrature() -> bool:
 class TestEvaluations:
     """A row is charged exactly the integrand calls its quadratures made.
 
-    Point reads (f(a), f(b), f(m), f' at the ends, which Cell.dsup
-    reads too, ||g||_inf at sup_at) are made outside any
-    quadrature and are not charged; aux-integrals and lemma-1-6 read no
-    corpus entry.
+    Point reads (f(a), f(b), f(m), |f'| at the ends by Cell.dends, which
+    Cell.dsup and the bound forms read, ||g||_inf at sup_at) are made
+    outside any quadrature and are not charged; aux-integrals and
+    lemma-1-6 read no corpus entry.
     """
 
     @pytest.mark.parametrize("ident,interval,alpha", _CHARGE_CASES)
@@ -850,9 +850,9 @@ class TestEvaluations:
     @pytest.mark.parametrize("ident", ["identity-1-4", "identity-2-3"])
     def test_derivative_is_read_at_the_ends_only(self, ident, monkeypatch,
                                                  capsys):
-        # outside a quadrature f' is read only by dsup, at a and b once
-        # per f' and interval in the run's memo; the exact unit K of
-        # identity-1-4 needs no sup |f'|
+        # outside a quadrature f' is read only by Cell.dends, at a and b;
+        # the identities read it through dsup, once per f' and interval in
+        # the run's memo; the exact unit K of identity-1-4 needs no sup |f'|
         reads = {}
 
         def recorded(spec):

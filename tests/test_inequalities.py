@@ -935,8 +935,8 @@ class TestBounds:
         for ident in ("bound-2-4", "bound-2-5", "bound-2-6", "bound-2-7"):
             r = weighted_bound(ident, f, g, s, pair)
             pad = 1e-9 * r.bound
-            from_sampled = WEIGHTED_BOUNDS[ident].closed_form(s, sampled,
-                                                              f.deriv, pair)
+            from_sampled = WEIGHTED_BOUNDS[ident].closed_form(
+                s, sampled, abs(f.deriv(a)), abs(f.deriv(b)), pair)
             assert abs(from_sampled - r.bound) <= pad, ident
             assert r.error_budget == budget(r, g, pad), ident
         r = weighted_bound("bound-1-5", f, None, s)

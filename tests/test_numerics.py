@@ -57,6 +57,9 @@ EXP_INTERVALS = tuple(tuple(map(float, key.split(",")))
 EXP_ORDERS = tuple(map(float, next(iter(EXACT_EXP["upper"].values()))))
 NEG_LOG = json.loads((Path(__file__).resolve().parent / "data"
                       / "exact.json").read_text(encoding="utf-8"))["neg-log"]
+# K of two polynomial weights at 201 offsets, as exact.json stores it
+EXACT_KERNEL = json.loads((Path(__file__).resolve().parent / "data"
+                           / "exact.json").read_text(encoding="utf-8"))["kernel"]
 
 
 def _calibration_cases():
@@ -64,6 +67,22 @@ def _calibration_cases():
         for alpha in CALIBRATION_ALPHAS:
             a, b = interval
             yield pytest.param(alpha, interval, id=f"{alpha:g}-[{a:g},{b:g}]")
+
+
+def _exact_kernel_cases():
+    for label, by_interval in EXACT_KERNEL.items():
+        for interval, by_alpha in by_interval.items():
+            for alpha in by_alpha:
+                # K's closed-form term g(a)/alpha (x^alpha - (w-x)^alpha)
+                # rounds by ~eps |K|, which no estimate holds: 2.7e-15
+                # against an estimate of 1.6e-15 here
+                marks = pytest.mark.xfail(
+                    strict=True, reason="K's closed-form rounding is in no "
+                    "estimate (ROADMAP item 19)"
+                ) if (label, interval, alpha) == (
+                    "quartic-plus-one", "0.0,1.0", "0.1") else ()
+                yield pytest.param(label, interval, float(alpha), marks=marks,
+                                   id=f"{label}-{alpha}-[{interval}]")
 
 
 class TestGamma:
@@ -965,6 +984,24 @@ class TestCumulativeKernel:
             exact = [float(u - v) for u, v in zip(*big_f)]
         allowed = k.abs_error_estimate + 8 * math.ulp(max(map(abs, exact)))
         assert max(abs(k(t) - e) for t, e in zip(ts, exact)) <= allowed
+
+    @pytest.mark.parametrize("label,interval,alpha",
+                             list(_exact_kernel_cases()))
+    def test_polynomial_weight_meets_its_error_estimate(self, label,
+                                                        interval, alpha):
+        # g = (s-m)^2 and (s-m)^4 + 1 against their exact K, with no
+        # allowance beyond the estimate: the worst error is 0.04-0.24 of
+        # it except for (s-m)^4 + 1 on [0, 1], 0.59-0.95 at alpha 0.5, 1.5
+        # and 5, so a halved estimate fails there
+        a, b = map(float, interval.split(","))
+        m = 0.5 * (a + b)
+        g = {"square": lambda s: (s - m) ** 2,
+             "quartic-plus-one": lambda s: (s - m) ** 4 + 1.0}[label]
+        k = CumulativeKernel(g, a, b, alpha)
+        ts = [a + (b - a) * i / 200 for i in range(201)]
+        exact = EXACT_KERNEL[label][interval][repr(alpha)]
+        assert max(abs(k(t) - e) for t, e in zip(ts, exact)) <= (
+            k.abs_error_estimate)
 
     # (a, b, alpha) where K at or one ulp inside an end can read a kernel
     # factor at 0 (1/0, or an overflow on [1e-300, 1.2e-9]), and a narrow
