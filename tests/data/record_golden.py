@@ -42,6 +42,14 @@ INVOCATIONS.update(
     (f"sweep-{fmt}-42", ["sweep", "--thm", "bound-2-5", "--f", "exp", "--g",
                          "bump", "--format", fmt])
     for fmt in ("json", "csv", "text"))
+# identities on [0, 20], where integrate_odd bisects: no corpus grid reads a
+# panel off the singular end with parts (S, R), as these two do
+INVOCATIONS["verify-identity-2-3-b20-json-42"] = [
+    "verify", "--thm", "identity-2-3", "--f", "exp", "--g", "bump",
+    "--alpha", "0.5", "--b", "20", "--format", "json"]
+INVOCATIONS["verify-identity-1-4-b20-json-42"] = [
+    "verify", "--thm", "identity-1-4", "--f", "exp", "--alpha", "0.5",
+    "--b", "20", "--format", "json"]
 
 
 def digest(argv: list[str]) -> dict:
