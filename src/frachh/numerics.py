@@ -34,9 +34,11 @@ _power_rule: Chebyshev panels, the one at that end by a modified
 Clenshaw-Curtis rule exact for the kernel (the end rule), every other by
 Clenshaw-Curtis on the product; a panel reads its 13 even nodes first and
 the other 12 only when the degree-12 series is short of its rounding
-plateau (Oliver, Comput. J. 15, 1972).  One routine, _cheb_panel, sums
-every such panel, and estimates its error from the tail of the
-interpolant's Chebyshev coefficients (_tail).
+plateau (Oliver, Comput. J. 15, 1972).  A panel's reading is a list of
+parts (order, values, tail), order-1 parts first, and one loop,
+_cheb_panel, sums every part of every such panel by the end rule of its
+order, its error from the tail of the part's Chebyshev coefficients
+(_tail).
 
 Every quadrature result carries an absolute error estimate, the number
 of integrand evaluations spent, and a flag saying whether the requested
@@ -487,45 +489,33 @@ def _tail(ys: Sequence[float]) -> float:
     return _TAIL_FACTOR * sum(tail)
 
 
-def _subtracted(alpha: float, ys: Sequence[float], head: float,
-                tail: float) -> tuple[float, float, float]:
-    """For values ys at _end_nodes, or at its 13 even nodes, their
-    coefficients' tail (_tail) and the rule v of _end_rule(alpha) of that
-    length: head + sum_j v_j y_j (head = p(0)/alpha, or 0.0 to leave it
-    out), its error estimate, tail times sum_j |v_j|, which bounds the rule
-    on a p - p(0) of size 1 at the nodes (2/alpha above alpha ~ 1/2, 13.8
-    at alpha 1e-8), and |head| + sum_j |v_j y_j|, the size its rounding
-    scales with (head and the sum can cancel)."""
-    full, nested = _end_rule(alpha)
-    v = full if len(ys) == len(full) else nested
-    terms = list(map(operator.mul, v, ys))
-    return (head + math.fsum(terms), tail and tail * math.fsum(map(abs, v)),
-            abs(head) + math.fsum(map(abs, terms)))
-
-
-def _cheb_panel(lo: float, hi: float, ys: Sequence[float],
-                gs: Sequence[float], head: float, tails: Sequence[float],
-                beta: float) -> tuple[float, float, float, int]:
+def _cheb_panel(lo: float, hi: float, parts: Sequence[tuple]
+                ) -> tuple[float, float, float, int]:
     """The value, error, rounding floor and number of nodes of a panel
     [lo, hi] on _end_nodes, or on its 13 even nodes, the one place every
-    Chebyshev panel is summed: the order-1 rule on ys, scaled by hi - lo,
-    plus, on a panel at the singular end, the rule of order beta on gs,
-    exact for u^(beta-1) in u, the distance from the last node over
-    hi - lo, scaled by (hi - lo)^beta, with head for its p(0)/beta
-    (_subtracted).  Either part may be empty.  The error is from the
-    parts' coefficient tails, 0.0 for a part at its plateau, and the floor
-    50 eps times the rules on |terms|: the rounding of terms, head, scales."""
-    val = err = floor = 0.0
-    width = hi - lo
-    if ys:
-        val, est, size = _subtracted(1.0, ys, ys[-1], tails[0])
-        val, err, floor = width * val, width * est, width * size
-    if gs:
-        part, est, size = _subtracted(beta, gs, head, tails[1])
-        scale = width ** beta
-        val, err, floor = (val + scale * part, err + scale * est,
-                           floor + scale * size)
-    return val, err, 50.0 * _EPS * floor, len(ys or gs)
+    Chebyshev panel is summed: the sum over its parts (order, ys, tail),
+    order-1 parts first, of the rule v of _end_rule(order) on ys, exact for
+    u^(order-1) in u, the distance from the last node over hi - lo, in
+    subtracted form, p(0)/order + sum_j v_j y_j with p(0) = ys[-1], scaled
+    by (hi - lo)^order.  A part's error is tail (_tail, 0.0 at its plateau)
+    times sum_j |v_j|, which bounds the rule on a p - p(0) of size 1 at the
+    nodes (2/order above order ~ 1/2, 13.8 at order 1e-8), and its size is
+    |p(0)|/order + sum_j |v_j y_j| (the two terms can cancel): the floor is
+    50 eps times the sizes.  The sums start from the first part, so a panel
+    of -0.0 keeps its sign."""
+    width, sums = hi - lo, []
+    for order, ys, tail in parts:
+        full, nested = _end_rule(order)
+        v = full if len(ys) == len(full) else nested
+        terms = list(map(operator.mul, v, ys))
+        head, scale = ys[-1] / order, width ** order
+        sums.append((scale * (head + math.fsum(terms)),
+                     scale * (tail and tail * math.fsum(map(abs, v))),
+                     scale * (abs(head) + math.fsum(map(abs, terms)))))
+    (val, err, floor), *rest = sums
+    for x, e, f in rest:
+        val, err, floor = val + x, err + e, floor + f
+    return val, err, 50.0 * _EPS * floor, len(parts[0][1])
 
 
 def _power_rule(h: Callable[[float], float], beta: float,
@@ -536,51 +526,49 @@ def _power_rule(h: Callable[[float], float], beta: float,
     the singular end `end`, the hi (upper) or lo of the panel touching it,
     and (S, R) = parts(d), or (1, 0) for parts None, which reads no R.
     Every panel is on _end_nodes, h read at its abscissae and d at the
-    nodes of its distances from end.  The panel at end takes S h by
-    _end_rule(beta), with head S h / beta at d = 0, and R h by the order-1
-    rule; every other takes (d^(beta-1) S + R) h by the order-1 rule, a
-    term 0.0 where h is, whatever d^(beta-1) (it overflows at subnormal
-    d).  read(lo, hi) reads h at the 13 even nodes, the Chebyshev points of
-    degree 12, and at the 12 odd ones only when a part's degree-12 series
-    is short of its rounding plateau (_tail; a doubly adaptive panel,
-    Oliver, Comput. J. 15, 1972), and gives _cheb_panel's ys, gs, head and
-    tails at the nodes read.  A non-finite term raises EvaluationError at
-    the first bad abscissa of the nodes read, in node order."""
+    nodes of its distances from end.  The panel at end takes R h by the
+    order-1 rule and S h by _end_rule(beta); every other takes (d^(beta-1)
+    S + R) h by the order-1 rule, a term 0.0 where h is, whatever
+    d^(beta-1) (it overflows at subnormal d).  read(lo, hi) reads h at the
+    13 even nodes, the Chebyshev points of degree 12, and at the 12 odd
+    ones only when a part's degree-12 series is short of its rounding
+    plateau (_tail; a doubly adaptive panel, Oliver, Comput. J. 15, 1972),
+    and gives _cheb_panel's parts (order, ys, tail) at the nodes read.  A
+    non-finite term raises EvaluationError at the first bad abscissa of the
+    nodes read, in node order."""
     bm1 = beta - 1.0
 
     def terms(at_end: bool, ds: Sequence[float], hs: list[float]
-              ) -> tuple[Sequence[float], Sequence[float], float]:
+              ) -> list[tuple[float, list[float]]]:
         if parts is None:
             if at_end:
-                return (), hs, hs[-1] / beta
-            return [d ** bm1 * y if y else 0.0
-                    for d, y in zip(ds, hs)], (), 0.0
+                return [(beta, hs)]
+            return [(1.0, [d ** bm1 * y if y else 0.0
+                           for d, y in zip(ds, hs)])]
         ss, rs = zip(*map(parts, ds))
         if at_end:
-            gs = list(map(operator.mul, ss, hs))
-            return list(map(operator.mul, rs, hs)), gs, gs[-1] / beta
-        return [(d ** bm1 * s + r) * y if y else 0.0
-                for d, s, r, y in zip(ds, ss, rs, hs)], (), 0.0
+            return [(1.0, list(map(operator.mul, rs, hs))),
+                    (beta, list(map(operator.mul, ss, hs)))]
+        return [(1.0, [(d ** bm1 * s + r) * y if y else 0.0
+                       for d, s, r, y in zip(ds, ss, rs, hs)])]
 
-    def read(lo: float, hi: float
-             ) -> tuple[Sequence[float], Sequence[float], float, list]:
+    def read(lo: float, hi: float) -> list[tuple[float, list[float], float]]:
         xs = _end_nodes(lo, hi, upper)
         near, far = (end - hi, end - lo) if upper else (lo - end, hi - end)
         ds = _end_nodes(near, far, False)
         even = list(map(h, xs[::2]))
-        ys, gs, head = terms(not near, ds[::2], even)
-        tails = [0.0, 0.0]  # every part at its plateau
-        if any(_tail(p) for p in (ys, gs) if p):  # short of its plateau
+        got = terms(not near, ds[::2], even)
+        if any(_tail(ys) for _, ys in got):  # a part short of its plateau
             hs = [y for pair in zip(even, map(h, xs[1::2])) for y in pair]
-            ys, gs, head = terms(not near, ds, hs + even[-1:])
-            tails = [_tail(p) if p else 0.0 for p in (ys, gs)]
-        else:
-            xs = xs[::2]
-        for p in (ys, gs):  # before fsum, which raises on inf - inf
-            _check_finite(xs, p)
-        return ys, gs, head, tails
+            got = [(order, ys, _tail(ys))
+                   for order, ys in terms(not near, ds, hs + even[-1:])]
+        else:  # every part at its plateau
+            xs, got = xs[::2], [(order, ys, 0.0) for order, ys in got]
+        for _, ys, _ in got:  # before fsum, which raises on inf - inf
+            _check_finite(xs, ys)
+        return got
 
-    return (lambda lo, hi: _cheb_panel(lo, hi, *read(lo, hi), beta)), read
+    return (lambda lo, hi: _cheb_panel(lo, hi, read(lo, hi))), read
 
 
 def integrate_odd(h: Callable[[float], float], alpha: float,
@@ -734,12 +722,12 @@ class CumulativeKernel:
 
     def _leaf(self, lo: float, hi: float) -> tuple[list[float], ...]:
         """The Chebyshev coefficients of the leaf's Phi (_antiderivative),
-        from the build's reader: at order 1, its p(lo) added, and on the
-        leaf at 0, of h at order alpha."""
-        ys, gs = self._read(lo, hi)[:2]
-        rows = _chebyshev_rows(len(ys) - 1)
-        phis = [_antiderivative([sum(map(operator.mul, row, y))
-                                 for row in rows], beta)
-                for y, beta in ((ys, 1.0), (gs, self.alpha)) if y]
-        phis[0][0] += ys[-1]
+        one per part of the build's reader: at order 1, its p(lo) added, and
+        on the leaf at 0, of h at order alpha."""
+        parts = self._read(lo, hi)
+        rows = _chebyshev_rows(len(parts[0][1]) - 1)
+        phis = [_antiderivative([sum(map(operator.mul, row, ys))
+                                 for row in rows], order)
+                for order, ys, _ in parts]
+        phis[0][0] += parts[0][1][-1]
         return tuple(phis)

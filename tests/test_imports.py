@@ -83,3 +83,56 @@ def test_every_annotation_resolves(path):
         except (NameError, AttributeError, TypeError) as error:
             unresolved.append(f"{fn.__qualname__}: {error!r}")
     assert unresolved == []
+
+
+def _bound(stmt):
+    """The names a module-level statement binds: by def, class, assignment
+    or import."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+        return [(alias.asname or alias.name).partition(".")[0]
+                for alias in stmt.names]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+        targets = [stmt.target]
+    else:
+        return []
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)]
+
+
+def _read(stmt):
+    # names a statement reads, as a name or as an attribute of a module
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+            or isinstance(node, ast.Attribute)}
+
+
+def _unread_private(sources):
+    """module:name for each private name (_x, not __x__) that a module in
+    sources binds at top level and no other top-level statement of any of
+    them reads, matched by name: a helper only the tests call."""
+    stmts = [(module, stmt) for module, text in sources.items()
+             for stmt in ast.parse(text).body]
+    reads = [_read(stmt) for _, stmt in stmts]
+    return [f"{module}:{name}" for i, (module, stmt) in enumerate(stmts)
+            for name in _bound(stmt)
+            if name.startswith("_") and not name.endswith("__")
+            and not any(name in read for j, read in enumerate(reads) if j != i)]
+
+
+def test_every_private_name_is_read_by_the_package():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert _unread_private(sources) == []
+
+
+def test_the_check_sees_a_private_name_only_its_definition_reads():
+    sources = {"a.py": "_LIMIT = 2\n_N = 3\n"
+                       "def _kept(x):\n    return x + _N\n"
+                       "def _own(x):\n    return _own(x - 1) if x else _LIMIT\n",
+               "b.py": "import a\nprint(a._kept(1))\n"}
+    assert _unread_private(sources) == ["a.py:_own"]

@@ -23,8 +23,8 @@ from frachh.fracops import FracSetting, j_left, j_right
 from frachh.functions import builtin_function_corpus, builtin_weight_corpus
 from frachh.numerics import (DEFAULT_TOL, CumulativeKernel, DomainError,
                              EvaluationError, Integrand, KernelSide,
-                             MAX_PANELS, QuadResult, _chebyshev, _end_nodes,
-                             _end_rule, _gk15_nodes, _subtracted, _tail,
+                             MAX_PANELS, QuadResult, _cheb_panel, _chebyshev,
+                             _end_nodes, _end_rule, _gk15_nodes, _tail,
                              check_interval, check_order, gamma,
                              integrate_odd, integrate_singular,
                              integrate_smooth, integrate_symmetric)
@@ -850,9 +850,10 @@ class TestCumulativeKernel:
     def test_leaves_tile_the_half_width_from_the_mesh(self, a, b, alpha):
         # one adaptive integral over [0, w/2] from the mesh (0, w/2): its
         # leaves tile the half width in order, only the leaf at 0 takes h =
-        # g - g(a) by the end rule, its head h(0)/alpha 0.0, the leaves'
-        # estimates sum to at most tol/4, and the kernel's estimate is that
-        # sum plus the leaves' rounding floors
+        # g - g(a) by the end rule, with p(0) = h(0) = 0.0, each part's tail
+        # is _tail of its values, the leaves' estimates sum to at most tol/4,
+        # and the kernel's estimate is that sum plus the leaves' rounding
+        # floors
         m = 0.5 * (a + b)
         k = CumulativeKernel(
             lambda s: 2.0 + math.cos(80.0 * (s - m) / (b - a)), a, b, alpha)
@@ -862,16 +863,15 @@ class TestCumulativeKernel:
         assert len(k._pre) == len(ends) and k._pre[0] == 0.0
         errs, floors = [], []
         for lo, hi in zip(ends, ends[1:]):
-            ys, gs, head, _ = k._read(lo, hi)
-            assert bool(gs) == (lo == 0.0) and head == 0.0
-            _, gap, size = _subtracted(1.0, ys, ys[-1], _tail(ys))
-            err, floor = (hi - lo) * gap, (hi - lo) * size
-            if gs:
-                _, gap, size = _subtracted(alpha, gs, head, _tail(gs))
-                scale = hi ** alpha
-                err, floor = err + scale * gap, floor + scale * size
+            parts = k._read(lo, hi)
+            orders = [order for order, _, _ in parts]
+            assert orders == ([1.0, alpha] if lo == 0.0 else [1.0])
+            assert all(tail == _tail(ys) for _, ys, tail in parts)
+            if lo == 0.0:
+                assert parts[1][1][-1] == 0.0
+            _, err, floor, _ = _cheb_panel(lo, hi, parts)
             errs.append(err)
-            floors.append(50.0 * sys.float_info.epsilon * floor)
+            floors.append(floor)
         assert k.tolerance_met
         assert math.fsum(errs) <= DEFAULT_TOL / 4
         assert k.abs_error_estimate == math.fsum(errs) + math.fsum(floors)
@@ -1206,7 +1206,7 @@ class TestKernelCallsGOncePerNode:
         j = min(bisect.bisect_right(ends, x) - 1, len(ends) - 2)
         lo = ends[j]
         xs = _end_nodes(lo, ends[j + 1], False)
-        if len(k._read(lo, ends[j + 1])[0]) == 13:
+        if len(k._read(lo, ends[j + 1])[0][1]) == 13:
             xs = xs[::2]
 
         def interpolant(fn):
@@ -1286,18 +1286,15 @@ class TestKernelCallsGOncePerNode:
         edges, pre = k.ends, k._pre
         joined = 8 * math.ulp(max(map(abs, pre)))
         for j, (lo, hi) in enumerate(zip(edges, edges[1:])):
-            ys, gs, head, _ = k._read(lo, hi)
-            value, _, size = _subtracted(1.0, ys, ys[-1], 0.0)
-            value, local = (hi - lo) * value, (hi - lo) * size
+            parts = k._read(lo, hi)
+            value, _, floor, _ = _cheb_panel(lo, hi, parts)
+            local = floor / (50.0 * sys.float_info.epsilon)  # the terms' size
             d = k._leaf(lo, hi)
-            whole = (hi - lo) * _chebyshev(d[0], 1.0)
-            none = _chebyshev(d[0], -1.0) - ys[-1]
-            if gs:
-                full, _, size = _subtracted(alpha, gs, head, 0.0)
-                value += hi ** alpha * full
-                local += hi ** alpha * size
-                whole += hi ** alpha * _chebyshev(d[1], 1.0)
-                none = abs(none) + abs(_chebyshev(d[1], -1.0))
+            assert len(d) == len(parts)
+            whole = sum((hi - lo) ** order * _chebyshev(phi, 1.0)
+                        for (order, _, _), phi in zip(parts, d))
+            none = abs(_chebyshev(d[0], -1.0) - parts[0][1][-1]) + sum(
+                abs(_chebyshev(phi, -1.0)) for phi in d[1:])
             # the rounding of a leaf's sums is that of their terms (2 ulps
             # seen)
             local = 8 * math.ulp(local)
