@@ -182,13 +182,13 @@ class Cell:
     it (W, ||g||_inf and K across functions, J(f g) and the defect
     across exponents).
 
-    Every quadrature of a cell, K's build and the identities' f' integrals
-    included, reads f, f' and g through the memo's Integrand of each
-    (`read`): J(g), J(f g) and K share one table of g.  `evaluations`
-    counts the calls made through the memo's Integrands since this cell
-    was made.  Point reads are not counted: f at a, m and b (avg, fm),
-    sup |f'| and ||g||_inf are read once per memo, |f'| at a and b (dends,
-    the one reader of f' outside a quadrature) once per bound row.
+    Every read of f, f' and g, a quadrature's (K's build and the
+    identities' f' integrals included) or a point's (f at a, m and b for
+    avg and fm, |f'| at a and b for dends and dsup, |g| at sup_at for
+    ||g||_inf), goes through the memo's Integrand of each (`read`): J(g),
+    J(f g) and K share one table of g.  `evaluations` counts the calls
+    made through the memo's Integrands since this cell was made, so a
+    row is charged every call of f, f' and g it made.
 
     With g = None, g is the unit weight scaled to W = 1: W is exactly 1,
     J(f g) and the defect are Gamma(alpha+1) / (2 (b-a)^alpha) times
@@ -223,10 +223,10 @@ class Cell:
         return self._reads[role, fn]
 
     def j(self, side: Callable, of: str) -> QuadResult:
-        """side(h) for side j_left or j_right and h = f, g, f g or, for
+        """side(h) for side j_left or j_right and h = g, f g or, for
         "defect", (avg - f) g (`of`), g = 1 for the unit weight."""
         f = self.f.fn if of != "g" else None
-        g = self.g.fn if of != "f" and self.g is not None else None
+        g = self.g.fn if self.g is not None else None
 
         def integral() -> QuadResult:
             fx = None if f is None else self.read(f).__call__
@@ -272,13 +272,12 @@ class Cell:
     @property
     def gsup(self) -> float:
         """||g||_inf: the largest |g| at the spec's sup_at points."""
-        g, s = self.g, self.s
+        g = self.g
         if g is None:
             return 1.0
         if not g.sup_at:
             raise DomainError(f"weight {g.label!r} states no sup_at")
-        return self._once(("sup", g.fn, s.a, s.b), lambda: max(
-            abs(g.fn(x)) for x in g.sup_at))
+        return max(abs(self.read(g.fn)(x)) for x in g.sup_at)
 
     @property
     def kernel(self) -> CumulativeKernel:
@@ -288,9 +287,8 @@ class Cell:
 
     @property
     def dends(self) -> tuple[float, float]:
-        # on each access, not once per memo: bench/run.py's counters check
-        # needs these uncounted reads (ROADMAP item 4)
-        return abs(self.f.deriv(self.s.a)), abs(self.f.deriv(self.s.b))
+        dx = self.read(self.f.deriv, "deriv")
+        return abs(dx(self.s.a)), abs(dx(self.s.b))
 
     @property
     def dsup(self) -> float:
@@ -300,18 +298,17 @@ class Cell:
         if not f.certified_convex:
             raise DomainError(f"{f.label!r} is not certified convex on "
                               f"[{a!r}, {b!r}], so sup |{f.label}'| is unknown")
-        return self._once(("dsup", f.deriv, a, b), lambda: max(self.dends))
+        return max(self.dends)
 
     @property
     def avg(self) -> float:
-        f, a, b = self.f.fn, self.s.a, self.s.b
+        fx = self.read(self.f.fn)
         # halved before the sum, which two values near the float max overflow
-        return self._once(("avg", f, a, b), lambda: 0.5 * f(a) + 0.5 * f(b))
+        return 0.5 * fx(self.s.a) + 0.5 * fx(self.s.b)
 
     @property
     def fm(self) -> float:
-        f, m = self.f.fn, self.s.midpoint
-        return self._once(("fm", f, m), lambda: f(m))
+        return self.read(self.f.fn)(self.s.midpoint)
 
     @property
     def weighted_defect(self) -> QuadResult:
@@ -570,7 +567,8 @@ def aux_integrals(s: FracSetting,
 
     Their sum, (b-a)^(alpha+2)/(alpha+1) * (1 - 2^-alpha), is the
     quantity the defect bounds are built from.  One identity Report per
-    part, with the closed form as lhs and the quadrature at tol as rhs.
+    part, with the closed form as lhs and the quadrature at tol as rhs,
+    which reads no f, f' or g: each reports 0 evaluations.
     """
     alpha, w = s.alpha, s.width
     base = w ** (alpha + 2.0) / (alpha + 1.0)
@@ -584,7 +582,7 @@ def aux_integrals(s: FracSetting,
         closed = base * (c - 2.0 ** (-(alpha + 1.0)))
         num = integrate_odd(moment, alpha, kernel, (0.0, 0.5 * w), tol)
         reports.append(replace(_identity(QuadResult(closed, 0.0, 0), num,
-                                         num.evaluations, ()), part=part))
+                                         0, ()), part=part))
     return tuple(reports)
 
 

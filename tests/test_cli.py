@@ -682,41 +682,56 @@ class TestSubcommands:
         assert [r["f"] for r in rows] == ["e-part", "f-part"]
         assert rows[0]["lhs"] == pytest.approx(0.16429773960448416, rel=1e-12)
 
-    def test_aux_rows_charge_their_own_part(self, monkeypatch, capsys):
-        # the two rows share a verdict but not a cost: their evaluations
-        # sum to the integrand calls actually made
-        calls = [0]
+    def test_aux_rows_charge_nothing(self, monkeypatch, capsys):
+        # the two rows integrate moments, no corpus f, f' or g, so each
+        # reports 0; the calls of each moment stay on its QuadResult
+        results = []
         integrate = frachh.inequalities.integrate_odd
 
         def counting(h, *args):
+            calls = [0]
+
             def counted(x):
                 calls[0] += 1
                 return h(x)
-            return integrate(counted, *args)
+            results.append((integrate(counted, *args), calls))
+            return results[-1][0]
 
         monkeypatch.setattr(frachh.inequalities, "integrate_odd", counting)
         assert main(["verify", "--thm", "aux-integrals", "--alpha", "0.5",
                      "--format", "csv"]) == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [r["f"] for r in rows] == ["e-part", "f-part"]
-        assert all(int(r["evaluations"]) > 0 for r in rows)
-        assert sum(int(r["evaluations"]) for r in rows) == calls[0]
+        assert [r["evaluations"] for r in rows] == ["0", "0"]
+        assert len(results) == 2
+        assert all(r.evaluations == calls[0] > 0 for r, calls in results)
 
     @pytest.mark.parametrize("grid", [
         [], ["--a", "1", "--b", "3", "--alpha-grid", "0.1,0.75,1.25,1.5,2.5,5"],
         ["--a", "0", "--b", "1e-6"]], ids=["default", "hard", "tiny"])
-    def test_aux_rows_meet_their_closed_forms(self, grid, capsys):
+    def test_aux_rows_meet_their_closed_forms(self, grid, monkeypatch,
+                                              capsys):
         # each part is identity 1.4's kernel against a line, which the end
         # rule integrates to rounding on one panel of 25 nodes; the absolute
         # budget of 1e-12 would hide a miss on [0, 1e-6], where the parts
         # are ~1e-15 in size
+        nodes = []
+        integrate = frachh.inequalities.integrate_odd
+
+        def counting(*args):
+            result = integrate(*args)
+            nodes.append(result.evaluations)
+            return result
+
+        monkeypatch.setattr(frachh.inequalities, "integrate_odd", counting)
         assert main(["corpus", "--theorems", "aux-integrals", *grid,
                      "--seed", "42"]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
-        assert len(rows) >= 8
+        assert len(rows) >= 8 and len(nodes) == len(rows)
         for row in rows:
             assert abs(row["lhs"] - row["rhs"]) <= 1e-14 * abs(row["lhs"]), row
-            assert row["evaluations"] <= 50, row
+            assert row["evaluations"] == 0, row
+        assert max(nodes) <= 50
 
     def test_lemma_2_1_row(self):
         proc = run_cli("verify", "--thm", "lemma-2-1", "--g", "parabolic",
@@ -765,15 +780,14 @@ class TestSubcommands:
         assert capsys.readouterr().out == once
 
 
-def count_corpus_calls(monkeypatch, counts) -> list:
+def count_corpus_calls(monkeypatch) -> list:
     """Wrap f, f' and g of the corpus entries the CLI builds in counters;
-    a call adds 1 to the returned [total] when counts() is true."""
+    a call adds 1 to the returned [total]."""
     calls = [0]
 
     def counted(fn):
         def wrapper(x):
-            if counts():
-                calls[0] += 1
+            calls[0] += 1
             return fn(x)
         return wrapper
 
@@ -793,46 +807,32 @@ def count_corpus_calls(monkeypatch, counts) -> list:
     return calls
 
 
-# the code of the quadratures whose integrand calls a row is charged for
-_QUADRATURE_CODE = frozenset(fn.__code__ for fn in (
-    frachh.numerics.integrate_smooth, frachh.numerics.integrate_odd,
-    frachh.numerics.integrate_singular,
-    frachh.numerics.CumulativeKernel.__init__,
-    frachh.numerics.CumulativeKernel.__call__))
-
-# the statements whose verify row reads a corpus entry, on [0, 1] and
-# [0, 1e-6] at order 0.5, and on [0, 1] at 1.5 where the statement reads
-# and allows it: a non-integer order above 1 runs the end rule
-_CHARGED = sorted(set(frachh.cli.THEOREMS) - {"aux-integrals", "lemma-1-6"})
+# every statement, on [0, 1] and [0, 1e-6] at order 0.5, and on [0, 1] at
+# 1.5 where the statement reads and allows it: a non-integer order above 1
+# runs the end rule; aux-integrals and lemma-1-6 read no corpus entry
+_READS_NONE = ("aux-integrals", "lemma-1-6")
 _CHARGE_CASES = [
     *(pytest.param(ident, interval, "0.5", id=f"{ident}-{name}")
-      for ident in _CHARGED
+      for ident in sorted(frachh.cli.THEOREMS)
       for name, interval in (("unit", ("0", "1")), ("tiny", ("0", "1e-6")))),
     *(pytest.param(ident, ("0", "1"), "1.5", id=f"{ident}-order-1.5")
-      for ident in _CHARGED if "alpha" in frachh.cli.THEOREMS[ident].reads
+      for ident in sorted(frachh.cli.THEOREMS)
+      if "alpha" in frachh.cli.THEOREMS[ident].reads
       and frachh.cli.THEOREMS[ident].max_alpha >= 1.5)]
 
 
-def _in_quadrature() -> bool:
-    frame = sys._getframe(2)
-    while frame is not None:
-        if frame.f_code in _QUADRATURE_CODE:
-            return True
-        frame = frame.f_back
-    return False
-
-
 class TestEvaluations:
-    """A row is charged exactly the integrand calls its quadratures made.
+    """A row is charged exactly the calls of f, f' and g it made.
 
-    Point reads (f(a), f(b), f(m), |f'| at the ends by Cell.dends, which
-    Cell.dsup and the bound forms read, ||g||_inf at sup_at) are made
-    outside any quadrature and are not charged; aux-integrals and
-    lemma-1-6 read no corpus entry.
+    Every call goes through the memo's Integrands, the point reads too
+    (f(a), f(b), f(m), |f'| at the ends by Cell.dends, which Cell.dsup
+    and the bound forms read, ||g||_inf at sup_at), so the column sums to
+    the calls of the run; aux-integrals and lemma-1-6 read no corpus
+    entry and report 0.
     """
 
     @pytest.mark.parametrize("ident,interval,alpha", _CHARGE_CASES)
-    def test_verify_row_is_charged_its_quadrature_calls(
+    def test_verify_row_is_charged_its_calls(
             self, ident, interval, alpha, monkeypatch, capsys):
         # exp is f and f' at once; the tiny interval ends rows Inconclusive
         values = {"f": "exp", "g": "bump", "alpha": alpha, "q": "2"}
@@ -841,24 +841,30 @@ class TestEvaluations:
         for name in frachh.cli.THEOREMS[ident].reads:
             if name in values:
                 argv += [f"--{name}", values[name]]
-        calls = count_corpus_calls(monkeypatch, _in_quadrature)
+        calls = count_corpus_calls(monkeypatch)
         assert main(argv) in (0, 2)
-        (row,) = json.loads(capsys.readouterr().out)["rows"]
-        assert calls[0] > 0
-        assert row["evaluations"] == calls[0]
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        if ident in _READS_NONE:
+            assert calls[0] == 0
+            assert [row["evaluations"] for row in rows] == [0] * len(rows)
+        else:
+            (row,) = rows
+            assert calls[0] > 0
+            assert row["evaluations"] == calls[0]
 
     @pytest.mark.parametrize("ident", ["identity-1-4", "identity-2-3"])
-    def test_derivative_is_read_at_the_ends_only(self, ident, monkeypatch,
-                                                 capsys):
-        # outside a quadrature f' is read only by Cell.dends, at a and b;
-        # the identities read it through dsup, once per f' and interval in
-        # the run's memo; the exact unit K of identity-1-4 needs no sup |f'|
+    def test_derivative_is_read_through_the_memo_only(self, ident,
+                                                      monkeypatch, capsys):
+        # f' is called only by the memo's Integrand of it, sup |f'| at a
+        # and b included, so no abscissa twice in the run; the exact unit
+        # K of identity-1-4 needs no sup |f'|
+        table = frachh.numerics.Integrand.__call__.__code__
         reads = {}
 
         def recorded(spec):
             def deriv(x):
-                if not _in_quadrature():
-                    reads.setdefault(spec.label, []).append(x)
+                reads.setdefault(spec.label, []).append(x)
+                assert sys._getframe(1).f_code is table, (spec.label, x)
                 return spec.deriv(x)
             return deriv
 
@@ -866,21 +872,23 @@ class TestEvaluations:
         monkeypatch.setattr(frachh.cli, "builtin_function_corpus", lambda
                             *args: [dataclasses.replace(f, deriv=recorded(f))
                                     if f.deriv else f for f in build(*args)])
+        if ident == "identity-1-4":
+            monkeypatch.setattr(frachh.inequalities.Cell, "dsup", property(
+                lambda cell: pytest.fail("identity-1-4 read sup |f'|")))
         assert main(["corpus", "--theorems", ident]) == 0
         capsys.readouterr()
-        if ident == "identity-1-4":
-            assert reads == {}
-        else:
-            derivs = {f.label for f in build(0.0, 1.0) if f.deriv}
-            assert reads == dict.fromkeys(derivs, [0.0, 1.0])
+        assert set(reads) == {f.label for f in build(0.0, 1.0) if f.deriv}
+        for label, xs in reads.items():
+            assert len(xs) == len(set(xs)), label
 
-    def test_corpus_column_sums_to_the_quadrature_calls(self, monkeypatch,
-                                                        capsys):
-        calls = count_corpus_calls(monkeypatch, _in_quadrature)
+    def test_corpus_column_sums_to_the_calls(self, monkeypatch, capsys):
+        calls = count_corpus_calls(monkeypatch)
         assert main(["corpus"]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
-        assert sum(row["evaluations"] for row in rows
-                   if row["theorem"] != "aux-integrals") == calls[0]
+        assert calls[0] > 0
+        assert sum(row["evaluations"] for row in rows) == calls[0]
+        assert all(row["evaluations"] == 0 for row in rows
+                   if row["theorem"] in _READS_NONE)
 
     def test_hard_grid_tables_stay_small(self, monkeypatch, capsys):
         # one memo serves the run, and its value tables hold the nodes of
@@ -918,12 +926,12 @@ class TestSharing:
 
     def test_rows_do_not_depend_on_the_other_statements(self, tmp_path,
                                                          monkeypatch):
-        calls = count_corpus_calls(monkeypatch, lambda: True)
+        calls = count_corpus_calls(monkeypatch)
         everything = self.corpus(tmp_path, "all")
         assert calls[0] > 0
-        # a shared quantity is charged once, so the column never exceeds
-        # the calls actually made
-        assert sum(row["evaluations"] for row in everything) <= calls[0]
+        # a shared quantity is charged once, so the column is the calls
+        # actually made
+        assert sum(row["evaluations"] for row in everything) == calls[0]
 
         def strip(rows):
             return [{k: v for k, v in row.items() if k != "evaluations"}

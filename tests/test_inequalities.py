@@ -417,7 +417,7 @@ class TestValueTables:
         for alpha in (0.5, 1.0, 1.25):
             for tol in (1e-9, 1e-11):
                 cell = Cell(f, g, FracSetting(0.0, 1.0, alpha), tol, memo)
-                cell.j(j_left, "f")
+                cell.j(j_left, "fg")
                 for of in ("g", "fg"):
                     cell.both(of)
                 cell.kernel  # its build reads the table of g too
@@ -437,16 +437,16 @@ class TestValueTables:
 
         def nodes(tol):  # the abscissae j_left(f) reads at tol, alone
             memo = {}
-            Cell(f, None, s, tol, memo).j(j_left, "f")
+            Cell(f, None, s, tol, memo).j(j_left, "fg")
             return set(memo["integrands"]["fn", f.fn].table)
 
         memo = {}
         coarse_cell = Cell(f, None, s, 1e-9, memo)
-        coarse = coarse_cell.j(j_left, "f")
+        coarse = coarse_cell.j(j_left, "fg")
         # a cell counts the memo's calls since it was made, later cells' too
         coarse_calls = coarse_cell.evaluations
         fine_cell = Cell(f, None, s, 1e-13, memo)
-        fine = fine_cell.j(j_left, "f")
+        fine = fine_cell.j(j_left, "fg")
         coarse_nodes, fine_nodes = nodes(1e-9), nodes(1e-13)
         assert fine.evaluations > coarse.evaluations
         assert coarse_calls == len(coarse_nodes) and coarse_nodes < fine_nodes
@@ -483,28 +483,37 @@ class TestValueTables:
         assert [len(read.table)
                 for read in memo["integrands"].values()] == [10]
 
-    def test_point_values_are_read_once_per_memo(self):
-        # f(a), f(m) and f(b) are memo entries like ||g||_inf: statements,
-        # orders and tolerances on [0, 1e-6] all read the first call
+    def test_point_values_are_read_through_the_memo(self):
+        # f(a), f(m), f(b) and |f'| at a and b are reads of the memo's
+        # tables like every quadrature node: statements, orders and
+        # tolerances on [0, 1e-6] call f and f' only through their
+        # Integrands, at most once per abscissa, and the tables hold them
         a, b = 0.0, 1e-6
         spec = {f.label: f for f in builtin_function_corpus(a, b)}["sq"]
         g = {w.label: w for w in builtin_weight_corpus(a, b)}["bump"]
-        quadrature = frachh.numerics.Integrand.__call__.__code__
-        reads = []
+        table = frachh.numerics.Integrand.__call__.__code__
+        reads = {"fn": [], "deriv": []}
 
-        def sq(x):
-            if sys._getframe(1).f_code is not quadrature:
-                reads.append(x)
-            return spec.fn(x)
+        def recorded(fn, role):
+            def read(x):
+                assert sys._getframe(1).f_code is table, (role, x)
+                reads[role].append(x)
+                return fn(x)
+            return read
 
-        f, memo = dataclasses.replace(spec, fn=sq), {}
+        f, memo = dataclasses.replace(
+            spec, fn=recorded(spec.fn, "fn"),
+            deriv=recorded(spec.deriv, "deriv")), {}
         for alpha in (0.5, 1.0, 1.5):
             s = FracSetting(a, b, alpha)
             for tol in (1e-9, 1e-11):
                 fejer_fractional(f, g, s, tol, memo=memo)
                 weighted_bound("bound-2-4", f, g, s, tol=tol, memo=memo)
                 weighted_trapezoid_identity(f, g, s, tol, memo=memo)
-        assert sorted(reads) == [a, (a + b) / 2, b]
+        for role, fn, points in (("fn", f.fn, (a, (a + b) / 2, b)),
+                                 ("deriv", f.deriv, (a, b))):
+            assert len(reads[role]) == len(set(reads[role])) > 0, role
+            assert set(points) <= set(memo["integrands"][role, fn].table)
 
     def test_kernel_partial_panels_stay_out_of_the_table(self):
         # K's build reads g through the memo's table of g, which J(g)
@@ -1039,8 +1048,17 @@ class TestAuxIntegrals:
         # of 2^5 panels, where G7/K15 on the bracket needed 131 and 69
         # (TestIntegrateSmooth's root moments)
         monkeypatch.setattr(frachh.numerics, "MAX_PANELS", 2 ** 5)
+        nodes = []
+        integrate = frachh.inequalities.integrate_odd
+
+        def recorded(*args):
+            result = integrate(*args)
+            nodes.append(result.evaluations)
+            return result
+
+        monkeypatch.setattr(frachh.inequalities, "integrate_odd", recorded)
         e, f = aux_integrals(HALF_UNIT, tol=1e-30)
-        assert (e.evaluations, f.evaluations) == (25, 25)
+        assert nodes == [25, 25] and e.evaluations == f.evaluations == 0
         for r in (e, f):
             assert r.status is Status.HOLDS and r.notes == ()
             assert abs(r.lhs - r.rhs) <= 1e-14 * abs(r.lhs)
